@@ -8,6 +8,10 @@ cd "$(dirname "$0")"
 cargo build --release --offline --workspace
 cargo test -q --offline --workspace
 cargo bench --no-run --offline --workspace
+# The benchmark package sees the product only through public calls
+# (benchmark/src/e2e/api.rs): an API change that breaks that view must
+# fail here, not in the pipeline that runs the benchmark.
+cargo test -q --offline --manifest-path benchmark/Cargo.toml
 
 # Style lanes: rustfmt and clippy are hard gates (both run offline).
 cargo fmt --check
@@ -140,6 +144,8 @@ for doc in README.md docs/*.md; do
     }
   done
 done
+
+# Invariant lane: rebuild the simulator with cycle-level structural
 # checks compiled in and rerun the crates they gate. Any violation
 # panics. (Scoped to these crates: the full integration suite re-runs
 # dataset-scale simulations and is too slow with per-cycle asserts.)

@@ -22,8 +22,38 @@
 use crate::report;
 use armdse_core::engine::Engine;
 use armdse_core::DesignConfig;
+use armdse_isa::Program;
 use armdse_kernels::{App, WorkloadScale};
-use armdse_simcore::{Contended, MultiCore, Topology};
+use armdse_memsim::{Hierarchy, MemParams, DEFAULT_BANKS};
+use armdse_simcore::{
+    run_pipeline, CoreParams, MultiCore, RunMode, RunOutput, SimBackend, Topology,
+};
+
+/// The closed-form projection as a backend: the banked hierarchy with
+/// `co_runners` phantom cores saturating the shared DRAM controller
+/// (paper §VII; 0 = the single-core setting).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Contended {
+    /// Number of phantom co-runners.
+    pub co_runners: u32,
+}
+
+impl SimBackend for Contended {
+    fn name(&self) -> &'static str {
+        "contended"
+    }
+
+    fn run(
+        &self,
+        program: &Program,
+        core: &CoreParams,
+        mem: &MemParams,
+        mode: RunMode,
+    ) -> RunOutput {
+        let mem = Hierarchy::contended(*mem, DEFAULT_BANKS, self.co_runners);
+        run_pipeline(program, core, mem, mode)
+    }
+}
 
 /// Co-runner counts simulated (0 = the paper's single-core setting).
 pub const CO_RUNNERS: [u32; 5] = [0, 1, 3, 7, 15];

@@ -15,7 +15,7 @@ use armdse_bench::{baseline, bench_dataset};
 use armdse_core::DseDataset;
 use armdse_kernels::{build_workload, App, WorkloadScale};
 use armdse_mltree::{DecisionTreeRegressor, LinearRegression, Matrix, RandomForest};
-use armdse_simcore::{BankedProxy, Idealized, SimBackend};
+use armdse_simcore::{BankedProxy, Idealized, RunMode, SimBackend};
 use std::hint::black_box;
 
 fn app_xy(data: &DseDataset, app: App) -> (Matrix, Vec<f64>) {
@@ -73,7 +73,7 @@ fn main() {
         let mem = cfg.mem;
         let core = cfg.core;
         h.bench(&format!("prefetcher/depth_{depth}"), || {
-            black_box(Idealized.run(&w.program, &core, &mem))
+            black_box(Idealized.run(&w.program, &core, &mem, RunMode::Plain))
         });
     }
 
@@ -81,10 +81,10 @@ fn main() {
     let cfg = baseline();
     let w = build_workload(App::Stream, WorkloadScale::Small, cfg.core.vector_length);
     h.bench("banking/infinite_banks", || {
-        black_box(Idealized.run(&w.program, &cfg.core, &cfg.mem))
+        black_box(Idealized.run(&w.program, &cfg.core, &cfg.mem, RunMode::Plain))
     });
     h.bench("banking/finite_banks_proxy", || {
-        black_box(BankedProxy.run(&w.program, &cfg.core, &cfg.mem))
+        black_box(BankedProxy.run(&w.program, &cfg.core, &cfg.mem, RunMode::Plain))
     });
 
     // Loop buffer on/off.
@@ -95,7 +95,7 @@ fn main() {
         cfg.core.loop_buffer_size = size;
         let core = cfg.core;
         h.bench(&format!("loop_buffer/{label}"), || {
-            black_box(Idealized.run(&w.program, &core, &cfg.mem))
+            black_box(Idealized.run(&w.program, &core, &cfg.mem, RunMode::Plain))
         });
     }
 

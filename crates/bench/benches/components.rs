@@ -8,7 +8,7 @@ use armdse_isa::TraceCursor;
 use armdse_kernels::{build_workload, App, WorkloadScale};
 use armdse_memsim::{Hierarchy, MemParams, MemoryModel};
 use armdse_mltree::{permutation_importance, DecisionTreeRegressor, Matrix, Regressor};
-use armdse_simcore::{Idealized, SimBackend};
+use armdse_simcore::{Idealized, RunMode, SimBackend};
 use std::hint::black_box;
 
 fn synthetic_training_data(n: usize) -> (Matrix, Vec<f64>) {
@@ -34,7 +34,7 @@ fn main() {
         h.bench_throughput(
             &format!("simulate/{}", app.name()),
             w.summary.total(),
-            || black_box(Idealized.run(&w.program, &cfg.core, &cfg.mem)),
+            || black_box(Idealized.run(&w.program, &cfg.core, &cfg.mem, RunMode::Plain)),
         );
     }
 
@@ -43,7 +43,7 @@ fn main() {
     // the cost of the observability layer (expected: a few percent).
     let w_m = build_workload(App::Stream, WorkloadScale::Small, cfg.core.vector_length);
     h.bench_throughput("simulate_metrics/STREAM", w_m.summary.total(), || {
-        black_box(Idealized.run_with_metrics(&w_m.program, &cfg.core, &cfg.mem))
+        black_box(Idealized.run(&w_m.program, &cfg.core, &cfg.mem, RunMode::Metrics))
     });
 
     // Trace-cursor decode throughput.

@@ -14,7 +14,7 @@ use armdse_core::engine::{Engine, RunPlan};
 use armdse_core::orchestrator::GenOptions;
 use armdse_core::space::ParamSpace;
 use armdse_kernels::{App, WorkloadScale};
-use armdse_simcore::{CoreParams, MultiCore, SimBackend, Topology};
+use armdse_simcore::{CoreParams, MultiCore, RunMode, SimBackend, Topology};
 use std::hint::black_box;
 
 /// A small single-threaded campaign over the extended kernels, so the
@@ -44,11 +44,17 @@ fn main() {
     let w = engine.workload(App::Spmv, WorkloadScale::Tiny, core.vector_length);
     for n in [1u32, 2, 4] {
         let machine = MultiCore::new(n, Topology::default().banks);
-        let cycles = machine.run(&w.program, &core, &mem).cycles;
+        let plain = || {
+            machine
+                .run(&w.program, &core, &mem, RunMode::Plain)
+                .stats
+                .cycles
+        };
+        let cycles = plain();
         h.bench_throughput(
             &format!("multicore/n{n}_core_cycles"),
             cycles * n as u64,
-            || black_box(machine.run(&w.program, &core, &mem).cycles),
+            || black_box(plain()),
         );
     }
 

@@ -15,7 +15,8 @@ use armdse_core::orchestrator::GenOptions;
 use armdse_core::space::ParamSpace;
 use armdse_kernels::{App, WorkloadScale};
 use armdse_simcore::{
-    CoreParams, Idealized, Memoized, Sampled, SimBackend, DEFAULT_INTERVAL_LEN, DEFAULT_WARMUP,
+    CoreParams, Idealized, Memoized, RunMode, Sampled, SimBackend, DEFAULT_INTERVAL_LEN,
+    DEFAULT_WARMUP,
 };
 use std::hint::black_box;
 
@@ -77,17 +78,16 @@ fn main() {
     let mem = armdse_memsim::MemParams::thunderx2();
     let w = plain.workload(App::Stream, WorkloadScale::Tiny, core.vector_length);
     let memo = Memoized::with_interval_len(Idealized, DEFAULT_INTERVAL_LEN);
-    memo.run(&w.program, &core, &mem);
+    let cycles = |b: &dyn SimBackend| b.run(&w.program, &core, &mem, RunMode::Plain).stats.cycles;
+    cycles(&memo);
     h.bench("reuse/warm_hit_single_workload", || {
-        black_box(memo.run(&w.program, &core, &mem).cycles)
+        black_box(cycles(&memo))
     });
 
     // Sampled single-workload run for the same program, for the
     // tier-vs-tier per-job comparison at identical inputs.
     let s = Sampled::with_params(Idealized, DEFAULT_INTERVAL_LEN, DEFAULT_WARMUP);
-    h.bench("reuse/sampled_single_workload", || {
-        black_box(s.run(&w.program, &core, &mem).cycles)
-    });
+    h.bench("reuse/sampled_single_workload", || black_box(cycles(&s)));
 
     h.finish();
 }

@@ -57,8 +57,10 @@ use crate::metrics::{MetricsRow, MetricsSink};
 use crate::orchestrator::GenOptions;
 use crate::space::{ParamSpace, FEATURE_NAMES};
 use armdse_kernels::{App, Workload, WorkloadCache, WorkloadScale};
+use armdse_memsim::fasthash::Fnv1a;
 use armdse_simcore::{
-    Counters, Fidelity, Idealized, Memoized, MultiCore, ReuseStats, Sampled, SimBackend, SimStats,
+    Counters, Fidelity, Idealized, Memoized, MultiCore, ReuseStats, RunMode, Sampled, SimBackend,
+    SimStats,
 };
 use std::io::{BufWriter, Write};
 use std::path::Path;
@@ -210,7 +212,7 @@ impl RunPlan {
             "{:?}|{}|{}|{:?}|{:?}|{:?}|{:?}",
             self.space, self.configs, self.seed, self.scale, self.apps, self.pins, self.indices
         );
-        fnv1a64(encoded.as_bytes())
+        Fnv1a::new().bytes(encoded.as_bytes()).finish()
     }
 
     /// The parameter space the plan samples from.
@@ -232,15 +234,6 @@ impl RunPlan {
             None => cfg_idx as u64,
         }
     }
-}
-
-pub(crate) fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
 }
 
 /// Receives the deterministic row stream of a campaign, in job order.
@@ -503,9 +496,9 @@ pub struct RunControl<'a> {
     /// runs with cycle accounting enabled and emits one
     /// [`MetricsRow`] (including discarded jobs) in job order. Metrics
     /// collection never changes the dataset rows — the backend contract
-    /// ([`SimBackend::run_with_metrics`]) guarantees identical
-    /// [`SimStats`]. When `None` (the default), no counter is allocated
-    /// and the run path is byte-for-byte the plain one.
+    /// ([`RunMode`]) guarantees identical [`SimStats`]. When `None` (the
+    /// default), no counter is allocated and the run path is
+    /// byte-for-byte the plain one.
     pub metrics: Option<&'a mut dyn MetricsSink>,
     /// Caller state persisted verbatim into every checkpoint's v2
     /// section (see [`Checkpoint::extra`]). `None` or an empty slice
@@ -599,7 +592,7 @@ impl Engine {
     /// L2+DRAM with `banks` interleaved banks (contention is the design
     /// axis). A 1-core machine is architecturally identical to the
     /// default banked hierarchy, so `Engine::multicore(1,
-    /// armdse_memsim::DEFAULT_BANKS as u32)` reproduces the single-core
+    /// armdse_memsim::DEFAULT_BANKS as u32)` reproduces the banked-proxy
     /// engine's bytes exactly (pinned by `tests/multicore_campaign.rs`).
     pub fn multicore(cores: u32, banks: u32) -> Engine {
         Engine::new(Box::new(MultiCore::new(cores, banks)))
@@ -665,7 +658,8 @@ impl Engine {
     ) -> (SimStats, Counters) {
         let w = self.cache.get(app, scale, cfg.core.vector_length);
         self.backend
-            .run_with_metrics(&w.program, &cfg.core, &cfg.mem)
+            .run(&w.program, &cfg.core, &cfg.mem, RunMode::Metrics)
+            .into_metrics()
     }
 
     /// Like [`Engine::simulate_config`] on an explicit backend (lets
@@ -679,7 +673,9 @@ impl Engine {
         cfg: &DesignConfig,
     ) -> SimStats {
         let w = self.cache.get(app, scale, cfg.core.vector_length);
-        backend.run(&w.program, &cfg.core, &cfg.mem)
+        backend
+            .run(&w.program, &cfg.core, &cfg.mem, RunMode::Plain)
+            .stats
     }
 
     /// Run a full campaign, streaming rows into `sink` in job order.
@@ -741,9 +737,11 @@ impl Engine {
         cfg: &DesignConfig,
     ) -> (Result<Row, DiscardedRun>, Vec<MetricsRow>) {
         let w = self.cache.get(app, scale, cfg.core.vector_length);
-        let (stats, counters, per_core) = self
+        let out = self
             .backend
-            .run_with_metrics_per_core(&w.program, &cfg.core, &cfg.mem);
+            .run(&w.program, &cfg.core, &cfg.mem, RunMode::Metrics);
+        let (stats, per_core) = (out.stats, out.per_core);
+        let counters = out.counters.expect("metrics run returns counters");
         let outcome = Engine::job_outcome(app, config_index, cfg, &stats);
         let mut rows = Vec::with_capacity(1 + per_core.len());
         rows.push(MetricsRow {
@@ -846,6 +844,33 @@ mod tests {
         )
         .unwrap_err();
         assert!(err.to_string().contains("No-Such-Feature"));
+    }
+
+    fn dataset(o: &GenOptions) -> DseDataset {
+        let mut data = DseDataset::default();
+        let p = RunPlan::new(&ParamSpace::paper(), o).unwrap();
+        Engine::idealized().run(&p, &mut data).unwrap();
+        data
+    }
+
+    #[test]
+    fn rows_cover_each_app_and_config_in_job_order() {
+        let d = dataset(&opts(3, 3));
+        // All runs on sane sampled configs should validate.
+        assert!(d.discarded.is_empty(), "discards: {:?}", d.discarded);
+        assert_eq!(d.for_app(App::Stream).len(), 3);
+        assert_eq!(d.for_app(App::TeaLeaf).len(), 3);
+        // Interleaved app order per config: Stream, TeaLeaf, ...
+        let apps: Vec<App> = d.rows.iter().map(|r| r.app).collect();
+        assert_eq!(apps, [App::Stream, App::TeaLeaf].repeat(3));
+    }
+
+    #[test]
+    fn thread_count_does_not_change_results_and_seed_does() {
+        assert_eq!(dataset(&opts(5, 1)), dataset(&opts(5, 4)));
+        let mut other_seed = opts(5, 4);
+        other_seed.seed = 1;
+        assert_ne!(dataset(&opts(5, 4)), dataset(&other_seed));
     }
 
     #[test]
@@ -1103,20 +1128,6 @@ mod tests {
         assert_eq!(d.config_index, 7);
         assert_eq!(d.app, App::Stream);
         assert!(d.cycles > 0);
-    }
-
-    #[test]
-    fn engine_matches_the_orchestrator_shim() {
-        let o = opts(4, 2);
-        let via_shim = crate::orchestrator::generate_dataset(&ParamSpace::paper(), &o);
-        let mut via_engine = DseDataset::default();
-        Engine::idealized()
-            .run(
-                &RunPlan::new(&ParamSpace::paper(), &o).unwrap(),
-                &mut via_engine,
-            )
-            .unwrap();
-        assert_eq!(via_shim, via_engine);
     }
 
     #[test]

@@ -67,13 +67,13 @@
 
 use crate::dataset::{DseDataset, Row};
 use crate::engine::{
-    fnv1a64, Checkpoint, CsvSink, Engine, Progress, RowSink, RunControl, RunPlan,
-    DEFAULT_CHUNK_JOBS,
+    Checkpoint, CsvSink, Engine, Progress, RowSink, RunControl, RunPlan, DEFAULT_CHUNK_JOBS,
 };
 use crate::error::ArmdseError;
 use crate::orchestrator::GenOptions;
 use crate::space::ParamSpace;
 use armdse_kernels::{App, WorkloadScale};
+use armdse_memsim::fasthash::Fnv1a;
 use armdse_mltree::{mae, r2, ForestParams, Matrix, RandomForest, Regressor};
 use armdse_rng::{Rng, SeedableRng, Xoshiro256pp};
 use armdse_simcore::{Idealized, Sampled};
@@ -451,7 +451,7 @@ impl<'e> Explorer<'e> {
                 o.screen_factor, o.screen_interval_len, o.screen_warmup
             ));
         }
-        fnv1a64(encoded.as_bytes())
+        Fnv1a::new().bytes(encoded.as_bytes()).finish()
     }
 
     /// Feature vectors of the candidate pool, by candidate id. Must
@@ -1033,11 +1033,11 @@ impl<'e> Explorer<'e> {
 /// predictions: cheap, deterministic, and sensitive to any change in
 /// the fitted ensemble.
 fn model_hash(preds: &[f64]) -> u64 {
-    let mut bytes = Vec::with_capacity(preds.len() * 8);
+    let mut h = Fnv1a::new();
     for p in preds {
-        bytes.extend_from_slice(&p.to_bits().to_be_bytes());
+        h.bytes(&p.to_bits().to_be_bytes());
     }
-    fnv1a64(&bytes)
+    h.finish()
 }
 
 /// Dataset sink that both streams to the CSV artifact and mirrors rows

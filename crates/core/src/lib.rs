@@ -22,8 +22,7 @@
 //! executed by an [`engine::Engine`] (pluggable simulation backend plus a
 //! shared workload cache) that streams rows in deterministic job order
 //! into any [`engine::RowSink`], checkpointing after each chunk so an
-//! interrupted run resumes to byte-identical output. The old
-//! `orchestrator::generate_dataset*` free functions remain as thin shims.
+//! interrupted run resumes to byte-identical output.
 //!
 //! ## Example
 //!

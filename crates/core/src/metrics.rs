@@ -2,7 +2,7 @@
 //!
 //! The observability counterpart of [`crate::engine::RowSink`]: when a
 //! campaign runs with metrics enabled, the engine executes every job
-//! through [`armdse_simcore::SimBackend::run_with_metrics`] and streams
+//! in [`armdse_simcore::RunMode::Metrics`] and streams
 //! one [`MetricsRow`] per job — *including* validation-discarded jobs,
 //! flagged via [`MetricsRow::validated`] — into a [`MetricsSink`] in job
 //! order. Because exactly one row is emitted per job, the metrics stream

@@ -1,16 +1,10 @@
-//! Back-compat dataset generation — the stand-in for the paper's
-//! `xci_launcher.sh` / `run_xci.sh` orchestration (artifact A₂, task T₁).
+//! Campaign options — the inputs of the paper's `xci_launcher.sh` /
+//! `run_xci.sh` orchestration (artifact A₂, task T₁).
 //!
-//! The chunked, resumable job loop now lives in [`crate::engine`]; the
-//! free functions here are thin shims kept for existing callers. New
-//! code should build a [`crate::engine::RunPlan`] and stream through
-//! [`crate::engine::Engine::run`] — that path returns typed errors,
-//! checkpoints, and resumes, none of which a bare [`DseDataset`] return
-//! value can express.
+//! The chunked, resumable job loop lives in [`crate::engine`]: validate
+//! a [`GenOptions`] into a [`crate::engine::RunPlan`] and stream it
+//! through [`crate::engine::Engine::run`].
 
-use crate::dataset::DseDataset;
-use crate::engine::{Engine, RunPlan};
-use crate::space::ParamSpace;
 use armdse_kernels::{App, WorkloadScale};
 
 /// Dataset-generation options.
@@ -38,141 +32,5 @@ impl Default for GenOptions {
             threads: std::thread::available_parallelism().map_or(1, |n| n.get()),
             apps: App::ALL.to_vec(),
         }
-    }
-}
-
-/// Generate a dataset by simulating every app on `configs` sampled design
-/// points. Deterministic for fixed (`seed`, `configs`, `apps`, `scale`).
-///
-/// Shim over [`Engine::run`]; panics on an invalid plan (zero configs or
-/// no apps), matching the old `assert!` behaviour. Fallible callers
-/// should use [`RunPlan::new`] and handle the error.
-pub fn generate_dataset(space: &ParamSpace, opts: &GenOptions) -> DseDataset {
-    generate_dataset_pinned(space, opts, &[])
-}
-
-/// Like [`generate_dataset`], but with features pinned to fixed values by
-/// name (the paper's Figs. 4/5 constrain Vector-Length to 128/2048).
-pub fn generate_dataset_pinned(
-    space: &ParamSpace,
-    opts: &GenOptions,
-    pins: &[(&str, f64)],
-) -> DseDataset {
-    let plan = RunPlan::pinned(space, opts, pins).expect("invalid generation plan");
-    let engine = Engine::idealized();
-    let mut dataset = DseDataset::default();
-    engine
-        .run(&plan, &mut dataset)
-        .expect("in-memory dataset sink cannot fail");
-    if !dataset.discarded.is_empty() {
-        eprintln!(
-            "[orchestrator] discarded {} of {} runs that failed validation",
-            dataset.discarded.len(),
-            plan.jobs()
-        );
-    }
-    dataset
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::config::DesignConfig;
-    use armdse_kernels::build_workload;
-
-    fn opts(configs: usize, threads: usize) -> GenOptions {
-        GenOptions {
-            configs,
-            scale: WorkloadScale::Tiny,
-            seed: 99,
-            threads,
-            apps: vec![App::Stream, App::TeaLeaf],
-        }
-    }
-
-    #[test]
-    fn generates_rows_for_each_app_and_config() {
-        let d = generate_dataset(&ParamSpace::paper(), &opts(6, 2));
-        // All runs on sane sampled configs should validate.
-        assert_eq!(d.rows.len(), 12);
-        assert_eq!(d.for_app(App::Stream).len(), 6);
-        assert_eq!(d.for_app(App::TeaLeaf).len(), 6);
-    }
-
-    #[test]
-    fn thread_count_does_not_change_results() {
-        let a = generate_dataset(&ParamSpace::paper(), &opts(5, 1));
-        let b = generate_dataset(&ParamSpace::paper(), &opts(5, 4));
-        assert_eq!(a, b);
-    }
-
-    #[test]
-    fn seed_changes_results() {
-        let mut o1 = opts(4, 2);
-        let mut o2 = opts(4, 2);
-        o1.seed = 1;
-        o2.seed = 2;
-        let a = generate_dataset(&ParamSpace::paper(), &o1);
-        let b = generate_dataset(&ParamSpace::paper(), &o2);
-        assert_ne!(a, b);
-    }
-
-    #[test]
-    fn sane_configs_discard_nothing() {
-        let d = generate_dataset(&ParamSpace::paper(), &opts(6, 2));
-        assert!(
-            d.discarded.is_empty(),
-            "unexpected discards: {:?}",
-            d.discarded
-        );
-    }
-
-    #[test]
-    fn duplicate_apps_do_not_double_count() {
-        let mut o = opts(4, 2);
-        o.apps = vec![App::Stream, App::Stream, App::TeaLeaf, App::Stream];
-        let d = generate_dataset(&ParamSpace::paper(), &o);
-        assert_eq!(
-            d.rows.len(),
-            8,
-            "duplicates must be deduplicated, not re-run"
-        );
-        assert_eq!(d, generate_dataset(&ParamSpace::paper(), &opts(4, 2)));
-    }
-
-    #[test]
-    fn wedged_run_is_reported_not_silently_dropped() {
-        // A pathological L1 latency pushes CPI past the safety guard; the
-        // run must surface as a DiscardedRun, not vanish.
-        let mut cfg = DesignConfig::thunderx2();
-        cfg.mem.l1_latency = 100_000;
-        cfg.mem.l2_latency = 200_000;
-        let w = build_workload(App::Stream, WorkloadScale::Tiny, cfg.core.vector_length);
-        let stats = armdse_simcore::simulate(&w.program, &cfg.core, &cfg.mem);
-        assert!(!stats.validated);
-        assert!(stats.hit_cycle_limit);
-        // Through the engine path the failure surfaces as a DiscardedRun.
-        // (Direct check: a dataset generated over only-wedged configs
-        // would record it; here we assert the stats-level contract the
-        // engine's run_job relies on.)
-        assert!(stats.cycles > 0);
-    }
-
-    #[test]
-    fn rows_preserve_job_order() {
-        let d = generate_dataset(&ParamSpace::paper(), &opts(3, 3));
-        // Expect interleaved app order per config: Stream, TeaLeaf, ...
-        let apps: Vec<App> = d.rows.iter().map(|r| r.app).collect();
-        assert_eq!(
-            apps,
-            vec![
-                App::Stream,
-                App::TeaLeaf,
-                App::Stream,
-                App::TeaLeaf,
-                App::Stream,
-                App::TeaLeaf
-            ]
-        );
     }
 }

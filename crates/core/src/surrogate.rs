@@ -126,21 +126,23 @@ fn train_app(data: &DseDataset, app: App, test_frac: f64, seed: u64) -> AppModel
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::orchestrator::{generate_dataset, GenOptions};
+    use crate::engine::{Engine, RunPlan};
+    use crate::orchestrator::GenOptions;
     use crate::space::ParamSpace;
     use armdse_kernels::WorkloadScale;
 
     fn small_dataset() -> DseDataset {
-        generate_dataset(
-            &ParamSpace::paper(),
-            &GenOptions {
-                configs: 60,
-                scale: WorkloadScale::Tiny,
-                seed: 4242,
-                threads: 2,
-                apps: vec![App::Stream, App::MiniBude],
-            },
-        )
+        let opts = GenOptions {
+            configs: 60,
+            scale: WorkloadScale::Tiny,
+            seed: 4242,
+            threads: 2,
+            apps: vec![App::Stream, App::MiniBude],
+        };
+        let plan = RunPlan::new(&ParamSpace::paper(), &opts).unwrap();
+        let mut data = DseDataset::default();
+        Engine::idealized().run(&plan, &mut data).unwrap();
+        data
     }
 
     #[test]

@@ -59,6 +59,7 @@ impl Cache {
     }
 
     /// Probe for `line_addr` without changing any state.
+    #[inline] // see `access`
     pub fn probe(&self, line_addr: u64) -> bool {
         let tag = (line_addr << 1) | 1;
         let a = self.assoc as usize;
@@ -68,6 +69,10 @@ impl Cache {
 
     /// Access `line_addr`, allocating on miss, updating LRU, and setting
     /// the dirty bit for stores.
+    // `Hierarchy`'s request path is generic over its backside handle, so
+    // it is instantiated in the crates that drive it; without `#[inline]`
+    // the tag lookup would be an opaque cross-crate call on every request.
+    #[inline]
     pub fn access(&mut self, line_addr: u64, is_store: bool) -> LookupResult {
         debug_assert!(line_addr < 1 << 63, "address overflows tag encoding");
         self.tick += 1;

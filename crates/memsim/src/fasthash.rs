@@ -1,4 +1,5 @@
-//! Minimal multiplicative hasher for integer-keyed hot-path maps.
+//! Minimal multiplicative hasher for integer-keyed hot-path maps, and
+//! the workspace's one FNV-1a ([`Fnv1a`]) for stable fingerprints.
 //!
 //! The hierarchy's miss-status (`in_flight`) maps are keyed by line
 //! addresses and probed on every memory request; the standard library's
@@ -61,9 +62,69 @@ impl Hasher for FastHasher {
     }
 }
 
+/// Incremental 64-bit FNV-1a: the workspace's one stable fingerprint
+/// hash (plan fingerprints in checkpoints, interval-cache keys, the
+/// pipeline state hash). Unlike [`FastHasher`] its values are persisted
+/// and compared across runs, so the function must never change.
+#[derive(Debug, Clone, Copy)]
+pub struct Fnv1a(u64);
+
+impl Fnv1a {
+    /// A hasher at the FNV offset basis.
+    pub fn new() -> Fnv1a {
+        Fnv1a(0xcbf2_9ce4_8422_2325)
+    }
+
+    /// Feed bytes.
+    #[inline]
+    pub fn bytes(&mut self, bytes: &[u8]) -> &mut Fnv1a {
+        for &b in bytes {
+            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+        self
+    }
+
+    /// Feed a word as its eight little-endian bytes.
+    #[inline]
+    pub fn u64(&mut self, v: u64) -> &mut Fnv1a {
+        self.bytes(&v.to_le_bytes())
+    }
+
+    /// The hash of everything fed so far.
+    pub fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+impl Default for Fnv1a {
+    fn default() -> Fnv1a {
+        Fnv1a::new()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn fnv1a_known_answers() {
+        // The published FNV-1a 64-bit test vectors.
+        assert_eq!(Fnv1a::new().finish(), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(Fnv1a::new().bytes(b"a").finish(), 0xaf63_dc4c_8601_ec8c);
+        assert_eq!(
+            Fnv1a::new().bytes(b"foobar").finish(),
+            0x8594_4171_f739_67e8
+        );
+        // Words are fed little-endian, and feeds chain.
+        assert_eq!(
+            Fnv1a::new().u64(0x7261_626f_6f66).finish(),
+            Fnv1a::new().bytes(b"foobar\0\0").finish()
+        );
+        assert_eq!(
+            Fnv1a::new().bytes(b"foo").bytes(b"bar").finish(),
+            0x8594_4171_f739_67e8
+        );
+    }
 
     #[test]
     fn map_round_trips() {

@@ -6,37 +6,43 @@
 //! write-back/write-allocate policy, a basic next-line prefetcher, and
 //! merging of outstanding same-line requests.
 //!
-//! Two behavioural points from the paper are modelled explicitly:
+//! There is one hierarchy, [`Hierarchy`]: a private front (L1, merge
+//! window, MSHR sampling, statistics) over a [`Backside`] (L2 tags and
+//! DRAM). It comes with two DRAM policies and two ownership forms (see
+//! [`hierarchy`] for both):
 //!
-//! * **Infinite banking** — "SST models an infinite number of memory banks
-//!   unless explicitly specified", so the default [`Hierarchy`] imposes no
-//!   bandwidth limit *inside* the hierarchy: concurrency limits live in the
-//!   core's load/store bandwidth and request-rate parameters. A request
-//!   split over several cache lines completes when its slowest line does,
-//!   but the line fetches proceed in parallel.
-//! * **Cache-line width as bandwidth** — a wider line returns more bytes
-//!   for one request latency; the paper calls out that this is how the
-//!   Cache-Line-Width parameter acts as an L1↔L2↔RAM bandwidth knob.
+//! * **Infinite banks** — "SST models an infinite number of memory banks
+//!   unless explicitly specified", so the default [`Hierarchy::new`]
+//!   imposes no bandwidth limit *inside* the hierarchy: concurrency
+//!   limits live in the core's load/store bandwidth and request-rate
+//!   parameters. A request split over several cache lines completes when
+//!   its slowest line does, but the line fetches proceed in parallel.
+//! * **Finite banks** — [`Hierarchy::banked`] adds occupancy-based bank
+//!   contention; it is the "hardware proxy" of the Table I validation
+//!   experiment (see DESIGN.md substitution table), and
+//!   [`Hierarchy::contended`] scales it by phantom co-runners.
+//! * **Owned or shared backside** — a single core owns its backside; the
+//!   N cores of the multicore machine each drive a [`Hierarchy::port`]
+//!   into one [`SharedBackside`].
 //!
-//! The [`banked::BankedHierarchy`] variant adds finite banks with
-//! occupancy-based contention; it is the "hardware proxy" used by the
-//! Table I validation experiment (see DESIGN.md substitution table).
+//! One more behavioural point from the paper is modelled explicitly:
+//! **cache-line width as bandwidth** — a wider line returns more bytes
+//! for one request latency; the paper calls out that this is how the
+//! Cache-Line-Width parameter acts as an L1↔L2↔RAM bandwidth knob.
 
 #![warn(missing_docs)]
 
-pub mod banked;
 pub mod cache;
 pub mod fasthash;
 pub mod hierarchy;
 pub mod params;
-pub mod shared;
 pub mod stats;
 
-pub use banked::BankedHierarchy;
 pub use cache::Cache;
-pub use hierarchy::Hierarchy;
+pub use hierarchy::{
+    Backside, BacksideHandle, Hierarchy, SharedBackside, CORE_ADDR_STRIDE, DEFAULT_BANKS,
+};
 pub use params::MemParams;
-pub use shared::{CorePort, SharedL2, CORE_ADDR_STRIDE};
 pub use stats::MemStats;
 
 /// Completion time (in core cycles) of a memory access.

@@ -5,10 +5,10 @@
 //! replay of the lowered program, and the OoO pipeline's commit-order
 //! retirement stream (any [`SimBackend`]'s traced run) — applies the
 //! same [`ArchState`] value semantics to each, and requires every final
-//! architectural state and retired-op count to agree. A fourth, metrics
-//! lane re-runs the simulation with cycle accounting enabled and
-//! requires identical statistics (metrics transparency) plus exact
-//! cycle conservation across the attribution buckets. [`fuzz`] drives
+//! architectural state and retired-op count to agree. Two transparency
+//! lanes re-run the simulation unobserved and with cycle accounting
+//! enabled and require identical statistics, plus exact cycle
+//! conservation across the attribution buckets. [`fuzz`] drives
 //! the seeded random generator through this check for a whole campaign.
 //!
 //! With the `check-invariants` feature enabled, every simulated cycle also
@@ -21,7 +21,7 @@ use crate::interp::interpret;
 use armdse_isa::{Kernel, OpSummary, Program, TraceCursor};
 use armdse_memsim::MemParams;
 use armdse_rng::{SeedableRng, Xoshiro256pp};
-use armdse_simcore::{BankedProxy, CoreParams, Idealized, SimBackend};
+use armdse_simcore::{BankedProxy, CoreParams, Idealized, RunMode, SimBackend};
 
 /// Run one kernel through interpreter, cursor replay, and the OoO core
 /// on the given simulation backend; return `Err` describing the first
@@ -59,7 +59,9 @@ pub fn check_kernel(
     }
 
     // Simulated run with commit-order trace.
-    let (stats, trace) = backend.run_traced(&program, core, mem);
+    let (stats, trace) = backend
+        .run(&program, core, mem, RunMode::Trace)
+        .into_traced();
     if stats.hit_cycle_limit {
         return Err(format!(
             "simulation wedged: hit cycle limit at {} cycles",
@@ -72,15 +74,18 @@ pub fn check_kernel(
             stats.observed, reference.summary
         ));
     }
-    if stats.retired != reference.retired {
+    // Every core of a multicore machine retires the whole program; the
+    // trace is core 0's.
+    let cores = u64::from(backend.topology().cores);
+    if stats.retired != reference.retired * cores {
         return Err(format!(
-            "retired count mismatch: core {} != reference {}",
+            "retired count mismatch: {cores} core(s) {} != reference {}",
             stats.retired, reference.retired
         ));
     }
-    if trace.len() as u64 != stats.retired {
+    if trace.len() as u64 * cores != stats.retired {
         return Err(format!(
-            "commit log length {} != retired count {}",
+            "commit log length {} != retired count {} on {cores} core(s)",
             trace.len(),
             stats.retired
         ));
@@ -107,19 +112,34 @@ pub fn check_kernel(
         ));
     }
 
-    // Metrics-transparency lane: running the same job with cycle
-    // accounting enabled must not perturb any statistic (architectural
-    // or timing), and the attribution must account for every cycle.
-    let (metrics_stats, counters) = backend.run_with_metrics(&program, core, mem);
-    if metrics_stats != stats {
+    // Transparency lanes: observing the same job — recording the trace
+    // above, or enabling cycle accounting — must not perturb any
+    // statistic (architectural or timing) of the unobserved run, and
+    // the attribution must account for every cycle.
+    let plain = backend.run(&program, core, mem, RunMode::Plain).stats;
+    if plain != stats {
         return Err(format!(
-            "metrics run perturbed the simulation: {metrics_stats:?} != {stats:?}"
+            "traced run perturbed the simulation: {stats:?} != {plain:?}"
         ));
     }
-    if counters.cycles != stats.cycles {
+    let metrics = backend.run(&program, core, mem, RunMode::Metrics);
+    if metrics.stats != stats {
         return Err(format!(
-            "counter cycle total {} != simulated cycles {}",
-            counters.cycles, stats.cycles
+            "metrics run perturbed the simulation: {:?} != {stats:?}",
+            metrics.stats
+        ));
+    }
+    // The merged counters of a multicore machine attribute every
+    // core-cycle; a single core's are the run's.
+    let core_cycles = match metrics.per_core.as_slice() {
+        [] => stats.cycles,
+        per_core => per_core.iter().map(|c| c.stats.cycles).sum(),
+    };
+    let counters = metrics.counters.expect("metrics run returns counters");
+    if counters.cycles != core_cycles {
+        return Err(format!(
+            "counter cycle total {} != simulated core-cycles {core_cycles}",
+            counters.cycles
         ));
     }
     if !counters.conserves() {
@@ -196,9 +216,9 @@ pub fn fuzz(cfg: &FuzzConfig) -> FuzzReport {
 /// instead of the default idealized/proxy alternation. The reuse lane
 /// pushes the interval-memoizing backend through the same fixed-seed
 /// campaign this way: [`check_kernel`] cross-checks the backend's
-/// cached entry points (`run`, `run_with_metrics`) against its uncached
-/// trace (`run_traced`) and the reference interpreter, so any
-/// memoization unsoundness surfaces as a divergence.
+/// cached modes (plain, metrics) against its uncached trace mode and
+/// the reference interpreter, so any memoization unsoundness surfaces
+/// as a divergence.
 pub fn fuzz_with(cfg: &FuzzConfig, backend: &dyn SimBackend) -> FuzzReport {
     fuzz_campaign(cfg, Some(backend))
 }

@@ -1,14 +1,12 @@
 //! Pluggable simulation backends.
 //!
-//! The paper's workflow hard-wires one executor per entry point
-//! (`simulate`, `simulate_hardware_proxy`, `simulate_traced*`); this
-//! module turns the backend choice into a *value* so orchestration code
-//! (the `armdse-core` engine, the analysis harnesses, the oracle's
-//! differential checker) can be written once against [`SimBackend`] and
+//! The backend choice is a *value*, so orchestration code (the
+//! `armdse-core` engine, the analysis harnesses, the oracle's
+//! differential checker) is written once against [`SimBackend`] and
 //! handed whichever executor a campaign needs. This is the
 //! ArchGym-style standardized interface between the explorer and
-//! interchangeable simulators: new backends (sharded, remote,
-//! trace-replay) plug in without touching any caller.
+//! interchangeable simulators: one call, [`SimBackend::run`], whose
+//! [`RunMode`] selects what is observed alongside the statistics.
 //!
 //! Provided backends:
 //!
@@ -16,60 +14,89 @@
 //!   paper's simulation path).
 //! * [`BankedProxy`] — the finite-banked "hardware proxy" hierarchy
 //!   standing in for the physical ThunderX2 of Table I.
-//! * [`Contended`] — the banked hierarchy with phantom co-runners
-//!   saturating the shared DRAM controller (the §VII multi-core
-//!   future-work scenario).
-//! * [`Traced`] — adapter selecting a backend's commit-trace entry
-//!   point as the value's call operator (used by the oracle's replay
-//!   checks).
+//! * [`crate::MultiCore`], [`crate::Memoized`], [`crate::Sampled`] —
+//!   the multicore machine and the two reuse tiers.
+//!
+//! Every backend that drives a pipeline builds it with `start` and
+//! collects it with `finish`; the latter owns the only copy of the
+//! validation epilogue.
 
 use crate::counters::Counters;
+use crate::cycle_limit;
 use crate::multicore::{PerCoreMetrics, Topology};
 use crate::params::CoreParams;
+use crate::pipeline::Pipeline;
 use crate::reuse::{Fidelity, ReuseStats};
 use crate::stats::SimStats;
-use crate::{simulate_traced_with, simulate_with, simulate_with_metrics_with};
 use armdse_isa::instr::DynInstr;
-use armdse_isa::Program;
-use armdse_memsim::{BankedHierarchy, Hierarchy, MemParams};
+use armdse_isa::{OpSummary, Program};
+use armdse_memsim::{Hierarchy, MemParams, MemoryModel, DEFAULT_BANKS};
+
+/// What a run observes besides its [`SimStats`]. Observation never
+/// perturbs the simulation: the statistics of a [`RunMode::Trace`] or
+/// [`RunMode::Metrics`] run are identical to the [`RunMode::Plain`]
+/// run's (the oracle's differential lanes check this on every backend).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub enum RunMode {
+    /// Statistics only — the zero-cost default.
+    #[default]
+    Plain,
+    /// Also record the commit-order retirement stream (on a multicore
+    /// machine: core 0's — every core runs the same program).
+    Trace,
+    /// Also attribute every cycle to a [`Counters`] bucket; machines
+    /// with more than one core additionally report each core's share.
+    Metrics,
+}
+
+/// The result of [`SimBackend::run`].
+#[derive(Debug, Clone, PartialEq)]
+pub struct RunOutput {
+    /// The run statistics (machine-level on a multicore backend).
+    pub stats: SimStats,
+    /// The commit-order retirement stream; `Some` iff [`RunMode::Trace`].
+    pub trace: Option<Vec<DynInstr>>,
+    /// The cycle-attribution counters; `Some` iff [`RunMode::Metrics`].
+    /// They satisfy [`Counters::conserves`].
+    pub counters: Option<Counters>,
+    /// One entry per core under [`RunMode::Metrics`] on machines with
+    /// more than one core; empty otherwise (the aggregate *is* the
+    /// single-core machine).
+    pub per_core: Vec<PerCoreMetrics>,
+}
+
+impl RunOutput {
+    /// Statistics and trace of a [`RunMode::Trace`] run.
+    pub fn into_traced(self) -> (SimStats, Vec<DynInstr>) {
+        (self.stats, self.trace.expect("not a RunMode::Trace run"))
+    }
+
+    /// Statistics and counters of a [`RunMode::Metrics`] run.
+    pub fn into_metrics(self) -> (SimStats, Counters) {
+        let counters = self.counters.expect("not a RunMode::Metrics run");
+        (self.stats, counters)
+    }
+}
 
 /// A simulation executor: how a lowered program is run against one
 /// `(core, mem)` design point.
 ///
-/// Backends are cheap, stateless values (`Send + Sync`) so one instance
-/// can be shared by every worker thread of a campaign. All backends
-/// model the *same* architectural machine — only timing may differ —
-/// which is what the differential oracle and the proxy-agreement tests
-/// pin down.
+/// Backends are cheap values (`Send + Sync`) so one instance can be
+/// shared by every worker thread of a campaign. All backends model the
+/// *same* architectural machine — only timing may differ — which is
+/// what the differential oracle and the proxy-agreement tests pin down.
 pub trait SimBackend: Send + Sync {
     /// Stable backend name for reports, labels, and failure records.
     fn name(&self) -> &'static str;
 
-    /// Simulate and return the run statistics.
-    fn run(&self, program: &Program, core: &CoreParams, mem: &MemParams) -> SimStats;
-
-    /// Simulate and additionally return the commit-order retirement
-    /// stream (timing must be identical to [`SimBackend::run`]).
-    fn run_traced(
+    /// Simulate, observing what `mode` asks for.
+    fn run(
         &self,
         program: &Program,
         core: &CoreParams,
         mem: &MemParams,
-    ) -> (SimStats, Vec<DynInstr>);
-
-    /// Simulate with cycle accounting enabled and return the per-cycle
-    /// attribution counters alongside the statistics. The contract is
-    /// *metrics transparency*: the returned [`SimStats`] must be
-    /// identical to [`SimBackend::run`] on the same inputs (counter
-    /// collection may not perturb architectural or timing state), and
-    /// the counters must satisfy [`Counters::conserves`]. The oracle's
-    /// differential metrics lane checks both properties.
-    fn run_with_metrics(
-        &self,
-        program: &Program,
-        core: &CoreParams,
-        mem: &MemParams,
-    ) -> (SimStats, Counters);
+        mode: RunMode,
+    ) -> RunOutput;
 
     /// Interval-cache counters, for backends that reuse computation
     /// across runs ([`crate::reuse::Memoized`]). `None` for backends
@@ -95,20 +122,66 @@ pub trait SimBackend: Send + Sync {
     fn topology(&self) -> Topology {
         Topology::default()
     }
+}
 
-    /// Like [`SimBackend::run_with_metrics`], additionally returning one
-    /// [`PerCoreMetrics`] entry per core for machines with more than one
-    /// core. Single-core backends (the default) return an empty vector:
-    /// the aggregate *is* the machine.
-    fn run_with_metrics_per_core(
-        &self,
-        program: &Program,
-        core: &CoreParams,
-        mem: &MemParams,
-    ) -> (SimStats, Counters, Vec<PerCoreMetrics>) {
-        let (stats, counters) = self.run_with_metrics(program, core, mem);
-        (stats, counters, Vec::new())
+/// A cold pipeline over `mem`, observing what `mode` asks for.
+pub(crate) fn start<'p, M: MemoryModel>(
+    program: &'p Program,
+    core: &CoreParams,
+    mem: M,
+    mode: RunMode,
+) -> Pipeline<'p, M> {
+    core.validate().expect("core parameters must validate");
+    let mut pipeline = Pipeline::new(program, *core, mem);
+    match mode {
+        RunMode::Plain => {}
+        RunMode::Trace => pipeline.enable_trace(),
+        RunMode::Metrics => pipeline.enable_counters(),
     }
+    pipeline
+}
+
+/// A run validates iff it finished within the cycle limit and retired
+/// exactly the statically expected operation mix.
+pub(crate) fn validate(stats: &mut SimStats, program: &Program) {
+    stats.validated = !stats.hit_cycle_limit && stats.observed == OpSummary::of(program);
+}
+
+/// Collect a pipeline that finished or hit the cycle limit.
+pub(crate) fn finish<M: MemoryModel>(
+    mut pipeline: Pipeline<'_, M>,
+    program: &Program,
+) -> RunOutput {
+    let mut stats = pipeline.stats().clone();
+    validate(&mut stats, program);
+    RunOutput {
+        stats,
+        trace: pipeline.take_trace(),
+        counters: pipeline.take_counters_finalized().map(|c| *c),
+        per_core: Vec::new(),
+    }
+}
+
+/// Run `program` to completion on one core over an arbitrary memory
+/// model — what every single-core backend's [`SimBackend::run`] is.
+pub fn run_pipeline<M: MemoryModel>(
+    program: &Program,
+    core: &CoreParams,
+    mem: M,
+    mode: RunMode,
+) -> RunOutput {
+    let mut pipeline = start(program, core, mem, mode);
+    pipeline.drive(cycle_limit(program));
+    finish(pipeline, program)
+}
+
+/// A single-core [`SimBackend`] whose memory model can be *constructed
+/// as a value*, which is what the interval tiers need: they drive
+/// [`Pipeline`] incrementally (snapshot, restore, resume) instead of
+/// calling the backend's one-shot entry point.
+pub trait IntervalBackend: SimBackend {
+    /// Build a fresh (cold) memory model for one run.
+    fn build_mem(&self, mem: &MemParams) -> Hierarchy;
 }
 
 /// The default infinite-bank (SST-like) hierarchy — the paper's
@@ -116,135 +189,52 @@ pub trait SimBackend: Send + Sync {
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Idealized;
 
+/// The finite-banked "hardware proxy" hierarchy (the Table I hardware
+/// side; see the DESIGN.md substitution table).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct BankedProxy;
+
+impl IntervalBackend for Idealized {
+    fn build_mem(&self, mem: &MemParams) -> Hierarchy {
+        Hierarchy::new(*mem)
+    }
+}
+
+impl IntervalBackend for BankedProxy {
+    fn build_mem(&self, mem: &MemParams) -> Hierarchy {
+        Hierarchy::banked(*mem, DEFAULT_BANKS)
+    }
+}
+
 impl SimBackend for Idealized {
     fn name(&self) -> &'static str {
         "idealized"
     }
 
-    fn run(&self, program: &Program, core: &CoreParams, mem: &MemParams) -> SimStats {
-        simulate_with(program, core, Hierarchy::new(*mem))
-    }
-
-    fn run_traced(
+    fn run(
         &self,
         program: &Program,
         core: &CoreParams,
         mem: &MemParams,
-    ) -> (SimStats, Vec<DynInstr>) {
-        simulate_traced_with(program, core, Hierarchy::new(*mem))
-    }
-
-    fn run_with_metrics(
-        &self,
-        program: &Program,
-        core: &CoreParams,
-        mem: &MemParams,
-    ) -> (SimStats, Counters) {
-        simulate_with_metrics_with(program, core, Hierarchy::new(*mem))
+        mode: RunMode,
+    ) -> RunOutput {
+        run_pipeline(program, core, self.build_mem(mem), mode)
     }
 }
-
-/// The finite-banked "hardware proxy" hierarchy (the Table I hardware
-/// side; see the DESIGN.md substitution table).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct BankedProxy;
 
 impl SimBackend for BankedProxy {
     fn name(&self) -> &'static str {
         "banked-proxy"
     }
 
-    fn run(&self, program: &Program, core: &CoreParams, mem: &MemParams) -> SimStats {
-        simulate_with(program, core, BankedHierarchy::new(*mem))
-    }
-
-    fn run_traced(
+    fn run(
         &self,
         program: &Program,
         core: &CoreParams,
         mem: &MemParams,
-    ) -> (SimStats, Vec<DynInstr>) {
-        simulate_traced_with(program, core, BankedHierarchy::new(*mem))
-    }
-
-    fn run_with_metrics(
-        &self,
-        program: &Program,
-        core: &CoreParams,
-        mem: &MemParams,
-    ) -> (SimStats, Counters) {
-        simulate_with_metrics_with(program, core, BankedHierarchy::new(*mem))
-    }
-}
-
-/// The banked hierarchy under multi-core DRAM contention: `co_runners`
-/// phantom cores saturate the shared controller (paper §VII).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct Contended {
-    /// Number of phantom co-runners (0 = the single-core setting).
-    pub co_runners: u32,
-}
-
-impl Contended {
-    fn hierarchy(&self, mem: &MemParams) -> BankedHierarchy {
-        BankedHierarchy::with_contention(
-            *mem,
-            armdse_memsim::banked::DEFAULT_BANKS,
-            self.co_runners,
-        )
-    }
-}
-
-impl SimBackend for Contended {
-    fn name(&self) -> &'static str {
-        "contended"
-    }
-
-    fn run(&self, program: &Program, core: &CoreParams, mem: &MemParams) -> SimStats {
-        simulate_with(program, core, self.hierarchy(mem))
-    }
-
-    fn run_traced(
-        &self,
-        program: &Program,
-        core: &CoreParams,
-        mem: &MemParams,
-    ) -> (SimStats, Vec<DynInstr>) {
-        simulate_traced_with(program, core, self.hierarchy(mem))
-    }
-
-    fn run_with_metrics(
-        &self,
-        program: &Program,
-        core: &CoreParams,
-        mem: &MemParams,
-    ) -> (SimStats, Counters) {
-        simulate_with_metrics_with(program, core, self.hierarchy(mem))
-    }
-}
-
-/// Adapter fixing a backend's *traced* entry point as the value's call
-/// operator: `Traced(BankedProxy).run(..)` yields the statistics plus
-/// the commit-order retirement stream. Lets callers that always need
-/// the trace (the oracle's replay checker) hold one value instead of
-/// remembering which method to call.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct Traced<B: SimBackend>(pub B);
-
-impl<B: SimBackend> Traced<B> {
-    /// Simulate, returning statistics and the commit-order trace.
-    pub fn run(
-        &self,
-        program: &Program,
-        core: &CoreParams,
-        mem: &MemParams,
-    ) -> (SimStats, Vec<DynInstr>) {
-        self.0.run_traced(program, core, mem)
-    }
-
-    /// The wrapped backend's name.
-    pub fn name(&self) -> &'static str {
-        self.0.name()
+        mode: RunMode,
+    ) -> RunOutput {
+        run_pipeline(program, core, self.build_mem(mem), mode)
     }
 }
 
@@ -260,44 +250,32 @@ mod tests {
     }
 
     #[test]
-    fn backends_match_the_free_functions() {
-        let (p, c, m) = fixture();
-        assert_eq!(
-            Idealized.run(&p, &c, &m).cycles,
-            crate::simulate(&p, &c, &m).cycles
-        );
-        assert_eq!(
-            BankedProxy.run(&p, &c, &m).cycles,
-            crate::simulate_hardware_proxy(&p, &c, &m).cycles
-        );
-        assert_eq!(
-            Contended { co_runners: 3 }.run(&p, &c, &m).cycles,
-            crate::simulate_contended(&p, &c, &m, 3).cycles
-        );
-    }
-
-    #[test]
     fn backend_choice_works_through_dyn_dispatch() {
         let (p, c, m) = fixture();
-        let backends: [&dyn SimBackend; 3] =
-            [&Idealized, &BankedProxy, &Contended { co_runners: 1 }];
+        let backends: [&dyn SimBackend; 2] = [&Idealized, &BankedProxy];
         let mut names = Vec::new();
         for b in backends {
-            let s = b.run(&p, &c, &m);
+            let s = b.run(&p, &c, &m, RunMode::Plain).stats;
             assert!(s.validated, "{} failed validation", b.name());
             names.push(b.name());
         }
-        assert_eq!(names, ["idealized", "banked-proxy", "contended"]);
+        assert_eq!(names, ["idealized", "banked-proxy"]);
+    }
+
+    #[test]
+    fn plain_runs_observe_nothing() {
+        let (p, c, m) = fixture();
+        let out = Idealized.run(&p, &c, &m, RunMode::Plain);
+        assert!(out.trace.is_none() && out.counters.is_none() && out.per_core.is_empty());
     }
 
     #[test]
     fn metrics_runs_are_transparent_and_conserve_cycles() {
         let (p, c, m) = fixture();
-        let backends: [&dyn SimBackend; 3] =
-            [&Idealized, &BankedProxy, &Contended { co_runners: 2 }];
+        let backends: [&dyn SimBackend; 2] = [&Idealized, &BankedProxy];
         for b in backends {
-            let plain = b.run(&p, &c, &m);
-            let (stats, counters) = b.run_with_metrics(&p, &c, &m);
+            let plain = b.run(&p, &c, &m, RunMode::Plain).stats;
+            let (stats, counters) = b.run(&p, &c, &m, RunMode::Metrics).into_metrics();
             assert_eq!(stats, plain, "{}: metrics perturbed the run", b.name());
             assert_eq!(counters.cycles, stats.cycles);
             assert!(
@@ -316,12 +294,11 @@ mod tests {
     }
 
     #[test]
-    fn traced_adapter_matches_untraced_timing() {
+    fn traced_runs_match_untraced_timing() {
         let (p, c, m) = fixture();
-        let plain = BankedProxy.run(&p, &c, &m);
-        let (stats, trace) = Traced(BankedProxy).run(&p, &c, &m);
-        assert_eq!(stats.cycles, plain.cycles);
+        let plain = BankedProxy.run(&p, &c, &m, RunMode::Plain).stats;
+        let (stats, trace) = BankedProxy.run(&p, &c, &m, RunMode::Trace).into_traced();
+        assert_eq!(stats, plain);
         assert_eq!(trace.len() as u64, stats.retired);
-        assert_eq!(Traced(BankedProxy).name(), "banked-proxy");
     }
 }

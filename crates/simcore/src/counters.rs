@@ -18,7 +18,7 @@
 //!
 //! Collection is zero-cost-by-default: the pipeline only classifies and
 //! samples occupancy when counters were requested
-//! ([`crate::Pipeline::run_with_counters`]), and the collection path
+//! ([`crate::Pipeline::enable_counters`]), and the collection path
 //! never mutates architectural or timing state, so a metrics-on run
 //! returns byte-identical [`crate::SimStats`] to a metrics-off run (the
 //! oracle's metrics-transparency lane pins this).
@@ -288,8 +288,8 @@ impl OccupancyHist {
 
 /// Cycle-accounting counters for one simulated run.
 ///
-/// Returned by [`crate::Pipeline::run_with_counters`] and every
-/// [`crate::SimBackend::run_with_metrics`] implementation. The struct
+/// Returned by every [`crate::SimBackend::run`] in
+/// [`crate::RunMode::Metrics`]. The struct
 /// is plain data: cloning, comparing, and serialising it (via
 /// [`Counters::column_names`] / [`Counters::values`]) is deterministic.
 #[derive(Debug, Clone, PartialEq, Eq)]

@@ -35,19 +35,18 @@ pub mod regfile;
 pub mod reuse;
 pub mod stats;
 
-pub use backend::{BankedProxy, Contended, Idealized, SimBackend, Traced};
+pub use backend::{
+    run_pipeline, BankedProxy, Idealized, IntervalBackend, RunMode, RunOutput, SimBackend,
+};
 pub use counters::{Counters, CycleBucket, OccupancyHist, Structure};
 pub use multicore::{MultiCore, PerCoreMetrics, Topology, SLICE_CYCLES};
 pub use params::CoreParams;
 pub use pipeline::{fast_forward_default, set_fast_forward_default, Pipeline, PipelineSnapshot};
-pub use reuse::{
-    Fidelity, IntervalBackend, Memoized, ReuseStats, Sampled, DEFAULT_INTERVAL_LEN, DEFAULT_WARMUP,
-};
+pub use reuse::{Fidelity, Memoized, ReuseStats, Sampled, DEFAULT_INTERVAL_LEN, DEFAULT_WARMUP};
 pub use stats::{SimStats, StallStats};
 
-use armdse_isa::instr::DynInstr;
-use armdse_isa::{OpSummary, Program};
-use armdse_memsim::{MemParams, MemoryModel};
+use armdse_isa::Program;
+use armdse_memsim::MemParams;
 
 /// Default cycle-limit slack: a run is declared wedged (and invalid) if it
 /// exceeds `MAX_CPI_GUARD` cycles per dynamic instruction.
@@ -59,102 +58,11 @@ pub fn cycle_limit(program: &Program) -> u64 {
 }
 
 /// Simulate `program` on the default (infinite-bank, SST-like) memory
-/// hierarchy. Back-compat shim for [`backend::Idealized`] — new code
-/// should pick a [`SimBackend`] value instead of a function name.
+/// hierarchy: a plain [`Idealized`] run. Anything else — another
+/// hierarchy, a trace, metrics — is a [`SimBackend`] value and a
+/// [`RunMode`].
 pub fn simulate(program: &Program, core: &CoreParams, mem: &MemParams) -> SimStats {
-    Idealized.run(program, core, mem)
-}
-
-/// Simulate `program` on the finite-banked "hardware proxy" hierarchy.
-/// Back-compat shim for [`backend::BankedProxy`].
-pub fn simulate_hardware_proxy(program: &Program, core: &CoreParams, mem: &MemParams) -> SimStats {
-    BankedProxy.run(program, core, mem)
-}
-
-/// Simulate under multi-core memory contention: `co_runners` phantom
-/// cores saturate the shared DRAM controller. Back-compat shim for
-/// [`backend::Contended`].
-pub fn simulate_contended(
-    program: &Program,
-    core: &CoreParams,
-    mem: &MemParams,
-    co_runners: u32,
-) -> SimStats {
-    Contended { co_runners }.run(program, core, mem)
-}
-
-/// Simulate with an arbitrary memory backend.
-pub fn simulate_with<M: MemoryModel>(program: &Program, core: &CoreParams, mem: M) -> SimStats {
-    core.validate().expect("core parameters must validate");
-    let pipeline = Pipeline::new(program, *core, mem);
-    let mut stats = pipeline.run(cycle_limit(program));
-    let expected = OpSummary::of(program);
-    stats.validated = !stats.hit_cycle_limit && stats.observed == expected;
-    stats
-}
-
-/// Simulate on the default hierarchy and return the commit-order
-/// retirement stream alongside the statistics (see
-/// [`Pipeline::run_traced`]). Back-compat shim for
-/// `Traced(Idealized)` — used by `armdse-oracle` to replay the retired
-/// instructions with value semantics and check the core's
-/// architectural behaviour against the reference interpreter.
-pub fn simulate_traced(
-    program: &Program,
-    core: &CoreParams,
-    mem: &MemParams,
-) -> (SimStats, Vec<DynInstr>) {
-    Traced(Idealized).run(program, core, mem)
-}
-
-/// [`simulate_traced`] on the finite-banked hardware-proxy hierarchy.
-/// Back-compat shim for `Traced(BankedProxy)`.
-pub fn simulate_traced_proxy(
-    program: &Program,
-    core: &CoreParams,
-    mem: &MemParams,
-) -> (SimStats, Vec<DynInstr>) {
-    Traced(BankedProxy).run(program, core, mem)
-}
-
-/// [`simulate_traced`] with an arbitrary memory backend.
-pub fn simulate_traced_with<M: MemoryModel>(
-    program: &Program,
-    core: &CoreParams,
-    mem: M,
-) -> (SimStats, Vec<DynInstr>) {
-    core.validate().expect("core parameters must validate");
-    let pipeline = Pipeline::new(program, *core, mem);
-    let (mut stats, trace) = pipeline.run_traced(cycle_limit(program));
-    let expected = OpSummary::of(program);
-    stats.validated = !stats.hit_cycle_limit && stats.observed == expected;
-    (stats, trace)
-}
-
-/// Simulate on the default hierarchy with cycle accounting enabled (see
-/// [`Pipeline::run_with_counters`]): the statistics are identical to
-/// [`simulate`], plus the per-cycle attribution [`Counters`]. Shim for
-/// `Idealized.run_with_metrics(..)`.
-pub fn simulate_with_metrics(
-    program: &Program,
-    core: &CoreParams,
-    mem: &MemParams,
-) -> (SimStats, Counters) {
-    Idealized.run_with_metrics(program, core, mem)
-}
-
-/// [`simulate_with_metrics`] with an arbitrary memory backend.
-pub fn simulate_with_metrics_with<M: MemoryModel>(
-    program: &Program,
-    core: &CoreParams,
-    mem: M,
-) -> (SimStats, Counters) {
-    core.validate().expect("core parameters must validate");
-    let pipeline = Pipeline::new(program, *core, mem);
-    let (mut stats, counters) = pipeline.run_with_counters(cycle_limit(program));
-    let expected = OpSummary::of(program);
-    stats.validated = !stats.hit_cycle_limit && stats.observed == expected;
-    (stats, *counters)
+    Idealized.run(program, core, mem, RunMode::Plain).stats
 }
 
 #[cfg(test)]
@@ -339,7 +247,7 @@ mod tests {
         let (c, m) = tx2();
         let w = build_workload(App::Stream, WorkloadScale::Small, c.vector_length);
         let sim = simulate(&w.program, &c, &m);
-        let hw = simulate_hardware_proxy(&w.program, &c, &m);
+        let hw = BankedProxy.run(&w.program, &c, &m, RunMode::Plain).stats;
         assert!(hw.validated && sim.validated);
         assert_ne!(hw.cycles, sim.cycles);
     }
@@ -361,7 +269,9 @@ mod tests {
         let (c, m) = tx2();
         let w = build_workload(App::Stream, WorkloadScale::Tiny, c.vector_length);
         let plain = simulate(&w.program, &c, &m);
-        let (stats, trace) = simulate_traced(&w.program, &c, &m);
+        let (stats, trace) = Idealized
+            .run(&w.program, &c, &m, RunMode::Trace)
+            .into_traced();
         assert_eq!(stats.cycles, plain.cycles, "tracing changed timing");
         assert_eq!(stats.retired, plain.retired);
         assert_eq!(trace.len() as u64, stats.retired);

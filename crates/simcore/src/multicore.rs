@@ -2,12 +2,13 @@
 //! L2 + DRAM backside, stepped in a bounded round-robin slice loop.
 //!
 //! The paper stops at a closed-form multicore projection (phantom
-//! co-runners inflating DRAM service time, [`crate::Contended`]); this
-//! module builds the machine itself. Each of the N cores runs its own
-//! instance of the same workload (homogeneous-rate model) on a private
+//! co-runners inflating DRAM service time,
+//! [`armdse_memsim::Hierarchy::contended`]); this module builds the
+//! machine itself. Each of the N cores runs its own instance of the
+//! same workload (homogeneous-rate model) on a private
 //! [`crate::Pipeline`] whose memory port
-//! ([`armdse_memsim::CorePort`]) forwards L1 misses into one shared
-//! [`armdse_memsim::SharedL2`]. Contention is *emergent*: cores evict
+//! ([`armdse_memsim::Hierarchy::port`]) forwards L1 misses into one
+//! [`armdse_memsim::SharedBackside`]. Contention is *emergent*: cores evict
 //! each other's L2 lines and queue on the same finite DRAM banks, and
 //! the costs land in the existing per-core accounting — `MemData`
 //! stall cycles in the [`Counters`] buckets, `dram_queue_*` and
@@ -19,7 +20,7 @@
 //! `run_slice` pattern): the machine picks a global cycle boundary
 //! every [`SLICE_CYCLES`] cycles and advances each core — in fixed core
 //! order 0..N — up to that boundary via
-//! [`Pipeline::drive_until_cycle`] before any core may pass it. All
+//! [`crate::Pipeline::drive_until_cycle`] before any core may pass it. All
 //! cross-core interaction flows through the shared backside, whose
 //! bank-queue and L2 state is therefore mutated in a deterministic
 //! order that depends only on (program, params, topology) — never on
@@ -33,23 +34,22 @@
 //!
 //! ## Aggregation
 //!
-//! [`MultiCore::run`] returns machine-level statistics: `cycles` is the
-//! makespan (the slowest core), `retired` and the memory/stall counters
-//! are summed across cores, `validated` requires every core to
-//! validate, and `hit_cycle_limit` is sticky if any core wedged.
-//! [`MultiCore::run_with_metrics_per_core`] additionally exposes each
+//! [`MultiCore`]'s [`SimBackend::run`] returns machine-level
+//! statistics: `cycles` is the makespan (the slowest core), `retired`
+//! and the memory/stall counters are summed across cores, `validated`
+//! requires every core to validate, and `hit_cycle_limit` is sticky if
+//! any core wedged. Under [`RunMode::Metrics`] the counters are merged
+//! across cores and [`RunOutput::per_core`] additionally exposes each
 //! core's own statistics and attribution counters for the per-core
 //! metrics CSV rows.
 
-use crate::backend::SimBackend;
+use crate::backend::{finish, start, RunMode, RunOutput, SimBackend};
 use crate::counters::Counters;
 use crate::cycle_limit;
 use crate::params::CoreParams;
-use crate::pipeline::Pipeline;
 use crate::stats::{SimStats, StallStats};
-use armdse_isa::instr::DynInstr;
-use armdse_isa::{OpSummary, Program};
-use armdse_memsim::{CorePort, MemParams, SharedL2};
+use armdse_isa::Program;
+use armdse_memsim::{Backside, Hierarchy, MemParams, DEFAULT_BANKS};
 use std::rc::Rc;
 
 /// Global slice length of the round-robin loop, in core cycles: every
@@ -60,9 +60,8 @@ use std::rc::Rc;
 pub const SLICE_CYCLES: u64 = 128;
 
 /// A machine shape: how many cores share how many DRAM banks. The
-/// default — one core over [`armdse_memsim::banked::DEFAULT_BANKS`]
-/// banks — is the classic single-core machine every existing backend
-/// models.
+/// default — one core over [`armdse_memsim::DEFAULT_BANKS`] banks — is
+/// the classic single-core machine every existing backend models.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Topology {
     /// Core count (each runs its own instance of the workload).
@@ -76,7 +75,7 @@ impl Default for Topology {
     fn default() -> Topology {
         Topology {
             cores: 1,
-            banks: armdse_memsim::banked::DEFAULT_BANKS as u32,
+            banks: DEFAULT_BANKS as u32,
         }
     }
 }
@@ -102,11 +101,11 @@ pub struct PerCoreMetrics {
     pub counters: Counters,
 }
 
-/// The N-core shared-memory backend (the `Contended` projection
+/// The N-core shared-memory backend (the phantom-co-runner projection
 /// generalized to real cores; see the module docs).
 ///
 /// ```
-/// use armdse_simcore::{CoreParams, MultiCore, SimBackend};
+/// use armdse_simcore::{CoreParams, MultiCore, RunMode, SimBackend};
 /// use armdse_memsim::MemParams;
 /// use armdse_kernels::{build_workload, App, WorkloadScale};
 ///
@@ -114,8 +113,8 @@ pub struct PerCoreMetrics {
 /// let mem = MemParams::thunderx2();
 /// let w = build_workload(App::Stream, WorkloadScale::Tiny, core.vector_length);
 ///
-/// let solo = MultiCore::new(1, 8).run(&w.program, &core, &mem);
-/// let duo = MultiCore::new(2, 8).run(&w.program, &core, &mem);
+/// let solo = MultiCore::new(1, 8).run(&w.program, &core, &mem, RunMode::Plain).stats;
+/// let duo = MultiCore::new(2, 8).run(&w.program, &core, &mem, RunMode::Plain).stats;
 /// assert!(solo.validated && duo.validated);
 /// // Two streaming cores share the banks: the makespan cannot shrink.
 /// assert!(duo.cycles >= solo.cycles);
@@ -138,13 +137,6 @@ impl Default for MultiCore {
     }
 }
 
-/// One core's raw outcome from the slice loop.
-struct CoreRun {
-    stats: SimStats,
-    counters: Option<Counters>,
-    trace: Option<Vec<DynInstr>>,
-}
-
 impl MultiCore {
     /// A machine with `cores` cores over `banks` shared DRAM banks.
     pub fn new(cores: u32, banks: u32) -> MultiCore {
@@ -160,85 +152,18 @@ impl MultiCore {
             banks: self.banks,
         }
     }
+}
 
-    /// Drive all cores to completion through the slice loop. Exactly
-    /// one simulation, shared by every public entry point; `counters`
-    /// and `trace` toggle the zero-cost-by-default observation hooks
-    /// (trace is captured on core 0 only — every core runs the same
-    /// program, and the oracle replays one architectural stream).
-    fn run_cores(
-        &self,
-        program: &Program,
-        core: &CoreParams,
-        mem: &MemParams,
-        counters: bool,
-        trace: bool,
-    ) -> Vec<CoreRun> {
-        core.validate().expect("core parameters must validate");
-        let shared = SharedL2::shared(*mem, self.banks as usize);
-        let max_cycles = cycle_limit(program);
-        let mut pipes: Vec<Pipeline<CorePort>> = (0..self.cores)
-            .map(|i| Pipeline::new(program, *core, CorePort::new(Rc::clone(&shared), i)))
-            .collect();
-        if counters {
-            for p in &mut pipes {
-                p.enable_counters();
-            }
-        }
-        if trace {
-            pipes[0].enable_trace();
-        }
-
-        // The bounded round-robin slice loop: every core reaches the
-        // global boundary (in fixed core order) before any core passes
-        // it. See the module docs for the determinism argument.
-        let mut boundary = SLICE_CYCLES;
-        loop {
-            let mut all_done = true;
-            for p in pipes.iter_mut() {
-                if !p.is_finished() {
-                    p.drive_until_cycle(max_cycles, boundary);
-                    all_done &= p.is_finished();
-                }
-            }
-            if all_done || pipes.iter().any(|p| p.stats().hit_cycle_limit) {
-                break;
-            }
-            boundary += SLICE_CYCLES;
-        }
-
-        let expected = OpSummary::of(program);
-        pipes
-            .into_iter()
-            .map(|mut p| {
-                let counters = p.take_counters_finalized().map(|c| *c);
-                let trace = p.take_trace();
-                let mut stats = p.stats().clone();
-                stats.validated = !stats.hit_cycle_limit && stats.observed == expected;
-                CoreRun {
-                    stats,
-                    counters,
-                    trace,
-                }
-            })
-            .collect()
-    }
-
-    /// Fold per-core statistics into the machine view: makespan cycles,
-    /// summed retirement/memory/stall counters, all-cores validation.
-    fn aggregate(runs: &[CoreRun]) -> SimStats {
-        let mut agg = runs[0].stats.clone();
-        for r in &runs[1..] {
-            let s = &r.stats;
-            agg.cycles = agg.cycles.max(s.cycles);
-            agg.retired += s.retired;
-            agg.mem.merge(&s.mem);
-            agg.stalls = sum_stalls(&agg.stalls, &s.stalls);
-            agg.validated &= s.validated;
-            agg.hit_cycle_limit |= s.hit_cycle_limit;
-        }
-        agg
-    }
+/// Fold one more core's statistics into the machine view: makespan
+/// cycles, summed retirement/memory/stall counters, all-cores
+/// validation.
+fn fold_core(agg: &mut SimStats, s: &SimStats) {
+    agg.cycles = agg.cycles.max(s.cycles);
+    agg.retired += s.retired;
+    agg.mem.merge(&s.mem);
+    agg.stalls = sum_stalls(&agg.stalls, &s.stalls);
+    agg.validated &= s.validated;
+    agg.hit_cycle_limit |= s.hit_cycle_limit;
 }
 
 fn sum_stalls(a: &StallStats, b: &StallStats) -> StallStats {
@@ -261,66 +186,72 @@ impl SimBackend for MultiCore {
         "multicore"
     }
 
-    fn run(&self, program: &Program, core: &CoreParams, mem: &MemParams) -> SimStats {
-        MultiCore::aggregate(&self.run_cores(program, core, mem, false, false))
-    }
-
-    fn run_traced(
+    fn run(
         &self,
         program: &Program,
         core: &CoreParams,
         mem: &MemParams,
-    ) -> (SimStats, Vec<DynInstr>) {
-        let mut runs = self.run_cores(program, core, mem, false, true);
-        let stats = MultiCore::aggregate(&runs);
-        let trace = runs[0].trace.take().expect("tracing enabled on core 0");
-        (stats, trace)
-    }
-
-    fn run_with_metrics(
-        &self,
-        program: &Program,
-        core: &CoreParams,
-        mem: &MemParams,
-    ) -> (SimStats, Counters) {
-        let (stats, counters, _) = self.run_with_metrics_per_core(program, core, mem);
-        (stats, counters)
-    }
-
-    fn run_with_metrics_per_core(
-        &self,
-        program: &Program,
-        core: &CoreParams,
-        mem: &MemParams,
-    ) -> (SimStats, Counters, Vec<PerCoreMetrics>) {
-        let runs = self.run_cores(program, core, mem, true, false);
-        let stats = MultiCore::aggregate(&runs);
-        let mut merged: Option<Counters> = None;
-        let per_core: Vec<PerCoreMetrics> = runs
-            .into_iter()
-            .enumerate()
-            .map(|(i, r)| {
-                let c = r.counters.expect("counters enabled on every core");
-                match &mut merged {
-                    Some(m) => m.merge(&c),
-                    None => merged = Some(c.clone()),
-                }
-                PerCoreMetrics {
-                    core: i as u32,
-                    stats: r.stats,
-                    counters: c,
-                }
+        mode: RunMode,
+    ) -> RunOutput {
+        let shared = Backside::shared(*mem, self.banks as usize);
+        let max_cycles = cycle_limit(program);
+        // The trace is captured on core 0 only: every core runs the
+        // same program, and the oracle replays one architectural stream.
+        let mut pipes: Vec<_> = (0..self.cores)
+            .map(|i| {
+                let mode = match mode {
+                    RunMode::Trace if i > 0 => RunMode::Plain,
+                    m => m,
+                };
+                start(program, core, Hierarchy::port(Rc::clone(&shared), i), mode)
             })
             .collect();
-        let merged = merged.expect("at least one core");
+
+        // The bounded round-robin slice loop: every core reaches the
+        // global boundary (in fixed core order) before any core passes
+        // it. See the module docs for the determinism argument.
+        let mut boundary = SLICE_CYCLES;
+        loop {
+            let mut all_done = true;
+            for p in pipes.iter_mut() {
+                if !p.is_finished() {
+                    p.drive_until_cycle(max_cycles, boundary);
+                    all_done &= p.is_finished();
+                }
+            }
+            if all_done || pipes.iter().any(|p| p.stats().hit_cycle_limit) {
+                break;
+            }
+            boundary += SLICE_CYCLES;
+        }
+
+        let runs: Vec<RunOutput> = pipes.into_iter().map(|p| finish(p, program)).collect();
         // Per-core rows are only interesting when there is more than
         // one core: the single-core machine IS its aggregate.
-        let per_core = if per_core.len() > 1 {
-            per_core
+        let per_core = if mode == RunMode::Metrics && runs.len() > 1 {
+            runs.iter()
+                .zip(0u32..)
+                .map(|(r, core)| PerCoreMetrics {
+                    core,
+                    stats: r.stats.clone(),
+                    counters: r.counters.clone().expect("counters enabled on every core"),
+                })
+                .collect()
         } else {
             Vec::new()
         };
-        (stats, merged, per_core)
+        // Core 0's output (it carries the trace) becomes the machine's;
+        // the other cores fold in.
+        let mut runs = runs.into_iter();
+        let mut out = runs.next().expect("at least one core");
+        for r in runs {
+            fold_core(&mut out.stats, &r.stats);
+            if let (Some(merged), Some(c)) = (&mut out.counters, &r.counters) {
+                merged.merge(c);
+            }
+        }
+        out.per_core = per_core;
+        out
     }
 
     fn topology(&self) -> Topology {
@@ -340,6 +271,10 @@ mod tests {
         (w.program, core, MemParams::thunderx2())
     }
 
+    fn plain(mc: MultiCore, p: &Program, c: &CoreParams, m: &MemParams) -> SimStats {
+        mc.run(p, c, m, RunMode::Plain).stats
+    }
+
     /// The acceptance bound: the one-core machine is the single-core
     /// banked path, exactly — full statistics, trace, and counters.
     #[test]
@@ -347,25 +282,23 @@ mod tests {
         for app in App::ALL {
             let (p, c, m) = fixture(app);
             let mc = MultiCore::new(1, 8);
-            assert_eq!(mc.run(&p, &c, &m), BankedProxy.run(&p, &c, &m), "{app:?}");
-            let (ts, trace) = mc.run_traced(&p, &c, &m);
-            let (rs, rtrace) = BankedProxy.run_traced(&p, &c, &m);
-            assert_eq!(ts, rs, "{app:?} traced stats diverged");
-            assert_eq!(trace.len(), rtrace.len(), "{app:?} trace diverged");
-            let (ms, counters) = mc.run_with_metrics(&p, &c, &m);
-            let (bs, bcounters) = BankedProxy.run_with_metrics(&p, &c, &m);
-            assert_eq!(ms, bs, "{app:?} metrics stats diverged");
-            assert_eq!(counters, bcounters, "{app:?} counters diverged");
+            for mode in [RunMode::Plain, RunMode::Trace, RunMode::Metrics] {
+                assert_eq!(
+                    mc.run(&p, &c, &m, mode),
+                    BankedProxy.run(&p, &c, &m, mode),
+                    "{app:?} {mode:?}"
+                );
+            }
         }
     }
 
     #[test]
     fn more_cores_never_shrink_the_makespan() {
         let (p, c, m) = fixture(App::Stream);
-        let solo_retired = MultiCore::new(1, 8).run(&p, &c, &m).retired;
+        let solo_retired = plain(MultiCore::new(1, 8), &p, &c, &m).retired;
         let mut prev = 0;
         for cores in [1u32, 2, 4] {
-            let s = MultiCore::new(cores, 8).run(&p, &c, &m);
+            let s = plain(MultiCore::new(cores, 8), &p, &c, &m);
             assert!(s.validated, "{cores} cores failed validation");
             assert!(
                 s.cycles >= prev,
@@ -384,7 +317,7 @@ mod tests {
         let (p, c, m) = fixture(App::Stream);
         let mut prev = 0;
         for &banks in [1u32, 2, 4, 8].iter().rev() {
-            let s = MultiCore::new(2, banks).run(&p, &c, &m);
+            let s = plain(MultiCore::new(2, banks), &p, &c, &m);
             assert!(s.validated);
             assert!(
                 s.cycles >= prev,
@@ -399,9 +332,13 @@ mod tests {
     fn metrics_are_transparent_and_conserve_per_core_and_aggregate() {
         let (p, c, m) = fixture(App::TeaLeaf);
         let mc = MultiCore::new(2, 4);
-        let plain = mc.run(&p, &c, &m);
-        let (stats, agg, per_core) = mc.run_with_metrics_per_core(&p, &c, &m);
-        assert_eq!(stats, plain, "metrics perturbed the multicore run");
+        let out = mc.run(&p, &c, &m, RunMode::Metrics);
+        let (stats, agg, per_core) = (out.stats, out.counters.unwrap(), out.per_core);
+        assert_eq!(
+            stats,
+            plain(mc, &p, &c, &m),
+            "metrics perturbed the multicore run"
+        );
         assert!(agg.conserves());
         assert_eq!(per_core.len(), 2);
         let mut cycle_sum = 0;
@@ -417,16 +354,16 @@ mod tests {
         );
         assert!(stats.cycles <= cycle_sum && stats.cycles >= cycle_sum / 2);
         // Per-core rows are suppressed for the single-core machine.
-        let (_, _, solo) = MultiCore::new(1, 8).run_with_metrics_per_core(&p, &c, &m);
-        assert!(solo.is_empty());
+        let solo = MultiCore::new(1, 8).run(&p, &c, &m, RunMode::Metrics);
+        assert!(solo.per_core.is_empty());
     }
 
     #[test]
     fn deterministic_across_repeat_runs() {
         let (p, c, m) = fixture(App::MiniSweep);
         let mc = MultiCore::new(3, 4);
-        let a = mc.run(&p, &c, &m);
-        let b = mc.run(&p, &c, &m);
+        let a = plain(mc, &p, &c, &m);
+        let b = plain(mc, &p, &c, &m);
         assert_eq!(a, b);
         assert!(a.validated);
     }
@@ -434,13 +371,12 @@ mod tests {
     #[test]
     fn contention_charges_the_memory_buckets() {
         let (p, c, m) = fixture(App::Stream);
-        let (_, solo_c) = MultiCore::new(1, 2).run_with_metrics(&p, &c, &m);
-        let (_, duo_c, per_core) = {
-            let mc = MultiCore::new(2, 2);
-            let (s, agg, pc) = mc.run_with_metrics_per_core(&p, &c, &m);
-            assert!(s.validated);
-            (s, agg, pc)
-        };
+        let (_, solo_c) = MultiCore::new(1, 2)
+            .run(&p, &c, &m, RunMode::Metrics)
+            .into_metrics();
+        let duo = MultiCore::new(2, 2).run(&p, &c, &m, RunMode::Metrics);
+        assert!(duo.stats.validated);
+        let (duo_c, per_core) = (duo.counters.unwrap(), duo.per_core);
         use crate::counters::CycleBucket;
         let solo_mem = solo_c.bucket(CycleBucket::MemData);
         let duo_mem = duo_c.bucket(CycleBucket::MemData);

@@ -26,6 +26,7 @@ use armdse_isa::instr::{DynInstr, MemPattern, MemRef};
 use armdse_isa::op::{OpClass, PortClass};
 use armdse_isa::reg::RegClass;
 use armdse_isa::{CursorPos, Program, TraceCursor, INSTR_BYTES};
+use armdse_memsim::fasthash::Fnv1a;
 use armdse_memsim::{split_lines, MemoryModel};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -169,7 +170,7 @@ fn span_of(m: &MemRef) -> (u64, u64) {
 }
 
 /// Commit-order record of retired instructions, kept only when tracing
-/// is enabled (see [`Pipeline::run_traced`]). `pending` mirrors the
+/// is enabled (see [`Pipeline::enable_trace`]). `pending` mirrors the
 /// in-flight window (pushed at rename, popped at commit), so `committed`
 /// is exactly the architectural retirement stream the oracle replays.
 #[derive(Debug, Default)]
@@ -315,11 +316,11 @@ pub struct Pipeline<'p, M: MemoryModel> {
     pending_loads: VecDeque<Seq>,
     completed_loads: VecDeque<Seq>,
 
-    /// Commit-order trace, enabled only via [`Pipeline::run_traced`].
+    /// Commit-order trace, enabled only via [`Pipeline::enable_trace`].
     log: Option<CommitLog>,
 
     /// Cycle-accounting counters, enabled only via
-    /// [`Pipeline::run_with_counters`]. `None` is the zero-cost default:
+    /// [`Pipeline::enable_counters`]. `None` is the zero-cost default:
     /// the attribution pass is skipped entirely. Collection is read-only
     /// with respect to architectural and timing state.
     counters: Option<Box<Counters>>,
@@ -419,84 +420,46 @@ impl<'p, M: MemoryModel> Pipeline<'p, M> {
         &mut self.window[(seq - self.window_base) as usize]
     }
 
-    /// Run to completion; returns the statistics. `max_cycles` guards
-    /// against modelling deadlocks — if it fires, `hit_cycle_limit` is set
-    /// and the run must be discarded (failed validation).
-    pub fn run(mut self, max_cycles: u64) -> SimStats {
-        self.drive(max_cycles);
-        self.stats
-    }
-
-    /// Like [`run`](Self::run), but also records every instruction in
-    /// commit (i.e. program) order and returns the retirement stream
-    /// alongside the statistics. The oracle replays this stream with
-    /// value semantics to check the core's architectural behaviour.
-    pub fn run_traced(mut self, max_cycles: u64) -> (SimStats, Vec<DynInstr>) {
-        self.log = Some(CommitLog::default());
-        self.drive(max_cycles);
-        let log = self.log.take().expect("tracing enabled above");
-        (self.stats, log.committed)
-    }
-
-    /// Like [`run`](Self::run), but with cycle accounting enabled: every
-    /// cycle is attributed to exactly one [`CycleBucket`] and structure
-    /// occupancies are sampled at the commit edge. Timing and statistics
-    /// are identical to an uncounted run (the collection path never
-    /// mutates architectural state); the returned [`Counters`] satisfy
-    /// `counters.conserves()`.
-    pub fn run_with_counters(mut self, max_cycles: u64) -> (SimStats, Box<Counters>) {
-        self.counters = Some(Box::new(Counters::new(&self.params)));
-        self.drive(max_cycles);
-        let mut c = self.counters.take().expect("counters enabled above");
-        c.cycles = self.stats.cycles;
-        c.loop_buffer_cycles = self.stats.stalls.loop_buffer_cycles;
-        debug_assert!(c.conserves(), "cycle attribution leaked a cycle");
-        (self.stats, c)
-    }
-
-    fn drive(&mut self, max_cycles: u64) {
-        while !self.finished() {
+    /// The one cycle loop: step until the run finishes, `retire_target`
+    /// instructions have retired, or the clock reaches `cycle_target`,
+    /// pausing only between cycles, never inside one. `max_cycles`
+    /// guards against modelling deadlocks — if it fires,
+    /// `hit_cycle_limit` is set and the run must be discarded (failed
+    /// validation). The epilogue (`cycles = now`, memory stats copy) is
+    /// idempotent, so a run driven as any sequence of segments performs
+    /// *exactly* the cycle steps of one uninterrupted
+    /// [`drive`](Self::drive).
+    fn drive_to(&mut self, max_cycles: u64, retire_target: u64, cycle_target: u64) {
+        let ff_bound = max_cycles.min(cycle_target);
+        while !self.finished() && self.stats.retired < retire_target && self.now < cycle_target {
             if self.now >= max_cycles {
                 self.stats.hit_cycle_limit = true;
                 break;
             }
-            if self.fast_forward && self.try_fast_forward(max_cycles) {
+            if self.fast_forward && self.try_fast_forward(ff_bound) {
                 continue;
             }
             self.step();
         }
         self.stats.cycles = self.now;
         self.stats.mem = *self.mem.stats();
+    }
+
+    /// Drive to completion (or `max_cycles`).
+    pub fn drive(&mut self, max_cycles: u64) {
+        self.drive_to(max_cycles, u64::MAX, u64::MAX);
     }
 
     /// Drive until at least `retire_target` instructions have retired
     /// (or the run finishes / hits `max_cycles`), then pause.
     ///
-    /// The loop body is identical to the one-shot `drive` path — the only
-    /// difference is the extra `retired < retire_target` condition — so
-    /// a run executed as a sequence of `drive_until_retired` segments
-    /// performs *exactly* the same cycle steps as one uninterrupted
-    /// `drive` call: pausing happens only between cycles, never inside
-    /// one, and the epilogue (`cycles = now`, memory stats copy) is
-    /// idempotent. The pause boundary may overshoot the target by up to
+    /// The pause boundary may overshoot the target by up to
     /// `commit_width − 1` instructions (a commit batch is atomic), which
-    /// is deterministic in the pre-cycle state.
-    ///
-    /// The fast-forward skip is legal here unchanged: it only fires when
-    /// commit is provably idle, so it never jumps past a retirement.
+    /// is deterministic in the pre-cycle state. The fast-forward skip is
+    /// legal here unchanged: it only fires when commit is provably idle,
+    /// so it never jumps past a retirement.
     pub fn drive_until_retired(&mut self, max_cycles: u64, retire_target: u64) {
-        while !self.finished() && self.stats.retired < retire_target {
-            if self.now >= max_cycles {
-                self.stats.hit_cycle_limit = true;
-                break;
-            }
-            if self.fast_forward && self.try_fast_forward(max_cycles) {
-                continue;
-            }
-            self.step();
-        }
-        self.stats.cycles = self.now;
-        self.stats.mem = *self.mem.stats();
+        self.drive_to(max_cycles, retire_target, u64::MAX);
     }
 
     /// Drive until the global clock reaches `cycle_target` (or the run
@@ -504,29 +467,12 @@ impl<'p, M: MemoryModel> Pipeline<'p, M> {
     /// loop's primitive: every core is advanced to the same global
     /// cycle boundary before any core proceeds past it.
     ///
-    /// The loop body is identical to the one-shot `drive` path (see
-    /// [`drive_until_retired`](Self::drive_until_retired) for the
-    /// argument); the only differences are the `now < cycle_target`
-    /// condition and that the fast-forward jump is clamped to the slice
-    /// boundary. The clamp is timing-exact: the bulk advance is linear
-    /// in the number of skipped cycles, so two clamped jumps accumulate
-    /// exactly what one unclamped jump would. A run executed as a
-    /// sequence of `drive_until_cycle` segments therefore performs the
-    /// same cycle steps as one uninterrupted `drive` call.
+    /// The fast-forward jump is clamped to the slice boundary. The
+    /// clamp is timing-exact: the bulk advance is linear in the number
+    /// of skipped cycles, so two clamped jumps accumulate exactly what
+    /// one unclamped jump would.
     pub fn drive_until_cycle(&mut self, max_cycles: u64, cycle_target: u64) {
-        let bound = max_cycles.min(cycle_target);
-        while !self.finished() && self.now < cycle_target {
-            if self.now >= max_cycles {
-                self.stats.hit_cycle_limit = true;
-                break;
-            }
-            if self.fast_forward && self.try_fast_forward(bound) {
-                continue;
-            }
-            self.step();
-        }
-        self.stats.cycles = self.now;
-        self.stats.mem = *self.mem.stats();
+        self.drive_to(max_cycles, u64::MAX, cycle_target);
     }
 
     /// The pipeline's current global cycle.
@@ -534,16 +480,17 @@ impl<'p, M: MemoryModel> Pipeline<'p, M> {
         self.now
     }
 
-    /// Enable commit-order tracing on an incrementally driven pipeline
-    /// (the consuming entry point is [`run_traced`](Self::run_traced)).
-    /// Must be called before the first cycle so the trace is complete.
+    /// Record every instruction in commit (i.e. program) order; the
+    /// oracle replays this stream with value semantics to check the
+    /// core's architectural behaviour. Must be called before the first
+    /// cycle so the trace is complete.
     pub fn enable_trace(&mut self) {
         debug_assert_eq!(self.now, 0, "tracing must be enabled before cycle 0");
         self.log = Some(CommitLog::default());
     }
 
-    /// Take the commit-order retirement stream of an incrementally
-    /// driven pipeline (`None` when tracing was never enabled).
+    /// Take the commit-order retirement stream (`None` when tracing was
+    /// never enabled).
     pub fn take_trace(&mut self) -> Option<Vec<DynInstr>> {
         self.log.take().map(|l| l.committed)
     }
@@ -561,18 +508,19 @@ impl<'p, M: MemoryModel> Pipeline<'p, M> {
         &self.stats
     }
 
-    /// Enable cycle-accounting counters on an incrementally driven
-    /// pipeline (the consuming entry point is
-    /// [`run_with_counters`](Self::run_with_counters)). Must be called
-    /// before the first cycle; enabling mid-run would leave earlier
-    /// cycles unattributed and break conservation.
+    /// Enable cycle accounting: every cycle is attributed to exactly one
+    /// [`CycleBucket`] and structure occupancies are sampled at the
+    /// commit edge. Timing and statistics are identical to an uncounted
+    /// run (the collection path never mutates architectural state).
+    /// Must be called before the first cycle; enabling mid-run would
+    /// leave earlier cycles unattributed and break conservation.
     pub fn enable_counters(&mut self) {
         debug_assert_eq!(self.now, 0, "counters must be enabled before cycle 0");
         self.counters = Some(Box::new(Counters::new(&self.params)));
     }
 
-    /// Borrow the live cycle-accounting counters of an incrementally
-    /// driven pipeline (`None` when counters were never enabled). Unlike
+    /// Borrow the live cycle-accounting counters (`None` when counters
+    /// were never enabled). Unlike
     /// [`take_counters_finalized`](Self::take_counters_finalized) the
     /// `cycles`/`loop_buffer_cycles` fields are *not* fixed up — callers
     /// sampling mid-run (the sampled fidelity tier) work from the raw
@@ -581,11 +529,10 @@ impl<'p, M: MemoryModel> Pipeline<'p, M> {
         self.counters.as_deref()
     }
 
-    /// Take the finalized counters from an incrementally driven pipeline:
-    /// the same `cycles`/`loop_buffer_cycles` fixup as
-    /// [`run_with_counters`](Self::run_with_counters). `None` when
-    /// counters were never enabled. Conservation holds only once the run
-    /// is finished (every elapsed cycle has been attributed).
+    /// Take the counters with `cycles`/`loop_buffer_cycles` fixed up to
+    /// the statistics. `None` when counters were never enabled.
+    /// Conservation holds only once the run is finished (every elapsed
+    /// cycle has been attributed).
     pub fn take_counters_finalized(&mut self) -> Option<Box<Counters>> {
         let mut c = self.counters.take()?;
         c.cycles = self.stats.cycles;
@@ -699,7 +646,7 @@ impl<'p, M: MemoryModel> Pipeline<'p, M> {
     /// and interval index, so a collision would further have to happen
     /// inside one deterministic chain (see DESIGN.md §13).
     pub fn state_hash(&self) -> u64 {
-        let mut h = StateHasher::new();
+        let mut h = Fnv1a::new();
         h.u64(self.now);
         h.u64(self.stats.cycles);
         h.u64(self.stats.retired);
@@ -1829,28 +1776,6 @@ impl<'p, M: MemoryModel> Pipeline<'p, M> {
     }
 }
 
-/// Incremental FNV-1a (64-bit) over `u64` words, the checksum behind
-/// [`Pipeline::state_hash`].
-struct StateHasher(u64);
-
-impl StateHasher {
-    fn new() -> StateHasher {
-        StateHasher(0xcbf2_9ce4_8422_2325)
-    }
-
-    #[inline]
-    fn u64(&mut self, v: u64) {
-        for b in v.to_le_bytes() {
-            self.0 ^= u64::from(b);
-            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-
-    fn finish(&self) -> u64 {
-        self.0
-    }
-}
-
 /// Which full structure blocks dispatch during an idle skip (exactly
 /// one stall counter is charged per blocked cycle, in dispatch-check
 /// order).
@@ -1898,12 +1823,28 @@ mod tests {
         (w.program, core, MemParams::thunderx2())
     }
 
+    /// One uninterrupted `drive`: the reference the segmented runs match.
+    fn oneshot(
+        p: &armdse_isa::Program,
+        c: CoreParams,
+        m: MemParams,
+        counters: bool,
+    ) -> (SimStats, Option<Box<Counters>>) {
+        let mut pl = Pipeline::new(p, c, Hierarchy::new(m));
+        if counters {
+            pl.enable_counters();
+        }
+        pl.drive(cycle_limit(p));
+        let counters = pl.take_counters_finalized();
+        (pl.stats().clone(), counters)
+    }
+
     #[test]
     fn segmented_drive_matches_one_shot() {
         for app in [App::Stream, App::MiniBude, App::TeaLeaf] {
             let (p, c, m) = fixture(app);
             let limit = cycle_limit(&p);
-            let oneshot = Pipeline::new(&p, c, Hierarchy::new(m)).run(limit);
+            let oneshot = oneshot(&p, c, m, false).0;
             for seg in [1u64, 7, 64, 4096] {
                 let mut pl = Pipeline::new(&p, c, Hierarchy::new(m));
                 let mut target = seg;
@@ -1924,8 +1865,8 @@ mod tests {
     fn segmented_drive_matches_one_shot_with_counters() {
         let (p, c, m) = fixture(App::Stream);
         let limit = cycle_limit(&p);
-        let (ref_stats, ref_counters) =
-            Pipeline::new(&p, c, Hierarchy::new(m)).run_with_counters(limit);
+        let (ref_stats, ref_counters) = oneshot(&p, c, m, true);
+        let ref_counters = ref_counters.expect("counters enabled");
         let mut pl = Pipeline::new(&p, c, Hierarchy::new(m));
         pl.enable_counters();
         let mut target = 128u64;
@@ -1943,7 +1884,7 @@ mod tests {
     fn snapshot_restore_at_every_boundary_is_bit_identical() {
         let (p, c, m) = fixture(App::Stream);
         let limit = cycle_limit(&p);
-        let oneshot = Pipeline::new(&p, c, Hierarchy::new(m)).run(limit);
+        let oneshot = oneshot(&p, c, m, false).0;
         // Drive in segments, replacing the machine by snapshot+restore
         // at every boundary: the final stats must be unchanged.
         let mut pl = Pipeline::new(&p, c, Hierarchy::new(m));
@@ -1961,8 +1902,8 @@ mod tests {
     fn snapshot_restore_preserves_counters() {
         let (p, c, m) = fixture(App::MiniBude);
         let limit = cycle_limit(&p);
-        let (ref_stats, ref_counters) =
-            Pipeline::new(&p, c, Hierarchy::new(m)).run_with_counters(limit);
+        let (ref_stats, ref_counters) = oneshot(&p, c, m, true);
+        let ref_counters = ref_counters.expect("counters enabled");
         let mut pl = Pipeline::new(&p, c, Hierarchy::new(m));
         pl.enable_counters();
         let mut target = 256u64;

@@ -46,16 +46,16 @@
 
 use std::sync::Arc;
 
-use crate::backend::SimBackend;
+use crate::backend::{finish, start, validate, IntervalBackend, RunMode, RunOutput, SimBackend};
 use crate::counters::Counters;
 use crate::cycle_limit;
 use crate::params::CoreParams;
 use crate::pipeline::{Pipeline, PipelineSnapshot};
 use crate::stats::SimStats;
-use armdse_isa::instr::DynInstr;
-use armdse_isa::{OpSummary, Program, RegClass, TraceCursor};
+use armdse_isa::{Program, RegClass, TraceCursor};
 use armdse_kernels::{CacheStats, ShardedCache};
-use armdse_memsim::{BankedHierarchy, Hierarchy, MemParams, MemStats, MemoryModel};
+use armdse_memsim::fasthash::Fnv1a;
+use armdse_memsim::{Hierarchy, MemParams, MemStats};
 
 /// Re-exported cache counters surfaced through
 /// [`SimBackend::reuse_stats`] (hits, misses, insertions, evictions).
@@ -118,78 +118,9 @@ impl Fidelity {
     }
 }
 
-/// A [`SimBackend`] whose memory model can be *constructed as a value*,
-/// which is what the interval tiers need: they drive [`Pipeline`]
-/// incrementally (snapshot, restore, resume) instead of calling the
-/// backend's one-shot entry points. The memory model must be `Clone`
-/// so pipeline snapshots can carry it.
-pub trait IntervalBackend: SimBackend {
-    /// The concrete memory model this backend simulates against.
-    type Mem: MemoryModel + Clone + Send + Sync;
-
-    /// Build a fresh (cold) memory model for one run.
-    fn build_mem(&self, mem: &MemParams) -> Self::Mem;
-}
-
-impl IntervalBackend for crate::backend::Idealized {
-    type Mem = Hierarchy;
-
-    fn build_mem(&self, mem: &MemParams) -> Hierarchy {
-        Hierarchy::new(*mem)
-    }
-}
-
-impl IntervalBackend for crate::backend::BankedProxy {
-    type Mem = BankedHierarchy;
-
-    fn build_mem(&self, mem: &MemParams) -> BankedHierarchy {
-        BankedHierarchy::new(*mem)
-    }
-}
-
-impl IntervalBackend for crate::backend::Contended {
-    type Mem = BankedHierarchy;
-
-    fn build_mem(&self, mem: &MemParams) -> BankedHierarchy {
-        BankedHierarchy::with_contention(
-            *mem,
-            armdse_memsim::banked::DEFAULT_BANKS,
-            self.co_runners,
-        )
-    }
-}
-
 // ---------------------------------------------------------------------
 // Fingerprinting
 // ---------------------------------------------------------------------
-
-const FNV_BASIS: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-/// Incremental FNV-1a over byte and word feeds.
-#[derive(Debug, Clone, Copy)]
-struct Fnv(u64);
-
-impl Fnv {
-    fn new() -> Fnv {
-        Fnv(FNV_BASIS)
-    }
-
-    fn bytes(&mut self, bytes: &[u8]) -> &mut Fnv {
-        for &b in bytes {
-            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(FNV_PRIME);
-        }
-        self
-    }
-
-    fn u64(&mut self, v: u64) -> &mut Fnv {
-        self.bytes(&v.to_le_bytes())
-    }
-
-    fn finish(&self) -> u64 {
-        self.0
-    }
-}
 
 /// Which design-space parameters a program can actually exercise.
 /// Derived by a conservative static scan of the lowered program; see
@@ -236,7 +167,7 @@ impl ParamRelevance {
 /// that is never allocated from and a memory hierarchy that is never
 /// accessed cannot influence any pipeline transition.
 fn param_slice_hash(relevance: ParamRelevance, core: &CoreParams, mem: &MemParams) -> u64 {
-    let mut h = Fnv::new();
+    let mut h = Fnv1a::new();
     // Always-relevant core parameters (fetch, rename, commit, window).
     h.u64(u64::from(core.vector_length))
         .u64(u64::from(core.fetch_block_bytes))
@@ -289,7 +220,7 @@ fn base_key(
     interval_len: u64,
     metrics: bool,
 ) -> u64 {
-    let mut h = Fnv::new();
+    let mut h = Fnv1a::new();
     // The Debug rendering covers every field of the lowered program
     // (ops, loop table, trip counts) — the full static identity.
     h.bytes(format!("{program:?}").as_bytes());
@@ -301,7 +232,7 @@ fn base_key(
 
 /// Key of interval `i` given the chained architectural entry hash.
 fn interval_key(base: u64, i: u64, entry_hash: u64) -> u64 {
-    Fnv::new().u64(base).u64(i).u64(entry_hash).finish()
+    Fnv1a::new().u64(base).u64(i).u64(entry_hash).finish()
 }
 
 // ---------------------------------------------------------------------
@@ -309,30 +240,27 @@ fn interval_key(base: u64, i: u64, entry_hash: u64) -> u64 {
 // ---------------------------------------------------------------------
 
 /// One cached interval result.
-struct IntervalEntry<M: MemoryModel> {
+struct IntervalEntry {
     /// [`Pipeline::state_hash`] at the interval's end — the next link of
     /// the key chain.
     exit_hash: u64,
-    payload: IntervalPayload<M>,
+    payload: IntervalPayload,
 }
 
-enum IntervalPayload<M: MemoryModel> {
+enum IntervalPayload {
     /// The run ended inside this interval (finished or hit the cycle
-    /// limit): the *cumulative* run statistics, plus finalized counters
-    /// when the chain is a metrics chain.
-    Terminal {
-        stats: Box<SimStats>,
-        counters: Option<Box<Counters>>,
-    },
+    /// limit): the run's output, with finalized counters when the chain
+    /// is a metrics chain.
+    Terminal(Box<RunOutput>),
     /// The run continues: a full machine snapshot at the interval
     /// boundary, sufficient to resume simulation on a later miss.
-    Snapshot(Box<PipelineSnapshot<M>>),
+    Snapshot(Box<PipelineSnapshot<Hierarchy>>),
 }
 
 /// Exact interval-memoizing wrapper around an [`IntervalBackend`].
 ///
-/// `run` and `run_with_metrics` walk the interval key chain described in
-/// the module docs: every interval boundary does one cache lookup; a hit
+/// Plain and metrics runs walk the interval key chain described in the
+/// module docs: every interval boundary does one cache lookup; a hit
 /// *adopts* the cached result (dropping any live machine — the cached
 /// exit state is bit-identical to what simulation would produce); a miss
 /// materializes a machine (fresh at interval 0, or restored from the
@@ -341,14 +269,14 @@ enum IntervalPayload<M: MemoryModel> {
 /// a partially evicted chain heals itself: the first re-simulated
 /// interval's exit hash rejoins the surviving suffix.
 ///
-/// `run_traced` intentionally bypasses the cache (the commit log borrows
-/// the program and is not snapshotable) and delegates to the inner
-/// backend — traces are an oracle-only path where caching would buy
-/// nothing.
+/// [`RunMode::Trace`] intentionally bypasses the cache (the commit log
+/// borrows the program and is not snapshotable) and delegates to the
+/// inner backend — traces are an oracle-only path where caching would
+/// buy nothing.
 pub struct Memoized<B: IntervalBackend> {
     inner: B,
     interval_len: u64,
-    cache: ShardedCache<u64, IntervalEntry<B::Mem>>,
+    cache: ShardedCache<u64, IntervalEntry>,
 }
 
 impl<B: IntervalBackend> Memoized<B> {
@@ -388,20 +316,20 @@ impl<B: IntervalBackend> Memoized<B> {
         self.cache.stats()
     }
 
-    /// The chain walk shared by `run` and `run_with_metrics`.
+    /// The chain walk of a plain or metrics run.
     fn run_cached(
         &self,
         program: &Program,
         core: &CoreParams,
         mem: &MemParams,
-        metrics: bool,
-    ) -> (SimStats, Option<Box<Counters>>) {
-        core.validate().expect("core parameters must validate");
+        mode: RunMode,
+    ) -> RunOutput {
         let limit = cycle_limit(program);
+        let metrics = mode == RunMode::Metrics;
         let base = base_key(program, core, mem, self.interval_len, metrics);
         let mut entry_hash = base;
-        let mut prev: Option<Arc<IntervalEntry<B::Mem>>> = None;
-        let mut machine: Option<Pipeline<'_, B::Mem>> = None;
+        let mut prev: Option<Arc<IntervalEntry>> = None;
+        let mut machine: Option<Pipeline<'_, Hierarchy>> = None;
         let mut i: u64 = 0;
         loop {
             let key = interval_key(base, i, entry_hash);
@@ -419,45 +347,31 @@ impl<B: IntervalBackend> Memoized<B> {
                         None => match &prev {
                             Some(p) => match &p.payload {
                                 IntervalPayload::Snapshot(snap) => Pipeline::restore(program, snap),
-                                IntervalPayload::Terminal { .. } => {
+                                IntervalPayload::Terminal(_) => {
                                     unreachable!("terminal entries return below")
                                 }
                             },
                             None => {
                                 debug_assert_eq!(i, 0, "interval 0 starts from a fresh machine");
-                                let mut p =
-                                    Pipeline::new(program, *core, self.inner.build_mem(mem));
-                                if metrics {
-                                    p.enable_counters();
-                                }
-                                p
+                                start(program, core, self.inner.build_mem(mem), mode)
                             }
                         },
                     };
                     let target = (i + 1).saturating_mul(self.interval_len);
                     m.drive_until_retired(limit, target);
-                    let terminal = m.is_finished() || m.stats().hit_cycle_limit;
                     let exit_hash = m.state_hash();
-                    let payload = if terminal {
-                        IntervalPayload::Terminal {
-                            stats: Box::new(m.stats().clone()),
-                            counters: m.take_counters_finalized(),
-                        }
+                    let payload = if m.is_finished() || m.stats().hit_cycle_limit {
+                        IntervalPayload::Terminal(Box::new(finish(m, program)))
                     } else {
-                        IntervalPayload::Snapshot(Box::new(m.snapshot()))
+                        let snap = IntervalPayload::Snapshot(Box::new(m.snapshot()));
+                        machine = Some(m);
+                        snap
                     };
-                    let entry = self.cache.insert(key, IntervalEntry { exit_hash, payload });
-                    machine = Some(m);
-                    entry
+                    self.cache.insert(key, IntervalEntry { exit_hash, payload })
                 }
             };
             match &entry.payload {
-                IntervalPayload::Terminal { stats, counters } => {
-                    let mut stats = SimStats::clone(stats);
-                    finish_validation(&mut stats, program);
-                    let counters = if metrics { counters.clone() } else { None };
-                    return (stats, counters);
-                }
+                IntervalPayload::Terminal(out) => return RunOutput::clone(out),
                 IntervalPayload::Snapshot(_) => {
                     entry_hash = entry.exit_hash;
                     prev = Some(entry);
@@ -473,27 +387,17 @@ impl<B: IntervalBackend> SimBackend for Memoized<B> {
         "memoized"
     }
 
-    fn run(&self, program: &Program, core: &CoreParams, mem: &MemParams) -> SimStats {
-        self.run_cached(program, core, mem, false).0
-    }
-
-    fn run_traced(
+    fn run(
         &self,
         program: &Program,
         core: &CoreParams,
         mem: &MemParams,
-    ) -> (SimStats, Vec<DynInstr>) {
-        self.inner.run_traced(program, core, mem)
-    }
-
-    fn run_with_metrics(
-        &self,
-        program: &Program,
-        core: &CoreParams,
-        mem: &MemParams,
-    ) -> (SimStats, Counters) {
-        let (stats, counters) = self.run_cached(program, core, mem, true);
-        (stats, *counters.expect("metrics chain stores counters"))
+        mode: RunMode,
+    ) -> RunOutput {
+        match mode {
+            RunMode::Trace => self.inner.run(program, core, mem, mode),
+            RunMode::Plain | RunMode::Metrics => self.run_cached(program, core, mem, mode),
+        }
     }
 
     fn reuse_stats(&self) -> Option<ReuseStats> {
@@ -509,14 +413,6 @@ impl<B: IntervalBackend> SimBackend for Memoized<B> {
     fn clear_reuse_cache(&self) {
         self.cache.clear();
     }
-}
-
-/// Recompute the validation verdict exactly as the one-shot entry points
-/// do (`simulate_with` and friends): a run validates iff it finished
-/// within the cycle limit and retired exactly the statically expected
-/// operation mix.
-fn finish_validation(stats: &mut SimStats, program: &Program) {
-    stats.validated = !stats.hit_cycle_limit && stats.observed == OpSummary::of(program);
 }
 
 // ---------------------------------------------------------------------
@@ -561,24 +457,23 @@ impl<B: IntervalBackend> Sampled<B> {
         &self.inner
     }
 
+    /// A plain or metrics run. A program that ends inside the
+    /// simulated prefix returns the exact machine result (identical to
+    /// the full-fidelity backend).
     fn run_sampled(
         &self,
         program: &Program,
         core: &CoreParams,
         mem: &MemParams,
-        metrics: bool,
-    ) -> (SimStats, Option<Box<Counters>>) {
-        core.validate().expect("core parameters must validate");
+        mode: RunMode,
+    ) -> RunOutput {
         let limit = cycle_limit(program);
         let dyn_len = program.dynamic_len();
-        let mut m = Pipeline::new(program, *core, self.inner.build_mem(mem));
-        if metrics {
-            m.enable_counters();
-        }
+        let mut m = start(program, core, self.inner.build_mem(mem), mode);
         // Warmup prefix.
         m.drive_until_retired(limit, self.warmup);
         if m.is_finished() || m.stats().hit_cycle_limit {
-            return exact_finish(m, program);
+            return finish(m, program);
         }
         let warm = m.stats().clone();
         let warm_counters = m.counters().cloned();
@@ -588,7 +483,7 @@ impl<B: IntervalBackend> Sampled<B> {
         let target = (self.warmup + self.interval_len).max(warm.retired + 1);
         m.drive_until_retired(limit, target);
         if m.is_finished() || m.stats().hit_cycle_limit {
-            return exact_finish(m, program);
+            return finish(m, program);
         }
         let end = m.stats().clone();
         debug_assert!(end.retired > warm.retired);
@@ -639,28 +534,19 @@ impl<B: IntervalBackend> Sampled<B> {
         }
         debug_assert_eq!(produced, dyn_len);
         stats.hit_cycle_limit = false;
-        finish_validation(&mut stats, program);
+        validate(&mut stats, program);
 
-        let counters = if metrics {
-            let warm_c = warm_counters.expect("counters enabled");
+        let counters = warm_counters.map(|warm_c| {
             let end_c = m.counters().expect("counters enabled");
-            Some(Box::new(extrapolate_counters(&warm_c, end_c, &stats, &est)))
-        } else {
-            None
-        };
-        (stats, counters)
+            extrapolate_counters(&warm_c, end_c, &stats, &est)
+        });
+        RunOutput {
+            stats,
+            trace: None,
+            counters,
+            per_core: Vec::new(),
+        }
     }
-}
-
-/// The program ended inside the simulated prefix: return the exact
-/// machine result (identical to the full-fidelity backend).
-fn exact_finish<M: MemoryModel>(
-    mut m: Pipeline<'_, M>,
-    program: &Program,
-) -> (SimStats, Option<Box<Counters>>) {
-    let mut stats = m.stats().clone();
-    finish_validation(&mut stats, program);
-    (stats, m.take_counters_finalized())
 }
 
 /// Extrapolate the memory counters: every field is an additive event
@@ -730,36 +616,21 @@ impl<B: IntervalBackend> SimBackend for Sampled<B> {
         "sampled"
     }
 
-    fn run(&self, program: &Program, core: &CoreParams, mem: &MemParams) -> SimStats {
-        self.run_sampled(program, core, mem, false).0
-    }
-
-    fn run_traced(
+    fn run(
         &self,
         program: &Program,
         core: &CoreParams,
         mem: &MemParams,
-    ) -> (SimStats, Vec<DynInstr>) {
-        // Commit order is program order, so the full trace is exactly
-        // the cursor walk; timing stays identical to `run` as the
-        // trait contract requires.
-        let stats = self.run(program, core, mem);
-        let mut cursor = TraceCursor::new(program);
-        let mut trace = Vec::new();
-        while let Some(d) = cursor.next_instr() {
-            trace.push(d);
+        mode: RunMode,
+    ) -> RunOutput {
+        if mode != RunMode::Trace {
+            return self.run_sampled(program, core, mem, mode);
         }
-        (stats, trace)
-    }
-
-    fn run_with_metrics(
-        &self,
-        program: &Program,
-        core: &CoreParams,
-        mem: &MemParams,
-    ) -> (SimStats, Counters) {
-        let (stats, counters) = self.run_sampled(program, core, mem, true);
-        (stats, *counters.expect("metrics run builds counters"))
+        // Commit order is program order, so the full trace is exactly
+        // the cursor walk; timing stays identical to a plain run.
+        let mut out = self.run_sampled(program, core, mem, RunMode::Plain);
+        out.trace = Some(TraceCursor::new(program).collect());
+        out
     }
 
     fn fidelity(&self) -> Fidelity {
@@ -773,7 +644,7 @@ impl<B: IntervalBackend> SimBackend for Sampled<B> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::backend::{BankedProxy, Contended, Idealized};
+    use crate::backend::{BankedProxy, Idealized};
     use armdse_kernels::{build_workload, App, WorkloadScale};
 
     fn fixture(app: App) -> (Program, CoreParams, MemParams) {
@@ -786,23 +657,43 @@ mod tests {
         (w.program, core, MemParams::thunderx2())
     }
 
+    fn plain(b: &dyn SimBackend, p: &Program, c: &CoreParams, m: &MemParams) -> SimStats {
+        b.run(p, c, m, RunMode::Plain).stats
+    }
+
+    fn metrics(
+        b: &dyn SimBackend,
+        p: &Program,
+        c: &CoreParams,
+        m: &MemParams,
+    ) -> (SimStats, Counters) {
+        b.run(p, c, m, RunMode::Metrics).into_metrics()
+    }
+
+    fn traced(
+        b: &dyn SimBackend,
+        p: &Program,
+        c: &CoreParams,
+        m: &MemParams,
+    ) -> (SimStats, Vec<armdse_isa::instr::DynInstr>) {
+        b.run(p, c, m, RunMode::Trace).into_traced()
+    }
+
     #[test]
     fn memoized_is_bit_identical_to_plain_backends() {
         for app in [App::Stream, App::MiniBude] {
             let (p, c, m) = fixture(app);
-            let plain: [&dyn SimBackend; 3] =
-                [&Idealized, &BankedProxy, &Contended { co_runners: 2 }];
-            let cached: [&dyn SimBackend; 3] = [
+            let uncached: [&dyn SimBackend; 2] = [&Idealized, &BankedProxy];
+            let cached: [&dyn SimBackend; 2] = [
                 &Memoized::with_interval_len(Idealized, 64),
                 &Memoized::with_interval_len(BankedProxy, 64),
-                &Memoized::with_interval_len(Contended { co_runners: 2 }, 64),
             ];
-            for (b, cb) in plain.iter().zip(&cached) {
-                let want = b.run(&p, &c, &m);
+            for (&b, &cb) in uncached.iter().zip(&cached) {
+                let want = plain(b, &p, &c, &m);
                 assert!(want.validated);
                 // Cold pass, then a fully warm pass: both bit-identical.
-                assert_eq!(cb.run(&p, &c, &m), want, "{} cold", b.name());
-                assert_eq!(cb.run(&p, &c, &m), want, "{} warm", b.name());
+                assert_eq!(plain(cb, &p, &c, &m), want, "{} cold", b.name());
+                assert_eq!(plain(cb, &p, &c, &m), want, "{} warm", b.name());
                 let rs = cb.reuse_stats().expect("memoized reports reuse stats");
                 assert!(rs.hits > 0, "{}: warm pass produced no hits", b.name());
                 assert!(rs.misses > 0, "{}: cold pass produced no misses", b.name());
@@ -814,12 +705,12 @@ mod tests {
     fn memoized_metrics_are_transparent_and_cached() {
         let (p, c, m) = fixture(App::TeaLeaf);
         let mem = Memoized::with_interval_len(Idealized, 128);
-        let (want_stats, want_counters) = Idealized.run_with_metrics(&p, &c, &m);
-        let (cold_stats, cold_counters) = mem.run_with_metrics(&p, &c, &m);
+        let (want_stats, want_counters) = metrics(&Idealized, &p, &c, &m);
+        let (cold_stats, cold_counters) = metrics(&mem, &p, &c, &m);
         assert_eq!(cold_stats, want_stats);
         assert_eq!(cold_counters, want_counters);
         assert!(cold_counters.conserves());
-        let (warm_stats, warm_counters) = mem.run_with_metrics(&p, &c, &m);
+        let (warm_stats, warm_counters) = metrics(&mem, &p, &c, &m);
         assert_eq!(warm_stats, want_stats);
         assert_eq!(warm_counters, want_counters);
         let rs = mem.cache_stats();
@@ -827,7 +718,7 @@ mod tests {
         // The plain (non-metrics) chain is disjoint: running it now
         // must miss even though the metrics chain is warm.
         let before = mem.cache_stats().misses;
-        assert_eq!(mem.run(&p, &c, &m), want_stats);
+        assert_eq!(plain(&mem, &p, &c, &m), want_stats);
         assert!(mem.cache_stats().misses > before);
     }
 
@@ -836,8 +727,8 @@ mod tests {
         let (p, c, m) = fixture(App::Stream);
         let interval = 64;
         let mem = Memoized::with_interval_len(Idealized, interval);
-        let want = Idealized.run(&p, &c, &m);
-        assert_eq!(mem.run(&p, &c, &m), want);
+        let want = plain(&Idealized, &p, &c, &m);
+        assert_eq!(plain(&mem, &p, &c, &m), want);
         // Walk the key chain exactly as run_cached does and collect the
         // keys of every cached interval.
         let base = base_key(&p, &c, &m, interval, false);
@@ -865,7 +756,7 @@ mod tests {
             mem.cache.remove(k);
         }
         let before = mem.cache_stats();
-        assert_eq!(mem.run(&p, &c, &m), want, "healed run must stay exact");
+        assert_eq!(plain(&mem, &p, &c, &m), want, "healed run must stay exact");
         let after = mem.cache_stats();
         assert_eq!(
             (after.hits - before.hits) as usize,
@@ -880,7 +771,7 @@ mod tests {
         // The re-simulated tail rejoined the same chain: the keys are
         // all present again and a further run is pure hits.
         let before = mem.cache_stats();
-        assert_eq!(mem.run(&p, &c, &m), want);
+        assert_eq!(plain(&mem, &p, &c, &m), want);
         let after = mem.cache_stats();
         assert_eq!((after.hits - before.hits) as usize, keys.len());
         assert_eq!(after.misses, before.misses);
@@ -908,9 +799,9 @@ mod tests {
         // And the shared chain is observable: a run at c2 on a warm
         // cache is pure hits.
         let mem_b = Memoized::with_interval_len(Idealized, 64);
-        let want = mem_b.run(&p, &c, &m);
+        let want = plain(&mem_b, &p, &c, &m);
         let before = mem_b.cache_stats().misses;
-        assert_eq!(mem_b.run(&p, &c2, &m), want);
+        assert_eq!(plain(&mem_b, &p, &c2, &m), want);
         assert_eq!(
             mem_b.cache_stats().misses,
             before,
@@ -922,11 +813,11 @@ mod tests {
     fn clear_reuse_cache_forces_cold_start() {
         let (p, c, m) = fixture(App::Stream);
         let mem = Memoized::with_interval_len(Idealized, 256);
-        let want = mem.run(&p, &c, &m);
+        let want = plain(&mem, &p, &c, &m);
         mem.clear_reuse_cache();
         let rs = mem.cache_stats();
         assert_eq!((rs.hits, rs.misses), (0, 0), "clear resets counters");
-        assert_eq!(mem.run(&p, &c, &m), want);
+        assert_eq!(plain(&mem, &p, &c, &m), want);
         let rs = mem.cache_stats();
         assert_eq!(rs.hits, 0, "cleared cache cannot hit");
         assert!(rs.misses > 0);
@@ -950,8 +841,8 @@ mod tests {
     fn memoized_traced_runs_are_exact_and_uncached() {
         let (p, c, m) = fixture(App::Stream);
         let mem = Memoized::with_interval_len(Idealized, 64);
-        let (want_stats, want_trace) = Idealized.run_traced(&p, &c, &m);
-        let (stats, trace) = mem.run_traced(&p, &c, &m);
+        let (want_stats, want_trace) = traced(&Idealized, &p, &c, &m);
+        let (stats, trace) = traced(&mem, &p, &c, &m);
         assert_eq!(stats, want_stats);
         assert_eq!(trace, want_trace);
         let rs = mem.cache_stats();
@@ -967,10 +858,10 @@ mod tests {
         let (p, c, m) = fixture(App::Stream);
         let dyn_len = p.dynamic_len();
         let s = Sampled::with_params(Idealized, 1024, dyn_len + 1);
-        let want = Idealized.run(&p, &c, &m);
-        assert_eq!(s.run(&p, &c, &m), want, "warmup covers the whole run");
-        let (stats, counters) = s.run_with_metrics(&p, &c, &m);
-        let (want_stats, want_counters) = Idealized.run_with_metrics(&p, &c, &m);
+        let want = plain(&Idealized, &p, &c, &m);
+        assert_eq!(plain(&s, &p, &c, &m), want, "warmup covers the whole run");
+        let (stats, counters) = metrics(&s, &p, &c, &m);
+        let (want_stats, want_counters) = metrics(&Idealized, &p, &c, &m);
         assert_eq!(stats, want_stats);
         assert_eq!(counters, want_counters);
     }
@@ -983,8 +874,8 @@ mod tests {
             let warmup = dyn_len / 4;
             let interval = dyn_len / 4;
             let s = Sampled::with_params(Idealized, interval.max(1), warmup);
-            let want = Idealized.run(&p, &c, &m);
-            let got = s.run(&p, &c, &m);
+            let want = plain(&Idealized, &p, &c, &m);
+            let got = plain(&s, &p, &c, &m);
             // Architectural exactness.
             assert_eq!(got.observed, want.observed, "{app:?}");
             assert_eq!(got.retired, want.retired, "{app:?}");
@@ -1002,9 +893,9 @@ mod tests {
         let (p, c, m) = fixture(App::TeaLeaf);
         let dyn_len = p.dynamic_len();
         let s = Sampled::with_params(Idealized, (dyn_len / 8).max(1), dyn_len / 8);
-        let plain = s.run(&p, &c, &m);
-        let (stats, counters) = s.run_with_metrics(&p, &c, &m);
-        assert_eq!(stats, plain, "metrics must not perturb the estimate");
+        let unobserved = plain(&s, &p, &c, &m);
+        let (stats, counters) = metrics(&s, &p, &c, &m);
+        assert_eq!(stats, unobserved, "metrics must not perturb the estimate");
         assert_eq!(counters.cycles, stats.cycles);
         assert!(
             counters.conserves(),
@@ -1019,10 +910,10 @@ mod tests {
         let (p, c, m) = fixture(App::Stream);
         let dyn_len = p.dynamic_len();
         let s = Sampled::with_params(BankedProxy, (dyn_len / 8).max(1), dyn_len / 8);
-        let (stats, trace) = s.run_traced(&p, &c, &m);
-        assert_eq!(stats, s.run(&p, &c, &m));
+        let (stats, trace) = traced(&s, &p, &c, &m);
+        assert_eq!(stats, plain(&s, &p, &c, &m));
         assert_eq!(trace.len() as u64, dyn_len);
-        let (_, want_trace) = Idealized.run_traced(&p, &c, &m);
+        let (_, want_trace) = traced(&Idealized, &p, &c, &m);
         assert_eq!(trace, want_trace, "trace is the exact dynamic stream");
         assert_eq!(
             s.fidelity(),

@@ -7,12 +7,22 @@
 //! beat the linear baseline, and the random forest must be at least
 //! competitive with a single tree.
 
-use armdse::core::orchestrator::{generate_dataset, GenOptions};
+use armdse::core::orchestrator::GenOptions;
 use armdse::core::space::ParamSpace;
+use armdse::core::{DseDataset, Engine, RunPlan};
 use armdse::kernels::{App, WorkloadScale};
 use armdse::mltree::{
     mae, train_test_split, DecisionTreeRegressor, LinearRegression, RandomForest, Regressor,
 };
+
+fn simulated_dataset(space: &ParamSpace, opts: &GenOptions) -> DseDataset {
+    let plan = RunPlan::new(space, opts).expect("valid plan");
+    let mut data = DseDataset::default();
+    Engine::idealized()
+        .run(&plan, &mut data)
+        .expect("in-memory sink");
+    data
+}
 
 #[test]
 fn tree_beats_linear_baseline_on_simulated_cycles() {
@@ -20,7 +30,7 @@ fn tree_beats_linear_baseline_on_simulated_cycles() {
     // length (∝ 1/VL over a 16x range) and with a saturating knee to ROB
     // size — exactly the non-linear trends the paper argues for trees.
     // A linear model cannot fit either; the tree can, given enough data.
-    let data = generate_dataset(
+    let data = simulated_dataset(
         &ParamSpace::paper(),
         &GenOptions {
             configs: 400,
@@ -70,7 +80,7 @@ fn unified_model_is_not_better_than_per_app_models() {
     let mut per_app_sum = 0.0;
     let mut unified_sum = 0.0;
     for seed in [77, 78, 79] {
-        let data = generate_dataset(
+        let data = simulated_dataset(
             &ParamSpace::paper(),
             &GenOptions {
                 configs: 480,

@@ -1,35 +1,42 @@
-//! Determinism regression test pinning the orchestrator's
+//! Determinism regression test pinning the engine's
 //! `seed + config_index` contract: the generated dataset must be
 //! byte-identical regardless of worker-thread count. Every scaling
 //! item on the roadmap (sharding, batching, caching) leans on this.
 
-use armdse::core::orchestrator::{generate_dataset, GenOptions};
+use armdse::core::orchestrator::GenOptions;
 use armdse::core::space::ParamSpace;
+use armdse::core::{DseDataset, Engine, RunPlan};
 use armdse::kernels::{App, WorkloadScale};
 
-fn gen_csv_bytes(threads: usize) -> Vec<u8> {
+fn gen_csv_bytes(threads: usize, seed: u64) -> Vec<u8> {
     let opts = GenOptions {
         configs: 16,
         scale: WorkloadScale::Tiny,
-        seed: 0xD37E_2217,
+        seed,
         threads,
         apps: App::ALL.to_vec(),
     };
-    let data = generate_dataset(&ParamSpace::paper(), &opts);
+    let plan = RunPlan::new(&ParamSpace::paper(), &opts).expect("valid plan");
+    let mut data = DseDataset::default();
+    Engine::idealized()
+        .run(&plan, &mut data)
+        .expect("in-memory sink");
     assert!(!data.rows.is_empty(), "dataset must not be empty");
-    let path = std::env::temp_dir().join(format!("armdse_det_{threads}threads.csv"));
+    let path = std::env::temp_dir().join(format!("armdse_det_{threads}threads_{seed:x}.csv"));
     data.save_csv(&path).expect("save csv");
     let bytes = std::fs::read(&path).expect("read csv back");
     std::fs::remove_file(&path).ok();
     bytes
 }
 
+const SEED: u64 = 0xD37E_2217;
+
 /// The rows serialised with 1 worker thread and 8 worker threads must
 /// be byte-for-byte identical.
 #[test]
 fn dataset_bytes_identical_across_thread_counts() {
-    let single = gen_csv_bytes(1);
-    let eight = gen_csv_bytes(8);
+    let single = gen_csv_bytes(1, SEED);
+    let eight = gen_csv_bytes(8, SEED);
     assert!(
         single == eight,
         "dataset CSV differs between threads=1 ({} bytes) and threads=8 ({} bytes)",
@@ -42,18 +49,7 @@ fn dataset_bytes_identical_across_thread_counts() {
 /// against the comparison trivially passing on constant output).
 #[test]
 fn different_seed_changes_dataset_bytes() {
-    let base = gen_csv_bytes(2);
-    let opts = GenOptions {
-        configs: 16,
-        scale: WorkloadScale::Tiny,
-        seed: 0x0DD_5EED,
-        threads: 2,
-        apps: App::ALL.to_vec(),
-    };
-    let data = generate_dataset(&ParamSpace::paper(), &opts);
-    let path = std::env::temp_dir().join("armdse_det_altseed.csv");
-    data.save_csv(&path).expect("save csv");
-    let other = std::fs::read(&path).expect("read csv back");
-    std::fs::remove_file(&path).ok();
+    let base = gen_csv_bytes(2, SEED);
+    let other = gen_csv_bytes(2, 0x0DD_5EED);
     assert_ne!(base, other, "distinct seeds must give distinct datasets");
 }

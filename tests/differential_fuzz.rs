@@ -13,8 +13,8 @@
 //! program count with `ARMDSE_FUZZ_PROGRAMS=N` (CI smoke uses a smaller
 //! N; the acceptance campaign is the 200-program default).
 
-use armdse::oracle::{fuzz, fuzz_with, FuzzConfig};
-use armdse::simcore::{Idealized, Memoized, SimBackend};
+use armdse::oracle::{fuzz, fuzz_with, FuzzConfig, FuzzReport};
+use armdse::simcore::{Idealized, Memoized, MultiCore, SimBackend};
 
 fn campaign_config() -> FuzzConfig {
     let mut cfg = FuzzConfig::default();
@@ -24,14 +24,11 @@ fn campaign_config() -> FuzzConfig {
     cfg
 }
 
-#[test]
-fn differential_fuzz_campaign_is_clean() {
-    let cfg = campaign_config();
-    let report = fuzz(&cfg);
+fn assert_clean(lane: &str, cfg: &FuzzConfig, report: &FuzzReport) {
     assert_eq!(report.programs, cfg.programs);
     assert!(
         report.ok(),
-        "differential fuzz found {} divergence(s); first: program #{} on {:?}: {}",
+        "{lane} fuzz found {} divergence(s); first: program #{} on {:?}: {}",
         report.failures.len(),
         report.failures[0].index,
         report.failures[0].backend,
@@ -39,28 +36,25 @@ fn differential_fuzz_campaign_is_clean() {
     );
 }
 
+#[test]
+fn differential_fuzz_campaign_is_clean() {
+    let cfg = campaign_config();
+    assert_clean("differential", &cfg, &fuzz(&cfg));
+}
+
 /// Reuse lane: the same fixed-seed program population, every program
 /// forced through the interval-memoizing backend. `check_kernel`
-/// cross-checks the backend's cached entry points (`run`,
-/// `run_with_metrics`) against its own uncached trace (`run_traced`)
-/// and the reference interpreter, so any interval-fingerprint collision
-/// or snapshot-restore unsoundness surfaces as a divergence. A short
-/// interval length maximises the number of interval boundaries (and
-/// therefore snapshot/restore transitions) each program crosses.
+/// cross-checks the backend's cached plain and metrics modes against its
+/// own uncached trace mode and the reference interpreter, so any
+/// interval-fingerprint collision or snapshot-restore unsoundness
+/// surfaces as a divergence. A short interval length maximises the
+/// number of interval boundaries (and therefore snapshot/restore
+/// transitions) each program crosses.
 #[test]
 fn differential_fuzz_reuse_lane_is_clean() {
     let cfg = campaign_config();
     let backend = Memoized::with_interval_len(Idealized, 64);
-    let report = fuzz_with(&cfg, &backend);
-    assert_eq!(report.programs, cfg.programs);
-    assert!(
-        report.ok(),
-        "reuse-lane fuzz found {} divergence(s); first: program #{} on {:?}: {}",
-        report.failures.len(),
-        report.failures[0].index,
-        report.failures[0].backend,
-        report.failures[0].error,
-    );
+    assert_clean("reuse-lane", &cfg, &fuzz_with(&cfg, &backend));
     // The campaign must actually have exercised the cache: every program
     // runs the plain and the metrics chain, so lookups dominate.
     let rs = backend
@@ -69,5 +63,20 @@ fn differential_fuzz_reuse_lane_is_clean() {
     assert!(
         rs.misses > 0 && rs.insertions > 0,
         "reuse lane never touched the interval cache: {rs:?}"
+    );
+}
+
+/// Multicore lane: the same population on a two-core machine, so the
+/// shared-handle instantiation of the one memory hierarchy is fuzzed
+/// like the owned one. Core 0's commit trace is replayed against the
+/// reference interpreter, and the aggregate statistics must be
+/// metrics-transparent with every core-cycle attributed.
+#[test]
+fn differential_fuzz_multicore_lane_is_clean() {
+    let cfg = campaign_config();
+    assert_clean(
+        "multicore-lane",
+        &cfg,
+        &fuzz_with(&cfg, &MultiCore::new(2, 8)),
     );
 }

@@ -14,13 +14,14 @@
 //! Regenerate with: `ARMDSE_UPDATE_GOLDEN=1 cargo test --test
 //! golden_simstats`.
 
+use armdse::analysis::multicore::Contended;
 use armdse::core::engine::{Engine, RunControl, RunPlan};
 use armdse::core::metrics::{event_values, write_metrics_header, write_metrics_row, MetricsRow};
 use armdse::core::orchestrator::GenOptions;
 use armdse::core::space::ParamSpace;
 use armdse::core::DseDataset;
 use armdse::kernels::{App, WorkloadScale};
-use armdse::simcore::{BankedProxy, Contended, Idealized, Memoized, MultiCore, SimBackend};
+use armdse::simcore::{BankedProxy, Idealized, Memoized, MultiCore, SimBackend};
 use std::fmt::Write as _;
 use std::fs;
 use std::path::PathBuf;
@@ -93,8 +94,9 @@ fn golden_simstats() {
         fs::write(&path, &actual).unwrap();
         return;
     }
-    let expected = fs::read_to_string(&path)
-        .unwrap_or_else(|e| panic!("missing {path:?}: {e}; regenerate with ARMDSE_UPDATE_GOLDEN=1"));
+    let expected = fs::read_to_string(&path).unwrap_or_else(|e| {
+        panic!("missing {path:?}: {e}; regenerate with ARMDSE_UPDATE_GOLDEN=1")
+    });
     for (n, (e, a)) in expected.lines().zip(actual.lines()).enumerate() {
         assert_eq!(e, a, "simstats.txt line {} diverged", n + 1);
     }

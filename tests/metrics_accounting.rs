@@ -17,7 +17,7 @@ use armdse::core::space::ParamSpace;
 use armdse::core::DesignConfig;
 use armdse::kernels::{App, WorkloadScale};
 use armdse::memsim::MemParams;
-use armdse::simcore::{simulate, simulate_with_metrics, CoreParams, CycleBucket};
+use armdse::simcore::{simulate, CoreParams, CycleBucket, Idealized, RunMode, SimBackend};
 
 fn check_conserves(core: &CoreParams, mem: &MemParams, tag: &str) {
     for app in App::ALL {
@@ -113,7 +113,9 @@ fn free_function_entry_point_is_transparent() {
     let mem = MemParams::thunderx2();
     let w = armdse::kernels::build_workload(App::TeaLeaf, WorkloadScale::Tiny, core.vector_length);
     let plain = simulate(&w.program, &core, &mem);
-    let (stats, counters) = simulate_with_metrics(&w.program, &core, &mem);
+    let (stats, counters) = Idealized
+        .run(&w.program, &core, &mem, RunMode::Metrics)
+        .into_metrics();
     assert_eq!(stats, plain, "metrics perturbed the run");
     assert_eq!(counters.loop_buffer_cycles, stats.stalls.loop_buffer_cycles);
 }

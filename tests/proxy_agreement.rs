@@ -9,9 +9,20 @@
 //! cycle counts and memory-latency attribution may differ.
 
 use armdse::core::space::ParamSpace;
-use armdse::kernels::{build_workload, App, WorkloadScale};
+use armdse::core::DesignConfig;
+use armdse::isa::instr::DynInstr;
+use armdse::kernels::{build_workload, App, Workload, WorkloadScale};
 use armdse::oracle::ArchState;
-use armdse::simcore::{BankedProxy, Idealized, SimBackend, Traced};
+use armdse::simcore::{BankedProxy, Idealized, RunMode, SimBackend, SimStats};
+
+fn plain(b: &dyn SimBackend, w: &Workload, cfg: &DesignConfig) -> SimStats {
+    b.run(&w.program, &cfg.core, &cfg.mem, RunMode::Plain).stats
+}
+
+fn traced(b: &dyn SimBackend, w: &Workload, cfg: &DesignConfig) -> (SimStats, Vec<DynInstr>) {
+    b.run(&w.program, &cfg.core, &cfg.mem, RunMode::Trace)
+        .into_traced()
+}
 
 #[test]
 fn backends_agree_architecturally_on_every_app() {
@@ -19,8 +30,8 @@ fn backends_agree_architecturally_on_every_app() {
     for (i, &app) in App::ALL.iter().enumerate() {
         let cfg = space.sample_seeded(0x7A6E + i as u64);
         let w = build_workload(app, WorkloadScale::Tiny, cfg.core.vector_length);
-        let a = Idealized.run(&w.program, &cfg.core, &cfg.mem);
-        let b = BankedProxy.run(&w.program, &cfg.core, &cfg.mem);
+        let a = plain(&Idealized, &w, &cfg);
+        let b = plain(&BankedProxy, &w, &cfg);
 
         assert_eq!(a.retired, b.retired, "{app:?}: retired count diverged");
         assert_eq!(
@@ -38,10 +49,10 @@ fn backends_agree_architecturally_on_every_app() {
 
 #[test]
 fn backends_commit_the_identical_instruction_stream() {
-    let cfg = armdse::core::DesignConfig::thunderx2();
+    let cfg = DesignConfig::thunderx2();
     let w = build_workload(App::Stream, WorkloadScale::Tiny, cfg.core.vector_length);
-    let (a, trace_a) = Traced(Idealized).run(&w.program, &cfg.core, &cfg.mem);
-    let (b, trace_b) = Traced(BankedProxy).run(&w.program, &cfg.core, &cfg.mem);
+    let (a, trace_a) = traced(&Idealized, &w, &cfg);
+    let (b, trace_b) = traced(&BankedProxy, &w, &cfg);
 
     assert_eq!(
         trace_a, trace_b,
@@ -64,15 +75,15 @@ fn backends_commit_the_identical_instruction_stream() {
 }
 
 #[test]
-fn traced_adapter_is_timing_transparent() {
-    // Wrapping a backend in `Traced` must not perturb its statistics:
-    // the trace is an observation channel, not a different model.
-    let cfg = armdse::core::DesignConfig::thunderx2();
+fn trace_mode_is_timing_transparent() {
+    // Recording the trace must not perturb the statistics: it is an
+    // observation channel, not a different model.
+    let cfg = DesignConfig::thunderx2();
     let w = build_workload(App::TeaLeaf, WorkloadScale::Tiny, cfg.core.vector_length);
-    let plain = BankedProxy.run(&w.program, &cfg.core, &cfg.mem);
-    let (traced, trace) = Traced(BankedProxy).run(&w.program, &cfg.core, &cfg.mem);
-    assert_eq!(plain, traced, "Traced adapter changed the statistics");
-    assert_eq!(trace.len() as u64, plain.retired);
+    let unobserved = plain(&BankedProxy, &w, &cfg);
+    let (stats, trace) = traced(&BankedProxy, &w, &cfg);
+    assert_eq!(unobserved, stats, "tracing changed the statistics");
+    assert_eq!(trace.len() as u64, unobserved.retired);
 }
 
 #[test]
@@ -80,10 +91,10 @@ fn backends_differ_only_in_timing() {
     // The banked hierarchy must actually change timing somewhere in the
     // space, or the proxy is vacuous; pick the paper's reference machine
     // where contention is known to bite.
-    let cfg = armdse::core::DesignConfig::thunderx2();
+    let cfg = DesignConfig::thunderx2();
     let w = build_workload(App::Stream, WorkloadScale::Small, cfg.core.vector_length);
-    let a = Idealized.run(&w.program, &cfg.core, &cfg.mem);
-    let b = BankedProxy.run(&w.program, &cfg.core, &cfg.mem);
+    let a = plain(&Idealized, &w, &cfg);
+    let b = plain(&BankedProxy, &w, &cfg);
     assert_eq!(a.retired, b.retired);
     assert_eq!(a.observed, b.observed);
     assert_ne!(a.cycles, b.cycles, "proxy back-end never affected timing");

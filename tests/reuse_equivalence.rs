@@ -10,7 +10,7 @@ use armdse::core::orchestrator::GenOptions;
 use armdse::core::space::ParamSpace;
 use armdse::core::{CsvSink, Engine, RunPlan};
 use armdse::kernels::{App, WorkloadScale};
-use armdse::simcore::{BankedProxy, Counters, Idealized, Memoized, SimBackend, SimStats};
+use armdse::simcore::{BankedProxy, Counters, Idealized, Memoized, RunMode, SimBackend, SimStats};
 
 /// A small campaign over the paper's ThunderX2-anchored space: every
 /// config is a constrained sample around the baseline's parameter
@@ -100,14 +100,17 @@ fn stats_and_counters_bit_identical_on_subspace_grid() {
                     ),
                     (&w_cfg.program, &cfg.core, &cfg.mem),
                 ] {
-                    let want: SimStats = backend.run(program, core, mem);
-                    let (want_m, want_c): (SimStats, Counters) =
-                        backend.run_with_metrics(program, core, mem);
+                    let want: SimStats = backend.run(program, core, mem, RunMode::Plain).stats;
+                    let (want_m, want_c): (SimStats, Counters) = backend
+                        .run(program, core, mem, RunMode::Metrics)
+                        .into_metrics();
                     // Cold, then warm.
                     for pass in ["cold", "warm"] {
-                        let got = cached.run(program, core, mem);
+                        let got = cached.run(program, core, mem, RunMode::Plain).stats;
                         assert_eq!(got, want, "{} {app:?} {pass}", backend.name());
-                        let (gm, gc) = cached.run_with_metrics(program, core, mem);
+                        let (gm, gc) = cached
+                            .run(program, core, mem, RunMode::Metrics)
+                            .into_metrics();
                         assert_eq!(gm, want_m, "{} {app:?} {pass} metrics", backend.name());
                         assert_eq!(gc, want_c, "{} {app:?} {pass} counters", backend.name());
                     }

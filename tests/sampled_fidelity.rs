@@ -11,7 +11,9 @@
 use armdse::core::space::ParamSpace;
 use armdse::core::Engine;
 use armdse::kernels::{App, WorkloadScale};
-use armdse::simcore::{Idealized, Sampled, SimBackend, DEFAULT_INTERVAL_LEN, DEFAULT_WARMUP};
+use armdse::simcore::{
+    Idealized, RunMode, Sampled, SimBackend, DEFAULT_INTERVAL_LEN, DEFAULT_WARMUP,
+};
 
 /// Maximum relative cycle error of the Sampled tier on the grid below.
 /// Measured headroom: with the default warmup (one full interval, so the
@@ -44,8 +46,12 @@ fn sampled_error_bounded_and_architecturally_exact_on_paper_grid() {
         }
         for (tag, cfg) in &points {
             let w = engine.workload(app, scale, cfg.core.vector_length);
-            let exact = Idealized.run(&w.program, &cfg.core, &cfg.mem);
-            let est = sampled.run(&w.program, &cfg.core, &cfg.mem);
+            let exact = Idealized
+                .run(&w.program, &cfg.core, &cfg.mem, RunMode::Plain)
+                .stats;
+            let est = sampled
+                .run(&w.program, &cfg.core, &cfg.mem, RunMode::Plain)
+                .stats;
             let err = rel_err(est.cycles, exact.cycles);
             if err > worst.0 {
                 worst = (err, format!("{app:?}/{tag}"));
@@ -74,9 +80,13 @@ fn sampled_is_exact_when_warmup_covers_the_program() {
     let cfg = armdse::core::DesignConfig::thunderx2();
     for app in App::ALL {
         let w = engine.workload(app, WorkloadScale::Tiny, cfg.core.vector_length);
-        let exact = Idealized.run(&w.program, &cfg.core, &cfg.mem);
+        let exact = Idealized
+            .run(&w.program, &cfg.core, &cfg.mem, RunMode::Plain)
+            .stats;
         let oversized = Sampled::with_params(Idealized, 64, exact.retired + 1);
-        let est = oversized.run(&w.program, &cfg.core, &cfg.mem);
+        let est = oversized
+            .run(&w.program, &cfg.core, &cfg.mem, RunMode::Plain)
+            .stats;
         assert_eq!(est, exact, "{app:?}: oversized warmup must be exact");
     }
 }
