@@ -5,9 +5,17 @@
 //! JSON) and the same selected design-point sequence as an
 //! uninterrupted run — at 1 thread and at 8 threads, and across the
 //! two (thread count must never leak into the artifacts).
+//!
+//! The uninterrupted run is also held to `tests/golden/explore_resume.txt`
+//! (selected sequence, `explore.plan` fingerprint, curve CSV bytes), so
+//! a refactor of the explorer is checked against what the previous code
+//! selected. Regenerate with: `ARMDSE_UPDATE_GOLDEN=1 cargo test --test
+//! explorer_resume`.
 
-use armdse_core::engine::Engine;
-use armdse_core::explorer::{ExploreControl, ExploreOptions, ExploreProgress, Explorer};
+use armdse_core::engine::{Checkpoint, Engine};
+use armdse_core::explorer::{
+    ExploreControl, ExploreOptions, ExploreProgress, ExploreReport, Explorer,
+};
 use armdse_core::space::ParamSpace;
 use armdse_kernels::{App, WorkloadScale};
 use armdse_mltree::ForestParams;
@@ -44,6 +52,27 @@ fn artifact_bytes(dir: &Path, name: &str) -> Vec<u8> {
     std::fs::read(dir.join(name)).unwrap_or_else(|e| panic!("{name} in {dir:?}: {e}"))
 }
 
+/// Hold a completed `opts()` exploration in `dir` to the golden fixture.
+fn assert_golden(report: &ExploreReport, dir: &Path) {
+    let selected: Vec<String> = report.selected.iter().map(u64::to_string).collect();
+    let ckpt = Checkpoint::load(&dir.join("explore.ckpt")).unwrap();
+    let actual = format!(
+        "selected: {}\nexplore.plan: {}\n{}",
+        selected.join(","),
+        ckpt.extra_get("explore.plan").unwrap(),
+        String::from_utf8(artifact_bytes(dir, "explore_curve.csv")).unwrap()
+    );
+    let path = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden/explore_resume.txt");
+    if std::env::var_os("ARMDSE_UPDATE_GOLDEN").is_some() {
+        std::fs::write(&path, &actual).unwrap();
+        return;
+    }
+    let expected = std::fs::read_to_string(&path).unwrap_or_else(|e| {
+        panic!("missing {path:?}: {e}; regenerate with ARMDSE_UPDATE_GOLDEN=1")
+    });
+    assert_eq!(actual, expected, "explore_resume.txt diverged");
+}
+
 #[test]
 fn paused_exploration_resumes_to_byte_identical_artifacts() {
     for threads in [1usize, 8] {
@@ -59,6 +88,7 @@ fn paused_exploration_resumes_to_byte_identical_artifacts() {
         assert!(reference.completed);
         assert_eq!(reference.samples, 12, "tiny stream runs all validate");
         assert_eq!(reference.rounds_done, 3);
+        assert_golden(&reference, &ref_dir);
 
         // Paused run: stop mid-round-1 (after 2 of its 4 jobs), resume.
         let dir = fresh_dir(&format!("paused_t{threads}"));
