@@ -5,6 +5,7 @@
 //!                    [--seed N] [--sweep-configs N] [--threads N]
 //!                    [--out DIR] [--resume] [--max-chunks N]
 //!                    [--metrics DIR] [--explore N] [--explore-pareto]
+//!                    [--reuse] [--fidelity full|memoized]
 //!                    [--cores N] [--banks N] [--apps base|extended]
 //! repro --serve ADDR [--out DIR] [--runners N]
 //!
@@ -86,7 +87,7 @@ use armdse_core::space::ParamSpace;
 use armdse_core::{ArmdseError, DseDataset, SurrogateSuite};
 use armdse_kernels::{App, WorkloadScale};
 use armdse_server::{Server, ServerConfig};
-use armdse_simcore::Topology;
+use armdse_simcore::{Fidelity, Topology};
 use std::path::{Path, PathBuf};
 use std::time::Instant;
 
@@ -99,19 +100,15 @@ struct Cli {
     metrics: Option<PathBuf>,
     explore_budget: Option<usize>,
     explore_pareto: bool,
-    explore_screen: usize,
-    fidelity: FidelityArg,
+    /// `--fidelity`: the tier the shared engine runs at (both are
+    /// exact). `--reuse` is shorthand for `--fidelity memoized`.
+    fidelity: Fidelity,
     topology: Topology,
 }
 
-/// `--fidelity` argument: which simulation tier the shared engine runs
-/// at. `--reuse` is shorthand for `--fidelity memoized`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum FidelityArg {
-    Full,
-    Memoized,
-    Sampled,
-}
+const MEMOIZED: Fidelity = Fidelity::Memoized {
+    interval_len: armdse_simcore::DEFAULT_INTERVAL_LEN,
+};
 
 fn parse_args() -> Result<Cli, String> {
     let mut args = std::env::args().skip(1);
@@ -123,8 +120,7 @@ fn parse_args() -> Result<Cli, String> {
     let mut metrics = None;
     let mut explore_budget = None;
     let mut explore_pareto = false;
-    let mut explore_screen = 0;
-    let mut fidelity = FidelityArg::Full;
+    let mut fidelity = Fidelity::Full;
     let mut topology = Topology::default();
     while let Some(flag) = args.next() {
         let mut val = || args.next().ok_or(format!("{flag} needs a value"));
@@ -147,13 +143,11 @@ fn parse_args() -> Result<Cli, String> {
             "--metrics" => metrics = Some(PathBuf::from(val()?)),
             "--explore" => explore_budget = Some(val()?.parse().map_err(|e| format!("{e}"))?),
             "--explore-pareto" => explore_pareto = true,
-            "--explore-screen" => explore_screen = val()?.parse().map_err(|e| format!("{e}"))?,
-            "--reuse" => fidelity = FidelityArg::Memoized,
+            "--reuse" => fidelity = MEMOIZED,
             "--fidelity" => {
                 fidelity = match val()?.as_str() {
-                    "full" => FidelityArg::Full,
-                    "memoized" => FidelityArg::Memoized,
-                    "sampled" => FidelityArg::Sampled,
+                    "full" => Fidelity::Full,
+                    "memoized" => MEMOIZED,
                     s => return Err(format!("unknown fidelity {s}")),
                 }
             }
@@ -179,7 +173,7 @@ fn parse_args() -> Result<Cli, String> {
             f => return Err(format!("unknown flag {f}")),
         }
     }
-    if topology != Topology::default() && fidelity != FidelityArg::Full {
+    if topology != Topology::default() && fidelity != Fidelity::Full {
         return Err(
             "--cores/--banks run the multicore machine, which only simulates at full \
                     fidelity; drop --reuse/--fidelity"
@@ -195,7 +189,6 @@ fn parse_args() -> Result<Cli, String> {
         metrics,
         explore_budget,
         explore_pareto,
-        explore_screen,
         fidelity,
         topology,
     })
@@ -214,7 +207,7 @@ fn main() {
     let cli = match parse_args() {
         Ok(c) => c,
         Err(e) => {
-            eprintln!("error: {e}\n\nusage: repro <experiment> [--configs N] [--scale tiny|small|standard] [--seed N] [--sweep-configs N] [--threads N] [--out DIR] [--resume] [--max-chunks N] [--metrics DIR] [--explore N] [--explore-pareto] [--explore-screen N] [--reuse] [--fidelity full|memoized|sampled] [--cores N] [--banks N] [--apps base|extended]");
+            eprintln!("error: {e}\n\nusage: repro <experiment> [--configs N] [--scale tiny|small|standard] [--seed N] [--sweep-configs N] [--threads N] [--out DIR] [--resume] [--max-chunks N] [--metrics DIR] [--explore N] [--explore-pareto] [--reuse] [--fidelity full|memoized] [--cores N] [--banks N] [--apps base|extended]");
             std::process::exit(2);
         }
     };
@@ -287,14 +280,7 @@ fn run(cli: &Cli) {
     let engine = if cli.topology != Topology::default() {
         Engine::multicore(cli.topology.cores, cli.topology.banks)
     } else {
-        match cli.fidelity {
-            FidelityArg::Full => Engine::idealized(),
-            FidelityArg::Memoized => Engine::memoized(armdse_simcore::DEFAULT_INTERVAL_LEN),
-            FidelityArg::Sampled => Engine::sampled(
-                armdse_simcore::DEFAULT_INTERVAL_LEN,
-                armdse_simcore::DEFAULT_WARMUP,
-            ),
-        }
+        Engine::with_fidelity(cli.fidelity)
     };
     if cli.topology != Topology::default() {
         eprintln!(
@@ -302,7 +288,7 @@ fn run(cli: &Cli) {
             cli.topology.cores, cli.topology.banks
         );
     }
-    if cli.fidelity != FidelityArg::Full {
+    if cli.fidelity != Fidelity::Full {
         eprintln!("[repro] fidelity tier: {:?}", engine.backend().fidelity());
     }
     let sweep = SweepOptions {
@@ -482,7 +468,6 @@ fn explore(cli: &Cli, space: &ParamSpace, engine: &Engine) {
         holdout: (pool / 6).clamp(10, 200),
         threads: cli.opts.threads,
         pareto: cli.explore_pareto,
-        screen_factor: cli.explore_screen,
         ..ExploreOptions::for_app(App::Stream)
     };
     eprintln!(

@@ -1,7 +1,7 @@
 //! Benchmarks of the interval-reuse stack: cold-cache vs warm-cache
 //! campaign throughput through the memoizing tier (the headline number
-//! the reuse layer exists to move), the plain backend for context, the
-//! sampled screening tier, and the raw interval-cache hit path.
+//! the reuse layer exists to move), the plain backend for context, and
+//! the raw interval-cache hit path.
 //!
 //! The cold/warm pair is the acceptance contract: a warm interval cache
 //! must push simulated-jobs/sec well past the cold (memoize-everything)
@@ -14,10 +14,7 @@ use armdse_core::engine::{Engine, RunPlan};
 use armdse_core::orchestrator::GenOptions;
 use armdse_core::space::ParamSpace;
 use armdse_kernels::{App, WorkloadScale};
-use armdse_simcore::{
-    CoreParams, Idealized, Memoized, RunMode, Sampled, SimBackend, DEFAULT_INTERVAL_LEN,
-    DEFAULT_WARMUP,
-};
+use armdse_simcore::{CoreParams, Idealized, Memoized, RunMode, SimBackend, DEFAULT_INTERVAL_LEN};
 use std::hint::black_box;
 
 /// The benchmark campaign: a small single-threaded dataset plan, so the
@@ -64,13 +61,6 @@ fn main() {
     run_once(&warm, &p);
     h.bench_throughput("reuse/warm_jobs", jobs, || black_box(run_once(&warm, &p)));
 
-    // Sampled screening tier: warmup + one measured interval +
-    // extrapolation, the explorer's low-fidelity candidate ranker.
-    let sampled = Engine::sampled(DEFAULT_INTERVAL_LEN, DEFAULT_WARMUP);
-    h.bench_throughput("reuse/sampled_jobs", jobs, || {
-        black_box(run_once(&sampled, &p))
-    });
-
     // Raw single-workload hit path: repeated simulation of one program
     // through a warm memoizer, isolating cache-walk overhead from
     // campaign orchestration.
@@ -83,11 +73,6 @@ fn main() {
     h.bench("reuse/warm_hit_single_workload", || {
         black_box(cycles(&memo))
     });
-
-    // Sampled single-workload run for the same program, for the
-    // tier-vs-tier per-job comparison at identical inputs.
-    let s = Sampled::with_params(Idealized, DEFAULT_INTERVAL_LEN, DEFAULT_WARMUP);
-    h.bench("reuse/sampled_single_workload", || black_box(cycles(&s)));
 
     h.finish();
 }

@@ -14,6 +14,18 @@
 //!   vs linear baseline vs random forest; per-app models vs one unified
 //!   model; prefetcher on/off; loop buffer on/off; infinite vs finite
 //!   banking.
+//! * `explore` — the acquisition layer's hot functions, the incremental
+//!   forest operations, and one end-to-end tiny `Explorer` campaign.
+//! * `reuse` — plain vs cold-cache vs warm-cache campaign throughput
+//!   through the memoizing tier, and the raw interval-cache hit path.
+//! * `multicore` — simulated core-cycles per second through the
+//!   `MultiCore` backend at N = 1, 2, 4, plus a 2-core campaign.
+//! * `server` — submission and status-poll latency, row-streaming
+//!   throughput, and the full submit → run → done round trip over HTTP.
+//!
+//! The end-to-end, per-layer benchmark that performance claims are
+//! measured with is a separate package (`benchmark/`, see
+//! `benchmark/BENCHMARK.md`); these suites are micro-benches.
 //!
 //! This library crate hosts the harness plus shared fixtures.
 

@@ -59,11 +59,10 @@ use crate::space::{ParamSpace, FEATURE_NAMES};
 use armdse_kernels::{App, Workload, WorkloadCache, WorkloadScale};
 use armdse_memsim::fasthash::Fnv1a;
 use armdse_simcore::{
-    Counters, Fidelity, Idealized, Memoized, MultiCore, ReuseStats, RunMode, Sampled, SimBackend,
-    SimStats,
+    Counters, Fidelity, Idealized, Memoized, MultiCore, ReuseStats, RunMode, SimBackend, SimStats,
 };
 use std::io::{BufWriter, Write};
-use std::path::Path;
+use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 /// Default jobs per chunk: small enough that checkpoints land every few
@@ -254,6 +253,53 @@ pub trait RowSink {
     fn chunk_end(&mut self) -> Result<(), ArmdseError> {
         Ok(())
     }
+
+    /// Resume is about to append after the checkpointed `rows`: drop
+    /// whatever a crash left past them (a chunk flushed before the
+    /// checkpoint write, or a buffer spill ending in a torn line);
+    /// holding fewer is an error. Default (in-memory sinks): no-op.
+    fn resume_at(&mut self, _rows: usize) -> Result<(), ArmdseError> {
+        Ok(())
+    }
+}
+
+/// Cut the CSV at `path` (open for writing as `file`, nothing buffered)
+/// back to its header plus the leading complete data lines `covered`
+/// accepts. `covered` returns how many `unit`s the file holds once a
+/// line is kept, or `None` to cut there; a total other than `want`
+/// means the file is behind its checkpoint.
+pub(crate) fn cut_csv_tail(
+    path: &Path,
+    file: &std::fs::File,
+    want: usize,
+    unit: &str,
+    mut covered: impl FnMut(&[u8]) -> Option<usize>,
+) -> Result<(), ArmdseError> {
+    let body = std::fs::read(path)?;
+    let (mut end, mut have) = (0usize, 0usize);
+    for (i, line) in body.split_inclusive(|&b| b == b'\n').enumerate() {
+        if line.last() != Some(&b'\n') {
+            break; // torn tail
+        }
+        if i > 0 {
+            match covered(line) {
+                Some(n) => have = n,
+                None => break,
+            }
+        }
+        end += line.len();
+    }
+    if have != want {
+        return Err(ArmdseError::Checkpoint(format!(
+            "{}: holds {have} {unit} but the checkpoint recorded {want} — \
+             the file is behind its checkpoint",
+            path.display()
+        )));
+    }
+    if end < body.len() {
+        file.set_len(end as u64)?;
+    }
+    Ok(())
 }
 
 /// The in-memory sink: collects rows and discards into a [`DseDataset`].
@@ -275,6 +321,7 @@ impl RowSink for DseDataset {
 /// of the CSV contract.
 pub struct CsvSink {
     w: BufWriter<std::fs::File>,
+    path: PathBuf,
     rows_written: usize,
     /// Validation-failed runs observed by this sink (not persisted).
     pub discarded: Vec<DiscardedRun>,
@@ -287,6 +334,7 @@ impl CsvSink {
         write_csv_header(&mut w)?;
         Ok(CsvSink {
             w,
+            path: path.to_path_buf(),
             rows_written: 0,
             discarded: Vec::new(),
         })
@@ -297,6 +345,7 @@ impl CsvSink {
         let f = std::fs::OpenOptions::new().append(true).open(path)?;
         Ok(CsvSink {
             w: BufWriter::new(f),
+            path: path.to_path_buf(),
             rows_written: 0,
             discarded: Vec::new(),
         })
@@ -323,6 +372,15 @@ impl RowSink for CsvSink {
     fn chunk_end(&mut self) -> Result<(), ArmdseError> {
         self.w.flush()?;
         self.w.get_ref().sync_data().map_err(ArmdseError::from)
+    }
+
+    fn resume_at(&mut self, rows: usize) -> Result<(), ArmdseError> {
+        self.w.flush()?;
+        let mut seen = 0usize;
+        cut_csv_tail(&self.path, self.w.get_ref(), rows, "row(s)", |_| {
+            seen += 1;
+            (seen <= rows).then_some(seen)
+        })
     }
 }
 
@@ -576,17 +634,6 @@ impl Engine {
         )))
     }
 
-    /// An engine over the sampled (warmup + representative interval +
-    /// extrapolation) tier wrapping the default hierarchy: approximate
-    /// timing, exact architectural results.
-    pub fn sampled(interval_len: u64, warmup: u64) -> Engine {
-        Engine::new(Box::new(Sampled::with_params(
-            Idealized,
-            interval_len,
-            warmup,
-        )))
-    }
-
     /// An engine over the [`MultiCore`] machine layer: `cores` replicas
     /// of the workload stepped in lockstep slices over one shared banked
     /// L2+DRAM with `banks` interleaved banks (contention is the design
@@ -605,10 +652,6 @@ impl Engine {
         match f {
             Fidelity::Full => Engine::idealized(),
             Fidelity::Memoized { interval_len } => Engine::memoized(interval_len),
-            Fidelity::Sampled {
-                interval_len,
-                warmup,
-            } => Engine::sampled(interval_len, warmup),
         }
     }
 
@@ -1326,9 +1369,8 @@ mod tests {
         let c = Checkpoint::load(&path).unwrap();
         assert_eq!(c.extra_get("reuse.fidelity"), Some("memoized"));
         assert_eq!(c.extra_get("reuse.interval_len"), Some("512"));
-        // A full-fidelity engine must refuse the memoized checkpoint...
-        let err = Engine::idealized()
-            .run_controlled(
+        let resume_on = |engine: Engine| {
+            engine.run_controlled(
                 &p,
                 &mut DseDataset::default(),
                 RunControl {
@@ -1337,72 +1379,28 @@ mod tests {
                     ..RunControl::default()
                 },
             )
-            .unwrap_err();
+        };
+        // A full-fidelity engine must refuse the memoized checkpoint...
+        let err = resume_on(Engine::idealized()).unwrap_err();
         assert!(err.to_string().contains("reuse.fidelity"), "{err}");
         // ...as must the same tier at a different interval length...
-        let err = Engine::memoized(64)
-            .run_controlled(
-                &p,
-                &mut DseDataset::default(),
-                RunControl {
-                    checkpoint: Some(&path),
-                    resume: true,
-                    ..RunControl::default()
-                },
-            )
-            .unwrap_err();
+        let err = resume_on(Engine::memoized(64)).unwrap_err();
         assert!(err.to_string().contains("reuse.interval_len"), "{err}");
+        // ...and either tier one left by the deleted approximate tier...
+        let memoized = std::fs::read_to_string(&path).unwrap();
+        std::fs::write(&path, memoized.replace("=memoized", "=sampled")).unwrap();
+        for engine in [Engine::memoized(512), Engine::idealized()] {
+            let msg = resume_on(engine).unwrap_err().to_string();
+            assert!(
+                msg.contains("reuse.fidelity") && msg.contains("refusing to mix fidelity tiers"),
+                "{msg}"
+            );
+        }
+        std::fs::write(&path, memoized).unwrap();
         // ...while the matching engine resumes and completes.
-        let mut tail = DseDataset::default();
-        let s = Engine::memoized(512)
-            .run_controlled(
-                &p,
-                &mut tail,
-                RunControl {
-                    checkpoint: Some(&path),
-                    resume: true,
-                    ..RunControl::default()
-                },
-            )
-            .unwrap();
+        let s = resume_on(Engine::memoized(512)).unwrap();
         assert!(s.completed);
         assert_eq!(s.resumed_from, 4);
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn sampled_engine_is_architecturally_exact_and_tagged() {
-        let p = plan(2, 1);
-        let e = Engine::sampled(64, 64);
-        assert_eq!(
-            e.backend().fidelity(),
-            armdse_simcore::Fidelity::Sampled {
-                interval_len: 64,
-                warmup: 64,
-            }
-        );
-        let mut data = DseDataset::default();
-        let s = e.run(&p, &mut data).unwrap();
-        assert_eq!(s.rows + s.discarded, s.jobs);
-        // Every emitted row passed architectural validation (rows are
-        // only emitted for validated runs).
-        assert_eq!(data.rows.len(), s.rows);
-        // And a sampled checkpoint records all three keys.
-        let path = std::env::temp_dir().join("armdse_engine_ckpt_sampled.ckpt");
-        std::fs::remove_file(&path).ok();
-        e.run_controlled(
-            &p,
-            &mut DseDataset::default(),
-            RunControl {
-                checkpoint: Some(&path),
-                ..RunControl::default()
-            },
-        )
-        .unwrap();
-        let c = Checkpoint::load(&path).unwrap();
-        assert_eq!(c.extra_get("reuse.fidelity"), Some("sampled"));
-        assert_eq!(c.extra_get("reuse.interval_len"), Some("64"));
-        assert_eq!(c.extra_get("reuse.warmup"), Some("64"));
         std::fs::remove_file(&path).ok();
     }
 }

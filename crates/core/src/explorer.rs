@@ -76,7 +76,6 @@ use armdse_kernels::{App, WorkloadScale};
 use armdse_memsim::fasthash::Fnv1a;
 use armdse_mltree::{mae, r2, ForestParams, Matrix, RandomForest, Regressor};
 use armdse_rng::{Rng, SeedableRng, Xoshiro256pp};
-use armdse_simcore::{Idealized, Sampled};
 use std::path::{Path, PathBuf};
 
 /// Feature indices summed by [`structure_cost`]: the sized hardware
@@ -213,17 +212,6 @@ pub struct ExploreOptions {
     pub eps_decay: f64,
     /// Engine jobs per checkpointable chunk.
     pub chunk_jobs: usize,
-    /// Low-fidelity screening of acquisition candidates: in each
-    /// non-pareto round the greedy shortlist is over-selected by this
-    /// factor, quickly scored with the sampled fidelity tier
-    /// ([`armdse_simcore::Sampled`]), and only the best survivors are
-    /// simulated at full fidelity. `0` or `1` disables screening (the
-    /// default — byte-identical to the pre-screening explorer).
-    pub screen_factor: usize,
-    /// Sampled-tier measured-interval length used for screening.
-    pub screen_interval_len: u64,
-    /// Sampled-tier warmup prefix used for screening.
-    pub screen_warmup: u64,
 }
 
 impl ExploreOptions {
@@ -245,9 +233,6 @@ impl ExploreOptions {
             eps_min: 0.05,
             eps_decay: 0.7,
             chunk_jobs: DEFAULT_CHUNK_JOBS,
-            screen_factor: 0,
-            screen_interval_len: armdse_simcore::DEFAULT_INTERVAL_LEN,
-            screen_warmup: armdse_simcore::DEFAULT_WARMUP,
         }
     }
 
@@ -267,9 +252,6 @@ impl ExploreOptions {
         }
         if !(self.eps_decay > 0.0 && self.eps_decay <= 1.0) {
             return bad("eps_decay must be in (0, 1]");
-        }
-        if self.screen_factor >= 2 && self.screen_interval_len == 0 {
-            return bad("screening requires screen_interval_len >= 1");
         }
         Ok(())
     }
@@ -426,7 +408,7 @@ impl<'e> Explorer<'e> {
     /// and its resume.
     fn options_fingerprint(&self) -> u64 {
         let o = &self.opts;
-        let mut encoded = format!(
+        let encoded = format!(
             "{:?}|{:?}|{:?}|{}|{}|{}|{}|{}|{}|{:?}|{:?}|{}|{}|{}",
             self.space,
             o.app,
@@ -443,14 +425,6 @@ impl<'e> Explorer<'e> {
             o.eps_min,
             o.eps_decay
         );
-        // Screening joins the identity only when enabled, so every
-        // pre-screening checkpoint fingerprint is preserved verbatim.
-        if o.screen_factor >= 2 {
-            encoded.push_str(&format!(
-                "|screen:{}:{}:{}",
-                o.screen_factor, o.screen_interval_len, o.screen_warmup
-            ));
-        }
         Fnv1a::new().bytes(encoded.as_bytes()).finish()
     }
 
@@ -561,22 +535,7 @@ impl<'e> Explorer<'e> {
             };
             let n_rand = (((eps * size as f64) / 2.0).floor() as usize).min(size.saturating_sub(1));
             let n_greedy = size - n_rand;
-            // With screening enabled (and a single scalar objective —
-            // the pareto ranking already encodes a different notion of
-            // "best"), over-select the greedy shortlist by the screen
-            // factor and let the sampled tier pick the survivors.
-            let greedy = if self.opts.screen_factor >= 2 && !self.opts.pareto {
-                let shortlist = select_top_k(
-                    &remaining,
-                    &scores,
-                    n_greedy
-                        .saturating_mul(self.opts.screen_factor)
-                        .min(remaining.len()),
-                );
-                self.screen(&shortlist, n_greedy)
-            } else {
-                select_top_k(&remaining, &scores, n_greedy)
-            };
+            let greedy = select_top_k(&remaining, &scores, n_greedy);
             remaining.retain(|i| !greedy.contains(i));
             picks.extend(greedy);
         }
@@ -585,33 +544,6 @@ impl<'e> Explorer<'e> {
             picks.push(remaining.swap_remove(j));
         }
         picks
-    }
-
-    /// Rank `shortlist` with the sampled fidelity tier and keep the `k`
-    /// candidates with the lowest estimated cycles (ties broken by id,
-    /// so the result is deterministic). Runs sequentially on the shared
-    /// workload cache — each estimate costs a warmup plus one interval,
-    /// a small fraction of a full-fidelity simulation.
-    fn screen(&self, shortlist: &[u64], k: usize) -> Vec<u64> {
-        let backend = Sampled::with_params(
-            Idealized,
-            self.opts.screen_interval_len,
-            self.opts.screen_warmup,
-        );
-        let pins = self.pins_ref();
-        let mut ranked: Vec<(u64, u64)> = shortlist
-            .iter()
-            .map(|&i| {
-                let cfg = self.space.sample_seeded_pinned(self.opts.seed + i, &pins);
-                let stats =
-                    self.engine
-                        .simulate_config_on(&backend, self.opts.app, self.opts.scale, &cfg);
-                (stats.cycles, i)
-            })
-            .collect();
-        ranked.sort_unstable();
-        ranked.truncate(k);
-        ranked.into_iter().map(|(_, i)| i).collect()
     }
 
     fn checkpoint_extra(&self, state: &LoopState, done: bool) -> Vec<(String, String)> {
@@ -882,21 +814,11 @@ impl<'e> Explorer<'e> {
                 .map_err(|_| ArmdseError::Explore("unparsable explore.rng".into()))?;
         }
 
-        // Reload the accumulated rows; tolerate a dataset flushed one
-        // chunk past the checkpoint (sink durability runs ahead of the
+        // Reload the accumulated rows, first cutting whatever a crash
+        // left past the checkpoint (sink durability runs ahead of the
         // checkpoint write, never behind).
-        let mut data = DseDataset::load_csv(dataset_path).map_err(ArmdseError::Io)?;
-        if data.rows.len() < ckpt.rows {
-            return Err(ArmdseError::Explore(format!(
-                "dataset has {} rows but the checkpoint recorded {}",
-                data.rows.len(),
-                ckpt.rows
-            )));
-        }
-        if data.rows.len() > ckpt.rows {
-            data.rows.truncate(ckpt.rows);
-            data.save_csv(dataset_path)?;
-        }
+        CsvSink::append(dataset_path)?.resume_at(ckpt.rows)?;
+        let data = DseDataset::load_csv(dataset_path).map_err(ArmdseError::Io)?;
 
         // The curve is authoritative up to `curve_rows`; drop anything
         // written after the checkpoint.
@@ -1059,6 +981,10 @@ impl RowSink for TeeSink<'_> {
 
     fn chunk_end(&mut self) -> Result<(), ArmdseError> {
         self.csv.chunk_end()
+    }
+
+    fn resume_at(&mut self, rows: usize) -> Result<(), ArmdseError> {
+        self.csv.resume_at(rows)
     }
 }
 

@@ -12,7 +12,7 @@
 //!
 //! Every job owns a private [`Engine`] — its own [`WorkloadCache`] and
 //! its own backend instance (and therefore its own interval-reuse
-//! cache when the job runs at the memoized or sampled tier). Two
+//! cache when the job runs at the memoized tier). Two
 //! tenants submitting jobs with different seeds or fidelity tiers can
 //! never pollute each other's memoized chains or workload cache; the
 //! only shared state between concurrent jobs is the scheduler's queue
@@ -203,7 +203,7 @@ impl JobSpec {
     /// Build the job's private engine: the requested fidelity tier on
     /// the default machine, or the multicore machine layer when the
     /// spec asks for a non-default topology (always full fidelity —
-    /// the parser rejects multicore + memoized/sampled combinations).
+    /// the parser rejects multicore + memoized combinations).
     pub fn engine(&self) -> Engine {
         let t = self.topology();
         if t == Topology::default() {
@@ -248,18 +248,8 @@ impl JobSpec {
         }
         out.push_str(&format!("  \"priority\": {},\n", self.priority));
         out.push_str(&format!("  \"fidelity\": \"{}\",\n", self.fidelity.tag()));
-        match self.fidelity {
-            Fidelity::Full => {}
-            Fidelity::Memoized { interval_len } => {
-                out.push_str(&format!("  \"interval_len\": {interval_len},\n"));
-            }
-            Fidelity::Sampled {
-                interval_len,
-                warmup,
-            } => {
-                out.push_str(&format!("  \"interval_len\": {interval_len},\n"));
-                out.push_str(&format!("  \"warmup\": {warmup},\n"));
-            }
+        if let Fidelity::Memoized { interval_len } = self.fidelity {
+            out.push_str(&format!("  \"interval_len\": {interval_len},\n"));
         }
         out.push_str(&format!("  \"metrics\": {}\n}}\n", self.metrics));
         out
@@ -278,7 +268,6 @@ impl JobSpec {
         let mut spec = JobSpec::default();
         let mut have_configs = false;
         let mut interval_len = None;
-        let mut warmup = None;
         let mut fidelity_tag = "full".to_string();
         for (key, val) in obj {
             let uint = || -> Result<u64, ArmdseError> {
@@ -356,7 +345,6 @@ impl JobSpec {
                         .to_string();
                 }
                 "interval_len" => interval_len = Some(uint()?),
-                "warmup" => warmup = Some(uint()?),
                 "metrics" => {
                     spec.metrics = val
                         .as_bool()
@@ -370,20 +358,15 @@ impl JobSpec {
         }
         spec.fidelity = match fidelity_tag.as_str() {
             "full" => {
-                if interval_len.is_some() || warmup.is_some() {
+                if interval_len.is_some() {
                     return Err(bad(
-                        "\"interval_len\"/\"warmup\" only apply to memoized/sampled fidelity"
-                            .into(),
+                        "\"interval_len\" only applies to memoized fidelity".into()
                     ));
                 }
                 Fidelity::Full
             }
             "memoized" => Fidelity::Memoized {
                 interval_len: interval_len.unwrap_or(armdse_simcore::DEFAULT_INTERVAL_LEN),
-            },
-            "sampled" => Fidelity::Sampled {
-                interval_len: interval_len.unwrap_or(armdse_simcore::DEFAULT_INTERVAL_LEN),
-                warmup: warmup.unwrap_or(armdse_simcore::DEFAULT_WARMUP),
             },
             other => return Err(bad(format!("unknown fidelity \"{other}\""))),
         };
@@ -419,7 +402,7 @@ pub struct JobStatus {
     /// session (observability only — shard assignment is racy by
     /// design; the output bytes never depend on it).
     pub shards: Vec<usize>,
-    /// Fidelity tier tag (`full` / `memoized` / `sampled`).
+    /// Fidelity tier tag (`full` / `memoized`).
     pub fidelity: &'static str,
     /// Error message (`Failed` jobs only).
     pub error: Option<String>,
@@ -488,7 +471,6 @@ impl JobStatus {
         let state = JobState::parse(state_tag).ok_or_else(|| format!("bad state {state_tag:?}"))?;
         let fidelity = match obj.get("fidelity").and_then(Json::as_str) {
             Some("memoized") => "memoized",
-            Some("sampled") => "sampled",
             _ => "full",
         };
         Ok(JobStatus {
@@ -875,15 +857,6 @@ mod tests {
         let s = spec();
         let back = JobSpec::from_json(&s.to_json()).unwrap();
         assert_eq!(back, s);
-        // Sampled carries warmup too.
-        let s2 = JobSpec {
-            fidelity: Fidelity::Sampled {
-                interval_len: 256,
-                warmup: 1024,
-            },
-            ..spec()
-        };
-        assert_eq!(JobSpec::from_json(&s2.to_json()).unwrap(), s2);
         // Multicore topology round-trips too (full fidelity required).
         let s3 = JobSpec {
             fidelity: Fidelity::Full,
@@ -913,7 +886,7 @@ mod tests {
         assert!(JobSpec::from_json("{\"configs\": 2, \"cores\": 0}").is_err());
         assert!(JobSpec::from_json("{\"configs\": 2, \"banks\": 0}").is_err());
         // Multicore requires full fidelity: the machine layer has no
-        // memoized/sampled tier.
+        // memoized tier.
         let e = JobSpec::from_json("{\"configs\": 2, \"cores\": 2, \"fidelity\": \"memoized\"}")
             .unwrap_err();
         assert!(e.to_string().contains("full fidelity"), "{e}");
@@ -938,6 +911,14 @@ mod tests {
         assert!(JobSpec::from_json("{\"configs\": 2, \"apps\": [\"nope\"]}").is_err());
         assert!(JobSpec::from_json("{\"configs\": 2, \"scale\": \"huge\"}").is_err());
         assert!(JobSpec::from_json("{\"configs\": 2, \"fidelity\": \"best\"}").is_err());
+        // The approximate tier and its warmup key are gone from the wire.
+        let e = JobSpec::from_json("{\"configs\": 2, \"fidelity\": \"sampled\"}").unwrap_err();
+        assert!(
+            e.to_string().contains("unknown fidelity \"sampled\""),
+            "{e}"
+        );
+        let e = JobSpec::from_json("{\"configs\": 2, \"warmup\": 1}").unwrap_err();
+        assert!(e.to_string().contains("unknown key \"warmup\""), "{e}");
         // interval_len makes no sense at full fidelity.
         assert!(JobSpec::from_json("{\"configs\": 2, \"interval_len\": 64}").is_err());
     }

@@ -13,12 +13,13 @@
 //! `docs/METRICS.md`; [`metrics_csv_columns`] is the single source of
 //! truth for the header.
 
+use crate::engine::cut_csv_tail;
 use crate::error::ArmdseError;
 use armdse_kernels::App;
 use armdse_memsim::MemStats;
 use armdse_simcore::{Counters, StallStats};
 use std::io::{BufWriter, Write};
-use std::path::Path;
+use std::path::{Path, PathBuf};
 
 /// Per-event stall-counter column names (the `ev_` CSV segment).
 ///
@@ -96,6 +97,13 @@ pub trait MetricsSink {
     fn chunk_end(&mut self) -> Result<(), ArmdseError> {
         Ok(())
     }
+
+    /// Resume is about to re-run jobs `jobs_done..`: drop the rows held
+    /// for them; not covering every earlier job is an error (default:
+    /// no-op). Mirrors [`crate::engine::RowSink::resume_at`].
+    fn resume_at(&mut self, _jobs_done: usize) -> Result<(), ArmdseError> {
+        Ok(())
+    }
 }
 
 /// The in-memory sink: collects every row.
@@ -164,6 +172,7 @@ pub fn write_metrics_row(w: &mut impl Write, r: &MetricsRow) -> std::io::Result<
 /// observability analogue of [`crate::engine::CsvSink`].
 pub struct MetricsCsvSink {
     w: BufWriter<std::fs::File>,
+    path: PathBuf,
     rows_written: usize,
 }
 
@@ -172,7 +181,11 @@ impl MetricsCsvSink {
     pub fn create(path: &Path) -> Result<MetricsCsvSink, ArmdseError> {
         let mut w = BufWriter::new(std::fs::File::create(path)?);
         write_metrics_header(&mut w)?;
-        Ok(MetricsCsvSink { w, rows_written: 0 })
+        Ok(MetricsCsvSink {
+            w,
+            path: path.to_path_buf(),
+            rows_written: 0,
+        })
     }
 
     /// Open `path` for appending (resume: header already present).
@@ -180,6 +193,7 @@ impl MetricsCsvSink {
         let f = std::fs::OpenOptions::new().append(true).open(path)?;
         Ok(MetricsCsvSink {
             w: BufWriter::new(f),
+            path: path.to_path_buf(),
             rows_written: 0,
         })
     }
@@ -200,6 +214,17 @@ impl MetricsSink for MetricsCsvSink {
     fn chunk_end(&mut self) -> Result<(), ArmdseError> {
         self.w.flush()?;
         self.w.get_ref().sync_data().map_err(ArmdseError::from)
+    }
+
+    fn resume_at(&mut self, jobs_done: usize) -> Result<(), ArmdseError> {
+        self.w.flush()?;
+        // Rows are in job order and every job emits at least one.
+        let (path, file) = (&self.path, self.w.get_ref());
+        cut_csv_tail(path, file, jobs_done, "job(s)", |line| {
+            let job = std::str::from_utf8(line).ok()?.split(',').next()?;
+            let job: usize = job.parse().ok()?;
+            (job < jobs_done).then_some(job + 1)
+        })
     }
 }
 

@@ -59,19 +59,11 @@ pub(crate) type ChunkResult = (usize, Result<Row, DiscardedRun>, Option<Vec<Metr
 /// [`Fidelity::Full`] maps to no keys at all so default campaigns keep
 /// the v1 on-disk checkpoint format byte-for-byte.
 pub(crate) fn fidelity_extra(f: Fidelity) -> Vec<(String, String)> {
-    let tag = ("reuse.fidelity".into(), f.tag().into());
     match f {
         Fidelity::Full => Vec::new(),
-        Fidelity::Memoized { interval_len } => {
-            vec![tag, ("reuse.interval_len".into(), interval_len.to_string())]
-        }
-        Fidelity::Sampled {
-            interval_len,
-            warmup,
-        } => vec![
-            tag,
+        Fidelity::Memoized { interval_len } => vec![
+            ("reuse.fidelity".into(), f.tag().into()),
             ("reuse.interval_len".into(), interval_len.to_string()),
-            ("reuse.warmup".into(), warmup.to_string()),
         ],
     }
 }
@@ -201,7 +193,6 @@ pub(crate) fn run_job_loop(
             for key in [
                 "reuse.fidelity",
                 "reuse.interval_len",
-                "reuse.warmup",
                 "mc.cores",
                 "mc.banks",
             ] {
@@ -219,6 +210,12 @@ pub(crate) fn run_job_loop(
                         want
                     )));
                 }
+            }
+            // The re-run starts at the checkpoint, so the sinks must
+            // end there too before the first appended byte.
+            sink.resume_at(c.rows)?;
+            if let Some(msink) = ctl.metrics.as_deref_mut() {
+                msink.resume_at(c.jobs_done)?;
             }
             done = c.jobs_done;
             resumed_from = done;

@@ -14,8 +14,8 @@
 //!   paper's simulation path).
 //! * [`BankedProxy`] — the finite-banked "hardware proxy" hierarchy
 //!   standing in for the physical ThunderX2 of Table I.
-//! * [`crate::MultiCore`], [`crate::Memoized`], [`crate::Sampled`] —
-//!   the multicore machine and the two reuse tiers.
+//! * [`crate::MultiCore`], [`crate::Memoized`] — the multicore machine
+//!   and the exact interval-memoizing tier.
 //!
 //! Every backend that drives a pipeline builds it with `start` and
 //! collects it with `finish`; the latter owns the only copy of the
@@ -141,19 +141,15 @@ pub(crate) fn start<'p, M: MemoryModel>(
     pipeline
 }
 
-/// A run validates iff it finished within the cycle limit and retired
-/// exactly the statically expected operation mix.
-pub(crate) fn validate(stats: &mut SimStats, program: &Program) {
-    stats.validated = !stats.hit_cycle_limit && stats.observed == OpSummary::of(program);
-}
-
-/// Collect a pipeline that finished or hit the cycle limit.
+/// Collect a pipeline that finished or hit the cycle limit. A run
+/// validates iff it finished within the limit and retired exactly the
+/// statically expected operation mix.
 pub(crate) fn finish<M: MemoryModel>(
     mut pipeline: Pipeline<'_, M>,
     program: &Program,
 ) -> RunOutput {
     let mut stats = pipeline.stats().clone();
-    validate(&mut stats, program);
+    stats.validated = !stats.hit_cycle_limit && stats.observed == OpSummary::of(program);
     RunOutput {
         stats,
         trace: pipeline.take_trace(),
@@ -176,7 +172,7 @@ pub fn run_pipeline<M: MemoryModel>(
 }
 
 /// A single-core [`SimBackend`] whose memory model can be *constructed
-/// as a value*, which is what the interval tiers need: they drive
+/// as a value*, which is what the memoizing tier needs: it drives
 /// [`Pipeline`] incrementally (snapshot, restore, resume) instead of
 /// calling the backend's one-shot entry point.
 pub trait IntervalBackend: SimBackend {

@@ -42,7 +42,7 @@ pub use counters::{Counters, CycleBucket, OccupancyHist, Structure};
 pub use multicore::{MultiCore, PerCoreMetrics, Topology, SLICE_CYCLES};
 pub use params::CoreParams;
 pub use pipeline::{fast_forward_default, set_fast_forward_default, Pipeline, PipelineSnapshot};
-pub use reuse::{Fidelity, Memoized, ReuseStats, Sampled, DEFAULT_INTERVAL_LEN, DEFAULT_WARMUP};
+pub use reuse::{Fidelity, Memoized, ReuseStats, DEFAULT_INTERVAL_LEN};
 pub use stats::{SimStats, StallStats};
 
 use armdse_isa::Program;

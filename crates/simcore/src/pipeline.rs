@@ -519,16 +519,6 @@ impl<'p, M: MemoryModel> Pipeline<'p, M> {
         self.counters = Some(Box::new(Counters::new(&self.params)));
     }
 
-    /// Borrow the live cycle-accounting counters (`None` when counters
-    /// were never enabled). Unlike
-    /// [`take_counters_finalized`](Self::take_counters_finalized) the
-    /// `cycles`/`loop_buffer_cycles` fields are *not* fixed up — callers
-    /// sampling mid-run (the sampled fidelity tier) work from the raw
-    /// exclusive buckets and occupancy histograms.
-    pub fn counters(&self) -> Option<&Counters> {
-        self.counters.as_deref()
-    }
-
     /// Take the counters with `cycles`/`loop_buffer_cycles` fixed up to
     /// the statistics. `None` when counters were never enabled.
     /// Conservation holds only once the run is finished (every elapsed

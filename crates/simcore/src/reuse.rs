@@ -1,5 +1,5 @@
-//! Segment-level computation reuse: interval-memoizing and sampled
-//! fidelity tiers.
+//! Segment-level computation reuse: the interval-memoizing fidelity
+//! tier.
 //!
 //! The paper's campaigns re-simulate the *same* `(workload, config)`
 //! neighbourhoods over and over: the explorer's acquisition loop
@@ -8,20 +8,15 @@
 //! twice. This module exploits the simulator's determinism to reuse
 //! work at *interval* granularity instead of whole runs:
 //!
-//! * [`Memoized`] — an exact tier. The dynamic instruction stream is
-//!   split into fixed-size retirement intervals; each interval's timing
-//!   result is keyed by a hash chain over `(program, relevant parameter
-//!   slice, interval index, architectural entry state)` and cached in a
-//!   bounded, shard-locked [`ShardedCache`]. A warm cache replays a run
-//!   as a chain of lookups; results are **bit-identical** to the
-//!   uncached backend (pinned by `tests/reuse_equivalence.rs` and the
-//!   differential fuzz reuse lane).
-//! * [`Sampled`] — a SimPoint-style lower-fidelity tier: simulate a
-//!   warmup prefix plus one representative interval, then extrapolate
-//!   the remaining retirements at the measured rate. Timing is
-//!   approximate (bounded by `tests/sampled_fidelity.rs`); the
-//!   *architectural* result (retired-op summary, validation) stays
-//!   exact because the tail is synthesized from the trace cursor.
+//! [`Memoized`] is an exact tier. The dynamic instruction stream is
+//! split into fixed-size retirement intervals; each interval's timing
+//! result is keyed by a hash chain over `(program, relevant parameter
+//! slice, interval index, architectural entry state)` and cached in a
+//! bounded, shard-locked [`ShardedCache`]. A warm cache replays a run
+//! as a chain of lookups; results are **bit-identical** to the
+//! uncached backend (pinned by `tests/reuse_equivalence.rs` and the
+//! differential fuzz reuse lane). There is no approximate tier: every
+//! row any backend emits is an exact simulation.
 //!
 //! ## Reuse legality
 //!
@@ -46,32 +41,22 @@
 
 use std::sync::Arc;
 
-use crate::backend::{finish, start, validate, IntervalBackend, RunMode, RunOutput, SimBackend};
-use crate::counters::Counters;
+use crate::backend::{finish, start, IntervalBackend, RunMode, RunOutput, SimBackend};
 use crate::cycle_limit;
 use crate::params::CoreParams;
 use crate::pipeline::{Pipeline, PipelineSnapshot};
-use crate::stats::SimStats;
-use armdse_isa::{Program, RegClass, TraceCursor};
+use armdse_isa::{Program, RegClass};
 use armdse_kernels::{CacheStats, ShardedCache};
 use armdse_memsim::fasthash::Fnv1a;
-use armdse_memsim::{Hierarchy, MemParams, MemStats};
+use armdse_memsim::{Hierarchy, MemParams};
 
 /// Re-exported cache counters surfaced through
 /// [`SimBackend::reuse_stats`] (hits, misses, insertions, evictions).
 pub type ReuseStats = CacheStats;
 
-/// Default retirement-interval length for the memoizing and sampled
-/// tiers (instructions per interval).
+/// Default retirement-interval length for the memoizing tier
+/// (instructions per interval).
 pub const DEFAULT_INTERVAL_LEN: u64 = 4096;
-
-/// Default warmup prefix for the [`Sampled`] tier (instructions). One
-/// full interval of warmup: the four paper kernels reach their steady
-/// state only after the first few thousand retirements (TeaLeaf's
-/// stencil in particular), and measuring earlier inflates cycle
-/// estimates several-fold — `tests/sampled_fidelity.rs` pins the
-/// resulting error bound at the Small scale.
-pub const DEFAULT_WARMUP: u64 = 4096;
 
 /// Default interval-cache bound (entries across all shards). Interval
 /// snapshots are large (tens of kilobytes: cache tag arrays dominate),
@@ -95,25 +80,15 @@ pub enum Fidelity {
         /// Retirement-interval length in instructions.
         interval_len: u64,
     },
-    /// Approximate warmup-plus-representative-interval extrapolation
-    /// ([`Sampled`]).
-    Sampled {
-        /// Measured-interval length in instructions.
-        interval_len: u64,
-        /// Warmup prefix in instructions (simulated but not used as the
-        /// extrapolation base rate).
-        warmup: u64,
-    },
 }
 
 impl Fidelity {
     /// Stable lowercase tag for checkpoints and CLI flags
-    /// (`full` / `memoized` / `sampled`).
+    /// (`full` / `memoized`).
     pub fn tag(&self) -> &'static str {
         match self {
             Fidelity::Full => "full",
             Fidelity::Memoized { .. } => "memoized",
-            Fidelity::Sampled { .. } => "sampled",
         }
     }
 }
@@ -415,245 +390,17 @@ impl<B: IntervalBackend> SimBackend for Memoized<B> {
     }
 }
 
-// ---------------------------------------------------------------------
-// Sampled tier
-// ---------------------------------------------------------------------
-
-/// SimPoint-style sampled fidelity tier: simulate `warmup` retirements
-/// to heat the caches and predictors, measure one representative
-/// interval of `interval_len` retirements, then extrapolate the
-/// remaining retirements at the measured cycles-per-instruction rate.
-///
-/// Timing statistics (cycles, memory counters, stall attribution) are
-/// *estimates*; the architectural result is exact — the unsimulated tail
-/// is synthesized by walking the trace cursor, so `observed` and
-/// `validated` match a full run bit-for-bit. Programs short enough to
-/// finish inside warmup + measurement return fully exact results.
-pub struct Sampled<B: IntervalBackend> {
-    inner: B,
-    interval_len: u64,
-    warmup: u64,
-}
-
-impl<B: IntervalBackend> Sampled<B> {
-    /// Sampled tier with the default warmup and interval length.
-    pub fn new(inner: B) -> Sampled<B> {
-        Sampled::with_params(inner, DEFAULT_INTERVAL_LEN, DEFAULT_WARMUP)
-    }
-
-    /// Sampled tier with explicit measured-interval length (≥ 1) and
-    /// warmup prefix (instructions).
-    pub fn with_params(inner: B, interval_len: u64, warmup: u64) -> Sampled<B> {
-        assert!(interval_len >= 1, "interval length must be at least 1");
-        Sampled {
-            inner,
-            interval_len,
-            warmup,
-        }
-    }
-
-    /// The wrapped backend.
-    pub fn inner(&self) -> &B {
-        &self.inner
-    }
-
-    /// A plain or metrics run. A program that ends inside the
-    /// simulated prefix returns the exact machine result (identical to
-    /// the full-fidelity backend).
-    fn run_sampled(
-        &self,
-        program: &Program,
-        core: &CoreParams,
-        mem: &MemParams,
-        mode: RunMode,
-    ) -> RunOutput {
-        let limit = cycle_limit(program);
-        let dyn_len = program.dynamic_len();
-        let mut m = start(program, core, self.inner.build_mem(mem), mode);
-        // Warmup prefix.
-        m.drive_until_retired(limit, self.warmup);
-        if m.is_finished() || m.stats().hit_cycle_limit {
-            return finish(m, program);
-        }
-        let warm = m.stats().clone();
-        let warm_counters = m.counters().cloned();
-        // Representative interval. Commit-width overshoot past the
-        // warmup target is possible, so guard the measurement window
-        // against being empty (retired must strictly increase).
-        let target = (self.warmup + self.interval_len).max(warm.retired + 1);
-        m.drive_until_retired(limit, target);
-        if m.is_finished() || m.stats().hit_cycle_limit {
-            return finish(m, program);
-        }
-        let end = m.stats().clone();
-        debug_assert!(end.retired > warm.retired);
-        let remaining = dyn_len - end.retired;
-        let span = end.retired - warm.retired;
-        // Extrapolate an additive quantity at the measured per-retire
-        // rate, rounding to nearest.
-        let extra = |q_warm: u64, q_end: u64| -> u64 {
-            let delta = u128::from(q_end - q_warm);
-            let scaled = delta * u128::from(remaining);
-            let d = u128::from(span);
-            u64::try_from((scaled + d / 2) / d).unwrap_or(u64::MAX)
-        };
-        let est = |q_warm: u64, q_end: u64| q_end + extra(q_warm, q_end);
-
-        let mut stats = end.clone();
-        stats.cycles = est(warm.cycles, end.cycles);
-        stats.retired = dyn_len;
-        stats.mem = extrapolate_mem(&warm.mem, &end.mem, &est);
-        // All stall buckets are additive cycle counts.
-        stats.stalls.rename_gp = est(warm.stalls.rename_gp, end.stalls.rename_gp);
-        stats.stalls.rename_fp = est(warm.stalls.rename_fp, end.stalls.rename_fp);
-        stats.stalls.rename_pred = est(warm.stalls.rename_pred, end.stalls.rename_pred);
-        stats.stalls.rename_cond = est(warm.stalls.rename_cond, end.stalls.rename_cond);
-        stats.stalls.rob_full = est(warm.stalls.rob_full, end.stalls.rob_full);
-        stats.stalls.rs_full = est(warm.stalls.rs_full, end.stalls.rs_full);
-        stats.stalls.lq_full = est(warm.stalls.lq_full, end.stalls.lq_full);
-        stats.stalls.sq_full = est(warm.stalls.sq_full, end.stalls.sq_full);
-        stats.stalls.fetch_starved = est(warm.stalls.fetch_starved, end.stalls.fetch_starved);
-        stats.stalls.loop_buffer_cycles = est(
-            warm.stalls.loop_buffer_cycles,
-            end.stalls.loop_buffer_cycles,
-        );
-        // Synthesize the architectural tail exactly: walk the dynamic
-        // stream from the cursor (the same source commit retires from)
-        // and record everything past the last simulated retirement.
-        let mut cursor = TraceCursor::new(program);
-        let mut produced = 0u64;
-        while let Some(d) = cursor.next_instr() {
-            if produced >= end.retired {
-                stats.observed.record(
-                    d.op,
-                    d.mem.map_or(0, |r| u64::from(r.bytes)),
-                    d.mem.map(|r| r.kind),
-                );
-            }
-            produced += 1;
-        }
-        debug_assert_eq!(produced, dyn_len);
-        stats.hit_cycle_limit = false;
-        validate(&mut stats, program);
-
-        let counters = warm_counters.map(|warm_c| {
-            let end_c = m.counters().expect("counters enabled");
-            extrapolate_counters(&warm_c, end_c, &stats, &est)
-        });
-        RunOutput {
-            stats,
-            trace: None,
-            counters,
-            per_core: Vec::new(),
-        }
-    }
-}
-
-/// Extrapolate the memory counters: every field is an additive event
-/// count except `mshr_peak`, a high-water mark kept at its observed
-/// value.
-fn extrapolate_mem(warm: &MemStats, end: &MemStats, est: &dyn Fn(u64, u64) -> u64) -> MemStats {
-    MemStats {
-        l1_hits: est(warm.l1_hits, end.l1_hits),
-        l1_misses: est(warm.l1_misses, end.l1_misses),
-        l2_hits: est(warm.l2_hits, end.l2_hits),
-        l2_misses: est(warm.l2_misses, end.l2_misses),
-        merged: est(warm.merged, end.merged),
-        prefetches: est(warm.prefetches, end.prefetches),
-        writebacks: est(warm.writebacks, end.writebacks),
-        l1_writebacks: est(warm.l1_writebacks, end.l1_writebacks),
-        l2_writebacks: est(warm.l2_writebacks, end.l2_writebacks),
-        requests: est(warm.requests, end.requests),
-        mshr_peak: end.mshr_peak,
-        mshr_occupancy_sum: est(warm.mshr_occupancy_sum, end.mshr_occupancy_sum),
-        dram_queue_waits: est(warm.dram_queue_waits, end.dram_queue_waits),
-        dram_queue_wait_cycles: est(warm.dram_queue_wait_cycles, end.dram_queue_wait_cycles),
-    }
-}
-
-/// Extrapolate the cycle-accounting counters so they stay consistent
-/// with the extrapolated statistics: buckets scale at the measured rate,
-/// then the rounding residue versus the estimated total cycle count is
-/// folded into the largest bucket so [`Counters::conserves`] holds;
-/// occupancy sums/bins/full-cycles scale, capacities and peaks are kept.
-fn extrapolate_counters(
-    warm: &Counters,
-    end: &Counters,
-    stats: &SimStats,
-    est: &dyn Fn(u64, u64) -> u64,
-) -> Counters {
-    let mut c = end.clone();
-    c.cycles = stats.cycles;
-    c.loop_buffer_cycles = stats.stalls.loop_buffer_cycles;
-    for (i, b) in c.buckets.iter_mut().enumerate() {
-        *b = est(warm.buckets[i], end.buckets[i]);
-    }
-    let attributed: u64 = c.buckets.iter().sum();
-    let residue = i128::from(c.cycles) - i128::from(attributed);
-    let argmax = c
-        .buckets
-        .iter()
-        .enumerate()
-        .max_by_key(|&(_, &b)| b)
-        .map(|(i, _)| i)
-        .expect("buckets non-empty");
-    let adjusted = i128::from(c.buckets[argmax]) + residue;
-    c.buckets[argmax] = u64::try_from(adjusted.max(0)).unwrap_or(0);
-    for (i, o) in c.occupancy.iter_mut().enumerate() {
-        let w = &warm.occupancy[i];
-        let e = &end.occupancy[i];
-        o.sum = est(w.sum, e.sum);
-        o.full_cycles = est(w.full_cycles, e.full_cycles);
-        for (j, bin) in o.bins.iter_mut().enumerate() {
-            *bin = est(w.bins[j], e.bins[j]);
-        }
-    }
-    c
-}
-
-impl<B: IntervalBackend> SimBackend for Sampled<B> {
-    fn name(&self) -> &'static str {
-        "sampled"
-    }
-
-    fn run(
-        &self,
-        program: &Program,
-        core: &CoreParams,
-        mem: &MemParams,
-        mode: RunMode,
-    ) -> RunOutput {
-        if mode != RunMode::Trace {
-            return self.run_sampled(program, core, mem, mode);
-        }
-        // Commit order is program order, so the full trace is exactly
-        // the cursor walk; timing stays identical to a plain run.
-        let mut out = self.run_sampled(program, core, mem, RunMode::Plain);
-        out.trace = Some(TraceCursor::new(program).collect());
-        out
-    }
-
-    fn fidelity(&self) -> Fidelity {
-        Fidelity::Sampled {
-            interval_len: self.interval_len,
-            warmup: self.warmup,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::backend::{BankedProxy, Idealized};
+    use crate::counters::Counters;
+    use crate::stats::SimStats;
     use armdse_kernels::{build_workload, App, WorkloadScale};
 
     fn fixture(app: App) -> (Program, CoreParams, MemParams) {
-        fixture_scaled(app, WorkloadScale::Tiny)
-    }
-
-    fn fixture_scaled(app: App, scale: WorkloadScale) -> (Program, CoreParams, MemParams) {
         let core = CoreParams::thunderx2();
-        let w = build_workload(app, scale, core.vector_length);
+        let w = build_workload(app, WorkloadScale::Tiny, core.vector_length);
         (w.program, core, MemParams::thunderx2())
     }
 
@@ -851,79 +598,6 @@ mod tests {
             (0, 0),
             "traced path bypasses the cache"
         );
-    }
-
-    #[test]
-    fn sampled_is_exact_when_the_program_finishes_early() {
-        let (p, c, m) = fixture(App::Stream);
-        let dyn_len = p.dynamic_len();
-        let s = Sampled::with_params(Idealized, 1024, dyn_len + 1);
-        let want = plain(&Idealized, &p, &c, &m);
-        assert_eq!(plain(&s, &p, &c, &m), want, "warmup covers the whole run");
-        let (stats, counters) = metrics(&s, &p, &c, &m);
-        let (want_stats, want_counters) = metrics(&Idealized, &p, &c, &m);
-        assert_eq!(stats, want_stats);
-        assert_eq!(counters, want_counters);
-    }
-
-    #[test]
-    fn sampled_estimates_are_bounded_and_architecturally_exact() {
-        for app in [App::Stream, App::TeaLeaf, App::MiniSweep] {
-            let (p, c, m) = fixture_scaled(app, WorkloadScale::Small);
-            let dyn_len = p.dynamic_len();
-            let warmup = dyn_len / 4;
-            let interval = dyn_len / 4;
-            let s = Sampled::with_params(Idealized, interval.max(1), warmup);
-            let want = plain(&Idealized, &p, &c, &m);
-            let got = plain(&s, &p, &c, &m);
-            // Architectural exactness.
-            assert_eq!(got.observed, want.observed, "{app:?}");
-            assert_eq!(got.retired, want.retired, "{app:?}");
-            assert!(got.validated, "{app:?}");
-            assert!(!got.hit_cycle_limit);
-            // Timing is an estimate; sanity-bound it loosely here (the
-            // dedicated tolerance test pins the paper-shapes grid).
-            let err = (got.cycles as f64 - want.cycles as f64).abs() / want.cycles as f64;
-            assert!(err < 0.5, "{app:?}: sampled error {err} out of range");
-        }
-    }
-
-    #[test]
-    fn sampled_metrics_are_self_consistent() {
-        let (p, c, m) = fixture(App::TeaLeaf);
-        let dyn_len = p.dynamic_len();
-        let s = Sampled::with_params(Idealized, (dyn_len / 8).max(1), dyn_len / 8);
-        let unobserved = plain(&s, &p, &c, &m);
-        let (stats, counters) = metrics(&s, &p, &c, &m);
-        assert_eq!(stats, unobserved, "metrics must not perturb the estimate");
-        assert_eq!(counters.cycles, stats.cycles);
-        assert!(
-            counters.conserves(),
-            "{} cycles but {} attributed",
-            counters.cycles,
-            counters.attributed_cycles()
-        );
-    }
-
-    #[test]
-    fn sampled_traced_matches_run_timing_and_full_trace() {
-        let (p, c, m) = fixture(App::Stream);
-        let dyn_len = p.dynamic_len();
-        let s = Sampled::with_params(BankedProxy, (dyn_len / 8).max(1), dyn_len / 8);
-        let (stats, trace) = traced(&s, &p, &c, &m);
-        assert_eq!(stats, plain(&s, &p, &c, &m));
-        assert_eq!(trace.len() as u64, dyn_len);
-        let (_, want_trace) = traced(&Idealized, &p, &c, &m);
-        assert_eq!(trace, want_trace, "trace is the exact dynamic stream");
-        assert_eq!(
-            s.fidelity(),
-            Fidelity::Sampled {
-                interval_len: (dyn_len / 8).max(1),
-                warmup: dyn_len / 8,
-            }
-        );
-        assert_eq!(s.fidelity().tag(), "sampled");
-        assert!(s.reuse_stats().is_none());
     }
 
     #[test]

@@ -3,13 +3,24 @@
 //! even with a different worker count — must produce a dataset CSV
 //! byte-identical to the uninterrupted run. This is what makes long
 //! T2 simulation campaigns restartable without invalidating the
-//! `seed + config_index` determinism contract.
+//! `seed + config_index` determinism contract. The metrics CSV rides
+//! along in every run and is held to the same bytes.
+//!
+//! The crash tests attack the guarantee from the other side: a process
+//! that dies after its sinks wrote past the last checkpoint leaves a
+//! whole flushed chunk, or a buffer spill ending in a torn line, behind
+//! the checkpointed position. Resume cuts both files back to the
+//! checkpoint before appending, and refuses a file that is *behind* it.
 
+use armdse::core::engine::Checkpoint;
+use armdse::core::metrics::MetricsCsvSink;
 use armdse::core::orchestrator::GenOptions;
 use armdse::core::space::ParamSpace;
-use armdse::core::{CsvSink, Engine, Progress, RunControl, RunPlan};
+use armdse::core::{ArmdseError, CsvSink, Engine, Progress, RunControl, RunPlan, RunSummary};
 use armdse::kernels::{App, WorkloadScale};
-use std::path::PathBuf;
+use std::io::Write;
+use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 const CONFIGS: usize = 12; // 12 configs x 4 apps = 48 jobs
 const CHUNK: usize = 8; // 6 chunks — several checkpoint boundaries
@@ -34,84 +45,97 @@ fn tmp(name: &str) -> PathBuf {
     std::env::temp_dir().join(format!("armdse_engine_resume_{name}"))
 }
 
-/// Uninterrupted reference run: plain CSV sink, no checkpointing.
-fn fresh_csv(threads: usize) -> Vec<u8> {
-    let path = tmp(&format!("fresh_{threads}.csv"));
-    let mut sink = CsvSink::create(&path).unwrap();
-    let summary = Engine::idealized().run(&plan(threads), &mut sink).unwrap();
-    assert!(summary.completed);
-    assert_eq!(summary.jobs_done, CONFIGS * App::ALL.len());
-    drop(sink);
-    let bytes = std::fs::read(&path).unwrap();
-    std::fs::remove_file(&path).ok();
-    bytes
-}
+/// Dataset CSV and metrics CSV bytes.
+type Artifacts = (Vec<u8>, Vec<u8>);
 
-/// Interrupted run: pause after `pause_after_chunks` chunks, then resume
-/// with `resume_threads` workers and run to completion.
-fn interrupted_csv(
-    run_threads: usize,
-    resume_threads: usize,
-    pause_after_chunks: usize,
-) -> Vec<u8> {
-    let tag = format!("resumed_{run_threads}_{resume_threads}_{pause_after_chunks}");
-    let path = tmp(&format!("{tag}.csv"));
+/// One `run_controlled` call streaming `<tag>.csv` and
+/// `<tag>.metrics.csv`: fresh (pausing after `pause_after_chunks`
+/// chunks, if given), or appending from `<tag>.ckpt`.
+fn run(
+    tag: &str,
+    threads: usize,
+    resume: bool,
+    pause_after_chunks: Option<usize>,
+) -> Result<RunSummary, ArmdseError> {
+    let (csv, metrics) = (
+        tmp(&format!("{tag}.csv")),
+        tmp(&format!("{tag}.metrics.csv")),
+    );
     let ckpt = tmp(&format!("{tag}.ckpt"));
-
-    // Phase 1: run until the observer pulls the plug.
+    let (mut sink, mut msink) = if resume {
+        (CsvSink::append(&csv)?, MetricsCsvSink::append(&metrics)?)
+    } else {
+        (CsvSink::create(&csv)?, MetricsCsvSink::create(&metrics)?)
+    };
     let mut chunks = 0usize;
     let mut observer = |_p: &Progress| {
         chunks += 1;
-        chunks < pause_after_chunks
+        pause_after_chunks.is_none_or(|n| chunks < n)
     };
-    let mut sink = CsvSink::create(&path).unwrap();
-    let summary = Engine::idealized()
-        .run_controlled(
-            &plan(run_threads),
-            &mut sink,
-            RunControl {
-                checkpoint: Some(&ckpt),
-                resume: false,
-                observer: Some(&mut observer),
-                ..RunControl::default()
-            },
-        )
-        .unwrap();
+    Engine::idealized().run_controlled(
+        &plan(threads),
+        &mut sink,
+        RunControl {
+            checkpoint: Some(&ckpt),
+            resume,
+            observer: Some(&mut observer),
+            metrics: Some(&mut msink),
+            ..RunControl::default()
+        },
+    )
+}
+
+/// Read and remove the artifacts of `tag`.
+fn take(tag: &str) -> Artifacts {
+    let read = |ext: &str| {
+        let path = tmp(&format!("{tag}.{ext}"));
+        let bytes = std::fs::read(&path).unwrap();
+        std::fs::remove_file(&path).ok();
+        bytes
+    };
+    std::fs::remove_file(tmp(&format!("{tag}.ckpt"))).ok();
+    (read("csv"), read("metrics.csv"))
+}
+
+/// Uninterrupted reference run (tests run in parallel and share
+/// thread counts, so each call gets its own files).
+fn fresh_csv(threads: usize) -> Artifacts {
+    static CALLS: AtomicUsize = AtomicUsize::new(0);
+    let tag = format!("fresh_{threads}_{}", CALLS.fetch_add(1, Ordering::Relaxed));
+    let summary = run(&tag, threads, false, None).unwrap();
+    assert!(summary.completed);
+    assert_eq!(summary.jobs_done, CONFIGS * App::ALL.len());
+    take(&tag)
+}
+
+/// Interrupted run: pause after `pause_after_chunks` chunks, let
+/// `crash` damage the files, then resume with `resume_threads` workers
+/// (a later invocation, possibly with different parallelism, appending
+/// to the same files) and run to completion.
+fn interrupted(
+    run_threads: usize,
+    resume_threads: usize,
+    pause_after_chunks: usize,
+    crash: impl FnOnce(&str),
+) -> Artifacts {
+    let tag = format!("resumed_{run_threads}_{resume_threads}_{pause_after_chunks}");
+    let summary = run(&tag, run_threads, false, Some(pause_after_chunks)).unwrap();
     assert!(
         !summary.completed,
         "pause_after_chunks too large for the campaign"
     );
     assert_eq!(summary.jobs_done, pause_after_chunks * CHUNK);
-    drop(sink);
-
-    // Phase 2: a later invocation (possibly with different parallelism)
-    // appends to the same CSV and resumes from the checkpoint.
-    let mut sink = CsvSink::append(&path).unwrap();
-    let summary = Engine::idealized()
-        .run_controlled(
-            &plan(resume_threads),
-            &mut sink,
-            RunControl {
-                checkpoint: Some(&ckpt),
-                resume: true,
-                ..RunControl::default()
-            },
-        )
-        .unwrap();
+    crash(&tag);
+    let summary = run(&tag, resume_threads, true, None).unwrap();
     assert!(summary.completed);
     assert_eq!(summary.resumed_from, pause_after_chunks * CHUNK);
-    drop(sink);
-
-    let bytes = std::fs::read(&path).unwrap();
-    std::fs::remove_file(&path).ok();
-    std::fs::remove_file(&ckpt).ok();
-    bytes
+    take(&tag)
 }
 
 #[test]
 fn resumed_run_is_byte_identical_single_threaded() {
     let fresh = fresh_csv(1);
-    let resumed = interrupted_csv(1, 1, 2);
+    let resumed = interrupted(1, 1, 2, |_| {});
     assert_eq!(
         fresh, resumed,
         "1-thread resume diverged from the uninterrupted run"
@@ -121,7 +145,7 @@ fn resumed_run_is_byte_identical_single_threaded() {
 #[test]
 fn resumed_run_is_byte_identical_multi_threaded() {
     let fresh = fresh_csv(8);
-    let resumed = interrupted_csv(8, 8, 3);
+    let resumed = interrupted(8, 8, 3, |_| {});
     assert_eq!(
         fresh, resumed,
         "8-thread resume diverged from the uninterrupted run"
@@ -136,12 +160,12 @@ fn thread_count_may_change_across_the_pause() {
     let fresh = fresh_csv(1);
     assert_eq!(
         fresh,
-        interrupted_csv(8, 1, 1),
+        interrupted(8, 1, 1, |_| {}),
         "8→1 thread resume diverged"
     );
     assert_eq!(
         fresh,
-        interrupted_csv(1, 8, 4),
+        interrupted(1, 8, 4, |_| {}),
         "1→8 thread resume diverged"
     );
 }
@@ -153,8 +177,75 @@ fn pause_point_does_not_leak_into_the_bytes() {
     for pause in 1..=5 {
         assert_eq!(
             fresh,
-            interrupted_csv(2, 2, pause),
+            interrupted(2, 2, pause, |_| {}),
             "resume after chunk {pause} diverged"
         );
     }
+}
+
+/// Append `whole` of `lines` to `path`, then, if `torn`, the first half
+/// of the next one with no newline: what a `BufWriter` spill leaves
+/// when the process dies.
+fn spill(path: &Path, lines: &[&str], whole: usize, torn: bool) {
+    let mut f = std::fs::OpenOptions::new().append(true).open(path).unwrap();
+    for l in &lines[..whole] {
+        writeln!(f, "{l}").unwrap();
+    }
+    if torn {
+        f.write_all(&lines[whole].as_bytes()[..lines[whole].len() / 2])
+            .unwrap();
+    }
+}
+
+#[test]
+fn rows_written_past_the_checkpoint_are_cut_on_resume() {
+    let fresh = fresh_csv(2);
+    let (csv, metrics) = (
+        std::str::from_utf8(&fresh.0).unwrap(),
+        std::str::from_utf8(&fresh.1).unwrap(),
+    );
+    // (a) a whole chunk flushed before a checkpoint write that never
+    // happened; (b) a few spilled rows and a torn last line.
+    for (pause, whole, torn) in [(2, CHUNK, false), (3, 3, true)] {
+        let resumed = interrupted(2, 8, pause, |tag| {
+            let ckpt = Checkpoint::load(&tmp(&format!("{tag}.ckpt"))).unwrap();
+            let next: Vec<&str> = csv.lines().skip(1 + ckpt.rows).collect();
+            spill(&tmp(&format!("{tag}.csv")), &next, whole, torn);
+            let job = |l: &str| l.split(',').next().unwrap().parse::<usize>().unwrap();
+            let next: Vec<&str> = metrics
+                .lines()
+                .skip(1)
+                .filter(|l| job(l) >= ckpt.jobs_done)
+                .collect();
+            spill(&tmp(&format!("{tag}.metrics.csv")), &next, whole, torn);
+        });
+        assert!(
+            fresh == resumed,
+            "crash after chunk {pause} (torn: {torn}) diverged"
+        );
+    }
+}
+
+#[test]
+fn a_dataset_behind_its_checkpoint_is_refused() {
+    let tag = "behind";
+    run(tag, 2, false, Some(2)).unwrap();
+    let csv = tmp(&format!("{tag}.csv"));
+    let rows = Checkpoint::load(&tmp(&format!("{tag}.ckpt"))).unwrap().rows;
+    let body = std::fs::read_to_string(&csv).unwrap();
+    let kept: Vec<&str> = body.lines().take(rows).collect(); // header + rows - 1
+    std::fs::write(&csv, kept.join("\n") + "\n").unwrap();
+
+    let err = run(tag, 2, true, None).unwrap_err();
+    assert!(matches!(err, ArmdseError::Checkpoint(_)), "{err}");
+    let msg = err.to_string();
+    let want = format!(
+        "holds {} row(s) but the checkpoint recorded {rows}",
+        rows - 1
+    );
+    assert!(
+        msg.contains(csv.to_str().unwrap()) && msg.contains(&want),
+        "{msg}"
+    );
+    take(tag);
 }

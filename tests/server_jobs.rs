@@ -7,7 +7,10 @@
 //! * cancelling a running job mid-campaign stops at a chunk boundary
 //!   and leaves a loadable checkpoint consistent with the CSV;
 //! * priority ties are broken deterministically by job id (submission
-//!   order), pinned via the store's `started_seq` stamps.
+//!   order), pinned via the store's `started_seq` stamps;
+//! * a job whose CSV ran past its checkpoint when the process died
+//!   (a flushed chunk plus a torn line) reopens and resumes to the
+//!   bytes of an uninterrupted run.
 
 use armdse::core::engine::Checkpoint;
 use armdse::core::space::ParamSpace;
@@ -150,6 +153,49 @@ fn priority_ties_run_in_job_id_order() {
     assert!(seq(3) < seq(0), "priority 5 must run before priority 0");
     assert!(seq(0) < seq(2), "priority-0 tie must run in id order");
     assert!(seq(2) < seq(4), "priority -1 must run last");
+    sched.shutdown();
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn job_csv_written_past_its_checkpoint_resumes_to_direct_run_bytes() {
+    let dir = tmp("crash");
+    let sched = JobScheduler::open(&dir.join("jobs"), 1).unwrap();
+    let mut s = spec(40, 0xC2A5_4ED0, 2);
+    s.chunk_jobs = 4; // 40 chunks: shutdown lands mid-campaign
+    let reference = String::from_utf8(direct_csv(&s, &dir, "crash")).unwrap();
+    let job = sched.submit(s).unwrap();
+    let mut st = job.status();
+    while st.jobs_done == 0 && !st.state.is_terminal() {
+        st = job.wait_change(st.version, Duration::from_millis(200));
+    }
+    sched.shutdown();
+    let st = job.status();
+    assert_eq!(st.state, JobState::Paused);
+    assert!(st.jobs_done > 0 && st.jobs_done < st.total_jobs);
+    let rows = Checkpoint::load(&job.ckpt_path()).unwrap().rows;
+
+    // The crash: the next chunk's rows reached the file, and half of
+    // the row after them, but the checkpoint write never happened.
+    let next: Vec<&str> = reference.lines().skip(1 + rows).take(5).collect();
+    let damage = next[..4].join("\n") + "\n" + &next[4][..next[4].len() / 2];
+    let mut csv = std::fs::OpenOptions::new()
+        .append(true)
+        .open(job.csv_path())
+        .unwrap();
+    std::io::Write::write_all(&mut csv, damage.as_bytes()).unwrap();
+    drop((csv, sched));
+
+    let sched = JobScheduler::open(&dir.join("jobs"), 1).unwrap();
+    let job = sched.store().get(job.id()).unwrap();
+    assert_eq!(job.status().state, JobState::Paused);
+    sched.resume(job.id()).unwrap();
+    let fin = job.wait_terminal();
+    assert_eq!(fin.state, JobState::Done, "{:?}", fin.error);
+    assert!(
+        std::fs::read_to_string(job.csv_path()).unwrap() == reference,
+        "resumed job diverged from the direct run"
+    );
     sched.shutdown();
     std::fs::remove_dir_all(&dir).ok();
 }
