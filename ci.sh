@@ -60,11 +60,14 @@ test -f "$SMOKE/observed/metrics/metrics.csv"
 test -f "$SMOKE/observed/metrics/bottleneck.txt"
 
 # Explore-smoke lane: a tiny-budget surrogate-guided campaign through
-# the repro binary. Pause it mid-campaign (--max-chunks), resume at a
-# different thread count, and require every exploration artifact
-# byte-identical to the uninterrupted run — the Explorer's checkpoint-v2
-# determinism contract end to end. The curve artifact must carry the
-# documented schema header, and Pareto mode must emit its frontier.
+# the repro binary. Pause it mid-campaign (--max-chunks), leave what a
+# crash leaves past the checkpoint (a curve row, a dataset row and a
+# torn half-row — the dataset lane's trick), resume at a different
+# thread count, and require every exploration artifact byte-identical
+# to the uninterrupted run — the Explorer's checkpoint-v2 determinism
+# contract end to end. The checkpoint carries exactly the four explore.*
+# keys, the curve artifact the documented schema header, and Pareto
+# mode must emit its frontier.
 cargo run --release --offline -p armdse-analysis --bin repro -- explore \
   --configs 60 --explore 12 --scale tiny --seed 7 --threads 4 --out "$SMOKE/exfresh"
 head -n 1 "$SMOKE/exfresh/explore_curve.csv" | \
@@ -73,6 +76,11 @@ cargo run --release --offline -p armdse-analysis --bin repro -- explore \
   --configs 60 --explore 12 --scale tiny --seed 7 --threads 4 \
   --out "$SMOKE/expaused" --max-chunks 3
 test -f "$SMOKE/expaused/explore.ckpt"
+test "$(grep -c '^explore\.' "$SMOKE/exfresh/explore.ckpt")" = 4
+tail -n 1 "$SMOKE/exfresh/explore_curve.csv" >> "$SMOKE/expaused/explore_curve.csv"
+LAST_ROW=$(tail -n 1 "$SMOKE/exfresh/explore_dataset.csv")
+printf '%s\n%s' "$LAST_ROW" "$(printf '%s' "$LAST_ROW" | cut -c1-40)" \
+  >> "$SMOKE/expaused/explore_dataset.csv"
 cargo run --release --offline -p armdse-analysis --bin repro -- explore \
   --configs 60 --explore 12 --scale tiny --seed 7 --threads 1 \
   --out "$SMOKE/expaused" --resume
@@ -216,8 +224,11 @@ cargo run --release --offline -p armdse-bench --bin bench-trend -- \
 # plan submitted over HTTP must stream back exactly the bytes the
 # direct `repro dataset` run above wrote — same configs/scale/seed, so
 # the streamed CSV is cmp-identical to "$SMOKE/fresh/dataset.csv". The
-# lane also round-trips pause -> resume -> cancel on a long job and
-# shuts the server down cleanly (the background repro must exit 0).
+# lane also submits a spec whose pin value no design point survives
+# (refused, and the runners live on to serve everything after it),
+# round-trips pause -> resume -> cancel on a long job (a pending cancel
+# cannot be resumed away) and shuts the server down cleanly (the
+# background repro must exit 0).
 cargo run --release --offline -p armdse-analysis --bin repro -- \
   --serve 127.0.0.1:0 --out "$SMOKE/server" --runners 2 \
   2> "$SMOKE/server.log" &
@@ -234,6 +245,12 @@ JOB=$(aclient "$ADDR" submit "$SMOKE/server/spec.json")
 aclient "$ADDR" wait "$JOB" | grep -q '"state": "done"'
 aclient "$ADDR" rows "$JOB" "$SMOKE/server/rows.csv"
 cmp "$SMOKE/fresh/dataset.csv" "$SMOKE/server/rows.csv"
+printf '{"configs": 2, "scale": "tiny", "apps": ["STREAM"], "pins": {"ROB-Size": 0}}' \
+  > "$SMOKE/server/badpin.json"
+if aclient "$ADDR" submit "$SMOKE/server/badpin.json"; then
+  echo 'FAIL: an out-of-range pin value must be refused at submission' >&2
+  exit 1
+fi
 # pause -> resume -> cancel round-trip on a long single-app campaign
 # (600 one-job chunks: cancel always lands mid-flight).
 printf '{"configs": 600, "apps": ["STREAM"], "scale": "tiny", "seed": 11, "threads": 2, "chunk_jobs": 1}' \
@@ -242,6 +259,10 @@ JOB2=$(aclient "$ADDR" submit "$SMOKE/server/spec2.json")
 aclient "$ADDR" pause "$JOB2"
 aclient "$ADDR" resume "$JOB2"
 aclient "$ADDR" cancel "$JOB2"
+if aclient "$ADDR" resume "$JOB2"; then
+  echo 'FAIL: resume must not rescind a cancel (pending or honoured)' >&2
+  exit 1
+fi
 aclient "$ADDR" wait "$JOB2" | grep -q '"state": "cancelled"'
 aclient "$ADDR" stats | grep -q '"schema": "armdse-server-stats-v1"'
 aclient "$ADDR" shutdown

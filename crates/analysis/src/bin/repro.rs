@@ -611,7 +611,6 @@ fn dataset(cli: &Cli, space: &ParamSpace, engine: &Engine, force_regen: bool) ->
                 resume: resuming,
                 observer: Some(&mut observer),
                 metrics: metrics_sink.as_mut().map(|m| m as &mut dyn MetricsSink),
-                checkpoint_extra: None,
                 ..RunControl::default()
             },
         )

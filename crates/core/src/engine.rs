@@ -40,14 +40,14 @@
 //! Resuming validates the fingerprint against the live plan and
 //! continues from `jobs_done`; resuming a completed run is a no-op.
 //!
-//! A **v2** checkpoint extends v1 with a free-form section of
-//! `key=value` lines after the four fixed fields (keys must not collide
-//! with the fixed field names). The engine itself never interprets the
-//! section — it persists whatever [`RunControl::checkpoint_extra`]
-//! carries and [`Checkpoint::load`] hands it back. The adaptive
-//! [`crate::explorer::Explorer`] stores its exploration state there
-//! (acquisition RNG, selection history, per-round model hashes; see
-//! DESIGN.md §12). A file with an empty section is written in the v1
+//! A **v2** checkpoint extends v1 with a section of `key=value` lines
+//! after the four fixed fields (keys must not collide with the fixed
+//! field names). The run loop is its only writer: the engine's
+//! fidelity and topology keys (`reuse.*`, `mc.*`), then whatever the
+//! campaign's [`Steer`] reports as its state — the adaptive
+//! [`crate::explorer::Explorer`] is the one in-tree steer (`explore.*`,
+//! DESIGN.md §12). [`Checkpoint::load`] hands the section back
+//! uninterpreted. A file with an empty section is written in the v1
 //! format, so plain campaigns keep byte-identical checkpoints.
 
 use crate::config::DesignConfig;
@@ -74,8 +74,8 @@ pub const DEFAULT_CHUNK_JOBS: usize = 128;
 /// Construction validates what the old orchestrator `assert!`ed on:
 /// `configs == 0` or an empty app list is [`ArmdseError::InvalidPlan`],
 /// duplicate apps are deduplicated (order-preserving) instead of
-/// silently double-counting jobs, and pinned feature names are checked
-/// against the space before any simulation starts.
+/// silently double-counting jobs, and pinned feature names and values
+/// are checked against the space before any simulation starts.
 #[derive(Debug, Clone)]
 pub struct RunPlan {
     space: ParamSpace,
@@ -128,7 +128,7 @@ impl RunPlan {
                 )));
             }
         }
-        Ok(RunPlan {
+        let plan = RunPlan {
             space: space.clone(),
             configs: opts.configs,
             scale: opts.scale,
@@ -138,7 +138,11 @@ impl RunPlan {
             pins: pins.iter().map(|(n, v)| (n.to_string(), *v)).collect(),
             chunk_jobs: DEFAULT_CHUNK_JOBS,
             indices: None,
-        })
+        };
+        // Pin values are outside input: a value no sample can rescue is
+        // refused here, on the first design point, not at the first job.
+        plan.design_point(0)?;
+        Ok(plan)
     }
 
     /// Restrict the plan to explicit config indices into the seeded
@@ -152,6 +156,19 @@ impl RunPlan {
         self.configs = indices.len();
         self.indices = Some(indices);
         Ok(self)
+    }
+
+    /// Append `more` config indices to the plan (a [`Steer`]'s next
+    /// batch). A plain sweep becomes the explicit-index plan over the
+    /// slots it already had, so a resume that passes the grown index
+    /// list back through [`RunPlan::with_config_indices`] has the same
+    /// fingerprint.
+    pub(crate) fn extend_config_indices(&mut self, more: Vec<u64>) {
+        let indices = self
+            .indices
+            .get_or_insert_with(|| (0..self.configs as u64).collect());
+        indices.extend(more);
+        self.configs = indices.len();
     }
 
     /// Override the chunk size (jobs per checkpointable unit). Values
@@ -214,23 +231,23 @@ impl RunPlan {
         Fnv1a::new().bytes(encoded.as_bytes()).finish()
     }
 
-    /// The parameter space the plan samples from.
-    pub(crate) fn space(&self) -> &ParamSpace {
-        &self.space
-    }
-
-    /// Pinned `(feature, value)` pairs.
-    pub(crate) fn pins(&self) -> &[(String, f64)] {
-        &self.pins
-    }
-
-    /// The seed offset config slot `cfg_idx` samples with: the explicit
-    /// index when [`RunPlan::with_config_indices`] set one, the slot
-    /// number otherwise.
-    pub(crate) fn config_offset(&self, cfg_idx: usize) -> u64 {
-        match &self.indices {
-            Some(indices) => indices[cfg_idx],
-            None => cfg_idx as u64,
+    /// The design point of config slot `cfg_idx`: sampled with `seed +`
+    /// the explicit index when [`RunPlan::with_config_indices`] set one
+    /// (the slot number otherwise), pins applied, and validated — a
+    /// pinned value can push a sample out of the simulable space, which
+    /// must end the campaign as an error before a backend sees it.
+    pub(crate) fn design_point(&self, cfg_idx: usize) -> Result<DesignConfig, ArmdseError> {
+        let offset = self
+            .indices
+            .as_ref()
+            .map_or(cfg_idx as u64, |indices| indices[cfg_idx]);
+        let pins: Vec<(&str, f64)> = self.pins.iter().map(|(n, v)| (n.as_str(), *v)).collect();
+        let cfg = self.space.sample_seeded_pinned(self.seed + offset, &pins);
+        match cfg.validate() {
+            Ok(()) => Ok(cfg),
+            Err(why) => Err(ArmdseError::InvalidPlan(format!(
+                "config index {cfg_idx} is not a valid design point under pins {pins:?}: {why}"
+            ))),
         }
     }
 }
@@ -261,6 +278,25 @@ pub trait RowSink {
     fn resume_at(&mut self, _rows: usize) -> Result<(), ArmdseError> {
         Ok(())
     }
+}
+
+/// The adaptive half of the paper's sample → simulate → train loop, as
+/// a plug on the one run loop: a fixed sweep is a campaign without one.
+///
+/// When every planned job has run and the sinks are durable, the loop
+/// asks the steer for more work and appends the answer to its plan, so
+/// a round boundary is a chunk boundary and the checkpoint written
+/// there already names the next round's jobs.
+pub trait Steer {
+    /// `rows` are the validated rows streamed since the previous call
+    /// in this run (since its start, for the first call). Returns the
+    /// config indices to simulate next; an empty answer ends the
+    /// campaign.
+    fn next_batch(&mut self, rows: &[Row]) -> Result<Vec<u64>, ArmdseError>;
+
+    /// What a fresh steer needs to continue from here, persisted as the
+    /// caller section of every checkpoint (see [`Checkpoint::extra`]).
+    fn state(&self) -> Vec<(String, String)>;
 }
 
 /// Cut the CSV at `path` (open for writing as `file`, nothing buffered)
@@ -300,6 +336,21 @@ pub(crate) fn cut_csv_tail(
         file.set_len(end as u64)?;
     }
     Ok(())
+}
+
+/// [`cut_csv_tail`] for a file whose every data line is one `unit`:
+/// keep the first `want` of them.
+pub(crate) fn cut_csv_lines(
+    path: &Path,
+    file: &std::fs::File,
+    want: usize,
+    unit: &str,
+) -> Result<(), ArmdseError> {
+    let mut seen = 0usize;
+    cut_csv_tail(path, file, want, unit, |_| {
+        seen += 1;
+        (seen <= want).then_some(seen)
+    })
 }
 
 /// The in-memory sink: collects rows and discards into a [`DseDataset`].
@@ -376,11 +427,7 @@ impl RowSink for CsvSink {
 
     fn resume_at(&mut self, rows: usize) -> Result<(), ArmdseError> {
         self.w.flush()?;
-        let mut seen = 0usize;
-        cut_csv_tail(&self.path, self.w.get_ref(), rows, "row(s)", |_| {
-            seen += 1;
-            (seen <= rows).then_some(seen)
-        })
+        cut_csv_lines(&self.path, self.w.get_ref(), rows, "row(s)")
     }
 }
 
@@ -395,10 +442,11 @@ pub struct Checkpoint {
     pub rows: usize,
     /// Discarded runs so far.
     pub discarded: usize,
-    /// Caller-owned `key=value` section (empty for plain campaigns; the
-    /// adaptive explorer persists its exploration state here). Keys must
-    /// not contain `=` or newlines and must not collide with the fixed
-    /// field names; values must not contain newlines.
+    /// The `key=value` section after the fixed fields: the engine's
+    /// fidelity/topology keys, then the campaign's [`Steer::state`]
+    /// (empty for plain campaigns). Keys must not contain `=` or
+    /// newlines and must not collide with the fixed field names; values
+    /// must not contain newlines.
     pub extra: Vec<(String, String)>,
 }
 
@@ -558,10 +606,10 @@ pub struct RunControl<'a> {
     /// default), no counter is allocated and the run path is
     /// byte-for-byte the plain one.
     pub metrics: Option<&'a mut dyn MetricsSink>,
-    /// Caller state persisted verbatim into every checkpoint's v2
-    /// section (see [`Checkpoint::extra`]). `None` or an empty slice
-    /// keeps the v1 on-disk format.
-    pub checkpoint_extra: Option<&'a [(String, String)]>,
+    /// Asked for more work whenever the plan runs out, and for its
+    /// state at every checkpoint. `None` (a fixed sweep) costs nothing
+    /// and keeps the v1 on-disk format.
+    pub steer: Option<&'a mut dyn Steer>,
     /// What to do with the backend's interval-reuse cache at run start.
     pub reuse: ReuseMode,
 }
@@ -992,7 +1040,7 @@ mod tests {
             rows: 8,
             discarded: 0,
             extra: vec![
-                ("explore.round".into(), "3".into()),
+                ("explore.rng".into(), "3".into()),
                 ("explore.selected".into(), "4,17,102".into()),
             ],
         };
@@ -1002,7 +1050,7 @@ mod tests {
         assert!(body.starts_with("armdse-checkpoint v2\n"));
         let loaded = Checkpoint::load(&path).unwrap();
         assert_eq!(loaded, c);
-        assert_eq!(loaded.extra_get("explore.round"), Some("3"));
+        assert_eq!(loaded.extra_get("explore.rng"), Some("3"));
         assert_eq!(loaded.extra_get("no.such.key"), None);
         std::fs::remove_file(&path).ok();
     }

@@ -18,9 +18,10 @@
 //!
 //! 1. **Acquire** — score every not-yet-simulated candidate and select
 //!    the next batch (see *Acquisition* below).
-//! 2. **Simulate** — run the batch through the engine as a plan with
-//!    explicit config indices ([`RunPlan::with_config_indices`]),
-//!    streaming rows into `explore_dataset.csv`.
+//! 2. **Simulate** — the batch's config indices are appended to the
+//!    campaign's plan ([`RunPlan::with_config_indices`] is how a resume
+//!    rebuilds it) and run through the engine, streaming rows into
+//!    `explore_dataset.csv`.
 //! 3. **Retrain** — [`RandomForest::partial_refit`] on all rows so far,
 //!    then evaluate the refreshed surrogate on a held-out set
 //!    (candidates `pool..pool + holdout`, simulated once up front) and
@@ -55,19 +56,30 @@
 //! byte-identical at any thread count, [`RandomForest::partial_refit`]
 //! draws per-(round, tree) RNG streams, the acquisition RNG is a
 //! counted xoshiro stream whose 256-bit state is persisted, and
-//! selection breaks ties by candidate id. Exploration state rides in
-//! the checkpoint's v2 `extra` section (`explore.*` keys: options
-//! fingerprint, round, RNG state, selection cursor + history, per-round
-//! model hashes, curve length), so a run paused mid-round via the
-//! observer hook resumes to byte-identical artifacts — the resumed
-//! forest is rebuilt by replaying the refit history against the
-//! recorded model hashes, and a mismatch is an [`ArmdseError::Explore`]
-//! rather than a silently different model. `tests/explorer_resume.rs`
-//! pins the whole guarantee at 1 and 8 threads.
+//! selection breaks ties by candidate id.
+//!
+//! The whole exploration is *one* campaign on the engine's run loop:
+//! the explorer is that loop's [`Steer`]. Round 0's batch is the plan
+//! the campaign starts on; whenever the plan runs out the loop hands
+//! over the rows it streamed, the explorer refits, appends the curve
+//! row and answers with the next round's batch, and the loop extends
+//! its plan and writes the chunk's checkpoint with the explorer's state
+//! in the v2 section (`explore.{plan,rng,selected,hashes}`: options
+//! fingerprint, RNG state, selection history, per-round model hashes).
+//! A round boundary is therefore just a chunk boundary, the
+//! checkpoint's `jobs_done`/`rows`/`fingerprint` mean what they mean
+//! for any campaign (cumulative position in, and identity of, the plan
+//! over `explore.selected`), and a run paused at any chunk resumes to
+//! byte-identical artifacts — the resumed forest is rebuilt by
+//! replaying the refit history against the recorded model hashes, and a
+//! mismatch is an [`ArmdseError::Explore`] rather than a silently
+//! different model. `tests/explorer_resume.rs` pins the whole guarantee
+//! at 1 and 8 threads.
 
 use crate::dataset::{DseDataset, Row};
 use crate::engine::{
-    Checkpoint, CsvSink, Engine, Progress, RowSink, RunControl, RunPlan, DEFAULT_CHUNK_JOBS,
+    cut_csv_lines, Checkpoint, CsvSink, Engine, Progress, RowSink, RunControl, RunPlan, Steer,
+    DEFAULT_CHUNK_JOBS,
 };
 use crate::error::ArmdseError;
 use crate::orchestrator::GenOptions;
@@ -340,23 +352,19 @@ impl ExploreReport {
     }
 }
 
-/// Checkpoint `extra` keys owned by the explorer.
+/// Checkpoint `extra` keys owned by the explorer (its [`Steer::state`]).
 mod keys {
     pub const PLAN: &str = "explore.plan";
-    pub const ROUND: &str = "explore.round";
     pub const RNG: &str = "explore.rng";
-    pub const CURSOR: &str = "explore.cursor";
     pub const SELECTED: &str = "explore.selected";
     pub const HASHES: &str = "explore.hashes";
-    pub const CURVE_ROWS: &str = "explore.curve_rows";
-    pub const DONE: &str = "explore.done";
 }
 
 const CURVE_HEADER: &str = "round,samples,epsilon,r2,mae,model_hash";
 
-/// The adaptive explorer: owns the loop, the artifacts, and the
-/// checkpointed exploration state; borrows an [`Engine`] for the
-/// simulations.
+/// The adaptive explorer: owns the acquisition policy, the artifacts,
+/// and the checkpointed exploration state; borrows an [`Engine`] for
+/// the simulations and rides its run loop as a [`Steer`].
 pub struct Explorer<'e> {
     engine: &'e Engine,
     space: ParamSpace,
@@ -364,19 +372,61 @@ pub struct Explorer<'e> {
     out_dir: PathBuf,
 }
 
-/// Mutable loop state, shared between the fresh and resumed paths.
+/// What the rounds accumulate, shared between the fresh and resumed
+/// paths. `curve.len()` rounds are finished (simulated, refit, scored);
+/// `selected` already holds the batch of the round being simulated.
 struct LoopState {
     rows: Vec<Row>,
-    discarded: usize,
     selected: Vec<u64>,
-    hashes: Vec<u64>,
     curve: Vec<CurvePoint>,
     rng: Xoshiro256pp,
     forest: RandomForest,
-    round: usize,
-    /// Whether the current round's batch is already selected and its
-    /// engine checkpoint written (resume landed mid-round).
-    mid_round: bool,
+}
+
+/// The exploration as the run loop's steer: the loop state plus what a
+/// round boundary reads.
+struct Rounds<'a, 'e> {
+    explorer: &'a Explorer<'e>,
+    holdout: &'a (Matrix, Vec<f64>),
+    features: &'a [[f64; 30]],
+    state: LoopState,
+}
+
+impl Steer for Rounds<'_, '_> {
+    /// A round's jobs are done and on disk: retrain on everything so
+    /// far, append the curve point, and pick the next round's batch.
+    fn next_batch(&mut self, rows: &[Row]) -> Result<Vec<u64>, ArmdseError> {
+        self.state.rows.extend_from_slice(rows);
+        let point = self
+            .explorer
+            .refit_and_score(&mut self.state, self.holdout)?;
+        append_curve_row(&self.explorer.path("explore_curve.csv"), &point)?;
+        self.state.curve.push(point);
+        let round = self.state.curve.len();
+        if round == self.explorer.opts.rounds() {
+            return Ok(Vec::new());
+        }
+        Ok(self
+            .explorer
+            .select_round(round, &mut self.state, self.features))
+    }
+
+    fn state(&self) -> Vec<(String, String)> {
+        fn hex(words: impl Iterator<Item = u64>) -> String {
+            let words: Vec<String> = words.map(|w| format!("{w:016x}")).collect();
+            words.join(",")
+        }
+        let selected: Vec<String> = self.state.selected.iter().map(u64::to_string).collect();
+        vec![
+            (keys::PLAN.into(), self.explorer.options_fingerprint()),
+            (keys::RNG.into(), hex(self.state.rng.state().into_iter())),
+            (keys::SELECTED.into(), selected.join(",")),
+            (
+                keys::HASHES.into(),
+                hex(self.state.curve.iter().map(|p| p.model_hash)),
+            ),
+        ]
+    }
 }
 
 impl<'e> Explorer<'e> {
@@ -405,8 +455,8 @@ impl<'e> Explorer<'e> {
     /// affects results. Threads and chunk size are excluded for the
     /// same reason [`RunPlan::fingerprint`] excludes them — they must
     /// never change the artifacts, so either may differ between a run
-    /// and its resume.
-    fn options_fingerprint(&self) -> u64 {
+    /// and its resume. Sixteen hex digits, as `explore.plan` records it.
+    fn options_fingerprint(&self) -> String {
         let o = &self.opts;
         let encoded = format!(
             "{:?}|{:?}|{:?}|{}|{}|{}|{}|{}|{}|{:?}|{:?}|{}|{}|{}",
@@ -425,7 +475,7 @@ impl<'e> Explorer<'e> {
             o.eps_min,
             o.eps_decay
         );
-        Fnv1a::new().bytes(encoded.as_bytes()).finish()
+        format!("{:016x}", Fnv1a::new().bytes(encoded.as_bytes()).finish())
     }
 
     /// Feature vectors of the candidate pool, by candidate id. Must
@@ -464,13 +514,7 @@ impl<'e> Explorer<'e> {
                 "every held-out candidate failed validation".into(),
             ));
         }
-        let mut x = Matrix::new(30);
-        let mut y = Vec::with_capacity(data.rows.len());
-        for r in &data.rows {
-            x.push_row(&r.features);
-            y.push(r.cycles as f64);
-        }
-        Ok((x, y))
+        Ok(training_set(&data.rows))
     }
 
     fn plan_for(&self, indices: &[u64]) -> Result<RunPlan, ArmdseError> {
@@ -486,9 +530,10 @@ impl<'e> Explorer<'e> {
             .map(|p| p.with_chunk_jobs(self.opts.chunk_jobs))
     }
 
-    /// Select round `round`'s batch from the not-yet-simulated pool.
-    /// Round 0 has no model, so it samples uniformly; later rounds take
-    /// the acquisition top-k plus an ε-scheduled random remainder.
+    /// Select round `round`'s batch from the not-yet-simulated pool and
+    /// record it in `state.selected`. Round 0 has no model, so it
+    /// samples uniformly; later rounds take the acquisition top-k plus
+    /// an ε-scheduled random remainder.
     fn select_round(
         &self,
         round: usize,
@@ -543,359 +588,205 @@ impl<'e> Explorer<'e> {
             let j = state.rng.gen_range(0..remaining.len());
             picks.push(remaining.swap_remove(j));
         }
+        state.selected.extend(&picks);
         picks
     }
 
-    fn checkpoint_extra(&self, state: &LoopState, done: bool) -> Vec<(String, String)> {
-        let join_u64 = |v: &[u64]| v.iter().map(u64::to_string).collect::<Vec<_>>().join(",");
-        let rng_state = state.rng.state();
-        let mut extra = vec![
-            (
-                keys::PLAN.into(),
-                format!("{:016x}", self.options_fingerprint()),
-            ),
-            (keys::ROUND.into(), state.round.to_string()),
-            (
-                keys::RNG.into(),
-                format!(
-                    "{:016x},{:016x},{:016x},{:016x}",
-                    rng_state[0], rng_state[1], rng_state[2], rng_state[3]
-                ),
-            ),
-            (keys::CURSOR.into(), state.selected.len().to_string()),
-            (keys::SELECTED.into(), join_u64(&state.selected)),
-            (
-                keys::HASHES.into(),
-                state
-                    .hashes
-                    .iter()
-                    .map(|h| format!("{h:016x}"))
-                    .collect::<Vec<_>>()
-                    .join(","),
-            ),
-            (keys::CURVE_ROWS.into(), state.curve.len().to_string()),
-        ];
-        if done {
-            extra.push((keys::DONE.into(), "1".into()));
-        }
-        extra
-    }
-
-    /// Refit on everything simulated so far and append a curve point.
+    /// Refit on everything simulated so far, as the round after the
+    /// `state.curve.len()` finished ones, and score the refreshed model.
     fn refit_and_score(
         &self,
         state: &mut LoopState,
         holdout: &(Matrix, Vec<f64>),
-    ) -> Result<(), ArmdseError> {
+    ) -> Result<CurvePoint, ArmdseError> {
         if state.rows.is_empty() {
             return Err(ArmdseError::Explore(
                 "round produced no validated rows to train on".into(),
             ));
         }
-        let mut x = Matrix::new(30);
-        let mut y = Vec::with_capacity(state.rows.len());
-        for r in &state.rows {
-            x.push_row(&r.features);
-            y.push(r.cycles as f64);
-        }
-        state.forest.partial_refit(&x, &y, state.round as u64);
-        if state.round + 1 == self.opts.rounds() {
+        let (x, y) = training_set(&state.rows);
+        let round = state.curve.len();
+        state.forest.partial_refit(&x, &y, round as u64);
+        if round + 1 == self.opts.rounds() {
             // Finalize: a second consecutive half-refresh on the same
             // data covers the remaining rotating window, so the final
             // surrogate is entirely trained on the complete adaptive
             // dataset (no stale trees in the reported model).
-            state.forest.partial_refit(&x, &y, state.round as u64 + 1);
+            state.forest.partial_refit(&x, &y, round as u64 + 1);
         }
         let preds = state.forest.predict(&holdout.0);
-        let hash = model_hash(&preds);
-        let point = CurvePoint {
-            round: state.round,
+        Ok(CurvePoint {
+            round,
             samples: state.rows.len(),
-            epsilon: if state.round == 0 {
+            epsilon: if round == 0 {
                 1.0
             } else {
-                epsilon(&self.opts, state.round)
+                epsilon(&self.opts, round)
             },
             r2: r2(&preds, &holdout.1),
             mae: mae(&preds, &holdout.1),
-            model_hash: hash,
-        };
-        append_curve_row(&self.path("explore_curve.csv"), &point)?;
-        state.hashes.push(hash);
-        state.curve.push(point);
-        Ok(())
+            model_hash: model_hash(&preds),
+        })
     }
 
-    /// Run (or resume) the exploration to completion or observer pause.
+    /// Run (or resume) the exploration to completion or observer pause:
+    /// one campaign on the engine's run loop, steered round by round.
     pub fn run(&self, mut ctl: ExploreControl<'_>) -> Result<ExploreReport, ArmdseError> {
         let ckpt_path = self.path("explore.ckpt");
         let dataset_path = self.path("explore_dataset.csv");
-        let curve_path = self.path("explore_curve.csv");
 
         let holdout = self.simulate_holdout()?;
         let features = self.candidate_features();
 
-        let mut state = if ctl.resume && ckpt_path.exists() {
-            let st = self.restore(&ckpt_path, &dataset_path, &curve_path, &holdout)?;
-            if let Some(st) = st {
-                st
-            } else {
-                // Checkpoint says the exploration already completed.
-                return self.completed_report(&ckpt_path);
-            }
+        let resume = ctl.resume && ckpt_path.exists();
+        let (state, mut sink) = if resume {
+            let mut sink = CsvSink::append(&dataset_path)?;
+            (self.restore(&ckpt_path, &mut sink, &holdout)?, sink)
         } else {
-            // Fresh start: truncate every artifact.
-            CsvSink::create(&dataset_path)?;
-            std::fs::write(&curve_path, format!("{CURVE_HEADER}\n"))?;
+            // Fresh start: truncate every artifact. Round 0's batch
+            // needs no model, so it is the plan the campaign starts on.
+            std::fs::write(self.path("explore_curve.csv"), format!("{CURVE_HEADER}\n"))?;
             std::fs::remove_file(&ckpt_path).ok();
-            LoopState {
+            let mut state = LoopState {
                 rows: Vec::new(),
-                discarded: 0,
                 selected: Vec::new(),
-                hashes: Vec::new(),
                 curve: Vec::new(),
                 rng: Xoshiro256pp::seed_from_u64(self.opts.seed ^ ACQ_SEED_SALT),
                 forest: RandomForest::warm_start(self.opts.forest, self.opts.seed),
-                round: 0,
-                mid_round: false,
-            }
+            };
+            self.select_round(0, &mut state, &features);
+            (state, CsvSink::create(&dataset_path)?)
         };
 
-        let rounds = self.opts.rounds();
-        while state.round < rounds {
-            let size = self.opts.round_size(state.round);
-            let round_sel: Vec<u64> = if state.mid_round {
-                state.mid_round = false;
-                state.selected[state.selected.len() - size..].to_vec()
-            } else {
-                let picks = self.select_round(state.round, &mut state, &features);
-                state.selected.extend(&picks);
-                // Persist position *before* the round's engine run so an
-                // interruption anywhere inside it resumes this round with
-                // this exact selection and post-selection RNG state.
-                Checkpoint {
-                    fingerprint: self.plan_for(&picks)?.fingerprint(),
-                    jobs_done: 0,
-                    rows: state.rows.len(),
-                    discarded: state.discarded,
-                    extra: self.checkpoint_extra(&state, false),
-                }
-                .save(&ckpt_path)?;
-                picks
+        let plan = self.plan_for(&state.selected)?;
+        let restored_rows = state.rows.len();
+        let mut rounds = Rounds {
+            explorer: self,
+            holdout: &holdout,
+            features: &features,
+            state,
+        };
+        // One app, so jobs are candidates and a chunk never straddles a
+        // round: the round is a function of the cumulative position.
+        let mut engine_obs = |p: &Progress| -> bool {
+            let round = (p.jobs_done - 1) / self.opts.batch;
+            let ep = ExploreProgress {
+                round,
+                rounds: self.opts.rounds(),
+                samples: p.rows,
+                budget: self.opts.budget,
+                jobs_done: p.jobs_done - round * self.opts.batch,
+                round_jobs: self.opts.round_size(round),
             };
-
-            let plan = self.plan_for(&round_sel)?;
-            let extra = self.checkpoint_extra(&state, false);
-            let mut sink = TeeSink {
-                csv: CsvSink::append(&dataset_path)?,
-                rows: &mut state.rows,
-            };
-            let (round, budget) = (state.round, self.opts.budget);
-            let mut paused = false;
-            let summary = {
-                let mut engine_obs = |p: &Progress| -> bool {
-                    let ep = ExploreProgress {
-                        round,
-                        rounds,
-                        samples: p.rows,
-                        budget,
-                        jobs_done: p.jobs_done,
-                        round_jobs: p.total_jobs,
-                    };
-                    let go = match ctl.observer.as_deref_mut() {
-                        Some(f) => f(&ep),
-                        None => true,
-                    };
-                    paused = !go;
-                    go
-                };
-                self.engine.run_controlled(
-                    &plan,
-                    &mut sink,
-                    RunControl {
-                        checkpoint: Some(&ckpt_path),
-                        resume: true,
-                        observer: Some(&mut engine_obs),
-                        metrics: None,
-                        checkpoint_extra: Some(&extra),
-                        ..RunControl::default()
-                    },
-                )?
-            };
-            state.discarded += summary.discarded;
-            if !summary.completed || paused {
-                return Ok(ExploreReport {
-                    completed: false,
-                    rounds_done: state.curve.len(),
-                    samples: state.rows.len(),
-                    selected: state.selected.clone(),
-                    curve: state.curve.clone(),
-                });
+            ctl.observer.as_deref_mut().is_none_or(|f| f(&ep))
+        };
+        let summary = self.engine.run_controlled(
+            &plan,
+            &mut sink,
+            RunControl {
+                checkpoint: Some(&ckpt_path),
+                resume,
+                observer: Some(&mut engine_obs),
+                steer: Some(&mut rounds),
+                ..RunControl::default()
+            },
+        )?;
+        let state = rounds.state;
+        if summary.completed {
+            self.write_curve_json(&state)?;
+            if self.opts.pareto {
+                self.write_pareto_csv(&state, &features)?;
             }
-
-            self.refit_and_score(&mut state, &holdout)?;
-            state.round += 1;
-        }
-
-        // Final checkpoint marks completion (resume becomes a no-op),
-        // then the completion-only artifacts.
-        Checkpoint {
-            fingerprint: self.options_fingerprint(),
-            jobs_done: 0,
-            rows: state.rows.len(),
-            discarded: state.discarded,
-            extra: self.checkpoint_extra(&state, true),
-        }
-        .save(&ckpt_path)?;
-        self.write_curve_json(&state)?;
-        if self.opts.pareto {
-            self.write_pareto_csv(&state, &features)?;
         }
         Ok(ExploreReport {
-            completed: true,
+            completed: summary.completed,
             rounds_done: state.curve.len(),
-            samples: state.rows.len(),
+            samples: restored_rows + summary.rows,
             selected: state.selected,
             curve: state.curve,
         })
     }
 
-    /// Rebuild loop state from the checkpoint: reload rows, truncate
-    /// the curve to the checkpointed length, replay the refit history
-    /// against the recorded model hashes, and restore the RNG. Returns
-    /// `None` when the checkpoint marks a completed exploration.
+    /// Rebuild loop state from the checkpoint: refuse a foreign
+    /// exploration, cut the dataset (through `sink`) and the curve back
+    /// to what the checkpoint covers, reload the rows, replay the refit
+    /// history against the recorded model hashes, and restore the RNG.
+    /// The run loop then validates the plan rebuilt from `selected`
+    /// against the checkpoint's fingerprint.
     fn restore(
         &self,
         ckpt_path: &Path,
-        dataset_path: &Path,
-        curve_path: &Path,
+        sink: &mut CsvSink,
         holdout: &(Matrix, Vec<f64>),
-    ) -> Result<Option<LoopState>, ArmdseError> {
+    ) -> Result<LoopState, ArmdseError> {
         let ckpt = Checkpoint::load(ckpt_path)?;
         let get = |key: &str| {
             ckpt.extra_get(key).ok_or_else(|| {
                 ArmdseError::Explore(format!("checkpoint is missing exploration key {key}"))
             })
         };
-        let plan_fp = u64::from_str_radix(get(keys::PLAN)?, 16)
-            .map_err(|_| ArmdseError::Explore("unparsable explore.plan".into()))?;
-        if plan_fp != self.options_fingerprint() {
+        let (found, want) = (get(keys::PLAN)?, self.options_fingerprint());
+        if found != want {
             return Err(ArmdseError::Explore(format!(
                 "checkpoint belongs to a different exploration \
-                 ({plan_fp:016x} != {:016x}) — refusing to resume",
-                self.options_fingerprint()
+                 ({found} != {want}) — refusing to resume"
             )));
         }
-        let round: usize = get(keys::ROUND)?
-            .parse()
-            .map_err(|_| ArmdseError::Explore("unparsable explore.round".into()))?;
-        let cursor: usize = get(keys::CURSOR)?
-            .parse()
-            .map_err(|_| ArmdseError::Explore("unparsable explore.cursor".into()))?;
         let selected = parse_u64_list(get(keys::SELECTED)?, 10)?;
-        if selected.len() != cursor {
-            return Err(ArmdseError::Explore(format!(
-                "selection cursor {cursor} disagrees with {} recorded picks",
-                selected.len()
-            )));
-        }
         let hashes = parse_u64_list(get(keys::HASHES)?, 16)?;
-        let curve_rows: usize = get(keys::CURVE_ROWS)?
-            .parse()
-            .map_err(|_| ArmdseError::Explore("unparsable explore.curve_rows".into()))?;
-        let mut rng_words = [0u64; 4];
-        let rng_text = get(keys::RNG)?;
-        let parts: Vec<&str> = rng_text.split(',').collect();
-        if parts.len() != 4 {
-            return Err(ArmdseError::Explore("unparsable explore.rng".into()));
-        }
-        for (w, p) in rng_words.iter_mut().zip(&parts) {
-            *w = u64::from_str_radix(p, 16)
-                .map_err(|_| ArmdseError::Explore("unparsable explore.rng".into()))?;
-        }
+        let rng_words: [u64; 4] = parse_u64_list(get(keys::RNG)?, 16)?
+            .try_into()
+            .map_err(|_| ArmdseError::Explore("unparsable explore.rng".into()))?;
 
-        // Reload the accumulated rows, first cutting whatever a crash
-        // left past the checkpoint (sink durability runs ahead of the
-        // checkpoint write, never behind).
-        CsvSink::append(dataset_path)?.resume_at(ckpt.rows)?;
-        let data = DseDataset::load_csv(dataset_path).map_err(ArmdseError::Io)?;
+        // Sink durability runs ahead of the checkpoint write, never
+        // behind: cut whatever a crash left past it, then reload the
+        // accumulated rows.
+        sink.resume_at(ckpt.rows)?;
+        let data =
+            DseDataset::load_csv(&self.path("explore_dataset.csv")).map_err(ArmdseError::Io)?;
 
-        // The curve is authoritative up to `curve_rows`; drop anything
-        // written after the checkpoint.
-        let curve = truncate_and_parse_curve(curve_path, curve_rows)?;
-        if curve.len() != hashes.len() {
-            return Err(ArmdseError::Explore(format!(
-                "{} curve points but {} model hashes",
-                curve.len(),
-                hashes.len()
-            )));
+        // One curve row per recorded model hash; a row past them is a
+        // round whose checkpoint never landed.
+        let curve = cut_and_parse_curve(&self.path("explore_curve.csv"), hashes.len())?;
+        if curve.iter().map(|p| p.model_hash).ne(hashes) {
+            return Err(ArmdseError::Explore(
+                "curve model hashes disagree with the checkpoint's".into(),
+            ));
         }
 
-        // Replay the refit history and verify each round's model hash.
-        let mut forest = RandomForest::warm_start(self.opts.forest, self.opts.seed);
-        for (q, point) in curve.iter().enumerate() {
-            if point.samples > data.rows.len() {
+        // Replay the refit history over the reloaded rows and verify
+        // each round's model hash.
+        let mut state = LoopState {
+            rows: Vec::new(),
+            selected,
+            curve: Vec::new(),
+            rng: Xoshiro256pp::from_state(rng_words),
+            forest: RandomForest::warm_start(self.opts.forest, self.opts.seed),
+        };
+        for point in curve {
+            let (round, seen) = (point.round, state.rows.len());
+            if !(seen..=data.rows.len()).contains(&point.samples) {
                 return Err(ArmdseError::Explore(format!(
-                    "curve round {q} trained on {} rows but only {} are on disk",
+                    "curve round {round} trained on {} rows but {} are on disk",
                     point.samples,
                     data.rows.len()
                 )));
             }
-            let mut x = Matrix::new(30);
-            let mut y = Vec::with_capacity(point.samples);
-            for r in &data.rows[..point.samples] {
-                x.push_row(&r.features);
-                y.push(r.cycles as f64);
-            }
-            forest.partial_refit(&x, &y, q as u64);
-            if q + 1 == self.opts.rounds() {
-                // Mirror the finalizing refresh of the last round.
-                forest.partial_refit(&x, &y, q as u64 + 1);
-            }
-            let replayed = model_hash(&forest.predict(&holdout.0));
+            state
+                .rows
+                .extend_from_slice(&data.rows[seen..point.samples]);
+            let replayed = self.refit_and_score(&mut state, holdout)?.model_hash;
             if replayed != point.model_hash {
                 return Err(ArmdseError::Explore(format!(
-                    "replayed model hash {replayed:016x} != recorded {:016x} at round {q} — \
+                    "replayed model hash {replayed:016x} != recorded {:016x} at round {round} — \
                      artifacts do not match this exploration",
                     point.model_hash
                 )));
             }
+            state.curve.push(point);
         }
-
-        if ckpt.extra_get(keys::DONE).is_some() {
-            return Ok(None);
-        }
-        Ok(Some(LoopState {
-            rows: data.rows,
-            discarded: ckpt.discarded,
-            selected,
-            hashes,
-            curve,
-            rng: Xoshiro256pp::from_state(rng_words),
-            forest,
-            round,
-            mid_round: true,
-        }))
-    }
-
-    /// Report for a checkpoint that already marks completion: parse the
-    /// artifacts instead of re-running anything.
-    fn completed_report(&self, ckpt_path: &Path) -> Result<ExploreReport, ArmdseError> {
-        let ckpt = Checkpoint::load(ckpt_path)?;
-        let selected = parse_u64_list(ckpt.extra_get(keys::SELECTED).unwrap_or(""), 10)?;
-        let curve_rows: usize = ckpt
-            .extra_get(keys::CURVE_ROWS)
-            .unwrap_or("0")
-            .parse()
-            .map_err(|_| ArmdseError::Explore("unparsable explore.curve_rows".into()))?;
-        let curve = truncate_and_parse_curve(&self.path("explore_curve.csv"), curve_rows)?;
-        Ok(ExploreReport {
-            completed: true,
-            rounds_done: curve.len(),
-            samples: ckpt.rows,
-            selected,
-            curve,
-        })
+        state.rows = data.rows;
+        Ok(state)
     }
 
     fn write_curve_json(&self, state: &LoopState) -> Result<(), ArmdseError> {
@@ -951,6 +842,15 @@ impl<'e> Explorer<'e> {
     }
 }
 
+/// Rows as the surrogate's training matrix and cycle targets.
+fn training_set(rows: &[Row]) -> (Matrix, Vec<f64>) {
+    let mut x = Matrix::new(30);
+    for r in rows {
+        x.push_row(&r.features);
+    }
+    (x, rows.iter().map(|r| r.cycles as f64).collect())
+}
+
 /// FNV-1a over the bit patterns of the surrogate's held-out
 /// predictions: cheap, deterministic, and sensitive to any change in
 /// the fitted ensemble.
@@ -960,32 +860,6 @@ fn model_hash(preds: &[f64]) -> u64 {
         h.bytes(&p.to_bits().to_be_bytes());
     }
     h.finish()
-}
-
-/// Dataset sink that both streams to the CSV artifact and mirrors rows
-/// in memory for the surrogate refits.
-struct TeeSink<'a> {
-    csv: CsvSink,
-    rows: &'a mut Vec<Row>,
-}
-
-impl RowSink for TeeSink<'_> {
-    fn row(&mut self, row: &Row) -> Result<(), ArmdseError> {
-        self.rows.push(row.clone());
-        self.csv.row(row)
-    }
-
-    fn discarded(&mut self, d: &crate::dataset::DiscardedRun) -> Result<(), ArmdseError> {
-        self.csv.discarded(d)
-    }
-
-    fn chunk_end(&mut self) -> Result<(), ArmdseError> {
-        self.csv.chunk_end()
-    }
-
-    fn resume_at(&mut self, rows: usize) -> Result<(), ArmdseError> {
-        self.csv.resume_at(rows)
-    }
 }
 
 fn append_curve_row(path: &Path, p: &CurvePoint) -> Result<(), ArmdseError> {
@@ -1001,10 +875,14 @@ fn append_curve_row(path: &Path, p: &CurvePoint) -> Result<(), ArmdseError> {
     f.sync_data().map_err(ArmdseError::from)
 }
 
-/// Truncate the curve CSV to `keep` data rows (the checkpoint is
-/// authoritative; a crash can leave one extra row) and parse what
-/// remains.
-fn truncate_and_parse_curve(path: &Path, keep: usize) -> Result<Vec<CurvePoint>, ArmdseError> {
+/// Cut the curve CSV back to its first `keep` rows (a crash can leave
+/// one more; fewer is an error) and parse them.
+fn cut_and_parse_curve(path: &Path, keep: usize) -> Result<Vec<CurvePoint>, ArmdseError> {
+    let file = std::fs::OpenOptions::new().write(true).open(path)?;
+    cut_csv_lines(path, &file, keep, "curve row(s)").map_err(|e| match e {
+        ArmdseError::Checkpoint(m) => ArmdseError::Explore(m),
+        e => e,
+    })?;
     let body = std::fs::read_to_string(path)?;
     let mut lines = body.lines();
     if lines.next() != Some(CURVE_HEADER) {
@@ -1013,25 +891,8 @@ fn truncate_and_parse_curve(path: &Path, keep: usize) -> Result<Vec<CurvePoint>,
             path.display()
         )));
     }
-    let data: Vec<&str> = lines.collect();
-    if data.len() < keep {
-        return Err(ArmdseError::Explore(format!(
-            "{}: has {} rows but the checkpoint recorded {keep}",
-            path.display(),
-            data.len()
-        )));
-    }
-    if data.len() > keep {
-        let mut s = String::from(CURVE_HEADER);
-        s.push('\n');
-        for line in &data[..keep] {
-            s.push_str(line);
-            s.push('\n');
-        }
-        std::fs::write(path, s)?;
-    }
     let mut curve = Vec::with_capacity(keep);
-    for line in &data[..keep] {
+    for line in lines {
         let f: Vec<&str> = line.split(',').collect();
         if f.len() != 6 {
             return Err(ArmdseError::Explore(format!(

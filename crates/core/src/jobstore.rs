@@ -52,7 +52,7 @@ use armdse_simcore::{Fidelity, Topology};
 use std::collections::BTreeMap;
 use std::fmt;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
 
@@ -536,6 +536,11 @@ impl std::error::Error for JobOpError {}
 #[derive(Debug, Clone)]
 pub(crate) struct JobInner {
     pub(crate) state: JobState,
+    /// The one stop request a `Running` job carries: the state it is
+    /// to leave the run loop in at its next chunk boundary — `Paused`
+    /// or `Cancelled`, and a pending cancel is never downgraded.
+    /// Cleared by every [`Job::transition`].
+    pub(crate) stop: Option<JobState>,
     pub(crate) jobs_done: usize,
     pub(crate) rows: usize,
     pub(crate) discarded: usize,
@@ -555,11 +560,6 @@ pub struct Job {
     dir: PathBuf,
     pub(crate) inner: Mutex<JobInner>,
     pub(crate) cv: Condvar,
-    /// Cooperative stop-and-checkpoint request (checked at chunk ends).
-    pub(crate) pause_flag: AtomicBool,
-    /// Cooperative cancel request (implies pause; decides the terminal
-    /// state the runner records).
-    pub(crate) cancel_flag: AtomicBool,
 }
 
 impl Job {
@@ -655,9 +655,24 @@ impl Job {
         self.status_locked(&inner)
     }
 
+    /// The one state transition: enter `state`, drop any pending stop
+    /// request, and — exactly when `state` is terminal — stamp
+    /// `finished_seq` and write the marker (with `inner.error`, which a
+    /// failing caller sets first); then bump `version` and wake waiters.
+    pub(crate) fn transition(&self, inner: &mut JobInner, state: JobState, store: &JobStore) {
+        inner.state = state;
+        inner.stop = None;
+        if state.is_terminal() {
+            inner.finished_seq = Some(store.next_seq());
+            self.persist_terminal(state, inner.error.as_deref());
+        }
+        inner.version += 1;
+        self.cv.notify_all();
+    }
+
     /// Record a terminal state marker atomically (tmp + rename), so a
     /// restarted store recovers the exact state.
-    pub(crate) fn persist_terminal(&self, state: JobState, error: Option<&str>) {
+    fn persist_terminal(&self, state: JobState, error: Option<&str>) {
         debug_assert!(state.is_terminal());
         let body = match error {
             Some(e) => format!("{}\n{e}\n", state.tag()),
@@ -768,6 +783,7 @@ impl JobStore {
             dir: self.dir.clone(),
             inner: Mutex::new(JobInner {
                 state: JobState::Queued,
+                stop: None,
                 jobs_done: 0,
                 rows: 0,
                 discarded: 0,
@@ -778,8 +794,6 @@ impl JobStore {
                 version: 0,
             }),
             cv: Condvar::new(),
-            pause_flag: AtomicBool::new(false),
-            cancel_flag: AtomicBool::new(false),
         }))
     }
 

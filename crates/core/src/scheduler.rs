@@ -10,11 +10,17 @@
 //! * `run_span` executes one chunk of jobs across worker threads and
 //!   returns results sorted by job index (the determinism keystone:
 //!   threads race on an atomic counter, order is restored before the
-//!   sink sees anything).
-//! * `run_job_loop` is the full resumable campaign loop —
-//!   [`Engine::run_controlled`] is now a thin wrapper over it, so every
-//!   existing consumer (Explorer, repro, analysis harnesses) runs
-//!   through the exact same code path the job server does.
+//!   sink sees anything). It validates the chunk's design points first,
+//!   so an out-of-range pin fails the campaign instead of panicking a
+//!   worker.
+//! * `run_job_loop` is the one resumable campaign loop and the only
+//!   function that saves a checkpoint. [`Engine::run_controlled`] is a
+//!   thin wrapper over it, so `repro`, the analysis harnesses and the
+//!   job server run the exact same code path — and so does the adaptive
+//!   Explorer, which plugs in as the loop's [`crate::engine::Steer`]:
+//!   when the plan runs out the loop asks it for the next batch,
+//!   extends its own copy of the plan, and checkpoints the steer's
+//!   state with the chunk (a fixed sweep is the loop with no steer).
 //! * [`JobScheduler`] owns runner threads and a priority queue of
 //!   submitted jobs ([`crate::jobstore`]), with cooperative pause and
 //!   cancel implemented via the observer hook the engine already had.
@@ -31,12 +37,17 @@
 //! ## Pause / cancel semantics
 //!
 //! Pause and cancel are cooperative and chunk-granular. A `Running`
-//! job's flags are checked by the run loop's observer at every chunk
-//! boundary — *after* the sink flushed and the checkpoint was saved —
-//! so a paused or cancelled job always leaves a loadable checkpoint
-//! and a CSV that is byte-identical to a prefix of the uninterrupted
-//! run. A `Queued` job pauses or cancels immediately (it never ran).
+//! job carries one stop request (none | pause | cancel), read by the
+//! run loop's observer at every chunk boundary — *after* the sink
+//! flushed and the checkpoint was saved — so a paused or cancelled job
+//! always leaves a loadable checkpoint and a CSV that is byte-identical
+//! to a prefix of the uninterrupted run. A cancel outranks a pause and
+//! cannot be rescinded: `resume` takes back a pending pause only. A
+//! `Queued` job pauses or cancels immediately (it never ran). Every
+//! state change goes through `Job::transition`, which writes the
+//! terminal marker exactly when the new state is terminal.
 
+use crate::config::DesignConfig;
 use crate::dataset::{DiscardedRun, Row};
 use crate::engine::{
     Checkpoint, CsvSink, Engine, Progress, ReuseMode, RowSink, RunControl, RunPlan, RunSummary,
@@ -45,6 +56,7 @@ use crate::error::ArmdseError;
 use crate::jobstore::{Job, JobId, JobOpError, JobSpec, JobState, JobStatus, JobStore};
 use crate::metrics::{MetricsCsvSink, MetricsRow, MetricsSink};
 use armdse_simcore::{Fidelity, Topology};
+use std::borrow::Cow;
 use std::collections::BinaryHeap;
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -83,8 +95,10 @@ pub(crate) fn topology_extra(t: Topology) -> Vec<(String, String)> {
 }
 
 /// Execute jobs `start..end` of `plan` across its worker threads on
-/// `engine`, returning results sorted by job index. Worker shard `t`
-/// optionally counts the jobs it executed into `shards[t]`
+/// `engine`, returning results sorted by job index. The span's design
+/// points are sampled and validated up front, so the first invalid one
+/// in job order ends the campaign ([`RunPlan::design_point`]). Worker
+/// shard `t` optionally counts the jobs it executed into `shards[t]`
 /// (observability only — shard assignment is racy by design and never
 /// affects the sorted output).
 pub(crate) fn run_span(
@@ -94,20 +108,20 @@ pub(crate) fn run_span(
     end: usize,
     with_metrics: bool,
     shards: Option<&[AtomicUsize]>,
-) -> Vec<ChunkResult> {
+) -> Result<Vec<ChunkResult>, ArmdseError> {
     let n = end - start;
     let threads = plan.threads().clamp(1, n);
-    let pins: Vec<(&str, f64)> = plan
-        .pins()
-        .iter()
-        .map(|(name, v)| (name.as_str(), *v))
-        .collect();
+    let apps = plan.apps();
+    let first_cfg = start / apps.len();
+    let configs = (first_cfg..=(end - 1) / apps.len())
+        .map(|cfg_idx| plan.design_point(cfg_idx))
+        .collect::<Result<Vec<DesignConfig>, ArmdseError>>()?;
     let counter = AtomicUsize::new(start);
     let results: Mutex<Vec<ChunkResult>> = Mutex::new(Vec::with_capacity(n));
 
     std::thread::scope(|s| {
         for t in 0..threads {
-            let (pins, counter, results) = (&pins, &counter, &results);
+            let (configs, counter, results) = (&configs, &counter, &results);
             s.spawn(move || {
                 let mut local: Vec<ChunkResult> = Vec::new();
                 loop {
@@ -115,16 +129,14 @@ pub(crate) fn run_span(
                     if job >= end {
                         break;
                     }
-                    let cfg_idx = job / plan.apps().len();
-                    let app = plan.apps()[job % plan.apps().len()];
-                    let cfg = plan
-                        .space()
-                        .sample_seeded_pinned(plan.seed() + plan.config_offset(cfg_idx), pins);
+                    let cfg_idx = job / apps.len();
+                    let app = apps[job % apps.len()];
+                    let cfg = &configs[cfg_idx - first_cfg];
                     let (result, metrics_rows) = if with_metrics {
-                        let (r, m) = engine.run_job_metrics(app, job, cfg_idx, plan.scale(), &cfg);
+                        let (r, m) = engine.run_job_metrics(app, job, cfg_idx, plan.scale(), cfg);
                         (r, Some(m))
                     } else {
-                        (engine.run_job(app, cfg_idx, plan.scale(), &cfg), None)
+                        (engine.run_job(app, cfg_idx, plan.scale(), cfg), None)
                     };
                     local.push((job, result, metrics_rows));
                 }
@@ -141,14 +153,19 @@ pub(crate) fn run_span(
 
     let mut collected = results.into_inner().expect("worker poisoned results");
     collected.sort_unstable_by_key(|(job, ..)| *job);
-    collected
+    Ok(collected)
 }
 
-/// The resumable campaign loop: chunk partitioning, checkpoint cadence,
-/// fidelity-tier guard, observer/pause hook. This *is* the former body
-/// of `Engine::run_controlled`; the engine method now delegates here
-/// with `shards: None`, and the [`JobScheduler`] runner calls it with
-/// per-shard counters and a flag-checking observer.
+/// The resumable campaign loop (the module docs say who runs it):
+/// chunk partitioning, checkpoint cadence, fidelity-tier guard, the
+/// steer hook, the observer/pause hook. `shards` are the job server's
+/// per-worker counters.
+///
+/// At each chunk boundary, in this order: sinks durable → (plan
+/// exhausted and steered: `next_batch`, plan extended) → checkpoint →
+/// observer. So a checkpoint's `fingerprint` is that of the plan so
+/// far, `jobs_done`/`rows` are cumulative, and a steered campaign is at
+/// `jobs_done == plan.jobs()` only once its steer answered "no more".
 pub(crate) fn run_job_loop(
     engine: &Engine,
     plan: &RunPlan,
@@ -156,8 +173,11 @@ pub(crate) fn run_job_loop(
     mut ctl: RunControl<'_>,
     shards: Option<&[AtomicUsize]>,
 ) -> Result<RunSummary, ArmdseError> {
-    let total_jobs = plan.jobs();
-    let fingerprint = plan.fingerprint();
+    // A steered campaign grows its own copy of the plan (cloned at the
+    // first extension); a fixed sweep only ever borrows the caller's.
+    let mut plan = Cow::Borrowed(plan);
+    let mut total_jobs = plan.jobs();
+    let mut fingerprint = plan.fingerprint();
     // Fidelity and machine-topology keys ride along in the checkpoint's
     // v2 extra section so a resume cannot silently splice rows produced
     // at a different fidelity — or on a different machine shape — into
@@ -229,13 +249,18 @@ pub(crate) fn run_job_loop(
 
     let with_metrics = ctl.metrics.is_some();
     let (mut rows, mut discarded) = (0usize, 0usize);
+    // Rows streamed since the steer last saw them (empty without one).
+    let mut unseen: Vec<Row> = Vec::new();
     while done < total_jobs {
         let end = (done + plan.chunk_jobs()).min(total_jobs);
-        for (_, result, metrics_rows) in run_span(engine, plan, done, end, with_metrics, shards) {
+        for (_, result, metrics_rows) in run_span(engine, &plan, done, end, with_metrics, shards)? {
             match result {
                 Ok(row) => {
                     sink.row(&row)?;
                     rows += 1;
+                    if ctl.steer.is_some() {
+                        unseen.push(row);
+                    }
                 }
                 Err(d) => {
                     sink.discarded(&d)?;
@@ -253,9 +278,20 @@ pub(crate) fn run_job_loop(
         if let Some(msink) = ctl.metrics.as_deref_mut() {
             msink.chunk_end()?;
         }
+        if let (true, Some(steer)) = (done == total_jobs, ctl.steer.as_deref_mut()) {
+            let batch = steer.next_batch(&unseen)?;
+            unseen.clear();
+            if !batch.is_empty() {
+                plan.to_mut().extend_config_indices(batch);
+                total_jobs = plan.jobs();
+                fingerprint = plan.fingerprint();
+            }
+        }
         if let Some(path) = ctl.checkpoint {
             let mut extra = reuse_extra.clone();
-            extra.extend_from_slice(ctl.checkpoint_extra.unwrap_or(&[]));
+            if let Some(steer) = ctl.steer.as_deref() {
+                extra.extend(steer.state());
+            }
             Checkpoint {
                 fingerprint,
                 jobs_done: done,
@@ -273,15 +309,8 @@ pub(crate) fn run_job_loop(
             reuse: engine.backend().reuse_stats(),
         };
         if let Some(observer) = ctl.observer.as_deref_mut() {
-            if !observer(&progress) && done < total_jobs {
-                return Ok(RunSummary {
-                    jobs: total_jobs,
-                    jobs_done: done,
-                    rows,
-                    discarded,
-                    resumed_from,
-                    completed: false,
-                });
+            if !observer(&progress) {
+                break; // paused — unless that was the last chunk
             }
         }
     }
@@ -291,7 +320,7 @@ pub(crate) fn run_job_loop(
         rows,
         discarded,
         resumed_from,
-        completed: true,
+        completed: done == total_jobs,
     })
 }
 
@@ -398,82 +427,59 @@ impl JobScheduler {
     /// stop at the next chunk boundary (their checkpoint already
     /// saved). Returns the status at the time of the request.
     pub fn pause(&self, id: JobId) -> Result<JobStatus, JobOpError> {
-        let job = self.shared.store.get(id).ok_or(JobOpError::Unknown(id))?;
-        let mut inner = job.inner.lock().expect("job lock poisoned");
-        match inner.state {
-            JobState::Queued => {
-                inner.state = JobState::Paused;
-                inner.version += 1;
-                job.cv.notify_all();
-            }
-            JobState::Running => {
-                job.pause_flag.store(true, Ordering::Relaxed);
-            }
-            state => {
-                return Err(JobOpError::BadTransition {
-                    id,
-                    state,
-                    op: "pause",
-                })
-            }
-        }
-        Ok(job.status_locked(&inner))
-    }
-
-    /// Re-queue a `Paused` job (resume is byte-identical: the run loop
-    /// continues from the job's checkpoint). Also rescinds a pause
-    /// requested on a still-`Running` job.
-    pub fn resume(&self, id: JobId) -> Result<JobStatus, JobOpError> {
-        let job = self.shared.store.get(id).ok_or(JobOpError::Unknown(id))?;
-        let mut inner = job.inner.lock().expect("job lock poisoned");
-        match inner.state {
-            JobState::Paused => {
-                job.pause_flag.store(false, Ordering::Relaxed);
-                inner.state = JobState::Queued;
-                inner.version += 1;
-                job.cv.notify_all();
-                let status = job.status_locked(&inner);
-                drop(inner);
-                self.enqueue(job.spec().priority, id);
-                return Ok(status);
-            }
-            JobState::Running if job.pause_flag.load(Ordering::Relaxed) => {
-                job.pause_flag.store(false, Ordering::Relaxed);
-            }
-            state => {
-                return Err(JobOpError::BadTransition {
-                    id,
-                    state,
-                    op: "resume",
-                })
-            }
-        }
-        Ok(job.status_locked(&inner))
+        self.request_stop(id, JobState::Paused, "pause")
     }
 
     /// Request cancellation. `Queued`/`Paused` jobs cancel immediately;
     /// `Running` jobs stop at the next chunk boundary. Either way the
     /// job's last checkpoint stays on disk and loadable.
     pub fn cancel(&self, id: JobId) -> Result<JobStatus, JobOpError> {
+        self.request_stop(id, JobState::Cancelled, "cancel")
+    }
+
+    /// Stop job `id` in state `want` (`Paused` or `Cancelled`): a
+    /// `Running` job records the request for its next chunk boundary,
+    /// never downgrading a pending cancel; one that is not running
+    /// goes there at once, unless it is already there or terminal.
+    fn request_stop(
+        &self,
+        id: JobId,
+        want: JobState,
+        op: &'static str,
+    ) -> Result<JobStatus, JobOpError> {
         let job = self.shared.store.get(id).ok_or(JobOpError::Unknown(id))?;
         let mut inner = job.inner.lock().expect("job lock poisoned");
         match inner.state {
-            JobState::Queued | JobState::Paused => {
-                inner.state = JobState::Cancelled;
-                inner.finished_seq = Some(self.shared.store.next_seq());
-                inner.version += 1;
-                job.persist_terminal(JobState::Cancelled, None);
-                job.cv.notify_all();
+            JobState::Running if inner.stop != Some(JobState::Cancelled) => inner.stop = Some(want),
+            JobState::Running => {}
+            JobState::Queued | JobState::Paused if inner.state != want => {
+                job.transition(&mut inner, want, &self.shared.store)
             }
-            JobState::Running => {
-                job.cancel_flag.store(true, Ordering::Relaxed);
-                job.pause_flag.store(true, Ordering::Relaxed);
+            state => return Err(JobOpError::BadTransition { id, state, op }),
+        }
+        Ok(job.status_locked(&inner))
+    }
+
+    /// Re-queue a `Paused` job (resume is byte-identical: the run loop
+    /// continues from the job's checkpoint). Also rescinds a pause — but
+    /// never a cancel — requested on a still-`Running` job.
+    pub fn resume(&self, id: JobId) -> Result<JobStatus, JobOpError> {
+        let job = self.shared.store.get(id).ok_or(JobOpError::Unknown(id))?;
+        let mut inner = job.inner.lock().expect("job lock poisoned");
+        match (inner.state, inner.stop) {
+            (JobState::Paused, _) => {
+                job.transition(&mut inner, JobState::Queued, &self.shared.store);
+                let status = job.status_locked(&inner);
+                drop(inner);
+                self.enqueue(job.spec().priority, id);
+                return Ok(status);
             }
-            state => {
+            (JobState::Running, Some(JobState::Paused)) => inner.stop = None,
+            (state, _) => {
                 return Err(JobOpError::BadTransition {
                     id,
                     state,
-                    op: "cancel",
+                    op: "resume",
                 })
             }
         }
@@ -486,9 +492,9 @@ impl JobScheduler {
     pub fn shutdown(&self) {
         self.shared.shutdown.store(true, Ordering::SeqCst);
         for job in self.shared.store.list() {
-            let inner = job.inner.lock().expect("job lock poisoned");
+            let mut inner = job.inner.lock().expect("job lock poisoned");
             if inner.state == JobState::Running {
-                job.pause_flag.store(true, Ordering::Relaxed);
+                inner.stop = inner.stop.or(Some(JobState::Paused));
             }
         }
         self.shared.cv.notify_all();
@@ -534,13 +540,11 @@ fn runner_loop(shared: &Shared) {
             if inner.state != JobState::Queued {
                 continue;
             }
-            inner.state = JobState::Running;
             if inner.started_seq.is_none() {
                 inner.started_seq = Some(shared.store.next_seq());
             }
             inner.shards = vec![0; job.plan().threads()];
-            inner.version += 1;
-            job.cv.notify_all();
+            job.transition(&mut inner, JobState::Running, &shared.store);
         }
         execute(&shared.store, &job);
     }
@@ -551,33 +555,18 @@ fn runner_loop(shared: &Shared) {
 fn execute(store: &JobStore, job: &Job) {
     let result = run_one(job);
     let mut inner = job.inner.lock().expect("job lock poisoned");
-    match result {
+    let state = match result {
         Ok(s) if s.completed => {
-            inner.state = JobState::Done;
             inner.jobs_done = s.jobs;
-            inner.finished_seq = Some(store.next_seq());
-            job.persist_terminal(JobState::Done, None);
+            JobState::Done
         }
-        Ok(_) => {
-            if job.cancel_flag.load(Ordering::Relaxed) {
-                inner.state = JobState::Cancelled;
-                inner.finished_seq = Some(store.next_seq());
-                job.persist_terminal(JobState::Cancelled, None);
-            } else {
-                inner.state = JobState::Paused;
-            }
-            job.pause_flag.store(false, Ordering::Relaxed);
-        }
+        Ok(_) => inner.stop.unwrap_or(JobState::Paused),
         Err(e) => {
-            let msg = e.to_string();
-            inner.state = JobState::Failed;
-            inner.error = Some(msg.clone());
-            inner.finished_seq = Some(store.next_seq());
-            job.persist_terminal(JobState::Failed, Some(&msg));
+            inner.error = Some(e.to_string());
+            JobState::Failed
         }
-    }
-    inner.version += 1;
-    job.cv.notify_all();
+    };
+    job.transition(&mut inner, state, store);
 }
 
 fn run_one(job: &Job) -> Result<RunSummary, ArmdseError> {
@@ -604,28 +593,26 @@ fn run_one(job: &Job) -> Result<RunSummary, ArmdseError> {
     let shards_ref: &[AtomicUsize] = &shards;
     // The observer runs at every chunk boundary, after the CSV flushed
     // and the checkpoint saved: publish progress (waking streamers) and
-    // honour pause/cancel requests.
+    // honour a pending stop request.
     let mut observer = |pr: &Progress| {
-        {
-            let mut inner = job.inner.lock().expect("job lock poisoned");
-            inner.jobs_done = pr.jobs_done;
-            inner.rows = pr.rows;
-            inner.discarded = pr.discarded;
-            inner.shards = shards_ref
-                .iter()
-                .map(|c| c.load(Ordering::Relaxed))
-                .collect();
-            inner.version += 1;
-        }
+        let mut inner = job.inner.lock().expect("job lock poisoned");
+        inner.jobs_done = pr.jobs_done;
+        inner.rows = pr.rows;
+        inner.discarded = pr.discarded;
+        inner.shards = shards_ref
+            .iter()
+            .map(|c| c.load(Ordering::Relaxed))
+            .collect();
+        inner.version += 1;
         job.cv.notify_all();
-        !job.pause_flag.load(Ordering::Relaxed)
+        inner.stop.is_none()
     };
     let ctl = RunControl {
         checkpoint: Some(&ckpt),
         resume,
         observer: Some(&mut observer),
         metrics: metrics_sink.as_mut().map(|m| m as &mut dyn MetricsSink),
-        checkpoint_extra: None,
+        steer: None,
         reuse: ReuseMode::Inherit,
     };
     run_job_loop(job.engine(), plan, &mut csv, ctl, Some(shards_ref))
@@ -634,6 +621,10 @@ fn run_one(job: &Job) -> Result<RunSummary, ArmdseError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::dataset::DseDataset;
+    use crate::engine::Steer;
+    use crate::orchestrator::GenOptions;
+    use crate::space::ParamSpace;
     use armdse_kernels::{App, WorkloadScale};
 
     fn store(tag: &str) -> Arc<JobStore> {
@@ -785,5 +776,280 @@ mod tests {
         assert_eq!(job2.wait_terminal().state, JobState::Done);
         sched2.shutdown();
         let _ = std::fs::remove_dir_all(store.dir());
+    }
+
+    /// A long single-app job (one job per chunk), submitted and observed
+    /// `Running` with progress, so a request lands mid-campaign.
+    fn running_job(sched: &JobScheduler, seed: u64) -> Arc<Job> {
+        let job = sched
+            .submit(JobSpec {
+                configs: 300,
+                chunk_jobs: 1,
+                apps: vec![App::Stream],
+                ..tiny_spec(seed)
+            })
+            .unwrap();
+        let mut status = job.status();
+        while status.jobs_done == 0 || status.state != JobState::Running {
+            assert!(!status.state.is_terminal(), "finished before the test");
+            status = job.wait_change(status.version, std::time::Duration::from_millis(200));
+        }
+        job
+    }
+
+    #[test]
+    fn a_pending_cancel_cannot_be_resumed_away() {
+        let store = store("cancel_resume");
+        let sched = JobScheduler::new(Arc::clone(&store), 1);
+        let job = running_job(&sched, 21);
+        sched.cancel(job.id()).unwrap();
+        assert!(matches!(
+            sched.resume(job.id()),
+            Err(JobOpError::BadTransition { op: "resume", .. })
+        ));
+        // A later pause (or a shutdown) must not turn it into a pause.
+        let _ = sched.pause(job.id());
+        let status = job.wait_terminal();
+        assert_eq!(status.state, JobState::Cancelled);
+        assert!(status.jobs_done < status.total_jobs);
+        sched.shutdown();
+        let _ = std::fs::remove_dir_all(store.dir());
+    }
+
+    #[test]
+    fn pause_resume_pause_on_a_running_job_pauses_resumably() {
+        let store = store("pause_resume_pause");
+        let sched = JobScheduler::new(Arc::clone(&store), 1);
+        let job = running_job(&sched, 22);
+        sched.pause(job.id()).unwrap();
+        sched.resume(job.id()).unwrap();
+        sched.pause(job.id()).unwrap();
+        let mut status = job.status();
+        while status.state != JobState::Paused {
+            assert!(!status.state.is_terminal(), "{status:?}");
+            status = job.wait_change(status.version, std::time::Duration::from_millis(200));
+        }
+        assert!(status.jobs_done > 0 && status.jobs_done < status.total_jobs);
+        sched.resume(job.id()).unwrap();
+        assert_eq!(job.wait_terminal().state, JobState::Done);
+        let direct = std::env::temp_dir().join("armdse_scheduler_prp_direct.csv");
+        let mut sink = CsvSink::create(&direct).unwrap();
+        job.engine().run(job.plan(), &mut sink).unwrap();
+        sink.chunk_end().unwrap();
+        assert_eq!(
+            std::fs::read(job.csv_path()).unwrap(),
+            std::fs::read(&direct).unwrap()
+        );
+        sched.shutdown();
+        let _ = std::fs::remove_file(&direct);
+        let _ = std::fs::remove_dir_all(store.dir());
+    }
+
+    /// A scripted steer: hands out `batches[next..]` one call at a
+    /// time and records the rows each call received.
+    struct Script {
+        batches: Vec<Vec<u64>>,
+        next: usize,
+        seen: Vec<Vec<Row>>,
+    }
+
+    impl Steer for Script {
+        fn next_batch(&mut self, rows: &[Row]) -> Result<Vec<u64>, ArmdseError> {
+            self.seen.push(rows.to_vec());
+            self.next += 1;
+            Ok(self.batches.get(self.next - 1).cloned().unwrap_or_default())
+        }
+
+        fn state(&self) -> Vec<(String, String)> {
+            vec![("script.next".into(), self.next.to_string())]
+        }
+    }
+
+    fn index_plan(indices: &[u64], threads: usize, chunk_jobs: usize) -> RunPlan {
+        let opts = GenOptions {
+            configs: indices.len(),
+            scale: WorkloadScale::Tiny,
+            seed: 0x57EE,
+            threads,
+            apps: vec![App::Stream, App::TeaLeaf],
+        };
+        RunPlan::new(&ParamSpace::paper(), &opts)
+            .unwrap()
+            .with_config_indices(indices.to_vec())
+            .unwrap()
+            .with_chunk_jobs(chunk_jobs)
+    }
+
+    #[test]
+    fn steered_batches_stream_the_fixed_plans_rows_through_pause_and_resume() {
+        let (a, b, c) = (vec![5u64, 1], vec![9u64, 2, 7], vec![4u64]);
+        let (ab, abc) = ([&a[..], &b[..]].concat(), [&a[..], &b[..], &c[..]].concat());
+        let engine = Engine::idealized();
+        let mut fixed = DseDataset::default();
+        engine.run(&index_plan(&abc, 2, 128), &mut fixed).unwrap();
+        assert_eq!(fixed.rows.len(), 12, "tiny runs all validate");
+        let (rows_a, rows_b, rows_c) = (&fixed.rows[..4], &fixed.rows[4..10], &fixed.rows[10..]);
+        let script = |next: usize| Script {
+            batches: vec![b.clone(), c.clone()],
+            next,
+            seen: Vec::new(),
+        };
+
+        for chunk_jobs in [1usize, 3, 128] {
+            for threads in [1usize, 8] {
+                let tag = format!("chunk {chunk_jobs}, {threads} thread(s)");
+                // Uninterrupted: same rows, same order, and each call
+                // sees exactly the batch that just ran.
+                let mut steer = script(0);
+                let mut whole = DseDataset::default();
+                let ctl = RunControl {
+                    steer: Some(&mut steer),
+                    ..RunControl::default()
+                };
+                let s = run_job_loop(
+                    &engine,
+                    &index_plan(&a, threads, chunk_jobs),
+                    &mut whole,
+                    ctl,
+                    None,
+                )
+                .unwrap();
+                assert!(
+                    s.completed && s.jobs == 12 && s.jobs_done == 12,
+                    "{tag}: {s:?}"
+                );
+                assert_eq!(whole, fixed, "{tag}");
+                assert_eq!(steer.seen, [rows_a, rows_b, rows_c], "{tag}");
+
+                // Pause at the first chunk boundary past [a] (inside
+                // [b] when the chunk size allows), checking on the way
+                // that the checkpoint ending [a] already carries [b].
+                let ckpt = std::env::temp_dir()
+                    .join(format!("armdse_steer_unit_{chunk_jobs}_{threads}.ckpt"));
+                std::fs::remove_file(&ckpt).ok();
+                let mut pieces = DseDataset::default();
+                let mut steer = script(0);
+                let mut observer = |pr: &Progress| {
+                    if pr.jobs_done == 4 {
+                        let c = Checkpoint::load(&ckpt).unwrap();
+                        assert_eq!((c.jobs_done, pr.total_jobs), (4, 10), "{tag}");
+                        assert_eq!(c.fingerprint, index_plan(&ab, 1, 1).fingerprint());
+                        assert_eq!(c.extra_get("script.next"), Some("1"));
+                    }
+                    pr.jobs_done <= 4
+                };
+                let ctl = RunControl {
+                    checkpoint: Some(&ckpt),
+                    observer: Some(&mut observer),
+                    steer: Some(&mut steer),
+                    ..RunControl::default()
+                };
+                let s = run_job_loop(
+                    &engine,
+                    &index_plan(&a, threads, chunk_jobs),
+                    &mut pieces,
+                    ctl,
+                    None,
+                )
+                .unwrap();
+                assert!(!s.completed, "{tag}");
+                let paused_at = s.jobs_done;
+                // Chunks restart at a round boundary: [a] ends at job 4.
+                let want = match chunk_jobs {
+                    1 => 5,
+                    3 => 7,
+                    _ => 10,
+                };
+                assert_eq!(paused_at, want, "{tag}");
+
+                // Resume on a fresh steer rebuilt from the checkpoint.
+                let c = Checkpoint::load(&ckpt).unwrap();
+                let mut steer = script(c.extra_get("script.next").unwrap().parse().unwrap());
+                let so_far = [&a[..], &steer.batches[..steer.next].concat()].concat();
+                let ctl = RunControl {
+                    checkpoint: Some(&ckpt),
+                    resume: true,
+                    steer: Some(&mut steer),
+                    ..RunControl::default()
+                };
+                let s = run_job_loop(
+                    &engine,
+                    &index_plan(&so_far, threads, chunk_jobs),
+                    &mut pieces,
+                    ctl,
+                    None,
+                )
+                .unwrap();
+                assert!(s.completed && s.resumed_from == paused_at, "{tag}: {s:?}");
+                assert_eq!(pieces, fixed, "{tag}");
+                // Only the rows streamed since the resume are handed over.
+                let since: Vec<&[Row]> = match paused_at {
+                    10 => vec![rows_c],
+                    at => vec![&fixed.rows[at..10], rows_c],
+                };
+                assert_eq!(steer.seen, since, "{tag}");
+                let c = Checkpoint::load(&ckpt).unwrap();
+                assert_eq!((c.jobs_done, c.rows), (12, 12), "{tag}");
+                assert_eq!(c.fingerprint, index_plan(&abc, 1, 1).fingerprint());
+                std::fs::remove_file(&ckpt).ok();
+            }
+        }
+    }
+
+    #[test]
+    fn unsteered_campaigns_keep_their_v1_checkpoint_bytes() {
+        let ckpt = std::env::temp_dir().join("armdse_steer_unit_none.ckpt");
+        let plan = index_plan(&[3, 8], 2, 3);
+        let ctl = RunControl {
+            checkpoint: Some(&ckpt),
+            ..RunControl::default()
+        };
+        run_job_loop(
+            &Engine::idealized(),
+            &plan,
+            &mut DseDataset::default(),
+            ctl,
+            None,
+        )
+        .unwrap();
+        assert_eq!(
+            std::fs::read_to_string(&ckpt).unwrap(),
+            format!(
+                "armdse-checkpoint v1\nfingerprint={:016x}\njobs_done=4\nrows=4\ndiscarded=0\n",
+                plan.fingerprint()
+            )
+        );
+        std::fs::remove_file(&ckpt).ok();
+    }
+
+    #[test]
+    fn an_invalid_design_point_ends_the_campaign_as_an_error() {
+        // L2-Size pinned to the smallest grid value: whether a sample
+        // survives depends on its L1 size, so only some points reject.
+        let opts = GenOptions {
+            configs: 40,
+            scale: WorkloadScale::Tiny,
+            seed: 3,
+            threads: 4,
+            apps: vec![App::Stream],
+        };
+        let plan = RunPlan::pinned(&ParamSpace::paper(), &opts, &[("L2-Size", 64.0)]).unwrap();
+        let first_bad = (0..40).find(|&i| plan.design_point(i).is_err()).unwrap();
+        assert!(first_bad > 0, "slot 0 validated at plan construction");
+        let mut data = DseDataset::default();
+        let err = Engine::idealized()
+            .run(&plan.with_chunk_jobs(4), &mut data)
+            .unwrap_err();
+        assert!(matches!(err, ArmdseError::InvalidPlan(_)), "{err}");
+        assert!(
+            err.to_string()
+                .contains(&format!("config index {first_bad} ")),
+            "{err}"
+        );
+        assert_eq!(
+            data.rows.len(),
+            first_bad / 4 * 4,
+            "whole chunks before it streamed"
+        );
     }
 }

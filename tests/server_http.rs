@@ -170,12 +170,13 @@ fn error_responses_carry_documented_status_codes() {
     let dir = tmp("errors");
     let (addr, handle) = start(&dir.join("jobs"), 1);
 
-    // 400: not JSON / unknown key / missing configs.
+    // 400: not JSON / unknown key / missing configs / pin out of range.
     for body in [
         "not json",
         "{\"bogus\": 1}",
         "{\"seed\": 3}",
         "{\"configs\": 0}",
+        "{\"configs\": 2, \"pins\": {\"ROB-Size\": 0}}",
     ] {
         let resp = client::request(&addr, "POST", "/jobs", Some(body)).unwrap();
         assert_eq!(resp.status, 400, "body {body:?} → {}", resp.text());

@@ -10,11 +10,15 @@
 //!   order), pinned via the store's `started_seq` stamps;
 //! * a job whose CSV ran past its checkpoint when the process died
 //!   (a flushed chunk plus a torn line) reopens and resumes to the
-//!   bytes of an uninterrupted run.
+//!   bytes of an uninterrupted run;
+//! * pin *values* are outside input: one no sample can rescue is
+//!   refused at submission, and one that only some design points
+//!   reject fails that job — naming the config — without taking the
+//!   runner thread down with it.
 
 use armdse::core::engine::Checkpoint;
 use armdse::core::space::ParamSpace;
-use armdse::core::{CsvSink, JobScheduler, JobSpec, JobState};
+use armdse::core::{ArmdseError, CsvSink, JobScheduler, JobSpec, JobState};
 use armdse::kernels::{App, WorkloadScale};
 use std::path::{Path, PathBuf};
 use std::time::Duration;
@@ -196,6 +200,59 @@ fn job_csv_written_past_its_checkpoint_resumes_to_direct_run_bytes() {
         std::fs::read_to_string(job.csv_path()).unwrap() == reference,
         "resumed job diverged from the direct run"
     );
+    sched.shutdown();
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn out_of_range_pins_fail_the_submission_or_the_job_never_the_runner() {
+    let dir = tmp("bad_pins");
+    let sched = JobScheduler::open(&dir.join("jobs"), 1).unwrap();
+    let pinned = |name: &str, value: f64| {
+        let mut s = spec(24, 3, 2);
+        s.apps = vec![App::Stream];
+        s.chunk_jobs = 4;
+        s.pins = vec![(name.to_string(), value)];
+        s
+    };
+
+    // No sample can rescue these: refused before a job exists.
+    for (name, value) in [("ROB-Size", 0.0), ("Vector-Length", 100.0)] {
+        let err = match sched.submit(pinned(name, value)) {
+            Err(e) => e,
+            Ok(job) => panic!("{name}={value} accepted as job {}", job.id()),
+        };
+        assert!(matches!(err, ArmdseError::InvalidPlan(_)), "{err}");
+        assert!(err.to_string().contains(name), "{err}");
+    }
+    assert!(sched.store().list().is_empty());
+
+    // The smallest L2 only fits under the smaller L1 samples: the job
+    // is accepted, runs, and fails at its first invalid design point.
+    let bad = pinned("L2-Size", 64.0);
+    let first_bad = (0..24u64)
+        .find(|i| {
+            ParamSpace::paper()
+                .sample_seeded_pinned(bad.seed + i, &[("L2-Size", 64.0)])
+                .validate()
+                .is_err()
+        })
+        .expect("some sample has an L1 of 64 KiB or more");
+    assert!(first_bad > 0, "the first design point must pass submission");
+    let job = sched.submit(bad).unwrap();
+    let fin = job.wait_terminal();
+    assert_eq!(fin.state, JobState::Failed);
+    let error = fin.error.expect("failed jobs carry their error");
+    assert!(
+        error.contains(&format!("config index {first_bad} ")),
+        "{error}"
+    );
+
+    // The single runner survived: the next job runs to completion.
+    let mut ok = spec(2, 4, 2);
+    ok.apps = vec![App::Stream];
+    let st = sched.submit(ok).unwrap().wait_terminal();
+    assert_eq!(st.state, JobState::Done, "{:?}", st.error);
     sched.shutdown();
     std::fs::remove_dir_all(&dir).ok();
 }
