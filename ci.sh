@@ -7,6 +7,11 @@
 # the examples and src/lib.rs. This script tests `--workspace` (every
 # crate's unit tests too) plus the benchmark package, so a green Tier-1
 # does not imply a green ci.sh.
+#
+# Size ledger (non-test source lines; simplicity PRs record before/after):
+#   find crates/*/src -name '*.rs' -print0 | xargs -0 awk \
+#     'FNR==1{t=0} /^#\[cfg\(test\)\]/{t=1} !t{n++} END{print n}'
+#   PR 15 (one contention model): 19401 -> 19091
 set -eux
 
 cd "$(dirname "$0")"
@@ -100,7 +105,7 @@ test -f "$SMOKE/expareto/explore_pareto.csv"
 # fidelity, and completes byte-identically when resumed at its own.
 cargo run --release --offline -p armdse-analysis --bin repro -- dataset \
   --configs 40 --scale tiny --seed 7 --threads 4 --out "$SMOKE/reused" \
-  --reuse 2> "$SMOKE/reused.log"
+  --fidelity memoized 2> "$SMOKE/reused.log"
 cmp "$SMOKE/fresh/dataset.csv" "$SMOKE/reused/dataset.csv"
 grep -q 'fidelity tier: Memoized' "$SMOKE/reused.log"
 grep -q 'interval reuse: .* insertion' "$SMOKE/reused.log"
@@ -138,9 +143,18 @@ cmp "$SMOKE/mc8/metrics/metrics.csv" "$SMOKE/mc1/metrics/metrics.csv"
 # somewhere in the stream on a 2-core machine.
 grep -q '^[0-9]*,[0-9]*,[^,]*,1,' "$SMOKE/mc8/metrics/metrics.csv"
 if cargo run --release --offline -p armdse-analysis --bin repro -- dataset \
-  --configs 12 --scale tiny --seed 7 --cores 2 --reuse \
+  --configs 12 --scale tiny --seed 7 --cores 2 --fidelity memoized \
   --out "$SMOKE/mcbad"; then
   echo 'FAIL: --cores must reject the memoized fidelity tier' >&2
+  exit 1
+fi
+# The contention experiment is one table measured on the machine
+# (rows = cores); the deleted closed-form projection must not reappear.
+cargo run --release --offline -p armdse-analysis --bin repro -- multicore \
+  --scale tiny --out "$SMOKE/mcx"
+grep -q '^ *Cores ' "$SMOKE/mcx/multicore.txt"
+if grep -q 'Projected' "$SMOKE/mcx/multicore.txt"; then
+  echo 'FAIL: repro multicore must only report the measured machine' >&2
   exit 1
 fi
 

@@ -5,8 +5,8 @@
 //!                    [--seed N] [--sweep-configs N] [--threads N]
 //!                    [--out DIR] [--resume] [--max-chunks N]
 //!                    [--metrics DIR] [--explore N] [--explore-pareto]
-//!                    [--reuse] [--fidelity full|memoized]
-//!                    [--cores N] [--banks N] [--apps base|extended]
+//!                    [--fidelity full|memoized] [--cores N] [--banks N]
+//!                    [--apps base|extended]
 //! repro --serve ADDR [--out DIR] [--runners N]
 //!
 //! experiments:
@@ -22,8 +22,8 @@
 //!   fig8      speedup vs FP/SVE register count
 //!   headline  paper-vs-measured headline numbers
 //!   unseen    extension: leave-one-app-out transfer accuracy
-//!   multicore extension: slowdown under shared-DRAM contention, plus
-//!             the phantom-projection-vs-real-machine validation table
+//!   multicore extension: slowdown under shared-L2/DRAM contention on the
+//!             1/2/4/8/16-core machine
 //!   crossval  extension: surrogate partial dependence vs fresh simulation
 //!   summary   distribution/coverage summary of the cached dataset
 //!   explore   surrogate-guided adaptive exploration (budget via --explore)
@@ -52,7 +52,7 @@
 //! instance of the workload, contending over the shared banked L2 and
 //! DRAM. `--banks N` sets the shared-L2 bank count (default 8). The
 //! multicore machine always simulates at full fidelity, so `--cores`
-//! conflicts with `--reuse` / a non-full `--fidelity`. Dataset
+//! conflicts with a non-full `--fidelity`. Dataset
 //! campaigns on a multicore machine record the machine shape in their
 //! checkpoint (`mc.cores` / `mc.banks`) and refuse to resume under a
 //! different shape; with `--metrics` the metrics CSV carries one
@@ -101,14 +101,10 @@ struct Cli {
     explore_budget: Option<usize>,
     explore_pareto: bool,
     /// `--fidelity`: the tier the shared engine runs at (both are
-    /// exact). `--reuse` is shorthand for `--fidelity memoized`.
+    /// exact).
     fidelity: Fidelity,
     topology: Topology,
 }
-
-const MEMOIZED: Fidelity = Fidelity::Memoized {
-    interval_len: armdse_simcore::DEFAULT_INTERVAL_LEN,
-};
 
 fn parse_args() -> Result<Cli, String> {
     let mut args = std::env::args().skip(1);
@@ -130,12 +126,8 @@ fn parse_args() -> Result<Cli, String> {
             "--threads" => opts.threads = val()?.parse().map_err(|e| format!("{e}"))?,
             "--sweep-configs" => opts.sweep_configs = val()?.parse().map_err(|e| format!("{e}"))?,
             "--scale" => {
-                opts.scale = match val()?.as_str() {
-                    "tiny" => WorkloadScale::Tiny,
-                    "small" => WorkloadScale::Small,
-                    "standard" => WorkloadScale::Standard,
-                    s => return Err(format!("unknown scale {s}")),
-                }
+                let s = val()?;
+                opts.scale = WorkloadScale::parse(&s).ok_or(format!("unknown scale {s}"))?;
             }
             "--out" => out = PathBuf::from(val()?),
             "--resume" => resume = true,
@@ -143,11 +135,12 @@ fn parse_args() -> Result<Cli, String> {
             "--metrics" => metrics = Some(PathBuf::from(val()?)),
             "--explore" => explore_budget = Some(val()?.parse().map_err(|e| format!("{e}"))?),
             "--explore-pareto" => explore_pareto = true,
-            "--reuse" => fidelity = MEMOIZED,
             "--fidelity" => {
                 fidelity = match val()?.as_str() {
                     "full" => Fidelity::Full,
-                    "memoized" => MEMOIZED,
+                    "memoized" => Fidelity::Memoized {
+                        interval_len: armdse_simcore::DEFAULT_INTERVAL_LEN,
+                    },
                     s => return Err(format!("unknown fidelity {s}")),
                 }
             }
@@ -176,7 +169,7 @@ fn parse_args() -> Result<Cli, String> {
     if topology != Topology::default() && fidelity != Fidelity::Full {
         return Err(
             "--cores/--banks run the multicore machine, which only simulates at full \
-                    fidelity; drop --reuse/--fidelity"
+                    fidelity; drop --fidelity memoized"
                 .to_string(),
         );
     }
@@ -207,7 +200,7 @@ fn main() {
     let cli = match parse_args() {
         Ok(c) => c,
         Err(e) => {
-            eprintln!("error: {e}\n\nusage: repro <experiment> [--configs N] [--scale tiny|small|standard] [--seed N] [--sweep-configs N] [--threads N] [--out DIR] [--resume] [--max-chunks N] [--metrics DIR] [--explore N] [--explore-pareto] [--reuse] [--fidelity full|memoized] [--cores N] [--banks N] [--apps base|extended]");
+            eprintln!("error: {e}\n\nusage: repro <experiment> [--configs N] [--scale tiny|small|standard] [--seed N] [--sweep-configs N] [--threads N] [--out DIR] [--resume] [--max-chunks N] [--metrics DIR] [--explore N] [--explore-pareto] [--fidelity full|memoized] [--cores N] [--banks N] [--apps base|extended]");
             std::process::exit(2);
         }
     };
@@ -297,6 +290,11 @@ fn run(cli: &Cli) {
         seed: opts.seed ^ 0x5EED_CAFE,
     };
     let gen_opts = opts.gen_options();
+    // `multicore` and `all` emit the same artifact from this one site.
+    let emit_multicore = || {
+        let fig = multicore::run(&engine, opts.scale);
+        emit_table(cli, "multicore", &fig.table());
+    };
 
     match cli.experiment.as_str() {
         "fig1" => {
@@ -350,17 +348,7 @@ fn run(cli: &Cli) {
                 None,
             );
         }
-        "multicore" => {
-            emit_tables(
-                cli,
-                "multicore",
-                &[
-                    multicore::run(&engine, opts.scale).table(),
-                    multicore::validate(&engine, opts.scale).table(),
-                ],
-                None,
-            );
-        }
+        "multicore" => emit_multicore(),
         "unseen" => {
             let data = dataset(cli, &space, &engine, false);
             emit_table(cli, "unseen", &unseen::run(&data, opts.seed).table());
@@ -413,15 +401,7 @@ fn run(cli: &Cli) {
                 &headline::from_parts(&suite, &f7, &f8).table(),
             );
             emit_table(cli, "unseen", &unseen::run(&data, opts.seed).table());
-            emit_tables(
-                cli,
-                "multicore",
-                &[
-                    multicore::run(&engine, opts.scale).table(),
-                    multicore::validate(&engine, opts.scale).table(),
-                ],
-                None,
-            );
+            emit_multicore();
             emit_tables(
                 cli,
                 "crossval",

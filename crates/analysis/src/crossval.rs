@@ -106,14 +106,6 @@ impl CrossVal {
             })
             .collect()
     }
-
-    /// Whether the surrogate's curves track the simulator within
-    /// `tolerance` mean absolute speedup difference for every app.
-    pub fn tracks_within(&self, tolerance: f64) -> bool {
-        self.comparisons
-            .iter()
-            .all(|c| c.mean_abs_diff <= tolerance)
-    }
 }
 
 #[cfg(test)]

@@ -179,12 +179,6 @@ impl RunPlan {
         self
     }
 
-    /// Override the worker-thread count (clamped to at least 1).
-    pub fn with_threads(mut self, threads: usize) -> RunPlan {
-        self.threads = threads.max(1);
-        self
-    }
-
     /// Total jobs: one per (configuration, application) pair.
     pub fn jobs(&self) -> usize {
         self.configs * self.apps.len()
@@ -710,8 +704,6 @@ impl Engine {
     /// metrics counters, and emitted CSV bytes are identical either way
     /// (pinned by `tests/fast_forward_equivalence.rs`) — so this switch
     /// exists for A/B verification and benchmarking, not correctness.
-    /// The `ARMDSE_NO_FAST_FORWARD` environment variable force-disables
-    /// it regardless of this setting.
     pub fn set_fast_forward(enabled: bool) {
         armdse_simcore::set_fast_forward_default(enabled);
     }

@@ -345,11 +345,6 @@ impl ExploreReport {
     pub fn final_r2(&self) -> f64 {
         self.curve.last().map_or(f64::NAN, |p| p.r2)
     }
-
-    /// Held-out MAE after the last completed round.
-    pub fn final_mae(&self) -> f64 {
-        self.curve.last().map_or(f64::NAN, |p| p.mae)
-    }
 }
 
 /// Checkpoint `extra` keys owned by the explorer (its [`Steer::state`]).

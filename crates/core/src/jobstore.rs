@@ -272,7 +272,14 @@ impl JobSpec {
         for (key, val) in obj {
             let uint = || -> Result<u64, ArmdseError> {
                 val.as_u64()
-                    .ok_or_else(|| bad(format!("\"{key}\" must be a non-negative integer")))
+                    .ok_or_else(|| bad(format!("\"{key}\" must be an integer in 0..2^53")))
+            };
+            // A machine dimension: stored as `u32`, at least 1.
+            let dim = || -> Result<u32, ArmdseError> {
+                u32::try_from(uint()?)
+                    .ok()
+                    .filter(|&n| n >= 1)
+                    .ok_or_else(|| bad(format!("\"{key}\" must be in 1..2^32")))
             };
             match key.as_str() {
                 "configs" => {
@@ -315,20 +322,8 @@ impl JobSpec {
                         .collect::<Result<Vec<(String, f64)>, ArmdseError>>()?;
                 }
                 "chunk_jobs" => spec.chunk_jobs = (uint()? as usize).max(1),
-                "cores" => {
-                    let n = uint()?;
-                    if n == 0 {
-                        return Err(bad("\"cores\" must be at least 1".into()));
-                    }
-                    spec.cores = n as u32;
-                }
-                "banks" => {
-                    let n = uint()?;
-                    if n == 0 {
-                        return Err(bad("\"banks\" must be at least 1".into()));
-                    }
-                    spec.banks = n as u32;
-                }
+                "cores" => spec.cores = dim()?,
+                "banks" => spec.banks = dim()?,
                 "priority" => {
                     let n = val
                         .as_f64()
@@ -899,6 +894,12 @@ mod tests {
         // cores/banks must be positive.
         assert!(JobSpec::from_json("{\"configs\": 2, \"cores\": 0}").is_err());
         assert!(JobSpec::from_json("{\"configs\": 2, \"banks\": 0}").is_err());
+        // ... and fit the `u32` they are stored in: 2^32 + 1 is not a
+        // one-core job.
+        let e = JobSpec::from_json("{\"configs\": 2, \"cores\": 4294967297}").unwrap_err();
+        assert!(e.to_string().contains("\"cores\""), "{e}");
+        let e = JobSpec::from_json("{\"configs\": 2, \"banks\": 4294967296}").unwrap_err();
+        assert!(e.to_string().contains("\"banks\""), "{e}");
         // Multicore requires full fidelity: the machine layer has no
         // memoized tier.
         let e = JobSpec::from_json("{\"configs\": 2, \"cores\": 2, \"fidelity\": \"memoized\"}")
@@ -935,6 +936,12 @@ mod tests {
         assert!(e.to_string().contains("unknown key \"warmup\""), "{e}");
         // interval_len makes no sense at full fidelity.
         assert!(JobSpec::from_json("{\"configs\": 2, \"interval_len\": 64}").is_err());
+        // An integer the f64-backed parser would round (…993 reads back
+        // as …992) is refused, not run under a different seed.
+        let e = JobSpec::from_json("{\"configs\": 2, \"seed\": 9007199254740993}").unwrap_err();
+        assert!(e.to_string().contains("\"seed\""), "{e}");
+        let s = JobSpec::from_json("{\"configs\": 2, \"seed\": 9007199254740991}").unwrap();
+        assert_eq!(s.seed, (1 << 53) - 1);
     }
 
     #[test]

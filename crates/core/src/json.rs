@@ -12,8 +12,9 @@
 //!
 //! The parser accepts the full RFC 8259 value grammar (objects, arrays,
 //! strings with escapes, numbers, `true`/`false`/`null`) and rejects
-//! trailing garbage. Numbers are parsed as `f64` — the only numeric
-//! type any armdse schema uses. Object keys keep first-wins semantics
+//! trailing garbage. Numbers are parsed as `f64`; integer consumers read
+//! them through [`Json::as_u64`], which refuses what an `f64` cannot
+//! carry exactly. Object keys keep first-wins semantics
 //! on duplicates.
 
 use std::collections::BTreeMap;
@@ -69,12 +70,14 @@ impl Json {
     }
 
     /// The numeric value as a non-negative integer, if this value is a
-    /// number that is a whole non-negative value within `u64` range.
+    /// whole non-negative number below 2^53. From 2^53 up an `f64` no
+    /// longer identifies the integer literal it was parsed from
+    /// (`9007199254740993` reads back as `…992`), so such values are
+    /// refused rather than silently rounded.
     pub fn as_u64(&self) -> Option<u64> {
+        const EXACT_BELOW: f64 = (1u64 << 53) as f64;
         match self {
-            Json::Num(n) if *n >= 0.0 && n.fract() == 0.0 && *n <= u64::MAX as f64 => {
-                Some(*n as u64)
-            }
+            Json::Num(n) if *n >= 0.0 && n.fract() == 0.0 && *n < EXACT_BELOW => Some(*n as u64),
             _ => None,
         }
     }
@@ -317,6 +320,11 @@ mod tests {
         assert_eq!(parse_json("-1").unwrap().as_u64(), None);
         assert_eq!(parse_json("1.5").unwrap().as_u64(), None);
         assert_eq!(parse_json("\"7\"").unwrap().as_u64(), None);
+        assert_eq!(
+            parse_json("9007199254740991").unwrap().as_u64(),
+            Some((1 << 53) - 1)
+        );
+        assert_eq!(parse_json("9007199254740993").unwrap().as_u64(), None);
     }
 
     #[test]

@@ -225,15 +225,6 @@ pub struct BranchInfo {
     pub target: u64,
 }
 
-impl DynInstr {
-    /// Whether this retired instruction counts as an SVE instruction for
-    /// the paper's Fig. 1 vectorisation metric.
-    #[inline]
-    pub fn is_sve(&self) -> bool {
-        self.op.is_vector()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -11,22 +11,20 @@
 //! * **Infinite banks** ([`Hierarchy::new`]) — the paper's SST default:
 //!   DRAM accesses never queue, and the next-line prefetcher runs. This
 //!   is the simulation path of every campaign.
-//! * **Finite banks** ([`Hierarchy::banked`], [`Hierarchy::contended`],
-//!   [`Hierarchy::port`]) — each line transfer occupies its bank, later
-//!   accesses to a busy bank queue, and there is no prefetcher. The
-//!   paper attributes its Table I residual to "abstracting out important
-//!   features of a modern memory subsystem such as memory banking"; we
-//!   have no ThunderX2, so this deliberately *more detailed* form plays
-//!   the hardware side of that validation. `co_runners` phantom cores
-//!   saturating the controller (paper §VII) only scale the bank
-//!   occupancy and add an expected queue wait.
+//! * **Finite banks** ([`Hierarchy::banked`], [`Hierarchy::port`]) —
+//!   each line transfer occupies its bank, later accesses to a busy bank
+//!   queue, and there is no prefetcher. The paper attributes its Table I
+//!   residual to "abstracting out important features of a modern memory
+//!   subsystem such as memory banking"; we have no ThunderX2, so this
+//!   deliberately *more detailed* form plays the hardware side of that
+//!   validation.
 //!
 //! ## Two ownership forms
 //!
 //! The backside is either owned (`Hierarchy<Backside>`, the default type
 //! parameter: `Clone + Send + Sync`, so pipeline snapshots can carry it)
 //! or reached through a [`SharedBackside`] handle that N cores' ports
-//! hold together. With real co-runners contention is emergent: cores
+//! hold together. Contention (paper §VII) is emergent there: cores
 //! evict each other's L2 lines and queue on the same banks. One port
 //! over a fresh shared backside *is* the banked hierarchy — same code,
 //! same completion times, same statistics — which is what makes the
@@ -76,30 +74,24 @@ pub struct Backside {
 pub type SharedBackside = Rc<RefCell<Backside>>;
 
 impl Backside {
-    /// `banks == 0` is the infinite-bank policy. Each of `co_runners`
-    /// phantom cores multiplies the bank occupancy (fair round-robin
-    /// service among saturating cores) and every DRAM access pays the
-    /// expected queue wait of half a service round.
-    fn new(params: MemParams, banks: usize, co_runners: u32) -> Backside {
+    /// `banks == 0` is the infinite-bank policy.
+    fn new(params: MemParams, banks: usize) -> Backside {
         debug_assert!(params.validate().is_ok(), "invalid MemParams");
         // A line transfer occupies its bank for the interface transfer time.
         let beats = f64::from(params.line_bytes) / 8.0;
-        let occupancy = ns_to_core_cycles(beats / params.ram_clock_ghz);
         Backside {
             l2: Cache::new(params.l2_size_kib, params.l2_assoc, params.line_bytes),
             bank_free: vec![0; banks],
-            bank_occupancy: occupancy * u64::from(1 + co_runners),
-            ram_lat: params.ram_core_cycles() + occupancy * u64::from(co_runners) / 2,
+            bank_occupancy: ns_to_core_cycles(beats / params.ram_clock_ghz),
+            ram_lat: params.ram_core_cycles(),
             params,
         }
     }
 
-    /// A finite-banked backside behind the handle ports hold
-    /// (contention comes from real cross-core traffic, so there are no
-    /// phantom co-runners).
+    /// A finite-banked backside behind the handle ports hold.
     pub fn shared(params: MemParams, banks: usize) -> SharedBackside {
         assert!(banks > 0);
-        Rc::new(RefCell::new(Backside::new(params, banks, 0)))
+        Rc::new(RefCell::new(Backside::new(params, banks)))
     }
 }
 
@@ -181,28 +173,14 @@ impl Hierarchy {
     /// The default hierarchy: infinite DRAM banks, next-line prefetch
     /// of depth [`MemParams::prefetch_depth`].
     pub fn new(params: MemParams) -> Hierarchy {
-        Hierarchy::front(
-            Backside::new(params, 0, 0),
-            params,
-            params.prefetch_depth,
-            0,
-        )
+        Hierarchy::front(Backside::new(params, 0), params, params.prefetch_depth, 0)
     }
 
     /// The finite-banked hardware proxy. There is no prefetcher:
     /// [`MemParams::prefetch_depth`] is ignored.
     pub fn banked(params: MemParams, banks: usize) -> Hierarchy {
-        Hierarchy::contended(params, banks, 0)
-    }
-
-    /// The banked hierarchy with `co_runners` phantom cores saturating
-    /// the shared DRAM controller (the paper's §VII scenario and its
-    /// stated assumption — "a multicore environment in which all cores
-    /// work under saturation of the main memory controller"). Ignores
-    /// [`MemParams::prefetch_depth`], like [`Hierarchy::banked`].
-    pub fn contended(params: MemParams, banks: usize, co_runners: u32) -> Hierarchy {
         assert!(banks > 0);
-        Hierarchy::front(Backside::new(params, banks, co_runners), params, 0, 0)
+        Hierarchy::front(Backside::new(params, banks), params, 0, 0)
     }
 }
 
@@ -518,12 +496,10 @@ mod tests {
     #[test]
     fn hits_bypass_banks() {
         let p = MemParams::thunderx2();
-        for co_runners in [0, 15] {
-            let mut m = Hierarchy::contended(p, 4, co_runners);
-            let t1 = m.access(0, false, 0);
-            let t2 = m.access(0, false, t1);
-            assert_eq!(t2, t1 + p.l1_hit_core_cycles());
-        }
+        let mut m = Hierarchy::banked(p, 4);
+        let t1 = m.access(0, false, 0);
+        let t2 = m.access(0, false, t1);
+        assert_eq!(t2, t1 + p.l1_hit_core_cycles());
     }
 
     #[test]
@@ -544,25 +520,6 @@ mod tests {
         assert!(t_proxy > t_fast, "proxy {t_proxy} vs default {t_fast}");
     }
 
-    #[test]
-    fn co_runners_slow_streaming_monotonically() {
-        let streaming_cycles = |co_runners: u32| {
-            let p = MemParams::thunderx2();
-            let mut m = Hierarchy::contended(p, 4, co_runners);
-            let lb = u64::from(p.line_bytes);
-            let mut t = 0;
-            for i in 0..512 {
-                t = m.access(i * lb, false, t);
-            }
-            t
-        };
-        let alone = streaming_cycles(0);
-        let with_three = streaming_cycles(3);
-        let with_fifteen = streaming_cycles(15);
-        assert!(with_three > alone);
-        assert!(with_fifteen > with_three);
-    }
-
     /// The 512-access mix of misses, re-touches (hits), merges, and
     /// strided conflicts: FNV-1a over every completion time, then the
     /// full statistics block.
@@ -578,9 +535,8 @@ mod tests {
         h.finish()
     }
 
-    /// Digests recorded from the three separate models this hierarchy
-    /// replaced (`Hierarchy`, `BankedHierarchy::with_banks(8)`,
-    /// `BankedHierarchy::with_contention(8, 3)`).
+    /// Digests recorded from the separate models this hierarchy
+    /// replaced (`Hierarchy`, `BankedHierarchy::with_banks(8)`).
     #[test]
     fn mixed_pattern_digests_match_the_recorded_models() {
         let p = MemParams::thunderx2();
@@ -591,10 +547,6 @@ mod tests {
         assert_eq!(
             mixed_pattern_digest(&mut Hierarchy::banked(p, 8)),
             0xe58c_829d_6178_ea0a
-        );
-        assert_eq!(
-            mixed_pattern_digest(&mut Hierarchy::contended(p, 8, 3)),
-            0x4706_f718_860c_8e2d
         );
     }
 
@@ -648,8 +600,8 @@ mod tests {
             ta = ta.max(a.access(i * lb, false, i));
             tb = tb.max(b.access(i * lb, false, i));
         }
-        assert!(ta > solo, "core 0 contended: {ta} !> solo {solo}");
-        assert!(tb > solo, "core 1 contended: {tb} !> solo {solo}");
+        assert!(ta > solo, "core 0 must queue: {ta} !> solo {solo}");
+        assert!(tb > solo, "core 1 must queue: {tb} !> solo {solo}");
         assert!(
             a.stats().dram_queue_wait_cycles + b.stats().dram_queue_wait_cycles > 0,
             "shared banks must record queue waits"

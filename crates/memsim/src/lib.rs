@@ -19,8 +19,7 @@
 //!   its slowest line does, but the line fetches proceed in parallel.
 //! * **Finite banks** — [`Hierarchy::banked`] adds occupancy-based bank
 //!   contention; it is the "hardware proxy" of the Table I validation
-//!   experiment (see DESIGN.md substitution table), and
-//!   [`Hierarchy::contended`] scales it by phantom co-runners.
+//!   experiment (see DESIGN.md substitution table).
 //! * **Owned or shared backside** — a single core owns its backside; the
 //!   N cores of the multicore machine each drive a [`Hierarchy::port`]
 //!   into one [`SharedBackside`].

@@ -210,16 +210,16 @@ fn route(inner: &Inner, req: &Request, w: &mut TcpStream) -> std::io::Result<()>
         }
         ("GET", ["jobs", id]) => match lookup(inner, id) {
             Ok(job) => respond_json(w, 200, &job.status().to_json()),
-            Err(e) => op_error(w, &e),
+            Err(msg) => respond_error(w, 404, &msg),
         },
         ("GET", ["jobs", id, "rows"]) => match lookup(inner, id) {
             Ok(job) => stream_file(inner, w, &job, &job.csv_path()),
-            Err(e) => op_error(w, &e),
+            Err(msg) => respond_error(w, 404, &msg),
         },
         ("GET", ["jobs", id, "metrics"]) => match lookup(inner, id) {
             Ok(job) if job.spec().metrics => stream_file(inner, w, &job, &job.metrics_path()),
             Ok(_) => respond_error(w, 404, "job does not record metrics"),
-            Err(e) => op_error(w, &e),
+            Err(msg) => respond_error(w, 404, &msg),
         },
         ("POST", ["jobs", id, "pause"]) => job_op(inner, w, id, |s, j| s.pause(j)),
         ("POST", ["jobs", id, "resume"]) => job_op(inner, w, id, |s, j| s.resume(j)),
@@ -242,9 +242,12 @@ fn route(inner: &Inner, req: &Request, w: &mut TcpStream) -> std::io::Result<()>
     }
 }
 
-fn lookup(inner: &Inner, id: &str) -> Result<Arc<Job>, JobOpError> {
-    let id: JobId = id.parse().map_err(|_| JobOpError::Unknown(0))?;
-    inner.sched.store().get(id).ok_or(JobOpError::Unknown(id))
+/// The job path segment `id` names, or the 404 message quoting it.
+fn lookup(inner: &Inner, id: &str) -> Result<Arc<Job>, String> {
+    id.parse::<JobId>()
+        .ok()
+        .and_then(|id| inner.sched.store().get(id))
+        .ok_or_else(|| format!("unknown job {id}"))
 }
 
 fn job_op(
@@ -255,7 +258,7 @@ fn job_op(
 ) -> std::io::Result<()> {
     let job = match lookup(inner, id) {
         Ok(j) => j,
-        Err(e) => return op_error(w, &e),
+        Err(msg) => return respond_error(w, 404, &msg),
     };
     match op(&inner.sched, job.id()) {
         Ok(status) => respond_json(w, 200, &status.to_json()),

@@ -1,12 +1,10 @@
 //! The multicore machine layer: N core pipelines over one shared
 //! L2 + DRAM backside, stepped in a bounded round-robin slice loop.
 //!
-//! The paper stops at a closed-form multicore projection (phantom
-//! co-runners inflating DRAM service time,
-//! [`armdse_memsim::Hierarchy::contended`]); this module builds the
-//! machine itself. Each of the N cores runs its own instance of the
-//! same workload (homogeneous-rate model) on a private
-//! [`crate::Pipeline`] whose memory port
+//! The paper leaves multi-core memory contention to future work
+//! (§VII); this module builds the machine. Each of the N cores runs its
+//! own instance of the same workload (homogeneous-rate model) on a
+//! private [`crate::Pipeline`] whose memory port
 //! ([`armdse_memsim::Hierarchy::port`]) forwards L1 misses into one
 //! [`armdse_memsim::SharedBackside`]. Contention is *emergent*: cores evict
 //! each other's L2 lines and queue on the same finite DRAM banks, and
@@ -80,14 +78,6 @@ impl Default for Topology {
     }
 }
 
-impl Topology {
-    /// Whether this is the implicit single-core shape (no multicore
-    /// plumbing — checkpoints, CSV columns — needs to surface it).
-    pub fn is_single_core(&self) -> bool {
-        *self == Topology::default()
-    }
-}
-
 /// One core's share of a multicore metrics run: its own statistics
 /// (cycles, retired, memory and stall counters for *its* port and
 /// pipeline) and its own conservation-checked attribution counters.
@@ -101,8 +91,7 @@ pub struct PerCoreMetrics {
     pub counters: Counters,
 }
 
-/// The N-core shared-memory backend (the phantom-co-runner projection
-/// generalized to real cores; see the module docs).
+/// The N-core shared-memory backend (see the module docs).
 ///
 /// ```
 /// use armdse_simcore::{CoreParams, MultiCore, RunMode, SimBackend};
@@ -394,9 +383,8 @@ mod tests {
 
     #[test]
     fn topology_reports_the_shape() {
-        assert!(MultiCore::default().topology().is_single_core());
+        assert_eq!(MultiCore::default().topology(), Topology::default());
         let t = MultiCore::new(4, 2).topology();
         assert_eq!((t.cores, t.banks), (4, 2));
-        assert!(!t.is_single_core());
     }
 }

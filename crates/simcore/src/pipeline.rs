@@ -30,18 +30,10 @@ use armdse_memsim::fasthash::Fnv1a;
 use armdse_memsim::{split_lines, MemoryModel};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::OnceLock;
 
 /// Process-wide default for the idle-cycle fast-forward (see
 /// [`set_fast_forward_default`]). On unless explicitly disabled.
 static FAST_FORWARD: AtomicBool = AtomicBool::new(true);
-
-/// Whether `ARMDSE_NO_FAST_FORWARD` was set when first consulted
-/// (cached: the engine may build thousands of pipelines per second).
-fn fast_forward_env_disabled() -> bool {
-    static DISABLED: OnceLock<bool> = OnceLock::new();
-    *DISABLED.get_or_init(|| std::env::var_os("ARMDSE_NO_FAST_FORWARD").is_some())
-}
 
 /// Set the process-wide default for the pipeline's idle-cycle
 /// fast-forward. New pipelines sample the default at construction;
@@ -54,10 +46,9 @@ pub fn set_fast_forward_default(enabled: bool) {
 }
 
 /// The current process-wide fast-forward default: on unless switched
-/// off via [`set_fast_forward_default`] or the `ARMDSE_NO_FAST_FORWARD`
-/// environment variable.
+/// off via [`set_fast_forward_default`].
 pub fn fast_forward_default() -> bool {
-    FAST_FORWARD.load(Ordering::Relaxed) && !fast_forward_env_disabled()
+    FAST_FORWARD.load(Ordering::Relaxed)
 }
 
 /// Lifecycle stage of an in-flight micro-op.
@@ -400,14 +391,6 @@ impl<'p, M: MemoryModel> Pipeline<'p, M> {
             scratch_due: Vec::new(),
             stats: SimStats::default(),
         }
-    }
-
-    /// Override the idle-cycle fast-forward for this pipeline (the
-    /// constructor samples the process-wide default; see
-    /// [`set_fast_forward_default`]).
-    pub fn with_fast_forward(mut self, enabled: bool) -> Self {
-        self.fast_forward = enabled;
-        self
     }
 
     #[inline]

@@ -14,7 +14,6 @@
 //! Regenerate with: `ARMDSE_UPDATE_GOLDEN=1 cargo test --test
 //! golden_simstats`.
 
-use armdse::analysis::multicore::Contended;
 use armdse::core::engine::{Engine, RunControl, RunPlan};
 use armdse::core::metrics::{event_values, write_metrics_header, write_metrics_row, MetricsRow};
 use armdse::core::orchestrator::GenOptions;
@@ -33,7 +32,6 @@ fn backends() -> Vec<(&'static str, Box<dyn SimBackend>)> {
     vec![
         ("idealized", Box::new(Idealized)),
         ("banked-proxy", Box::new(BankedProxy)),
-        ("contended-3", Box::new(Contended { co_runners: 3 })),
         ("multicore-1x8", Box::new(MultiCore::new(1, 8))),
         ("multicore-2x4", Box::new(MultiCore::new(2, 4))),
         ("memoized-idealized", Box::new(Memoized::new(Idealized))),

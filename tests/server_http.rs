@@ -170,27 +170,40 @@ fn error_responses_carry_documented_status_codes() {
     let dir = tmp("errors");
     let (addr, handle) = start(&dir.join("jobs"), 1);
 
-    // 400: not JSON / unknown key / missing configs / pin out of range.
+    // 400: not JSON / unknown key / missing configs / pin out of range /
+    // integers the wire would otherwise truncate (2^32 + 1 cores) or
+    // round (2^53 + 1 as a seed).
     for body in [
         "not json",
         "{\"bogus\": 1}",
         "{\"seed\": 3}",
         "{\"configs\": 0}",
         "{\"configs\": 2, \"pins\": {\"ROB-Size\": 0}}",
+        "{\"configs\": 2, \"scale\": \"tiny\", \"cores\": 4294967297}",
+        "{\"configs\": 2, \"scale\": \"tiny\", \"seed\": 9007199254740993}",
     ] {
         let resp = client::request(&addr, "POST", "/jobs", Some(body)).unwrap();
         assert_eq!(resp.status, 400, "body {body:?} → {}", resp.text());
         assert!(resp.text().contains("\"error\""));
     }
 
-    // 404: unknown job id, unknown endpoint, metrics on a metrics-less job.
-    for (method, path) in [
-        ("GET", "/jobs/999"),
-        ("POST", "/jobs/999/pause"),
-        ("GET", "/nope"),
+    // 404: unknown or unparsable job id (the message quotes the path
+    // segment, never a made-up id), unknown endpoint, metrics on a
+    // metrics-less job.
+    for (method, path, names) in [
+        ("GET", "/jobs/999", "unknown job 999"),
+        ("POST", "/jobs/999/pause", "unknown job 999"),
+        ("GET", "/jobs/abc", "unknown job abc"),
+        ("POST", "/jobs/abc/pause", "unknown job abc"),
+        ("GET", "/nope", "/nope"),
     ] {
         let resp = client::request(&addr, method, path, None).unwrap();
         assert_eq!(resp.status, 404, "{method} {path} → {}", resp.text());
+        assert!(
+            resp.text().contains(names),
+            "{method} {path} → {}",
+            resp.text()
+        );
     }
 
     // 405: wrong method on a known resource.
