@@ -1,6 +1,6 @@
 #!/bin/sh
-# CI gauntlet: the workspace must build, test, and compile its benches
-# fully offline — zero external dependencies is a hard guarantee.
+# CI gauntlet: the workspace must build and test fully offline — zero
+# external dependencies is a hard guarantee.
 #
 # Tier-1 (ROADMAP.md: `cargo build --release && cargo test -q`) builds
 # and tests the root package only: the integration tests under tests/,
@@ -12,13 +12,13 @@
 #   find crates/*/src -name '*.rs' -print0 | xargs -0 awk \
 #     'FNR==1{t=0} /^#\[cfg\(test\)\]/{t=1} !t{n++} END{print n}'
 #   PR 15 (one contention model): 19401 -> 19091
+#   PR 16 (one benchmark system): 19091 -> 18480
 set -eux
 
 cd "$(dirname "$0")"
 
 cargo build --release --offline --workspace
 cargo test -q --offline --workspace
-cargo bench --no-run --offline --workspace
 # The benchmark package sees the product only through public calls
 # (benchmark/src/e2e/api.rs): an API change that breaks that view must
 # fail here, not in the pipeline that runs the benchmark.
@@ -185,54 +185,27 @@ cargo test -q --offline --features check-invariants \
 cargo test -q --offline --features check-invariants \
   --test differential_fuzz
 
-# Bench-smoke lane: one filtered bench per suite emits a BENCH_*.json
-# snapshot (ARMDSE_BENCH_JSON), bench-trend validates the schema, and —
-# report-only, never gating (wall-clock noise) — the components snapshot
-# is diffed against the checked-in baseline for trend visibility.
-mkdir -p "$SMOKE/bench"
-ARMDSE_BENCH_JSON="$SMOKE/bench" \
-  cargo bench --offline -p armdse-bench --bench components -- cursor
-ARMDSE_BENCH_JSON="$SMOKE/bench" \
-  cargo bench --offline -p armdse-bench --bench ablations -- loop_buffer
-ARMDSE_BENCH_JSON="$SMOKE/bench" \
-  cargo bench --offline -p armdse-bench --bench tables_figures -- fig2_accuracy
-ARMDSE_BENCH_JSON="$SMOKE/bench" \
-  cargo bench --offline -p armdse-bench --bench explore -- acquisition
-for snap in "$SMOKE"/bench/BENCH_*.json; do
-  cargo run --release --offline -p armdse-bench --bin bench-trend -- --check "$snap"
-done
-cargo run --release --offline -p armdse-bench --bin bench-trend -- \
-  BENCH_components.baseline.json "$SMOKE/bench/BENCH_components.json"
-# The committed explore snapshot must stay schema-valid too.
-cargo run --release --offline -p armdse-bench --bin bench-trend -- \
-  --check BENCH_explore.json
-# Reuse bench: smoke the warm/cold pair and validate the committed
-# snapshot (the warm-vs-cold jobs/sec ratio is the reuse win tracked
-# across commits; see EXPERIMENTS.md's reuse lane).
-ARMDSE_BENCH_JSON="$SMOKE/bench" \
-  cargo bench --offline -p armdse-bench --bench reuse -- jobs
-cargo run --release --offline -p armdse-bench --bin bench-trend -- \
-  --check "$SMOKE/bench/BENCH_reuse.json"
-cargo run --release --offline -p armdse-bench --bin bench-trend -- \
-  --check BENCH_reuse.json
-# Multicore bench: smoke the machine-layer suite (N=1 point only —
-# the cheap slice-loop overhead bound) and validate both the fresh and
-# the committed cores-simulated-cycles/sec snapshot.
-ARMDSE_BENCH_JSON="$SMOKE/bench" \
-  cargo bench --offline -p armdse-bench --bench multicore -- n1
-cargo run --release --offline -p armdse-bench --bin bench-trend -- \
-  --check "$SMOKE/bench/BENCH_multicore.json"
-cargo run --release --offline -p armdse-bench --bin bench-trend -- \
-  --check BENCH_multicore.json
-
-# Server bench: smoke the wire-level benches and validate both the
-# fresh and the committed snapshot.
-ARMDSE_BENCH_JSON="$SMOKE/bench" \
-  cargo bench --offline -p armdse-bench --bench server -- poll
-cargo run --release --offline -p armdse-bench --bin bench-trend -- \
-  --check "$SMOKE/bench/BENCH_server.json"
-cargo run --release --offline -p armdse-bench --bin bench-trend -- \
-  --check BENCH_server.json
+# Benchmark-count lane: the one benchmark system's gate that fails
+# (DESIGN.md §11). A traced smoke run of each workload repeats its
+# simulated and exact readings bit for bit per seed on any host; the
+# lane tabulates them (row = reading, column = workload) and compares
+# the table byte for byte with the committed one. Host time is gated by
+# the pipeline's parent-vs-change runs, not here. After an intended
+# behaviour change let the lane fail, then review the diff of
+#   cp target/benchmark_counts.txt tests/golden/benchmark_counts.txt
+COUNTS='simcore\.(sim_instr|sim_cycles|discarded|reuse\.(cold_hits|hits|misses|evictions))|memsim\.[a-z0-9_]*|kernels\.workload_(builds|hits)|core\.(dataset\.csv_bytes|engine\.checkpoints|surrogate\.acc_pct|explorer\.(rounds|holdout_r2)|jobstore\.jobs)|mltree\.predictions|server\.http_errors'
+WORKLOADS='paper_grid mc2_sweep reuse_sweep explore_campaign served_jobs'
+for W in $WORKLOADS; do
+  # Last stdout line = result JSON -> "reading value" lines, pivoted below.
+  cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml \
+    --bin armdse-benchmark -- --workload "$W" --seed 2024 --smoke --trace 1 | \
+    tail -n 1 | tr '}' '\n' | \
+    sed -n 's/^.*"\([A-Za-z0-9_.]*\)": {"value": \([^,]*\),.*$/\1 \2/p' | \
+    grep -E "^($COUNTS) "
+done | awk -v head="reading $WORKLOADS" 'BEGIN { print head }
+  !($1 in v) { k[++n] = $1 } { v[$1] = v[$1] " " $2 }
+  END { for (i = 1; i <= n; i++) print k[i] v[k[i]] }' > target/benchmark_counts.txt
+diff -u tests/golden/benchmark_counts.txt target/benchmark_counts.txt
 
 # Server-smoke lane: DSE-as-a-service end to end (docs/SERVER.md). A
 # plan submitted over HTTP must stream back exactly the bytes the

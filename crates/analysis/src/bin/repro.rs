@@ -52,7 +52,8 @@
 //! instance of the workload, contending over the shared banked L2 and
 //! DRAM. `--banks N` sets the shared-L2 bank count (default 8). The
 //! multicore machine always simulates at full fidelity, so `--cores`
-//! conflicts with a non-full `--fidelity`. Dataset
+//! conflicts with a non-full `--fidelity` (the job server's rule:
+//! [`JobSpec::check_machine`]). Dataset
 //! campaigns on a multicore machine record the machine shape in their
 //! checkpoint (`mc.cores` / `mc.banks`) and refuse to resume under a
 //! different shape; with `--metrics` the metrics CSV carries one
@@ -84,7 +85,7 @@ use armdse_core::engine::{CsvSink, Engine, Progress, RunControl, RunPlan};
 use armdse_core::explorer::{ExploreControl, ExploreOptions, ExploreProgress, Explorer};
 use armdse_core::metrics::{MetricsCsvSink, MetricsSink};
 use armdse_core::space::ParamSpace;
-use armdse_core::{ArmdseError, DseDataset, SurrogateSuite};
+use armdse_core::{ArmdseError, DseDataset, JobSpec, SurrogateSuite};
 use armdse_kernels::{App, WorkloadScale};
 use armdse_server::{Server, ServerConfig};
 use armdse_simcore::{Fidelity, Topology};
@@ -100,10 +101,9 @@ struct Cli {
     metrics: Option<PathBuf>,
     explore_budget: Option<usize>,
     explore_pareto: bool,
-    /// `--fidelity`: the tier the shared engine runs at (both are
-    /// exact).
-    fidelity: Fidelity,
-    topology: Topology,
+    /// `--fidelity`, `--cores` and `--banks` under their wire names: the
+    /// machine the shared engine simulates (no other field is read).
+    machine: JobSpec,
 }
 
 fn parse_args() -> Result<Cli, String> {
@@ -116,8 +116,7 @@ fn parse_args() -> Result<Cli, String> {
     let mut metrics = None;
     let mut explore_budget = None;
     let mut explore_pareto = false;
-    let mut fidelity = Fidelity::Full;
-    let mut topology = Topology::default();
+    let mut machine = JobSpec::default();
     while let Some(flag) = args.next() {
         let mut val = || args.next().ok_or(format!("{flag} needs a value"));
         match flag.as_str() {
@@ -136,7 +135,7 @@ fn parse_args() -> Result<Cli, String> {
             "--explore" => explore_budget = Some(val()?.parse().map_err(|e| format!("{e}"))?),
             "--explore-pareto" => explore_pareto = true,
             "--fidelity" => {
-                fidelity = match val()?.as_str() {
+                machine.fidelity = match val()?.as_str() {
                     "full" => Fidelity::Full,
                     "memoized" => Fidelity::Memoized {
                         interval_len: armdse_simcore::DEFAULT_INTERVAL_LEN,
@@ -144,18 +143,8 @@ fn parse_args() -> Result<Cli, String> {
                     s => return Err(format!("unknown fidelity {s}")),
                 }
             }
-            "--cores" => {
-                topology.cores = val()?.parse().map_err(|e| format!("{e}"))?;
-                if topology.cores == 0 {
-                    return Err("--cores must be at least 1".to_string());
-                }
-            }
-            "--banks" => {
-                topology.banks = val()?.parse().map_err(|e| format!("{e}"))?;
-                if topology.banks == 0 {
-                    return Err("--banks must be at least 1".to_string());
-                }
-            }
+            "--cores" => machine.cores = val()?.parse().map_err(|e| format!("{e}"))?,
+            "--banks" => machine.banks = val()?.parse().map_err(|e| format!("{e}"))?,
             "--apps" => {
                 opts.apps = match val()?.as_str() {
                     "base" => App::ALL.to_vec(),
@@ -166,13 +155,7 @@ fn parse_args() -> Result<Cli, String> {
             f => return Err(format!("unknown flag {f}")),
         }
     }
-    if topology != Topology::default() && fidelity != Fidelity::Full {
-        return Err(
-            "--cores/--banks run the multicore machine, which only simulates at full \
-                    fidelity; drop --fidelity memoized"
-                .to_string(),
-        );
-    }
+    machine.check_machine().map_err(|e| e.to_string())?;
     Ok(Cli {
         experiment,
         opts,
@@ -182,8 +165,7 @@ fn parse_args() -> Result<Cli, String> {
         metrics,
         explore_budget,
         explore_pareto,
-        fidelity,
-        topology,
+        machine,
     })
 }
 
@@ -270,18 +252,15 @@ fn serve(args: &[String]) -> Result<(), String> {
 fn run(cli: &Cli) {
     let space = ParamSpace::paper();
     let opts = &cli.opts;
-    let engine = if cli.topology != Topology::default() {
-        Engine::multicore(cli.topology.cores, cli.topology.banks)
-    } else {
-        Engine::with_fidelity(cli.fidelity)
-    };
-    if cli.topology != Topology::default() {
+    let engine = cli.machine.engine();
+    let topology = cli.machine.topology();
+    if topology != Topology::default() {
         eprintln!(
             "[repro] multicore machine: {} core(s), {} shared-L2 bank(s)",
-            cli.topology.cores, cli.topology.banks
+            topology.cores, topology.banks
         );
     }
-    if cli.fidelity != Fidelity::Full {
+    if cli.machine.fidelity != Fidelity::Full {
         eprintln!("[repro] fidelity tier: {:?}", engine.backend().fidelity());
     }
     let sweep = SweepOptions {
@@ -427,6 +406,23 @@ fn run(cli: &Cli) {
     }
 }
 
+/// The `explore` experiment's sizes: `--configs` is the candidate pool
+/// (at least 20), `--explore` the budget (default a tenth of the pool,
+/// at most the pool), run in about six rounds of at least two
+/// simulations, the batch never above the budget (nor 0: `--explore 0`
+/// must reach the Explorer's validation, not divide by it).
+fn explore_sizes(configs: usize, budget: Option<usize>) -> ExploreOptions {
+    let pool = configs.max(20);
+    let budget = budget.unwrap_or_else(|| (pool / 10).max(8)).min(pool);
+    ExploreOptions {
+        pool,
+        budget,
+        batch: budget.div_ceil(6).max(2).min(budget.max(1)),
+        holdout: (pool / 6).clamp(10, 200),
+        ..ExploreOptions::for_app(App::Stream)
+    }
+}
+
 /// Run the surrogate-guided adaptive exploration loop (the `explore`
 /// experiment). The candidate pool is `--configs` seeded STREAM design
 /// points; the simulation budget defaults to a tenth of the pool. The
@@ -434,22 +430,14 @@ fn run(cli: &Cli) {
 /// adds the per-chunk progress log, `--max-chunks` pause semantics, and
 /// a final accuracy-vs-samples summary table.
 fn explore(cli: &Cli, space: &ParamSpace, engine: &Engine) {
-    let pool = cli.opts.configs.max(20);
-    let budget = cli
-        .explore_budget
-        .unwrap_or_else(|| (pool / 10).max(8))
-        .min(pool);
     let eopts = ExploreOptions {
         scale: cli.opts.scale,
         seed: cli.opts.seed,
-        pool,
-        budget,
-        batch: budget.div_ceil(6).max(2),
-        holdout: (pool / 6).clamp(10, 200),
         threads: cli.opts.threads,
         pareto: cli.explore_pareto,
-        ..ExploreOptions::for_app(App::Stream)
+        ..explore_sizes(cli.opts.configs, cli.explore_budget)
     };
+    let pool = eopts.pool;
     eprintln!(
         "[repro] {} exploration: pool {}, budget {} in {} round(s){} ...",
         if cli.resume { "resuming" } else { "running" },
@@ -700,4 +688,21 @@ fn emit_text(cli: &Cli, name: &str, text: &str) {
     println!("{text}");
     let path = cli.out.join(format!("{name}.txt"));
     std::fs::write(&path, text).expect("write result file");
+}
+
+#[cfg(test)]
+mod tests {
+    #[test]
+    fn explore_sizes_fit_every_budget() {
+        let sizes = |configs, budget| {
+            let o = super::explore_sizes(configs, budget);
+            (o.pool, o.budget, o.batch, o.holdout)
+        };
+        // `--explore 1` used to derive batch 2: "batch exceeds the budget".
+        assert_eq!(sizes(60, Some(1)), (60, 1, 1, 10));
+        assert_eq!(sizes(60, Some(2)), (60, 2, 2, 10));
+        assert_eq!(sizes(60, Some(7)), (60, 7, 2, 10));
+        assert_eq!(sizes(60, Some(80)), (60, 60, 10, 10));
+        assert_eq!(sizes(2000, None), (2000, 200, 34, 200));
+    }
 }

@@ -77,7 +77,7 @@ impl Default for ExpOptions {
 }
 
 impl ExpOptions {
-    /// A reduced option set for fast tests and benches.
+    /// A reduced option set for fast tests.
     pub fn quick() -> ExpOptions {
         ExpOptions {
             configs: 40,

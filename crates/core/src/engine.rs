@@ -59,7 +59,7 @@ use crate::space::{ParamSpace, FEATURE_NAMES};
 use armdse_kernels::{App, Workload, WorkloadCache, WorkloadScale};
 use armdse_memsim::fasthash::Fnv1a;
 use armdse_simcore::{
-    Counters, Fidelity, Idealized, Memoized, MultiCore, ReuseStats, RunMode, SimBackend, SimStats,
+    Counters, Idealized, Memoized, MultiCore, ReuseStats, RunMode, SimBackend, SimStats,
 };
 use std::io::{BufWriter, Write};
 use std::path::{Path, PathBuf};
@@ -687,16 +687,6 @@ impl Engine {
         Engine::new(Box::new(MultiCore::new(cores, banks)))
     }
 
-    /// An engine at the given [`Fidelity`] tier over the default
-    /// hierarchy — the tier-tag-driven constructor the job server uses
-    /// to build each job's private engine.
-    pub fn with_fidelity(f: Fidelity) -> Engine {
-        match f {
-            Fidelity::Full => Engine::idealized(),
-            Fidelity::Memoized { interval_len } => Engine::memoized(interval_len),
-        }
-    }
-
     /// Toggle the pipeline's idle-cycle fast-forward for every pipeline
     /// built after this call, process-wide (campaigns run many
     /// simulations across threads; the default is sampled per pipeline
@@ -768,9 +758,8 @@ impl Engine {
 
     /// Run with checkpointing, resume, and/or a progress observer.
     ///
-    /// Since PR 9 this is a thin wrapper over the scheduler layer's
-    /// [`crate::scheduler`] run loop (the extracted former body of this
-    /// method), so single-plan consumers and the multi-job
+    /// A thin wrapper over the [`crate::scheduler`] run loop, so
+    /// single-plan consumers and the multi-job
     /// [`crate::scheduler::JobScheduler`] execute the exact same code
     /// path.
     pub fn run_controlled(

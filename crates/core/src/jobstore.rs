@@ -200,16 +200,32 @@ impl JobSpec {
         }
     }
 
+    /// The fidelity × topology rules, spelled once for the wire parser
+    /// and the `repro` command line: a machine has at least one core and
+    /// one bank, and the multicore machine layer has no memoized tier.
+    pub fn check_machine(&self) -> Result<(), ArmdseError> {
+        let bad = |m: &str| Err(ArmdseError::InvalidPlan(m.into()));
+        if self.cores == 0 || self.banks == 0 {
+            return bad("\"cores\" and \"banks\" must be at least 1");
+        }
+        if self.topology() != Topology::default() && self.fidelity != Fidelity::Full {
+            return bad("multicore jobs (\"cores\"/\"banks\") require full fidelity");
+        }
+        Ok(())
+    }
+
     /// Build the job's private engine: the requested fidelity tier on
     /// the default machine, or the multicore machine layer when the
     /// spec asks for a non-default topology (always full fidelity —
-    /// the parser rejects multicore + memoized combinations).
+    /// [`JobSpec::check_machine`] rejects multicore + memoized).
     pub fn engine(&self) -> Engine {
         let t = self.topology();
-        if t == Topology::default() {
-            Engine::with_fidelity(self.fidelity)
-        } else {
-            Engine::multicore(t.cores, t.banks)
+        if t != Topology::default() {
+            return Engine::multicore(t.cores, t.banks);
+        }
+        match self.fidelity {
+            Fidelity::Full => Engine::idealized(),
+            Fidelity::Memoized { interval_len } => Engine::memoized(interval_len),
         }
     }
 
@@ -274,12 +290,9 @@ impl JobSpec {
                 val.as_u64()
                     .ok_or_else(|| bad(format!("\"{key}\" must be an integer in 0..2^53")))
             };
-            // A machine dimension: stored as `u32`, at least 1.
+            // A machine dimension: a `u32` (`check_machine` refuses 0).
             let dim = || -> Result<u32, ArmdseError> {
-                u32::try_from(uint()?)
-                    .ok()
-                    .filter(|&n| n >= 1)
-                    .ok_or_else(|| bad(format!("\"{key}\" must be in 1..2^32")))
+                u32::try_from(uint()?).map_err(|_| bad(format!("\"{key}\" must be in 1..2^32")))
             };
             match key.as_str() {
                 "configs" => {
@@ -365,11 +378,7 @@ impl JobSpec {
             },
             other => return Err(bad(format!("unknown fidelity \"{other}\""))),
         };
-        if spec.topology() != Topology::default() && spec.fidelity != Fidelity::Full {
-            return Err(bad(
-                "multicore jobs (\"cores\"/\"banks\") require full fidelity".into(),
-            ));
-        }
+        spec.check_machine()?;
         Ok(spec)
     }
 }
@@ -921,6 +930,10 @@ mod tests {
         // Unknown keys are rejected, not ignored.
         let e = JobSpec::from_json("{\"configs\": 2, \"confgs\": 3}").unwrap_err();
         assert!(e.to_string().contains("confgs"), "{e}");
+        // So is a repeated key: whichever value ran, the other was
+        // ignored.
+        let e = JobSpec::from_json("{\"configs\": 4, \"configs\": 4000}").unwrap_err();
+        assert!(e.to_string().contains("duplicate key \"configs\""), "{e}");
         // Ill-typed values are rejected.
         assert!(JobSpec::from_json("{\"configs\": \"two\"}").is_err());
         assert!(JobSpec::from_json("{\"configs\": 2, \"apps\": [\"nope\"]}").is_err());

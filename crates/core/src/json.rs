@@ -2,20 +2,16 @@
 //!
 //! The repo's zero-external-dependency guarantee extends to its wire
 //! and artifact formats: every JSON consumer shares this one small
-//! recursive-descent parser instead of pulling in serde. It started
-//! life next to the bench-snapshot comparator (`armdse-bench`), and
-//! moved here when the serving layer (`armdse-server`) needed to parse
-//! job submissions: `armdse-core` is the lowest crate every JSON
-//! speaker already depends on. `armdse-bench` re-exports these types,
-//! so historical `armdse_bench::trend::{Json, parse_json}` paths keep
-//! working.
+//! recursive-descent parser instead of pulling in serde. It lives in
+//! `armdse-core` because that is the lowest crate every JSON speaker
+//! already depends on.
 //!
 //! The parser accepts the full RFC 8259 value grammar (objects, arrays,
 //! strings with escapes, numbers, `true`/`false`/`null`) and rejects
 //! trailing garbage. Numbers are parsed as `f64`; integer consumers read
 //! them through [`Json::as_u64`], which refuses what an `f64` cannot
-//! carry exactly. Object keys keep first-wins semantics
-//! on duplicates.
+//! carry exactly. A duplicate object key is an error: whichever
+//! occurrence won, the other would be a silently ignored field.
 
 use std::collections::BTreeMap;
 
@@ -32,7 +28,7 @@ pub enum Json {
     Str(String),
     /// An array of values.
     Arr(Vec<Json>),
-    /// An object; duplicate keys keep the first occurrence.
+    /// An object (the parser refuses duplicate keys).
     Obj(BTreeMap<String, Json>),
 }
 
@@ -163,13 +159,17 @@ fn json_value(b: &[u8], pos: &mut usize) -> Result<Json, String> {
             }
             loop {
                 skip_ws(b, pos);
+                let key_at = *pos;
                 let key = match json_value(b, pos)? {
                     Json::Str(s) => s,
                     _ => return Err(format!("object key at byte {pos} is not a string")),
                 };
                 expect(b, pos, b':')?;
                 let val = json_value(b, pos)?;
-                map.entry(key).or_insert(val);
+                if map.contains_key(&key) {
+                    return Err(format!("duplicate key \"{key}\" at byte {key_at}"));
+                }
+                map.insert(key, val);
                 skip_ws(b, pos);
                 match b.get(*pos) {
                     Some(b',') => *pos += 1,
@@ -311,6 +311,17 @@ mod tests {
         assert!(parse_json("{\"k\": }").is_err());
         assert!(parse_json("\"unterminated").is_err());
         assert!(parse_json("[1,]").is_err());
+    }
+
+    #[test]
+    fn parser_refuses_duplicate_keys_with_their_offset() {
+        assert_eq!(
+            parse_json(r#"{"configs": 4, "configs": 4000}"#),
+            Err("duplicate key \"configs\" at byte 15".into())
+        );
+        // Nested objects too; sibling objects may share a key.
+        assert!(parse_json(r#"{"pins": {"a": 1, "a": 1}}"#).is_err());
+        assert!(parse_json(r#"[{"a": 1}, {"a": 2}]"#).is_ok());
     }
 
     #[test]

@@ -1,7 +1,6 @@
 //! The scheduler layer: the campaign run loop, extracted and shared.
 //!
-//! PR 9 split the old monolithic `Engine::run_controlled` into three
-//! layers (DESIGN.md §14). This module is the middle one: it owns the
+//! The middle of the three run-path layers (DESIGN.md §14): it owns the
 //! mechanics of *executing* a validated [`RunPlan`] — chunk
 //! partitioning, worker-thread fan-out, checkpoint cadence, the
 //! observer/pause hook — and a [`JobScheduler`] that drives many

@@ -1,8 +1,8 @@
 //! Bagged random-forest regression.
 //!
 //! The paper's conclusion names "a more complex surrogate model" as future
-//! work; the forest is that extension, and the ablation benches compare
-//! it against the paper's single decision tree (variance reduction versus
+//! work; the forest is that extension, to set against the paper's
+//! single decision tree (variance reduction versus
 //! interpretability — the single tree remains the paper's choice because
 //! its structure and importances are directly inspectable).
 //!

@@ -8,8 +8,8 @@
 //!   criterion, best-split (not random) at every node, no maximum depth,
 //!   no maximum leaf count, and single-sample leaves permitted.
 //! * [`forest`] — a bagged random-forest regressor (the paper's
-//!   "more complex surrogate model" future-work direction; used here for
-//!   ablation benches).
+//!   "more complex surrogate model" future-work direction; the
+//!   Explorer's surrogate).
 //! * [`linear`] — ordinary least squares via normal equations (the
 //!   baseline of the related work the paper modernises, P.J. Joseph et
 //!   al.'s linear processor-performance models).

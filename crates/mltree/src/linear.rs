@@ -3,7 +3,7 @@
 //! The baseline model family of the related work the paper modernises
 //! (P.J. Joseph et al., "Construction and use of linear regression models
 //! for processor performance analysis", HPCA 2006). Used here as the
-//! comparison baseline in the ablation benches: the paper argues decision
+//! comparison baseline in `tests/ablation_accuracy.rs`: the paper argues decision
 //! trees capture the non-linear parameter interactions linear models miss.
 
 use crate::matrix::Matrix;

@@ -14,8 +14,7 @@
 //! so virtually every execution completion takes the wheel path; DRAM
 //! completions land in the overflow and trickle through `take_due`
 //! directly. Two details make the wheel win over both a plain heap and
-//! a naive wheel (both were measured on the `components` benches and
-//! lost):
+//! a naive wheel (both were measured and lost):
 //!
 //! * a slot-occupancy **bitmask** makes [`EventQueue::next_time`] a
 //!   rotate + trailing-zeros instead of a slot scan — the idle-cycle

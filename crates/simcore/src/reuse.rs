@@ -70,7 +70,7 @@ pub const DEFAULT_INTERVAL_CACHE_SHARDS: usize = 16;
 
 /// Simulation fidelity tier a backend runs at, reported via
 /// [`SimBackend::fidelity`] so orchestration layers (checkpoints, the
-/// repro CLI, the bench harness) can record what produced a number.
+/// repro CLI, the benchmark) can record what produced a number.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Fidelity {
     /// Exact, uncached cycle-approximate simulation (the default).
