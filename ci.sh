@@ -13,6 +13,7 @@
 #     'FNR==1{t=0} /^#\[cfg\(test\)\]/{t=1} !t{n++} END{print n}'
 #   PR 15 (one contention model): 19401 -> 19091
 #   PR 16 (one benchmark system): 19091 -> 18480
+#   PR 17 (perf: forest on the campaign's threads, pool-prediction table): 18480 -> 18709
 set -eux
 
 cd "$(dirname "$0")"
@@ -72,7 +73,9 @@ test -f "$SMOKE/observed/metrics/bottleneck.txt"
 # to the uninterrupted run — the Explorer's checkpoint-v2 determinism
 # contract end to end. The checkpoint carries exactly the four explore.*
 # keys, the curve artifact the documented schema header, and Pareto
-# mode must emit its frontier.
+# mode must emit its frontier — the same one at 4 threads and at 1,
+# because the threads also fit the forest and walk the pool through it
+# and the Pareto objective reads those predictions.
 cargo run --release --offline -p armdse-analysis --bin repro -- explore \
   --configs 60 --explore 12 --scale tiny --seed 7 --threads 4 --out "$SMOKE/exfresh"
 head -n 1 "$SMOKE/exfresh/explore_curve.csv" | \
@@ -96,6 +99,12 @@ cargo run --release --offline -p armdse-analysis --bin repro -- explore \
   --configs 60 --explore 12 --scale tiny --seed 7 --threads 4 \
   --out "$SMOKE/expareto" --explore-pareto
 test -f "$SMOKE/expareto/explore_pareto.csv"
+cargo run --release --offline -p armdse-analysis --bin repro -- explore \
+  --configs 60 --explore 12 --scale tiny --seed 7 --threads 1 \
+  --out "$SMOKE/expareto1" --explore-pareto
+cmp "$SMOKE/expareto/explore_pareto.csv" "$SMOKE/expareto1/explore_pareto.csv"
+cmp "$SMOKE/expareto/explore_dataset.csv" "$SMOKE/expareto1/explore_dataset.csv"
+cmp "$SMOKE/expareto/explore_curve.csv" "$SMOKE/expareto1/explore_curve.csv"
 
 # Reuse-smoke lane: the interval-memoizing fidelity tier end to end
 # through the repro binary (DESIGN.md §13). A memoized dataset run must

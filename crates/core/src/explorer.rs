@@ -22,16 +22,19 @@
 //!    campaign's plan ([`RunPlan::with_config_indices`] is how a resume
 //!    rebuilds it) and run through the engine, streaming rows into
 //!    `explore_dataset.csv`.
-//! 3. **Retrain** — [`RandomForest::partial_refit`] on all rows so far,
-//!    then evaluate the refreshed surrogate on a held-out set
+//! 3. **Retrain** — [`RandomForest::partial_refit_with`] on all rows so
+//!    far, then evaluate the refreshed surrogate on a held-out set
 //!    (candidates `pool..pool + holdout`, simulated once up front) and
 //!    append one point to the accuracy-vs-samples curve
 //!    (`explore_curve.csv`, plus `explore_curve.json` on completion).
 //!
 //! ## Acquisition
 //!
-//! With predictions `p_i` and ensemble standard deviations `s_i` from
-//! [`RandomForest::predict_variance`]:
+//! With predictions `p_i` and ensemble standard deviations `s_i` — the
+//! values of [`Regressor::predict_one`] and
+//! [`RandomForest::predict_variance`]`.sqrt()`, read from a
+//! [`PoolPredictions`] table that walks a (tree, candidate) pair only
+//! when the last refit replaced the tree:
 //!
 //! ```text
 //! exploit_i = (max_j p_j − p_i) / (max_j p_j − min_j p_j)   // fast is good
@@ -57,6 +60,17 @@
 //! draws per-(round, tree) RNG streams, the acquisition RNG is a
 //! counted xoshiro stream whose 256-bit state is persisted, and
 //! selection breaks ties by candidate id.
+//!
+//! [`ExploreOptions::threads`] runs both halves of a round: the
+//! simulations, and then — inside [`Steer::next_batch`], after the
+//! loop has joined its simulation workers, so never more than `threads`
+//! are busy — the forest refit and the pool predictions. Neither can
+//! move a bit. A tree is fitted by one worker from `(seed, round, tree,
+//! rows)` alone and lands in its own slot; a table cell is one tree's
+//! walk of one candidate; and every ensemble mean and variance is
+//! summed in tree order by the one function in `mltree::forest` that
+//! the row-wise methods use too. The table is a cache of the forest:
+//! it is not checkpointed and a resume starts it all-stale.
 //!
 //! The whole exploration is *one* campaign on the engine's run loop:
 //! the explorer is that loop's [`Steer`]. Round 0's batch is the plan
@@ -86,7 +100,7 @@ use crate::orchestrator::GenOptions;
 use crate::space::ParamSpace;
 use armdse_kernels::{App, WorkloadScale};
 use armdse_memsim::fasthash::Fnv1a;
-use armdse_mltree::{mae, r2, ForestParams, Matrix, RandomForest, Regressor};
+use armdse_mltree::{mae, r2, ForestParams, Matrix, PoolPredictions, RandomForest, Regressor};
 use armdse_rng::{Rng, SeedableRng, Xoshiro256pp};
 use std::path::{Path, PathBuf};
 
@@ -204,7 +218,11 @@ pub struct ExploreOptions {
     pub batch: usize,
     /// Held-out evaluation points (candidates `pool..pool + holdout`).
     pub holdout: usize,
-    /// Engine worker threads (never changes the output).
+    /// Worker threads, for the round's simulations and then for its
+    /// forest refit and pool predictions (0 behaves as 1). Never changes
+    /// the output: every job, tree and prediction is computed by the
+    /// same sequential code whichever worker takes it, and results are
+    /// put back in job / tree order before anything reads them.
     pub threads: usize,
     /// Two-objective mode: steer acquisition toward the predicted
     /// (cycles, structure-cost) Pareto frontier.
@@ -373,9 +391,46 @@ pub struct Explorer<'e> {
 struct LoopState {
     rows: Vec<Row>,
     selected: Vec<u64>,
+    /// `taken[i]`: candidate `i` is in `selected`. Derived, so rebuilt
+    /// on resume rather than checkpointed.
+    taken: Vec<bool>,
     curve: Vec<CurvePoint>,
     rng: Xoshiro256pp,
     forest: RandomForest,
+    /// Per-tree predictions of the pool, kept across rounds so a round
+    /// walks only the trees its refit replaced. A cache of `forest`:
+    /// never checkpointed, all-stale after a resume.
+    table: PoolPredictions,
+}
+
+impl LoopState {
+    /// The state after selecting `selected` (none on a fresh start, the
+    /// checkpoint's list on a resume) with no round finished yet.
+    fn new(
+        opts: &ExploreOptions,
+        selected: Vec<u64>,
+        rng: Xoshiro256pp,
+    ) -> Result<LoopState, ArmdseError> {
+        let mut taken = vec![false; opts.pool];
+        for &i in &selected {
+            let slot = usize::try_from(i).ok().and_then(|i| taken.get_mut(i));
+            *slot.ok_or_else(|| {
+                ArmdseError::Explore(format!(
+                    "explore.selected names candidate {i} outside the pool of {}",
+                    opts.pool
+                ))
+            })? = true;
+        }
+        Ok(LoopState {
+            rows: Vec::new(),
+            selected,
+            taken,
+            curve: Vec::new(),
+            rng,
+            forest: RandomForest::warm_start(opts.forest, opts.seed),
+            table: PoolPredictions::new(opts.forest.n_trees, opts.pool),
+        })
+    }
 }
 
 /// The exploration as the run loop's steer: the loop state plus what a
@@ -536,20 +591,22 @@ impl<'e> Explorer<'e> {
         features: &[[f64; 30]],
     ) -> Vec<u64> {
         let size = self.opts.round_size(round);
+        // Ascending, and kept so below: the forced-random draws index it.
         let mut remaining: Vec<u64> = (0..self.opts.pool as u64)
-            .filter(|i| !state.selected.contains(i))
+            .filter(|&i| !state.taken[i as usize])
             .collect();
-        let mut picks = Vec::with_capacity(size);
+        let mut picks = Vec::new();
         if round > 0 {
             let eps = epsilon(&self.opts, round);
-            let preds: Vec<f64> = remaining
-                .iter()
-                .map(|&i| state.forest.predict_one(&features[i as usize]))
-                .collect();
-            let stds: Vec<f64> = remaining
-                .iter()
-                .map(|&i| state.forest.predict_variance(&features[i as usize]).sqrt())
-                .collect();
+            // Only the trees the last refit replaced are walked, once
+            // per remaining candidate; the table's mean and std are
+            // `predict_one` and `predict_variance(..).sqrt()` to the bit.
+            let rows: Vec<usize> = remaining.iter().map(|&i| i as usize).collect();
+            state
+                .table
+                .refresh(&state.forest, features, &rows, self.opts.threads);
+            let (preds, stds): (Vec<f64>, Vec<f64>) =
+                rows.iter().map(|&i| state.table.mean_std(i)).unzip();
             let scores = if self.opts.pareto {
                 // Rank-based exploit: prefer points predicted to sit on
                 // the (cycles, structure-cost) frontier.
@@ -575,13 +632,17 @@ impl<'e> Explorer<'e> {
             };
             let n_rand = (((eps * size as f64) / 2.0).floor() as usize).min(size.saturating_sub(1));
             let n_greedy = size - n_rand;
-            let greedy = select_top_k(&remaining, &scores, n_greedy);
-            remaining.retain(|i| !greedy.contains(i));
-            picks.extend(greedy);
+            picks = select_top_k(&remaining, &scores, n_greedy);
+            for &i in &picks {
+                state.taken[i as usize] = true;
+            }
+            remaining.retain(|&i| !state.taken[i as usize]);
         }
         while picks.len() < size {
             let j = state.rng.gen_range(0..remaining.len());
-            picks.push(remaining.swap_remove(j));
+            let i = remaining.swap_remove(j);
+            state.taken[i as usize] = true;
+            picks.push(i);
         }
         state.selected.extend(&picks);
         picks
@@ -601,14 +662,22 @@ impl<'e> Explorer<'e> {
         }
         let (x, y) = training_set(&state.rows);
         let round = state.curve.len();
-        state.forest.partial_refit(&x, &y, round as u64);
+        let threads = self.opts.threads;
+        let mut replaced = state
+            .forest
+            .partial_refit_with(&x, &y, round as u64, threads);
         if round + 1 == self.opts.rounds() {
             // Finalize: a second consecutive half-refresh on the same
             // data covers the remaining rotating window, so the final
             // surrogate is entirely trained on the complete adaptive
             // dataset (no stale trees in the reported model).
-            state.forest.partial_refit(&x, &y, round as u64 + 1);
+            replaced.extend(
+                state
+                    .forest
+                    .partial_refit_with(&x, &y, round as u64 + 1, threads),
+            );
         }
+        state.table.mark_stale(&replaced);
         let preds = state.forest.predict(&holdout.0);
         Ok(CurvePoint {
             round,
@@ -642,13 +711,8 @@ impl<'e> Explorer<'e> {
             // needs no model, so it is the plan the campaign starts on.
             std::fs::write(self.path("explore_curve.csv"), format!("{CURVE_HEADER}\n"))?;
             std::fs::remove_file(&ckpt_path).ok();
-            let mut state = LoopState {
-                rows: Vec::new(),
-                selected: Vec::new(),
-                curve: Vec::new(),
-                rng: Xoshiro256pp::seed_from_u64(self.opts.seed ^ ACQ_SEED_SALT),
-                forest: RandomForest::warm_start(self.opts.forest, self.opts.seed),
-            };
+            let rng = Xoshiro256pp::seed_from_u64(self.opts.seed ^ ACQ_SEED_SALT);
+            let mut state = LoopState::new(&self.opts, Vec::new(), rng)?;
             self.select_round(0, &mut state, &features);
             (state, CsvSink::create(&dataset_path)?)
         };
@@ -751,13 +815,7 @@ impl<'e> Explorer<'e> {
 
         // Replay the refit history over the reloaded rows and verify
         // each round's model hash.
-        let mut state = LoopState {
-            rows: Vec::new(),
-            selected,
-            curve: Vec::new(),
-            rng: Xoshiro256pp::from_state(rng_words),
-            forest: RandomForest::warm_start(self.opts.forest, self.opts.seed),
-        };
+        let mut state = LoopState::new(&self.opts, selected, Xoshiro256pp::from_state(rng_words))?;
         for point in curve {
             let (round, seen) = (point.round, state.rows.len());
             if !(seen..=data.rows.len()).contains(&point.samples) {
@@ -830,7 +888,7 @@ impl<'e> Explorer<'e> {
         for (i, ((pred, cost), rank)) in objs.iter().zip(&ranks).enumerate() {
             s.push_str(&format!(
                 "{i},{pred:.3},{cost},{rank},{}\n",
-                u8::from(state.selected.contains(&(i as u64)))
+                u8::from(state.taken[i])
             ));
         }
         std::fs::write(self.path("explore_pareto.csv"), s).map_err(ArmdseError::from)

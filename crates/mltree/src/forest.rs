@@ -19,11 +19,28 @@
 //! exploration replay its model history byte-identically. Acquisition
 //! uses [`RandomForest::predict_variance`], the population variance of
 //! the member trees' predictions (the bagging disagreement signal).
+//!
+//! ## Threads
+//!
+//! A refit and a pool-wide prediction are both a set of independent
+//! per-tree jobs: fitting tree `t` at round `r` reads only `(seed, r, t,
+//! x, y)`, and walking a row through a tree reads only that tree. So
+//! [`RandomForest::partial_refit_with`] and [`PoolPredictions::refresh`]
+//! take a thread count, hand the jobs to scoped workers racing on an
+//! atomic counter, and put the results back in tree order before
+//! anything reads them. Which worker ran which tree never reaches a
+//! value: every float is produced by the same sequential arithmetic at
+//! any thread count, and the ensemble mean and variance are always
+//! summed in tree order (`ensemble_mean` / `ensemble_mean_var`, the one
+//! spelling the row-wise methods and the table share). One thread is the
+//! same code with no worker spawned.
 
 use crate::matrix::Matrix;
 use crate::tree::{DecisionTreeRegressor, TreeParams};
 use crate::Regressor;
 use armdse_rng::{Rng, SeedableRng, SliceRandom, Xoshiro256pp};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Mutex;
 
 /// Random-forest hyper-parameters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -103,29 +120,54 @@ impl RandomForest {
     /// mutable RNG state — so the ensemble after any refit history is a
     /// pure function of the per-round datasets. Callers replaying a
     /// checkpointed exploration rely on this.
+    ///
+    /// This is [`RandomForest::partial_refit_with`] on one thread.
     pub fn partial_refit(&mut self, x: &Matrix, y: &[f64], round: u64) {
+        self.partial_refit_with(x, y, round, 1);
+    }
+
+    /// [`RandomForest::partial_refit`] with the window's trees fitted on
+    /// up to `threads` workers (clamped to `[1, trees in the window]`);
+    /// the fitted forest is `==` at every thread count (module docs,
+    /// *Threads*). Returns the indices of the trees it replaced, for
+    /// [`PoolPredictions::mark_stale`].
+    pub fn partial_refit_with(
+        &mut self,
+        x: &Matrix,
+        y: &[f64],
+        round: u64,
+        threads: usize,
+    ) -> Vec<usize> {
         assert_eq!(x.rows(), y.len());
         assert!(x.rows() > 0, "cannot refit on an empty dataset");
         let n_trees = self.params.n_trees;
-        let refit_one = |t: usize| {
+        let window: Vec<usize> = if self.trees.is_empty() {
+            (0..n_trees).collect()
+        } else {
+            // Reduced before multiplying: `round` is a public u64 and
+            // `round * refresh` would overflow long before u64::MAX.
+            let refresh = n_trees.div_ceil(2);
+            let first = (round % n_trees as u64) as usize * refresh;
+            (0..refresh).map(|k| (first + k) % n_trees).collect()
+        };
+        let (seed, params) = (self.seed, self.params);
+        let fitted = run_indexed(window.len(), threads, |k| {
             // Decorrelate the (round, tree) streams with distinct odd
             // multipliers (SplitMix64-style Weyl constants).
-            let stream = self
-                .seed
+            let stream = seed
                 .wrapping_add(round.wrapping_mul(0x9E37_79B9_7F4A_7C15))
-                .wrapping_add((t as u64).wrapping_mul(0xBF58_476D_1CE4_E5B9));
+                .wrapping_add((window[k] as u64).wrapping_mul(0xBF58_476D_1CE4_E5B9));
             let mut rng = Xoshiro256pp::seed_from_u64(stream);
-            fit_tree(x, y, self.params, &mut rng)
-        };
+            fit_tree(x, y, params, &mut rng)
+        });
         if self.trees.is_empty() {
-            self.trees = (0..n_trees).map(refit_one).collect();
-            return;
+            self.trees = fitted;
+        } else {
+            for (&t, tree) in window.iter().zip(fitted) {
+                self.trees[t] = tree;
+            }
         }
-        let refresh = n_trees.div_ceil(2);
-        for k in 0..refresh {
-            let t = (round as usize * refresh + k) % n_trees;
-            self.trees[t] = refit_one(t);
-        }
+        window
     }
 
     /// Number of trees in the ensemble.
@@ -147,20 +189,148 @@ impl RandomForest {
     /// Guaranteed non-negative and finite for finite predictions.
     pub fn predict_variance(&self, row: &[f64]) -> f64 {
         assert!(!self.trees.is_empty(), "variance of an unfitted forest");
-        let n = self.trees.len() as f64;
-        let mean = self.trees.iter().map(|t| t.predict_one(row)).sum::<f64>() / n;
-        let var = self
-            .trees
-            .iter()
-            .map(|t| {
-                let d = t.predict_one(row) - mean;
-                d * d
-            })
-            .sum::<f64>()
-            / n;
-        // The two-pass sum of squares is non-negative by construction;
-        // max(0) documents the invariant against future refactors.
-        var.max(0.0)
+        ensemble_mean_var(self.trees.iter().map(|t| t.predict_one(row))).1
+    }
+}
+
+/// Ensemble mean of one row's per-tree predictions: summed in the
+/// iterator's (tree) order, ÷ n. With [`ensemble_mean_var`] the only
+/// place the ensemble arithmetic is written, so [`RandomForest`]'s
+/// row-wise methods and [`PoolPredictions`] agree to the bit.
+fn ensemble_mean(per_tree: impl ExactSizeIterator<Item = f64>) -> f64 {
+    let n = per_tree.len() as f64;
+    per_tree.sum::<f64>() / n
+}
+
+/// [`ensemble_mean`] and the population variance around it, by the
+/// two-pass formula (the iterator is walked once per pass).
+fn ensemble_mean_var(per_tree: impl ExactSizeIterator<Item = f64> + Clone) -> (f64, f64) {
+    let n = per_tree.len() as f64;
+    let mean = ensemble_mean(per_tree.clone());
+    let var = per_tree
+        .map(|p| {
+            let d = p - mean;
+            d * d
+        })
+        .sum::<f64>()
+        / n;
+    // The two-pass sum of squares is non-negative by construction;
+    // max(0) documents the invariant against future refactors.
+    (mean, var.max(0.0))
+}
+
+/// `f(0), …, f(n − 1)` computed on up to `threads` threads (clamped to
+/// `[1, n]`) and returned in index order. The calling thread is one of
+/// the workers, so one thread spawns nothing; the others are scoped and
+/// joined before this returns. Workers race on a ticket counter — which
+/// one computes which index is not observable in the result.
+fn run_indexed<T: Send>(n: usize, threads: usize, f: impl Fn(usize) -> T + Sync) -> Vec<T> {
+    let threads = threads.clamp(1, n.max(1));
+    let next = AtomicUsize::new(0);
+    let done: Mutex<Vec<(usize, T)>> = Mutex::new(Vec::with_capacity(n));
+    let work = || {
+        let mut local = Vec::new();
+        loop {
+            // Relaxed: the ticket publishes no data; results travel
+            // through the mutex and the scope's join.
+            let i = next.fetch_add(1, Ordering::Relaxed);
+            if i >= n {
+                break;
+            }
+            local.push((i, f(i)));
+        }
+        done.lock()
+            .expect("a forest worker panicked")
+            .append(&mut local);
+    };
+    std::thread::scope(|s| {
+        for _ in 1..threads {
+            s.spawn(work);
+        }
+        work();
+    });
+    let mut done = done.into_inner().expect("a forest worker panicked");
+    done.sort_unstable_by_key(|(i, _)| *i);
+    done.into_iter().map(|(_, v)| v).collect()
+}
+
+/// Per-tree predictions of a fixed pool of candidate rows, kept across
+/// refits: a `[tree][candidate]` table from which the ensemble mean and
+/// standard deviation of any candidate are read without walking a tree.
+///
+/// A surrogate-guided search scores its whole pool after every
+/// [`RandomForest::partial_refit`], but a refit replaces only half the
+/// trees; the other half's predictions cannot have changed. The owner
+/// tells the table which trees were replaced ([`Self::mark_stale`]),
+/// and [`Self::refresh`] walks each stale tree once per candidate still
+/// of interest. [`Self::mean_std`] is then bit-identical to
+/// [`Regressor::predict_one`] and `predict_variance(..).sqrt()`.
+#[derive(Debug)]
+pub struct PoolPredictions {
+    /// `per_tree[t][c]`: tree `t`'s prediction for pool row `c` (NaN
+    /// until first refreshed, so an unfilled cell cannot pass for a
+    /// prediction).
+    per_tree: Vec<Vec<f64>>,
+    stale: Vec<bool>,
+}
+
+impl PoolPredictions {
+    /// A table for `n_trees` trees over `pool` candidate rows, every
+    /// tree stale.
+    pub fn new(n_trees: usize, pool: usize) -> PoolPredictions {
+        PoolPredictions {
+            per_tree: vec![vec![f64::NAN; pool]; n_trees],
+            stale: vec![true; n_trees],
+        }
+    }
+
+    /// Record that `trees` were replaced (the return value of
+    /// [`RandomForest::partial_refit_with`]).
+    pub fn mark_stale(&mut self, trees: &[usize]) {
+        for &t in trees {
+            self.stale[t] = true;
+        }
+    }
+
+    /// Bring every stale tree up to date with `forest` for the pool rows
+    /// `candidates` (indices into `pool`), one tree per worker on up to
+    /// `threads` threads. Rows outside `candidates` keep whatever they
+    /// held: a caller that only ever narrows `candidates` (a search that
+    /// retires candidates) may keep reading the ones it still passes.
+    pub fn refresh<R: AsRef<[f64]> + Sync>(
+        &mut self,
+        forest: &RandomForest,
+        pool: &[R],
+        candidates: &[usize],
+        threads: usize,
+    ) {
+        assert_eq!(
+            forest.n_trees(),
+            self.per_tree.len(),
+            "table sized for another forest"
+        );
+        let stale: Vec<usize> = (0..self.stale.len()).filter(|&t| self.stale[t]).collect();
+        let walked = run_indexed(stale.len(), threads, |k| {
+            let tree = &forest.trees[stale[k]];
+            candidates
+                .iter()
+                .map(|&c| tree.predict_one(pool[c].as_ref()))
+                .collect::<Vec<f64>>()
+        });
+        for (&t, preds) in stale.iter().zip(walked) {
+            for (&c, p) in candidates.iter().zip(preds) {
+                self.per_tree[t][c] = p;
+            }
+            self.stale[t] = false;
+        }
+    }
+
+    /// Ensemble mean and standard deviation for pool row `candidate`,
+    /// as of the last [`Self::refresh`] that covered it.
+    pub fn mean_std(&self, candidate: usize) -> (f64, f64) {
+        assert!(!self.stale.contains(&true), "read of an unrefreshed table");
+        let (mean, var) = ensemble_mean_var(self.per_tree.iter().map(|t| t[candidate]));
+        (mean, var.sqrt())
     }
 }
 
@@ -191,7 +361,7 @@ fn fit_tree(
 
 impl Regressor for RandomForest {
     fn predict_one(&self, row: &[f64]) -> f64 {
-        self.trees.iter().map(|t| t.predict_one(row)).sum::<f64>() / self.trees.len() as f64
+        ensemble_mean(self.trees.iter().map(|t| t.predict_one(row)))
     }
 }
 
@@ -272,22 +442,50 @@ mod tests {
 
     #[test]
     fn partial_refit_refreshes_a_rotating_half() {
-        let p = ForestParams {
-            n_trees: 8,
-            ..Default::default()
-        };
         let (x, y) = noisy_quadratic();
-        let mut f = RandomForest::warm_start(p, 5);
-        f.partial_refit(&x, &y, 0);
-        let before = f.clone();
-        f.partial_refit(&x, &y, 1);
-        let changed = before
-            .trees()
-            .iter()
-            .zip(f.trees())
-            .filter(|(a, b)| a != b)
-            .count();
-        assert_eq!(changed, 4, "round 1 refreshes trees 4..8");
+        // Even: rounds alternate halves. Odd: the window wraps.
+        for (n_trees, round, window) in [
+            (8, 1u64, vec![4, 5, 6, 7]),
+            (8, 2, vec![0, 1, 2, 3]),
+            (5, 3, vec![4, 0, 1]),
+        ] {
+            let p = ForestParams {
+                n_trees,
+                ..Default::default()
+            };
+            let mut f = RandomForest::warm_start(p, 5);
+            let all = f.partial_refit_with(&x, &y, 0, 1);
+            assert_eq!(all, (0..n_trees).collect::<Vec<_>>());
+            let before = f.clone();
+            let replaced = f.partial_refit_with(&x, &y, round, 2);
+            assert_eq!(replaced, window, "{n_trees} trees, round {round}");
+            let changed: Vec<usize> = (0..n_trees)
+                .filter(|&t| before.trees()[t] != f.trees()[t])
+                .collect();
+            let mut replaced = replaced;
+            replaced.sort_unstable();
+            assert_eq!(changed, replaced, "reported trees are the changed trees");
+        }
+    }
+
+    #[test]
+    fn refit_window_does_not_overflow_at_the_largest_round() {
+        let (x, y) = noisy_quadratic();
+        for n_trees in [8usize, 7] {
+            let p = ForestParams {
+                n_trees,
+                ..Default::default()
+            };
+            let mut f = RandomForest::warm_start(p, 5);
+            f.partial_refit(&x, &y, 0);
+            let refresh = n_trees.div_ceil(2);
+            let window: Vec<usize> = (0..refresh)
+                .map(|k| {
+                    ((u64::MAX as u128 * refresh as u128 + k as u128) % n_trees as u128) as usize
+                })
+                .collect();
+            assert_eq!(f.partial_refit_with(&x, &y, u64::MAX, 1), window);
+        }
     }
 
     #[test]

@@ -9,7 +9,8 @@
 //!   no maximum leaf count, and single-sample leaves permitted.
 //! * [`forest`] — a bagged random-forest regressor (the paper's
 //!   "more complex surrogate model" future-work direction; the
-//!   Explorer's surrogate).
+//!   Explorer's surrogate) and the per-tree pool-prediction table the
+//!   Explorer scores its candidates from.
 //! * [`linear`] — ordinary least squares via normal equations (the
 //!   baseline of the related work the paper modernises, P.J. Joseph et
 //!   al.'s linear processor-performance models).
@@ -40,7 +41,7 @@ pub mod split;
 pub mod tree;
 
 pub use explain::PathStep;
-pub use forest::{ForestParams, RandomForest};
+pub use forest::{ForestParams, PoolPredictions, RandomForest};
 pub use importance::{permutation_importance, ImportanceReport};
 pub use linear::LinearRegression;
 pub use matrix::{Dataset, Matrix};

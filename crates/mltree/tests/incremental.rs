@@ -9,8 +9,12 @@
 //! per-(round, tree) streams, so the two ensembles are different members
 //! of the same bootstrap distribution. What must agree is what they
 //! learned.
+//!
+//! (c) The thread count a refit runs on, and the per-tree prediction
+//! table the explorer reads its pool from, are equality checks: neither
+//! may move a bit of the forest or of a prediction.
 
-use armdse_mltree::{mae, r2, ForestParams, Matrix, RandomForest, Regressor};
+use armdse_mltree::{mae, r2, ForestParams, Matrix, PoolPredictions, RandomForest, Regressor};
 
 /// A deterministic nonlinear target at cycle-count magnitudes (~1e7),
 /// where a one-pass variance formula would lose to cancellation.
@@ -116,4 +120,80 @@ fn stale_trees_are_valid_until_their_window_comes_round() {
         let p = f.predict_one(x.row(r));
         assert!((lo..=hi).contains(&p), "row {r}: {p} outside [{lo}, {hi}]");
     }
+}
+
+/// The first `n` rows of `dataset(..)`, the way the explorer's training
+/// set grows round by round.
+fn prefix(x: &Matrix, y: &[f64], n: usize) -> (Matrix, Vec<f64>) {
+    (x.select_rows(&(0..n).collect::<Vec<_>>()), y[..n].to_vec())
+}
+
+#[test]
+fn refit_yields_the_same_forest_at_any_thread_count() {
+    let (x, y) = dataset(240);
+    // Even and odd ensembles: an odd one's window wraps past the end.
+    for n_trees in [8usize, 7] {
+        let params = ForestParams {
+            n_trees,
+            ..Default::default()
+        };
+        let mut serial = RandomForest::warm_start(params, 13);
+        let mut threaded: Vec<(usize, RandomForest)> = [0, 1, 2, 3, 8, n_trees + 5]
+            .map(|threads| (threads, RandomForest::warm_start(params, 13)))
+            .into();
+        // Round 0 fits every tree, rounds 1 and 2 a rotating window.
+        for round in 0..3u64 {
+            let (xs, ys) = prefix(&x, &y, 120 + 60 * round as usize);
+            serial.partial_refit(&xs, &ys, round);
+            for (threads, forest) in &mut threaded {
+                forest.partial_refit_with(&xs, &ys, round, *threads);
+                assert_eq!(
+                    *forest, serial,
+                    "{n_trees} trees, round {round}: forest differs on {threads} threads"
+                );
+            }
+        }
+    }
+}
+
+#[test]
+fn pool_table_is_bit_identical_to_the_row_wise_methods_after_every_refit() {
+    let (x, y) = dataset(240);
+    let params = ForestParams {
+        n_trees: 7,
+        ..Default::default()
+    };
+    let pool: Vec<[f64; 3]> = (0..90)
+        .map(|q| [q as f64 * 0.19, (q * 5 % 13) as f64, (q % 5) as f64])
+        .collect();
+    let mut live: Vec<usize> = (0..pool.len()).collect();
+    let mut forest = RandomForest::warm_start(params, 29);
+    let mut table = PoolPredictions::new(params.n_trees, pool.len());
+    for round in 0..4u64 {
+        let (xs, ys) = prefix(&x, &y, 120 + 40 * round as usize);
+        let replaced = forest.partial_refit_with(&xs, &ys, round, 2);
+        table.mark_stale(&replaced);
+        table.refresh(&forest, &pool, &live, 3);
+        let mut rebuilt = PoolPredictions::new(params.n_trees, pool.len());
+        rebuilt.refresh(&forest, &pool, &live, 1);
+        for &c in &live {
+            let (mean, std) = table.mean_std(c);
+            let bits = (mean.to_bits(), std.to_bits());
+            let row_wise = (
+                forest.predict_one(&pool[c]).to_bits(),
+                forest.predict_variance(&pool[c]).sqrt().to_bits(),
+            );
+            assert_eq!(bits, row_wise, "round {round}, candidate {c}");
+            let (mean, std) = rebuilt.mean_std(c);
+            assert_eq!(
+                bits,
+                (mean.to_bits(), std.to_bits()),
+                "round {round}, candidate {c}: incremental table != rebuilt table"
+            );
+        }
+        // The search retires candidates between rounds; the table is
+        // only ever asked about the ones still live.
+        live.retain(|c| c % 5 != round as usize);
+    }
+    assert!(!live.is_empty());
 }

@@ -154,33 +154,40 @@ fn paused_exploration_resumes_to_byte_identical_artifacts() {
 
 #[test]
 fn thread_count_never_leaks_into_the_artifacts() {
+    // The threads run the simulations and then the forest (refit, pool
+    // predictions), in scalar and in Pareto acquisition alike; 0 threads
+    // is 1 thread.
     let engine = Engine::idealized();
     let space = ParamSpace::paper();
-    let d1 = fresh_dir("t1");
-    let d8 = fresh_dir("t8");
-    let r1 = Explorer::new(&engine, &space, opts(1), &d1)
-        .unwrap()
-        .run(ExploreControl::default())
-        .unwrap();
-    let r8 = Explorer::new(&engine, &space, opts(8), &d8)
-        .unwrap()
-        .run(ExploreControl::default())
-        .unwrap();
-    assert_eq!(r1.selected, r8.selected);
-    assert_eq!(r1.curve, r8.curve);
-    for artifact in [
-        "explore_dataset.csv",
-        "explore_curve.csv",
-        "explore_curve.json",
-    ] {
-        assert_eq!(
-            artifact_bytes(&d1, artifact),
-            artifact_bytes(&d8, artifact),
-            "{artifact} differs between 1 and 8 threads"
-        );
+    for (pareto, threads) in [(false, 8usize), (true, 8), (false, 0)] {
+        let run = |threads: usize| {
+            let dir = fresh_dir(&format!("leak_p{pareto}_t{threads}"));
+            let o = ExploreOptions {
+                pareto,
+                ..opts(threads)
+            };
+            let report = Explorer::new(&engine, &space, o, &dir)
+                .unwrap()
+                .run(ExploreControl::default())
+                .unwrap();
+            assert!(report.completed);
+            (report, dir)
+        };
+        let (r1, d1) = run(1);
+        let (rn, dn) = run(threads);
+        assert_eq!(r1.selected, rn.selected);
+        assert_eq!(r1.curve, rn.curve);
+        let pareto_csv = pareto.then_some("explore_pareto.csv");
+        for artifact in ARTIFACTS.into_iter().chain(pareto_csv) {
+            assert_eq!(
+                artifact_bytes(&d1, artifact),
+                artifact_bytes(&dn, artifact),
+                "pareto={pareto}: {artifact} differs between 1 and {threads} threads"
+            );
+        }
+        std::fs::remove_dir_all(&d1).ok();
+        std::fs::remove_dir_all(&dn).ok();
     }
-    std::fs::remove_dir_all(&d1).ok();
-    std::fs::remove_dir_all(&d8).ok();
 }
 
 #[test]
