@@ -2,11 +2,13 @@
 # CI gauntlet: the workspace must build and test fully offline — zero
 # external dependencies is a hard guarantee.
 #
-# Tier-1 (ROADMAP.md: `cargo build --release && cargo test -q`) builds
-# and tests the root package only: the integration tests under tests/,
-# the examples and src/lib.rs. This script tests `--workspace` (every
-# crate's unit tests too) plus the benchmark package, so a green Tier-1
-# does not imply a green ci.sh.
+# Tier-1 (ROADMAP.md: `cargo build --release && cargo test -q`) covers
+# the workspace: the root manifest's `default-members` names the root
+# package and every crate, so it runs each crate's unit tests beside the
+# integration tests under tests/, the examples and src/lib.rs. What this
+# script adds is the benchmark package (its own manifest), the style and
+# doc lanes, the invariant and fuzz features and the end-to-end smoke
+# lanes: a green Tier-1 implies the unit tests, not those.
 #
 # Size ledger (non-test source lines; simplicity PRs record before/after):
 #   find crates/*/src -name '*.rs' -print0 | xargs -0 awk \
@@ -14,6 +16,7 @@
 #   PR 15 (one contention model): 19401 -> 19091
 #   PR 16 (one benchmark system): 19091 -> 18480
 #   PR 17 (perf: forest on the campaign's threads, pool-prediction table): 18480 -> 18709
+#   PR 19 (one campaign value, one durable-write module): 18709 -> 18556
 set -eux
 
 cd "$(dirname "$0")"

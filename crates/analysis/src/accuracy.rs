@@ -63,17 +63,6 @@ impl Fig2 {
             report::pct(self.mean_accuracy_pct)
         ))
     }
-
-    /// Fraction within `tol` for an app.
-    pub fn within(&self, app: &str, tol: f64) -> Option<f64> {
-        self.curves
-            .iter()
-            .find(|(a, _)| a == app)?
-            .1
-            .iter()
-            .find(|(t, _)| (*t - tol).abs() < 1e-12)
-            .map(|(_, f)| *f)
-    }
 }
 
 #[cfg(test)]

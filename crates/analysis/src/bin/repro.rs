@@ -81,11 +81,10 @@ use armdse_analysis::{
     accuracy, bottleneck, crossval, fig1, headline, importance, multicore, sweeps, table1, unseen,
     ExpOptions,
 };
-use armdse_core::engine::{CsvSink, Engine, Progress, RunControl, RunPlan};
+use armdse_core::engine::{Engine, Progress, RunPlan};
 use armdse_core::explorer::{ExploreControl, ExploreOptions, ExploreProgress, Explorer};
-use armdse_core::metrics::{MetricsCsvSink, MetricsSink};
 use armdse_core::space::ParamSpace;
-use armdse_core::{ArmdseError, DseDataset, JobSpec, SurrogateSuite};
+use armdse_core::{ArmdseError, CampaignFiles, DseDataset, JobSpec, SurrogateSuite};
 use armdse_kernels::{App, WorkloadScale};
 use armdse_server::{Server, ServerConfig};
 use armdse_simcore::{Fidelity, Topology};
@@ -106,8 +105,14 @@ struct Cli {
     machine: JobSpec,
 }
 
-fn parse_args() -> Result<Cli, String> {
-    let mut args = std::env::args().skip(1);
+/// A flag's numeric value, or an error naming the flag and the value.
+fn num<T: std::str::FromStr>(flag: &str, value: &str) -> Result<T, String> {
+    value
+        .parse()
+        .map_err(|_| format!("{flag}: \"{value}\" is not a number"))
+}
+
+fn parse_args(mut args: impl Iterator<Item = String>) -> Result<Cli, String> {
     let experiment = args.next().ok_or("missing experiment name")?;
     let mut opts = ExpOptions::default();
     let mut out = PathBuf::from("results");
@@ -120,19 +125,19 @@ fn parse_args() -> Result<Cli, String> {
     while let Some(flag) = args.next() {
         let mut val = || args.next().ok_or(format!("{flag} needs a value"));
         match flag.as_str() {
-            "--configs" => opts.configs = val()?.parse().map_err(|e| format!("{e}"))?,
-            "--seed" => opts.seed = val()?.parse().map_err(|e| format!("{e}"))?,
-            "--threads" => opts.threads = val()?.parse().map_err(|e| format!("{e}"))?,
-            "--sweep-configs" => opts.sweep_configs = val()?.parse().map_err(|e| format!("{e}"))?,
+            "--configs" => opts.configs = num(&flag, &val()?)?,
+            "--seed" => opts.seed = num(&flag, &val()?)?,
+            "--threads" => opts.threads = num(&flag, &val()?)?,
+            "--sweep-configs" => opts.sweep_configs = num(&flag, &val()?)?,
             "--scale" => {
                 let s = val()?;
                 opts.scale = WorkloadScale::parse(&s).ok_or(format!("unknown scale {s}"))?;
             }
             "--out" => out = PathBuf::from(val()?),
             "--resume" => resume = true,
-            "--max-chunks" => max_chunks = Some(val()?.parse().map_err(|e| format!("{e}"))?),
+            "--max-chunks" => max_chunks = Some(num(&flag, &val()?)?),
             "--metrics" => metrics = Some(PathBuf::from(val()?)),
-            "--explore" => explore_budget = Some(val()?.parse().map_err(|e| format!("{e}"))?),
+            "--explore" => explore_budget = Some(num(&flag, &val()?)?),
             "--explore-pareto" => explore_pareto = true,
             "--fidelity" => {
                 machine.fidelity = match val()?.as_str() {
@@ -143,8 +148,8 @@ fn parse_args() -> Result<Cli, String> {
                     s => return Err(format!("unknown fidelity {s}")),
                 }
             }
-            "--cores" => machine.cores = val()?.parse().map_err(|e| format!("{e}"))?,
-            "--banks" => machine.banks = val()?.parse().map_err(|e| format!("{e}"))?,
+            "--cores" => machine.cores = num(&flag, &val()?)?,
+            "--banks" => machine.banks = num(&flag, &val()?)?,
             "--apps" => {
                 opts.apps = match val()?.as_str() {
                     "base" => App::ALL.to_vec(),
@@ -179,7 +184,7 @@ fn main() {
             }
         }
     }
-    let cli = match parse_args() {
+    let cli = match parse_args(std::env::args().skip(1)) {
         Ok(c) => c,
         Err(e) => {
             eprintln!("error: {e}\n\nusage: repro <experiment> [--configs N] [--scale tiny|small|standard] [--seed N] [--sweep-configs N] [--threads N] [--out DIR] [--resume] [--max-chunks N] [--metrics DIR] [--explore N] [--explore-pareto] [--fidelity full|memoized] [--cores N] [--banks N] [--apps base|extended]");
@@ -217,7 +222,7 @@ fn serve(args: &[String]) -> Result<(), String> {
         let mut val = || args.next().ok_or(format!("{flag} needs a value"));
         match flag.as_str() {
             "--out" => out = PathBuf::from(val()?),
-            "--runners" => runners = val()?.parse().map_err(|e| format!("{e}"))?,
+            "--runners" => runners = num(flag, val()?)?,
             f => return Err(format!("unknown flag {f}")),
         }
     }
@@ -503,6 +508,16 @@ fn explore(cli: &Cli, space: &ParamSpace, engine: &Engine) {
     emit_table(cli, "explore_summary", &table);
 }
 
+/// Where the `dataset` campaign lives: `dataset.{csv,ckpt}` under
+/// `--out`, `metrics.csv` under `--metrics`.
+fn dataset_files(cli: &Cli) -> CampaignFiles {
+    CampaignFiles {
+        csv: cli.out.join("dataset.csv"),
+        checkpoint: cli.out.join("dataset.ckpt"),
+        metrics: cli.metrics.as_ref().map(|dir| dir.join("metrics.csv")),
+    }
+}
+
 /// Load the dataset CSV if present and complete, else generate it by
 /// streaming rows to `<out>/dataset.csv` with a checkpoint after each
 /// chunk. With `--resume` an interrupted campaign continues from its
@@ -510,52 +525,47 @@ fn explore(cli: &Cli, space: &ParamSpace, engine: &Engine) {
 /// run. `force_regen` (the `dataset` experiment) always regenerates —
 /// unless `--resume` is finishing an interrupted campaign.
 fn dataset(cli: &Cli, space: &ParamSpace, engine: &Engine, force_regen: bool) -> DseDataset {
-    let path = cli.out.join("dataset.csv");
-    let ckpt = cli.out.join("dataset.ckpt");
-    let resuming = cli.resume && ckpt.exists() && path.exists();
+    let files = dataset_files(cli);
+    let path = &files.csv;
 
-    if !force_regen && !resuming {
-        if ckpt.exists() {
+    // A CSV with a checkpoint beside it is a campaign in flight, not a
+    // dataset: this function removes the checkpoint on completion.
+    if !force_regen {
+        if !files.checkpoint.exists() {
+            if let Ok(d) = DseDataset::load_csv(path) {
+                eprintln!(
+                    "[repro] loaded {} rows from {}",
+                    d.rows.len(),
+                    path.display()
+                );
+                return d;
+            }
+        } else if !cli.resume {
             eprintln!(
                 "[repro] {} is incomplete (checkpoint present) — regenerating from scratch; \
                  pass --resume to continue it instead",
                 path.display()
             );
-        } else if let Ok(d) = DseDataset::load_csv(&path) {
-            eprintln!(
-                "[repro] loaded {} rows from {}",
-                d.rows.len(),
-                path.display()
-            );
-            return d;
         }
     }
 
     let gen_opts = cli.opts.gen_options();
     let plan = RunPlan::new(space, &gen_opts).unwrap_or_else(|e| fail(e));
+    if let Some(dir) = &cli.metrics {
+        std::fs::create_dir_all(dir).expect("create metrics directory");
+    }
+    let mut campaign = files.open(!cli.resume).unwrap_or_else(|e| fail(e));
     eprintln!(
         "[repro] {} dataset: {} configs x {} apps = {} jobs ...",
-        if resuming { "resuming" } else { "generating" },
+        if campaign.position.is_some() {
+            "resuming"
+        } else {
+            "generating"
+        },
         plan.configs(),
         plan.apps().len(),
         plan.jobs()
     );
-    let mut sink = if resuming {
-        CsvSink::append(&path)
-    } else {
-        CsvSink::create(&path)
-    }
-    .unwrap_or_else(|e| fail(e));
-    let mut metrics_sink = cli.metrics.as_ref().map(|dir| {
-        std::fs::create_dir_all(dir).expect("create metrics directory");
-        let mpath = dir.join("metrics.csv");
-        if resuming && mpath.exists() {
-            MetricsCsvSink::append(&mpath)
-        } else {
-            MetricsCsvSink::create(&mpath)
-        }
-        .unwrap_or_else(|e| fail(e))
-    });
     let mut chunks = 0usize;
     let max_chunks = cli.max_chunks;
     let mut observer = |p: &Progress| {
@@ -570,18 +580,8 @@ fn dataset(cli: &Cli, space: &ParamSpace, engine: &Engine, force_regen: bool) ->
         chunks += 1;
         max_chunks.is_none_or(|max| chunks < max)
     };
-    let summary = engine
-        .run_controlled(
-            &plan,
-            &mut sink,
-            RunControl {
-                checkpoint: Some(&ckpt),
-                resume: resuming,
-                observer: Some(&mut observer),
-                metrics: metrics_sink.as_mut().map(|m| m as &mut dyn MetricsSink),
-                ..RunControl::default()
-            },
-        )
+    let summary = campaign
+        .run(engine, &plan, Some(&mut observer), None)
         .unwrap_or_else(|e| fail(e));
     if !summary.completed {
         eprintln!(
@@ -593,17 +593,17 @@ fn dataset(cli: &Cli, space: &ParamSpace, engine: &Engine, force_regen: bool) ->
         std::process::exit(0);
     }
     // Campaign complete: the checkpoint has served its purpose.
-    std::fs::remove_file(&ckpt).ok();
-    emit_table(cli, "discarded", &discarded_table(&sink.discarded));
+    std::fs::remove_file(&files.checkpoint).ok();
+    emit_table(cli, "discarded", &discarded_table(&campaign.sink.discarded));
     if summary.resumed_from > 0 {
         eprintln!("[repro] resumed from job {}", summary.resumed_from);
     }
     eprintln!(
         "[repro] saved {} rows to {}",
-        sink.rows_written(),
+        campaign.sink.rows_written(),
         path.display()
     );
-    let data = DseDataset::load_csv(&path).expect("reload the dataset just written");
+    let data = DseDataset::load_csv(path).expect("reload the dataset just written");
     if let Some(dir) = &cli.metrics {
         emit_metrics_analysis(cli, dir, &data);
     }
@@ -692,6 +692,52 @@ fn emit_text(cli: &Cli, name: &str, text: &str) {
 
 #[cfg(test)]
 mod tests {
+    fn parse(args: &[&str]) -> Result<super::Cli, String> {
+        super::parse_args(args.iter().map(|a| a.to_string()))
+    }
+
+    #[test]
+    fn flag_errors_name_the_flag_and_the_value() {
+        let err = |args: &[&str]| parse(args).err().expect("refused");
+        assert_eq!(
+            err(&["dataset", "--configs", "abc"]),
+            "--configs: \"abc\" is not a number"
+        );
+        assert_eq!(
+            err(&["dataset", "--cores", "-1"]),
+            "--cores: \"-1\" is not a number"
+        );
+        assert_eq!(err(&["dataset", "--scale", "huge"]), "unknown scale huge");
+        assert_eq!(
+            err(&["dataset", "--frobnicate"]),
+            "unknown flag --frobnicate"
+        );
+        assert_eq!(err(&["dataset", "--seed"]), "--seed needs a value");
+        assert_eq!(err(&[]), "missing experiment name");
+        let cli = parse(&["fig2", "--configs", "12", "--scale", "tiny", "--resume"]).unwrap();
+        assert_eq!((cli.opts.configs, cli.resume), (12, true));
+    }
+
+    #[test]
+    fn resuming_a_checkpoint_whose_dataset_is_gone_is_refused() {
+        let dir = std::env::temp_dir().join("armdse_repro_csv_gone");
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let out = dir.to_str().unwrap();
+        let cli = parse(&["dataset", "--out", out, "--resume"]).unwrap();
+        let files = super::dataset_files(&cli);
+        std::fs::write(&files.checkpoint, "armdse-checkpoint v1\n").unwrap();
+        let msg = files.open(!cli.resume).err().expect("refused").to_string();
+        assert!(msg.starts_with("checkpoint error: "), "{msg}");
+        assert!(
+            msg.contains("dataset.ckpt") && msg.contains("dataset.csv"),
+            "{msg}"
+        );
+        // Without --resume the same directory starts over.
+        assert!(files.open(true).unwrap().position.is_none());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
     #[test]
     fn explore_sizes_fit_every_budget() {
         let sizes = |configs, budget| {

@@ -1,36 +1,9 @@
 //! ASCII chart rendering — the stand-in for the artifact's
 //! `graph-generation.py`.
 //!
-//! Every figure in the paper is a bar or line chart; these helpers render
-//! the same data as terminal plots so `repro` output is visually
-//! comparable with the paper without a plotting stack.
-
-/// Render horizontal bars: one labelled bar per entry, scaled to
-/// `width` columns at the maximum value.
-pub fn bar_chart(title: &str, entries: &[(String, f64)], width: usize) -> String {
-    let mut out = String::new();
-    out.push_str(title);
-    out.push('\n');
-    if entries.is_empty() {
-        out.push_str("(no data)\n");
-        return out;
-    }
-    let label_w = entries.iter().map(|(l, _)| l.len()).max().unwrap_or(0);
-    let max = entries
-        .iter()
-        .map(|&(_, v)| v)
-        .fold(f64::MIN, f64::max)
-        .max(1e-12);
-    for (label, v) in entries {
-        let filled = ((v / max) * width as f64).round().max(0.0) as usize;
-        out.push_str(&format!(
-            "{label:>label_w$} |{}{} {v:.2}\n",
-            "█".repeat(filled.min(width)),
-            " ".repeat(width - filled.min(width)),
-        ));
-    }
-    out
-}
+//! The paper's line charts are rendered as terminal plots so `repro`
+//! output is visually comparable with the paper without a plotting
+//! stack.
 
 /// Render one or more line series over a shared integer x-axis as an
 /// ASCII grid (`height` rows tall). Series are marked `a`, `b`, `c`, …
@@ -93,19 +66,6 @@ pub fn line_chart(
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn bar_chart_scales_to_width() {
-        let c = bar_chart("t", &[("big".into(), 10.0), ("half".into(), 5.0)], 20);
-        let lines: Vec<&str> = c.lines().collect();
-        assert_eq!(lines[1].matches('█').count(), 20);
-        assert_eq!(lines[2].matches('█').count(), 10);
-    }
-
-    #[test]
-    fn bar_chart_empty() {
-        assert!(bar_chart("t", &[], 10).contains("no data"));
-    }
 
     #[test]
     fn line_chart_places_extremes() {

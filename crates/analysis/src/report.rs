@@ -6,6 +6,8 @@
 //! lines, and the three renderers keep `repro` artifacts diffable
 //! (text), machine-readable (CSV), and self-describing (JSON).
 
+use armdse_core::json::write_json_string;
+
 /// A rendered experiment artifact: one titled table plus free-form
 /// notes (footer lines such as headline summaries).
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
@@ -60,7 +62,7 @@ impl Table {
     pub fn to_json(&self) -> String {
         let mut out = String::from("{");
         out.push_str("\"title\":");
-        json_string(&self.title, &mut out);
+        write_json_string(&self.title, &mut out);
         out.push_str(",\"headers\":");
         json_string_array(&self.headers, &mut out);
         out.push_str(",\"rows\":[");
@@ -125,30 +127,13 @@ pub fn tables_to_json(tables: &[Table]) -> String {
     out
 }
 
-/// Write a JSON string literal (RFC 8259 escaping) into `out`.
-fn json_string(s: &str, out: &mut String) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-}
-
 fn json_string_array(items: &[String], out: &mut String) {
     out.push('[');
     for (i, s) in items.iter().enumerate() {
         if i > 0 {
             out.push(',');
         }
-        json_string(s, out);
+        write_json_string(s, out);
     }
     out.push(']');
 }

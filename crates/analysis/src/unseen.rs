@@ -85,14 +85,6 @@ impl UnseenFig {
             .map(|(_, p)| *p)
     }
 
-    /// In-distribution accuracy of `source`'s model.
-    pub fn in_distribution(&self, source: App) -> Option<f64> {
-        self.rows
-            .iter()
-            .find(|r| r.trained_on == source.name())
-            .map(|r| r.in_distribution_pct)
-    }
-
     /// The paper's limitation is confirmed when, for most models, every
     /// cross-application prediction is materially worse than the model's
     /// own in-distribution accuracy.
@@ -182,7 +174,6 @@ mod tests {
         let f = run(&data, 3);
         assert_eq!(f.rows.len(), App::EXTENDED.len());
         assert!(f.transfer(App::Spmv, App::Gemm).is_some());
-        assert!(f.in_distribution(App::Graph).is_some());
         let t = f.to_table();
         for app in App::EXTENDED {
             assert!(t.contains(app.name()), "missing {}", app.name());

@@ -79,19 +79,6 @@ impl DseDataset {
         armdse_mltree::Dataset::new(x, y, FEATURE_NAMES.iter().map(|s| s.to_string()).collect())
     }
 
-    /// Rows for an app filtered by a feature predicate (e.g. fixed VL).
-    pub fn filtered(&self, app: App, pred: impl Fn(&[f64; 30]) -> bool) -> DseDataset {
-        DseDataset {
-            rows: self
-                .rows
-                .iter()
-                .filter(|r| r.app == app && pred(&r.features))
-                .cloned()
-                .collect(),
-            discarded: Vec::new(),
-        }
-    }
-
     /// Reconstruct the design config of a row.
     pub fn config_of(row: &Row) -> DesignConfig {
         DesignConfig::from_features(&row.features)
@@ -223,15 +210,6 @@ mod tests {
         let back = DseDataset::load_csv(&path).unwrap();
         assert_eq!(d, back);
         std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn filtered_by_feature() {
-        let d = sample();
-        let f = d.filtered(App::Stream, |feat| feat[0] == 128.0);
-        assert_eq!(f.rows.len(), 1);
-        let none = d.filtered(App::Stream, |feat| feat[0] == 2048.0);
-        assert!(none.rows.is_empty());
     }
 
     #[test]

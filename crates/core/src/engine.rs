@@ -52,6 +52,7 @@
 
 use crate::config::DesignConfig;
 use crate::dataset::{write_csv_header, write_csv_row, DiscardedRun, DseDataset, Row};
+use crate::durable::{self, CsvFile};
 use crate::error::ArmdseError;
 use crate::metrics::{MetricsRow, MetricsSink};
 use crate::orchestrator::GenOptions;
@@ -61,8 +62,7 @@ use armdse_memsim::fasthash::Fnv1a;
 use armdse_simcore::{
     Counters, Idealized, Memoized, MultiCore, ReuseStats, RunMode, SimBackend, SimStats,
 };
-use std::io::{BufWriter, Write};
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::sync::Arc;
 
 /// Default jobs per chunk: small enough that checkpoints land every few
@@ -194,11 +194,6 @@ impl RunPlan {
         self.scale
     }
 
-    /// Base seed (config `i` samples with `seed + i`).
-    pub fn seed(&self) -> u64 {
-        self.seed
-    }
-
     /// Worker threads.
     pub fn threads(&self) -> usize {
         self.threads
@@ -293,60 +288,6 @@ pub trait Steer {
     fn state(&self) -> Vec<(String, String)>;
 }
 
-/// Cut the CSV at `path` (open for writing as `file`, nothing buffered)
-/// back to its header plus the leading complete data lines `covered`
-/// accepts. `covered` returns how many `unit`s the file holds once a
-/// line is kept, or `None` to cut there; a total other than `want`
-/// means the file is behind its checkpoint.
-pub(crate) fn cut_csv_tail(
-    path: &Path,
-    file: &std::fs::File,
-    want: usize,
-    unit: &str,
-    mut covered: impl FnMut(&[u8]) -> Option<usize>,
-) -> Result<(), ArmdseError> {
-    let body = std::fs::read(path)?;
-    let (mut end, mut have) = (0usize, 0usize);
-    for (i, line) in body.split_inclusive(|&b| b == b'\n').enumerate() {
-        if line.last() != Some(&b'\n') {
-            break; // torn tail
-        }
-        if i > 0 {
-            match covered(line) {
-                Some(n) => have = n,
-                None => break,
-            }
-        }
-        end += line.len();
-    }
-    if have != want {
-        return Err(ArmdseError::Checkpoint(format!(
-            "{}: holds {have} {unit} but the checkpoint recorded {want} — \
-             the file is behind its checkpoint",
-            path.display()
-        )));
-    }
-    if end < body.len() {
-        file.set_len(end as u64)?;
-    }
-    Ok(())
-}
-
-/// [`cut_csv_tail`] for a file whose every data line is one `unit`:
-/// keep the first `want` of them.
-pub(crate) fn cut_csv_lines(
-    path: &Path,
-    file: &std::fs::File,
-    want: usize,
-    unit: &str,
-) -> Result<(), ArmdseError> {
-    let mut seen = 0usize;
-    cut_csv_tail(path, file, want, unit, |_| {
-        seen += 1;
-        (seen <= want).then_some(seen)
-    })
-}
-
 /// The in-memory sink: collects rows and discards into a [`DseDataset`].
 impl RowSink for DseDataset {
     fn row(&mut self, row: &Row) -> Result<(), ArmdseError> {
@@ -365,8 +306,7 @@ impl RowSink for DseDataset {
 /// are kept in memory (`discarded`) for reporting — they are not part
 /// of the CSV contract.
 pub struct CsvSink {
-    w: BufWriter<std::fs::File>,
-    path: PathBuf,
+    file: CsvFile,
     rows_written: usize,
     /// Validation-failed runs observed by this sink (not persisted).
     pub discarded: Vec<DiscardedRun>,
@@ -375,25 +315,20 @@ pub struct CsvSink {
 impl CsvSink {
     /// Create (truncate) `path` and write the CSV header.
     pub fn create(path: &Path) -> Result<CsvSink, ArmdseError> {
-        let mut w = BufWriter::new(std::fs::File::create(path)?);
-        write_csv_header(&mut w)?;
-        Ok(CsvSink {
-            w,
-            path: path.to_path_buf(),
-            rows_written: 0,
-            discarded: Vec::new(),
-        })
+        Ok(CsvSink::over(CsvFile::create(path, write_csv_header)?))
     }
 
     /// Open `path` for appending (resume: header already present).
     pub fn append(path: &Path) -> Result<CsvSink, ArmdseError> {
-        let f = std::fs::OpenOptions::new().append(true).open(path)?;
-        Ok(CsvSink {
-            w: BufWriter::new(f),
-            path: path.to_path_buf(),
+        Ok(CsvSink::over(CsvFile::append(path)?))
+    }
+
+    fn over(file: CsvFile) -> CsvSink {
+        CsvSink {
+            file,
             rows_written: 0,
             discarded: Vec::new(),
-        })
+        }
     }
 
     /// Rows written through this sink instance.
@@ -404,7 +339,7 @@ impl CsvSink {
 
 impl RowSink for CsvSink {
     fn row(&mut self, row: &Row) -> Result<(), ArmdseError> {
-        write_csv_row(&mut self.w, row)?;
+        write_csv_row(&mut self.file, row)?;
         self.rows_written += 1;
         Ok(())
     }
@@ -415,13 +350,11 @@ impl RowSink for CsvSink {
     }
 
     fn chunk_end(&mut self) -> Result<(), ArmdseError> {
-        self.w.flush()?;
-        self.w.get_ref().sync_data().map_err(ArmdseError::from)
+        self.file.sync()
     }
 
     fn resume_at(&mut self, rows: usize) -> Result<(), ArmdseError> {
-        self.w.flush()?;
-        cut_csv_lines(&self.path, self.w.get_ref(), rows, "row(s)")
+        self.file.cut_lines(rows, "row(s)")
     }
 }
 
@@ -453,7 +386,6 @@ impl Checkpoint {
     /// `extra` section writes the v1 format byte-for-byte; a non-empty
     /// one writes v2 with the section appended after the fixed fields.
     pub fn save(&self, path: &Path) -> Result<(), ArmdseError> {
-        let tmp = path.with_extension("ckpt.tmp");
         let magic = if self.extra.is_empty() {
             CHECKPOINT_MAGIC_V1
         } else {
@@ -475,8 +407,7 @@ impl Checkpoint {
             body.push_str(v);
             body.push('\n');
         }
-        std::fs::write(&tmp, body)?;
-        std::fs::rename(&tmp, path).map_err(ArmdseError::from)
+        durable::replace(path, &body).map_err(ArmdseError::from)
     }
 
     /// Load and parse a checkpoint file (v1 or v2).
@@ -502,34 +433,24 @@ impl Checkpoint {
             None => return Err(err(1, "empty checkpoint file".into())),
         }
         // The fixed fields sit at fixed lines: magic is line 1, then one
-        // field per line in FIXED_FIELDS order.
-        let mut field = |line_no: usize, key: &str| -> Result<String, ArmdseError> {
+        // field per line in FIXED_FIELDS order, the fingerprint in hex.
+        let mut fixed = [0u64; 4];
+        for (i, key) in FIXED_FIELDS.iter().enumerate() {
             let line = lines
                 .next()
-                .ok_or_else(|| err(line_no, format!("missing field {key}")))?;
-            line.strip_prefix(&format!("{key}="))
-                .map(str::to_string)
-                .ok_or_else(|| err(line_no, format!("expected '{key}=<value>', got '{line}'")))
-        };
-        let text = field(2, "fingerprint")?;
-        let fingerprint = u64::from_str_radix(&text, 16).map_err(|_| {
-            err(
-                2,
-                format!("unparsable fingerprint '{text}' (want 16 hex digits)"),
-            )
-        })?;
-        let text = field(3, "jobs_done")?;
-        let jobs_done = text
-            .parse()
-            .map_err(|_| err(3, format!("unparsable jobs_done '{text}'")))?;
-        let text = field(4, "rows")?;
-        let rows = text
-            .parse()
-            .map_err(|_| err(4, format!("unparsable rows '{text}'")))?;
-        let text = field(5, "discarded")?;
-        let discarded = text
-            .parse()
-            .map_err(|_| err(5, format!("unparsable discarded '{text}'")))?;
+                .ok_or_else(|| err(i + 2, format!("missing field {key}")))?;
+            let text = line
+                .strip_prefix(key)
+                .and_then(|rest| rest.strip_prefix('='))
+                .ok_or_else(|| err(i + 2, format!("expected '{key}=<value>', got '{line}'")))?;
+            let (radix, want) = if i == 0 {
+                (16, " (want 16 hex digits)")
+            } else {
+                (10, "")
+            };
+            fixed[i] = u64::from_str_radix(text, radix)
+                .map_err(|_| err(i + 2, format!("unparsable {key} '{text}'{want}")))?;
+        }
         let mut extra = Vec::new();
         for (i, line) in lines.enumerate() {
             let (k, v) = line.split_once('=').ok_or_else(|| {
@@ -541,10 +462,10 @@ impl Checkpoint {
             extra.push((k.to_string(), v.to_string()));
         }
         Ok(Checkpoint {
-            fingerprint,
-            jobs_done,
-            rows,
-            discarded,
+            fingerprint: fixed[0],
+            jobs_done: fixed[1] as usize,
+            rows: fixed[2] as usize,
+            discarded: fixed[3] as usize,
             extra,
         })
     }
@@ -645,12 +566,6 @@ pub struct Engine {
     cache: WorkloadCache,
 }
 
-impl Default for Engine {
-    fn default() -> Engine {
-        Engine::idealized()
-    }
-}
-
 impl Engine {
     /// An engine over an arbitrary backend.
     pub fn new(backend: Box<dyn SimBackend>) -> Engine {
@@ -701,11 +616,6 @@ impl Engine {
     /// The engine's default backend.
     pub fn backend(&self) -> &dyn SimBackend {
         self.backend.as_ref()
-    }
-
-    /// The shared workload cache (exposed for cache-aware callers).
-    pub fn cache(&self) -> &WorkloadCache {
-        &self.cache
     }
 
     /// The cached workload for `(app, scale, vl_bits)`.
@@ -768,7 +678,7 @@ impl Engine {
         sink: &mut dyn RowSink,
         ctl: RunControl<'_>,
     ) -> Result<RunSummary, ArmdseError> {
-        crate::scheduler::run_job_loop(self, plan, sink, ctl, None)
+        crate::scheduler::run_job_loop(self, plan, sink, ctl)
     }
 
     /// Build the dataset-facing outcome from one job's statistics.
@@ -795,67 +705,47 @@ impl Engine {
         }
     }
 
-    /// Run one simulation with cycle accounting enabled, producing the
-    /// dataset-facing outcome and the job's metrics rows: the aggregate
-    /// row first (`core: None`), then one detail row per core when the
+    /// Run one simulation in `mode`, producing the dataset-facing
+    /// outcome — `Err` reports a run that failed validation (the paper
+    /// discards such runs; we record what was dropped) — and, under
+    /// [`RunMode::Metrics`], the job's metrics rows: the aggregate row
+    /// first (`core: None`), then one detail row per core when the
     /// backend runs more than one core (single-core backends emit only
     /// the aggregate, keeping the historical one-row-per-job stream).
-    pub(crate) fn run_job_metrics(
+    /// [`RunMode::Plain`] returns no metrics rows.
+    pub(crate) fn run_job(
         &self,
         app: App,
         job: usize,
         config_index: usize,
         scale: WorkloadScale,
         cfg: &DesignConfig,
+        mode: RunMode,
     ) -> (Result<Row, DiscardedRun>, Vec<MetricsRow>) {
         let w = self.cache.get(app, scale, cfg.core.vector_length);
-        let out = self
-            .backend
-            .run(&w.program, &cfg.core, &cfg.mem, RunMode::Metrics);
-        let (stats, per_core) = (out.stats, out.per_core);
-        let counters = out.counters.expect("metrics run returns counters");
-        let outcome = Engine::job_outcome(app, config_index, cfg, &stats);
-        let mut rows = Vec::with_capacity(1 + per_core.len());
-        rows.push(MetricsRow {
+        let out = self.backend.run(&w.program, &cfg.core, &cfg.mem, mode);
+        let outcome = Engine::job_outcome(app, config_index, cfg, &out.stats);
+        let row = |core: Option<u32>, stats: &SimStats, counters: Counters| MetricsRow {
             job,
             config_index,
             app,
-            core: None,
+            core,
             validated: stats.validated,
             cycles: stats.cycles,
             retired: stats.retired,
             counters,
             stalls: stats.stalls,
             mem: stats.mem,
-        });
-        for pc in per_core {
-            rows.push(MetricsRow {
-                job,
-                config_index,
-                app,
-                core: Some(pc.core),
-                validated: pc.stats.validated,
-                cycles: pc.stats.cycles,
-                retired: pc.stats.retired,
-                counters: pc.counters,
-                stalls: pc.stats.stalls,
-                mem: pc.stats.mem,
-            });
+        };
+        let mut rows = Vec::new();
+        if let Some(counters) = out.counters {
+            rows.reserve_exact(1 + out.per_core.len());
+            rows.push(row(None, &out.stats, counters));
+            for pc in out.per_core {
+                rows.push(row(Some(pc.core), &pc.stats, pc.counters));
+            }
         }
         (outcome, rows)
-    }
-
-    /// Run one simulation; `Err` reports a run that failed validation
-    /// (the paper discards such runs — we record what was dropped).
-    pub(crate) fn run_job(
-        &self,
-        app: App,
-        config_index: usize,
-        scale: WorkloadScale,
-        cfg: &DesignConfig,
-    ) -> Result<Row, DiscardedRun> {
-        let stats = self.simulate_config(app, scale, cfg);
-        Engine::job_outcome(app, config_index, cfg, &stats)
     }
 }
 
@@ -1194,7 +1084,8 @@ mod tests {
         cfg.mem.l2_latency = 200_000;
         let e = Engine::idealized();
         let d = e
-            .run_job(App::Stream, 7, WorkloadScale::Tiny, &cfg)
+            .run_job(App::Stream, 0, 7, WorkloadScale::Tiny, &cfg, RunMode::Plain)
+            .0
             .unwrap_err();
         assert!(d.hit_cycle_limit);
         assert_eq!(d.config_index, 7);
@@ -1208,15 +1099,11 @@ mod tests {
         let p = plan(3, 1);
         let mut a = DseDataset::default();
         e.run(&p, &mut a).unwrap();
-        let after_first = e.cache().len();
+        let after_first = e.cache.len();
         assert!(after_first > 0);
         let mut b = DseDataset::default();
         e.run(&p, &mut b).unwrap();
-        assert_eq!(
-            e.cache().len(),
-            after_first,
-            "second run must hit the cache"
-        );
+        assert_eq!(e.cache.len(), after_first, "second run must hit the cache");
         assert_eq!(a, b);
     }
 

@@ -91,9 +91,9 @@
 //! at 1 and 8 threads.
 
 use crate::dataset::{DseDataset, Row};
+use crate::durable::{CampaignFiles, CsvFile};
 use crate::engine::{
-    cut_csv_lines, Checkpoint, CsvSink, Engine, Progress, RowSink, RunControl, RunPlan, Steer,
-    DEFAULT_CHUNK_JOBS,
+    Checkpoint, CsvSink, Engine, Progress, RowSink, RunPlan, Steer, DEFAULT_CHUNK_JOBS,
 };
 use crate::error::ArmdseError;
 use crate::orchestrator::GenOptions;
@@ -102,6 +102,7 @@ use armdse_kernels::{App, WorkloadScale};
 use armdse_memsim::fasthash::Fnv1a;
 use armdse_mltree::{mae, r2, ForestParams, Matrix, PoolPredictions, RandomForest, Regressor};
 use armdse_rng::{Rng, SeedableRng, Xoshiro256pp};
+use std::io::Write;
 use std::path::{Path, PathBuf};
 
 /// Feature indices summed by [`structure_cost`]: the sized hardware
@@ -440,6 +441,8 @@ struct Rounds<'a, 'e> {
     holdout: &'a (Matrix, Vec<f64>),
     features: &'a [[f64; 30]],
     state: LoopState,
+    /// `explore_curve.csv`, open for the run: one row per finished round.
+    curve: CsvFile,
 }
 
 impl Steer for Rounds<'_, '_> {
@@ -450,7 +453,7 @@ impl Steer for Rounds<'_, '_> {
         let point = self
             .explorer
             .refit_and_score(&mut self.state, self.holdout)?;
-        append_curve_row(&self.explorer.path("explore_curve.csv"), &point)?;
+        append_curve_row(&mut self.curve, &point)?;
         self.state.curve.push(point);
         let round = self.state.curve.len();
         if round == self.explorer.opts.rounds() {
@@ -696,25 +699,35 @@ impl<'e> Explorer<'e> {
     /// Run (or resume) the exploration to completion or observer pause:
     /// one campaign on the engine's run loop, steered round by round.
     pub fn run(&self, mut ctl: ExploreControl<'_>) -> Result<ExploreReport, ArmdseError> {
-        let ckpt_path = self.path("explore.ckpt");
-        let dataset_path = self.path("explore_dataset.csv");
+        let files = CampaignFiles {
+            csv: self.path("explore_dataset.csv"),
+            checkpoint: self.path("explore.ckpt"),
+            metrics: None,
+        };
+        let curve_path = self.path("explore_curve.csv");
 
         let holdout = self.simulate_holdout()?;
         let features = self.candidate_features();
 
-        let resume = ctl.resume && ckpt_path.exists();
-        let (state, mut sink) = if resume {
-            let mut sink = CsvSink::append(&dataset_path)?;
-            (self.restore(&ckpt_path, &mut sink, &holdout)?, sink)
-        } else {
-            // Fresh start: truncate every artifact. Round 0's batch
-            // needs no model, so it is the plan the campaign starts on.
-            std::fs::write(self.path("explore_curve.csv"), format!("{CURVE_HEADER}\n"))?;
-            std::fs::remove_file(&ckpt_path).ok();
-            let rng = Xoshiro256pp::seed_from_u64(self.opts.seed ^ ACQ_SEED_SALT);
-            let mut state = LoopState::new(&self.opts, Vec::new(), rng)?;
-            self.select_round(0, &mut state, &features);
-            (state, CsvSink::create(&dataset_path)?)
+        // A fresh start over an old exploration drops its checkpoint
+        // before any artifact is truncated: a crash in between must not
+        // leave a position beside files that are behind it.
+        if !ctl.resume {
+            std::fs::remove_file(&files.checkpoint).ok();
+        }
+        let mut campaign = files.open(!ctl.resume)?;
+        let (state, curve) = match &campaign.position {
+            Some(ckpt) => self.restore(ckpt, &mut campaign.sink, &curve_path, &holdout)?,
+            None => {
+                // Fresh start: truncate every artifact. Round 0's batch
+                // needs no model, so it is the plan the campaign starts on.
+                let mut curve = CsvFile::create(&curve_path, |w| writeln!(w, "{CURVE_HEADER}"))?;
+                curve.flush()?;
+                let rng = Xoshiro256pp::seed_from_u64(self.opts.seed ^ ACQ_SEED_SALT);
+                let mut state = LoopState::new(&self.opts, Vec::new(), rng)?;
+                self.select_round(0, &mut state, &features);
+                (state, curve)
+            }
         };
 
         let plan = self.plan_for(&state.selected)?;
@@ -724,6 +737,7 @@ impl<'e> Explorer<'e> {
             holdout: &holdout,
             features: &features,
             state,
+            curve,
         };
         // One app, so jobs are candidates and a chunk never straddles a
         // round: the round is a function of the cumulative position.
@@ -739,17 +753,7 @@ impl<'e> Explorer<'e> {
             };
             ctl.observer.as_deref_mut().is_none_or(|f| f(&ep))
         };
-        let summary = self.engine.run_controlled(
-            &plan,
-            &mut sink,
-            RunControl {
-                checkpoint: Some(&ckpt_path),
-                resume,
-                observer: Some(&mut engine_obs),
-                steer: Some(&mut rounds),
-                ..RunControl::default()
-            },
-        )?;
+        let summary = campaign.run(self.engine, &plan, Some(&mut engine_obs), Some(&mut rounds))?;
         let state = rounds.state;
         if summary.completed {
             self.write_curve_json(&state)?;
@@ -771,14 +775,15 @@ impl<'e> Explorer<'e> {
     /// to what the checkpoint covers, reload the rows, replay the refit
     /// history against the recorded model hashes, and restore the RNG.
     /// The run loop then validates the plan rebuilt from `selected`
-    /// against the checkpoint's fingerprint.
+    /// against the checkpoint's fingerprint. Also returns the curve
+    /// file, open at the end of the rows the checkpoint covers.
     fn restore(
         &self,
-        ckpt_path: &Path,
+        ckpt: &Checkpoint,
         sink: &mut CsvSink,
+        curve_path: &Path,
         holdout: &(Matrix, Vec<f64>),
-    ) -> Result<LoopState, ArmdseError> {
-        let ckpt = Checkpoint::load(ckpt_path)?;
+    ) -> Result<(LoopState, CsvFile), ArmdseError> {
         let get = |key: &str| {
             ckpt.extra_get(key).ok_or_else(|| {
                 ArmdseError::Explore(format!("checkpoint is missing exploration key {key}"))
@@ -806,7 +811,7 @@ impl<'e> Explorer<'e> {
 
         // One curve row per recorded model hash; a row past them is a
         // round whose checkpoint never landed.
-        let curve = cut_and_parse_curve(&self.path("explore_curve.csv"), hashes.len())?;
+        let (curve_file, curve) = cut_and_parse_curve(curve_path, hashes.len())?;
         if curve.iter().map(|p| p.model_hash).ne(hashes) {
             return Err(ArmdseError::Explore(
                 "curve model hashes disagree with the checkpoint's".into(),
@@ -839,7 +844,7 @@ impl<'e> Explorer<'e> {
             state.curve.push(point);
         }
         state.rows = data.rows;
-        Ok(state)
+        Ok((state, curve_file))
     }
 
     fn write_curve_json(&self, state: &LoopState) -> Result<(), ArmdseError> {
@@ -915,24 +920,25 @@ fn model_hash(preds: &[f64]) -> u64 {
     h.finish()
 }
 
-fn append_curve_row(path: &Path, p: &CurvePoint) -> Result<(), ArmdseError> {
-    use std::io::Write;
-    let mut f = std::fs::OpenOptions::new().append(true).open(path)?;
+fn append_curve_row(curve: &mut CsvFile, p: &CurvePoint) -> Result<(), ArmdseError> {
     // Full-precision Display: f64 round-trips exactly, so a resumed
     // run's parsed curve is bit-identical to the fresh run's floats.
     writeln!(
-        f,
+        curve,
         "{},{},{},{},{},{:016x}",
         p.round, p.samples, p.epsilon, p.r2, p.mae, p.model_hash
     )?;
-    f.sync_data().map_err(ArmdseError::from)
+    curve.sync()
 }
 
-/// Cut the curve CSV back to its first `keep` rows (a crash can leave
-/// one more; fewer is an error) and parse them.
-fn cut_and_parse_curve(path: &Path, keep: usize) -> Result<Vec<CurvePoint>, ArmdseError> {
-    let file = std::fs::OpenOptions::new().write(true).open(path)?;
-    cut_csv_lines(path, &file, keep, "curve row(s)").map_err(|e| match e {
+/// Open the curve CSV for appending, cut it back to its first `keep`
+/// rows (a crash can leave one more; fewer is an error) and parse them.
+fn cut_and_parse_curve(
+    path: &Path,
+    keep: usize,
+) -> Result<(CsvFile, Vec<CurvePoint>), ArmdseError> {
+    let mut file = CsvFile::append(path)?;
+    file.cut_lines(keep, "curve row(s)").map_err(|e| match e {
         ArmdseError::Checkpoint(m) => ArmdseError::Explore(m),
         e => e,
     })?;
@@ -963,7 +969,7 @@ fn cut_and_parse_curve(path: &Path, keep: usize) -> Result<Vec<CurvePoint>, Armd
             model_hash: u64::from_str_radix(f[5], 16).map_err(|_| bad("model_hash"))?,
         });
     }
-    Ok(curve)
+    Ok((file, curve))
 }
 
 fn parse_u64_list(s: &str, radix: u32) -> Result<Vec<u64>, ArmdseError> {
@@ -981,3 +987,45 @@ fn parse_u64_list(s: &str, radix: u32) -> Result<Vec<u64>, ArmdseError> {
 /// Salt decorrelating the acquisition RNG stream from the sampling
 /// seed (candidate `i` already consumes `seed + i`).
 const ACQ_SEED_SALT: u64 = 0xE0E0_5EED_ACC1_0A17;
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn resuming_a_checkpoint_whose_dataset_is_gone_names_both_files() {
+        let dir = std::env::temp_dir().join("armdse_explorer_csv_gone");
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let opts = ExploreOptions {
+            pool: 12,
+            budget: 4,
+            batch: 2,
+            holdout: 3,
+            ..ExploreOptions::for_app(App::Stream)
+        };
+        let engine = Engine::idealized();
+        let explorer = Explorer::new(&engine, &ParamSpace::paper(), opts, &dir).unwrap();
+        let mut pause = |_: &ExploreProgress| false;
+        let paused = explorer
+            .run(ExploreControl {
+                resume: false,
+                observer: Some(&mut pause),
+            })
+            .unwrap();
+        assert!(!paused.completed);
+        std::fs::remove_file(dir.join("explore_dataset.csv")).unwrap();
+        let resume = ExploreControl {
+            resume: true,
+            observer: None,
+        };
+        let err = explorer.run(resume).unwrap_err();
+        assert!(matches!(err, ArmdseError::Checkpoint(_)), "{err}");
+        let msg = err.to_string();
+        assert!(
+            msg.contains("explore.ckpt") && msg.contains("explore_dataset.csv"),
+            "{msg}"
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}

@@ -1,27 +1,31 @@
 //! The session layer: named, isolated, restartable campaign jobs.
 //!
-//! A [`Job`] is one submitted campaign — a validated [`RunPlan`] plus a
-//! fidelity tier, priority, and sink layout — owned by a [`JobStore`]
-//! that gives it an id, a directory slot, and a state machine. The
-//! execution side (the priority queue and runner threads) lives in
-//! [`crate::scheduler::JobScheduler`]; this module is everything the
-//! scheduler schedules *around*: identity, isolation, persistence, and
-//! machine-readable status.
+//! A [`Job`] is one submitted campaign — its [`JobSpec`], the
+//! [`CampaignFiles`] it streams into, and its state — owned by a
+//! [`JobStore`] that gives it an id, a directory slot, and a state
+//! machine. The execution side (the priority queue and runner threads)
+//! lives in [`crate::scheduler::JobScheduler`]; this module is
+//! everything the scheduler schedules *around*: identity, isolation,
+//! persistence, and machine-readable status.
 //!
 //! ## Per-job isolation
 //!
-//! Every job owns a private [`Engine`] — its own [`WorkloadCache`] and
-//! its own backend instance (and therefore its own interval-reuse
-//! cache when the job runs at the memoized tier). Two
-//! tenants submitting jobs with different seeds or fidelity tiers can
-//! never pollute each other's memoized chains or workload cache; the
-//! only shared state between concurrent jobs is the scheduler's queue
-//! lock. Combined with the engine's thread-count-invariant determinism
-//! contract, a job's output bytes depend only on its spec — never on
-//! what else the server happens to be running (pinned by
+//! A job holds its spec, its file paths and its counters, nothing else.
+//! The plan, the [`Engine`] (workload cache, backend, and the interval
+//! cache at the memoized tier) and the open sinks are locals of one run
+//! session: a runner builds them when it claims the job and drops them
+//! when the session stops. Tenants therefore cannot pollute each
+//! other's caches by construction, the only state concurrent jobs share
+//! is the scheduler's queue lock, and a terminal job keeps no lowered
+//! workload alive: about half a KB stays resident per served job,
+//! against 37–43 KB while every job owned its engine for the life of
+//! the process (`tests/server_memory.rs`). The price: a job resumed in
+//! the same process re-lowers its workloads and, at the memoized tier,
+//! starts with a cold interval cache — as it already did after a
+//! restart; results are exact either way. With the engine's
+//! thread-count-invariant determinism, a job's bytes depend only on its
+//! spec, never on what else the server is running (pinned by
 //! `tests/server_jobs.rs`).
-//!
-//! [`WorkloadCache`]: armdse_kernels::WorkloadCache
 //!
 //! ## On-disk layout
 //!
@@ -42,6 +46,7 @@
 //! resume contract takes over. No background work survives the process;
 //! recovery is purely file-driven.
 
+use crate::durable::{self, CampaignFiles};
 use crate::engine::{Checkpoint, Engine, RunPlan, DEFAULT_CHUNK_JOBS};
 use crate::error::ArmdseError;
 use crate::json::{json_num, parse_json, write_json_string, Json};
@@ -95,15 +100,10 @@ impl JobState {
 
     /// Parse a state tag.
     pub fn parse(s: &str) -> Option<JobState> {
-        match s {
-            "queued" => Some(JobState::Queued),
-            "running" => Some(JobState::Running),
-            "paused" => Some(JobState::Paused),
-            "done" => Some(JobState::Done),
-            "failed" => Some(JobState::Failed),
-            "cancelled" => Some(JobState::Cancelled),
-            _ => None,
-        }
+        use JobState::*;
+        [Queued, Running, Paused, Done, Failed, Cancelled]
+            .into_iter()
+            .find(|state| state.tag() == s)
     }
 
     /// Whether the state is final (no further transitions).
@@ -132,7 +132,7 @@ pub struct JobSpec {
     pub scale: WorkloadScale,
     /// Base campaign seed (config `i` samples with `seed + i`).
     pub seed: u64,
-    /// Worker threads (shards) the job's config range fans out over.
+    /// Worker threads the job's config range fans out over.
     pub threads: usize,
     /// Applications simulated per configuration.
     pub apps: Vec<App>,
@@ -402,10 +402,6 @@ pub struct JobStatus {
     pub rows: usize,
     /// Validation-failed runs so far.
     pub discarded: usize,
-    /// Simulation jobs executed per worker shard in the current run
-    /// session (observability only — shard assignment is racy by
-    /// design; the output bytes never depend on it).
-    pub shards: Vec<usize>,
     /// Fidelity tier tag (`full` / `memoized`).
     pub fidelity: &'static str,
     /// Error message (`Failed` jobs only).
@@ -422,33 +418,20 @@ pub struct JobStatus {
 }
 
 impl JobStatus {
-    /// Fraction of the campaign completed, in `[0, 1]`.
-    pub fn fraction(&self) -> f64 {
-        self.jobs_done as f64 / self.total_jobs.max(1) as f64
-    }
-
     /// Serialize as the wire-format status object.
     pub fn to_json(&self) -> String {
         let mut out = String::with_capacity(256);
         out.push_str(&format!(
             "{{\"id\": {}, \"state\": \"{}\", \"priority\": {}, \"total_jobs\": {}, \
-             \"jobs_done\": {}, \"rows\": {}, \"discarded\": {}, \"shards\": [",
+             \"jobs_done\": {}, \"rows\": {}, \"discarded\": {}, \"fidelity\": \"{}\", \
+             \"error\": ",
             self.id,
             self.state.tag(),
             self.priority,
             self.total_jobs,
             self.jobs_done,
             self.rows,
-            self.discarded
-        ));
-        for (i, s) in self.shards.iter().enumerate() {
-            if i > 0 {
-                out.push_str(", ");
-            }
-            out.push_str(&s.to_string());
-        }
-        out.push_str(&format!(
-            "], \"fidelity\": \"{}\", \"error\": ",
+            self.discarded,
             self.fidelity
         ));
         match &self.error {
@@ -488,16 +471,6 @@ impl JobStatus {
             jobs_done: uint("jobs_done")? as usize,
             rows: uint("rows")? as usize,
             discarded: uint("discarded")? as usize,
-            shards: obj
-                .get("shards")
-                .and_then(Json::as_array)
-                .map(|a| {
-                    a.iter()
-                        .filter_map(Json::as_u64)
-                        .map(|n| n as usize)
-                        .collect()
-                })
-                .unwrap_or_default(),
             fidelity,
             error: obj.get("error").and_then(Json::as_str).map(str::to_string),
             started_seq: None,
@@ -548,20 +521,20 @@ pub(crate) struct JobInner {
     pub(crate) jobs_done: usize,
     pub(crate) rows: usize,
     pub(crate) discarded: usize,
-    pub(crate) shards: Vec<usize>,
     pub(crate) error: Option<String>,
     pub(crate) started_seq: Option<u64>,
     pub(crate) finished_seq: Option<u64>,
     pub(crate) version: u64,
 }
 
-/// One submitted campaign: spec, validated plan, private engine, state.
+/// One submitted campaign: its spec, where it lives on disk, its state
+/// (plan, engine and sinks belong to a run: see the module docs).
 pub struct Job {
     id: JobId,
     spec: JobSpec,
-    plan: RunPlan,
-    engine: Engine,
-    dir: PathBuf,
+    files: CampaignFiles,
+    /// `configs × apps` of the plan the spec validated into.
+    total_jobs: usize,
     pub(crate) inner: Mutex<JobInner>,
     pub(crate) cv: Condvar,
 }
@@ -577,37 +550,28 @@ impl Job {
         &self.spec
     }
 
-    /// The validated plan.
-    pub fn plan(&self) -> &RunPlan {
-        &self.plan
-    }
-
-    /// The job's private engine (isolated caches).
-    pub fn engine(&self) -> &Engine {
-        &self.engine
+    /// The job's dataset CSV, checkpoint and (for `metrics` jobs)
+    /// metrics CSV.
+    pub fn files(&self) -> &CampaignFiles {
+        &self.files
     }
 
     /// Path of the job's streamed dataset CSV.
     pub fn csv_path(&self) -> PathBuf {
-        self.dir.join(format!("job-{}.csv", self.id))
+        self.files.csv.clone()
     }
 
     /// Path of the job's checkpoint file.
     pub fn ckpt_path(&self) -> PathBuf {
-        self.dir.join(format!("job-{}.ckpt", self.id))
-    }
-
-    /// Path of the job's metrics CSV (exists only for `metrics` jobs).
-    pub fn metrics_path(&self) -> PathBuf {
-        self.dir.join(format!("job-{}.metrics.csv", self.id))
+        self.files.checkpoint.clone()
     }
 
     fn spec_path(&self) -> PathBuf {
-        self.dir.join(format!("job-{}.spec.json", self.id))
+        self.files.csv.with_extension("spec.json")
     }
 
     fn state_path(&self) -> PathBuf {
-        self.dir.join(format!("job-{}.state", self.id))
+        self.files.csv.with_extension("state")
     }
 
     /// Consistent status snapshot.
@@ -621,11 +585,10 @@ impl Job {
             id: self.id,
             state: inner.state,
             priority: self.spec.priority,
-            total_jobs: self.plan.jobs(),
+            total_jobs: self.total_jobs,
             jobs_done: inner.jobs_done,
             rows: inner.rows,
             discarded: inner.discarded,
-            shards: inner.shards.clone(),
             fidelity: self.spec.fidelity.tag(),
             error: inner.error.clone(),
             started_seq: inner.started_seq,
@@ -674,8 +637,9 @@ impl Job {
         self.cv.notify_all();
     }
 
-    /// Record a terminal state marker atomically (tmp + rename), so a
-    /// restarted store recovers the exact state.
+    /// Record a terminal state marker atomically, so a restarted store
+    /// recovers the exact state. Best-effort: the in-memory state is
+    /// already final, so a failed write is reported, not returned.
     fn persist_terminal(&self, state: JobState, error: Option<&str>) {
         debug_assert!(state.is_terminal());
         let body = match error {
@@ -683,9 +647,8 @@ impl Job {
             None => format!("{}\n", state.tag()),
         };
         let path = self.state_path();
-        let tmp = path.with_extension("state.tmp");
-        if std::fs::write(&tmp, body).is_ok() {
-            let _ = std::fs::rename(&tmp, &path);
+        if let Err(e) = durable::replace(&path, &body) {
+            eprintln!("[jobstore] could not write {}: {e}", path.display());
         }
     }
 }
@@ -714,17 +677,28 @@ impl JobStore {
             next_id: AtomicU64::new(1),
             seq: AtomicU64::new(1),
         };
+        // Every `job-<N>.*` file claims id N, whether or not its spec
+        // still parses: a skipped job's files must not be inherited by
+        // the next submission.
         let mut max_id = 0;
-        let mut names: Vec<String> = std::fs::read_dir(dir)?
-            .filter_map(|e| e.ok()?.file_name().into_string().ok())
-            .filter(|n| n.starts_with("job-") && n.ends_with(".spec.json"))
-            .collect();
-        names.sort();
-        for name in names {
-            let id: JobId = match name["job-".len()..name.len() - ".spec.json".len()].parse() {
-                Ok(id) => id,
-                Err(_) => continue,
+        let mut specs: Vec<(JobId, String)> = Vec::new();
+        for entry in std::fs::read_dir(dir)? {
+            let Ok(name) = entry?.file_name().into_string() else {
+                continue;
             };
+            let Some((id, ext)) = name.strip_prefix("job-").and_then(|n| n.split_once('.')) else {
+                continue;
+            };
+            let Ok(id) = id.parse::<JobId>() else {
+                continue;
+            };
+            max_id = max_id.max(id);
+            if ext == "spec.json" {
+                specs.push((id, name));
+            }
+        }
+        specs.sort();
+        for (id, name) in specs {
             let body = std::fs::read_to_string(dir.join(&name))?;
             let spec = match JobSpec::from_json(&body) {
                 Ok(s) => s,
@@ -744,7 +718,7 @@ impl JobStore {
             // terminal marker (absent marker => Paused, resumable).
             {
                 let mut inner = job.inner.lock().expect("job lock poisoned");
-                if let Ok(c) = Checkpoint::load(&job.ckpt_path()) {
+                if let Ok(c) = Checkpoint::load(&job.files.checkpoint) {
                     inner.jobs_done = c.jobs_done;
                     inner.rows = c.rows;
                     inner.discarded = c.discarded;
@@ -760,7 +734,6 @@ impl JobStore {
                     }
                 }
             }
-            max_id = max_id.max(id);
             store
                 .jobs
                 .lock()
@@ -776,22 +749,30 @@ impl JobStore {
         &self.dir
     }
 
+    /// The parameter space every job's plan is validated against.
+    pub(crate) fn space(&self) -> &ParamSpace {
+        &self.space
+    }
+
     fn build_job(&self, id: JobId, spec: JobSpec) -> Result<Arc<Job>, ArmdseError> {
-        let plan = spec.plan(&self.space)?;
-        let engine = spec.engine();
+        let total_jobs = spec.plan(&self.space)?.jobs();
+        let slot = |ext: &str| self.dir.join(format!("job-{id}.{ext}"));
+        let files = CampaignFiles {
+            csv: slot("csv"),
+            checkpoint: slot("ckpt"),
+            metrics: spec.metrics.then(|| slot("metrics.csv")),
+        };
         Ok(Arc::new(Job {
             id,
             spec,
-            plan,
-            engine,
-            dir: self.dir.clone(),
+            files,
+            total_jobs,
             inner: Mutex::new(JobInner {
                 state: JobState::Queued,
                 stop: None,
                 jobs_done: 0,
                 rows: 0,
                 discarded: 0,
-                shards: Vec::new(),
                 error: None,
                 started_seq: None,
                 finished_seq: None,
@@ -807,7 +788,7 @@ impl JobStore {
     pub fn create(&self, spec: JobSpec) -> Result<Arc<Job>, ArmdseError> {
         let id = self.next_id.fetch_add(1, Ordering::Relaxed);
         let job = self.build_job(id, spec)?;
-        std::fs::write(job.spec_path(), job.spec.to_json())?;
+        durable::replace(&job.spec_path(), &job.spec.to_json())?;
         self.jobs
             .lock()
             .expect("store lock poisoned")
@@ -978,7 +959,6 @@ mod tests {
             jobs_done: 40,
             rows: 39,
             discarded: 1,
-            shards: vec![21, 19],
             fidelity: "memoized",
             error: Some("checkpoint error: boom".into()),
             started_seq: None,
@@ -987,11 +967,10 @@ mod tests {
         };
         let back = JobStatus::from_json(&status.to_json()).unwrap();
         assert_eq!(back, status);
-        assert!((status.fraction() - 0.5).abs() < 1e-12);
     }
 
     #[test]
-    fn store_assigns_ascending_ids_and_isolates_engines() {
+    fn store_assigns_ascending_ids() {
         let dir = std::env::temp_dir().join("armdse_jobstore_ids");
         let _ = std::fs::remove_dir_all(&dir);
         let store = JobStore::open(&dir).unwrap();
@@ -999,8 +978,6 @@ mod tests {
         let b = store.create(spec()).unwrap();
         assert!(a.id() < b.id());
         assert_eq!(store.list().len(), 2);
-        // Same spec, distinct engines: caches are per-job.
-        assert!(!std::ptr::eq(a.engine(), b.engine()));
         assert_eq!(store.get(a.id()).unwrap().id(), a.id());
         assert!(store.get(999).is_none());
         let _ = std::fs::remove_dir_all(&dir);
@@ -1035,7 +1012,7 @@ mod tests {
         a.persist_terminal(JobState::Done, None);
         b.persist_terminal(JobState::Failed, Some("sim exploded"));
         Checkpoint {
-            fingerprint: c.plan().fingerprint(),
+            fingerprint: spec().plan(&ParamSpace::paper()).unwrap().fingerprint(),
             jobs_done: 4,
             rows: 4,
             discarded: 0,
@@ -1059,6 +1036,33 @@ mod tests {
         assert_eq!(store.get(idc).unwrap().spec(), &spec());
         let d = store.create(spec()).unwrap();
         assert!(d.id() > idc);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_skipped_spec_keeps_its_id_and_its_files() {
+        // job-2's spec is from an older binary (a key the strict parser
+        // now refuses) and its finished artifacts are still on disk.
+        let dir = std::env::temp_dir().join("armdse_jobstore_skipped_id");
+        let _ = std::fs::remove_dir_all(&dir);
+        let store = JobStore::open(&dir).unwrap();
+        store.create(spec()).unwrap();
+        let old = store.create(spec()).unwrap();
+        assert_eq!(old.id(), 2);
+        std::fs::write(old.spec_path(), "{\"configs\": 2, \"warmup\": 1}").unwrap();
+        std::fs::write(old.csv_path(), "left over\n").unwrap();
+        old.persist_terminal(JobState::Done, None);
+        drop((old, store));
+
+        let store = JobStore::open(&dir).unwrap();
+        assert!(store.get(2).is_none(), "the unparsable spec is skipped");
+        let new = store.create(spec()).unwrap();
+        assert_eq!(new.id(), 3, "id 2 is taken by the files on disk");
+        assert!(!new.csv_path().exists(), "a new job starts with no files");
+        drop((new, store));
+        // One more restart: the never-run job must not read as Done.
+        let store = JobStore::open(&dir).unwrap();
+        assert_eq!(store.get(3).unwrap().status().state, JobState::Paused);
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -51,6 +51,7 @@
 
 pub mod config;
 pub mod dataset;
+pub mod durable;
 pub mod engine;
 pub mod error;
 pub mod explorer;
@@ -65,6 +66,7 @@ pub mod surrogate;
 
 pub use config::DesignConfig;
 pub use dataset::{DseDataset, Row};
+pub use durable::{Campaign, CampaignFiles};
 pub use engine::{CsvSink, Engine, Progress, ReuseMode, RowSink, RunControl, RunPlan, RunSummary};
 pub use error::ArmdseError;
 pub use explorer::{ExploreControl, ExploreOptions, ExploreProgress, ExploreReport, Explorer};

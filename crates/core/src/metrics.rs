@@ -13,13 +13,13 @@
 //! `docs/METRICS.md`; [`metrics_csv_columns`] is the single source of
 //! truth for the header.
 
-use crate::engine::cut_csv_tail;
+use crate::durable::CsvFile;
 use crate::error::ArmdseError;
 use armdse_kernels::App;
 use armdse_memsim::MemStats;
 use armdse_simcore::{Counters, StallStats};
-use std::io::{BufWriter, Write};
-use std::path::{Path, PathBuf};
+use std::io::Write;
+use std::path::Path;
 
 /// Per-event stall-counter column names (the `ev_` CSV segment).
 ///
@@ -171,29 +171,23 @@ pub fn write_metrics_row(w: &mut impl Write, r: &MetricsRow) -> std::io::Result<
 /// Streams metrics rows straight to a CSV file (constant memory), the
 /// observability analogue of [`crate::engine::CsvSink`].
 pub struct MetricsCsvSink {
-    w: BufWriter<std::fs::File>,
-    path: PathBuf,
+    file: CsvFile,
     rows_written: usize,
 }
 
 impl MetricsCsvSink {
     /// Create (truncate) `path` and write the CSV header.
     pub fn create(path: &Path) -> Result<MetricsCsvSink, ArmdseError> {
-        let mut w = BufWriter::new(std::fs::File::create(path)?);
-        write_metrics_header(&mut w)?;
         Ok(MetricsCsvSink {
-            w,
-            path: path.to_path_buf(),
+            file: CsvFile::create(path, write_metrics_header)?,
             rows_written: 0,
         })
     }
 
     /// Open `path` for appending (resume: header already present).
     pub fn append(path: &Path) -> Result<MetricsCsvSink, ArmdseError> {
-        let f = std::fs::OpenOptions::new().append(true).open(path)?;
         Ok(MetricsCsvSink {
-            w: BufWriter::new(f),
-            path: path.to_path_buf(),
+            file: CsvFile::append(path)?,
             rows_written: 0,
         })
     }
@@ -206,21 +200,18 @@ impl MetricsCsvSink {
 
 impl MetricsSink for MetricsCsvSink {
     fn metrics(&mut self, row: &MetricsRow) -> Result<(), ArmdseError> {
-        write_metrics_row(&mut self.w, row)?;
+        write_metrics_row(&mut self.file, row)?;
         self.rows_written += 1;
         Ok(())
     }
 
     fn chunk_end(&mut self) -> Result<(), ArmdseError> {
-        self.w.flush()?;
-        self.w.get_ref().sync_data().map_err(ArmdseError::from)
+        self.file.sync()
     }
 
     fn resume_at(&mut self, jobs_done: usize) -> Result<(), ArmdseError> {
-        self.w.flush()?;
         // Rows are in job order and every job emits at least one.
-        let (path, file) = (&self.path, self.w.get_ref());
-        cut_csv_tail(path, file, jobs_done, "job(s)", |line| {
+        self.file.cut_tail(jobs_done, "job(s)", |line| {
             let job = std::str::from_utf8(line).ok()?.split(',').next()?;
             let job: usize = job.parse().ok()?;
             (job < jobs_done).then_some(job + 1)

@@ -14,15 +14,18 @@
 //!   worker.
 //! * `run_job_loop` is the one resumable campaign loop and the only
 //!   function that saves a checkpoint. [`Engine::run_controlled`] is a
-//!   thin wrapper over it, so `repro`, the analysis harnesses and the
-//!   job server run the exact same code path — and so does the adaptive
-//!   Explorer, which plugs in as the loop's [`crate::engine::Steer`]:
-//!   when the plan runs out the loop asks it for the next batch,
-//!   extends its own copy of the plan, and checkpoints the steer's
-//!   state with the chunk (a fixed sweep is the loop with no steer).
+//!   thin wrapper over it with the same signature, and its only caller,
+//!   so `repro`, the analysis harnesses and the job server run the
+//!   exact same code path — and so does the adaptive Explorer, which
+//!   plugs in as the loop's [`crate::engine::Steer`]: when the plan
+//!   runs out the loop asks it for the next batch, extends its own copy
+//!   of the plan, and checkpoints the steer's state with the chunk (a
+//!   fixed sweep is the loop with no steer).
 //! * [`JobScheduler`] owns runner threads and a priority queue of
 //!   submitted jobs ([`crate::jobstore`]), with cooperative pause and
 //!   cancel implemented via the observer hook the engine already had.
+//!   A runner builds a job's plan and engine when it claims the job
+//!   and drops them, with the sinks, when the run session stops.
 //!
 //! ## Queue discipline
 //!
@@ -49,64 +52,53 @@
 use crate::config::DesignConfig;
 use crate::dataset::{DiscardedRun, Row};
 use crate::engine::{
-    Checkpoint, CsvSink, Engine, Progress, ReuseMode, RowSink, RunControl, RunPlan, RunSummary,
+    Checkpoint, Engine, Progress, ReuseMode, RowSink, RunControl, RunPlan, RunSummary,
 };
 use crate::error::ArmdseError;
 use crate::jobstore::{Job, JobId, JobOpError, JobSpec, JobState, JobStatus, JobStore};
-use crate::metrics::{MetricsCsvSink, MetricsRow, MetricsSink};
-use armdse_simcore::{Fidelity, Topology};
+use crate::metrics::MetricsRow;
+use armdse_simcore::{Fidelity, RunMode, Topology};
 use std::borrow::Cow;
+use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 
-/// One job's chunk result: index, dataset outcome, optional metrics
-/// rows (aggregate first, then per-core detail on multicore backends).
-pub(crate) type ChunkResult = (usize, Result<Row, DiscardedRun>, Option<Vec<MetricsRow>>);
+/// One job's chunk result: index, dataset outcome, and its metrics rows
+/// (aggregate first, then per-core detail on multicore backends; none
+/// on a plain run).
+pub(crate) type ChunkResult = (usize, Result<Row, DiscardedRun>, Vec<MetricsRow>);
 
-/// The checkpoint v2 extra keys recording a non-default fidelity tier.
-/// [`Fidelity::Full`] maps to no keys at all so default campaigns keep
-/// the v1 on-disk checkpoint format byte-for-byte.
-pub(crate) fn fidelity_extra(f: Fidelity) -> Vec<(String, String)> {
-    match f {
-        Fidelity::Full => Vec::new(),
-        Fidelity::Memoized { interval_len } => vec![
-            ("reuse.fidelity".into(), f.tag().into()),
-            ("reuse.interval_len".into(), interval_len.to_string()),
-        ],
+/// The checkpoint v2 extra keys recording a non-default fidelity tier
+/// and a non-default machine topology. [`Fidelity::Full`] on the
+/// single-core default maps to no keys at all, so default campaigns
+/// keep the v1 on-disk checkpoint format byte-for-byte.
+fn engine_extra(f: Fidelity, t: Topology) -> Vec<(String, String)> {
+    let mut extra = Vec::new();
+    if let Fidelity::Memoized { interval_len } = f {
+        extra.push(("reuse.fidelity".into(), f.tag().into()));
+        extra.push(("reuse.interval_len".into(), interval_len.to_string()));
     }
-}
-
-/// The checkpoint v2 extra keys recording a non-default machine
-/// topology. The single-core default maps to no keys at all, so every
-/// pre-multicore campaign keeps its on-disk checkpoint bytes.
-pub(crate) fn topology_extra(t: Topology) -> Vec<(String, String)> {
-    if t == Topology::default() {
-        Vec::new()
-    } else {
-        vec![
-            ("mc.cores".into(), t.cores.to_string()),
-            ("mc.banks".into(), t.banks.to_string()),
-        ]
+    if t != Topology::default() {
+        extra.push(("mc.cores".into(), t.cores.to_string()));
+        extra.push(("mc.banks".into(), t.banks.to_string()));
     }
+    extra
 }
 
 /// Execute jobs `start..end` of `plan` across its worker threads on
-/// `engine`, returning results sorted by job index. The span's design
-/// points are sampled and validated up front, so the first invalid one
-/// in job order ends the campaign ([`RunPlan::design_point`]). Worker
-/// shard `t` optionally counts the jobs it executed into `shards[t]`
-/// (observability only — shard assignment is racy by design and never
-/// affects the sorted output).
+/// `engine`, each in `mode`, returning results sorted by job index. The
+/// span's design points are sampled and validated up front, so the
+/// first invalid one in job order ends the campaign
+/// ([`RunPlan::design_point`]).
 pub(crate) fn run_span(
     engine: &Engine,
     plan: &RunPlan,
     start: usize,
     end: usize,
-    with_metrics: bool,
-    shards: Option<&[AtomicUsize]>,
+    mode: RunMode,
 ) -> Result<Vec<ChunkResult>, ArmdseError> {
     let n = end - start;
     let threads = plan.threads().clamp(1, n);
@@ -118,35 +110,27 @@ pub(crate) fn run_span(
     let counter = AtomicUsize::new(start);
     let results: Mutex<Vec<ChunkResult>> = Mutex::new(Vec::with_capacity(n));
 
+    let worker = || {
+        let mut local: Vec<ChunkResult> = Vec::new();
+        loop {
+            let job = counter.fetch_add(1, Ordering::Relaxed);
+            if job >= end {
+                break;
+            }
+            let cfg_idx = job / apps.len();
+            let app = apps[job % apps.len()];
+            let cfg = &configs[cfg_idx - first_cfg];
+            let (result, metrics_rows) = engine.run_job(app, job, cfg_idx, plan.scale(), cfg, mode);
+            local.push((job, result, metrics_rows));
+        }
+        results
+            .lock()
+            .expect("worker poisoned results")
+            .append(&mut local);
+    };
     std::thread::scope(|s| {
-        for t in 0..threads {
-            let (configs, counter, results) = (&configs, &counter, &results);
-            s.spawn(move || {
-                let mut local: Vec<ChunkResult> = Vec::new();
-                loop {
-                    let job = counter.fetch_add(1, Ordering::Relaxed);
-                    if job >= end {
-                        break;
-                    }
-                    let cfg_idx = job / apps.len();
-                    let app = apps[job % apps.len()];
-                    let cfg = &configs[cfg_idx - first_cfg];
-                    let (result, metrics_rows) = if with_metrics {
-                        let (r, m) = engine.run_job_metrics(app, job, cfg_idx, plan.scale(), cfg);
-                        (r, Some(m))
-                    } else {
-                        (engine.run_job(app, cfg_idx, plan.scale(), cfg), None)
-                    };
-                    local.push((job, result, metrics_rows));
-                }
-                if let Some(counts) = shards {
-                    counts[t].fetch_add(local.len(), Ordering::Relaxed);
-                }
-                results
-                    .lock()
-                    .expect("worker poisoned results")
-                    .append(&mut local);
-            });
+        for _ in 0..threads {
+            s.spawn(worker);
         }
     });
 
@@ -157,8 +141,7 @@ pub(crate) fn run_span(
 
 /// The resumable campaign loop (the module docs say who runs it):
 /// chunk partitioning, checkpoint cadence, fidelity-tier guard, the
-/// steer hook, the observer/pause hook. `shards` are the job server's
-/// per-worker counters.
+/// steer hook, the observer/pause hook.
 ///
 /// At each chunk boundary, in this order: sinks durable → (plan
 /// exhausted and steered: `next_batch`, plan extended) → checkpoint →
@@ -170,7 +153,6 @@ pub(crate) fn run_job_loop(
     plan: &RunPlan,
     sink: &mut dyn RowSink,
     mut ctl: RunControl<'_>,
-    shards: Option<&[AtomicUsize]>,
 ) -> Result<RunSummary, ArmdseError> {
     // A steered campaign grows its own copy of the plan (cloned at the
     // first extension); a fixed sweep only ever borrows the caller's.
@@ -180,10 +162,9 @@ pub(crate) fn run_job_loop(
     // Fidelity and machine-topology keys ride along in the checkpoint's
     // v2 extra section so a resume cannot silently splice rows produced
     // at a different fidelity — or on a different machine shape — into
-    // one dataset. Full fidelity on the single-core default writes no
-    // keys, keeping the default on-disk format byte-identical.
-    let mut reuse_extra = fidelity_extra(engine.backend().fidelity());
-    reuse_extra.extend(topology_extra(engine.backend().topology()));
+    // one dataset.
+    let backend = engine.backend();
+    let reuse_extra = engine_extra(backend.fidelity(), backend.topology());
     let mut done = 0usize;
     let mut resumed_from = 0usize;
     let (mut prior_rows, mut prior_discarded) = (0usize, 0usize);
@@ -246,13 +227,17 @@ pub(crate) fn run_job_loop(
         engine.backend().clear_reuse_cache();
     }
 
-    let with_metrics = ctl.metrics.is_some();
+    let mode = if ctl.metrics.is_some() {
+        RunMode::Metrics
+    } else {
+        RunMode::Plain
+    };
     let (mut rows, mut discarded) = (0usize, 0usize);
     // Rows streamed since the steer last saw them (empty without one).
     let mut unseen: Vec<Row> = Vec::new();
     while done < total_jobs {
         let end = (done + plan.chunk_jobs()).min(total_jobs);
-        for (_, result, metrics_rows) in run_span(engine, &plan, done, end, with_metrics, shards)? {
+        for (_, result, metrics_rows) in run_span(engine, &plan, done, end, mode)? {
             match result {
                 Ok(row) => {
                     sink.row(&row)?;
@@ -266,8 +251,8 @@ pub(crate) fn run_job_loop(
                     discarded += 1;
                 }
             }
-            if let (Some(rows), Some(msink)) = (metrics_rows, ctl.metrics.as_deref_mut()) {
-                for m in &rows {
+            if let Some(msink) = ctl.metrics.as_deref_mut() {
+                for m in &metrics_rows {
                     msink.metrics(m)?;
                 }
             }
@@ -323,25 +308,12 @@ pub(crate) fn run_job_loop(
     })
 }
 
-/// Max-heap key: highest priority first, job-id ascending on ties.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// Max-heap key: highest priority first, job-id ascending on ties
+/// (the derived order compares the fields top to bottom).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 struct QueueKey {
     priority: i64,
-    id: JobId,
-}
-
-impl Ord for QueueKey {
-    fn cmp(&self, other: &QueueKey) -> std::cmp::Ordering {
-        self.priority
-            .cmp(&other.priority)
-            .then(other.id.cmp(&self.id))
-    }
-}
-
-impl PartialOrd for QueueKey {
-    fn partial_cmp(&self, other: &QueueKey) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
+    id: Reverse<JobId>,
 }
 
 struct Shared {
@@ -354,8 +326,8 @@ struct Shared {
 /// Runner-thread pool plus priority queue over a [`JobStore`]: the
 /// execution half of the DSE service. Submitted jobs queue by
 /// `(priority desc, id asc)`; each runner pops one, claims it
-/// (`Queued → Running`), and drives `run_job_loop` with the job's
-/// private engine and per-job sinks. [`JobScheduler::shutdown`]
+/// (`Queued → Running`), and runs it on an engine, a plan and sinks
+/// built for that one run session. [`JobScheduler::shutdown`]
 /// pauses running jobs at their next chunk boundary and joins every
 /// runner, so process exit always leaves resumable state on disk.
 pub struct JobScheduler {
@@ -418,7 +390,10 @@ impl JobScheduler {
             .queue
             .lock()
             .expect("queue poisoned")
-            .push(QueueKey { priority, id });
+            .push(QueueKey {
+                priority,
+                id: Reverse(id),
+            });
         self.shared.cv.notify_one();
     }
 
@@ -529,7 +504,7 @@ fn runner_loop(shared: &Shared) {
                 queue = shared.cv.wait(queue).expect("queue poisoned");
             }
         };
-        let Some(job) = shared.store.get(key.id) else {
+        let Some(job) = shared.store.get(key.id.0) else {
             continue;
         };
         // Claim: stale heap entries (paused/cancelled while queued, or
@@ -542,7 +517,6 @@ fn runner_loop(shared: &Shared) {
             if inner.started_seq.is_none() {
                 inner.started_seq = Some(shared.store.next_seq());
             }
-            inner.shards = vec![0; job.plan().threads()];
             job.transition(&mut inner, JobState::Running, &shared.store);
         }
         execute(&shared.store, &job);
@@ -552,7 +526,7 @@ fn runner_loop(shared: &Shared) {
 /// Run one claimed job to its next stop (completion, pause, cancel, or
 /// error) and record the resulting state transition.
 fn execute(store: &JobStore, job: &Job) {
-    let result = run_one(job);
+    let result = run_one(store, job);
     let mut inner = job.inner.lock().expect("job lock poisoned");
     let state = match result {
         Ok(s) if s.completed => {
@@ -568,28 +542,14 @@ fn execute(store: &JobStore, job: &Job) {
     job.transition(&mut inner, state, store);
 }
 
-fn run_one(job: &Job) -> Result<RunSummary, ArmdseError> {
-    let plan = job.plan();
-    let ckpt = job.ckpt_path();
-    let resume = ckpt.exists();
-    let csv_path = job.csv_path();
-    let mut csv = if resume {
-        CsvSink::append(&csv_path)?
-    } else {
-        CsvSink::create(&csv_path)?
-    };
-    let mut metrics_sink = if job.spec().metrics {
-        let path = job.metrics_path();
-        Some(if resume && path.exists() {
-            MetricsCsvSink::append(&path)?
-        } else {
-            MetricsCsvSink::create(&path)?
-        })
-    } else {
-        None
-    };
-    let shards: Vec<AtomicUsize> = (0..plan.threads()).map(|_| AtomicUsize::new(0)).collect();
-    let shards_ref: &[AtomicUsize] = &shards;
+/// One run session of a job. The plan, the engine (workload cache and,
+/// at the memoized tier, interval cache) and the open sinks are locals:
+/// built when a runner claims the job, dropped when it stops, so two
+/// jobs cannot share any of them and a stopped job holds none.
+fn run_one(store: &JobStore, job: &Job) -> Result<RunSummary, ArmdseError> {
+    let plan = job.spec().plan(store.space())?;
+    let engine = job.spec().engine();
+    let mut campaign = job.files().open(false)?;
     // The observer runs at every chunk boundary, after the CSV flushed
     // and the checkpoint saved: publish progress (waking streamers) and
     // honour a pending stop request.
@@ -598,30 +558,18 @@ fn run_one(job: &Job) -> Result<RunSummary, ArmdseError> {
         inner.jobs_done = pr.jobs_done;
         inner.rows = pr.rows;
         inner.discarded = pr.discarded;
-        inner.shards = shards_ref
-            .iter()
-            .map(|c| c.load(Ordering::Relaxed))
-            .collect();
         inner.version += 1;
         job.cv.notify_all();
         inner.stop.is_none()
     };
-    let ctl = RunControl {
-        checkpoint: Some(&ckpt),
-        resume,
-        observer: Some(&mut observer),
-        metrics: metrics_sink.as_mut().map(|m| m as &mut dyn MetricsSink),
-        steer: None,
-        reuse: ReuseMode::Inherit,
-    };
-    run_job_loop(job.engine(), plan, &mut csv, ctl, Some(shards_ref))
+    campaign.run(&engine, &plan, Some(&mut observer), None)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::dataset::DseDataset;
-    use crate::engine::Steer;
+    use crate::engine::{CsvSink, Steer};
     use crate::orchestrator::GenOptions;
     use crate::space::ParamSpace;
     use armdse_kernels::{App, WorkloadScale};
@@ -644,6 +592,21 @@ mod tests {
         }
     }
 
+    /// The job's CSV is byte-identical to a direct `Engine::run` of
+    /// the plan its spec describes.
+    fn assert_direct_run_bytes(job: &Job, tag: &str) {
+        let direct = std::env::temp_dir().join(format!("armdse_scheduler_{tag}_direct.csv"));
+        let mut sink = CsvSink::create(&direct).unwrap();
+        let plan = job.spec().plan(&ParamSpace::paper()).unwrap();
+        job.spec().engine().run(&plan, &mut sink).unwrap();
+        sink.chunk_end().unwrap();
+        assert_eq!(
+            std::fs::read(job.csv_path()).unwrap(),
+            std::fs::read(&direct).unwrap()
+        );
+        let _ = std::fs::remove_file(&direct);
+    }
+
     #[test]
     fn submitted_job_runs_to_done_with_direct_run_bytes() {
         let store = store("done");
@@ -652,20 +615,8 @@ mod tests {
         let status = job.wait_terminal();
         assert_eq!(status.state, JobState::Done);
         assert_eq!(status.jobs_done, status.total_jobs);
-        assert_eq!(status.shards.len(), 2);
-        assert_eq!(status.shards.iter().sum::<usize>(), status.total_jobs);
-        // The job's CSV is byte-identical to a direct Engine::run of
-        // the same plan.
-        let direct = std::env::temp_dir().join("armdse_scheduler_done_direct.csv");
-        let mut sink = CsvSink::create(&direct).unwrap();
-        job.engine().run(job.plan(), &mut sink).unwrap();
-        sink.chunk_end().unwrap();
-        assert_eq!(
-            std::fs::read(job.csv_path()).unwrap(),
-            std::fs::read(&direct).unwrap()
-        );
+        assert_direct_run_bytes(&job, "done");
         sched.shutdown();
-        let _ = std::fs::remove_file(&direct);
         let _ = std::fs::remove_dir_all(store.dir());
     }
 
@@ -777,6 +728,32 @@ mod tests {
         let _ = std::fs::remove_dir_all(store.dir());
     }
 
+    #[test]
+    fn a_checkpoint_without_its_csv_fails_the_job_naming_both_files() {
+        let store = store("csv_gone");
+        let sched = JobScheduler::new(Arc::clone(&store), 0);
+        let job = sched.submit(tiny_spec(6)).unwrap();
+        Checkpoint {
+            fingerprint: 0,
+            jobs_done: 2,
+            rows: 2,
+            discarded: 0,
+            extra: Vec::new(),
+        }
+        .save(&job.ckpt_path())
+        .unwrap();
+        sched.add_runners(1);
+        let status = job.wait_terminal();
+        assert_eq!(status.state, JobState::Failed);
+        let error = status.error.unwrap();
+        assert!(error.starts_with("checkpoint error: "), "{error}");
+        for path in [job.ckpt_path(), job.csv_path()] {
+            assert!(error.contains(&path.display().to_string()), "{error}");
+        }
+        sched.shutdown();
+        let _ = std::fs::remove_dir_all(store.dir());
+    }
+
     /// A long single-app job (one job per chunk), submitted and observed
     /// `Running` with progress, so a request lands mid-campaign.
     fn running_job(sched: &JobScheduler, seed: u64) -> Arc<Job> {
@@ -831,16 +808,8 @@ mod tests {
         assert!(status.jobs_done > 0 && status.jobs_done < status.total_jobs);
         sched.resume(job.id()).unwrap();
         assert_eq!(job.wait_terminal().state, JobState::Done);
-        let direct = std::env::temp_dir().join("armdse_scheduler_prp_direct.csv");
-        let mut sink = CsvSink::create(&direct).unwrap();
-        job.engine().run(job.plan(), &mut sink).unwrap();
-        sink.chunk_end().unwrap();
-        assert_eq!(
-            std::fs::read(job.csv_path()).unwrap(),
-            std::fs::read(&direct).unwrap()
-        );
+        assert_direct_run_bytes(&job, "prp");
         sched.shutdown();
-        let _ = std::fs::remove_file(&direct);
         let _ = std::fs::remove_dir_all(store.dir());
     }
 
@@ -905,14 +874,9 @@ mod tests {
                     steer: Some(&mut steer),
                     ..RunControl::default()
                 };
-                let s = run_job_loop(
-                    &engine,
-                    &index_plan(&a, threads, chunk_jobs),
-                    &mut whole,
-                    ctl,
-                    None,
-                )
-                .unwrap();
+                let s = engine
+                    .run_controlled(&index_plan(&a, threads, chunk_jobs), &mut whole, ctl)
+                    .unwrap();
                 assert!(
                     s.completed && s.jobs == 12 && s.jobs_done == 12,
                     "{tag}: {s:?}"
@@ -943,14 +907,9 @@ mod tests {
                     steer: Some(&mut steer),
                     ..RunControl::default()
                 };
-                let s = run_job_loop(
-                    &engine,
-                    &index_plan(&a, threads, chunk_jobs),
-                    &mut pieces,
-                    ctl,
-                    None,
-                )
-                .unwrap();
+                let s = engine
+                    .run_controlled(&index_plan(&a, threads, chunk_jobs), &mut pieces, ctl)
+                    .unwrap();
                 assert!(!s.completed, "{tag}");
                 let paused_at = s.jobs_done;
                 // Chunks restart at a round boundary: [a] ends at job 4.
@@ -971,14 +930,9 @@ mod tests {
                     steer: Some(&mut steer),
                     ..RunControl::default()
                 };
-                let s = run_job_loop(
-                    &engine,
-                    &index_plan(&so_far, threads, chunk_jobs),
-                    &mut pieces,
-                    ctl,
-                    None,
-                )
-                .unwrap();
+                let s = engine
+                    .run_controlled(&index_plan(&so_far, threads, chunk_jobs), &mut pieces, ctl)
+                    .unwrap();
                 assert!(s.completed && s.resumed_from == paused_at, "{tag}: {s:?}");
                 assert_eq!(pieces, fixed, "{tag}");
                 // Only the rows streamed since the resume are handed over.
@@ -1003,14 +957,9 @@ mod tests {
             checkpoint: Some(&ckpt),
             ..RunControl::default()
         };
-        run_job_loop(
-            &Engine::idealized(),
-            &plan,
-            &mut DseDataset::default(),
-            ctl,
-            None,
-        )
-        .unwrap();
+        Engine::idealized()
+            .run_controlled(&plan, &mut DseDataset::default(), ctl)
+            .unwrap();
         assert_eq!(
             std::fs::read_to_string(&ckpt).unwrap(),
             format!(

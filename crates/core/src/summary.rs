@@ -108,15 +108,6 @@ impl DatasetSummary {
         }
         out
     }
-
-    /// Spread of the target variable for one app (`max / min`), the
-    /// dynamic range the surrogate has to capture.
-    pub fn cycle_spread(&self, app: App) -> Option<f64> {
-        self.apps
-            .iter()
-            .find(|a| a.app == app.name())
-            .map(|a| a.max as f64 / a.min.max(1) as f64)
-    }
 }
 
 #[cfg(test)]
@@ -169,13 +160,6 @@ mod tests {
         let (name, lo, hi) = &s.feature_ranges[0];
         assert_eq!(name, "Vector-Length");
         assert_eq!((*lo, *hi), (128.0, 128.0));
-    }
-
-    #[test]
-    fn cycle_spread() {
-        let s = data().summary();
-        assert!((s.cycle_spread(App::Stream).unwrap() - 3.0).abs() < 1e-9);
-        assert!(s.cycle_spread(App::TeaLeaf).is_none());
     }
 
     #[test]

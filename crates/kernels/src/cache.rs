@@ -31,25 +31,11 @@ pub type WorkloadKey = (App, WorkloadScale, u32);
 /// Lowering a kernel is pure, so a cache miss builds *outside* the lock
 /// (two threads racing on the same key build identical workloads and
 /// one insert wins) — workers never serialise behind kernel lowering.
-///
-/// ## Clearing semantics
-///
-/// [`clear`](Self::clear) drops the cache's own references; outstanding
-/// [`Arc`]s handed to callers stay valid (the lowered programs are
-/// freed when the last holder drops). A `get` whose build was in flight
-/// when `clear` ran returns its (correct, pure) build but does **not**
-/// insert it — clearing bumps a generation counter that the in-flight
-/// build's insert checks, so a cleared cache never resurrects
-/// pre-clear entries. Without the check, a build that started before
-/// the clear could insert after it, silently undoing the clear (the
-/// race the regression test below pins).
+/// Entries live as long as the cache: a campaign that is done with its
+/// workloads drops the cache (with the engine that owns it).
 #[derive(Debug, Default)]
 pub struct WorkloadCache {
     map: Mutex<HashMap<WorkloadKey, Arc<Workload>>>,
-    /// Bumped by every [`clear`](Self::clear) (under the map lock);
-    /// an in-flight build only inserts if the generation it started
-    /// under is still current.
-    generation: AtomicU64,
 }
 
 impl WorkloadCache {
@@ -61,28 +47,11 @@ impl WorkloadCache {
     /// The workload for `(app, scale, vl_bits)`, built on first use.
     pub fn get(&self, app: App, scale: WorkloadScale, vl_bits: u32) -> Arc<Workload> {
         let key = (app, scale, vl_bits);
-        self.get_with(key, || build_workload(app, scale, vl_bits))
-    }
-
-    /// [`get`](Self::get) with an injectable builder — the seam the
-    /// clear-during-build regression test drives deterministically.
-    fn get_with(&self, key: WorkloadKey, build: impl FnOnce() -> Workload) -> Arc<Workload> {
-        let gen_before = {
-            let map = self.map.lock().expect("workload cache poisoned");
-            if let Some(w) = map.get(&key) {
-                return Arc::clone(w);
-            }
-            // Read under the lock so a clear that completed before this
-            // miss is fully ordered before the build.
-            self.generation.load(Ordering::Relaxed)
-        };
-        let built = Arc::new(build());
-        let mut map = self.map.lock().expect("workload cache poisoned");
-        if self.generation.load(Ordering::Relaxed) != gen_before {
-            // A clear ran while building: hand the build out without
-            // inserting, keeping the clear authoritative.
-            return built;
+        if let Some(w) = self.map.lock().expect("workload cache poisoned").get(&key) {
+            return Arc::clone(w);
         }
+        let built = Arc::new(build_workload(app, scale, vl_bits));
+        let mut map = self.map.lock().expect("workload cache poisoned");
         Arc::clone(map.entry(key).or_insert(built))
     }
 
@@ -94,17 +63,6 @@ impl WorkloadCache {
     /// Whether the cache is empty.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
-    }
-
-    /// Drop every memoised workload (frees the lowered programs once
-    /// outstanding `Arc`s drop; see *Clearing semantics* above).
-    pub fn clear(&self) {
-        let mut map = self.map.lock().expect("workload cache poisoned");
-        map.clear();
-        // Under the lock: any in-flight build re-locks to insert, so it
-        // observes the bump strictly before or strictly after — never
-        // torn against — this clear.
-        self.generation.fetch_add(1, Ordering::Relaxed);
     }
 }
 
@@ -155,11 +113,6 @@ pub struct ShardedCache<K, V> {
     evictions: AtomicU64,
 }
 
-/// Default shard count for [`ShardedCache::with_defaults`].
-pub const DEFAULT_CACHE_SHARDS: usize = 16;
-/// Default total entry bound for [`ShardedCache::with_defaults`].
-pub const DEFAULT_CACHE_CAPACITY: usize = 4096;
-
 impl<K: Hash + Eq + Clone, V> ShardedCache<K, V> {
     /// A cache of `shards` segments bounded at `capacity` total entries
     /// (rounded up to a multiple of the shard count).
@@ -181,11 +134,6 @@ impl<K: Hash + Eq + Clone, V> ShardedCache<K, V> {
             insertions: AtomicU64::new(0),
             evictions: AtomicU64::new(0),
         }
-    }
-
-    /// A cache with the default shard count and capacity bound.
-    pub fn with_defaults() -> ShardedCache<K, V> {
-        ShardedCache::new(DEFAULT_CACHE_SHARDS, DEFAULT_CACHE_CAPACITY)
     }
 
     fn shard(&self, key: &K) -> &Mutex<Shard<K, V>> {
@@ -287,8 +235,6 @@ mod tests {
         assert_eq!(cache.len(), 1);
         cache.get(App::Stream, WorkloadScale::Tiny, 256);
         assert_eq!(cache.len(), 2);
-        cache.clear();
-        assert!(cache.is_empty());
     }
 
     #[test]
@@ -313,45 +259,6 @@ mod tests {
             }
         });
         assert_eq!(cache.len(), 1);
-    }
-
-    #[test]
-    fn clear_during_build_is_not_resurrected() {
-        // Deterministic replay of the clear/get race: the builder runs
-        // outside the lock, and a clear lands exactly in that window.
-        // The pre-clear build must be handed out (it is pure and
-        // correct) but must NOT be inserted into the cleared cache.
-        let cache = WorkloadCache::new();
-        let key = (App::Stream, WorkloadScale::Tiny, 128);
-        let w = cache.get_with(key, || {
-            cache.clear();
-            build_workload(App::Stream, WorkloadScale::Tiny, 128)
-        });
-        assert_eq!(
-            w.summary,
-            build_workload(App::Stream, WorkloadScale::Tiny, 128).summary
-        );
-        assert!(
-            cache.is_empty(),
-            "a build that started before clear() must not be inserted after it"
-        );
-        // The next get builds (and caches) fresh.
-        let fresh = cache.get(App::Stream, WorkloadScale::Tiny, 128);
-        assert_eq!(cache.len(), 1);
-        assert!(!Arc::ptr_eq(&w, &fresh), "stale Arc must stay detached");
-    }
-
-    #[test]
-    fn clear_keeps_outstanding_arcs_valid() {
-        let cache = WorkloadCache::new();
-        let held = cache.get(App::TeaLeaf, WorkloadScale::Tiny, 128);
-        cache.clear();
-        assert!(cache.is_empty());
-        // The holder's view is unaffected by the clear.
-        assert_eq!(held.program.name, "tealeaf");
-        let rebuilt = cache.get(App::TeaLeaf, WorkloadScale::Tiny, 128);
-        assert!(!Arc::ptr_eq(&held, &rebuilt));
-        assert_eq!(held.summary, rebuilt.summary);
     }
 
     #[test]
@@ -398,7 +305,7 @@ mod tests {
 
     #[test]
     fn sharded_cache_concurrent_insert_converges() {
-        let cache: ShardedCache<u64, u64> = ShardedCache::with_defaults();
+        let cache: ShardedCache<u64, u64> = ShardedCache::new(16, 4096);
         std::thread::scope(|s| {
             let handles: Vec<_> = (0..8)
                 .map(|_| s.spawn(|| (0..100).map(|k| *cache.insert(k, k)).sum::<u64>()))

@@ -33,12 +33,6 @@ impl Layout {
     pub fn alloc_array(&mut self, n: u64, elem_bytes: u64) -> u64 {
         self.alloc(n * elem_bytes)
     }
-
-    /// Total bytes reserved so far (the workload's data footprint upper
-    /// bound, used in tests to confirm working-set targets).
-    pub fn footprint(&self) -> u64 {
-        self.next - HEAP_BASE
-    }
 }
 
 impl Default for Layout {
@@ -66,15 +60,6 @@ mod tests {
         assert_eq!(b % ARRAY_ALIGN, 0);
         assert!(b >= a + ARRAY_ALIGN);
         assert!(c >= b + 5000);
-    }
-
-    #[test]
-    fn footprint_accumulates() {
-        let mut l = Layout::new();
-        l.alloc_array(1024, 8);
-        assert_eq!(l.footprint(), 8192);
-        l.alloc(1);
-        assert_eq!(l.footprint(), 8192 + ARRAY_ALIGN);
     }
 
     #[test]

@@ -18,16 +18,21 @@ pub enum LookupResult {
 /// Timing lives in the hierarchy; this structure answers only *presence*
 /// questions and maintains replacement state.
 ///
-/// Storage is two parallel `Vec<u64>`s rather than a `Vec` of way
-/// structs: both zero-initialise through `alloc_zeroed` (no multi-MiB
+/// Storage is two parallel `u64` arrays rather than an array of way
+/// structs: they zero-initialise through `alloc_zeroed` (no multi-MiB
 /// memset when a large L2 is built per simulation), and the hit path
 /// touches only the tag array at twice the density of the struct layout.
+/// The two are the halves of ONE allocation: glibc returns a heap's
+/// free top to the kernel once it reaches twice the largest block it
+/// ever mapped, which two equal blocks freed together reach exactly, so
+/// as two `Vec`s every simulation of the largest L2 gave its pages back
+/// for the next one to fault in again.
 #[derive(Debug, Clone)]
 pub struct Cache {
-    /// Per way: `(line_addr << 1) | 1` when valid, `0` when invalid.
-    tags: Vec<u64>,
-    /// Per way: `(lru_tick << 1) | dirty`; meaningless while invalid.
-    meta: Vec<u64>,
+    /// Tags, then metadata. A tag is `(line_addr << 1) | 1` when its way
+    /// is valid, `0` when invalid; a way's metadata is
+    /// `(lru_tick << 1) | dirty`, meaningless while invalid.
+    ways: Vec<u64>,
     sets: u32,
     assoc: u32,
     line_bytes: u32,
@@ -44,8 +49,7 @@ impl Cache {
         assert!(sets.is_power_of_two() && sets > 0, "invalid cache geometry");
         let n = (sets * assoc) as usize;
         Cache {
-            tags: vec![0; n],
-            meta: vec![0; n],
+            ways: vec![0; 2 * n],
             sets,
             assoc,
             line_bytes,
@@ -64,7 +68,7 @@ impl Cache {
         let tag = (line_addr << 1) | 1;
         let a = self.assoc as usize;
         let base = self.set_of(line_addr) * a;
-        self.tags[base..base + a].contains(&tag)
+        self.ways[base..base + a].contains(&tag)
     }
 
     /// Access `line_addr`, allocating on miss, updating LRU, and setting
@@ -80,19 +84,20 @@ impl Cache {
         let tag = (line_addr << 1) | 1;
         let a = self.assoc as usize;
         let base = self.set_of(line_addr) * a;
+        let (tags, meta) = self.ways.split_at_mut((self.sets * self.assoc) as usize);
 
-        if let Some(i) = self.tags[base..base + a].iter().position(|&t| t == tag) {
-            let m = &mut self.meta[base + i];
+        if let Some(i) = tags[base..base + a].iter().position(|&t| t == tag) {
+            let m = &mut meta[base + i];
             *m = (tick << 1) | (*m & 1) | u64::from(is_store);
             return LookupResult::Hit;
         }
 
         // Miss: prefer an invalid way, otherwise evict the LRU way (ticks
         // are unique, so min-by-meta is min-by-tick among valid ways).
-        let (victim_idx, result) = match self.tags[base..base + a].iter().position(|&t| t == 0) {
+        let (victim_idx, result) = match tags[base..base + a].iter().position(|&t| t == 0) {
             Some(i) => (i, LookupResult::MissFilled),
             None => {
-                let (i, m) = self.meta[base..base + a]
+                let (i, m) = meta[base..base + a]
                     .iter()
                     .enumerate()
                     .min_by_key(|&(_, m)| *m)
@@ -105,22 +110,9 @@ impl Cache {
                 (i, r)
             }
         };
-        self.tags[base + victim_idx] = tag;
-        self.meta[base + victim_idx] = (tick << 1) | u64::from(is_store);
+        tags[base + victim_idx] = tag;
+        meta[base + victim_idx] = (tick << 1) | u64::from(is_store);
         result
-    }
-
-    /// Insert a line without classifying the access (prefetch fills).
-    /// Returns `true` if a dirty line was displaced.
-    pub fn fill(&mut self, line_addr: u64) -> bool {
-        matches!(self.access(line_addr, false), LookupResult::MissEvictDirty)
-    }
-
-    /// Invalidate every line (used between benchmark phases when modelling
-    /// a cold-cache run).
-    pub fn flush(&mut self) {
-        self.tags.fill(0);
-        self.meta.fill(0);
     }
 
     /// Total line capacity.
@@ -130,12 +122,8 @@ impl Cache {
 
     /// Number of currently valid lines.
     pub fn valid_lines(&self) -> u32 {
-        self.tags.iter().filter(|&&t| t != 0).count() as u32
-    }
-
-    /// Cache line width in bytes.
-    pub fn line_bytes(&self) -> u32 {
-        self.line_bytes
+        let tags = &self.ways[..self.capacity_lines() as usize];
+        tags.iter().filter(|&&t| t != 0).count() as u32
     }
 }
 
@@ -200,32 +188,15 @@ mod tests {
     }
 
     #[test]
-    fn flush_empties() {
-        let mut c = tiny();
-        c.access(0x1000, false);
-        c.flush();
-        assert_eq!(c.valid_lines(), 0);
-        assert!(!c.probe(0x1000));
-    }
-
-    #[test]
     fn distinct_sets_do_not_conflict() {
         let mut c = tiny();
         // 16 lines in 16 distinct (set, way) slots: addresses 64 B apart.
         for i in 0..16u64 {
-            c.access(i * 64, false);
+            assert_eq!(c.access(i * 64, false), LookupResult::MissFilled);
         }
         assert_eq!(c.valid_lines(), 16);
         for i in 0..16u64 {
             assert!(c.probe(i * 64));
         }
-    }
-
-    #[test]
-    fn fill_reports_dirty_writeback() {
-        let mut c = tiny();
-        c.access(0x0000, true);
-        c.access(0x0200, true);
-        assert!(c.fill(0x0400));
     }
 }

@@ -4,11 +4,11 @@
 //! std-only HTTP/1.1 server (hand-rolled over [`std::net::TcpListener`];
 //! see [`http`]) exposing the [`armdse_core::scheduler::JobScheduler`]
 //! and [`armdse_core::jobstore::JobStore`] as a wire API. Campaigns are
-//! submitted as JSON job specs, execute on runner threads with per-job
-//! isolated engines, and stream their dataset rows back incrementally
-//! with chunked transfer encoding — byte-identical to the CSV a direct
-//! `Engine::run` of the same plan writes, at any thread count, across
-//! pause/resume cycles and server restarts.
+//! submitted as JSON job specs, execute on runner threads with an
+//! engine built for each run, and stream their dataset rows back
+//! incrementally with chunked transfer encoding — byte-identical to the
+//! CSV a direct `Engine::run` of the same plan writes, at any thread
+//! count, across pause/resume cycles and server restarts.
 //!
 //! The wire protocol — endpoints, JSON schemas, chunked framing, error
 //! codes — is specified in docs/SERVER.md. The [`client`] module and
@@ -213,12 +213,14 @@ fn route(inner: &Inner, req: &Request, w: &mut TcpStream) -> std::io::Result<()>
             Err(msg) => respond_error(w, 404, &msg),
         },
         ("GET", ["jobs", id, "rows"]) => match lookup(inner, id) {
-            Ok(job) => stream_file(inner, w, &job, &job.csv_path()),
+            Ok(job) => stream_file(inner, w, &job, &job.files().csv),
             Err(msg) => respond_error(w, 404, &msg),
         },
         ("GET", ["jobs", id, "metrics"]) => match lookup(inner, id) {
-            Ok(job) if job.spec().metrics => stream_file(inner, w, &job, &job.metrics_path()),
-            Ok(_) => respond_error(w, 404, "job does not record metrics"),
+            Ok(job) => match &job.files().metrics {
+                Some(path) => stream_file(inner, w, &job, path),
+                None => respond_error(w, 404, "job does not record metrics"),
+            },
             Err(msg) => respond_error(w, 404, &msg),
         },
         ("POST", ["jobs", id, "pause"]) => job_op(inner, w, id, |s, j| s.pause(j)),

@@ -178,6 +178,7 @@ struct CommitLog {
 /// whose subsequent behaviour is bit-identical to the snapshotted one —
 /// the property the interval-memoizing backend's legality rests on (see
 /// DESIGN.md §13).
+#[derive(Clone)]
 pub struct PipelineSnapshot<M: MemoryModel> {
     params: CoreParams,
     mem: M,
@@ -207,41 +208,6 @@ pub struct PipelineSnapshot<M: MemoryModel> {
     mem_budget_exhausted: bool,
     rename_blocked: bool,
     stats: SimStats,
-}
-
-impl<M: MemoryModel + Clone> Clone for PipelineSnapshot<M> {
-    fn clone(&self) -> Self {
-        PipelineSnapshot {
-            params: self.params,
-            mem: self.mem.clone(),
-            cursor_pos: self.cursor_pos,
-            pending_fetch: self.pending_fetch,
-            now: self.now,
-            fetch_q: self.fetch_q.clone(),
-            loop_mode: self.loop_mode,
-            loop_candidate: self.loop_candidate,
-            window: self.window.clone(),
-            window_base: self.window_base,
-            next_seq: self.next_seq,
-            rename: self.rename.clone(),
-            rename_q: self.rename_q.clone(),
-            rs_count: self.rs_count,
-            ready_q: self.ready_q.clone(),
-            rs_ready: self.rs_ready,
-            rob_count: self.rob_count,
-            port_busy: self.port_busy.clone(),
-            done: self.done.clone(),
-            lq_count: self.lq_count,
-            sq: self.sq.clone(),
-            sq_span: self.sq_span,
-            pending_loads: self.pending_loads.clone(),
-            completed_loads: self.completed_loads.clone(),
-            counters: self.counters.clone(),
-            mem_budget_exhausted: self.mem_budget_exhausted,
-            rename_blocked: self.rename_blocked,
-            stats: self.stats.clone(),
-        }
-    }
 }
 
 /// The pipeline state machine.
