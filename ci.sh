@@ -17,6 +17,7 @@
 #   PR 16 (one benchmark system): 19091 -> 18480
 #   PR 17 (perf: forest on the campaign's threads, pool-prediction table): 18480 -> 18709
 #   PR 19 (one campaign value, one durable-write module): 18709 -> 18556
+#   PR 20 (run memo replaces the interval-memoizing tier): 18556 -> 18121
 set -eux
 
 cd "$(dirname "$0")"
@@ -109,10 +110,10 @@ cmp "$SMOKE/expareto/explore_pareto.csv" "$SMOKE/expareto1/explore_pareto.csv"
 cmp "$SMOKE/expareto/explore_dataset.csv" "$SMOKE/expareto1/explore_dataset.csv"
 cmp "$SMOKE/expareto/explore_curve.csv" "$SMOKE/expareto1/explore_curve.csv"
 
-# Reuse-smoke lane: the interval-memoizing fidelity tier end to end
+# Reuse-smoke lane: the run-memoizing fidelity tier end to end
 # through the repro binary (DESIGN.md §13). A memoized dataset run must
 # be byte-identical to the Full-fidelity run above and must report
-# interval-cache activity in its summary; a paused memoized run records
+# run-memo activity in its summary; a paused memoized run records
 # its tier in the checkpoint, refuses to resume at a different
 # fidelity, and completes byte-identically when resumed at its own.
 cargo run --release --offline -p armdse-analysis --bin repro -- dataset \
@@ -120,7 +121,7 @@ cargo run --release --offline -p armdse-analysis --bin repro -- dataset \
   --fidelity memoized 2> "$SMOKE/reused.log"
 cmp "$SMOKE/fresh/dataset.csv" "$SMOKE/reused/dataset.csv"
 grep -q 'fidelity tier: Memoized' "$SMOKE/reused.log"
-grep -q 'interval reuse: .* insertion' "$SMOKE/reused.log"
+grep -q 'run reuse: .* insertion' "$SMOKE/reused.log"
 cargo run --release --offline -p armdse-analysis --bin repro -- dataset \
   --configs 40 --scale tiny --seed 7 --threads 4 --out "$SMOKE/reupaused" \
   --fidelity memoized --max-chunks 1

@@ -142,9 +142,7 @@ fn parse_args(mut args: impl Iterator<Item = String>) -> Result<Cli, String> {
             "--fidelity" => {
                 machine.fidelity = match val()?.as_str() {
                     "full" => Fidelity::Full,
-                    "memoized" => Fidelity::Memoized {
-                        interval_len: armdse_simcore::DEFAULT_INTERVAL_LEN,
-                    },
+                    "memoized" => Fidelity::Memoized,
                     s => return Err(format!("unknown fidelity {s}")),
                 }
             }
@@ -401,7 +399,7 @@ fn run(cli: &Cli) {
     if let Some(rs) = engine.backend().reuse_stats() {
         let lookups = rs.hits + rs.misses;
         eprintln!(
-            "[repro] interval reuse: {}/{} lookups hit ({:.1}%), {} insertion(s), {} eviction(s)",
+            "[repro] run reuse: {}/{} lookups hit ({:.1}%), {} insertion(s), {} eviction(s)",
             rs.hits,
             lookups,
             100.0 * rs.hits as f64 / lookups.max(1) as f64,
@@ -522,31 +520,39 @@ fn dataset_files(cli: &Cli) -> CampaignFiles {
 /// streaming rows to `<out>/dataset.csv` with a checkpoint after each
 /// chunk. With `--resume` an interrupted campaign continues from its
 /// checkpoint; the finished file is byte-identical to an uninterrupted
-/// run. `force_regen` (the `dataset` experiment) always regenerates —
-/// unless `--resume` is finishing an interrupted campaign.
+/// run. `force_regen` (the `dataset` experiment) regenerates a complete
+/// dataset — unless `--resume` says to keep what is there.
 fn dataset(cli: &Cli, space: &ParamSpace, engine: &Engine, force_regen: bool) -> DseDataset {
     let files = dataset_files(cli);
     let path = &files.csv;
 
     // A CSV with a checkpoint beside it is a campaign in flight, not a
     // dataset: this function removes the checkpoint on completion.
-    if !force_regen {
-        if !files.checkpoint.exists() {
+    if !files.checkpoint.exists() {
+        if cli.resume || !force_regen {
             if let Ok(d) = DseDataset::load_csv(path) {
-                eprintln!(
-                    "[repro] loaded {} rows from {}",
-                    d.rows.len(),
-                    path.display()
-                );
+                if cli.resume {
+                    eprintln!(
+                        "[repro] nothing to resume: {} is complete ({} rows)",
+                        path.display(),
+                        d.rows.len()
+                    );
+                } else {
+                    eprintln!(
+                        "[repro] loaded {} rows from {}",
+                        d.rows.len(),
+                        path.display()
+                    );
+                }
                 return d;
             }
-        } else if !cli.resume {
-            eprintln!(
-                "[repro] {} is incomplete (checkpoint present) — regenerating from scratch; \
-                 pass --resume to continue it instead",
-                path.display()
-            );
         }
+    } else if !force_regen && !cli.resume {
+        eprintln!(
+            "[repro] {} is incomplete (checkpoint present) — regenerating from scratch; \
+             pass --resume to continue it instead",
+            path.display()
+        );
     }
 
     let gen_opts = cli.opts.gen_options();
@@ -735,6 +741,37 @@ mod tests {
         );
         // Without --resume the same directory starts over.
         assert!(files.open(true).unwrap().position.is_none());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn resuming_a_finished_campaign_keeps_its_dataset() {
+        let dir = std::env::temp_dir().join("armdse_repro_resume_finished");
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let out = dir.to_str().unwrap();
+        let run = |extra: &[&str]| {
+            let args = ["dataset", "--configs", "3", "--scale", "tiny", "--out", out];
+            let cli = parse(&[&args[..], extra].concat()).unwrap();
+            let engine = cli.machine.engine();
+            super::dataset(&cli, &super::ParamSpace::paper(), &engine, true)
+        };
+        let first = run(&[]);
+        let csv = dir.join("dataset.csv");
+        assert!(
+            !dir.join("dataset.ckpt").exists(),
+            "finished: no checkpoint"
+        );
+        // Mark one cycles cell: a regenerated file would not carry it.
+        let text = std::fs::read_to_string(&csv).unwrap();
+        let marked = text.replacen(&format!(",{},", first.rows[0].cycles), ",123456789,", 1);
+        assert_ne!(marked, text);
+        std::fs::write(&csv, &marked).unwrap();
+        let again = run(&["--resume"]);
+        assert_eq!(again.rows[0].cycles, 123456789);
+        assert_eq!(std::fs::read_to_string(&csv).unwrap(), marked);
+        // Without --resume the `dataset` experiment regenerates it.
+        assert_eq!(run(&[]).rows, first.rows);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -11,8 +11,8 @@
 //! ## Per-job isolation
 //!
 //! A job holds its spec, its file paths and its counters, nothing else.
-//! The plan, the [`Engine`] (workload cache, backend, and the interval
-//! cache at the memoized tier) and the open sinks are locals of one run
+//! The plan, the [`Engine`] (workload cache, backend, and the run
+//! memo at the memoized tier) and the open sinks are locals of one run
 //! session: a runner builds them when it claims the job and drops them
 //! when the session stops. Tenants therefore cannot pollute each
 //! other's caches by construction, the only state concurrent jobs share
@@ -21,7 +21,7 @@
 //! against 37–43 KB while every job owned its engine for the life of
 //! the process (`tests/server_memory.rs`). The price: a job resumed in
 //! the same process re-lowers its workloads and, at the memoized tier,
-//! starts with a cold interval cache — as it already did after a
+//! starts with a cold run memo — as it already did after a
 //! restart; results are exact either way. With the engine's
 //! thread-count-invariant determinism, a job's bytes depend only on its
 //! spec, never on what else the server is running (pinned by
@@ -225,7 +225,7 @@ impl JobSpec {
         }
         match self.fidelity {
             Fidelity::Full => Engine::idealized(),
-            Fidelity::Memoized { interval_len } => Engine::memoized(interval_len),
+            Fidelity::Memoized => Engine::memoized(0), // the argument is unread
         }
     }
 
@@ -264,9 +264,6 @@ impl JobSpec {
         }
         out.push_str(&format!("  \"priority\": {},\n", self.priority));
         out.push_str(&format!("  \"fidelity\": \"{}\",\n", self.fidelity.tag()));
-        if let Fidelity::Memoized { interval_len } = self.fidelity {
-            out.push_str(&format!("  \"interval_len\": {interval_len},\n"));
-        }
         out.push_str(&format!("  \"metrics\": {}\n}}\n", self.metrics));
         out
     }
@@ -283,8 +280,6 @@ impl JobSpec {
             .ok_or_else(|| bad("job spec must be a JSON object".into()))?;
         let mut spec = JobSpec::default();
         let mut have_configs = false;
-        let mut interval_len = None;
-        let mut fidelity_tag = "full".to_string();
         for (key, val) in obj {
             let uint = || -> Result<u64, ArmdseError> {
                 val.as_u64()
@@ -347,12 +342,13 @@ impl JobSpec {
                     spec.priority = n as i64;
                 }
                 "fidelity" => {
-                    fidelity_tag = val
-                        .as_str()
-                        .ok_or_else(|| bad("\"fidelity\" must be a string".into()))?
-                        .to_string();
+                    spec.fidelity = match val.as_str() {
+                        Some("full") => Fidelity::Full,
+                        Some("memoized") => Fidelity::Memoized,
+                        Some(other) => return Err(bad(format!("unknown fidelity \"{other}\""))),
+                        None => return Err(bad("\"fidelity\" must be a string".into())),
+                    };
                 }
-                "interval_len" => interval_len = Some(uint()?),
                 "metrics" => {
                     spec.metrics = val
                         .as_bool()
@@ -364,20 +360,6 @@ impl JobSpec {
         if !have_configs {
             return Err(bad("missing required key \"configs\"".into()));
         }
-        spec.fidelity = match fidelity_tag.as_str() {
-            "full" => {
-                if interval_len.is_some() {
-                    return Err(bad(
-                        "\"interval_len\" only applies to memoized fidelity".into()
-                    ));
-                }
-                Fidelity::Full
-            }
-            "memoized" => Fidelity::Memoized {
-                interval_len: interval_len.unwrap_or(armdse_simcore::DEFAULT_INTERVAL_LEN),
-            },
-            other => return Err(bad(format!("unknown fidelity \"{other}\""))),
-        };
         spec.check_machine()?;
         Ok(spec)
     }
@@ -844,7 +826,7 @@ mod tests {
             pins: vec![("Vector-Length".into(), 128.0)],
             chunk_jobs: 4,
             priority: 7,
-            fidelity: Fidelity::Memoized { interval_len: 512 },
+            fidelity: Fidelity::Memoized,
             metrics: true,
             cores: 1,
             banks: Topology::default().banks,
@@ -920,7 +902,8 @@ mod tests {
         assert!(JobSpec::from_json("{\"configs\": 2, \"apps\": [\"nope\"]}").is_err());
         assert!(JobSpec::from_json("{\"configs\": 2, \"scale\": \"huge\"}").is_err());
         assert!(JobSpec::from_json("{\"configs\": 2, \"fidelity\": \"best\"}").is_err());
-        // The approximate tier and its warmup key are gone from the wire.
+        // The approximate tier, its warmup key and the interval tier's
+        // length are gone from the wire.
         let e = JobSpec::from_json("{\"configs\": 2, \"fidelity\": \"sampled\"}").unwrap_err();
         assert!(
             e.to_string().contains("unknown fidelity \"sampled\""),
@@ -928,8 +911,14 @@ mod tests {
         );
         let e = JobSpec::from_json("{\"configs\": 2, \"warmup\": 1}").unwrap_err();
         assert!(e.to_string().contains("unknown key \"warmup\""), "{e}");
-        // interval_len makes no sense at full fidelity.
-        assert!(JobSpec::from_json("{\"configs\": 2, \"interval_len\": 64}").is_err());
+        let e = JobSpec::from_json(
+            "{\"configs\": 2, \"fidelity\": \"memoized\", \"interval_len\": 64}",
+        )
+        .unwrap_err();
+        assert!(
+            e.to_string().contains("unknown key \"interval_len\""),
+            "{e}"
+        );
         // An integer the f64-backed parser would round (…993 reads back
         // as …992) is refused, not run under a different seed.
         let e = JobSpec::from_json("{\"configs\": 2, \"seed\": 9007199254740993}").unwrap_err();
@@ -1041,15 +1030,19 @@ mod tests {
 
     #[test]
     fn a_skipped_spec_keeps_its_id_and_its_files() {
-        // job-2's spec is from an older binary (a key the strict parser
-        // now refuses) and its finished artifacts are still on disk.
+        // job-2's spec is from an older binary (the interval tier's
+        // `to_json`: a key the strict parser now refuses) and its
+        // finished artifacts are still on disk.
         let dir = std::env::temp_dir().join("armdse_jobstore_skipped_id");
         let _ = std::fs::remove_dir_all(&dir);
         let store = JobStore::open(&dir).unwrap();
         store.create(spec()).unwrap();
         let old = store.create(spec()).unwrap();
         assert_eq!(old.id(), 2);
-        std::fs::write(old.spec_path(), "{\"configs\": 2, \"warmup\": 1}").unwrap();
+        let wire = spec().to_json();
+        let wire = wire.replace("  \"metrics\"", "  \"interval_len\": 512,\n  \"metrics\"");
+        assert!(JobSpec::from_json(&wire).is_err());
+        std::fs::write(old.spec_path(), wire).unwrap();
         std::fs::write(old.csv_path(), "left over\n").unwrap();
         old.persist_terminal(JobState::Done, None);
         drop((old, store));

@@ -77,9 +77,8 @@ pub(crate) type ChunkResult = (usize, Result<Row, DiscardedRun>, Vec<MetricsRow>
 /// keep the v1 on-disk checkpoint format byte-for-byte.
 fn engine_extra(f: Fidelity, t: Topology) -> Vec<(String, String)> {
     let mut extra = Vec::new();
-    if let Fidelity::Memoized { interval_len } = f {
+    if f == Fidelity::Memoized {
         extra.push(("reuse.fidelity".into(), f.tag().into()));
-        extra.push(("reuse.interval_len".into(), interval_len.to_string()));
     }
     if t != Topology::default() {
         extra.push(("mc.cores".into(), t.cores.to_string()));
@@ -190,12 +189,7 @@ pub(crate) fn run_job_loop(
                     c.jobs_done
                 )));
             }
-            for key in [
-                "reuse.fidelity",
-                "reuse.interval_len",
-                "mc.cores",
-                "mc.banks",
-            ] {
+            for key in ["reuse.fidelity", "mc.cores", "mc.banks"] {
                 let want = reuse_extra
                     .iter()
                     .find(|(k, _)| k == key)
@@ -543,7 +537,7 @@ fn execute(store: &JobStore, job: &Job) {
 }
 
 /// One run session of a job. The plan, the engine (workload cache and,
-/// at the memoized tier, interval cache) and the open sinks are locals:
+/// at the memoized tier, run memo) and the open sinks are locals:
 /// built when a runner claims the job, dropped when it stops, so two
 /// jobs cannot share any of them and a stopped job holds none.
 fn run_one(store: &JobStore, job: &Job) -> Result<RunSummary, ArmdseError> {

@@ -22,17 +22,6 @@ pub struct TraceCursor<'p> {
     produced: u64,
 }
 
-/// A program-independent snapshot of a [`TraceCursor`]'s position, used
-/// to pause and resume a walk of the dynamic stream (the cursor borrows
-/// its program, so state that must outlive the borrow is captured here
-/// and re-attached with [`TraceCursor::at`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CursorPos {
-    next: usize,
-    idx: [u64; MAX_LOOP_DEPTH],
-    produced: u64,
-}
-
 impl<'p> TraceCursor<'p> {
     /// Start a cursor at the program's entry.
     pub fn new(program: &'p Program) -> TraceCursor<'p> {
@@ -41,29 +30,6 @@ impl<'p> TraceCursor<'p> {
             next: 0,
             idx: [0; MAX_LOOP_DEPTH],
             produced: 0,
-        }
-    }
-
-    /// Resume a cursor over `program` at a previously captured
-    /// [`position`](Self::position). The position must come from a
-    /// cursor over an identical program; resuming elsewhere produces an
-    /// arbitrary (but memory-safe) walk.
-    pub fn at(program: &'p Program, pos: CursorPos) -> TraceCursor<'p> {
-        TraceCursor {
-            program,
-            next: pos.next,
-            idx: pos.idx,
-            produced: pos.produced,
-        }
-    }
-
-    /// Capture the cursor's position for a later [`TraceCursor::at`].
-    #[inline]
-    pub fn position(&self) -> CursorPos {
-        CursorPos {
-            next: self.next,
-            idx: self.idx,
-            produced: self.produced,
         }
     }
 
@@ -247,34 +213,6 @@ mod tests {
             .filter_map(|d| d.mem.map(|m| m.kind))
             .collect();
         assert_eq!(kinds, vec![MemKind::Store, MemKind::Store]);
-    }
-
-    #[test]
-    fn position_roundtrip_resumes_identically() {
-        let inner = vec![Stmt::Instr(InstrTemplate::load(
-            OpClass::Load,
-            Reg::gp(2),
-            &[Reg::gp(3)],
-            AddrExpr::bilinear(0x1000, 0, 64, 1, 8),
-            8,
-        ))];
-        let k = Kernel::new("n", vec![Stmt::repeat(3, vec![Stmt::repeat(4, inner)])]);
-        let p = Program::lower(&k);
-        // Pause at every possible offset; the resumed tail must match
-        // the uninterrupted walk exactly.
-        let full: Vec<DynInstr> = TraceCursor::new(&p).collect();
-        for pause in 0..=full.len() {
-            let mut c = TraceCursor::new(&p);
-            for _ in 0..pause {
-                c.next_instr();
-            }
-            let pos = c.position();
-            assert_eq!(pos, c.position(), "position capture must be pure");
-            let resumed = TraceCursor::at(&p, pos);
-            assert_eq!(resumed.produced(), pause as u64);
-            let tail: Vec<DynInstr> = resumed.collect();
-            assert_eq!(tail, full[pause..], "pause at {pause} diverged");
-        }
     }
 
     #[test]

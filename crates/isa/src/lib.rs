@@ -43,7 +43,7 @@ pub mod program;
 pub mod reg;
 pub mod summary;
 
-pub use cursor::{CursorPos, TraceCursor};
+pub use cursor::TraceCursor;
 pub use instr::{DynInstr, InstrTemplate, MemKind, MemRef, MemTemplate};
 pub use kir::{AddrExpr, Kernel, Stmt};
 pub use op::{OpClass, PortClass};

@@ -10,8 +10,8 @@
 //!   [`Arc`] clones forever, safe to share across a campaign's worker
 //!   threads.
 //! * [`ShardedCache`] — a generic bounded shard-locked map, the storage
-//!   layer of the simulator's interval-memoizing backend (which keys
-//!   interval timing results; see `armdse-simcore`'s `reuse` module).
+//!   layer of the simulator's run-memoizing backend (which keys
+//!   finished run results; see `armdse-simcore`'s `reuse` module).
 //!   It lives in this crate beside [`WorkloadCache`] so every
 //!   memoisation policy sits in one place, and because `armdse-kernels`
 //!   is below the simulator in the dependency order — the cache is
@@ -177,14 +177,6 @@ impl<K: Hash + Eq + Clone, V> ShardedCache<K, V> {
         v
     }
 
-    /// Remove `key` if present (outstanding `Arc`s stay valid).
-    pub fn remove(&self, key: &K) {
-        let mut shard = self.shard(key).lock().expect("sharded cache poisoned");
-        if shard.map.remove(key).is_some() {
-            shard.order.retain(|k| k != key);
-        }
-    }
-
     /// Total entries currently resident.
     pub fn len(&self) -> usize {
         self.shards
@@ -299,8 +291,6 @@ mod tests {
         cache.insert(8, vec![8; 32]); // evicts key 7
         assert!(cache.get(&7).is_none());
         assert_eq!(held[0], 7, "evicted value must stay valid for holders");
-        cache.remove(&8);
-        assert!(cache.is_empty());
     }
 
     #[test]

@@ -63,9 +63,9 @@ impl Hasher for FastHasher {
 }
 
 /// Incremental 64-bit FNV-1a: the workspace's one stable fingerprint
-/// hash (plan fingerprints in checkpoints, interval-cache keys, the
-/// pipeline state hash). Unlike [`FastHasher`] its values are persisted
-/// and compared across runs, so the function must never change.
+/// hash (plan fingerprints in checkpoints, run-memo keys). Unlike
+/// [`FastHasher`] its values are persisted and compared across runs, so
+/// the function must never change.
 #[derive(Debug, Clone, Copy)]
 pub struct Fnv1a(u64);
 

@@ -22,13 +22,13 @@
 //! ## Two ownership forms
 //!
 //! The backside is either owned (`Hierarchy<Backside>`, the default type
-//! parameter: `Clone + Send + Sync`, so pipeline snapshots can carry it)
-//! or reached through a [`SharedBackside`] handle that N cores' ports
-//! hold together. Contention (paper §VII) is emergent there: cores
-//! evict each other's L2 lines and queue on the same banks. One port
-//! over a fresh shared backside *is* the banked hierarchy — same code,
-//! same completion times, same statistics — which is what makes the
-//! one-core multicore machine bit-identical to the single-core proxy.
+//! parameter: `Clone + Send + Sync`) or reached through a
+//! [`SharedBackside`] handle that N cores' ports hold together.
+//! Contention (paper §VII) is emergent there: cores evict each other's
+//! L2 lines and queue on the same banks. One port over a fresh shared
+//! backside *is* the banked hierarchy — same code, same completion
+//! times, same statistics — which is what makes the one-core multicore
+//! machine bit-identical to the single-core proxy.
 //!
 //! Every core of the homogeneous multicore model runs its own instance
 //! of the same workload, so raw addresses coincide; a real machine would

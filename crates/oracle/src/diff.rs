@@ -214,7 +214,7 @@ pub fn fuzz(cfg: &FuzzConfig) -> FuzzReport {
 
 /// Like [`fuzz`], but every program runs on the one supplied backend
 /// instead of the default idealized/proxy alternation. The reuse lane
-/// pushes the interval-memoizing backend through the same fixed-seed
+/// pushes the run-memoizing backend through the same fixed-seed
 /// campaign this way: [`check_kernel`] cross-checks the backend's
 /// cached modes (plain, metrics) against its uncached trace mode and
 /// the reference interpreter, so any memoization unsoundness surfaces

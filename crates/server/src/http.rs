@@ -11,13 +11,19 @@
 //!   decoding — only responses use chunked transfer encoding);
 //! * request line and headers are capped ([`MAX_HEAD_BYTES`]) and
 //!   bodies capped ([`MAX_BODY_BYTES`]) so a misbehaving client cannot
-//!   balloon server memory.
+//!   balloon server memory, and a read of either waits at most
+//!   `READ_TIMEOUT` so a silent one cannot hold a thread.
 
-use std::io::{BufRead, BufReader, Read, Write};
+use std::io::{BufRead, BufReader, ErrorKind, Read, Write};
 use std::net::TcpStream;
+use std::time::Duration;
 
 /// Cap on the request line + headers (64 KiB).
 pub const MAX_HEAD_BYTES: usize = 64 * 1024;
+
+/// How long one read of a request may wait for the peer's next byte
+/// before the connection is answered 408 and closed.
+pub(crate) const READ_TIMEOUT: Duration = Duration::from_secs(10);
 
 /// Cap on a request body (1 MiB — job specs are a few hundred bytes).
 pub const MAX_BODY_BYTES: usize = 1024 * 1024;
@@ -46,9 +52,46 @@ impl Request {
     }
 }
 
-/// Read and parse one request from `stream`. `Err` carries a
-/// human-readable reason suitable for a 400 body.
-pub fn read_request(reader: &mut BufReader<TcpStream>) -> Result<Request, String> {
+/// Why a request could not be read, as the error response to send.
+#[derive(Debug)]
+pub struct RequestError {
+    /// 408 when the peer stalled past the socket's read timeout, 400
+    /// for everything malformed.
+    pub status: u16,
+    /// Human-readable reason for the response body.
+    pub reason: String,
+}
+
+impl From<String> for RequestError {
+    fn from(reason: String) -> RequestError {
+        RequestError {
+            status: 400,
+            reason,
+        }
+    }
+}
+
+impl From<&str> for RequestError {
+    fn from(reason: &str) -> RequestError {
+        reason.to_string().into()
+    }
+}
+
+/// A failed socket read. One that outlasted the read timeout reports
+/// `WouldBlock` on Unix and `TimedOut` on Windows.
+fn read_failed(what: &str, e: std::io::Error) -> RequestError {
+    if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) {
+        RequestError {
+            status: 408,
+            reason: format!("{what}: the client stalled past the read timeout"),
+        }
+    } else {
+        format!("{what}: {e}").into()
+    }
+}
+
+/// Read and parse one request from `stream`.
+pub fn read_request(reader: &mut BufReader<TcpStream>) -> Result<Request, RequestError> {
     let mut head = Vec::new();
     // Read up to the blank line, byte-capped.
     loop {
@@ -57,13 +100,13 @@ pub fn read_request(reader: &mut BufReader<TcpStream>) -> Result<Request, String
             .by_ref()
             .take((MAX_HEAD_BYTES - head.len()) as u64 + 1)
             .read_until(b'\n', &mut line)
-            .map_err(|e| format!("read error: {e}"))?;
+            .map_err(|e| read_failed("read error", e))?;
         if n == 0 {
             return Err("connection closed mid-request".into());
         }
         head.extend_from_slice(&line);
         if head.len() > MAX_HEAD_BYTES {
-            return Err(format!("request head exceeds {MAX_HEAD_BYTES} bytes"));
+            return Err(format!("request head exceeds {MAX_HEAD_BYTES} bytes").into());
         }
         if line == b"\r\n" || line == b"\n" {
             break;
@@ -77,7 +120,7 @@ pub fn read_request(reader: &mut BufReader<TcpStream>) -> Result<Request, String
     let path = parts.next().ok_or("missing request target")?.to_string();
     let version = parts.next().ok_or("missing HTTP version")?;
     if !version.starts_with("HTTP/1.") {
-        return Err(format!("unsupported version {version}"));
+        return Err(format!("unsupported version {version}").into());
     }
     let mut headers = Vec::new();
     for line in lines {
@@ -100,12 +143,12 @@ pub fn read_request(reader: &mut BufReader<TcpStream>) -> Result<Request, String
             .parse()
             .map_err(|_| format!("bad Content-Length '{len}'"))?;
         if len > MAX_BODY_BYTES {
-            return Err(format!("body of {len} bytes exceeds {MAX_BODY_BYTES}"));
+            return Err(format!("body of {len} bytes exceeds {MAX_BODY_BYTES}").into());
         }
         let mut body = vec![0u8; len];
         reader
             .read_exact(&mut body)
-            .map_err(|e| format!("short body: {e}"))?;
+            .map_err(|e| read_failed("short body", e))?;
         req.body = body;
     }
     Ok(req)
@@ -120,6 +163,7 @@ pub fn reason(status: u16) -> &'static str {
         400 => "Bad Request",
         404 => "Not Found",
         405 => "Method Not Allowed",
+        408 => "Request Timeout",
         409 => "Conflict",
         500 => "Internal Server Error",
         _ => "Unknown",
@@ -199,7 +243,7 @@ mod tests {
     use super::*;
     use std::net::{TcpListener, TcpStream};
 
-    fn round_trip(raw: &[u8]) -> Result<Request, String> {
+    fn round_trip(raw: &[u8]) -> Result<Request, RequestError> {
         // Push raw bytes through a real socket pair so the reader path
         // is exactly the production one.
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
@@ -241,6 +285,23 @@ mod tests {
         assert!(round_trip(b"POST /x HTTP/1.1\r\nContent-Length: ten\r\n\r\n").is_err());
         // Declared body longer than what arrives -> short-body error.
         assert!(round_trip(b"POST /x HTTP/1.1\r\nContent-Length: 99\r\n\r\nabc").is_err());
+    }
+
+    #[test]
+    fn a_peer_that_stalls_mid_request_times_out_with_408() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let mut peer = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        peer.write_all(b"GET /sta").unwrap(); // ...and never finishes the line
+        let (stream, _) = listener.accept().unwrap();
+        stream
+            .set_read_timeout(Some(Duration::from_millis(50)))
+            .unwrap();
+        let started = std::time::Instant::now();
+        let err = read_request(&mut BufReader::new(stream)).unwrap_err();
+        assert!(started.elapsed() < Duration::from_secs(1), "read hung");
+        assert_eq!(err.status, 408, "{}", err.reason);
+        assert_eq!(reason(408), "Request Timeout");
+        drop(peer); // held open until here: the server gave up, not the client
     }
 
     #[test]

@@ -147,11 +147,16 @@ fn handle_connection(inner: &Inner, stream: TcpStream) {
         Ok(w) => w,
         Err(_) => return,
     };
+    // Only the request is read from the socket; row and metrics
+    // streams are writes and are not timed.
+    if stream.set_read_timeout(Some(http::READ_TIMEOUT)).is_err() {
+        return;
+    }
     let mut reader = BufReader::new(stream);
     let req = match http::read_request(&mut reader) {
         Ok(r) => r,
         Err(e) => {
-            let _ = respond_error(&mut writer, 400, &e);
+            let _ = respond_error(&mut writer, e.status, &e.reason);
             return;
         }
     };

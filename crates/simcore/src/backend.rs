@@ -15,7 +15,7 @@
 //! * [`BankedProxy`] — the finite-banked "hardware proxy" hierarchy
 //!   standing in for the physical ThunderX2 of Table I.
 //! * [`crate::MultiCore`], [`crate::Memoized`] — the multicore machine
-//!   and the exact interval-memoizing tier.
+//!   and the exact run-memoizing tier.
 //!
 //! Every backend that drives a pipeline builds it with `start` and
 //! collects it with `finish`; the latter owns the only copy of the
@@ -98,9 +98,9 @@ pub trait SimBackend: Send + Sync {
         mode: RunMode,
     ) -> RunOutput;
 
-    /// Interval-cache counters, for backends that reuse computation
-    /// across runs ([`crate::reuse::Memoized`]). `None` for backends
-    /// with no reuse state (the default).
+    /// Run-memo counters, for backends that reuse computation across
+    /// runs ([`crate::reuse::Memoized`]). `None` for backends with no
+    /// reuse state (the default).
     fn reuse_stats(&self) -> Option<ReuseStats> {
         None
     }
@@ -111,7 +111,7 @@ pub trait SimBackend: Send + Sync {
         Fidelity::Full
     }
 
-    /// Drop any memoized interval results so the next run starts cold.
+    /// Drop any memoized run results so the next run starts cold.
     /// No-op for backends without reuse state (the default).
     fn clear_reuse_cache(&self) {}
 
@@ -171,15 +171,6 @@ pub fn run_pipeline<M: MemoryModel>(
     finish(pipeline, program)
 }
 
-/// A single-core [`SimBackend`] whose memory model can be *constructed
-/// as a value*, which is what the memoizing tier needs: it drives
-/// [`Pipeline`] incrementally (snapshot, restore, resume) instead of
-/// calling the backend's one-shot entry point.
-pub trait IntervalBackend: SimBackend {
-    /// Build a fresh (cold) memory model for one run.
-    fn build_mem(&self, mem: &MemParams) -> Hierarchy;
-}
-
 /// The default infinite-bank (SST-like) hierarchy — the paper's
 /// simulation path.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -189,18 +180,6 @@ pub struct Idealized;
 /// side; see the DESIGN.md substitution table).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct BankedProxy;
-
-impl IntervalBackend for Idealized {
-    fn build_mem(&self, mem: &MemParams) -> Hierarchy {
-        Hierarchy::new(*mem)
-    }
-}
-
-impl IntervalBackend for BankedProxy {
-    fn build_mem(&self, mem: &MemParams) -> Hierarchy {
-        Hierarchy::banked(*mem, DEFAULT_BANKS)
-    }
-}
 
 impl SimBackend for Idealized {
     fn name(&self) -> &'static str {
@@ -214,7 +193,7 @@ impl SimBackend for Idealized {
         mem: &MemParams,
         mode: RunMode,
     ) -> RunOutput {
-        run_pipeline(program, core, self.build_mem(mem), mode)
+        run_pipeline(program, core, Hierarchy::new(*mem), mode)
     }
 }
 
@@ -230,7 +209,7 @@ impl SimBackend for BankedProxy {
         mem: &MemParams,
         mode: RunMode,
     ) -> RunOutput {
-        run_pipeline(program, core, self.build_mem(mem), mode)
+        run_pipeline(program, core, Hierarchy::banked(*mem, DEFAULT_BANKS), mode)
     }
 }
 

@@ -35,13 +35,11 @@ pub mod regfile;
 pub mod reuse;
 pub mod stats;
 
-pub use backend::{
-    run_pipeline, BankedProxy, Idealized, IntervalBackend, RunMode, RunOutput, SimBackend,
-};
+pub use backend::{run_pipeline, BankedProxy, Idealized, RunMode, RunOutput, SimBackend};
 pub use counters::{Counters, CycleBucket, OccupancyHist, Structure};
 pub use multicore::{MultiCore, PerCoreMetrics, Topology, SLICE_CYCLES};
 pub use params::CoreParams;
-pub use pipeline::{fast_forward_default, set_fast_forward_default, Pipeline, PipelineSnapshot};
+pub use pipeline::{fast_forward_default, set_fast_forward_default, Pipeline};
 pub use reuse::{Fidelity, Memoized, ReuseStats, DEFAULT_INTERVAL_LEN};
 pub use stats::{SimStats, StallStats};
 

@@ -1,72 +1,50 @@
-//! Segment-level computation reuse: the interval-memoizing fidelity
-//! tier.
+//! Run-level computation reuse: the memoizing fidelity tier.
 //!
-//! The paper's campaigns re-simulate the *same* `(workload, config)`
-//! neighbourhoods over and over: the explorer's acquisition loop
-//! revisits near-identical design points, resumed campaigns replay
-//! prefixes, and the differential harness runs every program at least
-//! twice. This module exploits the simulator's determinism to reuse
-//! work at *interval* granularity instead of whole runs:
-//!
-//! [`Memoized`] is an exact tier. The dynamic instruction stream is
-//! split into fixed-size retirement intervals; each interval's timing
-//! result is keyed by a hash chain over `(program, relevant parameter
-//! slice, interval index, architectural entry state)` and cached in a
-//! bounded, shard-locked [`ShardedCache`]. A warm cache replays a run
-//! as a chain of lookups; results are **bit-identical** to the
-//! uncached backend (pinned by `tests/reuse_equivalence.rs` and the
-//! differential fuzz reuse lane). There is no approximate tier: every
-//! row any backend emits is an exact simulation.
+//! A campaign can ask for the *same* `(workload, design point)` run more
+//! than once: resubmitted jobs, an identical re-run, the differential
+//! harness running every program at least twice. [`Memoized`] keeps the
+//! finished [`RunOutput`] of each plain or metrics run in a bounded,
+//! shard-locked [`ShardedCache`] and answers a repeat with a clone of
+//! it. There is no approximate tier: every row any backend emits is an
+//! exact simulation.
 //!
 //! ## Reuse legality
 //!
-//! Memoization is sound because the pipeline is a deterministic function
-//! of `(program, CoreParams, memory model)` and
-//! [`Pipeline::state_hash`] fingerprints every architectural *and*
-//! micro-architectural input an interval's timing depends on. The key
-//! chain is:
-//!
-//! ```text
-//! base     = fnv(program | param-slice | interval_len | metrics)
-//! key[i]   = fnv(base, i, entry_hash[i])
-//! entry_hash[0]   = base
-//! entry_hash[i+1] = exit state hash stored with interval i
-//! ```
-//!
-//! A lookup can only hit when the whole prefix chain matched, so a hit's
-//! cached exit state is exactly what simulation would have produced.
-//! See `docs/DESIGN.md` §13 for the full argument (including why the
-//! parameter slice may soundly *exclude* parameters a program provably
-//! never exercises).
+//! A run is a deterministic function of `(program, CoreParams,
+//! MemParams, RunMode)` and the memo is keyed by that whole input, so a
+//! hit returns exactly what the inner backend would compute again
+//! (pinned by `tests/reuse_equivalence.rs` and the differential fuzz
+//! reuse lane). The key is a 64-bit hash; each entry also stores the
+//! design point it was computed for and a hit requires it to be equal,
+//! so a colliding design point reads as a miss, never as a wrong row.
+//! See `DESIGN.md` §13.
 
-use std::sync::Arc;
-
-use crate::backend::{finish, start, IntervalBackend, RunMode, RunOutput, SimBackend};
-use crate::cycle_limit;
+use crate::backend::{RunMode, RunOutput, SimBackend};
 use crate::params::CoreParams;
-use crate::pipeline::{Pipeline, PipelineSnapshot};
-use armdse_isa::{Program, RegClass};
+use armdse_isa::Program;
 use armdse_kernels::{CacheStats, ShardedCache};
 use armdse_memsim::fasthash::Fnv1a;
-use armdse_memsim::{Hierarchy, MemParams};
+use armdse_memsim::MemParams;
+use std::fmt::Write;
 
 /// Re-exported cache counters surfaced through
 /// [`SimBackend::reuse_stats`] (hits, misses, insertions, evictions).
 pub type ReuseStats = CacheStats;
 
-/// Default retirement-interval length for the memoizing tier
-/// (instructions per interval).
+/// Unread. It was the retirement-interval length of the deleted
+/// interval-memoizing design and stays exported only because
+/// `benchmark/src/e2e/sweep.rs` passes it to `Engine::memoized`; the
+/// next `benchmark` PR drops both.
 pub const DEFAULT_INTERVAL_LEN: u64 = 4096;
 
-/// Default interval-cache bound (entries across all shards). Interval
-/// snapshots are large (tens of kilobytes: cache tag arrays dominate),
-/// so this is deliberately far below the generic
-/// [`ShardedCache`] default.
-pub const DEFAULT_INTERVAL_CACHE_ENTRIES: usize = 1024;
-
-/// Shard count for the interval cache (matches the workload cache's
-/// lock-splitting granularity).
-pub const DEFAULT_INTERVAL_CACHE_SHARDS: usize = 16;
+/// Entry bound of the memo, across all shards: as many runs as fit in
+/// 64 MiB. A single-core plain or metrics [`RunOutput`] owns no heap (no
+/// trace, no per-core split), so an entry is its inline bytes — 1 192
+/// for the output and 136 for the two parameter structs — plus about
+/// 100 of [`ShardedCache`] bookkeeping (`Arc` counts, allocator header,
+/// a map slot and a FIFO slot, each in a table that may be half
+/// empty): 64 MiB / 1 428 B ≈ 47 000 runs.
+const MEMO_ENTRIES: usize = (64 << 20) / (std::mem::size_of::<Entry>() + 100);
 
 /// Simulation fidelity tier a backend runs at, reported via
 /// [`SimBackend::fidelity`] so orchestration layers (checkpoints, the
@@ -75,11 +53,8 @@ pub const DEFAULT_INTERVAL_CACHE_SHARDS: usize = 16;
 pub enum Fidelity {
     /// Exact, uncached cycle-approximate simulation (the default).
     Full,
-    /// Exact simulation with interval-level memoization ([`Memoized`]).
-    Memoized {
-        /// Retirement-interval length in instructions.
-        interval_len: u64,
-    },
+    /// Exact simulation with run-level memoization ([`Memoized`]).
+    Memoized,
 }
 
 impl Fidelity {
@@ -88,276 +63,73 @@ impl Fidelity {
     pub fn tag(&self) -> &'static str {
         match self {
             Fidelity::Full => "full",
-            Fidelity::Memoized { .. } => "memoized",
+            Fidelity::Memoized => "memoized",
         }
     }
 }
 
-// ---------------------------------------------------------------------
-// Fingerprinting
-// ---------------------------------------------------------------------
-
-/// Which design-space parameters a program can actually exercise.
-/// Derived by a conservative static scan of the lowered program; see
-/// `docs/DESIGN.md` §13 ("relevant parameter slice").
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct ParamRelevance {
-    /// Any op allocates an FP/SVE destination register.
-    fp: bool,
-    /// Any op allocates a predicate destination register.
-    pred: bool,
-    /// Any op allocates a condition-flag destination register.
-    cond: bool,
-    /// Any op touches memory (load or store).
-    mem: bool,
+/// The memo key: the program's static identity, the whole design point
+/// and the mode (a metrics run carries counters a plain run lacks, so
+/// the two never answer each other). The `Debug` renderings cover every
+/// field of each — for the lowered program that is ops, loop table and
+/// trip counts.
+fn run_key(program: &Program, core: &CoreParams, mem: &MemParams, mode: RunMode) -> u64 {
+    let mut h = HashWriter(Fnv1a::new());
+    write!(h, "{program:?}{core:?}{mem:?}{mode:?}").expect("hashing cannot fail");
+    h.0.finish()
 }
 
-impl ParamRelevance {
-    fn of(program: &Program) -> ParamRelevance {
-        let mut r = ParamRelevance {
-            fp: false,
-            pred: false,
-            cond: false,
-            mem: false,
-        };
-        for op in &program.ops {
-            for d in op.template.dests.iter() {
-                match d.class {
-                    RegClass::Gp => {}
-                    RegClass::Fp => r.fp = true,
-                    RegClass::Pred => r.pred = true,
-                    RegClass::Cond => r.cond = true,
-                }
-            }
-            r.mem |= op.template.mem.is_some();
-        }
-        r
+/// Feeds formatted text straight into the hash: a lowered program
+/// renders to tens of kilobytes, and building the `String` first costs
+/// as much again as hashing it.
+struct HashWriter(Fnv1a);
+
+impl std::fmt::Write for HashWriter {
+    fn write_str(&mut self, s: &str) -> std::fmt::Result {
+        self.0.bytes(s.as_bytes());
+        Ok(())
     }
 }
 
-/// Hash the *relevant slice* of the design point: parameters the static
-/// scan proves the program cannot exercise are excluded, so two design
-/// points differing only in provably-irrelevant parameters share one
-/// interval chain. Exclusion is sound because a physical register file
-/// that is never allocated from and a memory hierarchy that is never
-/// accessed cannot influence any pipeline transition.
-fn param_slice_hash(relevance: ParamRelevance, core: &CoreParams, mem: &MemParams) -> u64 {
-    let mut h = Fnv1a::new();
-    // Always-relevant core parameters (fetch, rename, commit, window).
-    h.u64(u64::from(core.vector_length))
-        .u64(u64::from(core.fetch_block_bytes))
-        .u64(u64::from(core.loop_buffer_size))
-        .u64(u64::from(core.gp_regs))
-        .u64(u64::from(core.commit_width))
-        .u64(u64::from(core.frontend_width))
-        .u64(u64::from(core.lsq_completion_width))
-        .u64(u64::from(core.rob_size));
-    if relevance.fp {
-        h.u64(u64::from(core.fp_regs));
-    }
-    if relevance.pred {
-        h.u64(u64::from(core.pred_regs));
-    }
-    if relevance.cond {
-        h.u64(u64::from(core.cond_regs));
-    }
-    if relevance.mem {
-        h.u64(u64::from(core.load_queue))
-            .u64(u64::from(core.store_queue))
-            .u64(u64::from(core.load_bandwidth))
-            .u64(u64::from(core.store_bandwidth))
-            .u64(u64::from(core.mem_requests_per_cycle))
-            .u64(u64::from(core.loads_per_cycle))
-            .u64(u64::from(core.stores_per_cycle));
-        h.u64(u64::from(mem.line_bytes))
-            .u64(u64::from(mem.l1_size_kib))
-            .u64(u64::from(mem.l1_assoc))
-            .u64(u64::from(mem.l1_latency))
-            .u64(mem.l1_clock_ghz.to_bits())
-            .u64(u64::from(mem.l2_size_kib))
-            .u64(u64::from(mem.l2_assoc))
-            .u64(u64::from(mem.l2_latency))
-            .u64(mem.l2_clock_ghz.to_bits())
-            .u64(mem.ram_access_ns.to_bits())
-            .u64(mem.ram_clock_ghz.to_bits())
-            .u64(u64::from(mem.prefetch_depth));
-    }
-    h.finish()
+/// One memoized run: its output and the design point it was computed
+/// for, which a hit must match.
+struct Entry {
+    core: CoreParams,
+    mem: MemParams,
+    out: RunOutput,
 }
 
-/// The run-level base key: program identity, relevant parameter slice,
-/// interval length, and whether counters are enabled (a metrics machine
-/// carries extra state, so metrics and plain chains never alias).
-fn base_key(
-    program: &Program,
-    core: &CoreParams,
-    mem: &MemParams,
-    interval_len: u64,
-    metrics: bool,
-) -> u64 {
-    let mut h = Fnv1a::new();
-    // The Debug rendering covers every field of the lowered program
-    // (ops, loop table, trip counts) — the full static identity.
-    h.bytes(format!("{program:?}").as_bytes());
-    h.u64(param_slice_hash(ParamRelevance::of(program), core, mem));
-    h.u64(interval_len);
-    h.u64(u64::from(metrics));
-    h.finish()
-}
-
-/// Key of interval `i` given the chained architectural entry hash.
-fn interval_key(base: u64, i: u64, entry_hash: u64) -> u64 {
-    Fnv1a::new().u64(base).u64(i).u64(entry_hash).finish()
-}
-
-// ---------------------------------------------------------------------
-// Memoized tier
-// ---------------------------------------------------------------------
-
-/// One cached interval result.
-struct IntervalEntry {
-    /// [`Pipeline::state_hash`] at the interval's end — the next link of
-    /// the key chain.
-    exit_hash: u64,
-    payload: IntervalPayload,
-}
-
-enum IntervalPayload {
-    /// The run ended inside this interval (finished or hit the cycle
-    /// limit): the run's output, with finalized counters when the chain
-    /// is a metrics chain.
-    Terminal(Box<RunOutput>),
-    /// The run continues: a full machine snapshot at the interval
-    /// boundary, sufficient to resume simulation on a later miss.
-    Snapshot(Box<PipelineSnapshot<Hierarchy>>),
-}
-
-/// Exact interval-memoizing wrapper around an [`IntervalBackend`].
+/// Exact run-memoizing wrapper around any [`SimBackend`].
 ///
-/// Plain and metrics runs walk the interval key chain described in the
-/// module docs: every interval boundary does one cache lookup; a hit
-/// *adopts* the cached result (dropping any live machine — the cached
-/// exit state is bit-identical to what simulation would produce); a miss
-/// materializes a machine (fresh at interval 0, or restored from the
-/// previous interval's snapshot) and simulates exactly one interval.
-/// Because lookups happen every interval even while a machine is live,
-/// a partially evicted chain heals itself: the first re-simulated
-/// interval's exit hash rejoins the surviving suffix.
-///
-/// [`RunMode::Trace`] intentionally bypasses the cache (the commit log
-/// borrows the program and is not snapshotable) and delegates to the
-/// inner backend — traces are an oracle-only path where caching would
-/// buy nothing.
-pub struct Memoized<B: IntervalBackend> {
+/// A plain or metrics run is one lookup: a hit clones the stored
+/// output, a miss runs the inner backend and stores what it returned
+/// (runs that hit the cycle limit included — they are as deterministic
+/// as any other). [`RunMode::Trace`] bypasses the memo and delegates to
+/// the inner backend: traces are an oracle-only path, large, and never
+/// repeated.
+pub struct Memoized<B: SimBackend> {
     inner: B,
-    interval_len: u64,
-    cache: ShardedCache<u64, IntervalEntry>,
+    cache: ShardedCache<u64, Entry>,
 }
 
-impl<B: IntervalBackend> Memoized<B> {
-    /// Memoizing wrapper with the default interval length and cache
-    /// bound.
+impl<B: SimBackend> Memoized<B> {
+    /// Memoizing wrapper around `inner`.
     pub fn new(inner: B) -> Memoized<B> {
-        Memoized::with_interval_len(inner, DEFAULT_INTERVAL_LEN)
-    }
-
-    /// Memoizing wrapper with an explicit interval length (instructions
-    /// per interval; must be ≥ 1).
-    pub fn with_interval_len(inner: B, interval_len: u64) -> Memoized<B> {
-        assert!(interval_len >= 1, "interval length must be at least 1");
         Memoized {
             inner,
-            interval_len,
-            cache: ShardedCache::new(
-                DEFAULT_INTERVAL_CACHE_SHARDS,
-                DEFAULT_INTERVAL_CACHE_ENTRIES,
-            ),
+            cache: ShardedCache::new(16, MEMO_ENTRIES),
         }
     }
 
-    /// The wrapped backend.
-    pub fn inner(&self) -> &B {
-        &self.inner
-    }
-
-    /// Configured interval length in instructions.
-    pub fn interval_len(&self) -> u64 {
-        self.interval_len
-    }
-
-    /// Cache hit/miss/insertion/eviction counters since construction or
-    /// the last [`SimBackend::clear_reuse_cache`].
-    pub fn cache_stats(&self) -> CacheStats {
-        self.cache.stats()
-    }
-
-    /// The chain walk of a plain or metrics run.
-    fn run_cached(
-        &self,
-        program: &Program,
-        core: &CoreParams,
-        mem: &MemParams,
-        mode: RunMode,
-    ) -> RunOutput {
-        let limit = cycle_limit(program);
-        let metrics = mode == RunMode::Metrics;
-        let base = base_key(program, core, mem, self.interval_len, metrics);
-        let mut entry_hash = base;
-        let mut prev: Option<Arc<IntervalEntry>> = None;
-        let mut machine: Option<Pipeline<'_, Hierarchy>> = None;
-        let mut i: u64 = 0;
-        loop {
-            let key = interval_key(base, i, entry_hash);
-            let entry = match self.cache.get(&key) {
-                Some(hit) => {
-                    // Adopt the cached interval: the chain proves its
-                    // inputs matched bit-for-bit, so any live machine is
-                    // redundant.
-                    machine = None;
-                    hit
-                }
-                None => {
-                    let mut m = match machine.take() {
-                        Some(m) => m,
-                        None => match &prev {
-                            Some(p) => match &p.payload {
-                                IntervalPayload::Snapshot(snap) => Pipeline::restore(program, snap),
-                                IntervalPayload::Terminal(_) => {
-                                    unreachable!("terminal entries return below")
-                                }
-                            },
-                            None => {
-                                debug_assert_eq!(i, 0, "interval 0 starts from a fresh machine");
-                                start(program, core, self.inner.build_mem(mem), mode)
-                            }
-                        },
-                    };
-                    let target = (i + 1).saturating_mul(self.interval_len);
-                    m.drive_until_retired(limit, target);
-                    let exit_hash = m.state_hash();
-                    let payload = if m.is_finished() || m.stats().hit_cycle_limit {
-                        IntervalPayload::Terminal(Box::new(finish(m, program)))
-                    } else {
-                        let snap = IntervalPayload::Snapshot(Box::new(m.snapshot()));
-                        machine = Some(m);
-                        snap
-                    };
-                    self.cache.insert(key, IntervalEntry { exit_hash, payload })
-                }
-            };
-            match &entry.payload {
-                IntervalPayload::Terminal(out) => return RunOutput::clone(out),
-                IntervalPayload::Snapshot(_) => {
-                    entry_hash = entry.exit_hash;
-                    prev = Some(entry);
-                    i += 1;
-                }
-            }
-        }
+    /// The output stored under `key`, if it was computed for exactly
+    /// this design point.
+    fn lookup(&self, key: u64, core: &CoreParams, mem: &MemParams) -> Option<RunOutput> {
+        let entry = self.cache.get(&key)?;
+        (entry.core == *core && entry.mem == *mem).then(|| entry.out.clone())
     }
 }
 
-impl<B: IntervalBackend> SimBackend for Memoized<B> {
+impl<B: SimBackend> SimBackend for Memoized<B> {
     fn name(&self) -> &'static str {
         "memoized"
     }
@@ -369,10 +141,23 @@ impl<B: IntervalBackend> SimBackend for Memoized<B> {
         mem: &MemParams,
         mode: RunMode,
     ) -> RunOutput {
-        match mode {
-            RunMode::Trace => self.inner.run(program, core, mem, mode),
-            RunMode::Plain | RunMode::Metrics => self.run_cached(program, core, mem, mode),
+        if mode == RunMode::Trace {
+            return self.inner.run(program, core, mem, mode);
         }
+        let key = run_key(program, core, mem, mode);
+        if let Some(out) = self.lookup(key, core, mem) {
+            return out;
+        }
+        let out = self.inner.run(program, core, mem, mode);
+        self.cache.insert(
+            key,
+            Entry {
+                core: *core,
+                mem: *mem,
+                out: out.clone(),
+            },
+        );
+        out
     }
 
     fn reuse_stats(&self) -> Option<ReuseStats> {
@@ -380,9 +165,7 @@ impl<B: IntervalBackend> SimBackend for Memoized<B> {
     }
 
     fn fidelity(&self) -> Fidelity {
-        Fidelity::Memoized {
-            interval_len: self.interval_len,
-        }
+        Fidelity::Memoized
     }
 
     fn clear_reuse_cache(&self) {
@@ -426,24 +209,26 @@ mod tests {
         b.run(p, c, m, RunMode::Trace).into_traced()
     }
 
+    /// `(hits, misses, insertions, evictions)` of a backend's memo.
+    fn counts(b: &dyn SimBackend) -> (u64, u64, u64, u64) {
+        let rs = b.reuse_stats().expect("memoized reports reuse stats");
+        (rs.hits, rs.misses, rs.insertions, rs.evictions)
+    }
+
     #[test]
     fn memoized_is_bit_identical_to_plain_backends() {
         for app in [App::Stream, App::MiniBude] {
             let (p, c, m) = fixture(app);
             let uncached: [&dyn SimBackend; 2] = [&Idealized, &BankedProxy];
-            let cached: [&dyn SimBackend; 2] = [
-                &Memoized::with_interval_len(Idealized, 64),
-                &Memoized::with_interval_len(BankedProxy, 64),
-            ];
+            let cached: [&dyn SimBackend; 2] =
+                [&Memoized::new(Idealized), &Memoized::new(BankedProxy)];
             for (&b, &cb) in uncached.iter().zip(&cached) {
                 let want = plain(b, &p, &c, &m);
                 assert!(want.validated);
                 // Cold pass, then a fully warm pass: both bit-identical.
                 assert_eq!(plain(cb, &p, &c, &m), want, "{} cold", b.name());
                 assert_eq!(plain(cb, &p, &c, &m), want, "{} warm", b.name());
-                let rs = cb.reuse_stats().expect("memoized reports reuse stats");
-                assert!(rs.hits > 0, "{}: warm pass produced no hits", b.name());
-                assert!(rs.misses > 0, "{}: cold pass produced no misses", b.name());
+                assert_eq!(counts(cb), (1, 1, 1, 0), "{}", b.name());
             }
         }
     }
@@ -451,7 +236,7 @@ mod tests {
     #[test]
     fn memoized_metrics_are_transparent_and_cached() {
         let (p, c, m) = fixture(App::TeaLeaf);
-        let mem = Memoized::with_interval_len(Idealized, 128);
+        let mem = Memoized::new(Idealized);
         let (want_stats, want_counters) = metrics(&Idealized, &p, &c, &m);
         let (cold_stats, cold_counters) = metrics(&mem, &p, &c, &m);
         assert_eq!(cold_stats, want_stats);
@@ -460,123 +245,128 @@ mod tests {
         let (warm_stats, warm_counters) = metrics(&mem, &p, &c, &m);
         assert_eq!(warm_stats, want_stats);
         assert_eq!(warm_counters, want_counters);
-        let rs = mem.cache_stats();
-        assert!(rs.hits > 0, "warm metrics pass must hit");
-        // The plain (non-metrics) chain is disjoint: running it now
-        // must miss even though the metrics chain is warm.
-        let before = mem.cache_stats().misses;
-        assert_eq!(plain(&mem, &p, &c, &m), want_stats);
-        assert!(mem.cache_stats().misses > before);
+        assert_eq!(counts(&mem), (1, 1, 1, 0), "warm metrics pass must hit");
     }
 
     #[test]
-    fn memoized_heals_a_partially_evicted_chain_via_restore() {
+    fn plain_and_metrics_runs_never_answer_each_other() {
         let (p, c, m) = fixture(App::Stream);
-        let interval = 64;
-        let mem = Memoized::with_interval_len(Idealized, interval);
-        let want = plain(&Idealized, &p, &c, &m);
-        assert_eq!(plain(&mem, &p, &c, &m), want);
-        // Walk the key chain exactly as run_cached does and collect the
-        // keys of every cached interval.
-        let base = base_key(&p, &c, &m, interval, false);
-        let mut keys = Vec::new();
-        let mut entry_hash = base;
-        let mut i = 0u64;
-        loop {
-            let key = interval_key(base, i, entry_hash);
-            let entry = mem.cache.get(&key).expect("cold run cached the chain");
-            keys.push(key);
-            match &entry.payload {
-                IntervalPayload::Terminal { .. } => break,
-                IntervalPayload::Snapshot(_) => {
-                    entry_hash = entry.exit_hash;
-                    i += 1;
-                }
+        let pairs: [(&dyn SimBackend, &dyn SimBackend); 2] = [
+            (&Idealized, &Memoized::new(Idealized)),
+            (&BankedProxy, &Memoized::new(BankedProxy)),
+        ];
+        for (inner, memo) in pairs {
+            let modes = [RunMode::Plain, RunMode::Metrics];
+            let want = modes.map(|mode| inner.run(&p, &c, &m, mode));
+            assert_ne!(want[0], want[1], "a metrics output carries counters");
+            // Cold: each mode misses and is stored under its own key...
+            for (mode, want) in modes.iter().zip(&want) {
+                assert_eq!(&memo.run(&p, &c, &m, *mode), want, "{} cold", inner.name());
             }
+            assert_eq!(counts(memo), (0, 2, 2, 0), "{}", inner.name());
+            // ...warm: each is answered by its own entry, field for field.
+            for (mode, want) in modes.iter().zip(&want) {
+                assert_eq!(&memo.run(&p, &c, &m, *mode), want, "{} warm", inner.name());
+            }
+            assert_eq!(counts(memo), (2, 2, 2, 0), "{}", inner.name());
         }
-        assert!(keys.len() > 3, "fixture too short to exercise the chain");
-        // Evict the tail: keep the first half, drop the rest. The warm
-        // run must hit the surviving prefix, restore a machine from the
-        // last surviving snapshot, and re-simulate the tail.
-        let keep = keys.len() / 2;
-        for k in &keys[keep..] {
-            mem.cache.remove(k);
-        }
-        let before = mem.cache_stats();
-        assert_eq!(plain(&mem, &p, &c, &m), want, "healed run must stay exact");
-        let after = mem.cache_stats();
-        assert_eq!(
-            (after.hits - before.hits) as usize,
-            keep,
-            "surviving prefix must hit"
-        );
-        assert_eq!(
-            (after.misses - before.misses) as usize,
-            keys.len() - keep,
-            "evicted tail must re-simulate"
-        );
-        // The re-simulated tail rejoined the same chain: the keys are
-        // all present again and a further run is pure hits.
-        let before = mem.cache_stats();
-        assert_eq!(plain(&mem, &p, &c, &m), want);
-        let after = mem.cache_stats();
-        assert_eq!((after.hits - before.hits) as usize, keys.len());
-        assert_eq!(after.misses, before.misses);
     }
 
     #[test]
-    fn irrelevant_params_share_the_chain_and_relevant_ones_split_it() {
-        let (p, c, m) = fixture(App::MiniSweep);
-        // MiniSweep's scalar sweep allocates FP, GP, and condition-flag
-        // destinations and touches memory, but never writes a predicate
-        // register — so pred_regs must be sliced out while rob_size and
-        // l1_size_kib stay in.
-        let rel = ParamRelevance::of(&p);
-        assert!(rel.fp && rel.cond && rel.mem && !rel.pred);
-        let base = base_key(&p, &c, &m, 64, false);
-        let mut c2 = c;
-        c2.pred_regs *= 2;
-        assert_eq!(base_key(&p, &c2, &m, 64, false), base);
-        let mut c3 = c;
-        c3.rob_size += 4;
-        assert_ne!(base_key(&p, &c3, &m, 64, false), base);
+    fn an_entry_for_another_design_point_under_the_same_key_is_a_miss() {
+        let (p, a, m) = fixture(App::Stream);
+        let mut b = a;
+        b.rob_size += 4;
+        let memo = Memoized::new(Idealized);
+        let want_a = memo.run(&p, &a, &m, RunMode::Plain);
+        let key = run_key(&p, &a, &m, RunMode::Plain);
+        assert_ne!(
+            key,
+            run_key(&p, &b, &m, RunMode::Plain),
+            "design point keys"
+        );
+        assert_eq!(memo.lookup(key, &a, &m), Some(want_a));
+        // What a 64-bit collision would look like: A's key, B's point.
+        assert_eq!(memo.lookup(key, &b, &m), None);
         let mut m2 = m;
         m2.l1_size_kib *= 2;
-        assert_ne!(base_key(&p, &c, &m2, 64, false), base);
-        // And the shared chain is observable: a run at c2 on a warm
-        // cache is pure hits.
-        let mem_b = Memoized::with_interval_len(Idealized, 64);
-        let want = plain(&mem_b, &p, &c, &m);
-        let before = mem_b.cache_stats().misses;
-        assert_eq!(plain(&mem_b, &p, &c2, &m), want);
+        assert_eq!(memo.lookup(key, &a, &m2), None);
+    }
+
+    #[test]
+    fn a_full_memo_evicts_and_stays_exact() {
+        let (p, c, m) = fixture(App::Stream);
+        // One 8-entry shard, 12 distinct design points, visited twice in
+        // the same order: the worst case for FIFO eviction.
+        let memo = Memoized {
+            inner: Idealized,
+            cache: ShardedCache::new(1, 8),
+        };
+        let points: Vec<CoreParams> = (0..12)
+            .map(|i| CoreParams {
+                rob_size: c.rob_size + 4 * i,
+                ..c
+            })
+            .collect();
+        for pass in ["first", "second"] {
+            for core in &points {
+                assert_eq!(
+                    memo.run(&p, core, &m, RunMode::Plain),
+                    Idealized.run(&p, core, &m, RunMode::Plain),
+                    "{pass} pass, rob_size {}",
+                    core.rob_size
+                );
+            }
+        }
+        assert_eq!(counts(&memo), (0, 24, 24, 16));
+    }
+
+    #[test]
+    fn concurrent_repeats_agree_and_store_one_entry() {
+        let (p, c, m) = fixture(App::Stream);
+        let want = Idealized.run(&p, &c, &m, RunMode::Plain);
+        let memo = Memoized::new(Idealized);
+        // All four start the same run together; whatever the
+        // interleaving, get-or-insert keeps one entry.
+        let gate = std::sync::Barrier::new(4);
+        std::thread::scope(|s| {
+            let racers: Vec<_> = (0..4)
+                .map(|_| {
+                    s.spawn(|| {
+                        gate.wait();
+                        memo.run(&p, &c, &m, RunMode::Plain)
+                    })
+                })
+                .collect();
+            for r in racers {
+                assert_eq!(r.join().expect("racer panicked"), want);
+            }
+        });
+        let (hits, misses, insertions, _) = counts(&memo);
         assert_eq!(
-            mem_b.cache_stats().misses,
-            before,
-            "c2 must reuse c's chain"
+            (hits + misses, insertions),
+            (4, 1),
+            "get-or-insert keeps one"
         );
     }
 
     #[test]
     fn clear_reuse_cache_forces_cold_start() {
         let (p, c, m) = fixture(App::Stream);
-        let mem = Memoized::with_interval_len(Idealized, 256);
+        let mem = Memoized::new(Idealized);
         let want = plain(&mem, &p, &c, &m);
         mem.clear_reuse_cache();
-        let rs = mem.cache_stats();
-        assert_eq!((rs.hits, rs.misses), (0, 0), "clear resets counters");
+        assert_eq!(counts(&mem), (0, 0, 0, 0), "clear resets counters");
         assert_eq!(plain(&mem, &p, &c, &m), want);
-        let rs = mem.cache_stats();
-        assert_eq!(rs.hits, 0, "cleared cache cannot hit");
-        assert!(rs.misses > 0);
+        assert_eq!(counts(&mem), (0, 1, 1, 0), "cleared memo cannot hit");
     }
 
     #[test]
     fn memoized_fidelity_and_default_methods() {
-        let mem = Memoized::with_interval_len(BankedProxy, 512);
-        assert_eq!(mem.fidelity(), Fidelity::Memoized { interval_len: 512 });
+        let mem = Memoized::new(BankedProxy);
+        assert_eq!(mem.fidelity(), Fidelity::Memoized);
         assert_eq!(mem.fidelity().tag(), "memoized");
         assert_eq!(mem.name(), "memoized");
-        assert_eq!(mem.inner().name(), "banked-proxy");
         // Plain backends report the Full tier and no reuse stats.
         assert_eq!(Idealized.fidelity(), Fidelity::Full);
         assert_eq!(Idealized.fidelity().tag(), "full");
@@ -587,32 +377,11 @@ mod tests {
     #[test]
     fn memoized_traced_runs_are_exact_and_uncached() {
         let (p, c, m) = fixture(App::Stream);
-        let mem = Memoized::with_interval_len(Idealized, 64);
+        let mem = Memoized::new(Idealized);
         let (want_stats, want_trace) = traced(&Idealized, &p, &c, &m);
         let (stats, trace) = traced(&mem, &p, &c, &m);
         assert_eq!(stats, want_stats);
         assert_eq!(trace, want_trace);
-        let rs = mem.cache_stats();
-        assert_eq!(
-            (rs.hits, rs.misses),
-            (0, 0),
-            "traced path bypasses the cache"
-        );
-    }
-
-    #[test]
-    fn interval_keys_chain_deterministically() {
-        let (p, c, m) = fixture(App::Stream);
-        let b1 = base_key(&p, &c, &m, 64, false);
-        assert_eq!(b1, base_key(&p, &c, &m, 64, false));
-        assert_ne!(b1, base_key(&p, &c, &m, 128, false), "interval length keys");
-        assert_ne!(b1, base_key(&p, &c, &m, 64, true), "metrics flag keys");
-        let (p2, ..) = fixture(App::MiniBude);
-        assert_ne!(b1, base_key(&p2, &c, &m, 64, false), "program keys");
-        assert_ne!(
-            interval_key(b1, 0, b1),
-            interval_key(b1, 1, b1),
-            "interval index keys"
-        );
+        assert_eq!(counts(&mem), (0, 0, 0, 0), "traced path bypasses the memo");
     }
 }

@@ -43,26 +43,24 @@ fn differential_fuzz_campaign_is_clean() {
 }
 
 /// Reuse lane: the same fixed-seed program population, every program
-/// forced through the interval-memoizing backend. `check_kernel`
-/// cross-checks the backend's cached plain and metrics modes against its
-/// own uncached trace mode and the reference interpreter, so any
-/// interval-fingerprint collision or snapshot-restore unsoundness
-/// surfaces as a divergence. A short interval length maximises the
-/// number of interval boundaries (and therefore snapshot/restore
-/// transitions) each program crosses.
+/// forced through the run-memoizing backend. `check_kernel`
+/// cross-checks the backend's memoized plain and metrics modes against
+/// its own uncached trace mode and the reference interpreter, so a memo
+/// key that let one program or mode answer another surfaces as a
+/// divergence.
 #[test]
 fn differential_fuzz_reuse_lane_is_clean() {
     let cfg = campaign_config();
-    let backend = Memoized::with_interval_len(Idealized, 64);
+    let backend = Memoized::new(Idealized);
     assert_clean("reuse-lane", &cfg, &fuzz_with(&cfg, &backend));
-    // The campaign must actually have exercised the cache: every program
-    // runs the plain and the metrics chain, so lookups dominate.
+    // The campaign must actually have exercised the memo: every program
+    // runs in plain and in metrics mode.
     let rs = backend
         .reuse_stats()
         .expect("memoized backend reports stats");
     assert!(
         rs.misses > 0 && rs.insertions > 0,
-        "reuse lane never touched the interval cache: {rs:?}"
+        "reuse lane never touched the run memo: {rs:?}"
     );
 }
 

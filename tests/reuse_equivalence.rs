@@ -1,4 +1,4 @@
-//! Reuse-equivalence proof harness: the interval-memoizing backend must
+//! Reuse-equivalence proof harness: the run-memoizing backend must
 //! be **bit-identical** to the plain backend — statistics, metrics
 //! counters, and emitted dataset CSV bytes — in every cache state (cold,
 //! warm, and polluted by a different campaign) and at any thread count.
@@ -8,7 +8,7 @@
 
 use armdse::core::orchestrator::GenOptions;
 use armdse::core::space::ParamSpace;
-use armdse::core::{CsvSink, Engine, RunPlan};
+use armdse::core::{CsvSink, Engine, Progress, RunControl, RunPlan};
 use armdse::kernels::{App, WorkloadScale};
 use armdse::simcore::{BankedProxy, Counters, Idealized, Memoized, RunMode, SimBackend, SimStats};
 
@@ -47,10 +47,16 @@ fn dataset_csv_bytes_identical_in_every_cache_state() {
         let e = Engine::memoized(256);
         let cold = csv_bytes(&e, &p, &format!("cold_{threads}"));
         assert_eq!(cold, want, "threads={threads}: cold cache diverged");
+        let cold_misses = e.backend().reuse_stats().unwrap().misses;
         let warm = csv_bytes(&e, &p, &format!("warm_{threads}"));
         assert_eq!(warm, want, "threads={threads}: warm cache diverged");
+        // The warm pass is one hit per job and simulates nothing.
         let rs = e.backend().reuse_stats().unwrap();
-        assert!(rs.hits > 0, "threads={threads}: warm pass must hit");
+        assert_eq!(
+            (rs.hits, rs.misses),
+            (p.jobs() as u64, cold_misses),
+            "threads={threads}"
+        );
         // Pollute the cache with a different campaign, then re-emit.
         let other = GenOptions {
             configs: 4,
@@ -67,6 +73,48 @@ fn dataset_csv_bytes_identical_in_every_cache_state() {
     }
 }
 
+/// A memoized campaign paused by a binary of the interval tier left one
+/// more key in its checkpoint (`reuse.interval_len`). The run loop no
+/// longer inspects it, and the resumed CSV is the reference's bytes.
+#[test]
+fn a_checkpoint_left_by_the_interval_tier_resumes_to_the_same_bytes() {
+    let p = plan(5, 2).with_chunk_jobs(4); // 10 jobs: chunks of 4, 4, 2
+    let want = csv_bytes(&Engine::idealized(), &p, "compat_ref");
+    let csv = std::env::temp_dir().join("armdse_reuse_eq_compat.csv");
+    let ckpt = std::env::temp_dir().join("armdse_reuse_eq_compat.ckpt");
+
+    let mut sink = CsvSink::create(&csv).unwrap();
+    let mut pause = |_: &Progress| false;
+    let control = RunControl {
+        checkpoint: Some(&ckpt),
+        observer: Some(&mut pause),
+        ..RunControl::default()
+    };
+    let paused = Engine::memoized(256)
+        .run_controlled(&p, &mut sink, control)
+        .unwrap();
+    assert_eq!((paused.completed, paused.jobs_done), (false, 4));
+    drop(sink);
+    let body = std::fs::read_to_string(&ckpt).unwrap();
+    assert!(body.ends_with("reuse.fidelity=memoized\n"), "{body}");
+    std::fs::write(&ckpt, body + "reuse.interval_len=4096\n").unwrap();
+
+    let mut sink = CsvSink::append(&csv).unwrap();
+    let control = RunControl {
+        checkpoint: Some(&ckpt),
+        resume: true,
+        ..RunControl::default()
+    };
+    let resumed = Engine::memoized(256)
+        .run_controlled(&p, &mut sink, control)
+        .unwrap();
+    assert_eq!((resumed.completed, resumed.resumed_from), (true, 4));
+    drop(sink);
+    assert_eq!(std::fs::read(&csv).unwrap(), want);
+    std::fs::remove_file(&csv).ok();
+    std::fs::remove_file(&ckpt).ok();
+}
+
 /// Per-design-point equality of the raw statistics and metrics counters
 /// across a seeded subspace grid, through a cold and a warm cache.
 #[test]
@@ -81,12 +129,9 @@ fn stats_and_counters_bit_identical_on_subspace_grid() {
     for (backend, cached) in [
         (
             Box::new(Idealized) as Box<dyn SimBackend>,
-            Box::new(Memoized::with_interval_len(Idealized, 128)) as Box<dyn SimBackend>,
+            Box::new(Memoized::new(Idealized)) as Box<dyn SimBackend>,
         ),
-        (
-            Box::new(BankedProxy),
-            Box::new(Memoized::with_interval_len(BankedProxy, 128)),
-        ),
+        (Box::new(BankedProxy), Box::new(Memoized::new(BankedProxy))),
     ] {
         for app in [App::Stream, App::MiniSweep] {
             let w = plain.workload(app, scale, core_baseline.vector_length);

@@ -170,12 +170,14 @@ fn error_responses_carry_documented_status_codes() {
     let dir = tmp("errors");
     let (addr, handle) = start(&dir.join("jobs"), 1);
 
-    // 400: not JSON / unknown key / a key given twice / missing configs /
-    // pin out of range / integers the wire would otherwise truncate
-    // (2^32 + 1 cores) or round (2^53 + 1 as a seed).
+    // 400: not JSON / unknown key (a typo, a retired one) / a key given
+    // twice / missing configs / pin out of range / integers the wire
+    // would otherwise truncate (2^32 + 1 cores) or round (2^53 + 1 as a
+    // seed).
     for body in [
         "not json",
         "{\"bogus\": 1}",
+        "{\"configs\": 2, \"fidelity\": \"memoized\", \"interval_len\": 64}",
         "{\"configs\": 4, \"scale\": \"tiny\", \"configs\": 4000}",
         "{\"seed\": 3}",
         "{\"configs\": 0}",

@@ -1,7 +1,7 @@
 //! Memory held by a long-lived job server must not grow with the
 //! number of jobs it has served: a terminal job holds its spec and its
 //! counters, while the engine that ran it — workload cache, lowered
-//! programs, interval cache — is a local of that run and is gone with
+//! programs, run memo — is a local of that run and is gone with
 //! it. When every `Job` owned its engine for the life of the process a
 //! served probe job left tens of KB behind; a spec and counters are
 //! about one.
