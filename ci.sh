@@ -18,11 +18,15 @@
 #   PR 17 (perf: forest on the campaign's threads, pool-prediction table): 18480 -> 18709
 #   PR 19 (one campaign value, one durable-write module): 18709 -> 18556
 #   PR 20 (run memo replaces the interval-memoizing tier): 18556 -> 18121
+#   PR 26 (one reviewed public surface): 18121 -> 17854
 set -eux
 
 cd "$(dirname "$0")"
 
 cargo build --release --offline --workspace
+# tests/public_api.rs pins every crate's public surface: on a change it
+# prints the added/removed names and writes target/public_api.txt; after
+# review, `cp target/public_api.txt tests/golden/public_api.txt`.
 cargo test -q --offline --workspace
 # The benchmark package sees the product only through public calls
 # (benchmark/src/e2e/api.rs): an API change that breaks that view must

@@ -34,11 +34,6 @@ pub fn from_suite(suite: &SurrogateSuite) -> Fig2 {
 }
 
 impl Fig2 {
-    /// Render as a text table (rows = apps, columns = intervals).
-    pub fn to_table(&self) -> String {
-        self.table().to_text()
-    }
-
     /// The structured artifact (rows = apps, columns = intervals).
     pub fn table(&self) -> report::Table {
         let mut headers = vec!["App".to_string()];
@@ -68,13 +63,11 @@ impl Fig2 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{build_dataset, ExpOptions};
-    use armdse_core::engine::Engine;
+    use crate::test_support::{dataset, quick};
 
     #[test]
     fn curves_cover_all_sampled_apps_and_are_monotone() {
-        let data = build_dataset(&Engine::idealized(), &ExpOptions::quick()).unwrap();
-        let f = run(&data, 3);
+        let f = run(&dataset(&quick(40)), 3);
         assert_eq!(f.curves.len(), 4);
         for (_, curve) in &f.curves {
             for w in curve.windows(2) {
@@ -82,7 +75,7 @@ mod tests {
             }
         }
         assert!(f.mean_accuracy_pct > 0.0);
-        let t = f.to_table();
+        let t = f.table().to_text();
         assert!(t.contains("STREAM") && t.contains("93.38%"));
     }
 }

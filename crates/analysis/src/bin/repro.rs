@@ -79,9 +79,8 @@ use armdse_analysis::report::{discarded_table, tables_to_json, Table};
 use armdse_analysis::sweeps::SweepOptions;
 use armdse_analysis::{
     accuracy, bottleneck, crossval, fig1, headline, importance, multicore, sweeps, table1, unseen,
-    ExpOptions,
 };
-use armdse_core::engine::{Engine, Progress, RunPlan};
+use armdse_core::engine::{Engine, Progress};
 use armdse_core::explorer::{ExploreControl, ExploreOptions, ExploreProgress, Explorer};
 use armdse_core::space::ParamSpace;
 use armdse_core::{ArmdseError, CampaignFiles, DseDataset, JobSpec, SurrogateSuite};
@@ -93,16 +92,19 @@ use std::time::Instant;
 
 struct Cli {
     experiment: String,
-    opts: ExpOptions,
+    /// The campaign under the job server's names: `--configs`,
+    /// `--scale`, `--seed`, `--threads`, `--apps`, and the machine
+    /// (`--fidelity`, `--cores`, `--banks`).
+    spec: JobSpec,
+    /// Base design points per sweep experiment (each is re-simulated at
+    /// every sweep value, paired-sample style).
+    sweep_configs: usize,
     out: PathBuf,
     resume: bool,
     max_chunks: Option<usize>,
     metrics: Option<PathBuf>,
     explore_budget: Option<usize>,
     explore_pareto: bool,
-    /// `--fidelity`, `--cores` and `--banks` under their wire names: the
-    /// machine the shared engine simulates (no other field is read).
-    machine: JobSpec,
 }
 
 /// A flag's numeric value, or an error naming the flag and the value.
@@ -114,24 +116,29 @@ fn num<T: std::str::FromStr>(flag: &str, value: &str) -> Result<T, String> {
 
 fn parse_args(mut args: impl Iterator<Item = String>) -> Result<Cli, String> {
     let experiment = args.next().ok_or("missing experiment name")?;
-    let mut opts = ExpOptions::default();
+    let mut spec = JobSpec {
+        configs: 400,
+        seed: 20240931, // arbitrary fixed seed for reproducibility
+        threads: std::thread::available_parallelism().map_or(1, |n| n.get()),
+        ..JobSpec::default()
+    };
+    let mut sweep_configs = 12;
     let mut out = PathBuf::from("results");
     let mut resume = false;
     let mut max_chunks = None;
     let mut metrics = None;
     let mut explore_budget = None;
     let mut explore_pareto = false;
-    let mut machine = JobSpec::default();
     while let Some(flag) = args.next() {
         let mut val = || args.next().ok_or(format!("{flag} needs a value"));
         match flag.as_str() {
-            "--configs" => opts.configs = num(&flag, &val()?)?,
-            "--seed" => opts.seed = num(&flag, &val()?)?,
-            "--threads" => opts.threads = num(&flag, &val()?)?,
-            "--sweep-configs" => opts.sweep_configs = num(&flag, &val()?)?,
+            "--configs" => spec.configs = num(&flag, &val()?)?,
+            "--seed" => spec.seed = num(&flag, &val()?)?,
+            "--threads" => spec.threads = num(&flag, &val()?)?,
+            "--sweep-configs" => sweep_configs = num(&flag, &val()?)?,
             "--scale" => {
                 let s = val()?;
-                opts.scale = WorkloadScale::parse(&s).ok_or(format!("unknown scale {s}"))?;
+                spec.scale = WorkloadScale::parse(&s).ok_or(format!("unknown scale {s}"))?;
             }
             "--out" => out = PathBuf::from(val()?),
             "--resume" => resume = true,
@@ -140,16 +147,16 @@ fn parse_args(mut args: impl Iterator<Item = String>) -> Result<Cli, String> {
             "--explore" => explore_budget = Some(num(&flag, &val()?)?),
             "--explore-pareto" => explore_pareto = true,
             "--fidelity" => {
-                machine.fidelity = match val()?.as_str() {
+                spec.fidelity = match val()?.as_str() {
                     "full" => Fidelity::Full,
                     "memoized" => Fidelity::Memoized,
                     s => return Err(format!("unknown fidelity {s}")),
                 }
             }
-            "--cores" => machine.cores = num(&flag, &val()?)?,
-            "--banks" => machine.banks = num(&flag, &val()?)?,
+            "--cores" => spec.cores = num(&flag, &val()?)?,
+            "--banks" => spec.banks = num(&flag, &val()?)?,
             "--apps" => {
-                opts.apps = match val()?.as_str() {
+                spec.apps = match val()?.as_str() {
                     "base" => App::ALL.to_vec(),
                     "extended" => App::EXTENDED.to_vec(),
                     s => return Err(format!("unknown app set {s} (base|extended)")),
@@ -158,17 +165,17 @@ fn parse_args(mut args: impl Iterator<Item = String>) -> Result<Cli, String> {
             f => return Err(format!("unknown flag {f}")),
         }
     }
-    machine.check_machine().map_err(|e| e.to_string())?;
+    spec.check_machine().map_err(|e| e.to_string())?;
     Ok(Cli {
         experiment,
-        opts,
+        spec,
+        sweep_configs,
         out,
         resume,
         max_chunks,
         metrics,
         explore_budget,
         explore_pareto,
-        machine,
     })
 }
 
@@ -254,36 +261,35 @@ fn serve(args: &[String]) -> Result<(), String> {
 
 fn run(cli: &Cli) {
     let space = ParamSpace::paper();
-    let opts = &cli.opts;
-    let engine = cli.machine.engine();
-    let topology = cli.machine.topology();
+    let spec = &cli.spec;
+    let engine = spec.engine();
+    let topology = spec.topology();
     if topology != Topology::default() {
         eprintln!(
             "[repro] multicore machine: {} core(s), {} shared-L2 bank(s)",
             topology.cores, topology.banks
         );
     }
-    if cli.machine.fidelity != Fidelity::Full {
+    if spec.fidelity != Fidelity::Full {
         eprintln!("[repro] fidelity tier: {:?}", engine.backend().fidelity());
     }
     let sweep = SweepOptions {
-        base_configs: opts.sweep_configs,
-        scale: opts.scale,
-        seed: opts.seed ^ 0x5EED_CAFE,
+        base_configs: cli.sweep_configs,
+        scale: spec.scale,
+        seed: spec.seed ^ 0x5EED_CAFE,
     };
-    let gen_opts = opts.gen_options();
     // `multicore` and `all` emit the same artifact from this one site.
     let emit_multicore = || {
-        let fig = multicore::run(&engine, opts.scale);
+        let fig = multicore::run(&engine, spec.scale);
         emit_table(cli, "multicore", &fig.table());
     };
 
     match cli.experiment.as_str() {
         "fig1" => {
-            emit_table(cli, "fig1", &fig1::run(&engine, opts.scale).table());
+            emit_table(cli, "fig1", &fig1::run(&engine, spec.scale).table());
         }
         "table1" => {
-            emit_table(cli, "table1", &table1::run(&engine, opts.scale).table());
+            emit_table(cli, "table1", &table1::run(&engine, spec.scale).table());
         }
         "dataset" => {
             let data = dataset(cli, &space, &engine, true);
@@ -291,16 +297,15 @@ fn run(cli: &Cli) {
         }
         "fig2" => {
             let data = dataset(cli, &space, &engine, false);
-            emit_table(cli, "fig2", &accuracy::run(&data, opts.seed).table());
+            emit_table(cli, "fig2", &accuracy::run(&data, spec.seed).table());
         }
         "fig3" => {
             let data = dataset(cli, &space, &engine, false);
-            emit_table(cli, "fig3", &importance::fig3(&data, opts.seed).table());
+            emit_table(cli, "fig3", &importance::fig3(&data, spec.seed).table());
         }
         "fig4" | "fig5" => {
             let vl = if cli.experiment == "fig4" { 128 } else { 2048 };
-            let fig = importance::fig45(&engine, &space, &gen_opts, vl, opts.seed)
-                .unwrap_or_else(|e| fail(e));
+            let fig = importance::fig45(&engine, &space, spec, vl).unwrap_or_else(|e| fail(e));
             emit_table(cli, &cli.experiment, &fig.table());
         }
         "fig6" => {
@@ -326,28 +331,28 @@ fn run(cli: &Cli) {
             emit_tables(
                 cli,
                 "crossval",
-                &crossval::run(&data, &f7, opts.seed).tables(),
+                &crossval::run(&data, &f7, spec.seed).tables(),
                 None,
             );
         }
         "multicore" => emit_multicore(),
         "unseen" => {
             let data = dataset(cli, &space, &engine, false);
-            emit_table(cli, "unseen", &unseen::run(&data, opts.seed).table());
+            emit_table(cli, "unseen", &unseen::run(&data, spec.seed).table());
         }
         "headline" => {
             let data = dataset(cli, &space, &engine, false);
             emit_table(
                 cli,
                 "headline",
-                &headline::run(&engine, &data, &space, &sweep, opts.seed).table(),
+                &headline::run(&engine, &data, &space, &sweep, spec.seed).table(),
             );
         }
         "all" => {
-            emit_table(cli, "fig1", &fig1::run(&engine, opts.scale).table());
-            emit_table(cli, "table1", &table1::run(&engine, opts.scale).table());
+            emit_table(cli, "fig1", &fig1::run(&engine, spec.scale).table());
+            emit_table(cli, "table1", &table1::run(&engine, spec.scale).table());
             let data = dataset(cli, &space, &engine, false);
-            let suite = SurrogateSuite::train(&data, 0.2, opts.seed);
+            let suite = SurrogateSuite::train(&data, 0.2, spec.seed);
             emit_table(cli, "fig2", &accuracy::from_suite(&suite).table());
             emit_table(
                 cli,
@@ -355,19 +360,21 @@ fn run(cli: &Cli) {
                 &importance::from_suite(&suite, "Fig. 3").table(),
             );
             // Half-size pinned datasets for the constrained figures.
-            let mut pinned_opts = gen_opts.clone();
-            pinned_opts.configs = (gen_opts.configs / 2).clamp(20, 1500);
+            let pinned = JobSpec {
+                configs: (spec.configs / 2).clamp(20, 1500),
+                ..spec.clone()
+            };
             emit_table(
                 cli,
                 "fig4",
-                &importance::fig45(&engine, &space, &pinned_opts, 128, opts.seed)
+                &importance::fig45(&engine, &space, &pinned, 128)
                     .unwrap_or_else(|e| fail(e))
                     .table(),
             );
             emit_table(
                 cli,
                 "fig5",
-                &importance::fig45(&engine, &space, &pinned_opts, 2048, opts.seed)
+                &importance::fig45(&engine, &space, &pinned, 2048)
                     .unwrap_or_else(|e| fail(e))
                     .table(),
             );
@@ -382,12 +389,12 @@ fn run(cli: &Cli) {
                 "headline",
                 &headline::from_parts(&suite, &f7, &f8).table(),
             );
-            emit_table(cli, "unseen", &unseen::run(&data, opts.seed).table());
+            emit_table(cli, "unseen", &unseen::run(&data, spec.seed).table());
             emit_multicore();
             emit_tables(
                 cli,
                 "crossval",
-                &crossval::run(&data, &f7, opts.seed).tables(),
+                &crossval::run(&data, &f7, spec.seed).tables(),
                 None,
             );
         }
@@ -434,11 +441,11 @@ fn explore_sizes(configs: usize, budget: Option<usize>) -> ExploreOptions {
 /// a final accuracy-vs-samples summary table.
 fn explore(cli: &Cli, space: &ParamSpace, engine: &Engine) {
     let eopts = ExploreOptions {
-        scale: cli.opts.scale,
-        seed: cli.opts.seed,
-        threads: cli.opts.threads,
+        scale: cli.spec.scale,
+        seed: cli.spec.seed,
+        threads: cli.spec.threads,
         pareto: cli.explore_pareto,
-        ..explore_sizes(cli.opts.configs, cli.explore_budget)
+        ..explore_sizes(cli.spec.configs, cli.explore_budget)
     };
     let pool = eopts.pool;
     eprintln!(
@@ -555,8 +562,7 @@ fn dataset(cli: &Cli, space: &ParamSpace, engine: &Engine, force_regen: bool) ->
         );
     }
 
-    let gen_opts = cli.opts.gen_options();
-    let plan = RunPlan::new(space, &gen_opts).unwrap_or_else(|e| fail(e));
+    let plan = cli.spec.plan(space).unwrap_or_else(|e| fail(e));
     if let Some(dir) = &cli.metrics {
         std::fs::create_dir_all(dir).expect("create metrics directory");
     }
@@ -634,7 +640,7 @@ fn emit_metrics_analysis(cli: &Cli, dir: &Path, data: &DseDataset) {
         table.len(),
         mpath.display()
     );
-    let suite = SurrogateSuite::train(data, 0.2, cli.opts.seed);
+    let suite = SurrogateSuite::train(data, 0.2, cli.spec.seed);
     let fig = importance::from_suite(&suite, "Fig. 3");
     let tables = bottleneck::run(&table, &fig).tables();
     let mut text = String::new();
@@ -721,7 +727,9 @@ mod tests {
         assert_eq!(err(&["dataset", "--seed"]), "--seed needs a value");
         assert_eq!(err(&[]), "missing experiment name");
         let cli = parse(&["fig2", "--configs", "12", "--scale", "tiny", "--resume"]).unwrap();
-        assert_eq!((cli.opts.configs, cli.resume), (12, true));
+        assert_eq!((cli.spec.configs, cli.resume), (12, true));
+        let cli = parse(&["fig2"]).unwrap();
+        assert_eq!((cli.spec.configs, cli.spec.seed), (400, 20240931));
     }
 
     #[test]
@@ -753,7 +761,7 @@ mod tests {
         let run = |extra: &[&str]| {
             let args = ["dataset", "--configs", "3", "--scale", "tiny", "--out", out];
             let cli = parse(&[&args[..], extra].concat()).unwrap();
-            let engine = cli.machine.engine();
+            let engine = cli.spec.engine();
             super::dataset(&cli, &super::ParamSpace::paper(), &engine, true)
         };
         let first = run(&[]);

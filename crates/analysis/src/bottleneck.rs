@@ -9,7 +9,7 @@
 //! This module joins the two. For every application it derives a
 //! bottleneck label (the dominant stall bucket over all campaign jobs),
 //! maps that bucket to the design-space features that govern it
-//! ([`bucket_features`]), and checks whether the surrogate's top
+//! (`bucket_features`), and checks whether the surrogate's top
 //! importances agree — a disagreement flags either a surrogate
 //! artefact or a mis-modelled mechanism, which is exactly what the
 //! paper's validation section is after.
@@ -113,13 +113,13 @@ impl MetricsTable {
     }
 
     /// Index of a named column.
-    pub fn col(&self, name: &str) -> Option<usize> {
+    pub(crate) fn col(&self, name: &str) -> Option<usize> {
         self.columns.iter().position(|c| c == name)
     }
 
     /// Indices of the exclusive stall-attribution columns, in bucket
     /// (i.e. file) order.
-    pub fn stall_cols(&self) -> Vec<usize> {
+    pub(crate) fn stall_cols(&self) -> Vec<usize> {
         (0..self.columns.len())
             .filter(|&i| self.columns[i].starts_with("stall_"))
             .collect()
@@ -149,7 +149,7 @@ impl MetricsTable {
     /// label. Ties break toward the earlier (front-of-pipe) bucket,
     /// matching `Counters::dominant_stall`. `None` if the app has no
     /// rows or never stalled.
-    pub fn bottleneck_of(&self, app: App) -> Option<(String, u64)> {
+    pub(crate) fn bottleneck_of(&self, app: App) -> Option<(String, u64)> {
         let mut best: Option<(usize, u64)> = None;
         for c in self.stall_cols() {
             let s = self.app_sum(app, c);
@@ -162,7 +162,7 @@ impl MetricsTable {
 
     /// Applications present in the table, in [`App::EXTENDED`] order
     /// (the paper's four first, then the extension kernels).
-    pub fn apps_present(&self) -> Vec<App> {
+    pub(crate) fn apps_present(&self) -> Vec<App> {
         App::EXTENDED
             .into_iter()
             .filter(|a| self.apps.contains(a))
@@ -178,7 +178,7 @@ fn bad(path: &Path, what: &str) -> ArmdseError {
 /// side of the cross-tabulation. An empty slice means the bucket has no
 /// single governing feature (e.g. `stall_dependency` is a program
 /// property, not a design-space knob).
-pub fn bucket_features(bucket: &str) -> &'static [&'static str] {
+pub(crate) fn bucket_features(bucket: &str) -> &'static [&'static str] {
     match bucket {
         "stall_fetch_starved" | "stall_frontend_latency" => {
             &["Fetch-Block-Size", "Loop-Buffer-Size", "Frontend-Width"]
@@ -247,7 +247,7 @@ pub fn run(metrics: &MetricsTable, fig: &ImportanceFig) -> BottleneckReport {
 
 /// Per-application cycle-accounting shares: how the campaign's cycles
 /// split between retirement and the top stall buckets.
-pub fn accounting_table(metrics: &MetricsTable) -> Table {
+pub(crate) fn accounting_table(metrics: &MetricsTable) -> Table {
     let cycles_col = metrics.col("cycles");
     let stall_cols = metrics.stall_cols();
     let retire_cols: Vec<usize> = (0..metrics.columns.len())
@@ -303,7 +303,7 @@ pub fn accounting_table(metrics: &MetricsTable) -> Table {
 
 /// Per-application cross-tabulation: counter-derived bottleneck vs the
 /// surrogate's top permutation importances.
-pub fn cross_table(metrics: &MetricsTable, fig: &ImportanceFig) -> Table {
+pub(crate) fn cross_table(metrics: &MetricsTable, fig: &ImportanceFig) -> Table {
     let cycles_col = metrics.col("cycles");
     let mut rows = Vec::new();
     let mut agreements = 0usize;

@@ -18,7 +18,7 @@ use armdse_mltree::partial_dependence_speedup;
 
 /// Comparison of one app's simulated vs surrogate speedup curves.
 #[derive(Debug, Clone, PartialEq)]
-pub struct CurveComparison {
+pub(crate) struct CurveComparison {
     /// Application name.
     pub app: String,
     /// (swept value, simulated speedup, surrogate-predicted speedup).
@@ -31,7 +31,7 @@ pub struct CurveComparison {
 #[derive(Debug, Clone, PartialEq)]
 pub struct CrossVal {
     /// One comparison per application.
-    pub comparisons: Vec<CurveComparison>,
+    pub(crate) comparisons: Vec<CurveComparison>,
 }
 
 /// Compare the simulated Fig. 7 against the surrogate's ROB
@@ -73,16 +73,6 @@ pub fn run(data: &DseDataset, fig7: &SweepFig, seed: u64) -> CrossVal {
 }
 
 impl CrossVal {
-    /// Render as a text table.
-    pub fn to_table(&self) -> String {
-        let mut out = String::new();
-        for t in self.tables() {
-            out.push_str(&t.to_text());
-            out.push('\n');
-        }
-        out
-    }
-
     /// The structured artifacts, one table per application.
     pub fn tables(&self) -> Vec<report::Table> {
         self.comparisons
@@ -112,21 +102,19 @@ impl CrossVal {
 mod tests {
     use super::*;
     use crate::sweeps::{fig7, SweepOptions};
-    use crate::{build_dataset, ExpOptions};
+    use crate::test_support::{dataset, quick};
     use armdse_core::engine::Engine;
     use armdse_core::space::ParamSpace;
     use armdse_kernels::WorkloadScale;
 
     #[test]
     fn surrogate_curve_has_correct_direction() {
-        let mut opts = ExpOptions::quick();
         // 300 configs (up from 150): with fewer samples the tree sees
         // too few high-ROB points and its partial dependence at the
         // largest ROB can dip below 1.0 for one app — a data-sparsity
         // artefact, not a direction error.
-        opts.configs = 300;
+        let data = dataset(&quick(300));
         let engine = Engine::idealized();
-        let data = build_dataset(&engine, &opts).unwrap();
         let sweep = SweepOptions {
             base_configs: 3,
             scale: WorkloadScale::Tiny,
@@ -147,7 +135,7 @@ mod tests {
                 c.points
             );
         }
-        let t = cv.to_table();
+        let t: String = cv.tables().iter().map(report::Table::to_text).collect();
         assert!(t.contains("Surrogate PD"));
     }
 }

@@ -49,11 +49,6 @@ pub fn run(engine: &Engine, scale: WorkloadScale) -> Fig1 {
 }
 
 impl Fig1 {
-    /// Render the figure as a text table (rows = apps, columns = VLs).
-    pub fn to_table(&self) -> String {
-        self.table().to_text()
-    }
-
     /// The structured artifact (rows = apps, columns = VLs).
     pub fn table(&self) -> report::Table {
         let mut headers = vec!["App".to_string()];
@@ -105,7 +100,7 @@ mod tests {
     #[test]
     fn table_renders_all_apps() {
         let f = run(&Engine::idealized(), WorkloadScale::Tiny);
-        let t = f.to_table();
+        let t = f.table().to_text();
         for app in App::ALL {
             assert!(t.contains(app.name()), "{t}");
         }

@@ -79,11 +79,6 @@ pub fn from_parts(suite: &SurrogateSuite, fig7: &SweepFig, fig8: &SweepFig) -> H
 }
 
 impl Headline {
-    /// Render as a paper-vs-measured table.
-    pub fn to_table(&self) -> String {
-        self.table().to_text()
-    }
-
     /// The structured paper-vs-measured artifact.
     pub fn table(&self) -> report::Table {
         let rows = vec![
@@ -124,14 +119,13 @@ impl Headline {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{build_dataset, ExpOptions};
+    use crate::test_support::{dataset, quick};
     use armdse_kernels::WorkloadScale;
 
     #[test]
     fn headline_computes_and_renders() {
         let engine = Engine::idealized();
-        let opts = ExpOptions::quick();
-        let data = build_dataset(&engine, &opts).unwrap();
+        let data = dataset(&quick(40));
         let sweep = SweepOptions {
             base_configs: 3,
             scale: WorkloadScale::Tiny,
@@ -142,7 +136,7 @@ mod tests {
         assert!((1..=30).contains(&h.vl_rank));
         assert!(h.rob_knee >= 8 && h.rob_knee <= 512);
         assert!(h.fp_knee >= 38 && h.fp_knee <= 512);
-        let t = h.to_table();
+        let t = h.table().to_text();
         assert!(t.contains("93.38%") && t.contains("25.91%"));
     }
 }

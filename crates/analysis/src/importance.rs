@@ -9,14 +9,13 @@
 //! all other features when vector length is constrained."
 
 use crate::report;
-use armdse_core::engine::{Engine, RunPlan};
-use armdse_core::orchestrator::GenOptions;
+use armdse_core::engine::Engine;
 use armdse_core::space::ParamSpace;
-use armdse_core::{ArmdseError, DseDataset, SurrogateSuite};
+use armdse_core::{ArmdseError, DseDataset, JobSpec, SurrogateSuite};
 use armdse_kernels::App;
 
 /// Number of features shown per app (the paper plots the top ten).
-pub const TOP_K: usize = 10;
+pub(crate) const TOP_K: usize = 10;
 
 /// Importance percentages for every app.
 #[derive(Debug, Clone, PartialEq)]
@@ -33,19 +32,21 @@ pub fn fig3(data: &DseDataset, seed: u64) -> ImportanceFig {
     from_suite(&suite, "Fig. 3")
 }
 
-/// Figs. 4/5: generate a dataset with vector length pinned, then train
-/// and rank. `vl` is 128 for Fig. 4 and 2048 for Fig. 5.
+/// Figs. 4/5: run `spec` with vector length pinned to `vl` (128 for
+/// Fig. 4, 2048 for Fig. 5), then train with the spec's seed and rank.
 pub fn fig45(
     engine: &Engine,
     space: &ParamSpace,
-    opts: &GenOptions,
+    spec: &JobSpec,
     vl: u32,
-    seed: u64,
 ) -> Result<ImportanceFig, ArmdseError> {
-    let plan = RunPlan::pinned(space, opts, &[("Vector-Length", f64::from(vl))])?;
+    let pinned = JobSpec {
+        pins: vec![("Vector-Length".into(), f64::from(vl))],
+        ..spec.clone()
+    };
     let mut data = DseDataset::default();
-    engine.run(&plan, &mut data)?;
-    let suite = SurrogateSuite::train(&data, 0.2, seed);
+    engine.run(&pinned.plan(space)?, &mut data)?;
+    let suite = SurrogateSuite::train(&data, 0.2, spec.seed);
     let label = if vl == 128 {
         "Fig. 4 (VL=128)"
     } else {
@@ -77,7 +78,7 @@ pub fn from_suite(suite: &SurrogateSuite, label: &str) -> ImportanceFig {
 
 impl ImportanceFig {
     /// Importance % of `feature` for `app`.
-    pub fn percent_of(&self, app: App, feature: &str) -> Option<f64> {
+    pub(crate) fn percent_of(&self, app: App, feature: &str) -> Option<f64> {
         self.per_app
             .iter()
             .find(|(a, _)| a == app.name())?
@@ -88,7 +89,7 @@ impl ImportanceFig {
     }
 
     /// Mean importance % of `feature` across apps (0 when absent).
-    pub fn mean_percent_of(&self, feature: &str) -> f64 {
+    pub(crate) fn mean_percent_of(&self, feature: &str) -> f64 {
         let vals: Vec<f64> = self
             .per_app
             .iter()
@@ -102,7 +103,7 @@ impl ImportanceFig {
     }
 
     /// Features ranked by mean importance across apps.
-    pub fn ranked_by_mean(&self) -> Vec<(String, f64)> {
+    pub(crate) fn ranked_by_mean(&self) -> Vec<(String, f64)> {
         let names: Vec<String> = self
             .per_app
             .first()
@@ -114,12 +115,6 @@ impl ImportanceFig {
             .collect();
         v.sort_by(|a, b| b.1.total_cmp(&a.1));
         v
-    }
-
-    /// Render the top-K table: rows = features (ordered by mean, as the
-    /// paper does), columns = apps.
-    pub fn to_table(&self) -> String {
-        self.table().to_text()
     }
 
     /// The structured artifact: rows = features (ordered by mean),
@@ -155,16 +150,13 @@ impl ImportanceFig {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{build_dataset, ExpOptions};
-
-    use armdse_core::engine::Engine;
+    use crate::test_support::{dataset, quick};
 
     #[test]
     fn fig3_reports_and_renders() {
-        let data = build_dataset(&Engine::idealized(), &ExpOptions::quick()).unwrap();
-        let f = fig3(&data, 11);
+        let f = fig3(&dataset(&quick(40)), 11);
         assert_eq!(f.per_app.len(), 4);
-        let t = f.to_table();
+        let t = f.table().to_text();
         assert!(t.contains("Fig. 3"));
         // Mean ranking produces 30 entries.
         assert_eq!(f.ranked_by_mean().len(), 30);
@@ -172,10 +164,7 @@ mod tests {
 
     #[test]
     fn fig45_pins_vector_length_through_the_engine_plan() {
-        let engine = Engine::idealized();
-        let mut opts = ExpOptions::quick().gen_options();
-        opts.configs = 12;
-        let f = fig45(&engine, &ParamSpace::paper(), &opts, 128, 11).unwrap();
+        let f = fig45(&Engine::idealized(), &ParamSpace::paper(), &quick(12), 128).unwrap();
         assert!(f.label.contains("VL=128"));
         // With VL pinned, its importance collapses to (near) zero.
         for app in App::ALL {

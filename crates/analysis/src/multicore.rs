@@ -18,11 +18,11 @@ use armdse_kernels::{App, WorkloadScale};
 use armdse_simcore::{MultiCore, Topology};
 
 /// Core counts simulated (1 = the paper's single-core setting).
-pub const CORES: [u32; 5] = [1, 2, 4, 8, 16];
+pub(crate) const CORES: [u32; 5] = [1, 2, 4, 8, 16];
 
 /// Slowdown series for one application.
 #[derive(Debug, Clone, PartialEq)]
-pub struct ContentionSeries {
+pub(crate) struct ContentionSeries {
     /// Application name.
     pub app: String,
     /// (cores, makespan cycles, slowdown vs one core).
@@ -33,11 +33,11 @@ pub struct ContentionSeries {
 #[derive(Debug, Clone, PartialEq)]
 pub struct MulticoreFig {
     /// One series per application.
-    pub series: Vec<ContentionSeries>,
+    pub(crate) series: Vec<ContentionSeries>,
 }
 
 /// Run the contention sweep on the ThunderX2 baseline: one [`MultiCore`]
-/// machine per core count in [`CORES`], all sharing the engine's
+/// machine per core count in `CORES`, all sharing the engine's
 /// workload cache.
 pub fn run(engine: &Engine, scale: WorkloadScale) -> MulticoreFig {
     sweep(engine, scale, &CORES)
@@ -74,7 +74,8 @@ fn sweep(engine: &Engine, scale: WorkloadScale, cores: &[u32]) -> MulticoreFig {
 
 impl MulticoreFig {
     /// Slowdown of `app` on `cores` cores.
-    pub fn slowdown(&self, app: App, cores: u32) -> Option<f64> {
+    #[cfg(test)]
+    fn slowdown(&self, app: App, cores: u32) -> Option<f64> {
         self.series
             .iter()
             .find(|s| s.app == app.name())?
@@ -82,11 +83,6 @@ impl MulticoreFig {
             .iter()
             .find(|(n, _, _)| *n == cores)
             .map(|(_, _, s)| *s)
-    }
-
-    /// Render as a text table (rows = core counts, columns = apps).
-    pub fn to_table(&self) -> String {
-        self.table().to_text()
     }
 
     /// The structured artifact (rows = core counts, columns = apps).
@@ -149,7 +145,9 @@ mod tests {
 
     #[test]
     fn table_names_every_app_and_only_measures() {
-        let t = sweep(&Engine::idealized(), WorkloadScale::Tiny, &CORES[..2]).to_table();
+        let t = sweep(&Engine::idealized(), WorkloadScale::Tiny, &CORES[..2])
+            .table()
+            .to_text();
         for app in App::ALL {
             assert!(t.contains(app.name()));
         }

@@ -7,7 +7,7 @@
 
 /// Render one or more line series over a shared integer x-axis as an
 /// ASCII grid (`height` rows tall). Series are marked `a`, `b`, `c`, …
-pub fn line_chart(
+pub(crate) fn line_chart(
     title: &str,
     series: &[(String, Vec<(f64, f64)>)],
     width: usize,

@@ -139,7 +139,7 @@ fn json_string_array(items: &[String], out: &mut String) {
 }
 
 /// Render an aligned text table.
-pub fn format_table(title: &str, headers: &[&str], rows: &[Vec<String>]) -> String {
+pub(crate) fn format_table(title: &str, headers: &[&str], rows: &[Vec<String>]) -> String {
     let mut widths: Vec<usize> = headers.iter().map(|h| h.len()).collect();
     for row in rows {
         for (i, cell) in row.iter().enumerate() {
@@ -175,7 +175,7 @@ pub fn format_table(title: &str, headers: &[&str], rows: &[Vec<String>]) -> Stri
 
 /// Render rows as CSV with a header. Cells containing commas, quotes,
 /// or newlines are quoted per RFC 4180.
-pub fn format_csv(headers: &[&str], rows: &[Vec<String>]) -> String {
+pub(crate) fn format_csv(headers: &[&str], rows: &[Vec<String>]) -> String {
     let cell = |s: &str| {
         if s.contains(',') || s.contains('"') || s.contains('\n') || s.contains('\r') {
             format!("\"{}\"", s.replace('"', "\"\""))
@@ -196,13 +196,8 @@ pub fn format_csv(headers: &[&str], rows: &[Vec<String>]) -> String {
     out
 }
 
-/// Format a float with fixed decimals, trimming noise.
-pub fn f(v: f64, decimals: usize) -> String {
-    format!("{v:.decimals$}")
-}
-
 /// Format a percentage.
-pub fn pct(v: f64) -> String {
+pub(crate) fn pct(v: f64) -> String {
     format!("{:.2}%", v)
 }
 
@@ -248,7 +243,6 @@ mod tests {
 
     #[test]
     fn number_formatting() {
-        assert_eq!(f(1.23456, 2), "1.23");
         assert_eq!(pct(25.913), "25.91%");
     }
 

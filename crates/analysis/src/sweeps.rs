@@ -21,14 +21,14 @@ use armdse_core::DesignConfig;
 use armdse_kernels::{App, WorkloadScale};
 
 /// ROB sizes swept in Fig. 7 (includes the paper's knee at 152).
-pub const ROB_POINTS: [u32; 10] = [8, 16, 32, 64, 96, 128, 152, 256, 384, 512];
+pub(crate) const ROB_POINTS: [u32; 10] = [8, 16, 32, 64, 96, 128, 152, 256, 384, 512];
 
 /// FP/SVE register counts swept in Fig. 8 (includes the paper's knee at
 /// 144 and the minimum 38).
-pub const FP_POINTS: [u32; 9] = [38, 72, 104, 144, 176, 240, 320, 424, 512];
+pub(crate) const FP_POINTS: [u32; 9] = [38, 72, 104, 144, 176, 240, 320, 424, 512];
 
 /// Vector lengths swept in Fig. 6.
-pub const VL_POINTS: [u32; 5] = [128, 256, 512, 1024, 2048];
+pub(crate) const VL_POINTS: [u32; 5] = [128, 256, 512, 1024, 2048];
 
 /// One speedup series.
 #[derive(Debug, Clone, PartialEq)]
@@ -215,7 +215,7 @@ impl SweepFig {
 
     /// The knee: smallest swept value whose speedup reaches `frac` of the
     /// maximum speedup for `app`.
-    pub fn knee(&self, app: App, frac: f64) -> Option<u32> {
+    pub(crate) fn knee(&self, app: App, frac: f64) -> Option<u32> {
         let s = self.series.iter().find(|s| s.app == app.name())?;
         let max = s
             .points
@@ -249,11 +249,6 @@ impl SweepFig {
             60,
             14,
         )
-    }
-
-    /// Render as a text table (rows = swept values, columns = apps).
-    pub fn to_table(&self) -> String {
-        self.table().to_text()
     }
 
     /// The structured artifact (rows = swept values, columns = apps).
@@ -346,7 +341,7 @@ mod tests {
     #[test]
     fn table_renders() {
         let f = fig7(&Engine::idealized(), &ParamSpace::paper(), &quick());
-        let t = f.to_table();
+        let t = f.table().to_text();
         assert!(t.contains("ROB-Size"));
         assert!(t.contains("152"));
     }

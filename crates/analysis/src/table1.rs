@@ -14,14 +14,6 @@ use armdse_core::DesignConfig;
 use armdse_kernels::{App, WorkloadScale};
 use armdse_simcore::BankedProxy;
 
-/// The paper's published Table I values (for EXPERIMENTS.md comparison).
-pub const PAPER_TABLE1: [(&str, u64, u64, f64); 4] = [
-    ("STREAM", 25_078_088, 26_665_221, 5.95),
-    ("MiniBude", 42_436_227, 48_778_524, 13.05),
-    ("TeaLeaf", 19_966_725, 14_607_184, 36.69),
-    ("MiniSweep", 6_529_912, 10_374_617, 37.05),
-];
-
 /// One validation row.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ValidationRow {
@@ -66,11 +58,6 @@ pub fn run(engine: &Engine, scale: WorkloadScale) -> Table1 {
 }
 
 impl Table1 {
-    /// Render as a text table mirroring the paper's layout.
-    pub fn to_table(&self) -> String {
-        self.table().to_text()
-    }
-
     /// The structured artifact mirroring the paper's layout.
     pub fn table(&self) -> report::Table {
         let rows: Vec<Vec<String>> = self
@@ -102,6 +89,14 @@ impl Table1 {
 mod tests {
     use super::*;
 
+    /// The paper's published Table I values (for EXPERIMENTS.md comparison).
+    const PAPER_TABLE1: [(&str, u64, u64, f64); 4] = [
+        ("STREAM", 25_078_088, 26_665_221, 5.95),
+        ("MiniBude", 42_436_227, 48_778_524, 13.05),
+        ("TeaLeaf", 19_966_725, 14_607_184, 36.69),
+        ("MiniSweep", 6_529_912, 10_374_617, 37.05),
+    ];
+
     #[test]
     fn produces_four_rows_with_nonzero_divergence() {
         let t = run(&Engine::idealized(), WorkloadScale::Tiny);
@@ -130,7 +125,9 @@ mod tests {
 
     #[test]
     fn table_mentions_every_app() {
-        let t = run(&Engine::idealized(), WorkloadScale::Tiny).to_table();
+        let t = run(&Engine::idealized(), WorkloadScale::Tiny)
+            .table()
+            .to_text();
         for (app, ..) in PAPER_TABLE1 {
             assert!(t.contains(app));
         }

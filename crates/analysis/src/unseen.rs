@@ -17,12 +17,11 @@
 
 use crate::report;
 use armdse_core::DseDataset;
-use armdse_kernels::App;
 use armdse_mltree::{mean_relative_accuracy, train_test_split, DecisionTreeRegressor, Regressor};
 
 /// One source-model row of the transfer matrix.
 #[derive(Debug, Clone, PartialEq)]
-pub struct TransferRow {
+pub(crate) struct TransferRow {
     /// App the model was trained on.
     pub trained_on: String,
     /// Accuracy (%) on the training app's held-out test split.
@@ -35,7 +34,7 @@ pub struct TransferRow {
 #[derive(Debug, Clone, PartialEq)]
 pub struct UnseenFig {
     /// One row per source model.
-    pub rows: Vec<TransferRow>,
+    pub(crate) rows: Vec<TransferRow>,
 }
 
 /// Run the cross-application transfer experiment over every
@@ -75,7 +74,8 @@ pub fn run(data: &DseDataset, seed: u64) -> UnseenFig {
 
 impl UnseenFig {
     /// Transfer accuracy from a model trained on `source` to `target`.
-    pub fn transfer(&self, source: App, target: App) -> Option<f64> {
+    #[cfg(test)]
+    fn transfer(&self, source: armdse_kernels::App, target: armdse_kernels::App) -> Option<f64> {
         self.rows
             .iter()
             .find(|r| r.trained_on == source.name())?
@@ -88,7 +88,8 @@ impl UnseenFig {
     /// The paper's limitation is confirmed when, for most models, every
     /// cross-application prediction is materially worse than the model's
     /// own in-distribution accuracy.
-    pub fn limitation_confirmed(&self) -> bool {
+    #[cfg(test)]
+    fn limitation_confirmed(&self) -> bool {
         let confirmed = self
             .rows
             .iter()
@@ -103,11 +104,6 @@ impl UnseenFig {
             })
             .count();
         confirmed * 2 > self.rows.len()
-    }
-
-    /// Render the transfer matrix (rows = source model, cols = target).
-    pub fn to_table(&self) -> String {
-        self.table().to_text()
     }
 
     /// The structured transfer matrix (rows = source, cols = target).
@@ -140,14 +136,13 @@ impl UnseenFig {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{build_dataset, ExpOptions};
-    use armdse_core::engine::Engine;
+    use crate::test_support::{dataset, quick};
+    use armdse_core::JobSpec;
+    use armdse_kernels::App;
 
     #[test]
     fn transfer_collapses_across_applications() {
-        let mut opts = ExpOptions::quick();
-        opts.configs = 80;
-        let data = build_dataset(&Engine::idealized(), &opts).unwrap();
+        let data = dataset(&quick(80));
         let f = run(&data, 3);
         assert_eq!(f.rows.len(), 4);
         assert!(
@@ -159,7 +154,7 @@ mod tests {
         let self_acc = f.transfer(App::Stream, App::Stream).unwrap();
         let cross_acc = f.transfer(App::Stream, App::MiniSweep).unwrap();
         assert!(self_acc > cross_acc, "{self_acc} !> {cross_acc}");
-        let t = f.to_table();
+        let t = f.table().to_text();
         assert!(t.contains("Trained on"));
     }
 
@@ -167,14 +162,14 @@ mod tests {
     fn extended_kernels_widen_the_matrix() {
         // A dataset generated over the extended app set folds the new
         // kernels into the transfer matrix without any code changes.
-        let mut opts = ExpOptions::quick();
-        opts.configs = 30;
-        opts.apps = App::EXTENDED.to_vec();
-        let data = build_dataset(&Engine::idealized(), &opts).unwrap();
+        let data = dataset(&JobSpec {
+            apps: App::EXTENDED.to_vec(),
+            ..quick(30)
+        });
         let f = run(&data, 3);
         assert_eq!(f.rows.len(), App::EXTENDED.len());
         assert!(f.transfer(App::Spmv, App::Gemm).is_some());
-        let t = f.to_table();
+        let t = f.table().to_text();
         for app in App::EXTENDED {
             assert!(t.contains(app.name()), "missing {}", app.name());
         }

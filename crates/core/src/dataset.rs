@@ -138,7 +138,7 @@ impl DseDataset {
 
 /// Write the dataset CSV header line. Shared by [`DseDataset::save_csv`]
 /// and the engine's streaming `CsvSink` so both emit identical bytes.
-pub fn write_csv_header(w: &mut impl Write) -> io::Result<()> {
+pub(crate) fn write_csv_header(w: &mut impl Write) -> io::Result<()> {
     write!(w, "app")?;
     for n in FEATURE_NAMES {
         write!(w, ",{n}")?;

@@ -67,7 +67,7 @@ use std::sync::Arc;
 
 /// Default jobs per chunk: small enough that checkpoints land every few
 /// seconds at Standard scale, large enough to amortise the thread scope.
-pub const DEFAULT_CHUNK_JOBS: usize = 128;
+pub(crate) const DEFAULT_CHUNK_JOBS: usize = 128;
 
 /// A validated campaign plan: the engine-facing form of [`GenOptions`].
 ///
@@ -190,12 +190,12 @@ impl RunPlan {
     }
 
     /// Workload input scale.
-    pub fn scale(&self) -> WorkloadScale {
+    pub(crate) fn scale(&self) -> WorkloadScale {
         self.scale
     }
 
     /// Worker threads.
-    pub fn threads(&self) -> usize {
+    pub(crate) fn threads(&self) -> usize {
         self.threads
     }
 
@@ -205,7 +205,7 @@ impl RunPlan {
     }
 
     /// Jobs per chunk.
-    pub fn chunk_jobs(&self) -> usize {
+    pub(crate) fn chunk_jobs(&self) -> usize {
         self.chunk_jobs
     }
 
@@ -600,17 +600,6 @@ impl Engine {
     /// engine's bytes exactly (pinned by `tests/multicore_campaign.rs`).
     pub fn multicore(cores: u32, banks: u32) -> Engine {
         Engine::new(Box::new(MultiCore::new(cores, banks)))
-    }
-
-    /// Toggle the pipeline's idle-cycle fast-forward for every pipeline
-    /// built after this call, process-wide (campaigns run many
-    /// simulations across threads; the default is sampled per pipeline
-    /// at construction). Fast-forward is timing-exact — `SimStats`,
-    /// metrics counters, and emitted CSV bytes are identical either way
-    /// (pinned by `tests/fast_forward_equivalence.rs`) — so this switch
-    /// exists for A/B verification and benchmarking, not correctness.
-    pub fn set_fast_forward(enabled: bool) {
-        armdse_simcore::set_fast_forward_default(enabled);
     }
 
     /// The engine's default backend.

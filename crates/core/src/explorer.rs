@@ -368,10 +368,10 @@ impl ExploreReport {
 
 /// Checkpoint `extra` keys owned by the explorer (its [`Steer::state`]).
 mod keys {
-    pub const PLAN: &str = "explore.plan";
-    pub const RNG: &str = "explore.rng";
-    pub const SELECTED: &str = "explore.selected";
-    pub const HASHES: &str = "explore.hashes";
+    pub(crate) const PLAN: &str = "explore.plan";
+    pub(crate) const RNG: &str = "explore.rng";
+    pub(crate) const SELECTED: &str = "explore.selected";
+    pub(crate) const HASHES: &str = "explore.hashes";
 }
 
 const CURVE_HEADER: &str = "round,samples,epsilon,r2,mae,model_hash";

@@ -87,7 +87,7 @@ pub enum JobState {
 
 impl JobState {
     /// Stable lowercase tag (wire format and state-marker files).
-    pub fn tag(self) -> &'static str {
+    pub(crate) fn tag(self) -> &'static str {
         match self {
             JobState::Queued => "queued",
             JobState::Running => "running",
@@ -99,7 +99,7 @@ impl JobState {
     }
 
     /// Parse a state tag.
-    pub fn parse(s: &str) -> Option<JobState> {
+    pub(crate) fn parse(s: &str) -> Option<JobState> {
         use JobState::*;
         [Queued, Running, Paused, Done, Failed, Cancelled]
             .into_iter()
@@ -528,7 +528,7 @@ impl Job {
     }
 
     /// The submitted spec.
-    pub fn spec(&self) -> &JobSpec {
+    pub(crate) fn spec(&self) -> &JobSpec {
         &self.spec
     }
 
@@ -727,7 +727,8 @@ impl JobStore {
     }
 
     /// The store directory.
-    pub fn dir(&self) -> &Path {
+    #[cfg(test)]
+    pub(crate) fn dir(&self) -> &Path {
         &self.dir
     }
 

@@ -51,7 +51,7 @@
 
 pub mod config;
 pub mod dataset;
-pub mod durable;
+mod durable;
 pub mod engine;
 pub mod error;
 pub mod explorer;
@@ -61,17 +61,15 @@ pub mod metrics;
 pub mod orchestrator;
 pub mod scheduler;
 pub mod space;
-pub mod summary;
+mod summary;
 pub mod surrogate;
 
 pub use config::DesignConfig;
-pub use dataset::{DseDataset, Row};
+pub use dataset::DseDataset;
 pub use durable::{Campaign, CampaignFiles};
-pub use engine::{CsvSink, Engine, Progress, ReuseMode, RowSink, RunControl, RunPlan, RunSummary};
+pub use engine::{CsvSink, Engine, Progress, RunControl, RunPlan, RunSummary};
 pub use error::ArmdseError;
-pub use explorer::{ExploreControl, ExploreOptions, ExploreProgress, ExploreReport, Explorer};
-pub use jobstore::{Job, JobId, JobOpError, JobSpec, JobState, JobStatus, JobStore};
-pub use metrics::{MetricsCsvSink, MetricsRow, MetricsSink};
+pub use jobstore::{JobSpec, JobState};
 pub use scheduler::JobScheduler;
-pub use space::{ParamSpace, FEATURE_COUNT};
-pub use surrogate::{AppModel, ModelMetrics, SurrogateSuite};
+pub use summary::DatasetSummary;
+pub use surrogate::SurrogateSuite;

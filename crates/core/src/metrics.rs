@@ -10,7 +10,7 @@
 //! any thread count, and checkpoint/resume-safe at chunk granularity.
 //!
 //! The CSV schema (one row per job) is documented column-by-column in
-//! `docs/METRICS.md`; [`metrics_csv_columns`] is the single source of
+//! `docs/METRICS.md`; `metrics_csv_columns` is the single source of
 //! truth for the header.
 
 use crate::durable::CsvFile;
@@ -28,7 +28,7 @@ use std::path::Path;
 /// cycle-attribution buckets they do not sum to the cycle count. The
 /// loop-buffer counter is omitted here because it already rides in the
 /// [`Counters`] segment as `loop_buffer_cycles`.
-pub const EVENT_COLUMNS: [&str; 9] = [
+pub(crate) const EVENT_COLUMNS: [&str; 9] = [
     "ev_rename_gp",
     "ev_rename_fp",
     "ev_rename_pred",
@@ -40,7 +40,7 @@ pub const EVENT_COLUMNS: [&str; 9] = [
     "ev_fetch_starved",
 ];
 
-/// [`StallStats`] values in [`EVENT_COLUMNS`] order.
+/// [`StallStats`] values in `EVENT_COLUMNS` order.
 pub fn event_values(s: &StallStats) -> [u64; 9] {
     [
         s.rename_gp,
@@ -117,7 +117,7 @@ impl MetricsSink for Vec<MetricsRow> {
 /// The full metrics CSV header, in emission order: job identity, then
 /// the [`Counters`] segment, then the `ev_` event segment, then the
 /// [`MemStats`] segment.
-pub fn metrics_csv_columns() -> Vec<String> {
+pub(crate) fn metrics_csv_columns() -> Vec<String> {
     let mut cols: Vec<String> = [
         "job",
         "config_index",
@@ -142,7 +142,7 @@ pub fn write_metrics_header(w: &mut impl Write) -> std::io::Result<()> {
 }
 
 /// Write one metrics CSV row (column order pinned by
-/// [`metrics_csv_columns`]).
+/// `metrics_csv_columns`).
 pub fn write_metrics_row(w: &mut impl Write, r: &MetricsRow) -> std::io::Result<()> {
     let core = r.core.map_or(String::new(), |c| c.to_string());
     write!(

@@ -332,7 +332,7 @@ pub struct JobScheduler {
 impl JobScheduler {
     /// A scheduler over `store` with `runners` runner threads (0 is
     /// valid: jobs queue until [`JobScheduler::add_runners`]).
-    pub fn new(store: Arc<JobStore>, runners: usize) -> JobScheduler {
+    pub(crate) fn new(store: Arc<JobStore>, runners: usize) -> JobScheduler {
         let sched = JobScheduler {
             shared: Arc::new(Shared {
                 store,

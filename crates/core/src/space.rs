@@ -16,10 +16,6 @@ use armdse_memsim::MemParams;
 use armdse_rng::{Rng, SeedableRng, Xoshiro256pp};
 use armdse_simcore::CoreParams;
 
-/// Number of design-space features (the paper's "thirty variable input
-/// features").
-pub const FEATURE_COUNT: usize = 30;
-
 /// The sampled design space. `paper()` gives the ranges of Tables II/III
 /// (memory ranges reconstructed; see DESIGN.md §3).
 #[derive(Debug, Clone)]
@@ -126,7 +122,7 @@ impl ParamSpace {
     }
 
     /// Sample one valid design point.
-    pub fn sample(&self, rng: &mut Xoshiro256pp) -> DesignConfig {
+    pub(crate) fn sample(&self, rng: &mut Xoshiro256pp) -> DesignConfig {
         let pick = |rng: &mut Xoshiro256pp, v: &[u32]| v[rng.gen_range(0..v.len())];
         let pickf = |rng: &mut Xoshiro256pp, v: &[f64]| v[rng.gen_range(0..v.len())];
         let range = |rng: &mut Xoshiro256pp, (lo, hi): (u32, u32)| rng.gen_range(lo..=hi);

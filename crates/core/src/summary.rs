@@ -8,7 +8,7 @@ use armdse_kernels::App;
 
 /// Distribution summary of one app's cycle counts.
 #[derive(Debug, Clone, PartialEq)]
-pub struct AppSummary {
+pub(crate) struct AppSummary {
     /// Application name.
     pub app: String,
     /// Row count.
@@ -29,7 +29,7 @@ pub struct AppSummary {
 #[derive(Debug, Clone, PartialEq)]
 pub struct DatasetSummary {
     /// One summary per application present.
-    pub apps: Vec<AppSummary>,
+    pub(crate) apps: Vec<AppSummary>,
     /// Per-feature (min, max) over all rows — confirms the sampler
     /// covered each parameter's range.
     pub feature_ranges: Vec<(String, f64, f64)>,

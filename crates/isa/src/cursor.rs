@@ -34,14 +34,14 @@ impl<'p> TraceCursor<'p> {
     }
 
     /// Number of dynamic instructions produced so far.
-    #[inline]
-    pub fn produced(&self) -> u64 {
+    #[cfg(test)]
+    fn produced(&self) -> u64 {
         self.produced
     }
 
     /// Whether the stream is exhausted.
     #[inline]
-    pub fn finished(&self) -> bool {
+    pub(crate) fn finished(&self) -> bool {
         self.next >= self.program.ops.len()
     }
 

@@ -187,15 +187,6 @@ impl InstrTemplate {
             mem: None,
         }
     }
-
-    /// Whether any operand (source or destination) is an SVE Z register —
-    /// the paper's vectorisation criterion ("at least one Z (SVE vector)
-    /// register as a source or destination register").
-    pub fn touches_z_reg(&self) -> bool {
-        // All our Fp-class operands on vector op classes model Z registers;
-        // scalar FP also lives in the Fp class but on scalar op classes.
-        self.op.is_vector()
-    }
 }
 
 /// A dynamic instruction: one element of the retired instruction stream.
@@ -261,16 +252,8 @@ mod tests {
             AddrExpr::fixed(0x2000),
             8,
         );
-        assert!(t.dests.is_empty());
+        assert_eq!(t.dests.len(), 0);
         assert_eq!(t.mem.unwrap().kind, MemKind::Store);
-    }
-
-    #[test]
-    fn z_register_criterion_matches_vector_classes() {
-        let v = InstrTemplate::compute(OpClass::VecFma, &[Reg::fp(0)], &[Reg::fp(1)]);
-        let s = InstrTemplate::compute(OpClass::FpFma, &[Reg::fp(0)], &[Reg::fp(1)]);
-        assert!(v.touches_z_reg());
-        assert!(!s.touches_z_reg());
     }
 
     #[test]

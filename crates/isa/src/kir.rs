@@ -102,7 +102,7 @@ impl Kernel {
     }
 
     /// Maximum loop-nest depth of the kernel body.
-    pub fn max_depth(&self) -> usize {
+    pub(crate) fn max_depth(&self) -> usize {
         fn depth(stmts: &[Stmt]) -> usize {
             stmts
                 .iter()
@@ -219,7 +219,8 @@ impl Kernel {
 
     /// Number of static instruction templates (excluding lowering-inserted
     /// loop-control ops).
-    pub fn template_count(&self) -> usize {
+    #[cfg(test)]
+    fn template_count(&self) -> usize {
         fn count(stmts: &[Stmt]) -> usize {
             stmts
                 .iter()

@@ -17,10 +17,10 @@
 //!   templates, the form in which the four HPC workloads are expressed.
 //! * [`program`] — the lowered, flat representation executed by the core
 //!   model, with explicit loop-end branches and static program counters.
-//! * [`cursor`] — a lazy trace cursor producing the dynamic instruction
+//! * `cursor` — a lazy trace cursor producing the dynamic instruction
 //!   stream (the stand-in for the statically compiled Arm binary's
 //!   instruction stream).
-//! * [`summary`] — static operation-count summaries used for workload
+//! * `summary` — static operation-count summaries used for workload
 //!   validation (the stand-in for each app's built-in output validation).
 //!
 //! ## Vector-length agnosticism
@@ -35,20 +35,20 @@
 
 #![warn(missing_docs)]
 
-pub mod cursor;
+mod cursor;
 pub mod instr;
 pub mod kir;
 pub mod op;
 pub mod program;
 pub mod reg;
-pub mod summary;
+mod summary;
 
 pub use cursor::TraceCursor;
-pub use instr::{DynInstr, InstrTemplate, MemKind, MemRef, MemTemplate};
-pub use kir::{AddrExpr, Kernel, Stmt};
-pub use op::{OpClass, PortClass};
-pub use program::{Program, StaticInstr};
-pub use reg::{Reg, RegClass};
+pub use instr::InstrTemplate;
+pub use kir::{Kernel, Stmt};
+pub use op::OpClass;
+pub use program::Program;
+pub use reg::Reg;
 pub use summary::OpSummary;
 
 /// Number of bytes occupied by one (fixed-width) Arm instruction.
@@ -67,13 +67,6 @@ pub fn lanes(vl_bits: u32, elem_bits: u32) -> u64 {
     u64::from(vl_bits / elem_bits)
 }
 
-/// Ceiling division helper used throughout trip-count computation.
-#[inline]
-pub fn div_ceil(n: u64, d: u64) -> u64 {
-    debug_assert!(d > 0);
-    n.div_ceil(d)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -85,13 +78,5 @@ mod tests {
         assert_eq!(lanes(2048, 64), 32);
         assert_eq!(lanes(128, 32), 4);
         assert_eq!(lanes(2048, 32), 64);
-    }
-
-    #[test]
-    fn div_ceil_rounds_up() {
-        assert_eq!(div_ceil(10, 2), 5);
-        assert_eq!(div_ceil(11, 2), 6);
-        assert_eq!(div_ceil(1, 32), 1);
-        assert_eq!(div_ceil(0, 32), 0);
     }
 }

@@ -73,14 +73,6 @@ pub enum PortClass {
 }
 
 impl PortClass {
-    /// All port classes in fixed order.
-    pub const ALL: [PortClass; 4] = [
-        PortClass::LoadStore,
-        PortClass::Vector,
-        PortClass::Predicate,
-        PortClass::Scalar,
-    ];
-
     /// Index into per-port-class arrays.
     #[inline]
     pub fn index(self) -> usize {
@@ -106,7 +98,7 @@ impl PortClass {
 
 impl OpClass {
     /// All op classes, for statistics tables.
-    pub const ALL: [OpClass; 19] = [
+    pub(crate) const ALL: [OpClass; 19] = [
         OpClass::IntAlu,
         OpClass::IntMul,
         OpClass::IntDiv,
@@ -203,7 +195,7 @@ impl OpClass {
 
     /// Whether the op accesses memory at all.
     #[inline]
-    pub fn is_mem(self) -> bool {
+    pub(crate) fn is_mem(self) -> bool {
         self.is_load() || self.is_store()
     }
 
@@ -213,7 +205,7 @@ impl OpClass {
     /// registers, which ours do not, so `PredOp` is excluded here and
     /// the vectorisation measurement instead inspects operand classes.
     #[inline]
-    pub fn is_vector(self) -> bool {
+    pub(crate) fn is_vector(self) -> bool {
         matches!(
             self,
             OpClass::VecAlu
@@ -239,31 +231,6 @@ impl OpClass {
             .iter()
             .position(|&c| c == self)
             .expect("op class in ALL")
-    }
-
-    /// Short tag for statistics output.
-    pub fn tag(self) -> &'static str {
-        match self {
-            OpClass::IntAlu => "int_alu",
-            OpClass::IntMul => "int_mul",
-            OpClass::IntDiv => "int_div",
-            OpClass::FpAdd => "fp_add",
-            OpClass::FpMul => "fp_mul",
-            OpClass::FpFma => "fp_fma",
-            OpClass::FpDiv => "fp_div",
-            OpClass::VecAlu => "vec_alu",
-            OpClass::VecFp => "vec_fp",
-            OpClass::VecFma => "vec_fma",
-            OpClass::VecDiv => "vec_div",
-            OpClass::PredOp => "pred_op",
-            OpClass::Load => "load",
-            OpClass::Store => "store",
-            OpClass::VecLoad => "vec_load",
-            OpClass::VecStore => "vec_store",
-            OpClass::VecGather => "vec_gather",
-            OpClass::VecScatter => "vec_scatter",
-            OpClass::Branch => "branch",
-        }
     }
 }
 
@@ -325,13 +292,5 @@ mod tests {
             seen[c.index()] = true;
         }
         assert!(seen.iter().all(|&s| s));
-    }
-
-    #[test]
-    fn tags_are_unique() {
-        let mut tags: Vec<&str> = OpClass::ALL.iter().map(|c| c.tag()).collect();
-        tags.sort_unstable();
-        tags.dedup();
-        assert_eq!(tags.len(), OpClass::ALL.len());
     }
 }

@@ -23,14 +23,14 @@ pub const CODE_BASE: u64 = 0x0010_0000;
 /// Kernels must not use `x24..x29` so lowering-inserted loop control never
 /// aliases kernel registers.
 #[inline]
-pub fn induction_reg(depth: usize) -> Reg {
+pub(crate) fn induction_reg(depth: usize) -> Reg {
     debug_assert!(depth < MAX_LOOP_DEPTH);
     Reg::gp(24 + depth as u8)
 }
 
 /// Role of a flattened static operation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum OpRole {
+pub(crate) enum OpRole {
     /// An instruction template from the kernel body.
     Body,
     /// Lowering-inserted induction increment for the loop with this id.
@@ -46,7 +46,7 @@ pub struct StaticInstr {
     /// Instruction template (operands, op class, memory behaviour).
     pub template: InstrTemplate,
     /// Body instruction or lowering-inserted loop control.
-    pub role: OpRole,
+    pub(crate) role: OpRole,
 }
 
 /// Metadata for one lowered loop.
@@ -69,7 +69,7 @@ pub struct Program {
     pub name: String,
     /// Flattened static instructions.
     pub ops: Vec<StaticInstr>,
-    /// Loop table indexed by the ids in [`OpRole`].
+    /// Loop table indexed by the ids in `OpRole`.
     pub loops: Vec<LoopMeta>,
 }
 
@@ -95,20 +95,14 @@ impl Program {
 
     /// Byte PC of the op at `index`.
     #[inline]
-    pub fn pc_of(&self, index: usize) -> u64 {
+    pub(crate) fn pc_of(&self, index: usize) -> u64 {
         CODE_BASE + index as u64 * INSTR_BYTES
     }
 
     /// Number of static ops (including inserted loop control).
-    #[inline]
-    pub fn len(&self) -> usize {
+    #[cfg(test)]
+    fn len(&self) -> usize {
         self.ops.len()
-    }
-
-    /// Whether the program has no ops.
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.ops.is_empty()
     }
 
     /// Total dynamic (retired) instruction count, computed analytically.
@@ -121,14 +115,6 @@ impl Program {
             }
         }
         mult.iter().sum()
-    }
-
-    /// Static length (in instructions) of the body of loop `id`, inclusive
-    /// of the inserted control ops — the quantity compared against the
-    /// loop-buffer-size parameter.
-    pub fn loop_body_len(&self, id: usize) -> u32 {
-        let lm = &self.loops[id];
-        lm.branch - lm.header + 1
     }
 }
 
@@ -216,7 +202,6 @@ mod tests {
         assert_eq!(p.loops[0].trip, 10);
         assert_eq!(p.loops[0].header, 0);
         assert_eq!(p.loops[0].branch, 3);
-        assert_eq!(p.loop_body_len(0), 4);
         assert_eq!(p.dynamic_len(), 40);
     }
 

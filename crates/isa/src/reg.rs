@@ -113,7 +113,7 @@ impl Reg {
 
     /// Whether the index is valid for the class.
     #[inline]
-    pub fn is_valid(self) -> bool {
+    pub(crate) fn is_valid(self) -> bool {
         u16::from(self.index) < self.class.arch_count()
     }
 }
@@ -151,7 +151,7 @@ impl RegList {
 
     /// Append a register (panics when full).
     #[inline]
-    pub fn push(&mut self, r: Reg) {
+    pub(crate) fn push(&mut self, r: Reg) {
         assert!((self.len as usize) < 4, "operand list overflow");
         self.regs[self.len as usize] = r;
         self.len += 1;
@@ -165,14 +165,8 @@ impl RegList {
 
     /// Number of operands.
     #[inline]
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.len as usize
-    }
-
-    /// Whether the list is empty.
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
     }
 
     /// Iterate over the operands.
@@ -250,7 +244,7 @@ mod tests {
     #[test]
     fn reglist_push_and_iterate() {
         let mut l = RegList::empty();
-        assert!(l.is_empty());
+        assert_eq!(l.len(), 0);
         l.push(Reg::gp(1));
         l.push(Reg::fp(2));
         l.push(Reg::pred(3));

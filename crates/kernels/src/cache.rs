@@ -24,7 +24,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 /// Key of one memoised workload.
-pub type WorkloadKey = (App, WorkloadScale, u32);
+pub(crate) type WorkloadKey = (App, WorkloadScale, u32);
 
 /// A thread-safe memo table over [`build_workload`].
 ///
@@ -178,16 +178,12 @@ impl<K: Hash + Eq + Clone, V> ShardedCache<K, V> {
     }
 
     /// Total entries currently resident.
-    pub fn len(&self) -> usize {
+    #[cfg(test)]
+    fn len(&self) -> usize {
         self.shards
             .iter()
             .map(|s| s.lock().expect("sharded cache poisoned").map.len())
             .sum()
-    }
-
-    /// Whether no entries are resident.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
     }
 
     /// Drop every entry and reset the traffic counters.
@@ -264,7 +260,7 @@ mod tests {
         let s = cache.stats();
         assert_eq!((s.hits, s.misses, s.insertions, s.evictions), (1, 1, 1, 0));
         cache.clear();
-        assert!(cache.is_empty());
+        assert_eq!(cache.len(), 0);
         assert_eq!(cache.stats(), CacheStats::default());
     }
 

@@ -46,7 +46,8 @@ impl GemmParams {
     }
 
     /// Total data footprint in bytes (three `n×n` double matrices).
-    pub fn footprint_bytes(&self) -> u64 {
+    #[cfg(test)]
+    fn footprint_bytes(&self) -> u64 {
         3 * self.n * self.n * 8
     }
 }

@@ -67,7 +67,7 @@ impl GraphParams {
     }
 
     /// Bytes spanned by the node records.
-    pub fn footprint_bytes(&self) -> u64 {
+    pub(crate) fn footprint_bytes(&self) -> u64 {
         self.nodes * self.spread.unsigned_abs()
     }
 }

@@ -3,26 +3,26 @@
 use armdse_isa::kir::AddrExpr;
 
 /// Base of the simulated data heap (clear of the code segment).
-pub const HEAP_BASE: u64 = 0x1000_0000;
+pub(crate) const HEAP_BASE: u64 = 0x1000_0000;
 
 /// Alignment applied between consecutively allocated arrays, chosen larger
 /// than any cache line in the design space so arrays never share a line.
-pub const ARRAY_ALIGN: u64 = 4096;
+pub(crate) const ARRAY_ALIGN: u64 = 4096;
 
 /// A bump allocator handing out page-aligned array base addresses.
 #[derive(Debug, Clone)]
-pub struct Layout {
+pub(crate) struct Layout {
     next: u64,
 }
 
 impl Layout {
     /// Start a fresh layout at [`HEAP_BASE`].
-    pub fn new() -> Layout {
+    pub(crate) fn new() -> Layout {
         Layout { next: HEAP_BASE }
     }
 
     /// Allocate `bytes` and return the base address.
-    pub fn alloc(&mut self, bytes: u64) -> u64 {
+    pub(crate) fn alloc(&mut self, bytes: u64) -> u64 {
         let base = self.next;
         let aligned = bytes.div_ceil(ARRAY_ALIGN) * ARRAY_ALIGN;
         self.next += aligned.max(ARRAY_ALIGN);
@@ -30,7 +30,7 @@ impl Layout {
     }
 
     /// Allocate an array of `n` elements of `elem_bytes` each.
-    pub fn alloc_array(&mut self, n: u64, elem_bytes: u64) -> u64 {
+    pub(crate) fn alloc_array(&mut self, n: u64, elem_bytes: u64) -> u64 {
         self.alloc(n * elem_bytes)
     }
 }
@@ -42,7 +42,7 @@ impl Default for Layout {
 }
 
 /// Unit-stride access at `base + i * elem_bytes` over loop depth `depth`.
-pub fn stream_addr(base: u64, depth: usize, step_bytes: u64) -> AddrExpr {
+pub(crate) fn stream_addr(base: u64, depth: usize, step_bytes: u64) -> AddrExpr {
     AddrExpr::linear(base, depth, step_bytes as i64)
 }
 

@@ -25,11 +25,11 @@
 
 #![warn(missing_docs)]
 
-pub mod cache;
+mod cache;
 pub mod gemm;
 pub mod graph;
-pub mod layout;
-pub mod minibude;
+mod layout;
+mod minibude;
 pub mod minisweep;
 pub mod spmv;
 pub mod stream;

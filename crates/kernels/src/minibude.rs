@@ -17,7 +17,7 @@ use armdse_isa::{lanes, op::OpClass, InstrTemplate, Reg};
 
 /// miniBUDE input parameters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct BudeParams {
+pub(crate) struct BudeParams {
     /// Number of ligand poses (vectorised dimension).
     pub poses: u64,
     /// Ligand atoms per pose evaluation.
@@ -28,7 +28,7 @@ pub struct BudeParams {
 
 impl BudeParams {
     /// Preset for a workload scale. `Standard` keeps the paper's 26 atoms.
-    pub fn for_scale(scale: WorkloadScale) -> BudeParams {
+    pub(crate) fn for_scale(scale: WorkloadScale) -> BudeParams {
         match scale {
             WorkloadScale::Tiny => BudeParams {
                 poses: 16,
@@ -50,7 +50,7 @@ impl BudeParams {
 }
 
 /// Generate the miniBUDE kernel for a given vector length.
-pub fn kernel(p: &BudeParams, vl_bits: u32) -> Kernel {
+pub(crate) fn kernel(p: &BudeParams, vl_bits: u32) -> Kernel {
     let lanes32 = lanes(vl_bits, 32);
     let vb = vl_bits / 8;
     let blocks = p.poses.div_ceil(lanes32);

@@ -41,7 +41,8 @@ impl StreamParams {
     }
 
     /// Total data footprint in bytes (three arrays of doubles).
-    pub fn footprint_bytes(&self) -> u64 {
+    #[cfg(test)]
+    fn footprint_bytes(&self) -> u64 {
         3 * self.n * 8
     }
 }

@@ -57,7 +57,8 @@ impl TeaLeafParams {
     }
 
     /// Data footprint: six double-precision field arrays.
-    pub fn footprint_bytes(&self) -> u64 {
+    #[cfg(test)]
+    fn footprint_bytes(&self) -> u64 {
         6 * self.nx * self.ny * 8
     }
 }

@@ -15,15 +15,15 @@
 use std::hash::{BuildHasherDefault, Hasher};
 
 /// `HashMap` state plugging [`FastHasher`] in for `RandomState`.
-pub type FastBuildHasher = BuildHasherDefault<FastHasher>;
+pub(crate) type FastBuildHasher = BuildHasherDefault<FastHasher>;
 
 /// A `HashMap` using [`FastHasher`]; drop-in for integer-keyed maps.
-pub type FastMap<K, V> = std::collections::HashMap<K, V, FastBuildHasher>;
+pub(crate) type FastMap<K, V> = std::collections::HashMap<K, V, FastBuildHasher>;
 
 /// Word-at-a-time multiplicative hasher (not collision-resistant;
 /// only for simulator-internal integer keys).
 #[derive(Debug, Default, Clone)]
-pub struct FastHasher(u64);
+pub(crate) struct FastHasher(u64);
 
 /// Odd multiplier close to 2^64 / φ, spreading low-entropy keys
 /// (line addresses share alignment bits) across the hash range.
@@ -64,7 +64,7 @@ impl Hasher for FastHasher {
 
 /// Incremental 64-bit FNV-1a: the workspace's one stable fingerprint
 /// hash (plan fingerprints in checkpoints, run-memo keys). Unlike
-/// [`FastHasher`] its values are persisted and compared across runs, so
+/// `FastHasher` its values are persisted and compared across runs, so
 /// the function must never change.
 #[derive(Debug, Clone, Copy)]
 pub struct Fnv1a(u64);
@@ -85,8 +85,8 @@ impl Fnv1a {
     }
 
     /// Feed a word as its eight little-endian bytes.
-    #[inline]
-    pub fn u64(&mut self, v: u64) -> &mut Fnv1a {
+    #[cfg(test)]
+    pub(crate) fn u64(&mut self, v: u64) -> &mut Fnv1a {
         self.bytes(&v.to_le_bytes())
     }
 

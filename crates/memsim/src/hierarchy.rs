@@ -55,7 +55,7 @@ pub const DEFAULT_BANKS: usize = 8;
 /// Per-core address-space stride. A power of two (so line alignment
 /// survives) and far larger than any workload footprint (so per-core
 /// heaps never alias in the shared L2 or DRAM banks).
-pub const CORE_ADDR_STRIDE: u64 = 1 << 32;
+pub(crate) const CORE_ADDR_STRIDE: u64 = 1 << 32;
 
 /// The L2-and-below half of the hierarchy: L2 tags and DRAM.
 #[derive(Debug, Clone)]
@@ -71,7 +71,7 @@ pub struct Backside {
 }
 
 /// The handle N cores' ports share one [`Backside`] through.
-pub type SharedBackside = Rc<RefCell<Backside>>;
+pub(crate) type SharedBackside = Rc<RefCell<Backside>>;
 
 impl Backside {
     /// `banks == 0` is the infinite-bank policy.
@@ -189,7 +189,7 @@ impl Hierarchy<SharedBackside> {
     /// and statistics, with L1 misses forwarded into the shared
     /// backside. No prefetcher ([`MemParams::prefetch_depth`] is
     /// ignored). Core 0 applies a zero address offset; core `i` shifts
-    /// its whole address space by `i *` [`CORE_ADDR_STRIDE`].
+    /// its whole address space by `i *` `CORE_ADDR_STRIDE`.
     pub fn port(shared: SharedBackside, core_index: u32) -> Hierarchy<SharedBackside> {
         let params = shared.borrow().params;
         Hierarchy::front(shared, params, 0, core_index)

@@ -9,7 +9,7 @@
 //! There is one hierarchy, [`Hierarchy`]: a private front (L1, merge
 //! window, MSHR sampling, statistics) over a [`Backside`] (L2 tags and
 //! DRAM). It comes with two DRAM policies and two ownership forms (see
-//! [`hierarchy`] for both):
+//! `hierarchy.rs` for both):
 //!
 //! * **Infinite banks** — "SST models an infinite number of memory banks
 //!   unless explicitly specified", so the default [`Hierarchy::new`]
@@ -22,7 +22,7 @@
 //!   experiment (see DESIGN.md substitution table).
 //! * **Owned or shared backside** — a single core owns its backside; the
 //!   N cores of the multicore machine each drive a [`Hierarchy::port`]
-//!   into one [`SharedBackside`].
+//!   into one `SharedBackside`.
 //!
 //! One more behavioural point from the paper is modelled explicitly:
 //! **cache-line width as bandwidth** — a wider line returns more bytes
@@ -31,21 +31,19 @@
 
 #![warn(missing_docs)]
 
-pub mod cache;
+mod cache;
 pub mod fasthash;
-pub mod hierarchy;
-pub mod params;
-pub mod stats;
+mod hierarchy;
+mod params;
+mod stats;
 
-pub use cache::Cache;
-pub use hierarchy::{
-    Backside, BacksideHandle, Hierarchy, SharedBackside, CORE_ADDR_STRIDE, DEFAULT_BANKS,
-};
+pub use cache::{Cache, LookupResult};
+pub use hierarchy::{Backside, BacksideHandle, Hierarchy, DEFAULT_BANKS};
 pub use params::MemParams;
 pub use stats::MemStats;
 
 /// Completion time (in core cycles) of a memory access.
-pub type Cycle = u64;
+pub(crate) type Cycle = u64;
 
 /// Abstract memory backend driven by the core model.
 ///

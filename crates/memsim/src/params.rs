@@ -10,7 +10,7 @@
 
 /// Fixed core clock frequency in GHz (matches a ThunderX2-class part; the
 /// paper varies cache/RAM clocks relative to a fixed core).
-pub const CORE_CLOCK_GHZ: f64 = 2.5;
+pub(crate) const CORE_CLOCK_GHZ: f64 = 2.5;
 
 /// Memory-hierarchy configuration.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -123,13 +123,13 @@ impl MemParams {
 
     /// L1 hit latency in core cycles (≥ 1).
     #[inline]
-    pub fn l1_hit_core_cycles(&self) -> u64 {
+    pub(crate) fn l1_hit_core_cycles(&self) -> u64 {
         ns_to_core_cycles(self.l1_hit_ns())
     }
 
     /// Additional core cycles for an L1-miss/L2-hit beyond the L1 probe.
     #[inline]
-    pub fn l2_hit_core_cycles(&self) -> u64 {
+    pub(crate) fn l2_hit_core_cycles(&self) -> u64 {
         ns_to_core_cycles(self.l2_hit_ns())
     }
 
@@ -138,21 +138,15 @@ impl MemParams {
     /// 8-byte interface) — this is where a faster RAM clock raises
     /// effective memory bandwidth.
     #[inline]
-    pub fn ram_core_cycles(&self) -> u64 {
+    pub(crate) fn ram_core_cycles(&self) -> u64 {
         let beats = f64::from(self.line_bytes) / 8.0;
         let transfer_ns = beats / self.ram_clock_ghz;
         ns_to_core_cycles(self.ram_access_ns + transfer_ns)
     }
 
-    /// Number of sets in L1.
-    #[inline]
-    pub fn l1_sets(&self) -> u32 {
-        self.l1_size_kib * 1024 / self.line_bytes / self.l1_assoc
-    }
-
     /// Number of sets in L2.
-    #[inline]
-    pub fn l2_sets(&self) -> u32 {
+    #[cfg(test)]
+    pub(crate) fn l2_sets(&self) -> u32 {
         self.l2_size_kib * 1024 / self.line_bytes / self.l2_assoc
     }
 }
@@ -165,7 +159,7 @@ impl Default for MemParams {
 
 /// Convert nanoseconds to core cycles, rounding up, minimum one cycle.
 #[inline]
-pub fn ns_to_core_cycles(ns: f64) -> u64 {
+pub(crate) fn ns_to_core_cycles(ns: f64) -> u64 {
     ((ns * CORE_CLOCK_GHZ).ceil() as u64).max(1)
 }
 
@@ -233,7 +227,6 @@ mod tests {
     #[test]
     fn set_counts() {
         let p = MemParams::thunderx2();
-        assert_eq!(p.l1_sets(), 64);
         assert_eq!(p.l2_sets(), 512);
     }
 

@@ -47,30 +47,27 @@ impl MemStats {
         (total > 0).then(|| self.l1_hits as f64 / total as f64)
     }
 
-    /// L2 local hit rate in [0, 1]; `None` when L2 saw no accesses.
-    pub fn l2_hit_rate(&self) -> Option<f64> {
-        let total = self.l2_hits + self.l2_misses;
-        (total > 0).then(|| self.l2_hits as f64 / total as f64)
-    }
-
     /// Request-accounting conservation: every demand request is exactly
     /// one of {L1 hit, L1 miss, merged into an outstanding fill}.
     /// (Prefetch fills are counted separately and never as requests.)
     /// Asserted after every access under the `check-invariants` feature.
-    pub fn demand_requests_conserved(&self) -> bool {
+    #[cfg(feature = "check-invariants")]
+    pub(crate) fn demand_requests_conserved(&self) -> bool {
         self.l1_hits + self.l1_misses + self.merged == self.requests
     }
 
     /// Writeback-accounting conservation: every writeback left exactly
     /// one cache level. Asserted alongside
     /// [`MemStats::demand_requests_conserved`].
-    pub fn writebacks_conserved(&self) -> bool {
+    #[cfg(any(test, feature = "check-invariants"))]
+    pub(crate) fn writebacks_conserved(&self) -> bool {
         self.l1_writebacks + self.l2_writebacks == self.writebacks
     }
 
     /// Mean outstanding-fill (MSHR) occupancy per access; `None` when no
     /// accesses occurred.
-    pub fn mshr_mean_occupancy(&self) -> Option<f64> {
+    #[cfg(test)]
+    fn mshr_mean_occupancy(&self) -> Option<f64> {
         (self.requests > 0).then(|| self.mshr_occupancy_sum as f64 / self.requests as f64)
     }
 
@@ -143,7 +140,6 @@ mod tests {
     fn hit_rates_none_when_empty() {
         let s = MemStats::default();
         assert!(s.l1_hit_rate().is_none());
-        assert!(s.l2_hit_rate().is_none());
     }
 
     #[test]
@@ -156,7 +152,6 @@ mod tests {
             ..Default::default()
         };
         assert!((s.l1_hit_rate().unwrap() - 0.75).abs() < 1e-12);
-        assert!((s.l2_hit_rate().unwrap() - 1.0).abs() < 1e-12);
     }
 
     #[test]

@@ -5,13 +5,13 @@
 //! prediction is made which can easily be followed". This module makes
 //! that concrete: [`DecisionTreeRegressor::decision_path`] returns the
 //! exact sequence of comparisons that produced a prediction, and
-//! [`DecisionTreeRegressor::to_text`] renders the whole tree.
+//! [`DecisionTreeRegressor::explain`] spells it out with feature names.
 
 use crate::tree::DecisionTreeRegressor;
 
 /// One step of a decision path.
 #[derive(Debug, Clone, PartialEq)]
-pub struct PathStep {
+pub(crate) struct PathStep {
     /// Feature index compared at this node.
     pub feature: usize,
     /// Split threshold.
@@ -25,7 +25,7 @@ pub struct PathStep {
 impl DecisionTreeRegressor {
     /// The sequence of comparisons evaluated when predicting `row`,
     /// ending at a leaf whose mean is the prediction.
-    pub fn decision_path(&self, row: &[f64]) -> (Vec<PathStep>, f64) {
+    pub(crate) fn decision_path(&self, row: &[f64]) -> (Vec<PathStep>, f64) {
         let mut steps = Vec::new();
         let mut i = 0u32;
         loop {
@@ -70,12 +70,14 @@ impl DecisionTreeRegressor {
 
     /// Render the whole tree as indented text (capped at `max_depth`
     /// levels to keep deep trees readable).
-    pub fn to_text(&self, names: &[String], max_depth: u32) -> String {
+    #[cfg(test)]
+    fn to_text(&self, names: &[String], max_depth: u32) -> String {
         let mut out = String::new();
         self.render(0, 0, max_depth, names, &mut out);
         out
     }
 
+    #[cfg(test)]
     fn render(&self, i: u32, depth: u32, max_depth: u32, names: &[String], out: &mut String) {
         let pad = "  ".repeat(depth as usize);
         match self.node(i) {

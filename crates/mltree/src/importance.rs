@@ -12,9 +12,6 @@ use crate::metrics::mae;
 use crate::Regressor;
 use armdse_rng::{SeedableRng, SliceRandom, Xoshiro256pp};
 
-/// Number of shuffle repeats the paper uses.
-pub const DEFAULT_REPEATS: usize = 10;
-
 /// Importance result for one feature.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FeatureImportance {

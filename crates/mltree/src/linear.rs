@@ -50,16 +50,6 @@ impl LinearRegression {
             intercept: w[d - 1],
         }
     }
-
-    /// Fitted weight per feature.
-    pub fn weights(&self) -> &[f64] {
-        &self.weights
-    }
-
-    /// Fitted intercept.
-    pub fn intercept(&self) -> f64 {
-        self.intercept
-    }
 }
 
 impl Regressor for LinearRegression {
@@ -126,9 +116,9 @@ mod tests {
         let y: Vec<f64> = rows.iter().map(|r| 3.0 * r[0] - 2.0 * r[1] + 5.0).collect();
         let x = Matrix::from_rows(&rows);
         let m = LinearRegression::fit(&x, &y);
-        assert!((m.weights()[0] - 3.0).abs() < 1e-6);
-        assert!((m.weights()[1] + 2.0).abs() < 1e-6);
-        assert!((m.intercept() - 5.0).abs() < 1e-5);
+        assert!((m.predict_one(&[0.0, 0.0]) - 5.0).abs() < 1e-5);
+        assert!((m.predict_one(&[1.0, 0.0]) - 8.0).abs() < 1e-5);
+        assert!((m.predict_one(&[0.0, 1.0]) - 3.0).abs() < 1e-5);
         assert!((m.predict_one(&[2.0, 1.0]) - 9.0).abs() < 1e-6);
     }
 

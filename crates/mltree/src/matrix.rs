@@ -57,18 +57,18 @@ impl Matrix {
 
     /// Element at (`r`, `c`).
     #[inline]
-    pub fn get(&self, r: usize, c: usize) -> f64 {
+    pub(crate) fn get(&self, r: usize, c: usize) -> f64 {
         self.data[r * self.cols + c]
     }
 
     /// Set element at (`r`, `c`).
     #[inline]
-    pub fn set(&mut self, r: usize, c: usize, v: f64) {
+    pub(crate) fn set(&mut self, r: usize, c: usize, v: f64) {
         self.data[r * self.cols + c] = v;
     }
 
     /// Copy of column `c`.
-    pub fn col(&self, c: usize) -> Vec<f64> {
+    pub(crate) fn col(&self, c: usize) -> Vec<f64> {
         (0..self.rows).map(|r| self.get(r, c)).collect()
     }
 
@@ -116,7 +116,7 @@ impl Dataset {
     }
 
     /// Sub-dataset with the given row indices.
-    pub fn select(&self, idx: &[usize]) -> Dataset {
+    pub(crate) fn select(&self, idx: &[usize]) -> Dataset {
         Dataset {
             x: self.x.select_rows(idx),
             y: idx.iter().map(|&i| self.y[i]).collect(),
@@ -125,16 +125,12 @@ impl Dataset {
     }
 
     /// Rows satisfying a predicate on (features, target).
-    pub fn filter(&self, mut pred: impl FnMut(&[f64], f64) -> bool) -> Dataset {
+    #[cfg(test)]
+    fn filter(&self, mut pred: impl FnMut(&[f64], f64) -> bool) -> Dataset {
         let idx: Vec<usize> = (0..self.len())
             .filter(|&i| pred(self.x.row(i), self.y[i]))
             .collect();
         self.select(&idx)
-    }
-
-    /// Index of a feature by name.
-    pub fn feature_index(&self, name: &str) -> Option<usize> {
-        self.feature_names.iter().position(|n| n == name)
     }
 }
 
@@ -182,8 +178,6 @@ mod tests {
         let f = d.filter(|row, _| row[0] > 2.0);
         assert_eq!(f.len(), 2);
         assert_eq!(f.y, vec![20.0, 30.0]);
-        assert_eq!(d.feature_index("b"), Some(1));
-        assert_eq!(d.feature_index("z"), None);
     }
 
     #[test]

@@ -11,17 +11,6 @@ pub fn mae(pred: &[f64], truth: &[f64]) -> f64 {
         / pred.len() as f64
 }
 
-/// Mean squared error.
-pub fn mse(pred: &[f64], truth: &[f64]) -> f64 {
-    assert_eq!(pred.len(), truth.len());
-    assert!(!pred.is_empty());
-    pred.iter()
-        .zip(truth)
-        .map(|(p, t)| (p - t) * (p - t))
-        .sum::<f64>()
-        / pred.len() as f64
-}
-
 /// Coefficient of determination R².
 pub fn r2(pred: &[f64], truth: &[f64]) -> f64 {
     assert_eq!(pred.len(), truth.len());
@@ -80,18 +69,16 @@ mod tests {
     fn perfect_predictions() {
         let t = [1.0, 2.0, 3.0];
         assert_eq!(mae(&t, &t), 0.0);
-        assert_eq!(mse(&t, &t), 0.0);
         assert_eq!(r2(&t, &t), 1.0);
         assert_eq!(within_tolerance(&t, &t, 0.0), 1.0);
         assert_eq!(mean_relative_accuracy(&t, &t), 100.0);
     }
 
     #[test]
-    fn mae_and_mse_values() {
+    fn mae_values() {
         let p = [2.0, 4.0];
         let t = [1.0, 2.0];
         assert_eq!(mae(&p, &t), 1.5);
-        assert_eq!(mse(&p, &t), 2.5);
     }
 
     #[test]

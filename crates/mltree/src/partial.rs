@@ -15,7 +15,7 @@ use crate::Regressor;
 /// Mean model prediction with `feature` forced to each grid value.
 ///
 /// Returns `(value, mean_prediction)` pairs in grid order.
-pub fn partial_dependence(
+pub(crate) fn partial_dependence(
     model: &dyn Regressor,
     x: &Matrix,
     feature: usize,

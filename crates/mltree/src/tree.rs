@@ -50,7 +50,6 @@ enum Node {
 pub struct DecisionTreeRegressor {
     nodes: Vec<Node>,
     n_features: usize,
-    params: TreeParams,
 }
 
 impl DecisionTreeRegressor {
@@ -62,7 +61,7 @@ impl DecisionTreeRegressor {
     /// Fit with explicit hyper-parameters. `feature_mask`, when given,
     /// restricts the features considered at every split (used by the
     /// random forest).
-    pub fn fit_with(
+    pub(crate) fn fit_with(
         x: &Matrix,
         y: &[f64],
         params: TreeParams,
@@ -87,17 +86,18 @@ impl DecisionTreeRegressor {
         DecisionTreeRegressor {
             nodes: builder.nodes,
             n_features: x.cols(),
-            params,
         }
     }
 
     /// Number of nodes.
-    pub fn node_count(&self) -> usize {
+    #[cfg(test)]
+    fn node_count(&self) -> usize {
         self.nodes.len()
     }
 
     /// Number of leaves.
-    pub fn leaf_count(&self) -> usize {
+    #[cfg(test)]
+    fn leaf_count(&self) -> usize {
         self.nodes
             .iter()
             .filter(|n| matches!(n, Node::Leaf { .. }))
@@ -105,7 +105,8 @@ impl DecisionTreeRegressor {
     }
 
     /// Maximum depth of the fitted tree.
-    pub fn depth(&self) -> u32 {
+    #[cfg(test)]
+    fn depth(&self) -> u32 {
         fn d(nodes: &[Node], i: u32) -> u32 {
             match nodes[i as usize] {
                 Node::Leaf { .. } => 0,
@@ -117,16 +118,6 @@ impl DecisionTreeRegressor {
         } else {
             d(&self.nodes, 0)
         }
-    }
-
-    /// Hyper-parameters the tree was fitted with.
-    pub fn params(&self) -> TreeParams {
-        self.params
-    }
-
-    /// Number of input features.
-    pub fn n_features(&self) -> usize {
-        self.n_features
     }
 
     /// Node accessor for the explanation module.

@@ -26,7 +26,7 @@ use std::collections::HashMap;
 /// word value. Both sides of every comparison use the same granularity,
 /// so this coarsening costs no discriminating power for whole-stream
 /// equality.
-pub const WORD_BYTES: u64 = 8;
+pub(crate) const WORD_BYTES: u64 = 8;
 
 /// SplitMix64 finaliser: a fast, high-quality 64-bit mixing permutation.
 #[inline]
@@ -95,26 +95,26 @@ impl ArchState {
 
     /// Current value of a register.
     #[inline]
-    pub fn reg(&self, r: Reg) -> u64 {
+    pub(crate) fn reg(&self, r: Reg) -> u64 {
         self.regs[r.class.index()][r.index as usize]
     }
 
     /// Current value of the (aligned) word containing `addr`.
     #[inline]
-    pub fn word(&self, addr: u64) -> u64 {
+    pub(crate) fn word(&self, addr: u64) -> u64 {
         let w = addr & !(WORD_BYTES - 1);
         *self.mem.get(&w).unwrap_or(&Self::initial_word(w))
     }
 
     /// Instructions applied so far.
     #[inline]
-    pub fn retired(&self) -> u64 {
+    pub(crate) fn retired(&self) -> u64 {
         self.retired
     }
 
     /// Number of distinct memory words written.
-    #[inline]
-    pub fn words_written(&self) -> usize {
+    #[cfg(test)]
+    fn words_written(&self) -> usize {
         self.mem.len()
     }
 
@@ -183,7 +183,8 @@ impl ArchState {
     }
 
     /// Apply a whole instruction stream.
-    pub fn apply_all<'a>(&mut self, stream: impl IntoIterator<Item = &'a DynInstr>) {
+    #[cfg(test)]
+    pub(crate) fn apply_all<'a>(&mut self, stream: impl IntoIterator<Item = &'a DynInstr>) {
         for di in stream {
             self.apply(di);
         }
@@ -191,7 +192,8 @@ impl ArchState {
 
     /// Order-independent digest of the full state (registers, written
     /// memory, control-flow hash, retired count) for compact reporting.
-    pub fn fingerprint(&self) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn fingerprint(&self) -> u64 {
         let mut h = fold(0xF17E_0000, self.retired);
         for file in &self.regs {
             for &v in file {

@@ -26,7 +26,7 @@ use armdse_simcore::{BankedProxy, CoreParams, Idealized, RunMode, SimBackend};
 /// Run one kernel through interpreter, cursor replay, and the OoO core
 /// on the given simulation backend; return `Err` describing the first
 /// divergence found.
-pub fn check_kernel(
+pub(crate) fn check_kernel(
     kernel: &Kernel,
     core: &CoreParams,
     mem: &MemParams,
@@ -161,7 +161,7 @@ pub struct FuzzConfig {
     /// backend choice in the campaign.
     pub seed: u64,
     /// Kernel shape limits.
-    pub gen: GenConfig,
+    pub(crate) gen: GenConfig,
 }
 
 impl Default for FuzzConfig {
@@ -184,7 +184,7 @@ pub struct FuzzFailure {
     pub kernel: String,
     /// Name of the backend the program ran on (see [`SimBackend::name`]).
     pub backend: &'static str,
-    /// Divergence description from [`check_kernel`].
+    /// Divergence description from `check_kernel`.
     pub error: String,
 }
 
@@ -215,7 +215,7 @@ pub fn fuzz(cfg: &FuzzConfig) -> FuzzReport {
 /// Like [`fuzz`], but every program runs on the one supplied backend
 /// instead of the default idealized/proxy alternation. The reuse lane
 /// pushes the run-memoizing backend through the same fixed-seed
-/// campaign this way: [`check_kernel`] cross-checks the backend's
+/// campaign this way: `check_kernel` cross-checks the backend's
 /// cached modes (plain, metrics) against its uncached trace mode and
 /// the reference interpreter, so any memoization unsoundness surfaces
 /// as a divergence.

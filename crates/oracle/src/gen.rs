@@ -23,7 +23,7 @@ use armdse_simcore::CoreParams;
 
 /// Shape limits for generated kernels.
 #[derive(Debug, Clone, Copy)]
-pub struct GenConfig {
+pub(crate) struct GenConfig {
     /// Maximum loop-nest depth (≤ `MAX_LOOP_DEPTH`).
     pub max_depth: usize,
     /// Maximum statements per block (shrinks with depth).
@@ -213,7 +213,11 @@ fn gen_block<R: Rng>(rng: &mut R, cfg: &GenConfig, depth: usize) -> Vec<Stmt> {
 }
 
 /// Generate one random, validated kernel.
-pub fn random_kernel<R: Rng>(rng: &mut R, cfg: &GenConfig, name: impl Into<String>) -> Kernel {
+pub(crate) fn random_kernel<R: Rng>(
+    rng: &mut R,
+    cfg: &GenConfig,
+    name: impl Into<String>,
+) -> Kernel {
     let k = Kernel::new(name, gen_block(rng, cfg, 0));
     debug_assert_eq!(k.validate(), Ok(()), "generator produced an invalid kernel");
     k
@@ -222,7 +226,7 @@ pub fn random_kernel<R: Rng>(rng: &mut R, cfg: &GenConfig, name: impl Into<Strin
 /// Draw a random design point from the paper's Table II ranges, guaranteed
 /// to pass [`CoreParams::validate`]. Load/store bandwidths are at least
 /// `max(64, VL/8)` bytes per cycle so every generated access is issueable.
-pub fn random_core_params<R: Rng>(rng: &mut R) -> CoreParams {
+pub(crate) fn random_core_params<R: Rng>(rng: &mut R) -> CoreParams {
     let vector_length = pick(rng, &[128u32, 256, 512]);
     let bw_floor = 64u32.max(vector_length / 8);
     let p = CoreParams {

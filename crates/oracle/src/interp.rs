@@ -24,7 +24,7 @@ use armdse_isa::{OpSummary, INSTR_BYTES};
 
 /// Result of interpreting a kernel to completion.
 #[derive(Debug, Clone)]
-pub struct InterpResult {
+pub(crate) struct InterpResult {
     /// Final architectural state under the oracle value semantics.
     pub state: ArchState,
     /// Retired-op summary (per-class counts, load/store bytes).
@@ -156,7 +156,7 @@ impl Interp {
 }
 
 /// Interpret `kernel` to completion in program order.
-pub fn interpret(kernel: &Kernel) -> InterpResult {
+pub(crate) fn interpret(kernel: &Kernel) -> InterpResult {
     let mut interp = Interp {
         state: ArchState::new(),
         summary: OpSummary::default(),

@@ -7,17 +7,17 @@
 //! architecturally exact in-order reference, over both the four HPC
 //! kernels and unbounded seeded random programs.
 //!
-//! * [`arch`] — a deterministic *value semantics* for the KIR ISA
+//! * `arch` — a deterministic *value semantics* for the KIR ISA
 //!   ([`ArchState`]): every retired instruction hashes its operands into
 //!   its destinations and memory words, so two executions agree on the
 //!   final register file and memory image iff they retired the same
 //!   operations in the same (per-location) order with the same addresses.
-//! * [`interp`] — an in-order reference interpreter walking the kernel
+//! * `interp` — an in-order reference interpreter walking the kernel
 //!   IR tree directly, independently re-deriving the lowering layout.
-//! * [`gen`] — a seeded random generator of valid kernels (mixed
+//! * `gen` — a seeded random generator of valid kernels (mixed
 //!   scalar/SVE compute, aliasing loads/stores, gathers/scatters,
 //!   branches, nested loops) and of random Table II design points.
-//! * [`diff`] — the differential check and fuzz campaign driver:
+//! * `diff` — the differential check and fuzz campaign driver:
 //!   interpreter vs trace-cursor replay vs the pipeline's commit-order
 //!   retirement stream.
 //!
@@ -29,12 +29,10 @@
 
 #![warn(missing_docs)]
 
-pub mod arch;
-pub mod diff;
-pub mod gen;
-pub mod interp;
+mod arch;
+mod diff;
+mod gen;
+mod interp;
 
 pub use arch::ArchState;
-pub use diff::{check_kernel, fuzz, fuzz_with, FuzzConfig, FuzzFailure, FuzzReport};
-pub use gen::{random_core_params, random_kernel, GenConfig};
-pub use interp::{interpret, InterpResult};
+pub use diff::{fuzz, fuzz_with, FuzzConfig, FuzzFailure, FuzzReport};

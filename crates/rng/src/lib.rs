@@ -152,7 +152,7 @@ impl Xoshiro256pp {
 
     /// Advance one step and return the next output.
     #[inline]
-    pub fn next_u64(&mut self) -> u64 {
+    pub(crate) fn next_u64(&mut self) -> u64 {
         let result = self.s[0]
             .wrapping_add(self.s[3])
             .rotate_left(23)

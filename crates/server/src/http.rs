@@ -8,7 +8,10 @@
 //! * every response carries `Connection: close` and the server closes
 //!   the socket after one exchange (no keep-alive state machine);
 //! * request bodies require `Content-Length` (no inbound chunked
-//!   decoding — only responses use chunked transfer encoding);
+//!   decoding — only responses use chunked transfer encoding): a
+//!   request with `Transfer-Encoding` gets `501`, and one whose
+//!   `Content-Length` values disagree gets `400` (RFC 9112 §6.1, §6.3),
+//!   both before any body byte is read;
 //! * request line and headers are capped ([`MAX_HEAD_BYTES`]) and
 //!   bodies capped ([`MAX_BODY_BYTES`]) so a misbehaving client cannot
 //!   balloon server memory, and a read of either waits at most
@@ -19,18 +22,18 @@ use std::net::TcpStream;
 use std::time::Duration;
 
 /// Cap on the request line + headers (64 KiB).
-pub const MAX_HEAD_BYTES: usize = 64 * 1024;
+pub(crate) const MAX_HEAD_BYTES: usize = 64 * 1024;
 
 /// How long one read of a request may wait for the peer's next byte
 /// before the connection is answered 408 and closed.
 pub(crate) const READ_TIMEOUT: Duration = Duration::from_secs(10);
 
 /// Cap on a request body (1 MiB — job specs are a few hundred bytes).
-pub const MAX_BODY_BYTES: usize = 1024 * 1024;
+pub(crate) const MAX_BODY_BYTES: usize = 1024 * 1024;
 
 /// One parsed HTTP request.
 #[derive(Debug, Clone)]
-pub struct Request {
+pub(crate) struct Request {
     /// Request method, uppercased by the client (`GET`, `POST`, ...).
     pub method: String,
     /// Request target path (query strings are not used by this API).
@@ -44,7 +47,7 @@ pub struct Request {
 
 impl Request {
     /// First header with this name (lowercase), if any.
-    pub fn header(&self, name: &str) -> Option<&str> {
+    pub(crate) fn header(&self, name: &str) -> Option<&str> {
         self.headers
             .iter()
             .find(|(n, _)| n == name)
@@ -54,9 +57,10 @@ impl Request {
 
 /// Why a request could not be read, as the error response to send.
 #[derive(Debug)]
-pub struct RequestError {
-    /// 408 when the peer stalled past the socket's read timeout, 400
-    /// for everything malformed.
+pub(crate) struct RequestError {
+    /// 408 when the peer stalled past the socket's read timeout, 501
+    /// for a `Transfer-Encoding` this server cannot decode, 400 for
+    /// everything malformed.
     pub status: u16,
     /// Human-readable reason for the response body.
     pub reason: String,
@@ -91,7 +95,7 @@ fn read_failed(what: &str, e: std::io::Error) -> RequestError {
 }
 
 /// Read and parse one request from `stream`.
-pub fn read_request(reader: &mut BufReader<TcpStream>) -> Result<Request, RequestError> {
+pub(crate) fn read_request(reader: &mut BufReader<TcpStream>) -> Result<Request, RequestError> {
     let mut head = Vec::new();
     // Read up to the blank line, byte-capped.
     loop {
@@ -138,7 +142,17 @@ pub fn read_request(reader: &mut BufReader<TcpStream>) -> Result<Request, Reques
         headers,
         body: Vec::new(),
     };
-    if let Some(len) = req.header("content-length") {
+    if req.header("transfer-encoding").is_some() {
+        return Err(RequestError {
+            status: 501,
+            reason: "Transfer-Encoding is not supported: send Content-Length".into(),
+        });
+    }
+    let mut lengths = req.headers.iter().filter(|(n, _)| n == "content-length");
+    if let Some((_, len)) = lengths.next() {
+        if lengths.any(|(_, other)| other != len) {
+            return Err("conflicting Content-Length values".into());
+        }
         let len: usize = len
             .parse()
             .map_err(|_| format!("bad Content-Length '{len}'"))?;
@@ -155,7 +169,7 @@ pub fn read_request(reader: &mut BufReader<TcpStream>) -> Result<Request, Reques
 }
 
 /// Reason phrase for the handful of status codes this API uses.
-pub fn reason(status: u16) -> &'static str {
+pub(crate) fn reason(status: u16) -> &'static str {
     match status {
         200 => "OK",
         201 => "Created",
@@ -166,12 +180,13 @@ pub fn reason(status: u16) -> &'static str {
         408 => "Request Timeout",
         409 => "Conflict",
         500 => "Internal Server Error",
+        501 => "Not Implemented",
         _ => "Unknown",
     }
 }
 
 /// Write a complete (non-chunked) response and flush.
-pub fn write_response(
+pub(crate) fn write_response(
     stream: &mut TcpStream,
     status: u16,
     content_type: &str,
@@ -189,7 +204,7 @@ pub fn write_response(
 
 /// Write the head of a chunked response; follow with
 /// [`ChunkedWriter`].
-pub fn write_chunked_head(
+pub(crate) fn write_chunked_head(
     stream: &mut TcpStream,
     status: u16,
     content_type: &str,
@@ -205,7 +220,7 @@ pub fn write_chunked_head(
 /// call becomes one size-prefixed chunk on the wire, flushed
 /// immediately so clients observe rows as the campaign produces them.
 /// [`ChunkedWriter::finish`] writes the terminating zero-size chunk.
-pub struct ChunkedWriter<'a> {
+pub(crate) struct ChunkedWriter<'a> {
     stream: &'a mut TcpStream,
     /// Payload bytes written so far (excludes framing).
     pub bytes: u64,
@@ -213,13 +228,13 @@ pub struct ChunkedWriter<'a> {
 
 impl<'a> ChunkedWriter<'a> {
     /// Start a chunked body on `stream` (after [`write_chunked_head`]).
-    pub fn new(stream: &'a mut TcpStream) -> ChunkedWriter<'a> {
+    pub(crate) fn new(stream: &'a mut TcpStream) -> ChunkedWriter<'a> {
         ChunkedWriter { stream, bytes: 0 }
     }
 
     /// Emit one non-empty chunk (empty input is skipped — a zero-size
     /// chunk would terminate the stream).
-    pub fn chunk(&mut self, data: &[u8]) -> std::io::Result<()> {
+    pub(crate) fn chunk(&mut self, data: &[u8]) -> std::io::Result<()> {
         if data.is_empty() {
             return Ok(());
         }
@@ -232,7 +247,7 @@ impl<'a> ChunkedWriter<'a> {
     }
 
     /// Terminate the stream (zero-size chunk, no trailers).
-    pub fn finish(self) -> std::io::Result<()> {
+    pub(crate) fn finish(self) -> std::io::Result<()> {
         self.stream.write_all(b"0\r\n\r\n")?;
         self.stream.flush()
     }
@@ -285,6 +300,15 @@ mod tests {
         assert!(round_trip(b"POST /x HTTP/1.1\r\nContent-Length: ten\r\n\r\n").is_err());
         // Declared body longer than what arrives -> short-body error.
         assert!(round_trip(b"POST /x HTTP/1.1\r\nContent-Length: 99\r\n\r\nabc").is_err());
+        // Bodies this parser cannot frame are refused before any is read.
+        let status = |raw: &[u8]| round_trip(raw).unwrap_err().status;
+        let two_lengths =
+            b"POST /x HTTP/1.1\r\nContent-Length: 5\r\nContent-Length: 500\r\n\r\nhello";
+        assert_eq!(status(two_lengths), 400);
+        let chunked =
+            b"POST /x HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n5\r\nhello\r\n0\r\n\r\n";
+        assert_eq!(status(chunked), 501);
+        assert_eq!(reason(501), "Not Implemented");
     }
 
     #[test]

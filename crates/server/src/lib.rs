@@ -2,7 +2,7 @@
 //!
 //! The serving layer of the PR 9 three-layer split (DESIGN.md §14): a
 //! std-only HTTP/1.1 server (hand-rolled over [`std::net::TcpListener`];
-//! see [`http`]) exposing the [`armdse_core::scheduler::JobScheduler`]
+//! see `http.rs`) exposing the [`armdse_core::scheduler::JobScheduler`]
 //! and [`armdse_core::jobstore::JobStore`] as a wire API. Campaigns are
 //! submitted as JSON job specs, execute on runner threads with an
 //! engine built for each run, and stream their dataset rows back
@@ -17,7 +17,7 @@
 #![warn(missing_docs)]
 
 pub mod client;
-pub mod http;
+mod http;
 
 use armdse_core::jobstore::{Job, JobId, JobOpError, JobSpec, JobState};
 use armdse_core::json::write_json_string;
@@ -45,7 +45,7 @@ pub struct ServerConfig {
 /// Monotone service counters, reported by `GET /stats`
 /// (schema `armdse-server-stats-v1`).
 #[derive(Debug, Default)]
-pub struct ServerStats {
+pub(crate) struct ServerStats {
     /// Requests accepted (any endpooint, any outcome).
     pub requests: AtomicU64,
     /// Jobs successfully submitted.
@@ -116,11 +116,6 @@ impl Server {
     /// The bound address (resolves ephemeral ports).
     pub fn local_addr(&self) -> std::net::SocketAddr {
         self.inner.addr
-    }
-
-    /// The scheduler behind the server (tests submit/inspect directly).
-    pub fn scheduler(&self) -> &JobScheduler {
-        &self.inner.sched
     }
 
     /// Accept and serve connections (one thread per connection) until a

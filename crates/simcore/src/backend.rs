@@ -160,7 +160,7 @@ pub(crate) fn finish<M: MemoryModel>(
 
 /// Run `program` to completion on one core over an arbitrary memory
 /// model — what every single-core backend's [`SimBackend::run`] is.
-pub fn run_pipeline<M: MemoryModel>(
+pub(crate) fn run_pipeline<M: MemoryModel>(
     program: &Program,
     core: &CoreParams,
     mem: M,

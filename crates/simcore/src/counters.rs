@@ -27,11 +27,11 @@ use crate::params::{CoreParams, FETCH_QUEUE_CAP, RENAME_BUFFER_CAP, RS_SIZE};
 
 /// Histogram resolution: occupancy is binned into this many equal-width
 /// fractions of the structure's capacity.
-pub const OCC_BINS: usize = 8;
+pub(crate) const OCC_BINS: usize = 8;
 
 /// The exclusive per-cycle attribution buckets.
 ///
-/// The first [`CycleBucket::RETIRE_COUNT`] variants are retire buckets
+/// The first `CycleBucket::RETIRE_COUNT` variants are retire buckets
 /// (at least one instruction retired this cycle, classified by the
 /// oldest retired instruction); the rest are stall buckets (no
 /// instruction retired, classified by what blocked the oldest
@@ -95,7 +95,7 @@ pub enum CycleBucket {
 
 impl CycleBucket {
     /// Number of retire buckets (they lead the variant order).
-    pub const RETIRE_COUNT: usize = 5;
+    pub(crate) const RETIRE_COUNT: usize = 5;
 
     /// Every bucket, in variant (= CSV column) order.
     pub const ALL: [CycleBucket; 20] = [
@@ -122,7 +122,7 @@ impl CycleBucket {
     ];
 
     /// Total bucket count.
-    pub const COUNT: usize = CycleBucket::ALL.len();
+    pub(crate) const COUNT: usize = CycleBucket::ALL.len();
 
     /// Stable snake-case name; retire buckets are prefixed `retire_`,
     /// stall buckets `stall_` (the metrics CSV relies on the prefixes).
@@ -157,7 +157,7 @@ impl CycleBucket {
     }
 
     /// The bucket's index in [`CycleBucket::ALL`] / the counter array.
-    pub const fn index(self) -> usize {
+    pub(crate) const fn index(self) -> usize {
         self as usize
     }
 }
@@ -165,7 +165,7 @@ impl CycleBucket {
 /// The pipeline structures whose occupancy is sampled every cycle.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[repr(usize)]
-pub enum Structure {
+pub(crate) enum Structure {
     /// Reorder buffer (capacity `rob_size`).
     Rob,
     /// Unified reservation station (capacity [`RS_SIZE`]).
@@ -182,7 +182,7 @@ pub enum Structure {
 
 impl Structure {
     /// Every structure, in variant (= CSV column) order.
-    pub const ALL: [Structure; 6] = [
+    pub(crate) const ALL: [Structure; 6] = [
         Structure::Rob,
         Structure::Rs,
         Structure::LoadQueue,
@@ -192,10 +192,10 @@ impl Structure {
     ];
 
     /// Total structure count.
-    pub const COUNT: usize = Structure::ALL.len();
+    pub(crate) const COUNT: usize = Structure::ALL.len();
 
     /// Stable snake-case name used in CSV column prefixes.
-    pub const fn name(self) -> &'static str {
+    pub(crate) const fn name(self) -> &'static str {
         match self {
             Structure::Rob => "rob",
             Structure::Rs => "rs",
@@ -207,7 +207,7 @@ impl Structure {
     }
 
     /// The structure's index in [`Structure::ALL`].
-    pub const fn index(self) -> usize {
+    pub(crate) const fn index(self) -> usize {
         self as usize
     }
 }
@@ -215,7 +215,7 @@ impl Structure {
 /// Occupancy histogram for one pipeline structure, sampled once per
 /// cycle at the commit edge.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct OccupancyHist {
+pub(crate) struct OccupancyHist {
     /// Structure capacity the samples are measured against.
     pub capacity: u64,
     /// Sum of per-cycle occupancy samples (mean = `sum / cycles`).
@@ -237,7 +237,7 @@ impl Default for OccupancyHist {
 
 impl OccupancyHist {
     /// An empty histogram over a structure with the given capacity.
-    pub fn new(capacity: u64) -> OccupancyHist {
+    pub(crate) fn new(capacity: u64) -> OccupancyHist {
         OccupancyHist {
             capacity,
             sum: 0,
@@ -248,7 +248,7 @@ impl OccupancyHist {
     }
 
     /// Record one occupancy sample.
-    pub fn observe(&mut self, occ: u64) {
+    pub(crate) fn observe(&mut self, occ: u64) {
         self.observe_n(occ, 1);
     }
 
@@ -256,7 +256,7 @@ impl OccupancyHist {
     /// `n` calls to [`OccupancyHist::observe`] would (used by the
     /// pipeline's idle-cycle fast-forward, where occupancy is provably
     /// constant across the skipped cycles).
-    pub fn observe_n(&mut self, occ: u64, n: u64) {
+    pub(crate) fn observe_n(&mut self, occ: u64, n: u64) {
         if n == 0 {
             return;
         }
@@ -272,12 +272,14 @@ impl OccupancyHist {
     }
 
     /// Total samples recorded.
-    pub fn samples(&self) -> u64 {
+    #[cfg(test)]
+    fn samples(&self) -> u64 {
         self.bins.iter().sum()
     }
 
     /// Mean occupancy over the recorded samples (0 when empty).
-    pub fn mean(&self) -> f64 {
+    #[cfg(test)]
+    fn mean(&self) -> f64 {
         let n = self.samples();
         if n == 0 {
             return 0.0;
@@ -296,14 +298,14 @@ impl OccupancyHist {
 pub struct Counters {
     /// Total cycles attributed (equals `SimStats::cycles`).
     pub cycles: u64,
-    /// Exclusive per-cycle buckets, indexed by [`CycleBucket::index`].
+    /// Exclusive per-cycle buckets, indexed by `CycleBucket::index`.
     pub buckets: [u64; CycleBucket::COUNT],
     /// Cycles fetched from the loop buffer (supplementary, *not* part of
     /// the exclusive attribution: a loop-buffer cycle also lands in one
     /// of the exclusive buckets).
     pub loop_buffer_cycles: u64,
     /// Occupancy histograms, indexed by [`Structure::index`].
-    pub occupancy: [OccupancyHist; Structure::COUNT],
+    pub(crate) occupancy: [OccupancyHist; Structure::COUNT],
 }
 
 impl Default for Counters {
@@ -343,26 +345,26 @@ impl Counters {
 
     /// Charge one cycle to `bucket`.
     #[inline]
-    pub fn record(&mut self, bucket: CycleBucket) {
+    pub(crate) fn record(&mut self, bucket: CycleBucket) {
         self.buckets[bucket.index()] += 1;
     }
 
     /// Charge `n` cycles to `bucket` at once (fast-forward bulk path).
     #[inline]
-    pub fn record_n(&mut self, bucket: CycleBucket, n: u64) {
+    pub(crate) fn record_n(&mut self, bucket: CycleBucket, n: u64) {
         self.buckets[bucket.index()] += n;
     }
 
     /// Record one occupancy sample for `structure`.
     #[inline]
-    pub fn observe(&mut self, structure: Structure, occ: u64) {
+    pub(crate) fn observe(&mut self, structure: Structure, occ: u64) {
         self.occupancy[structure.index()].observe(occ);
     }
 
     /// Record `n` identical occupancy samples for `structure` at once
     /// (fast-forward bulk path).
     #[inline]
-    pub fn observe_n(&mut self, structure: Structure, occ: u64, n: u64) {
+    pub(crate) fn observe_n(&mut self, structure: Structure, occ: u64, n: u64) {
         self.occupancy[structure.index()].observe_n(occ, n);
     }
 
@@ -394,7 +396,8 @@ impl Counters {
     }
 
     /// A bucket's share of total cycles, in `[0, 1]` (0 when empty).
-    pub fn share(&self, b: CycleBucket) -> f64 {
+    #[cfg(test)]
+    fn share(&self, b: CycleBucket) -> f64 {
         if self.cycles == 0 {
             return 0.0;
         }
@@ -403,7 +406,8 @@ impl Counters {
 
     /// The stall bucket with the most cycles (ties break toward the
     /// earlier variant, deterministically); `None` if no cycle stalled.
-    pub fn dominant_stall(&self) -> Option<CycleBucket> {
+    #[cfg(test)]
+    fn dominant_stall(&self) -> Option<CycleBucket> {
         CycleBucket::ALL[CycleBucket::RETIRE_COUNT..]
             .iter()
             .copied()
@@ -418,7 +422,7 @@ impl Counters {
     /// [`Counters::conserves`], the merged counters do too (the
     /// aggregate attributes every core-cycle across all cores, so its
     /// `cycles` is the *sum* of per-core cycles, not the makespan).
-    pub fn merge(&mut self, other: &Counters) {
+    pub(crate) fn merge(&mut self, other: &Counters) {
         self.cycles += other.cycles;
         for (b, o) in self.buckets.iter_mut().zip(&other.buckets) {
             *b += o;

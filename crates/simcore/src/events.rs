@@ -42,7 +42,7 @@ const WHEEL: usize = 64;
 /// with `now` never moving backwards), which the pipeline's monotone
 /// `self.now` guarantees; pushes must target the future (`t > now`).
 #[derive(Debug, Clone)]
-pub struct EventQueue {
+pub(crate) struct EventQueue {
     /// Ring of per-cycle slots; slot `t % WHEEL` holds the sequence
     /// numbers completing at cycle `t`, unordered.
     slots: [Vec<Seq>; WHEEL],
@@ -71,18 +71,19 @@ impl Default for EventQueue {
 
 impl EventQueue {
     /// An empty queue.
-    pub fn new() -> EventQueue {
+    pub(crate) fn new() -> EventQueue {
         EventQueue::default()
     }
 
     /// Whether no events are scheduled.
-    pub fn is_empty(&self) -> bool {
+    #[cfg(test)]
+    fn is_empty(&self) -> bool {
         self.len == 0
     }
 
     /// Schedule an event at cycle `t` (strictly after the last drain).
     #[inline]
-    pub fn push(&mut self, t: u64, seq: Seq) {
+    pub(crate) fn push(&mut self, t: u64, seq: Seq) {
         debug_assert!(t > self.drained_to, "push into the past");
         self.len += 1;
         // The wheel holds at most WHEEL-1 cycles ahead so a slot never
@@ -98,7 +99,7 @@ impl EventQueue {
 
     /// Earliest scheduled event time, if any (the fast-forward target).
     #[inline]
-    pub fn next_time(&self) -> Option<u64> {
+    pub(crate) fn next_time(&self) -> Option<u64> {
         let far = self.far.peek().map(|&Reverse((t, _))| t);
         if self.occupied == 0 {
             return far;
@@ -114,7 +115,7 @@ impl EventQueue {
 
     /// Drain every event with `t <= now` into `out` (cleared first) in
     /// ascending `(t, seq)` order.
-    pub fn take_due(&mut self, now: u64, out: &mut Vec<(u64, Seq)>) {
+    pub(crate) fn take_due(&mut self, now: u64, out: &mut Vec<(u64, Seq)>) {
         out.clear();
         // Wheel events due by `now`: walk occupied slots in cycle order.
         while self.occupied != 0 {

@@ -25,21 +25,20 @@
 
 #![warn(missing_docs)]
 
-pub mod backend;
-pub mod counters;
-pub mod events;
-pub mod multicore;
-pub mod params;
-pub mod pipeline;
-pub mod regfile;
-pub mod reuse;
-pub mod stats;
+mod backend;
+mod counters;
+mod events;
+mod multicore;
+mod params;
+mod pipeline;
+mod regfile;
+mod reuse;
+mod stats;
 
-pub use backend::{run_pipeline, BankedProxy, Idealized, RunMode, RunOutput, SimBackend};
-pub use counters::{Counters, CycleBucket, OccupancyHist, Structure};
-pub use multicore::{MultiCore, PerCoreMetrics, Topology, SLICE_CYCLES};
+pub use backend::{BankedProxy, Idealized, RunMode, RunOutput, SimBackend};
+pub use counters::{Counters, CycleBucket};
+pub use multicore::{MultiCore, PerCoreMetrics, Topology};
 pub use params::CoreParams;
-pub use pipeline::{fast_forward_default, set_fast_forward_default, Pipeline};
 pub use reuse::{Fidelity, Memoized, ReuseStats, DEFAULT_INTERVAL_LEN};
 pub use stats::{SimStats, StallStats};
 
@@ -48,10 +47,10 @@ use armdse_memsim::MemParams;
 
 /// Default cycle-limit slack: a run is declared wedged (and invalid) if it
 /// exceeds `MAX_CPI_GUARD` cycles per dynamic instruction.
-pub const MAX_CPI_GUARD: u64 = 500;
+pub(crate) const MAX_CPI_GUARD: u64 = 500;
 
 /// Compute the safety cycle limit for a program.
-pub fn cycle_limit(program: &Program) -> u64 {
+pub(crate) fn cycle_limit(program: &Program) -> u64 {
     10_000 + program.dynamic_len().saturating_mul(MAX_CPI_GUARD)
 }
 

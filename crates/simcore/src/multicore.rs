@@ -55,7 +55,7 @@ use std::rc::Rc;
 /// it. Small enough to bound cross-core causality skew well below the
 /// DRAM round-trip, large enough that slice bookkeeping is invisible in
 /// the profile.
-pub const SLICE_CYCLES: u64 = 128;
+pub(crate) const SLICE_CYCLES: u64 = 128;
 
 /// A machine shape: how many cores share how many DRAM banks. The
 /// default — one core over [`armdse_memsim::DEFAULT_BANKS`] banks — is
@@ -135,7 +135,7 @@ impl MultiCore {
     }
 
     /// The machine shape as a [`Topology`] value.
-    pub fn shape(&self) -> Topology {
+    pub(crate) fn shape(&self) -> Topology {
         Topology {
             cores: self.cores,
             banks: self.banks,

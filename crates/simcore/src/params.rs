@@ -5,22 +5,22 @@ use armdse_isa::reg::RegClass;
 
 /// Unified reservation-station capacity (fixed, paper §V-A: "a single
 /// unified reservation station shared between them with a width of 60").
-pub const RS_SIZE: usize = 60;
+pub(crate) const RS_SIZE: usize = 60;
 
 /// Dispatch rate into the reservation station (fixed, paper §V-A:
 /// "a dispatch rate of four instructions per cycle").
-pub const DISPATCH_RATE: usize = 4;
+pub(crate) const DISPATCH_RATE: usize = 4;
 
 /// Fetch-buffer capacity in instructions (fixed frontend plumbing).
-pub const FETCH_QUEUE_CAP: usize = 64;
+pub(crate) const FETCH_QUEUE_CAP: usize = 64;
 
 /// Rename-buffer capacity in instructions (between rename and dispatch).
-pub const RENAME_BUFFER_CAP: usize = 16;
+pub(crate) const RENAME_BUFFER_CAP: usize = 16;
 
 /// Minimum store-to-load forwarding latency in cycles; the actual
 /// forwarding latency is the L1 hit latency (forwarded loads re-use the
 /// L1 access path, as in SimEng's LSQ), floored at this value.
-pub const MIN_FORWARD_LATENCY: u64 = 2;
+pub(crate) const MIN_FORWARD_LATENCY: u64 = 2;
 
 /// The eighteen core parameters varied by the study (Table II).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -94,7 +94,7 @@ impl CoreParams {
 
     /// Physical register count for a class.
     #[inline]
-    pub fn phys_regs(&self, class: RegClass) -> u32 {
+    pub(crate) fn phys_regs(&self, class: RegClass) -> u32 {
         match class {
             RegClass::Gp => self.gp_regs,
             RegClass::Fp => self.fp_regs,

@@ -28,27 +28,6 @@ use armdse_isa::reg::RegClass;
 use armdse_isa::{Program, TraceCursor, INSTR_BYTES};
 use armdse_memsim::{split_lines, MemoryModel};
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, Ordering};
-
-/// Process-wide default for the idle-cycle fast-forward (see
-/// [`set_fast_forward_default`]). On unless explicitly disabled.
-static FAST_FORWARD: AtomicBool = AtomicBool::new(true);
-
-/// Set the process-wide default for the pipeline's idle-cycle
-/// fast-forward. New pipelines sample the default at construction;
-/// in-flight pipelines are unaffected. The optimization is
-/// timing-exact — identical `SimStats`, metrics, and CSV bytes either
-/// way (pinned by `tests/fast_forward_equivalence.rs`) — so the switch
-/// exists for A/B verification and benchmarking, not correctness.
-pub fn set_fast_forward_default(enabled: bool) {
-    FAST_FORWARD.store(enabled, Ordering::Relaxed);
-}
-
-/// The current process-wide fast-forward default: on unless switched
-/// off via [`set_fast_forward_default`].
-pub fn fast_forward_default() -> bool {
-    FAST_FORWARD.load(Ordering::Relaxed)
-}
 
 /// Lifecycle stage of an in-flight micro-op.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -170,7 +149,7 @@ struct CommitLog {
 }
 
 /// The pipeline state machine.
-pub struct Pipeline<'p, M: MemoryModel> {
+pub(crate) struct Pipeline<'p, M: MemoryModel> {
     params: CoreParams,
     mem: M,
     cursor: TraceCursor<'p>,
@@ -250,7 +229,7 @@ pub struct Pipeline<'p, M: MemoryModel> {
     rename_blocked: bool,
 
     /// Skip provably idle cycles in bulk (see `try_fast_forward`).
-    /// Sampled from [`fast_forward_default`] at construction.
+    /// Always on; the unit tests below clear it to compare.
     fast_forward: bool,
 
     // Per-cycle scratch buffers, hoisted out of the hot loop so the
@@ -266,7 +245,7 @@ pub struct Pipeline<'p, M: MemoryModel> {
 impl<'p, M: MemoryModel> Pipeline<'p, M> {
     /// Build a pipeline over `program` with the given core configuration
     /// and memory backend.
-    pub fn new(program: &'p Program, params: CoreParams, mem: M) -> Pipeline<'p, M> {
+    pub(crate) fn new(program: &'p Program, params: CoreParams, mem: M) -> Pipeline<'p, M> {
         debug_assert!(params.validate().is_ok(), "invalid CoreParams");
         let phys = [
             params.gp_regs,
@@ -310,7 +289,7 @@ impl<'p, M: MemoryModel> Pipeline<'p, M> {
             counters: None,
             mem_budget_exhausted: false,
             rename_blocked: false,
-            fast_forward: fast_forward_default(),
+            fast_forward: true,
             scratch_woken: Vec::new(),
             scratch_pending: VecDeque::new(),
             scratch_due: Vec::new(),
@@ -359,7 +338,7 @@ impl<'p, M: MemoryModel> Pipeline<'p, M> {
     }
 
     /// Drive to completion (or `max_cycles`).
-    pub fn drive(&mut self, max_cycles: u64) {
+    pub(crate) fn drive(&mut self, max_cycles: u64) {
         self.drive_to(max_cycles, u64::MAX);
     }
 
@@ -372,40 +351,35 @@ impl<'p, M: MemoryModel> Pipeline<'p, M> {
     /// clamp is timing-exact: the bulk advance is linear in the number
     /// of skipped cycles, so two clamped jumps accumulate exactly what
     /// one unclamped jump would.
-    pub fn drive_until_cycle(&mut self, max_cycles: u64, cycle_target: u64) {
+    pub(crate) fn drive_until_cycle(&mut self, max_cycles: u64, cycle_target: u64) {
         self.drive_to(max_cycles, cycle_target);
-    }
-
-    /// The pipeline's current global cycle.
-    pub fn now(&self) -> u64 {
-        self.now
     }
 
     /// Record every instruction in commit (i.e. program) order; the
     /// oracle replays this stream with value semantics to check the
     /// core's architectural behaviour. Must be called before the first
     /// cycle so the trace is complete.
-    pub fn enable_trace(&mut self) {
+    pub(crate) fn enable_trace(&mut self) {
         debug_assert_eq!(self.now, 0, "tracing must be enabled before cycle 0");
         self.log = Some(CommitLog::default());
     }
 
     /// Take the commit-order retirement stream (`None` when tracing was
     /// never enabled).
-    pub fn take_trace(&mut self) -> Option<Vec<DynInstr>> {
+    pub(crate) fn take_trace(&mut self) -> Option<Vec<DynInstr>> {
         self.log.take().map(|l| l.committed)
     }
 
     /// Whether the run has completed (all instructions fetched, retired,
     /// and every store drained to memory).
-    pub fn is_finished(&self) -> bool {
+    pub(crate) fn is_finished(&self) -> bool {
         self.finished()
     }
 
     /// The statistics accumulated so far. Between
     /// [`drive_until_cycle`](Self::drive_until_cycle) calls the
     /// epilogue has run, so `cycles` and `mem` are current.
-    pub fn stats(&self) -> &SimStats {
+    pub(crate) fn stats(&self) -> &SimStats {
         &self.stats
     }
 
@@ -415,7 +389,7 @@ impl<'p, M: MemoryModel> Pipeline<'p, M> {
     /// run (the collection path never mutates architectural state).
     /// Must be called before the first cycle; enabling mid-run would
     /// leave earlier cycles unattributed and break conservation.
-    pub fn enable_counters(&mut self) {
+    pub(crate) fn enable_counters(&mut self) {
         debug_assert_eq!(self.now, 0, "counters must be enabled before cycle 0");
         self.counters = Some(Box::new(Counters::new(&self.params)));
     }
@@ -424,7 +398,7 @@ impl<'p, M: MemoryModel> Pipeline<'p, M> {
     /// the statistics. `None` when counters were never enabled.
     /// Conservation holds only once the run is finished (every elapsed
     /// cycle has been attributed).
-    pub fn take_counters_finalized(&mut self) -> Option<Box<Counters>> {
+    pub(crate) fn take_counters_finalized(&mut self) -> Option<Box<Counters>> {
         let mut c = self.counters.take()?;
         c.cycles = self.stats.cycles;
         c.loop_buffer_cycles = self.stats.stalls.loop_buffer_cycles;
@@ -443,7 +417,7 @@ impl<'p, M: MemoryModel> Pipeline<'p, M> {
     }
 
     /// Advance one core cycle.
-    pub fn step(&mut self) {
+    pub(crate) fn step(&mut self) {
         self.writeback();
         self.lsq_memory();
         let (retired, first_op) = self.commit();
@@ -490,7 +464,8 @@ impl<'p, M: MemoryModel> Pipeline<'p, M> {
     /// occupancy samples — in bulk by exactly the amount the skipped
     /// cycles would have accumulated one at a time. The resulting
     /// `SimStats` and `Counters` are bit-identical to a non-skipping
-    /// run (pinned by `tests/fast_forward_equivalence.rs`).
+    /// run (pinned by this file's unit tests, which clear
+    /// `fast_forward` on the pipelines they build).
     ///
     /// With no timer pending at all (a modelling deadlock), the skip
     /// runs straight to `max_cycles`, fast-pathing wedged runs to their
@@ -1564,4 +1539,147 @@ enum StoreHazard {
     Forward,
     /// Overlapping store with unknown data or partial overlap: wait.
     Blocked,
+}
+
+#[cfg(test)]
+mod tests {
+    //! The idle-cycle fast-forward is timing-exact: a pipeline with
+    //! `fast_forward` cleared must end with the same `SimStats` and
+    //! finalized `Counters`, for every app, in plain and metrics mode.
+    //! Every dataset and metrics-CSV byte of a campaign is a function of
+    //! those two values (`Engine::run_job`), so this also pins the
+    //! campaign bytes. The points are the six crippled ones of
+    //! `tests/metrics_accounting.rs`, each starving a different structure
+    //! (so each exercises a different idle shape), and six spread over
+    //! Table II.
+
+    use super::*;
+    use crate::backend::{finish, start, RunMode};
+    use crate::cycle_limit;
+    use armdse_kernels::{build_workload, App, WorkloadScale};
+    use armdse_memsim::{Hierarchy, MemParams};
+
+    fn assert_exact(core: CoreParams, mem: MemParams) {
+        for app in App::ALL {
+            let w = build_workload(app, WorkloadScale::Tiny, core.vector_length);
+            for mode in [RunMode::Plain, RunMode::Metrics] {
+                let run = |fast_forward| {
+                    let mut p = start(&w.program, &core, Hierarchy::new(mem), mode);
+                    p.fast_forward = fast_forward;
+                    p.drive(cycle_limit(&w.program));
+                    finish(p, &w.program)
+                };
+                let (on, off) = (run(true), run(false));
+                assert!(on.stats.validated, "{app:?}/{mode:?} failed validation");
+                assert_eq!(on, off, "{app:?}/{mode:?}: fast-forward changed the run");
+                if let Some(c) = &on.counters {
+                    assert!(c.conserves(), "{app:?}: attribution leak");
+                }
+            }
+        }
+    }
+
+    fn tx2() -> (CoreParams, MemParams) {
+        (CoreParams::thunderx2(), MemParams::thunderx2())
+    }
+
+    #[test]
+    fn tiny_rob() {
+        let (mut core, mem) = tx2();
+        core.rob_size = 8;
+        assert_exact(core, mem);
+    }
+
+    #[test]
+    fn tiny_lsq() {
+        let (mut core, mem) = tx2();
+        core.load_queue = 4;
+        core.store_queue = 4;
+        assert_exact(core, mem);
+    }
+
+    #[test]
+    fn narrow() {
+        let (mut core, mem) = tx2();
+        core.commit_width = 1;
+        core.frontend_width = 1;
+        assert_exact(core, mem);
+    }
+
+    #[test]
+    fn few_regs() {
+        let (mut core, mem) = tx2();
+        core.gp_regs = 40;
+        core.fp_regs = 40;
+        assert_exact(core, mem);
+    }
+
+    #[test]
+    fn choked_mem() {
+        let (mut core, mem) = tx2();
+        core.mem_requests_per_cycle = 1;
+        core.loads_per_cycle = 1;
+        core.stores_per_cycle = 1;
+        assert_exact(core, mem);
+    }
+
+    #[test]
+    fn slow_ram() {
+        let (core, mut mem) = tx2();
+        mem.ram_access_ns = 500.0;
+        assert_exact(core, mem);
+    }
+
+    /// The widest bandwidths, so every vector length validates.
+    fn wide() -> (CoreParams, MemParams) {
+        let (mut core, mem) = tx2();
+        core.load_bandwidth = 512;
+        core.store_bandwidth = 512;
+        (core, mem)
+    }
+
+    #[test]
+    fn shortest_vectors() {
+        let (mut core, mem) = wide();
+        core.vector_length = 128;
+        assert_exact(core, mem);
+    }
+
+    #[test]
+    fn longest_vectors() {
+        let (mut core, mem) = wide();
+        core.vector_length = 2048;
+        assert_exact(core, mem);
+    }
+
+    #[test]
+    fn smallest_caches() {
+        let (core, mut mem) = tx2();
+        mem.l1_size_kib = 2;
+        mem.l2_size_kib = 64;
+        assert_exact(core, mem);
+    }
+
+    #[test]
+    fn largest_caches() {
+        let (core, mut mem) = tx2();
+        mem.l1_size_kib = 128;
+        mem.l2_size_kib = 8192;
+        assert_exact(core, mem);
+    }
+
+    #[test]
+    fn smallest_rob_longest_vectors() {
+        let (mut core, mem) = wide();
+        core.rob_size = 8;
+        core.vector_length = 2048;
+        assert_exact(core, mem);
+    }
+
+    #[test]
+    fn largest_rob() {
+        let (mut core, mem) = tx2();
+        core.rob_size = 512;
+        assert_exact(core, mem);
+    }
 }

@@ -4,7 +4,7 @@
 use armdse_isa::reg::{Reg, RegClass};
 
 /// Sequence number of an in-flight micro-op (monotonic, program order).
-pub type Seq = u64;
+pub(crate) type Seq = u64;
 
 /// One class's physical register file.
 #[derive(Debug, Clone)]
@@ -36,7 +36,7 @@ impl ClassFile {
 
 /// The rename unit: all four class files.
 #[derive(Debug, Clone)]
-pub struct RenameUnit {
+pub(crate) struct RenameUnit {
     files: [ClassFile; 4],
     /// Rename stalls attributed to each class's free list being empty.
     pub stall_counts: [u64; 4],
@@ -44,7 +44,7 @@ pub struct RenameUnit {
 
 /// Result of renaming one destination operand.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RenamedDest {
+pub(crate) struct RenamedDest {
     /// Register class.
     pub class: RegClass,
     /// Newly allocated physical register.
@@ -56,7 +56,7 @@ pub struct RenamedDest {
 impl RenameUnit {
     /// Build with per-class physical register counts
     /// (indexed by `RegClass::index()`).
-    pub fn new(phys_counts: [u32; 4]) -> RenameUnit {
+    pub(crate) fn new(phys_counts: [u32; 4]) -> RenameUnit {
         let f = |c: RegClass| ClassFile::new(u32::from(c.arch_count()), phys_counts[c.index()]);
         RenameUnit {
             files: [
@@ -71,7 +71,7 @@ impl RenameUnit {
 
     /// Whether dests (given as registers) can all be renamed right now.
     /// Counts a stall against the first exhausted class if not.
-    pub fn can_rename(&mut self, dests: &[Reg]) -> bool {
+    pub(crate) fn can_rename(&mut self, dests: &[Reg]) -> bool {
         match self.blocked_class(dests) {
             Some(c) => {
                 self.stall_counts[c.index()] += 1;
@@ -86,7 +86,7 @@ impl RenameUnit {
     /// `dests`, without counting a stall. The pipeline's idle-cycle
     /// fast-forward uses this to test rename-blockedness and then bulk
     /// advances `stall_counts` itself.
-    pub fn blocked_class(&self, dests: &[Reg]) -> Option<RegClass> {
+    pub(crate) fn blocked_class(&self, dests: &[Reg]) -> Option<RegClass> {
         // Count needed per class (an instruction may have two dests of
         // different classes, e.g. `adds` writing GP + NZCV).
         let mut need = [0u32; 4];
@@ -103,7 +103,7 @@ impl RenameUnit {
 
     /// Rename one destination: allocate a physical register, remember the
     /// previous mapping, and mark the new register not-ready.
-    pub fn rename_dest(&mut self, d: Reg) -> RenamedDest {
+    pub(crate) fn rename_dest(&mut self, d: Reg) -> RenamedDest {
         let file = &mut self.files[d.class.index()];
         let phys = file.free.pop().expect("can_rename checked");
         let prev = file.map[d.index as usize];
@@ -119,7 +119,7 @@ impl RenameUnit {
 
     /// Resolve a source operand: returns the physical register and whether
     /// its value is ready. If not ready, registers `seq` as a waiter.
-    pub fn resolve_src(&mut self, s: Reg, seq: Seq) -> (u32, bool) {
+    pub(crate) fn resolve_src(&mut self, s: Reg, seq: Seq) -> (u32, bool) {
         let file = &mut self.files[s.class.index()];
         let phys = file.map[s.index as usize];
         let ready = file.ready[phys as usize];
@@ -130,14 +130,14 @@ impl RenameUnit {
     }
 
     /// Producer completed: mark ready and drain the waiter list.
-    pub fn complete(&mut self, class: RegClass, phys: u32, woken: &mut Vec<Seq>) {
+    pub(crate) fn complete(&mut self, class: RegClass, phys: u32, woken: &mut Vec<Seq>) {
         let file = &mut self.files[class.index()];
         file.ready[phys as usize] = true;
         woken.append(&mut file.waiters[phys as usize]);
     }
 
     /// Commit-time free of the previous mapping.
-    pub fn free_prev(&mut self, d: RenamedDest) {
+    pub(crate) fn free_prev(&mut self, d: RenamedDest) {
         let file = &mut self.files[d.class.index()];
         debug_assert!(!file.free.contains(&d.prev), "double free of phys reg");
         file.waiters[d.prev as usize].clear();
@@ -145,14 +145,16 @@ impl RenameUnit {
     }
 
     /// Free physical registers in a class (diagnostics / invariants).
-    pub fn free_count(&self, class: RegClass) -> usize {
+    #[cfg(test)]
+    fn free_count(&self, class: RegClass) -> usize {
         self.files[class.index()].free.len()
     }
 
     /// Invariant check: every physical register is exactly one of
     /// {mapped, free, in-flight-dest}. `in_flight` is the number of
     /// renamed-but-not-committed destinations in the class.
-    pub fn check_conservation(&self, class: RegClass, in_flight: usize) -> bool {
+    #[cfg(any(test, feature = "check-invariants"))]
+    pub(crate) fn check_conservation(&self, class: RegClass, in_flight: usize) -> bool {
         let f = &self.files[class.index()];
         f.map.len() + f.free.len() + in_flight == f.ready.len()
     }
@@ -160,7 +162,8 @@ impl RenameUnit {
     /// Invariant check: a free physical register must carry a completed
     /// value (its last producer committed) and have no waiters, and no
     /// free register may still be architecturally mapped.
-    pub fn check_free_ready(&self, class: RegClass) -> bool {
+    #[cfg(any(test, feature = "check-invariants"))]
+    pub(crate) fn check_free_ready(&self, class: RegClass) -> bool {
         let f = &self.files[class.index()];
         f.free.iter().all(|&p| {
             f.ready[p as usize] && f.waiters[p as usize].is_empty() && !f.map.contains(&p)
