@@ -19,6 +19,7 @@
 #   PR 19 (one campaign value, one durable-write module): 18709 -> 18556
 #   PR 20 (run memo replaces the interval-memoizing tier): 18556 -> 18121
 #   PR 26 (one reviewed public surface): 18121 -> 17854
+#   PR 27 (pipeline as stages): 17854 -> 17854
 set -eux
 
 cd "$(dirname "$0")"

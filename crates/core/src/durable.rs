@@ -191,7 +191,8 @@ pub struct Campaign {
 
 impl Campaign {
     /// [`Engine::run_controlled`] into these sinks, checkpointing every
-    /// chunk and resuming from `position` when there is one.
+    /// chunk and resuming from `position` when there is one (the run
+    /// takes it: the checkpoint is parsed once, by `open`).
     pub fn run<'a>(
         &'a mut self,
         engine: &Engine,
@@ -201,7 +202,7 @@ impl Campaign {
     ) -> Result<RunSummary, ArmdseError> {
         let ctl = RunControl {
             checkpoint: Some(&self.checkpoint),
-            resume: self.position.is_some(),
+            position: self.position.take(),
             observer,
             metrics: self.metrics.as_mut().map(|m| m as &mut dyn MetricsSink),
             steer,

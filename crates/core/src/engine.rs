@@ -508,8 +508,9 @@ impl Progress {
 pub struct RunControl<'a> {
     /// Where to persist the campaign position after each chunk.
     pub checkpoint: Option<&'a Path>,
-    /// Continue from `checkpoint` if it exists (requires `checkpoint`).
-    pub resume: bool,
+    /// The loaded checkpoint to continue from (requires `checkpoint`);
+    /// `None` starts the campaign fresh.
+    pub position: Option<Checkpoint>,
     /// Called after each chunk; returning `false` pauses the run (the
     /// checkpoint, if any, is already saved — resume picks up there).
     pub observer: Option<&'a mut dyn FnMut(&Progress) -> bool>,
@@ -988,7 +989,7 @@ mod tests {
                 &mut data,
                 RunControl {
                     checkpoint: Some(&path),
-                    resume: true,
+                    position: Some(Checkpoint::load(&path).unwrap()),
                     ..RunControl::default()
                 },
             )
@@ -1015,7 +1016,6 @@ mod tests {
                 &mut pieces,
                 RunControl {
                     checkpoint: Some(&ckpt),
-                    resume: false,
                     observer: Some(&mut |pr: &Progress| {
                         let _ = &mut stop_after_first;
                         pr.jobs_done < 5
@@ -1033,7 +1033,7 @@ mod tests {
                 &mut pieces,
                 RunControl {
                     checkpoint: Some(&ckpt),
-                    resume: true,
+                    position: Some(Checkpoint::load(&ckpt).unwrap()),
                     ..RunControl::default()
                 },
             )
@@ -1053,7 +1053,7 @@ mod tests {
                 &mut extra,
                 RunControl {
                     checkpoint: Some(&ckpt),
-                    resume: true,
+                    position: Some(Checkpoint::load(&ckpt).unwrap()),
                     ..RunControl::default()
                 },
             )
@@ -1283,7 +1283,7 @@ mod tests {
                 &mut DseDataset::default(),
                 RunControl {
                     checkpoint: Some(&path),
-                    resume: true,
+                    position: Some(Checkpoint::load(&path).unwrap()),
                     ..RunControl::default()
                 },
             )

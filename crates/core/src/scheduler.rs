@@ -167,55 +167,52 @@ pub(crate) fn run_job_loop(
     let mut done = 0usize;
     let mut resumed_from = 0usize;
     let (mut prior_rows, mut prior_discarded) = (0usize, 0usize);
-    if ctl.resume {
+    if let Some(c) = &ctl.position {
         let path = ctl.checkpoint.ok_or_else(|| {
             ArmdseError::InvalidPlan("resume requested without a checkpoint path".into())
         })?;
-        if path.exists() {
-            let c = Checkpoint::load(path)?;
-            if c.fingerprint != fingerprint {
-                return Err(ArmdseError::Checkpoint(format!(
-                    "{}: fingerprint {:016x} does not match plan {:016x} — \
-                     refusing to resume a different campaign",
-                    path.display(),
-                    c.fingerprint,
-                    fingerprint
-                )));
-            }
-            if c.jobs_done > total_jobs {
-                return Err(ArmdseError::Checkpoint(format!(
-                    "{}: jobs_done {} exceeds plan total {total_jobs}",
-                    path.display(),
-                    c.jobs_done
-                )));
-            }
-            for key in ["reuse.fidelity", "mc.cores", "mc.banks"] {
-                let want = reuse_extra
-                    .iter()
-                    .find(|(k, _)| k == key)
-                    .map(|(_, v)| v.as_str());
-                if c.extra_get(key) != want {
-                    return Err(ArmdseError::Checkpoint(format!(
-                        "{}: {key} {:?} does not match this engine's {:?} — \
-                         refusing to mix fidelity tiers or machine shapes \
-                         in one dataset",
-                        path.display(),
-                        c.extra_get(key),
-                        want
-                    )));
-                }
-            }
-            // The re-run starts at the checkpoint, so the sinks must
-            // end there too before the first appended byte.
-            sink.resume_at(c.rows)?;
-            if let Some(msink) = ctl.metrics.as_deref_mut() {
-                msink.resume_at(c.jobs_done)?;
-            }
-            done = c.jobs_done;
-            resumed_from = done;
-            prior_rows = c.rows;
-            prior_discarded = c.discarded;
+        if c.fingerprint != fingerprint {
+            return Err(ArmdseError::Checkpoint(format!(
+                "{}: fingerprint {:016x} does not match plan {:016x} — \
+                 refusing to resume a different campaign",
+                path.display(),
+                c.fingerprint,
+                fingerprint
+            )));
         }
+        if c.jobs_done > total_jobs {
+            return Err(ArmdseError::Checkpoint(format!(
+                "{}: jobs_done {} exceeds plan total {total_jobs}",
+                path.display(),
+                c.jobs_done
+            )));
+        }
+        for key in ["reuse.fidelity", "mc.cores", "mc.banks"] {
+            let want = reuse_extra
+                .iter()
+                .find(|(k, _)| k == key)
+                .map(|(_, v)| v.as_str());
+            if c.extra_get(key) != want {
+                return Err(ArmdseError::Checkpoint(format!(
+                    "{}: {key} {:?} does not match this engine's {:?} — \
+                     refusing to mix fidelity tiers or machine shapes \
+                     in one dataset",
+                    path.display(),
+                    c.extra_get(key),
+                    want
+                )));
+            }
+        }
+        // The re-run starts at the checkpoint, so the sinks must
+        // end there too before the first appended byte.
+        sink.resume_at(c.rows)?;
+        if let Some(msink) = ctl.metrics.as_deref_mut() {
+            msink.resume_at(c.jobs_done)?;
+        }
+        done = c.jobs_done;
+        resumed_from = done;
+        prior_rows = c.rows;
+        prior_discarded = c.discarded;
     }
     if ctl.reuse == ReuseMode::ColdStart {
         engine.backend().clear_reuse_cache();
@@ -920,7 +917,7 @@ mod tests {
                 let so_far = [&a[..], &steer.batches[..steer.next].concat()].concat();
                 let ctl = RunControl {
                     checkpoint: Some(&ckpt),
-                    resume: true,
+                    position: Some(c),
                     steer: Some(&mut steer),
                     ..RunControl::default()
                 };

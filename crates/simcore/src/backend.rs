@@ -17,7 +17,7 @@
 //! * [`crate::MultiCore`], [`crate::Memoized`] — the multicore machine
 //!   and the exact run-memoizing tier.
 //!
-//! Every backend that drives a pipeline builds it with `start` and
+//! Every backend that drives a pipeline builds it with `Pipeline::new` and
 //! collects it with `finish`; the latter owns the only copy of the
 //! validation epilogue.
 
@@ -124,23 +124,6 @@ pub trait SimBackend: Send + Sync {
     }
 }
 
-/// A cold pipeline over `mem`, observing what `mode` asks for.
-pub(crate) fn start<'p, M: MemoryModel>(
-    program: &'p Program,
-    core: &CoreParams,
-    mem: M,
-    mode: RunMode,
-) -> Pipeline<'p, M> {
-    core.validate().expect("core parameters must validate");
-    let mut pipeline = Pipeline::new(program, *core, mem);
-    match mode {
-        RunMode::Plain => {}
-        RunMode::Trace => pipeline.enable_trace(),
-        RunMode::Metrics => pipeline.enable_counters(),
-    }
-    pipeline
-}
-
 /// Collect a pipeline that finished or hit the cycle limit. A run
 /// validates iff it finished within the limit and retired exactly the
 /// statically expected operation mix.
@@ -166,8 +149,8 @@ pub(crate) fn run_pipeline<M: MemoryModel>(
     mem: M,
     mode: RunMode,
 ) -> RunOutput {
-    let mut pipeline = start(program, core, mem, mode);
-    pipeline.drive(cycle_limit(program));
+    let mut pipeline = Pipeline::new(program, core, mem, mode);
+    pipeline.drive_to(cycle_limit(program), u64::MAX);
     finish(pipeline, program)
 }
 

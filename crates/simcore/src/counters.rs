@@ -18,7 +18,7 @@
 //!
 //! Collection is zero-cost-by-default: the pipeline only classifies and
 //! samples occupancy when counters were requested
-//! ([`crate::Pipeline::enable_counters`]), and the collection path
+//! ([`crate::RunMode::Metrics`]), and the collection path
 //! never mutates architectural or timing state, so a metrics-on run
 //! returns byte-identical [`crate::SimStats`] to a metrics-off run (the
 //! oracle's metrics-transparency lane pins this).
@@ -229,12 +229,6 @@ pub(crate) struct OccupancyHist {
     pub bins: [u64; OCC_BINS],
 }
 
-impl Default for OccupancyHist {
-    fn default() -> OccupancyHist {
-        OccupancyHist::new(0)
-    }
-}
-
 impl OccupancyHist {
     /// An empty histogram over a structure with the given capacity.
     pub(crate) fn new(capacity: u64) -> OccupancyHist {
@@ -247,15 +241,10 @@ impl OccupancyHist {
         }
     }
 
-    /// Record one occupancy sample.
-    pub(crate) fn observe(&mut self, occ: u64) {
-        self.observe_n(occ, 1);
-    }
-
     /// Record `n` consecutive samples of the same occupancy, exactly as
-    /// `n` calls to [`OccupancyHist::observe`] would (used by the
-    /// pipeline's idle-cycle fast-forward, where occupancy is provably
-    /// constant across the skipped cycles).
+    /// `n` single samples would (the pipeline's idle-cycle fast-forward
+    /// samples a whole skip at once: occupancy is provably constant
+    /// across the skipped cycles).
     pub(crate) fn observe_n(&mut self, occ: u64, n: u64) {
         if n == 0 {
             return;
@@ -331,38 +320,20 @@ impl Counters {
             Structure::FetchQueue => FETCH_QUEUE_CAP as u64,
             Structure::RenameBuffer => RENAME_BUFFER_CAP as u64,
         };
-        let mut occupancy = [OccupancyHist::new(0); Structure::COUNT];
-        for s in Structure::ALL {
-            occupancy[s.index()] = OccupancyHist::new(cap(s));
-        }
         Counters {
-            cycles: 0,
-            buckets: [0; CycleBucket::COUNT],
-            loop_buffer_cycles: 0,
-            occupancy,
+            occupancy: Structure::ALL.map(|s| OccupancyHist::new(cap(s))),
+            ..Counters::default()
         }
     }
 
-    /// Charge one cycle to `bucket`.
-    #[inline]
-    pub(crate) fn record(&mut self, bucket: CycleBucket) {
-        self.buckets[bucket.index()] += 1;
-    }
-
-    /// Charge `n` cycles to `bucket` at once (fast-forward bulk path).
+    /// Charge `n` cycles to `bucket` (one stepped cycle, or a
+    /// fast-forward skip).
     #[inline]
     pub(crate) fn record_n(&mut self, bucket: CycleBucket, n: u64) {
         self.buckets[bucket.index()] += n;
     }
 
-    /// Record one occupancy sample for `structure`.
-    #[inline]
-    pub(crate) fn observe(&mut self, structure: Structure, occ: u64) {
-        self.occupancy[structure.index()].observe(occ);
-    }
-
-    /// Record `n` identical occupancy samples for `structure` at once
-    /// (fast-forward bulk path).
+    /// Record `n` identical occupancy samples for `structure`.
     #[inline]
     pub(crate) fn observe_n(&mut self, structure: Structure, occ: u64, n: u64) {
         self.occupancy[structure.index()].observe_n(occ, n);
@@ -511,9 +482,9 @@ mod tests {
     #[test]
     fn conservation_and_sums() {
         let mut c = Counters::default();
-        c.record(CycleBucket::RetireScalar);
-        c.record(CycleBucket::MemData);
-        c.record(CycleBucket::MemData);
+        c.record_n(CycleBucket::RetireScalar, 1);
+        c.record_n(CycleBucket::MemData, 1);
+        c.record_n(CycleBucket::MemData, 1);
         c.cycles = 3;
         assert!(c.conserves());
         assert_eq!(c.retire_cycles(), 1);
@@ -525,7 +496,7 @@ mod tests {
     #[test]
     fn dominant_stall_none_when_all_retire() {
         let mut c = Counters::default();
-        c.record(CycleBucket::RetireVector);
+        c.record_n(CycleBucket::RetireVector, 1);
         c.cycles = 1;
         assert_eq!(c.dominant_stall(), None);
     }
@@ -537,7 +508,7 @@ mod tests {
         for (occ, n) in [(0u64, 3u64), (5, 7), (8, 2)] {
             bulk.observe_n(occ, n);
             for _ in 0..n {
-                step.observe(occ);
+                step.observe_n(occ, 1);
             }
         }
         assert_eq!(bulk, step);
@@ -546,7 +517,7 @@ mod tests {
         let mut c_step = Counters::default();
         c_bulk.record_n(CycleBucket::MemData, 5);
         for _ in 0..5 {
-            c_step.record(CycleBucket::MemData);
+            c_step.record_n(CycleBucket::MemData, 1);
         }
         assert_eq!(c_bulk.buckets, c_step.buckets);
     }
@@ -554,7 +525,7 @@ mod tests {
     #[test]
     fn merge_preserves_conservation_and_sums() {
         let mut a = Counters::default();
-        a.record(CycleBucket::RetireScalar);
+        a.record_n(CycleBucket::RetireScalar, 1);
         a.record_n(CycleBucket::MemData, 4);
         a.cycles = 5;
         a.loop_buffer_cycles = 2;
@@ -578,7 +549,7 @@ mod tests {
     fn occupancy_histogram_bins_and_peak() {
         let mut h = OccupancyHist::new(8);
         for occ in [0u64, 3, 7, 8, 8] {
-            h.observe(occ);
+            h.observe_n(occ, 1);
         }
         assert_eq!(h.peak, 8);
         assert_eq!(h.full_cycles, 2);

@@ -18,7 +18,7 @@
 //! `run_slice` pattern): the machine picks a global cycle boundary
 //! every [`SLICE_CYCLES`] cycles and advances each core — in fixed core
 //! order 0..N — up to that boundary via
-//! [`crate::Pipeline::drive_until_cycle`] before any core may pass it. All
+//! `Pipeline::drive_to` before any core may pass it. All
 //! cross-core interaction flows through the shared backside, whose
 //! bank-queue and L2 state is therefore mutated in a deterministic
 //! order that depends only on (program, params, topology) — never on
@@ -41,10 +41,11 @@
 //! core's own statistics and attribution counters for the per-core
 //! metrics CSV rows.
 
-use crate::backend::{finish, start, RunMode, RunOutput, SimBackend};
+use crate::backend::{finish, RunMode, RunOutput, SimBackend};
 use crate::counters::Counters;
 use crate::cycle_limit;
 use crate::params::CoreParams;
+use crate::pipeline::Pipeline;
 use crate::stats::{SimStats, StallStats};
 use armdse_isa::Program;
 use armdse_memsim::{Backside, Hierarchy, MemParams, DEFAULT_BANKS};
@@ -192,7 +193,7 @@ impl SimBackend for MultiCore {
                     RunMode::Trace if i > 0 => RunMode::Plain,
                     m => m,
                 };
-                start(program, core, Hierarchy::port(Rc::clone(&shared), i), mode)
+                Pipeline::new(program, core, Hierarchy::port(Rc::clone(&shared), i), mode)
             })
             .collect();
 
@@ -203,9 +204,9 @@ impl SimBackend for MultiCore {
         loop {
             let mut all_done = true;
             for p in pipes.iter_mut() {
-                if !p.is_finished() {
-                    p.drive_until_cycle(max_cycles, boundary);
-                    all_done &= p.is_finished();
+                if !p.finished() {
+                    p.drive_to(max_cycles, boundary);
+                    all_done &= p.finished();
                 }
             }
             if all_done || pipes.iter().any(|p| p.stats().hit_cycle_limit) {

@@ -38,8 +38,6 @@ impl ClassFile {
 #[derive(Debug, Clone)]
 pub(crate) struct RenameUnit {
     files: [ClassFile; 4],
-    /// Rename stalls attributed to each class's free list being empty.
-    pub stall_counts: [u64; 4],
 }
 
 /// Result of renaming one destination operand.
@@ -65,27 +63,11 @@ impl RenameUnit {
                 f(RegClass::Pred),
                 f(RegClass::Cond),
             ],
-            stall_counts: [0; 4],
         }
     }
 
-    /// Whether dests (given as registers) can all be renamed right now.
-    /// Counts a stall against the first exhausted class if not.
-    pub(crate) fn can_rename(&mut self, dests: &[Reg]) -> bool {
-        match self.blocked_class(dests) {
-            Some(c) => {
-                self.stall_counts[c.index()] += 1;
-                false
-            }
-            None => true,
-        }
-    }
-
-    /// Read-only probe behind [`RenameUnit::can_rename`]: the first
-    /// register class (in index order) whose free list cannot cover
-    /// `dests`, without counting a stall. The pipeline's idle-cycle
-    /// fast-forward uses this to test rename-blockedness and then bulk
-    /// advances `stall_counts` itself.
+    /// The first register class (in index order) whose free list cannot
+    /// cover `dests`; `None` when all of them can be renamed right now.
     pub(crate) fn blocked_class(&self, dests: &[Reg]) -> Option<RegClass> {
         // Count needed per class (an instruction may have two dests of
         // different classes, e.g. `adds` writing GP + NZCV).
@@ -105,7 +87,7 @@ impl RenameUnit {
     /// previous mapping, and mark the new register not-ready.
     pub(crate) fn rename_dest(&mut self, d: Reg) -> RenamedDest {
         let file = &mut self.files[d.class.index()];
-        let phys = file.free.pop().expect("can_rename checked");
+        let phys = file.free.pop().expect("blocked_class checked");
         let prev = file.map[d.index as usize];
         file.map[d.index as usize] = phys;
         file.ready[phys as usize] = false;
@@ -209,40 +191,38 @@ mod tests {
         // 8 free GP regs (40 - 32). Allocate them all.
         let mut renames = Vec::new();
         for _ in 0..8 {
-            assert!(u.can_rename(&[Reg::gp(0)]));
+            assert_eq!(u.blocked_class(&[Reg::gp(0)]), None);
             renames.push(u.rename_dest(Reg::gp(0)));
         }
-        assert!(!u.can_rename(&[Reg::gp(0)]));
-        assert_eq!(u.stall_counts[RegClass::Gp.index()], 1);
+        assert_eq!(u.blocked_class(&[Reg::gp(0)]), Some(RegClass::Gp));
         // Committing the oldest rename frees its previous mapping.
         u.free_prev(renames.remove(0));
-        assert!(u.can_rename(&[Reg::gp(0)]));
+        assert_eq!(u.blocked_class(&[Reg::gp(0)]), None);
     }
 
     #[test]
     fn blocked_class_probe_is_read_only() {
         let mut u = unit();
-        assert_eq!(u.blocked_class(&[Reg::gp(0)]), None);
         for _ in 0..8 {
             u.rename_dest(Reg::gp(0));
         }
-        // The probe reports the exhausted class without counting a stall.
-        assert_eq!(u.blocked_class(&[Reg::gp(0)]), Some(RegClass::Gp));
-        assert_eq!(u.stall_counts, [0; 4]);
-        // can_rename agrees and does count.
-        assert!(!u.can_rename(&[Reg::gp(0)]));
-        assert_eq!(u.stall_counts[RegClass::Gp.index()], 1);
+        // Probing an exhausted class neither allocates nor frees.
+        for _ in 0..2 {
+            assert_eq!(u.blocked_class(&[Reg::gp(0)]), Some(RegClass::Gp));
+            assert_eq!(u.free_count(RegClass::Gp), 0);
+            assert_eq!(u.blocked_class(&[Reg::fp(0)]), None);
+        }
     }
 
     #[test]
     fn multi_class_dest_requirement() {
         let mut u = RenameUnit::new([34, 40, 24, 2]);
         // Cond has 2 phys for 1 arch: one free.
-        assert!(u.can_rename(&[Reg::gp(0), Reg::nzcv()]));
+        assert_eq!(u.blocked_class(&[Reg::gp(0), Reg::nzcv()]), None);
         let _g = u.rename_dest(Reg::gp(0));
         let _c = u.rename_dest(Reg::nzcv());
         // Cond free list now empty.
-        assert!(!u.can_rename(&[Reg::nzcv()]));
+        assert_eq!(u.blocked_class(&[Reg::nzcv()]), Some(RegClass::Cond));
     }
 
     #[test]

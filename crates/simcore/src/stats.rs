@@ -1,5 +1,6 @@
 //! Simulation statistics returned by the core model.
 
+use armdse_isa::reg::RegClass;
 use armdse_isa::OpSummary;
 use armdse_memsim::MemStats;
 
@@ -27,6 +28,18 @@ pub struct StallStats {
     pub fetch_starved: u64,
     /// Cycles fetched from the loop buffer.
     pub loop_buffer_cycles: u64,
+}
+
+impl StallStats {
+    /// The rename-stall counter of `class`'s free list.
+    pub(crate) fn rename_mut(&mut self, class: RegClass) -> &mut u64 {
+        match class {
+            RegClass::Gp => &mut self.rename_gp,
+            RegClass::Fp => &mut self.rename_fp,
+            RegClass::Pred => &mut self.rename_pred,
+            RegClass::Cond => &mut self.rename_cond,
+        }
+    }
 }
 
 /// Full result of simulating one workload on one configuration.

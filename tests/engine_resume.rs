@@ -62,10 +62,19 @@ fn run(
         tmp(&format!("{tag}.metrics.csv")),
     );
     let ckpt = tmp(&format!("{tag}.ckpt"));
-    let (mut sink, mut msink) = if resume {
-        (CsvSink::append(&csv)?, MetricsCsvSink::append(&metrics)?)
+    let (mut sink, mut msink, position) = if resume {
+        let position = Some(Checkpoint::load(&ckpt)?);
+        (
+            CsvSink::append(&csv)?,
+            MetricsCsvSink::append(&metrics)?,
+            position,
+        )
     } else {
-        (CsvSink::create(&csv)?, MetricsCsvSink::create(&metrics)?)
+        (
+            CsvSink::create(&csv)?,
+            MetricsCsvSink::create(&metrics)?,
+            None,
+        )
     };
     let mut chunks = 0usize;
     let mut observer = |_p: &Progress| {
@@ -77,7 +86,7 @@ fn run(
         &mut sink,
         RunControl {
             checkpoint: Some(&ckpt),
-            resume,
+            position,
             observer: Some(&mut observer),
             metrics: Some(&mut msink),
             ..RunControl::default()

@@ -7,7 +7,7 @@
 //! validation-discarded jobs — so the stream's shape depends only on
 //! the plan, never on scheduling.
 
-use armdse::core::engine::{Engine, Progress, RunControl, RunPlan};
+use armdse::core::engine::{Checkpoint, Engine, Progress, RunControl, RunPlan};
 use armdse::core::metrics::MetricsCsvSink;
 use armdse::core::orchestrator::GenOptions;
 use armdse::core::space::ParamSpace;
@@ -83,7 +83,6 @@ fn paused_and_resumed_metrics_csv_is_byte_identical() {
             &mut data,
             RunControl {
                 checkpoint: Some(&ckpt),
-                resume: false,
                 observer: Some(&mut observer),
                 metrics: Some(&mut msink),
                 ..RunControl::default()
@@ -102,7 +101,7 @@ fn paused_and_resumed_metrics_csv_is_byte_identical() {
             &mut data,
             RunControl {
                 checkpoint: Some(&ckpt),
-                resume: true,
+                position: Some(Checkpoint::load(&ckpt).unwrap()),
                 metrics: Some(&mut msink),
                 ..RunControl::default()
             },

@@ -6,7 +6,7 @@
 //! multicore campaign refuses to resume under a different machine
 //! shape.
 
-use armdse::core::engine::{CsvSink, Engine, Progress, RunControl, RunPlan};
+use armdse::core::engine::{Checkpoint, CsvSink, Engine, Progress, RunControl, RunPlan};
 use armdse::core::metrics::{MetricsCsvSink, MetricsRow};
 use armdse::core::orchestrator::GenOptions;
 use armdse::core::space::ParamSpace;
@@ -146,7 +146,6 @@ fn paused_and_resumed_two_core_campaign_is_byte_identical() {
             &mut sink,
             RunControl {
                 checkpoint: Some(&ckpt),
-                resume: false,
                 observer: Some(&mut observer),
                 metrics: Some(&mut msink),
                 ..RunControl::default()
@@ -167,7 +166,7 @@ fn paused_and_resumed_two_core_campaign_is_byte_identical() {
             &mut wrong,
             RunControl {
                 checkpoint: Some(&ckpt),
-                resume: true,
+                position: Some(Checkpoint::load(&ckpt).unwrap()),
                 ..RunControl::default()
             },
         )
@@ -188,7 +187,7 @@ fn paused_and_resumed_two_core_campaign_is_byte_identical() {
             &mut sink,
             RunControl {
                 checkpoint: Some(&ckpt),
-                resume: true,
+                position: Some(Checkpoint::load(&ckpt).unwrap()),
                 metrics: Some(&mut msink),
                 ..RunControl::default()
             },

@@ -6,6 +6,7 @@
 //! This is the memoization analogue of `tests/determinism.rs`: the paper
 //! pipeline's numbers must never depend on what happens to be cached.
 
+use armdse::core::engine::Checkpoint;
 use armdse::core::orchestrator::GenOptions;
 use armdse::core::space::ParamSpace;
 use armdse::core::{CsvSink, Engine, Progress, RunControl, RunPlan};
@@ -102,7 +103,7 @@ fn a_checkpoint_left_by_the_interval_tier_resumes_to_the_same_bytes() {
     let mut sink = CsvSink::append(&csv).unwrap();
     let control = RunControl {
         checkpoint: Some(&ckpt),
-        resume: true,
+        position: Some(Checkpoint::load(&ckpt).unwrap()),
         ..RunControl::default()
     };
     let resumed = Engine::memoized(256)
