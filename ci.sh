@@ -20,6 +20,7 @@
 #   PR 20 (run memo replaces the interval-memoizing tier): 18556 -> 18121
 #   PR 26 (one reviewed public surface): 18121 -> 17854
 #   PR 27 (pipeline as stages): 17854 -> 17854
+#   PR 28 (one machine value, no fidelity knob): 17854 -> 17692
 set -eux
 
 cd "$(dirname "$0")"
@@ -79,7 +80,7 @@ test -f "$SMOKE/observed/metrics/bottleneck.txt"
 # crash leaves past the checkpoint (a curve row, a dataset row and a
 # torn half-row — the dataset lane's trick), resume at a different
 # thread count, and require every exploration artifact byte-identical
-# to the uninterrupted run — the Explorer's checkpoint-v2 determinism
+# to the uninterrupted run — the Explorer's checkpoint determinism
 # contract end to end. The checkpoint carries exactly the four explore.*
 # keys, the curve artifact the documented schema header, and Pareto
 # mode must emit its frontier — the same one at 4 threads and at 1,
@@ -115,40 +116,11 @@ cmp "$SMOKE/expareto/explore_pareto.csv" "$SMOKE/expareto1/explore_pareto.csv"
 cmp "$SMOKE/expareto/explore_dataset.csv" "$SMOKE/expareto1/explore_dataset.csv"
 cmp "$SMOKE/expareto/explore_curve.csv" "$SMOKE/expareto1/explore_curve.csv"
 
-# Reuse-smoke lane: the run-memoizing fidelity tier end to end
-# through the repro binary (DESIGN.md §13). A memoized dataset run must
-# be byte-identical to the Full-fidelity run above and must report
-# run-memo activity in its summary; a paused memoized run records
-# its tier in the checkpoint, refuses to resume at a different
-# fidelity, and completes byte-identically when resumed at its own.
-cargo run --release --offline -p armdse-analysis --bin repro -- dataset \
-  --configs 40 --scale tiny --seed 7 --threads 4 --out "$SMOKE/reused" \
-  --fidelity memoized 2> "$SMOKE/reused.log"
-cmp "$SMOKE/fresh/dataset.csv" "$SMOKE/reused/dataset.csv"
-grep -q 'fidelity tier: Memoized' "$SMOKE/reused.log"
-grep -q 'run reuse: .* insertion' "$SMOKE/reused.log"
-cargo run --release --offline -p armdse-analysis --bin repro -- dataset \
-  --configs 40 --scale tiny --seed 7 --threads 4 --out "$SMOKE/reupaused" \
-  --fidelity memoized --max-chunks 1
-test -f "$SMOKE/reupaused/dataset.ckpt"
-if cargo run --release --offline -p armdse-analysis --bin repro -- dataset \
-  --configs 40 --scale tiny --seed 7 --threads 1 --out "$SMOKE/reupaused" \
-  --resume; then
-  echo 'FAIL: resume must refuse to mix fidelity tiers' >&2
-  exit 1
-fi
-cargo run --release --offline -p armdse-analysis --bin repro -- dataset \
-  --configs 40 --scale tiny --seed 7 --threads 1 --out "$SMOKE/reupaused" \
-  --fidelity memoized --resume
-test ! -f "$SMOKE/reupaused/dataset.ckpt"
-cmp "$SMOKE/fresh/dataset.csv" "$SMOKE/reupaused/dataset.csv"
-
 # Multicore-smoke lane: a tiny 2-core campaign over the extended
 # kernels through the repro binary (docs/MULTICORE.md). The artifacts
 # must be byte-identical at 1 vs 8 worker threads (the slice loop is
-# deterministic; one job runs one whole machine on one thread), the
-# metrics CSV must carry per-core detail rows, and a --cores run must
-# refuse the memoized fidelity tier.
+# deterministic; one job runs one whole machine on one thread) and the
+# metrics CSV must carry per-core detail rows.
 cargo run --release --offline -p armdse-analysis --bin repro -- dataset \
   --configs 12 --scale tiny --seed 7 --threads 8 --apps extended \
   --cores 2 --banks 4 --out "$SMOKE/mc8" --metrics "$SMOKE/mc8/metrics"
@@ -160,12 +132,6 @@ cmp "$SMOKE/mc8/metrics/metrics.csv" "$SMOKE/mc1/metrics/metrics.csv"
 # Per-core detail rows exist: the core column (4th) carries index 1
 # somewhere in the stream on a 2-core machine.
 grep -q '^[0-9]*,[0-9]*,[^,]*,1,' "$SMOKE/mc8/metrics/metrics.csv"
-if cargo run --release --offline -p armdse-analysis --bin repro -- dataset \
-  --configs 12 --scale tiny --seed 7 --cores 2 --fidelity memoized \
-  --out "$SMOKE/mcbad"; then
-  echo 'FAIL: --cores must reject the memoized fidelity tier' >&2
-  exit 1
-fi
 # The contention experiment is one table measured on the machine
 # (rows = cores); the deleted closed-form projection must not reappear.
 cargo run --release --offline -p armdse-analysis --bin repro -- multicore \

@@ -5,8 +5,7 @@
 //!                    [--seed N] [--sweep-configs N] [--threads N]
 //!                    [--out DIR] [--resume] [--max-chunks N]
 //!                    [--metrics DIR] [--explore N] [--explore-pareto]
-//!                    [--fidelity full|memoized] [--cores N] [--banks N]
-//!                    [--apps base|extended]
+//!                    [--cores N] [--banks N] [--apps base|extended]
 //! repro --serve ADDR [--out DIR] [--runners N]
 //!
 //! experiments:
@@ -50,10 +49,7 @@
 //! `--cores N` runs every experiment on the real multicore machine
 //! ([`armdse_simcore::MultiCore`]): N pipelines, each executing its own
 //! instance of the workload, contending over the shared banked L2 and
-//! DRAM. `--banks N` sets the shared-L2 bank count (default 8). The
-//! multicore machine always simulates at full fidelity, so `--cores`
-//! conflicts with a non-full `--fidelity` (the job server's rule:
-//! [`JobSpec::check_machine`]). Dataset
+//! DRAM. `--banks N` sets the shared-L2 bank count (default 8). Dataset
 //! campaigns on a multicore machine record the machine shape in their
 //! checkpoint (`mc.cores` / `mc.banks`) and refuse to resume under a
 //! different shape; with `--metrics` the metrics CSV carries one
@@ -86,7 +82,7 @@ use armdse_core::space::ParamSpace;
 use armdse_core::{ArmdseError, CampaignFiles, DseDataset, JobSpec, SurrogateSuite};
 use armdse_kernels::{App, WorkloadScale};
 use armdse_server::{Server, ServerConfig};
-use armdse_simcore::{Fidelity, Topology};
+use armdse_simcore::MultiCore;
 use std::path::{Path, PathBuf};
 use std::time::Instant;
 
@@ -94,7 +90,7 @@ struct Cli {
     experiment: String,
     /// The campaign under the job server's names: `--configs`,
     /// `--scale`, `--seed`, `--threads`, `--apps`, and the machine
-    /// (`--fidelity`, `--cores`, `--banks`).
+    /// (`--cores`, `--banks`).
     spec: JobSpec,
     /// Base design points per sweep experiment (each is re-simulated at
     /// every sweep value, paired-sample style).
@@ -146,13 +142,6 @@ fn parse_args(mut args: impl Iterator<Item = String>) -> Result<Cli, String> {
             "--metrics" => metrics = Some(PathBuf::from(val()?)),
             "--explore" => explore_budget = Some(num(&flag, &val()?)?),
             "--explore-pareto" => explore_pareto = true,
-            "--fidelity" => {
-                spec.fidelity = match val()?.as_str() {
-                    "full" => Fidelity::Full,
-                    "memoized" => Fidelity::Memoized,
-                    s => return Err(format!("unknown fidelity {s}")),
-                }
-            }
             "--cores" => spec.cores = num(&flag, &val()?)?,
             "--banks" => spec.banks = num(&flag, &val()?)?,
             "--apps" => {
@@ -192,7 +181,7 @@ fn main() {
     let cli = match parse_args(std::env::args().skip(1)) {
         Ok(c) => c,
         Err(e) => {
-            eprintln!("error: {e}\n\nusage: repro <experiment> [--configs N] [--scale tiny|small|standard] [--seed N] [--sweep-configs N] [--threads N] [--out DIR] [--resume] [--max-chunks N] [--metrics DIR] [--explore N] [--explore-pareto] [--fidelity full|memoized] [--cores N] [--banks N] [--apps base|extended]");
+            eprintln!("error: {e}\n\nusage: repro <experiment> [--configs N] [--scale tiny|small|standard] [--seed N] [--sweep-configs N] [--threads N] [--out DIR] [--resume] [--max-chunks N] [--metrics DIR] [--explore N] [--explore-pareto] [--cores N] [--banks N] [--apps base|extended]");
             std::process::exit(2);
         }
     };
@@ -264,14 +253,11 @@ fn run(cli: &Cli) {
     let spec = &cli.spec;
     let engine = spec.engine();
     let topology = spec.topology();
-    if topology != Topology::default() {
+    if topology != MultiCore::default() {
         eprintln!(
             "[repro] multicore machine: {} core(s), {} shared-L2 bank(s)",
             topology.cores, topology.banks
         );
-    }
-    if spec.fidelity != Fidelity::Full {
-        eprintln!("[repro] fidelity tier: {:?}", engine.backend().fidelity());
     }
     let sweep = SweepOptions {
         base_configs: cli.sweep_configs,
@@ -402,17 +388,6 @@ fn run(cli: &Cli) {
             eprintln!("unknown experiment '{e}'");
             std::process::exit(2);
         }
-    }
-    if let Some(rs) = engine.backend().reuse_stats() {
-        let lookups = rs.hits + rs.misses;
-        eprintln!(
-            "[repro] run reuse: {}/{} lookups hit ({:.1}%), {} insertion(s), {} eviction(s)",
-            rs.hits,
-            lookups,
-            100.0 * rs.hits as f64 / lookups.max(1) as f64,
-            rs.insertions,
-            rs.evictions
-        );
     }
 }
 
@@ -730,6 +705,81 @@ mod tests {
         assert_eq!((cli.spec.configs, cli.resume), (12, true));
         let cli = parse(&["fig2"]).unwrap();
         assert_eq!((cli.spec.configs, cli.spec.seed), (400, 20240931));
+    }
+
+    /// The `--flag`s, each with the word after it, that the `repro`
+    /// command lines in `doc` name: the words after each `repro` (a
+    /// `\`-continued line counts as one line), up to a comment, a shell
+    /// operator or the end of an inline code span. `repro --serve`
+    /// takes the server's own flags and is skipped.
+    fn documented_flags(doc: &str) -> Vec<(String, Option<String>)> {
+        let mut flags = Vec::new();
+        for line in doc.replace("\\\n", " ").lines() {
+            for command in line.split("repro ").skip(1) {
+                let words: Vec<&str> = command
+                    .split('`')
+                    .next()
+                    .unwrap_or_default()
+                    .split_whitespace()
+                    .take_while(|w| !matches!(*w, "#" | "|" | "&" | "&&" | ">" | "2>" | ";"))
+                    .map(|w| w.trim_matches(['[', ']']))
+                    .filter(|w| *w != "--")
+                    .collect();
+                if words.first() == Some(&"--serve") {
+                    continue;
+                }
+                for (i, word) in words.iter().enumerate() {
+                    if word.starts_with("--") {
+                        let value = words.get(i + 1).filter(|v| !v.starts_with("--"));
+                        flags.push((word.to_string(), value.map(|v| v.to_string())));
+                    }
+                }
+            }
+        }
+        flags
+    }
+
+    /// Every flag the user-facing docs put on a `repro` command line is
+    /// one `parse_args` knows: a doc naming a deleted flag fails here.
+    #[test]
+    fn every_flag_the_docs_name_on_a_repro_command_line_parses() {
+        let docs = [
+            ("README.md", include_str!("../../../../README.md")),
+            ("EXPERIMENTS.md", include_str!("../../../../EXPERIMENTS.md")),
+            (
+                "docs/METRICS.md",
+                include_str!("../../../../docs/METRICS.md"),
+            ),
+            (
+                "docs/MULTICORE.md",
+                include_str!("../../../../docs/MULTICORE.md"),
+            ),
+            ("docs/SERVER.md", include_str!("../../../../docs/SERVER.md")),
+        ];
+        // The scan catches a retired flag on a continued command line.
+        let retired = "cargo run --bin repro -- dataset \\\n    --fidelity memoized\n";
+        assert_eq!(
+            documented_flags(retired),
+            [("--fidelity".to_string(), Some("memoized".to_string()))]
+        );
+        assert_eq!(
+            parse(&["dataset", "--fidelity", "memoized"])
+                .err()
+                .as_deref(),
+            Some("unknown flag --fidelity")
+        );
+        let mut checked = 0;
+        for (name, doc) in docs {
+            for (flag, value) in documented_flags(doc) {
+                let mut args = vec!["dataset", flag.as_str()];
+                args.extend(value.as_deref());
+                if let Err(e) = parse(&args) {
+                    assert_ne!(e, format!("unknown flag {flag}"), "{name} names it");
+                }
+                checked += 1;
+            }
+        }
+        assert!(checked > 20, "only {checked} documented flags found");
     }
 
     #[test]

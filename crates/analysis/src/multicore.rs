@@ -15,7 +15,7 @@ use crate::report;
 use armdse_core::engine::Engine;
 use armdse_core::DesignConfig;
 use armdse_kernels::{App, WorkloadScale};
-use armdse_simcore::{MultiCore, Topology};
+use armdse_simcore::MultiCore;
 
 /// Core counts simulated (1 = the paper's single-core setting).
 pub(crate) const CORES: [u32; 5] = [1, 2, 4, 8, 16];
@@ -47,7 +47,7 @@ pub fn run(engine: &Engine, scale: WorkloadScale) -> MulticoreFig {
 /// baseline).
 fn sweep(engine: &Engine, scale: WorkloadScale, cores: &[u32]) -> MulticoreFig {
     let cfg = DesignConfig::thunderx2();
-    let banks = Topology::default().banks;
+    let banks = MultiCore::default().banks;
     let series = App::ALL
         .iter()
         .map(|&app| {

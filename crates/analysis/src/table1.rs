@@ -3,16 +3,16 @@
 //!
 //! The paper compares SimEng+SST against a physical Marvell ThunderX2
 //! node. We have no hardware, so the "hardware" side is played by the
-//! finite-banked, prefetch-free proxy model (see DESIGN.md substitution
-//! table); what this experiment preserves is the *validation procedure*
-//! and the per-application, access-pattern-dependent error structure the
-//! paper reports.
+//! finite-banked, prefetch-free one-core machine (see DESIGN.md
+//! substitution table); what this experiment preserves is the
+//! *validation procedure* and the per-application,
+//! access-pattern-dependent error structure the paper reports.
 
 use crate::report;
 use armdse_core::engine::Engine;
 use armdse_core::DesignConfig;
 use armdse_kernels::{App, WorkloadScale};
-use armdse_simcore::BankedProxy;
+use armdse_simcore::MultiCore;
 
 /// One validation row.
 #[derive(Debug, Clone, PartialEq)]
@@ -36,14 +36,15 @@ pub struct Table1 {
 
 /// Run the validation experiment on the ThunderX2 baseline. The
 /// "hardware" column runs the same cached workloads through the
-/// finite-banked [`BankedProxy`] backend on the same engine.
+/// finite-banked one-core [`MultiCore`] machine on the same engine.
 pub fn run(engine: &Engine, scale: WorkloadScale) -> Table1 {
     let cfg = DesignConfig::thunderx2();
+    let proxy = MultiCore::default();
     let rows = App::ALL
         .iter()
         .map(|&app| {
             let sim = engine.simulate_config(app, scale, &cfg);
-            let hw = engine.simulate_config_on(&BankedProxy, app, scale, &cfg);
+            let hw = engine.simulate_config_on(&proxy, app, scale, &cfg);
             assert!(sim.validated && hw.validated, "{app:?} failed validation");
             let diff = 100.0 * (sim.cycles as f64 - hw.cycles as f64).abs() / hw.cycles as f64;
             ValidationRow {

@@ -40,15 +40,15 @@
 //! Resuming validates the fingerprint against the live plan and
 //! continues from `jobs_done`; resuming a completed run is a no-op.
 //!
-//! A **v2** checkpoint extends v1 with a section of `key=value` lines
-//! after the four fixed fields (keys must not collide with the fixed
-//! field names). The run loop is its only writer: the engine's
-//! fidelity and topology keys (`reuse.*`, `mc.*`), then whatever the
-//! campaign's [`Steer`] reports as its state — the adaptive
-//! [`crate::explorer::Explorer`] is the one in-tree steer (`explore.*`,
-//! DESIGN.md §12). [`Checkpoint::load`] hands the section back
-//! uninterpreted. A file with an empty section is written in the v1
-//! format, so plain campaigns keep byte-identical checkpoints.
+//! An *extra* section of `key=value` lines may follow the four fixed
+//! fields (keys must not collide with the fixed field names). The run
+//! loop is its only writer: the engine's machine-shape keys (`mc.*`),
+//! then whatever the campaign's [`Steer`] reports as its state — the
+//! adaptive [`crate::explorer::Explorer`] is the one in-tree steer
+//! (`explore.*`, DESIGN.md §12). [`Checkpoint::load`] hands the section
+//! back uninterpreted. Every checkpoint is written under the `v1`
+//! header; `load` also accepts the `v2` header earlier binaries wrote
+//! over a non-empty section.
 
 use crate::config::DesignConfig;
 use crate::dataset::{write_csv_header, write_csv_row, DiscardedRun, DseDataset, Row};
@@ -370,29 +370,24 @@ pub struct Checkpoint {
     /// Discarded runs so far.
     pub discarded: usize,
     /// The `key=value` section after the fixed fields: the engine's
-    /// fidelity/topology keys, then the campaign's [`Steer::state`]
+    /// machine-shape keys, then the campaign's [`Steer::state`]
     /// (empty for plain campaigns). Keys must not contain `=` or
     /// newlines and must not collide with the fixed field names; values
     /// must not contain newlines.
     pub extra: Vec<(String, String)>,
 }
 
-const CHECKPOINT_MAGIC_V1: &str = "armdse-checkpoint v1";
+const CHECKPOINT_MAGIC: &str = "armdse-checkpoint v1";
+/// The header earlier binaries wrote over a non-empty extra section.
 const CHECKPOINT_MAGIC_V2: &str = "armdse-checkpoint v2";
 const FIXED_FIELDS: [&str; 4] = ["fingerprint", "jobs_done", "rows", "discarded"];
 
 impl Checkpoint {
-    /// Atomically persist to `path` (temp file + rename). An empty
-    /// `extra` section writes the v1 format byte-for-byte; a non-empty
-    /// one writes v2 with the section appended after the fixed fields.
+    /// Atomically persist to `path` (temp file + rename), with the
+    /// `extra` section appended after the fixed fields.
     pub fn save(&self, path: &Path) -> Result<(), ArmdseError> {
-        let magic = if self.extra.is_empty() {
-            CHECKPOINT_MAGIC_V1
-        } else {
-            CHECKPOINT_MAGIC_V2
-        };
         let mut body = format!(
-            "{magic}\nfingerprint={:016x}\njobs_done={}\nrows={}\ndiscarded={}\n",
+            "{CHECKPOINT_MAGIC}\nfingerprint={:016x}\njobs_done={}\nrows={}\ndiscarded={}\n",
             self.fingerprint, self.jobs_done, self.rows, self.discarded
         );
         for (k, v) in &self.extra {
@@ -423,7 +418,7 @@ impl Checkpoint {
         };
         let mut lines = body.lines();
         match lines.next() {
-            Some(CHECKPOINT_MAGIC_V1) | Some(CHECKPOINT_MAGIC_V2) => {}
+            Some(CHECKPOINT_MAGIC | CHECKPOINT_MAGIC_V2) => {}
             Some(other) => {
                 return Err(err(
                     1,
@@ -582,9 +577,9 @@ impl Engine {
         Engine::new(Box::new(Idealized))
     }
 
-    /// An engine over the run-memoizing tier wrapping the default
-    /// hierarchy: exact results, with a repeated run answered from the
-    /// memo (see `armdse_simcore::reuse`). The argument is unread: it
+    /// An engine over the exact run-memoizing wrapper around the default
+    /// hierarchy: a repeated run is answered from the memo (see
+    /// `armdse_simcore::reuse`). The argument is unread: it
     /// stays because `benchmark/src/e2e/sweep.rs` calls
     /// `Engine::memoized(DEFAULT_INTERVAL_LEN)`, and the next
     /// `benchmark` PR drops both.
@@ -595,10 +590,9 @@ impl Engine {
     /// An engine over the [`MultiCore`] machine layer: `cores` replicas
     /// of the workload stepped in lockstep slices over one shared banked
     /// L2+DRAM with `banks` interleaved banks (contention is the design
-    /// axis). A 1-core machine is architecturally identical to the
-    /// default banked hierarchy, so `Engine::multicore(1,
-    /// armdse_memsim::DEFAULT_BANKS as u32)` reproduces the banked-proxy
-    /// engine's bytes exactly (pinned by `tests/multicore_campaign.rs`).
+    /// axis). `Engine::multicore(1, armdse_memsim::DEFAULT_BANKS as
+    /// u32)` is the single-core finite-banked machine, Table I's
+    /// hardware proxy.
     pub fn multicore(cores: u32, banks: u32) -> Engine {
         Engine::new(Box::new(MultiCore::new(cores, banks)))
     }
@@ -886,7 +880,7 @@ mod tests {
         let path = std::env::temp_dir().join("armdse_engine_ckpt_roundtrip.ckpt");
         c.save(&path).unwrap();
         assert_eq!(Checkpoint::load(&path).unwrap(), c);
-        // Empty extra writes the v1 format byte-for-byte.
+        // The fixed fields, and nothing after them.
         let body = std::fs::read_to_string(&path).unwrap();
         assert!(body.starts_with("armdse-checkpoint v1\n"));
         assert_eq!(body.lines().count(), 5);
@@ -907,12 +901,16 @@ mod tests {
         };
         let path = std::env::temp_dir().join("armdse_engine_ckpt_v2_roundtrip.ckpt");
         c.save(&path).unwrap();
+        // One format is written: the extra section rides under v1.
         let body = std::fs::read_to_string(&path).unwrap();
-        assert!(body.starts_with("armdse-checkpoint v2\n"));
+        assert!(body.starts_with("armdse-checkpoint v1\n"));
         let loaded = Checkpoint::load(&path).unwrap();
         assert_eq!(loaded, c);
         assert_eq!(loaded.extra_get("explore.rng"), Some("3"));
         assert_eq!(loaded.extra_get("no.such.key"), None);
+        // The v2 header earlier binaries wrote still loads, unchanged.
+        std::fs::write(&path, body.replace(" v1\n", " v2\n")).unwrap();
+        assert_eq!(Checkpoint::load(&path).unwrap(), c);
         std::fs::remove_file(&path).ok();
     }
 
@@ -1257,16 +1255,23 @@ mod tests {
         assert!(last.is_none());
     }
 
+    /// What earlier binaries left behind: a checkpoint carrying
+    /// `reuse.fidelity=memoized` (the exact run-memo tier) resumes on
+    /// any engine to the uninterrupted bytes; one naming another tier —
+    /// `sampled`, from the deleted approximate tier — is refused.
     #[test]
-    fn checkpoints_record_fidelity_and_refuse_to_mix_tiers() {
-        let path = std::env::temp_dir().join("armdse_engine_ckpt_fidelity.ckpt");
+    fn a_memoized_tier_checkpoint_resumes_and_any_other_tier_is_refused() {
+        let path = std::env::temp_dir().join("armdse_engine_ckpt_tier.ckpt");
         std::fs::remove_file(&path).ok();
         let p = plan(4, 1).with_chunk_jobs(2); // 8 jobs -> 4 chunks
+        let mut fresh = DseDataset::default();
+        Engine::idealized().run(&p, &mut fresh).unwrap();
+        let mut pieces = DseDataset::default();
         let mut pause = |pr: &Progress| pr.jobs_done < 4;
-        let s = Engine::memoized(512)
+        let s = Engine::idealized()
             .run_controlled(
                 &p,
-                &mut DseDataset::default(),
+                &mut pieces,
                 RunControl {
                     checkpoint: Some(&path),
                     observer: Some(&mut pause),
@@ -1275,12 +1280,14 @@ mod tests {
             )
             .unwrap();
         assert!(!s.completed);
-        let c = Checkpoint::load(&path).unwrap();
-        assert_eq!(c.extra_get("reuse.fidelity"), Some("memoized"));
-        let resume_on = |engine: Engine| {
+        let body = std::fs::read_to_string(&path).unwrap();
+        assert!(!body.contains("fidelity"), "{body}");
+        let legacy =
+            |tier: &str| body.replace(" v1\n", " v2\n") + &format!("reuse.fidelity={tier}\n");
+        let resume_on = |engine: Engine, sink: &mut DseDataset| {
             engine.run_controlled(
                 &p,
-                &mut DseDataset::default(),
+                sink,
                 RunControl {
                     checkpoint: Some(&path),
                     position: Some(Checkpoint::load(&path).unwrap()),
@@ -1288,24 +1295,21 @@ mod tests {
                 },
             )
         };
-        // A full-fidelity engine must refuse the memoized checkpoint...
-        let err = resume_on(Engine::idealized()).unwrap_err();
-        assert!(err.to_string().contains("reuse.fidelity"), "{err}");
-        // ...and either tier one left by the deleted approximate tier...
-        let memoized = std::fs::read_to_string(&path).unwrap();
-        std::fs::write(&path, memoized.replace("=memoized", "=sampled")).unwrap();
-        for engine in [Engine::memoized(512), Engine::idealized()] {
-            let msg = resume_on(engine).unwrap_err().to_string();
+        std::fs::write(&path, legacy("sampled")).unwrap();
+        for engine in [Engine::memoized(0), Engine::idealized()] {
+            let msg = resume_on(engine, &mut DseDataset::default())
+                .unwrap_err()
+                .to_string();
             assert!(
-                msg.contains("reuse.fidelity") && msg.contains("refusing to mix fidelity tiers"),
+                msg.contains("reuse.fidelity") && msg.contains("refusing to mix"),
                 "{msg}"
             );
         }
-        std::fs::write(&path, memoized).unwrap();
-        // ...while the matching engine resumes and completes.
-        let s = resume_on(Engine::memoized(512)).unwrap();
+        std::fs::write(&path, legacy("memoized")).unwrap();
+        let s = resume_on(Engine::idealized(), &mut pieces).unwrap();
         assert!(s.completed);
         assert_eq!(s.resumed_from, 4);
+        assert_eq!(pieces, fresh);
         std::fs::remove_file(&path).ok();
     }
 }

@@ -11,18 +11,16 @@
 //! ## Per-job isolation
 //!
 //! A job holds its spec, its file paths and its counters, nothing else.
-//! The plan, the [`Engine`] (workload cache, backend, and the run
-//! memo at the memoized tier) and the open sinks are locals of one run
-//! session: a runner builds them when it claims the job and drops them
-//! when the session stops. Tenants therefore cannot pollute each
-//! other's caches by construction, the only state concurrent jobs share
-//! is the scheduler's queue lock, and a terminal job keeps no lowered
-//! workload alive: about half a KB stays resident per served job,
-//! against 37–43 KB while every job owned its engine for the life of
-//! the process (`tests/server_memory.rs`). The price: a job resumed in
-//! the same process re-lowers its workloads and, at the memoized tier,
-//! starts with a cold run memo — as it already did after a
-//! restart; results are exact either way. With the engine's
+//! The plan, the [`Engine`] (workload cache and backend) and the open
+//! sinks are locals of one run session: a runner builds them when it
+//! claims the job and drops them when the session stops. Tenants
+//! therefore cannot pollute each other's caches by construction, the
+//! only state concurrent jobs share is the scheduler's queue lock, and a
+//! terminal job keeps no lowered workload alive: about half a KB stays
+//! resident per served job, against 37–43 KB while every job owned its
+//! engine for the life of the process (`tests/server_memory.rs`). The
+//! price: a job resumed in the same process re-lowers its workloads, as
+//! it already did after a restart. With the engine's
 //! thread-count-invariant determinism, a job's bytes depend only on its
 //! spec, never on what else the server is running (pinned by
 //! `tests/server_jobs.rs`).
@@ -34,7 +32,7 @@
 //! ```text
 //! job-N.spec.json    # the submitted spec (wire format, re-parseable)
 //! job-N.csv          # the streamed dataset rows (CsvSink bytes)
-//! job-N.ckpt         # armdse-checkpoint v1/v2, atomically replaced
+//! job-N.ckpt         # armdse-checkpoint, atomically replaced
 //! job-N.metrics.csv  # per-job metrics stream (only when requested)
 //! job-N.state        # terminal marker: done / cancelled / failed <msg>
 //! ```
@@ -53,7 +51,7 @@ use crate::json::{json_num, parse_json, write_json_string, Json};
 use crate::orchestrator::GenOptions;
 use crate::space::ParamSpace;
 use armdse_kernels::{App, WorkloadScale};
-use armdse_simcore::{Fidelity, Topology};
+use armdse_simcore::MultiCore;
 use std::collections::BTreeMap;
 use std::fmt;
 use std::path::{Path, PathBuf};
@@ -143,16 +141,11 @@ pub struct JobSpec {
     /// Scheduling priority: higher runs first; ties run in submission
     /// order (job-id ascending) — deterministic, pinned by test.
     pub priority: i64,
-    /// Simulation tier the job's private engine runs at.
-    pub fidelity: Fidelity,
     /// Also stream a per-job metrics CSV (cycle accounting per job).
     pub metrics: bool,
     /// Cores of the simulated machine: 1 (the default) runs the
     /// single-core path; larger values run the [`MultiCore`] layer, one
-    /// workload replica per core over a shared L2+DRAM. Multicore jobs
-    /// require full fidelity (validated at parse time).
-    ///
-    /// [`MultiCore`]: armdse_simcore::MultiCore
+    /// workload replica per core over a shared L2+DRAM.
     pub cores: u32,
     /// Interleaved banks of the shared L2 (the shared-bandwidth design
     /// axis); the default is the single-core hierarchy's bank count.
@@ -170,10 +163,9 @@ impl Default for JobSpec {
             pins: Vec::new(),
             chunk_jobs: DEFAULT_CHUNK_JOBS,
             priority: 0,
-            fidelity: Fidelity::Full,
             metrics: false,
-            cores: Topology::default().cores,
-            banks: Topology::default().banks,
+            cores: MultiCore::default().cores,
+            banks: MultiCore::default().banks,
         }
     }
 }
@@ -192,41 +184,35 @@ impl JobSpec {
         Ok(RunPlan::pinned(space, &opts, &pins)?.with_chunk_jobs(self.chunk_jobs))
     }
 
-    /// The machine topology the spec requests (values clamped to 1).
-    pub fn topology(&self) -> Topology {
-        Topology {
+    /// The machine shape the spec requests (values clamped to 1).
+    pub fn topology(&self) -> MultiCore {
+        MultiCore {
             cores: self.cores.max(1),
             banks: self.banks.max(1),
         }
     }
 
-    /// The fidelity × topology rules, spelled once for the wire parser
-    /// and the `repro` command line: a machine has at least one core and
-    /// one bank, and the multicore machine layer has no memoized tier.
+    /// The machine rule, spelled once for the wire parser and the
+    /// `repro` command line: a machine has at least one core and one
+    /// bank.
     pub fn check_machine(&self) -> Result<(), ArmdseError> {
-        let bad = |m: &str| Err(ArmdseError::InvalidPlan(m.into()));
         if self.cores == 0 || self.banks == 0 {
-            return bad("\"cores\" and \"banks\" must be at least 1");
-        }
-        if self.topology() != Topology::default() && self.fidelity != Fidelity::Full {
-            return bad("multicore jobs (\"cores\"/\"banks\") require full fidelity");
+            return Err(ArmdseError::InvalidPlan(
+                "\"cores\" and \"banks\" must be at least 1".into(),
+            ));
         }
         Ok(())
     }
 
-    /// Build the job's private engine: the requested fidelity tier on
-    /// the default machine, or the multicore machine layer when the
-    /// spec asks for a non-default topology (always full fidelity —
-    /// [`JobSpec::check_machine`] rejects multicore + memoized).
+    /// Build the job's private engine: the multicore machine layer when
+    /// the spec asks for a non-default shape, else the paper's
+    /// simulation path ([`Engine::idealized`]).
     pub fn engine(&self) -> Engine {
         let t = self.topology();
-        if t != Topology::default() {
+        if t != MultiCore::default() {
             return Engine::multicore(t.cores, t.banks);
         }
-        match self.fidelity {
-            Fidelity::Full => Engine::idealized(),
-            Fidelity::Memoized => Engine::memoized(0), // the argument is unread
-        }
+        Engine::idealized()
     }
 
     /// Serialize to the canonical wire JSON (round-trips through
@@ -258,12 +244,11 @@ impl JobSpec {
         out.push_str(&format!("  \"chunk_jobs\": {},\n", self.chunk_jobs));
         // The machine topology is emitted only when non-default, so
         // pre-multicore specs keep their wire bytes.
-        if self.topology() != Topology::default() {
+        if self.topology() != MultiCore::default() {
             out.push_str(&format!("  \"cores\": {},\n", self.cores));
             out.push_str(&format!("  \"banks\": {},\n", self.banks));
         }
         out.push_str(&format!("  \"priority\": {},\n", self.priority));
-        out.push_str(&format!("  \"fidelity\": \"{}\",\n", self.fidelity.tag()));
         out.push_str(&format!("  \"metrics\": {}\n}}\n", self.metrics));
         out
     }
@@ -341,14 +326,13 @@ impl JobSpec {
                     }
                     spec.priority = n as i64;
                 }
-                "fidelity" => {
-                    spec.fidelity = match val.as_str() {
-                        Some("full") => Fidelity::Full,
-                        Some("memoized") => Fidelity::Memoized,
-                        Some(other) => return Err(bad(format!("unknown fidelity \"{other}\""))),
-                        None => return Err(bad("\"fidelity\" must be a string".into())),
-                    };
-                }
+                // Written by earlier binaries into every stored spec.
+                // Both tiers were exact, so the key changes nothing.
+                "fidelity" => match val.as_str() {
+                    Some("full" | "memoized") => {}
+                    Some(other) => return Err(bad(format!("unknown fidelity \"{other}\""))),
+                    None => return Err(bad("\"fidelity\" must be a string".into())),
+                },
                 "metrics" => {
                     spec.metrics = val
                         .as_bool()
@@ -384,8 +368,6 @@ pub struct JobStatus {
     pub rows: usize,
     /// Validation-failed runs so far.
     pub discarded: usize,
-    /// Fidelity tier tag (`full` / `memoized`).
-    pub fidelity: &'static str,
     /// Error message (`Failed` jobs only).
     pub error: Option<String>,
     /// Global sequence stamp when a runner picked the job up (None if
@@ -405,16 +387,14 @@ impl JobStatus {
         let mut out = String::with_capacity(256);
         out.push_str(&format!(
             "{{\"id\": {}, \"state\": \"{}\", \"priority\": {}, \"total_jobs\": {}, \
-             \"jobs_done\": {}, \"rows\": {}, \"discarded\": {}, \"fidelity\": \"{}\", \
-             \"error\": ",
+             \"jobs_done\": {}, \"rows\": {}, \"discarded\": {}, \"error\": ",
             self.id,
             self.state.tag(),
             self.priority,
             self.total_jobs,
             self.jobs_done,
             self.rows,
-            self.discarded,
-            self.fidelity
+            self.discarded
         ));
         match &self.error {
             Some(e) => write_json_string(e, &mut out),
@@ -438,10 +418,6 @@ impl JobStatus {
             .and_then(Json::as_str)
             .ok_or("missing \"state\"")?;
         let state = JobState::parse(state_tag).ok_or_else(|| format!("bad state {state_tag:?}"))?;
-        let fidelity = match obj.get("fidelity").and_then(Json::as_str) {
-            Some("memoized") => "memoized",
-            _ => "full",
-        };
         Ok(JobStatus {
             id: uint("id")?,
             state,
@@ -453,7 +429,6 @@ impl JobStatus {
             jobs_done: uint("jobs_done")? as usize,
             rows: uint("rows")? as usize,
             discarded: uint("discarded")? as usize,
-            fidelity,
             error: obj.get("error").and_then(Json::as_str).map(str::to_string),
             started_seq: None,
             finished_seq: None,
@@ -538,16 +513,6 @@ impl Job {
         &self.files
     }
 
-    /// Path of the job's streamed dataset CSV.
-    pub fn csv_path(&self) -> PathBuf {
-        self.files.csv.clone()
-    }
-
-    /// Path of the job's checkpoint file.
-    pub fn ckpt_path(&self) -> PathBuf {
-        self.files.checkpoint.clone()
-    }
-
     fn spec_path(&self) -> PathBuf {
         self.files.csv.with_extension("spec.json")
     }
@@ -571,7 +536,6 @@ impl Job {
             jobs_done: inner.jobs_done,
             rows: inner.rows,
             discarded: inner.discarded,
-            fidelity: self.spec.fidelity.tag(),
             error: inner.error.clone(),
             started_seq: inner.started_seq,
             finished_seq: inner.finished_seq,
@@ -827,10 +791,9 @@ mod tests {
             pins: vec![("Vector-Length".into(), 128.0)],
             chunk_jobs: 4,
             priority: 7,
-            fidelity: Fidelity::Memoized,
             metrics: true,
             cores: 1,
-            banks: Topology::default().banks,
+            banks: MultiCore::default().banks,
         }
     }
 
@@ -839,9 +802,8 @@ mod tests {
         let s = spec();
         let back = JobSpec::from_json(&s.to_json()).unwrap();
         assert_eq!(back, s);
-        // Multicore topology round-trips too (full fidelity required).
+        // A multicore machine shape round-trips too.
         let s3 = JobSpec {
-            fidelity: Fidelity::Full,
             cores: 2,
             banks: 4,
             ..spec()
@@ -853,11 +815,7 @@ mod tests {
     fn default_topology_keeps_the_wire_bytes() {
         // A single-core spec must not mention cores/banks at all, so
         // pre-multicore clients and stored specs stay byte-compatible.
-        let s = JobSpec {
-            fidelity: Fidelity::Full,
-            ..spec()
-        };
-        let wire = s.to_json();
+        let wire = spec().to_json();
         assert!(!wire.contains("cores"), "{wire}");
         assert!(!wire.contains("banks"), "{wire}");
     }
@@ -873,14 +831,9 @@ mod tests {
         assert!(e.to_string().contains("\"cores\""), "{e}");
         let e = JobSpec::from_json("{\"configs\": 2, \"banks\": 4294967296}").unwrap_err();
         assert!(e.to_string().contains("\"banks\""), "{e}");
-        // Multicore requires full fidelity: the machine layer has no
-        // memoized tier.
-        let e = JobSpec::from_json("{\"configs\": 2, \"cores\": 2, \"fidelity\": \"memoized\"}")
-            .unwrap_err();
-        assert!(e.to_string().contains("full fidelity"), "{e}");
         // And a valid multicore spec builds a multicore engine.
         let s = JobSpec::from_json("{\"configs\": 2, \"cores\": 2, \"banks\": 4}").unwrap();
-        assert_eq!(s.topology(), Topology { cores: 2, banks: 4 });
+        assert_eq!(s.topology(), MultiCore::new(2, 4));
         assert_eq!(s.engine().backend().topology(), s.topology());
     }
 
@@ -903,8 +856,16 @@ mod tests {
         assert!(JobSpec::from_json("{\"configs\": 2, \"apps\": [\"nope\"]}").is_err());
         assert!(JobSpec::from_json("{\"configs\": 2, \"scale\": \"huge\"}").is_err());
         assert!(JobSpec::from_json("{\"configs\": 2, \"fidelity\": \"best\"}").is_err());
-        // The approximate tier, its warmup key and the interval tier's
-        // length are gone from the wire.
+        // The two exact tiers' key, which earlier binaries stored in
+        // every spec, is accepted and ignored — on a multicore machine
+        // too. The approximate tier, its warmup key and the interval
+        // tier's length are gone from the wire.
+        let plain = JobSpec::from_json("{\"configs\": 2, \"cores\": 2}").unwrap();
+        for tier in ["full", "memoized"] {
+            let body = format!("{{\"configs\": 2, \"cores\": 2, \"fidelity\": \"{tier}\"}}");
+            assert_eq!(JobSpec::from_json(&body).unwrap(), plain, "{tier}");
+        }
+        assert!(!plain.to_json().contains("fidelity"));
         let e = JobSpec::from_json("{\"configs\": 2, \"fidelity\": \"sampled\"}").unwrap_err();
         assert!(
             e.to_string().contains("unknown fidelity \"sampled\""),
@@ -912,10 +873,7 @@ mod tests {
         );
         let e = JobSpec::from_json("{\"configs\": 2, \"warmup\": 1}").unwrap_err();
         assert!(e.to_string().contains("unknown key \"warmup\""), "{e}");
-        let e = JobSpec::from_json(
-            "{\"configs\": 2, \"fidelity\": \"memoized\", \"interval_len\": 64}",
-        )
-        .unwrap_err();
+        let e = JobSpec::from_json("{\"configs\": 2, \"interval_len\": 64}").unwrap_err();
         assert!(
             e.to_string().contains("unknown key \"interval_len\""),
             "{e}"
@@ -934,9 +892,35 @@ mod tests {
         assert_eq!(s.configs, 5);
         assert_eq!(s.scale, WorkloadScale::Standard);
         assert_eq!(s.apps, App::ALL.to_vec());
-        assert_eq!(s.fidelity, Fidelity::Full);
+        assert_eq!(s.engine().backend().name(), "idealized");
         assert_eq!(s.priority, 0);
         assert!(!s.metrics);
+    }
+
+    /// docs/SERVER.md's job-spec example, `//` comments stripped, is a
+    /// spec the parser accepts, and it names exactly the keys
+    /// `to_json` writes for it: a key the wire dropped, or one it
+    /// gained, fails here until the document follows.
+    #[test]
+    fn the_documented_job_spec_example_matches_the_wire() {
+        let doc = include_str!("../../../docs/SERVER.md");
+        let section = doc
+            .split_once("## JobSpec")
+            .and_then(|(_, rest)| rest.split_once("```json\n"))
+            .and_then(|(_, rest)| rest.split_once("```"))
+            .expect("SERVER.md has a JobSpec json example")
+            .0;
+        let example: String = section
+            .lines()
+            .map(|line| line.split_once("//").map_or(line, |(code, _)| code))
+            .collect::<Vec<_>>()
+            .join("\n");
+        let spec = JobSpec::from_json(&example).unwrap_or_else(|e| panic!("{e}\n{example}"));
+        let keys = |body: &str| -> Vec<String> {
+            let json = parse_json(body).unwrap();
+            json.as_object().unwrap().keys().cloned().collect()
+        };
+        assert_eq!(keys(&example), keys(&spec.to_json()));
     }
 
     #[test]
@@ -949,7 +933,6 @@ mod tests {
             jobs_done: 40,
             rows: 39,
             discarded: 1,
-            fidelity: "memoized",
             error: Some("checkpoint error: boom".into()),
             started_seq: None,
             finished_seq: None,
@@ -1008,7 +991,7 @@ mod tests {
             discarded: 0,
             extra: Vec::new(),
         }
-        .save(&c.ckpt_path())
+        .save(&c.files().checkpoint)
         .unwrap();
         let (ida, idb, idc) = (a.id(), b.id(), c.id());
         drop((a, b, c, store));
@@ -1044,7 +1027,7 @@ mod tests {
         let wire = wire.replace("  \"metrics\"", "  \"interval_len\": 512,\n  \"metrics\"");
         assert!(JobSpec::from_json(&wire).is_err());
         std::fs::write(old.spec_path(), wire).unwrap();
-        std::fs::write(old.csv_path(), "left over\n").unwrap();
+        std::fs::write(&old.files().csv, "left over\n").unwrap();
         old.persist_terminal(JobState::Done, None);
         drop((old, store));
 
@@ -1052,7 +1035,7 @@ mod tests {
         assert!(store.get(2).is_none(), "the unparsable spec is skipped");
         let new = store.create(spec()).unwrap();
         assert_eq!(new.id(), 3, "id 2 is taken by the files on disk");
-        assert!(!new.csv_path().exists(), "a new job starts with no files");
+        assert!(!new.files().csv.exists(), "a new job starts with no files");
         drop((new, store));
         // One more restart: the never-run job must not read as Done.
         let store = JobStore::open(&dir).unwrap();

@@ -57,7 +57,7 @@ use crate::engine::{
 use crate::error::ArmdseError;
 use crate::jobstore::{Job, JobId, JobOpError, JobSpec, JobState, JobStatus, JobStore};
 use crate::metrics::MetricsRow;
-use armdse_simcore::{Fidelity, RunMode, Topology};
+use armdse_simcore::{MultiCore, RunMode};
 use std::borrow::Cow;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -71,20 +71,17 @@ use std::thread::JoinHandle;
 /// on a plain run).
 pub(crate) type ChunkResult = (usize, Result<Row, DiscardedRun>, Vec<MetricsRow>);
 
-/// The checkpoint v2 extra keys recording a non-default fidelity tier
-/// and a non-default machine topology. [`Fidelity::Full`] on the
-/// single-core default maps to no keys at all, so default campaigns
-/// keep the v1 on-disk checkpoint format byte-for-byte.
-fn engine_extra(f: Fidelity, t: Topology) -> Vec<(String, String)> {
-    let mut extra = Vec::new();
-    if f == Fidelity::Memoized {
-        extra.push(("reuse.fidelity".into(), f.tag().into()));
+/// The checkpoint extra keys recording a non-default machine shape.
+/// The single-core default maps to no keys at all, so default campaigns
+/// keep their checkpoint bytes.
+fn engine_extra(t: MultiCore) -> Vec<(String, String)> {
+    if t == MultiCore::default() {
+        return Vec::new();
     }
-    if t != Topology::default() {
-        extra.push(("mc.cores".into(), t.cores.to_string()));
-        extra.push(("mc.banks".into(), t.banks.to_string()));
-    }
-    extra
+    vec![
+        ("mc.cores".into(), t.cores.to_string()),
+        ("mc.banks".into(), t.banks.to_string()),
+    ]
 }
 
 /// Execute jobs `start..end` of `plan` across its worker threads on
@@ -139,7 +136,7 @@ pub(crate) fn run_span(
 }
 
 /// The resumable campaign loop (the module docs say who runs it):
-/// chunk partitioning, checkpoint cadence, fidelity-tier guard, the
+/// chunk partitioning, checkpoint cadence, machine-shape guard, the
 /// steer hook, the observer/pause hook.
 ///
 /// At each chunk boundary, in this order: sinks durable → (plan
@@ -158,12 +155,10 @@ pub(crate) fn run_job_loop(
     let mut plan = Cow::Borrowed(plan);
     let mut total_jobs = plan.jobs();
     let mut fingerprint = plan.fingerprint();
-    // Fidelity and machine-topology keys ride along in the checkpoint's
-    // v2 extra section so a resume cannot silently splice rows produced
-    // at a different fidelity — or on a different machine shape — into
-    // one dataset.
-    let backend = engine.backend();
-    let reuse_extra = engine_extra(backend.fidelity(), backend.topology());
+    // Machine-shape keys ride along in the checkpoint's extra section so
+    // a resume cannot silently splice rows produced on a different
+    // machine into one dataset.
+    let machine_extra = engine_extra(engine.backend().topology());
     let mut done = 0usize;
     let mut resumed_from = 0usize;
     let (mut prior_rows, mut prior_discarded) = (0usize, 0usize);
@@ -188,11 +183,15 @@ pub(crate) fn run_job_loop(
             )));
         }
         for key in ["reuse.fidelity", "mc.cores", "mc.banks"] {
-            let want = reuse_extra
+            let want = machine_extra
                 .iter()
                 .find(|(k, _)| k == key)
                 .map(|(_, v)| v.as_str());
-            if c.extra_get(key) != want {
+            // Earlier binaries wrote `reuse.fidelity=memoized` for the
+            // run-memo tier, whose rows are exact: such a checkpoint
+            // resumes on any engine. Any other tier is refused.
+            let exact_tier = key == "reuse.fidelity" && c.extra_get(key) == Some("memoized");
+            if c.extra_get(key) != want && !exact_tier {
                 return Err(ArmdseError::Checkpoint(format!(
                     "{}: {key} {:?} does not match this engine's {:?} — \
                      refusing to mix fidelity tiers or machine shapes \
@@ -263,7 +262,7 @@ pub(crate) fn run_job_loop(
             }
         }
         if let Some(path) = ctl.checkpoint {
-            let mut extra = reuse_extra.clone();
+            let mut extra = machine_extra.clone();
             if let Some(steer) = ctl.steer.as_deref() {
                 extra.extend(steer.state());
             }
@@ -533,8 +532,8 @@ fn execute(store: &JobStore, job: &Job) {
     job.transition(&mut inner, state, store);
 }
 
-/// One run session of a job. The plan, the engine (workload cache and,
-/// at the memoized tier, run memo) and the open sinks are locals:
+/// One run session of a job. The plan, the engine (workload cache and
+/// backend) and the open sinks are locals:
 /// built when a runner claims the job, dropped when it stops, so two
 /// jobs cannot share any of them and a stopped job holds none.
 fn run_one(store: &JobStore, job: &Job) -> Result<RunSummary, ArmdseError> {
@@ -592,7 +591,7 @@ mod tests {
         job.spec().engine().run(&plan, &mut sink).unwrap();
         sink.chunk_end().unwrap();
         assert_eq!(
-            std::fs::read(job.csv_path()).unwrap(),
+            std::fs::read(&job.files().csv).unwrap(),
             std::fs::read(&direct).unwrap()
         );
         let _ = std::fs::remove_file(&direct);
@@ -636,7 +635,7 @@ mod tests {
         assert_eq!(a.wait_terminal().state, JobState::Done);
         assert_eq!(b.status().state, JobState::Cancelled);
         assert!(b.status().started_seq.is_none(), "cancelled before start");
-        assert!(!b.csv_path().exists(), "cancelled-while-queued never ran");
+        assert!(!b.files().csv.exists(), "cancelled-while-queued never ran");
         sched.shutdown();
         let _ = std::fs::remove_dir_all(store.dir());
     }
@@ -705,7 +704,7 @@ mod tests {
         assert_eq!(status.state, JobState::Paused);
         assert!(status.jobs_done > 0 && status.jobs_done < status.total_jobs);
         // The checkpoint on disk is loadable and matches the status.
-        let c = Checkpoint::load(&job.ckpt_path()).unwrap();
+        let c = Checkpoint::load(&job.files().checkpoint).unwrap();
         assert_eq!(c.jobs_done, status.jobs_done);
         // A fresh scheduler over the same directory resumes it to Done.
         drop(sched);
@@ -731,14 +730,14 @@ mod tests {
             discarded: 0,
             extra: Vec::new(),
         }
-        .save(&job.ckpt_path())
+        .save(&job.files().checkpoint)
         .unwrap();
         sched.add_runners(1);
         let status = job.wait_terminal();
         assert_eq!(status.state, JobState::Failed);
         let error = status.error.unwrap();
         assert!(error.starts_with("checkpoint error: "), "{error}");
-        for path in [job.ckpt_path(), job.csv_path()] {
+        for path in [&job.files().checkpoint, &job.files().csv] {
             assert!(error.contains(&path.display().to_string()), "{error}");
         }
         sched.shutdown();

@@ -11,8 +11,8 @@
 //! * **Infinite banks** ([`Hierarchy::new`]) — the paper's SST default:
 //!   DRAM accesses never queue, and the next-line prefetcher runs. This
 //!   is the simulation path of every campaign.
-//! * **Finite banks** ([`Hierarchy::banked`], [`Hierarchy::port`]) —
-//!   each line transfer occupies its bank, later accesses to a busy bank
+//! * **Finite banks** ([`Hierarchy::port`]) — each line transfer
+//!   occupies its bank, later accesses to a busy bank
 //!   queue, and there is no prefetcher. The paper attributes its Table I
 //!   residual to "abstracting out important features of a modern memory
 //!   subsystem such as memory banking"; we have no ThunderX2, so this
@@ -26,9 +26,8 @@
 //! [`SharedBackside`] handle that N cores' ports hold together.
 //! Contention (paper §VII) is emergent there: cores evict each other's
 //! L2 lines and queue on the same banks. One port over a fresh shared
-//! backside *is* the banked hierarchy — same code, same completion
-//! times, same statistics — which is what makes the one-core multicore
-//! machine bit-identical to the single-core proxy.
+//! backside is the single-core finite-banked machine: Table I's
+//! hardware proxy.
 //!
 //! Every core of the homogeneous multicore model runs its own instance
 //! of the same workload, so raw addresses coincide; a real machine would
@@ -48,8 +47,7 @@ use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::rc::Rc;
 
-/// DRAM bank count of the hardware-proxy model and of the default
-/// machine shape.
+/// DRAM bank count of the default machine shape (the hardware proxy).
 pub const DEFAULT_BANKS: usize = 8;
 
 /// Per-core address-space stride. A power of two (so line alignment
@@ -174,13 +172,6 @@ impl Hierarchy {
     /// of depth [`MemParams::prefetch_depth`].
     pub fn new(params: MemParams) -> Hierarchy {
         Hierarchy::front(Backside::new(params, 0), params, params.prefetch_depth, 0)
-    }
-
-    /// The finite-banked hardware proxy. There is no prefetcher:
-    /// [`MemParams::prefetch_depth`] is ignored.
-    pub fn banked(params: MemParams, banks: usize) -> Hierarchy {
-        assert!(banks > 0);
-        Hierarchy::front(Backside::new(params, banks), params, 0, 0)
     }
 }
 
@@ -341,6 +332,17 @@ mod tests {
         Hierarchy::new(p)
     }
 
+    /// The single-core finite-banked machine: one port over a fresh
+    /// shared backside.
+    fn banked(p: MemParams, banks: usize) -> Hierarchy<SharedBackside> {
+        Hierarchy::port(Backside::shared(p, banks), 0)
+    }
+
+    /// The same machine with an owned backside (no `Rc` handle).
+    fn owned_banked(p: MemParams, banks: usize) -> Hierarchy {
+        Hierarchy::front(Backside::new(p, banks), p, 0, 0)
+    }
+
     #[test]
     fn cold_miss_costs_full_path() {
         let mut m = h(0);
@@ -388,11 +390,11 @@ mod tests {
     fn banked_forms_ignore_prefetch_depth() {
         let mut p = MemParams::thunderx2();
         p.prefetch_depth = 4;
-        let mut banked = Hierarchy::banked(p, 8);
-        let mut port = Hierarchy::port(Backside::shared(p, 8), 0);
-        banked.access(0x1000, false, 0);
+        let mut owned = owned_banked(p, 8);
+        let mut port = banked(p, 8);
+        owned.access(0x1000, false, 0);
         port.access(0x1000, false, 0);
-        assert_eq!(banked.stats().prefetches, 0);
+        assert_eq!(owned.stats().prefetches, 0);
         assert_eq!(port.stats().prefetches, 0);
     }
 
@@ -471,7 +473,7 @@ mod tests {
     #[test]
     fn bank_contention_serialises_same_bank_misses() {
         let p = MemParams::thunderx2();
-        let mut m = Hierarchy::banked(p, 2);
+        let mut m = banked(p, 2);
         let stride = u64::from(p.line_bytes) * 2; // same bank every time
         let t1 = m.access(0, false, 0);
         let t2 = m.access(stride, false, 0);
@@ -483,7 +485,7 @@ mod tests {
     #[test]
     fn different_banks_overlap() {
         let p = MemParams::thunderx2();
-        let mut m = Hierarchy::banked(p, 8);
+        let mut m = banked(p, 8);
         let lb = u64::from(p.line_bytes);
         // Eight consecutive lines land in eight distinct banks.
         let times: Vec<Cycle> = (0..8).map(|i| m.access(i * lb, false, 0)).collect();
@@ -496,7 +498,7 @@ mod tests {
     #[test]
     fn hits_bypass_banks() {
         let p = MemParams::thunderx2();
-        let mut m = Hierarchy::banked(p, 4);
+        let mut m = banked(p, 4);
         let t1 = m.access(0, false, 0);
         let t2 = m.access(0, false, t1);
         assert_eq!(t2, t1 + p.l1_hit_core_cycles());
@@ -509,7 +511,7 @@ mod tests {
         // prefetcher, widening the gap).
         let p = MemParams::thunderx2();
         let mut fast = Hierarchy::new(p);
-        let mut proxy = Hierarchy::banked(p, 4);
+        let mut proxy = banked(p, 4);
         let lb = u64::from(p.line_bytes);
         let mut t_fast = 0;
         let mut t_proxy = 0;
@@ -545,29 +547,29 @@ mod tests {
             0x67fe_a74a_7b7b_2e06
         );
         assert_eq!(
-            mixed_pattern_digest(&mut Hierarchy::banked(p, 8)),
+            mixed_pattern_digest(&mut banked(p, 8)),
             0xe58c_829d_6178_ea0a
         );
     }
 
-    /// The N=1 foundation: one port over a fresh shared backside is
-    /// access-for-access identical to the banked hierarchy — completion
-    /// times and the full statistics block. Both constructors run the
-    /// one request path, so this holds by construction; the test keeps
-    /// the two ways of building it honest.
+    /// The two ownership forms: one port over a fresh shared backside
+    /// is access-for-access identical to the same finite-banked
+    /// hierarchy owning its backside — completion times and the full
+    /// statistics block. Both run the one request path, so this holds
+    /// by construction; the test keeps the `Rc` handle honest.
     #[test]
     fn single_port_matches_banked_hierarchy() {
         let p = MemParams::thunderx2();
-        let mut banked = Hierarchy::banked(p, 8);
-        let mut port = Hierarchy::port(Backside::shared(p, 8), 0);
+        let mut owned = owned_banked(p, 8);
+        let mut port = banked(p, 8);
         let lb = u64::from(p.line_bytes);
         for i in 0..512u64 {
             let addr = (i % 96) * lb * 3;
-            let a = banked.access(addr, i % 7 == 0, i);
+            let a = owned.access(addr, i % 7 == 0, i);
             let b = port.access(addr, i % 7 == 0, i);
             assert_eq!(a, b, "completion diverged at access {i}");
         }
-        assert_eq!(banked.stats(), port.stats());
+        assert_eq!(owned.stats(), port.stats());
     }
 
     /// Two streaming cores over one backside must each finish later

@@ -17,9 +17,10 @@
 //!   limits live in the core's load/store bandwidth and request-rate
 //!   parameters. A request split over several cache lines completes when
 //!   its slowest line does, but the line fetches proceed in parallel.
-//! * **Finite banks** — [`Hierarchy::banked`] adds occupancy-based bank
-//!   contention; it is the "hardware proxy" of the Table I validation
-//!   experiment (see DESIGN.md substitution table).
+//! * **Finite banks** — a [`Hierarchy::port`] into a finite-banked
+//!   backside adds occupancy-based bank contention; one such core is the
+//!   "hardware proxy" of the Table I validation experiment (see
+//!   DESIGN.md substitution table).
 //! * **Owned or shared backside** — a single core owns its backside; the
 //!   N cores of the multicore machine each drive a [`Hierarchy::port`]
 //!   into one `SharedBackside`.

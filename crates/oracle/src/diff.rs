@@ -21,7 +21,7 @@ use crate::interp::interpret;
 use armdse_isa::{Kernel, OpSummary, Program, TraceCursor};
 use armdse_memsim::MemParams;
 use armdse_rng::{SeedableRng, Xoshiro256pp};
-use armdse_simcore::{BankedProxy, CoreParams, Idealized, RunMode, SimBackend};
+use armdse_simcore::{CoreParams, Idealized, MultiCore, RunMode, SimBackend};
 
 /// Run one kernel through interpreter, cursor replay, and the OoO core
 /// on the given simulation backend; return `Err` describing the first
@@ -206,8 +206,9 @@ impl FuzzReport {
 
 /// Run a differential fuzz campaign: every program is generated, checked
 /// against the reference interpreter, and simulated on a random design
-/// point. Every fourth program runs on the hardware-proxy hierarchy;
-/// memory parameters are the fixed ThunderX2-like baseline.
+/// point. Every fourth program runs on the hardware proxy (the one-core
+/// finite-banked [`MultiCore`]); memory parameters are the fixed
+/// ThunderX2-like baseline.
 pub fn fuzz(cfg: &FuzzConfig) -> FuzzReport {
     fuzz_campaign(cfg, None)
 }
@@ -229,13 +230,14 @@ pub fn fuzz_with(cfg: &FuzzConfig, backend: &dyn SimBackend) -> FuzzReport {
 fn fuzz_campaign(cfg: &FuzzConfig, fixed: Option<&dyn SimBackend>) -> FuzzReport {
     let mut rng = Xoshiro256pp::seed_from_u64(cfg.seed);
     let mem = MemParams::thunderx2();
+    let proxy = MultiCore::default();
     let mut failures = Vec::new();
     for i in 0..cfg.programs {
         let kernel = random_kernel(&mut rng, &cfg.gen, format!("fuzz-{:#x}-{i}", cfg.seed));
         let core = random_core_params(&mut rng);
         let backend: &dyn SimBackend = match fixed {
             Some(b) => b,
-            None if i % 4 == 3 => &BankedProxy,
+            None if i % 4 == 3 => &proxy,
             None => &Idealized,
         };
         if let Err(error) = check_kernel(&kernel, &core, &mem, backend) {
@@ -272,7 +274,7 @@ mod tests {
         ];
         for k in &kernels {
             check_kernel(k, &core, &mem, &Idealized).unwrap();
-            check_kernel(k, &core, &mem, &BankedProxy).unwrap();
+            check_kernel(k, &core, &mem, &MultiCore::default()).unwrap();
         }
     }
 

@@ -12,10 +12,10 @@
 //!
 //! * [`Idealized`] — the default infinite-bank, SST-like hierarchy (the
 //!   paper's simulation path).
-//! * [`BankedProxy`] — the finite-banked "hardware proxy" hierarchy
-//!   standing in for the physical ThunderX2 of Table I.
-//! * [`crate::MultiCore`], [`crate::Memoized`] — the multicore machine
-//!   and the exact run-memoizing tier.
+//! * [`MultiCore`] — N cores over one finite-banked L2 + DRAM. Its
+//!   one-core default is the "hardware proxy" standing in for the
+//!   physical ThunderX2 of Table I.
+//! * [`crate::Memoized`] — the exact run-memoizing wrapper.
 //!
 //! Every backend that drives a pipeline builds it with `Pipeline::new` and
 //! collects it with `finish`; the latter owns the only copy of the
@@ -23,14 +23,14 @@
 
 use crate::counters::Counters;
 use crate::cycle_limit;
-use crate::multicore::{PerCoreMetrics, Topology};
+use crate::multicore::{MultiCore, PerCoreMetrics};
 use crate::params::CoreParams;
 use crate::pipeline::Pipeline;
-use crate::reuse::{Fidelity, ReuseStats};
+use crate::reuse::ReuseStats;
 use crate::stats::SimStats;
 use armdse_isa::instr::DynInstr;
 use armdse_isa::{OpSummary, Program};
-use armdse_memsim::{Hierarchy, MemParams, MemoryModel, DEFAULT_BANKS};
+use armdse_memsim::{Hierarchy, MemParams, MemoryModel};
 
 /// What a run observes besides its [`SimStats`]. Observation never
 /// perturbs the simulation: the statistics of a [`RunMode::Trace`] or
@@ -105,22 +105,16 @@ pub trait SimBackend: Send + Sync {
         None
     }
 
-    /// The fidelity tier this backend simulates at. Defaults to
-    /// [`Fidelity::Full`]: exact, uncached simulation.
-    fn fidelity(&self) -> Fidelity {
-        Fidelity::Full
-    }
-
     /// Drop any memoized run results so the next run starts cold.
     /// No-op for backends without reuse state (the default).
     fn clear_reuse_cache(&self) {}
 
-    /// The machine shape this backend simulates. Every classic backend
-    /// is the default single-core machine; [`crate::MultiCore`] reports
-    /// its core and shared-bank counts so orchestration code can label
-    /// rows and checkpoints without downcasting.
-    fn topology(&self) -> Topology {
-        Topology::default()
+    /// The machine shape this backend simulates. Every other backend
+    /// is the default single-core shape; [`MultiCore`] reports its own
+    /// core and shared-bank counts so orchestration code can label rows
+    /// and checkpoints without downcasting.
+    fn topology(&self) -> MultiCore {
+        MultiCore::default()
     }
 }
 
@@ -141,28 +135,10 @@ pub(crate) fn finish<M: MemoryModel>(
     }
 }
 
-/// Run `program` to completion on one core over an arbitrary memory
-/// model — what every single-core backend's [`SimBackend::run`] is.
-pub(crate) fn run_pipeline<M: MemoryModel>(
-    program: &Program,
-    core: &CoreParams,
-    mem: M,
-    mode: RunMode,
-) -> RunOutput {
-    let mut pipeline = Pipeline::new(program, core, mem, mode);
-    pipeline.drive_to(cycle_limit(program), u64::MAX);
-    finish(pipeline, program)
-}
-
 /// The default infinite-bank (SST-like) hierarchy — the paper's
 /// simulation path.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Idealized;
-
-/// The finite-banked "hardware proxy" hierarchy (the Table I hardware
-/// side; see the DESIGN.md substitution table).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct BankedProxy;
 
 impl SimBackend for Idealized {
     fn name(&self) -> &'static str {
@@ -176,23 +152,9 @@ impl SimBackend for Idealized {
         mem: &MemParams,
         mode: RunMode,
     ) -> RunOutput {
-        run_pipeline(program, core, Hierarchy::new(*mem), mode)
-    }
-}
-
-impl SimBackend for BankedProxy {
-    fn name(&self) -> &'static str {
-        "banked-proxy"
-    }
-
-    fn run(
-        &self,
-        program: &Program,
-        core: &CoreParams,
-        mem: &MemParams,
-        mode: RunMode,
-    ) -> RunOutput {
-        run_pipeline(program, core, Hierarchy::banked(*mem, DEFAULT_BANKS), mode)
+        let mut pipeline = Pipeline::new(program, core, Hierarchy::new(*mem), mode);
+        pipeline.drive_to(cycle_limit(program), u64::MAX);
+        finish(pipeline, program)
     }
 }
 
@@ -210,14 +172,14 @@ mod tests {
     #[test]
     fn backend_choice_works_through_dyn_dispatch() {
         let (p, c, m) = fixture();
-        let backends: [&dyn SimBackend; 2] = [&Idealized, &BankedProxy];
+        let backends: [&dyn SimBackend; 2] = [&Idealized, &MultiCore::default()];
         let mut names = Vec::new();
         for b in backends {
             let s = b.run(&p, &c, &m, RunMode::Plain).stats;
             assert!(s.validated, "{} failed validation", b.name());
             names.push(b.name());
         }
-        assert_eq!(names, ["idealized", "banked-proxy"]);
+        assert_eq!(names, ["idealized", "multicore"]);
     }
 
     #[test]
@@ -230,7 +192,7 @@ mod tests {
     #[test]
     fn metrics_runs_are_transparent_and_conserve_cycles() {
         let (p, c, m) = fixture();
-        let backends: [&dyn SimBackend; 2] = [&Idealized, &BankedProxy];
+        let backends: [&dyn SimBackend; 2] = [&Idealized, &MultiCore::default()];
         for b in backends {
             let plain = b.run(&p, &c, &m, RunMode::Plain).stats;
             let (stats, counters) = b.run(&p, &c, &m, RunMode::Metrics).into_metrics();
@@ -254,8 +216,9 @@ mod tests {
     #[test]
     fn traced_runs_match_untraced_timing() {
         let (p, c, m) = fixture();
-        let plain = BankedProxy.run(&p, &c, &m, RunMode::Plain).stats;
-        let (stats, trace) = BankedProxy.run(&p, &c, &m, RunMode::Trace).into_traced();
+        let proxy = MultiCore::default();
+        let plain = proxy.run(&p, &c, &m, RunMode::Plain).stats;
+        let (stats, trace) = proxy.run(&p, &c, &m, RunMode::Trace).into_traced();
         assert_eq!(stats, plain);
         assert_eq!(trace.len() as u64, stats.retired);
     }

@@ -35,11 +35,11 @@ mod regfile;
 mod reuse;
 mod stats;
 
-pub use backend::{BankedProxy, Idealized, RunMode, RunOutput, SimBackend};
+pub use backend::{Idealized, RunMode, RunOutput, SimBackend};
 pub use counters::{Counters, CycleBucket};
-pub use multicore::{MultiCore, PerCoreMetrics, Topology};
+pub use multicore::{MultiCore, PerCoreMetrics};
 pub use params::CoreParams;
-pub use reuse::{Fidelity, Memoized, ReuseStats, DEFAULT_INTERVAL_LEN};
+pub use reuse::{Memoized, ReuseStats, DEFAULT_INTERVAL_LEN};
 pub use stats::{SimStats, StallStats};
 
 use armdse_isa::Program;
@@ -244,7 +244,9 @@ mod tests {
         let (c, m) = tx2();
         let w = build_workload(App::Stream, WorkloadScale::Small, c.vector_length);
         let sim = simulate(&w.program, &c, &m);
-        let hw = BankedProxy.run(&w.program, &c, &m, RunMode::Plain).stats;
+        let hw = MultiCore::default()
+            .run(&w.program, &c, &m, RunMode::Plain)
+            .stats;
         assert!(hw.validated && sim.validated);
         assert_ne!(hw.cycles, sim.cycles);
     }

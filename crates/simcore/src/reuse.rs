@@ -1,4 +1,4 @@
-//! Run-level computation reuse: the memoizing fidelity tier.
+//! Run-level computation reuse: the exact run-memoizing backend.
 //!
 //! A campaign can ask for the *same* `(workload, design point)` run more
 //! than once: resubmitted jobs, an identical re-run, the differential
@@ -45,28 +45,6 @@ pub const DEFAULT_INTERVAL_LEN: u64 = 4096;
 /// a map slot and a FIFO slot, each in a table that may be half
 /// empty): 64 MiB / 1 428 B ≈ 47 000 runs.
 const MEMO_ENTRIES: usize = (64 << 20) / (std::mem::size_of::<Entry>() + 100);
-
-/// Simulation fidelity tier a backend runs at, reported via
-/// [`SimBackend::fidelity`] so orchestration layers (checkpoints, the
-/// repro CLI, the benchmark) can record what produced a number.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Fidelity {
-    /// Exact, uncached cycle-approximate simulation (the default).
-    Full,
-    /// Exact simulation with run-level memoization ([`Memoized`]).
-    Memoized,
-}
-
-impl Fidelity {
-    /// Stable lowercase tag for checkpoints and CLI flags
-    /// (`full` / `memoized`).
-    pub fn tag(&self) -> &'static str {
-        match self {
-            Fidelity::Full => "full",
-            Fidelity::Memoized => "memoized",
-        }
-    }
-}
 
 /// The memo key: the program's static identity, the whole design point
 /// and the mode (a metrics run carries counters a plain run lacks, so
@@ -164,10 +142,6 @@ impl<B: SimBackend> SimBackend for Memoized<B> {
         Some(self.cache.stats())
     }
 
-    fn fidelity(&self) -> Fidelity {
-        Fidelity::Memoized
-    }
-
     fn clear_reuse_cache(&self) {
         self.cache.clear();
     }
@@ -176,8 +150,9 @@ impl<B: SimBackend> SimBackend for Memoized<B> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::backend::{BankedProxy, Idealized};
+    use crate::backend::Idealized;
     use crate::counters::Counters;
+    use crate::multicore::MultiCore;
     use crate::stats::SimStats;
     use armdse_kernels::{build_workload, App, WorkloadScale};
 
@@ -219,9 +194,11 @@ mod tests {
     fn memoized_is_bit_identical_to_plain_backends() {
         for app in [App::Stream, App::MiniBude] {
             let (p, c, m) = fixture(app);
-            let uncached: [&dyn SimBackend; 2] = [&Idealized, &BankedProxy];
-            let cached: [&dyn SimBackend; 2] =
-                [&Memoized::new(Idealized), &Memoized::new(BankedProxy)];
+            let uncached: [&dyn SimBackend; 2] = [&Idealized, &MultiCore::default()];
+            let cached: [&dyn SimBackend; 2] = [
+                &Memoized::new(Idealized),
+                &Memoized::new(MultiCore::default()),
+            ];
             for (&b, &cb) in uncached.iter().zip(&cached) {
                 let want = plain(b, &p, &c, &m);
                 assert!(want.validated);
@@ -253,7 +230,7 @@ mod tests {
         let (p, c, m) = fixture(App::Stream);
         let pairs: [(&dyn SimBackend, &dyn SimBackend); 2] = [
             (&Idealized, &Memoized::new(Idealized)),
-            (&BankedProxy, &Memoized::new(BankedProxy)),
+            (&MultiCore::default(), &Memoized::new(MultiCore::default())),
         ];
         for (inner, memo) in pairs {
             let modes = [RunMode::Plain, RunMode::Metrics];
@@ -362,14 +339,10 @@ mod tests {
     }
 
     #[test]
-    fn memoized_fidelity_and_default_methods() {
-        let mem = Memoized::new(BankedProxy);
-        assert_eq!(mem.fidelity(), Fidelity::Memoized);
-        assert_eq!(mem.fidelity().tag(), "memoized");
+    fn memoized_name_and_default_methods() {
+        let mem = Memoized::new(MultiCore::default());
         assert_eq!(mem.name(), "memoized");
-        // Plain backends report the Full tier and no reuse stats.
-        assert_eq!(Idealized.fidelity(), Fidelity::Full);
-        assert_eq!(Idealized.fidelity().tag(), "full");
+        // Plain backends report no reuse stats.
         assert!(Idealized.reuse_stats().is_none());
         Idealized.clear_reuse_cache(); // no-op, must not panic
     }

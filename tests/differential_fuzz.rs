@@ -3,7 +3,7 @@
 //! Each program is run through three independent machines — the oracle's
 //! tree-walking interpreter, a straight-line trace replay of the lowered
 //! program, and the out-of-order pipeline (every 4th program on the
-//! banked hardware-proxy hierarchy) — and their architectural state and
+//! one-core finite-banked machine, the hardware proxy) — and their architectural state and
 //! retired-operation counts must agree exactly. This campaign is the
 //! repo's substitute for the paper's Table I validation against physical
 //! ThunderX2/A64FX hardware: instead of two physical machines, we cross

@@ -1,6 +1,5 @@
 //! End-to-end campaign tests for the multicore machine layer
-//! (`Engine::multicore`): the one-core machine is the single-core
-//! banked backend exactly, a two-core campaign over the new kernels
+//! (`Engine::multicore`): a two-core campaign over the new kernels
 //! (SpMV, GEMM, Graph) streams byte-identical artifacts at any worker
 //! thread count and across pause/resume, and a checkpoint written by a
 //! multicore campaign refuses to resume under a different machine
@@ -12,7 +11,6 @@ use armdse::core::orchestrator::GenOptions;
 use armdse::core::space::ParamSpace;
 use armdse::core::DseDataset;
 use armdse::kernels::{App, WorkloadScale};
-use armdse::simcore::BankedProxy;
 use std::path::PathBuf;
 
 const CONFIGS: usize = 8; // 8 configs x 3 apps = 24 jobs
@@ -56,19 +54,6 @@ fn campaign(engine: &Engine, threads: usize) -> (DseDataset, Vec<MetricsRow>) {
         .unwrap();
     assert!(summary.completed);
     (data, metrics)
-}
-
-#[test]
-fn one_core_machine_matches_the_banked_proxy_campaign() {
-    // Topology {1, 8} is the default shape: the machine must be the
-    // classic single-core banked path bit-for-bit, rows and metrics.
-    let (mc_data, mc_metrics) = campaign(&Engine::multicore(1, 8), 4);
-    let (bp_data, bp_metrics) = campaign(&Engine::new(Box::new(BankedProxy)), 4);
-    assert_eq!(mc_data, bp_data, "N=1 dataset diverged from BankedProxy");
-    assert_eq!(mc_metrics, bp_metrics, "N=1 metrics diverged");
-    // One core means aggregate-only metrics rows.
-    assert!(mc_metrics.iter().all(|m| m.core.is_none()));
-    assert_eq!(mc_metrics.len(), CONFIGS * KERNELS.len());
 }
 
 #[test]

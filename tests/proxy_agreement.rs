@@ -1,9 +1,9 @@
 //! Architectural agreement between the two memory back-ends.
 //!
-//! [`Idealized`] (idealised hierarchy) and [`BankedProxy`]
+//! [`Idealized`] (idealised hierarchy) and the one-core [`MultiCore`]
 //! (finite-banked hierarchy, the stand-in for the paper's physical
 //! ThunderX2 in Table I) model the *same* machine at different timing
-//! fidelity. Everything architectural — retired instruction count,
+//! detail. Everything architectural — retired instruction count,
 //! per-class retirement summary, validation verdict, and the committed
 //! instruction stream itself — must be identical between them; only
 //! cycle counts and memory-latency attribution may differ.
@@ -13,7 +13,7 @@ use armdse::core::DesignConfig;
 use armdse::isa::instr::DynInstr;
 use armdse::kernels::{build_workload, App, Workload, WorkloadScale};
 use armdse::oracle::ArchState;
-use armdse::simcore::{BankedProxy, Idealized, RunMode, SimBackend, SimStats};
+use armdse::simcore::{Idealized, MultiCore, RunMode, SimBackend, SimStats};
 
 fn plain(b: &dyn SimBackend, w: &Workload, cfg: &DesignConfig) -> SimStats {
     b.run(&w.program, &cfg.core, &cfg.mem, RunMode::Plain).stats
@@ -31,7 +31,7 @@ fn backends_agree_architecturally_on_every_app() {
         let cfg = space.sample_seeded(0x7A6E + i as u64);
         let w = build_workload(app, WorkloadScale::Tiny, cfg.core.vector_length);
         let a = plain(&Idealized, &w, &cfg);
-        let b = plain(&BankedProxy, &w, &cfg);
+        let b = plain(&MultiCore::default(), &w, &cfg);
 
         assert_eq!(a.retired, b.retired, "{app:?}: retired count diverged");
         assert_eq!(
@@ -52,7 +52,7 @@ fn backends_commit_the_identical_instruction_stream() {
     let cfg = DesignConfig::thunderx2();
     let w = build_workload(App::Stream, WorkloadScale::Tiny, cfg.core.vector_length);
     let (a, trace_a) = traced(&Idealized, &w, &cfg);
-    let (b, trace_b) = traced(&BankedProxy, &w, &cfg);
+    let (b, trace_b) = traced(&MultiCore::default(), &w, &cfg);
 
     assert_eq!(
         trace_a, trace_b,
@@ -80,8 +80,8 @@ fn trace_mode_is_timing_transparent() {
     // observation channel, not a different model.
     let cfg = DesignConfig::thunderx2();
     let w = build_workload(App::TeaLeaf, WorkloadScale::Tiny, cfg.core.vector_length);
-    let unobserved = plain(&BankedProxy, &w, &cfg);
-    let (stats, trace) = traced(&BankedProxy, &w, &cfg);
+    let unobserved = plain(&MultiCore::default(), &w, &cfg);
+    let (stats, trace) = traced(&MultiCore::default(), &w, &cfg);
     assert_eq!(unobserved, stats, "tracing changed the statistics");
     assert_eq!(trace.len() as u64, unobserved.retired);
 }
@@ -94,7 +94,7 @@ fn backends_differ_only_in_timing() {
     let cfg = DesignConfig::thunderx2();
     let w = build_workload(App::Stream, WorkloadScale::Small, cfg.core.vector_length);
     let a = plain(&Idealized, &w, &cfg);
-    let b = plain(&BankedProxy, &w, &cfg);
+    let b = plain(&MultiCore::default(), &w, &cfg);
     assert_eq!(a.retired, b.retired);
     assert_eq!(a.observed, b.observed);
     assert_ne!(a.cycles, b.cycles, "proxy back-end never affected timing");

@@ -11,7 +11,7 @@ use armdse::core::orchestrator::GenOptions;
 use armdse::core::space::ParamSpace;
 use armdse::core::{CsvSink, Engine, Progress, RunControl, RunPlan};
 use armdse::kernels::{App, WorkloadScale};
-use armdse::simcore::{BankedProxy, Counters, Idealized, Memoized, RunMode, SimBackend, SimStats};
+use armdse::simcore::{Counters, Idealized, Memoized, MultiCore, RunMode, SimBackend, SimStats};
 
 /// A small campaign over the paper's ThunderX2-anchored space: every
 /// config is a constrained sample around the baseline's parameter
@@ -74,9 +74,11 @@ fn dataset_csv_bytes_identical_in_every_cache_state() {
     }
 }
 
-/// A memoized campaign paused by a binary of the interval tier left one
-/// more key in its checkpoint (`reuse.interval_len`). The run loop no
-/// longer inspects it, and the resumed CSV is the reference's bytes.
+/// A memoized campaign paused by a binary of the interval tier left a
+/// `v2` checkpoint naming its tier (`reuse.fidelity=memoized`) and its
+/// interval length (`reuse.interval_len`). The run loop accepts the
+/// first and no longer inspects the second, and the resumed CSV is the
+/// reference's bytes.
 #[test]
 fn a_checkpoint_left_by_the_interval_tier_resumes_to_the_same_bytes() {
     let p = plan(5, 2).with_chunk_jobs(4); // 10 jobs: chunks of 4, 4, 2
@@ -97,8 +99,12 @@ fn a_checkpoint_left_by_the_interval_tier_resumes_to_the_same_bytes() {
     assert_eq!((paused.completed, paused.jobs_done), (false, 4));
     drop(sink);
     let body = std::fs::read_to_string(&ckpt).unwrap();
-    assert!(body.ends_with("reuse.fidelity=memoized\n"), "{body}");
-    std::fs::write(&ckpt, body + "reuse.interval_len=4096\n").unwrap();
+    let legacy = body.replace(" v1\n", " v2\n");
+    std::fs::write(
+        &ckpt,
+        legacy + "reuse.fidelity=memoized\nreuse.interval_len=4096\n",
+    )
+    .unwrap();
 
     let mut sink = CsvSink::append(&csv).unwrap();
     let control = RunControl {
@@ -132,7 +138,10 @@ fn stats_and_counters_bit_identical_on_subspace_grid() {
             Box::new(Idealized) as Box<dyn SimBackend>,
             Box::new(Memoized::new(Idealized)) as Box<dyn SimBackend>,
         ),
-        (Box::new(BankedProxy), Box::new(Memoized::new(BankedProxy))),
+        (
+            Box::new(MultiCore::default()),
+            Box::new(Memoized::new(MultiCore::default())),
+        ),
     ] {
         for app in [App::Stream, App::MiniSweep] {
             let w = plain.workload(app, scale, core_baseline.vector_length);

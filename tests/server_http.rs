@@ -177,7 +177,7 @@ fn error_responses_carry_documented_status_codes() {
     for body in [
         "not json",
         "{\"bogus\": 1}",
-        "{\"configs\": 2, \"fidelity\": \"memoized\", \"interval_len\": 64}",
+        "{\"configs\": 2, \"interval_len\": 64}",
         "{\"configs\": 4, \"scale\": \"tiny\", \"configs\": 4000}",
         "{\"seed\": 3}",
         "{\"configs\": 0}",

@@ -11,6 +11,9 @@
 //! * a job whose CSV ran past its checkpoint when the process died
 //!   (a flushed chunk plus a torn line) reopens and resumes to the
 //!   bytes of an uninterrupted run;
+//! * a store an earlier server left at the memoized tier (a
+//!   `"fidelity"` key in the spec, `reuse.fidelity` in the checkpoint)
+//!   reopens paused and resumes to the idealized engine's bytes;
 //! * pin *values* are outside input: one no sample can rescue is
 //!   refused at submission, and one that only some design points
 //!   reject fails that job — naming the config — without taking the
@@ -18,7 +21,7 @@
 
 use armdse::core::engine::Checkpoint;
 use armdse::core::space::ParamSpace;
-use armdse::core::{ArmdseError, CsvSink, JobScheduler, JobSpec, JobState};
+use armdse::core::{ArmdseError, CsvSink, Engine, JobScheduler, JobSpec, JobState};
 use armdse::kernels::{App, WorkloadScale};
 use std::path::{Path, PathBuf};
 use std::time::Duration;
@@ -44,7 +47,7 @@ fn spec(configs: usize, seed: u64, threads: usize) -> JobSpec {
 }
 
 /// Reference bytes: a direct, uninterrupted `Engine::run` of the same
-/// plan the job executes (own engine at the spec's fidelity).
+/// plan the job executes (on the spec's own engine).
 fn direct_csv(spec: &JobSpec, dir: &Path, tag: &str) -> Vec<u8> {
     let plan = spec.plan(&ParamSpace::paper()).unwrap();
     let path = dir.join(format!("direct_{tag}.csv"));
@@ -71,12 +74,12 @@ fn concurrent_jobs_with_different_seeds_match_serial_runs() {
     assert_eq!(st_b.state, JobState::Done, "job b: {:?}", st_b.error);
     assert_eq!(st_a.jobs_done, st_a.total_jobs);
     assert_eq!(
-        std::fs::read(a.csv_path()).unwrap(),
+        std::fs::read(&a.files().csv).unwrap(),
         direct_csv(&spec_a, &dir, "a"),
         "concurrent job a diverged from its serial reference run"
     );
     assert_eq!(
-        std::fs::read(b.csv_path()).unwrap(),
+        std::fs::read(&b.files().csv).unwrap(),
         direct_csv(&spec_b, &dir, "b"),
         "concurrent job b diverged from its serial reference run"
     );
@@ -115,12 +118,12 @@ fn cancel_mid_campaign_leaves_loadable_checkpoint() {
 
     // The checkpoint on disk is loadable and consistent with both the
     // final status and the CSV written so far.
-    let ckpt = Checkpoint::load(&job.ckpt_path()).unwrap();
+    let ckpt = Checkpoint::load(&job.files().checkpoint).unwrap();
     assert_eq!(ckpt.jobs_done, fin.jobs_done);
     assert_eq!(ckpt.rows, fin.rows);
     assert_eq!(ckpt.discarded, fin.discarded);
     assert_eq!(ckpt.rows + ckpt.discarded, ckpt.jobs_done);
-    let csv = std::fs::read_to_string(job.csv_path()).unwrap();
+    let csv = std::fs::read_to_string(&job.files().csv).unwrap();
     assert_eq!(
         csv.lines().count(),
         ckpt.rows + 1, // header line
@@ -177,7 +180,7 @@ fn job_csv_written_past_its_checkpoint_resumes_to_direct_run_bytes() {
     let st = job.status();
     assert_eq!(st.state, JobState::Paused);
     assert!(st.jobs_done > 0 && st.jobs_done < st.total_jobs);
-    let rows = Checkpoint::load(&job.ckpt_path()).unwrap().rows;
+    let rows = Checkpoint::load(&job.files().checkpoint).unwrap().rows;
 
     // The crash: the next chunk's rows reached the file, and half of
     // the row after them, but the checkpoint write never happened.
@@ -185,7 +188,7 @@ fn job_csv_written_past_its_checkpoint_resumes_to_direct_run_bytes() {
     let damage = next[..4].join("\n") + "\n" + &next[4][..next[4].len() / 2];
     let mut csv = std::fs::OpenOptions::new()
         .append(true)
-        .open(job.csv_path())
+        .open(&job.files().csv)
         .unwrap();
     std::io::Write::write_all(&mut csv, damage.as_bytes()).unwrap();
     drop((csv, sched));
@@ -197,8 +200,59 @@ fn job_csv_written_past_its_checkpoint_resumes_to_direct_run_bytes() {
     let fin = job.wait_terminal();
     assert_eq!(fin.state, JobState::Done, "{:?}", fin.error);
     assert!(
-        std::fs::read_to_string(job.csv_path()).unwrap() == reference,
+        std::fs::read_to_string(&job.files().csv).unwrap() == reference,
         "resumed job diverged from the direct run"
+    );
+    sched.shutdown();
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A store written by a server that still had the fidelity knob: the
+/// spec carries `"fidelity": "memoized"` and the paused checkpoint a
+/// `v2` header with `reuse.fidelity=memoized`. Both tiers were exact,
+/// so the job reopens paused and finishes with the idealized engine's
+/// bytes.
+#[test]
+fn a_store_left_at_the_memoized_tier_reopens_and_resumes_to_idealized_bytes() {
+    let dir = tmp("memoized_store");
+    let sched = JobScheduler::open(&dir.join("jobs"), 1).unwrap();
+    let mut s = spec(40, 0x3E30_12ED, 2);
+    s.chunk_jobs = 4; // 40 chunks: shutdown lands mid-campaign
+    let job = sched.submit(s.clone()).unwrap();
+    let mut st = job.status();
+    while st.jobs_done == 0 && !st.state.is_terminal() {
+        st = job.wait_change(st.version, Duration::from_millis(200));
+    }
+    sched.shutdown();
+    assert_eq!(job.status().state, JobState::Paused);
+    let files = job.files().clone();
+    let spec_path = files.csv.with_extension("spec.json");
+    let wire = std::fs::read_to_string(&spec_path).unwrap();
+    let legacy = wire.replace(
+        "  \"metrics\"",
+        "  \"fidelity\": \"memoized\",\n  \"metrics\"",
+    );
+    assert_ne!(legacy, wire);
+    std::fs::write(&spec_path, legacy).unwrap();
+    let ckpt = std::fs::read_to_string(&files.checkpoint).unwrap();
+    let legacy = ckpt.replace(" v1\n", " v2\n") + "reuse.fidelity=memoized\n";
+    std::fs::write(&files.checkpoint, legacy).unwrap();
+    drop(sched);
+
+    let sched = JobScheduler::open(&dir.join("jobs"), 1).unwrap();
+    let job = sched.store().get(job.id()).expect("the legacy spec parses");
+    assert_eq!(job.status().state, JobState::Paused);
+    sched.resume(job.id()).unwrap();
+    let fin = job.wait_terminal();
+    assert_eq!(fin.state, JobState::Done, "{:?}", fin.error);
+    let plan = s.plan(&ParamSpace::paper()).unwrap();
+    let direct = dir.join("direct_idealized.csv");
+    let mut sink = CsvSink::create(&direct).unwrap();
+    Engine::idealized().run(&plan, &mut sink).unwrap();
+    drop(sink);
+    assert!(
+        std::fs::read(&files.csv).unwrap() == std::fs::read(&direct).unwrap(),
+        "resumed memoized-tier job diverged from the idealized run"
     );
     sched.shutdown();
     std::fs::remove_dir_all(&dir).ok();
