@@ -21,6 +21,7 @@
 #   PR 26 (one reviewed public surface): 18121 -> 17854
 #   PR 27 (pipeline as stages): 17854 -> 17854
 #   PR 28 (one machine value, no fidelity knob): 17854 -> 17692
+#   PR 29 (one way to make each repro artifact): 17692 -> 17586
 set -eux
 
 cd "$(dirname "$0")"
@@ -141,6 +142,27 @@ if grep -q 'Projected' "$SMOKE/mcx/multicore.txt"; then
   echo 'FAIL: repro multicore must only report the measured machine' >&2
   exit 1
 fi
+
+# One-protocol lane: `repro all` is the list of its experiments, so an
+# experiment run on its own over the same dataset writes the bytes `all`
+# wrote. Each standalone run gets a directory holding a copy of all's
+# dataset.csv; every file it writes is compared with all's file of the
+# same name (`dataset` regenerates the CSV, so that is compared too; the
+# summary is the one file `all` does not write, and `explore` writes
+# nothing `all` does).
+ONE="--configs 40 --scale tiny --sweep-configs 2 --threads 2"
+./target/release/repro all $ONE --out "$SMOKE/all" --metrics "$SMOKE/all/metrics"
+test -f "$SMOKE/all/metrics/bottleneck.txt"
+for E in fig1 table1 dataset summary fig2 fig3 fig4 fig5 fig6 fig7 fig8 \
+    headline unseen multicore crossval; do
+  mkdir -p "$SMOKE/one/$E"
+  cp "$SMOKE/all/dataset.csv" "$SMOKE/one/$E/"
+  ./target/release/repro "$E" $ONE --out "$SMOKE/one/$E" > /dev/null
+  for F in "$SMOKE/one/$E"/*; do
+    N=$(basename "$F")
+    test "$N" = dataset_summary.txt || cmp "$F" "$SMOKE/all/$N"
+  done
+done
 
 # Docs link-check: every relative markdown link target in README.md and
 # docs/*.md must exist on disk (external http(s) links are skipped).

@@ -4,7 +4,7 @@
 
 use crate::report;
 use armdse_core::surrogate::TOLERANCES;
-use armdse_core::{DseDataset, SurrogateSuite};
+use armdse_core::SurrogateSuite;
 
 /// The reproduced Fig. 2 data.
 #[derive(Debug, Clone, PartialEq)]
@@ -15,13 +15,7 @@ pub struct Fig2 {
     pub mean_accuracy_pct: f64,
 }
 
-/// Train the per-app surrogates and evaluate their tolerance curves.
-pub fn run(data: &DseDataset, seed: u64) -> Fig2 {
-    let suite = SurrogateSuite::train(data, 0.2, seed);
-    from_suite(&suite)
-}
-
-/// Extract Fig. 2 from an already-trained suite.
+/// Fig. 2 from the trained per-app surrogates' tolerance curves.
 pub fn from_suite(suite: &SurrogateSuite) -> Fig2 {
     Fig2 {
         curves: suite
@@ -67,7 +61,7 @@ mod tests {
 
     #[test]
     fn curves_cover_all_sampled_apps_and_are_monotone() {
-        let f = run(&dataset(&quick(40)), 3);
+        let f = from_suite(&SurrogateSuite::train(&dataset(&quick(40)), 0.2, 3));
         assert_eq!(f.curves.len(), 4);
         for (_, curve) in &f.curves {
             for w in curve.windows(2) {

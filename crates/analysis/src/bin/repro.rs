@@ -14,8 +14,9 @@
 //!   dataset   generate and save the design-space dataset (CSV)
 //!   fig2      prediction-accuracy tolerance curves
 //!   fig3      permutation feature importances (full space)
-//!   fig4      importances with vector length fixed at 128
-//!   fig5      importances with vector length fixed at 2048
+//!   fig4      importances with vector length fixed at 128 (a campaign of
+//!             its own at half --configs)
+//!   fig5      importances with vector length fixed at 2048 (likewise)
 //!   fig6      speedup vs vector length (STREAM, miniBUDE)
 //!   fig7      speedup vs ROB size
 //!   fig8      speedup vs FP/SVE register count
@@ -24,9 +25,10 @@
 //!   multicore extension: slowdown under shared-L2/DRAM contention on the
 //!             1/2/4/8/16-core machine
 //!   crossval  extension: surrogate partial dependence vs fresh simulation
-//!   summary   distribution/coverage summary of the cached dataset
+//!   summary   per-app cycle distribution of the cached dataset
 //!   explore   surrogate-guided adaptive exploration (budget via --explore)
-//!   all       everything above, sharing one dataset
+//!   all       fig1 table1 fig2 ... crossval: everything above but dataset,
+//!             summary and explore, in the paper's order
 //! ```
 //!
 //! Dataset generation streams rows straight to `<out>/dataset.csv` and
@@ -69,10 +71,12 @@
 //! (cycle-accounting shares + the bottleneck-vs-importance cross-tab)
 //! is emitted into the same directory.
 //! All experiments in one invocation share a single [`Engine`] (and so
-//! one workload cache).
+//! one workload cache), one dataset, one trained surrogate suite and one
+//! Fig. 7/8 sweep: each artifact is built one way, so `all` and the
+//! experiment's own run write the same bytes.
 
 use armdse_analysis::report::{discarded_table, tables_to_json, Table};
-use armdse_analysis::sweeps::SweepOptions;
+use armdse_analysis::sweeps::{SweepFig, SweepOptions};
 use armdse_analysis::{
     accuracy, bottleneck, crossval, fig1, headline, importance, multicore, sweeps, table1, unseen,
 };
@@ -83,8 +87,17 @@ use armdse_core::{ArmdseError, CampaignFiles, DseDataset, JobSpec, SurrogateSuit
 use armdse_kernels::{App, WorkloadScale};
 use armdse_server::{Server, ServerConfig};
 use armdse_simcore::MultiCore;
+use std::cell::OnceCell;
 use std::path::{Path, PathBuf};
 use std::time::Instant;
+
+/// What `all` runs, in emission order.
+const ALL: &str =
+    "fig1 table1 fig2 fig3 fig4 fig5 fig6 fig7 fig8 headline unseen multicore crossval";
+
+/// The experiments `all` leaves out: the campaign itself, its summary,
+/// and the adaptive loop.
+const ALONE: &str = "dataset summary explore";
 
 struct Cli {
     experiment: String,
@@ -112,6 +125,13 @@ fn num<T: std::str::FromStr>(flag: &str, value: &str) -> Result<T, String> {
 
 fn parse_args(mut args: impl Iterator<Item = String>) -> Result<Cli, String> {
     let experiment = args.next().ok_or("missing experiment name")?;
+    let known = ALL
+        .split(' ')
+        .chain(ALONE.split(' '))
+        .any(|e| e == experiment);
+    if experiment != "all" && !known {
+        return Err(format!("unknown experiment {experiment}"));
+    }
     let mut spec = JobSpec {
         configs: 400,
         seed: 20240931, // arbitrary fixed seed for reproducibility
@@ -187,8 +207,10 @@ fn main() {
     };
     std::fs::create_dir_all(&cli.out).expect("create output directory");
     let t0 = Instant::now();
-    run(&cli);
-    eprintln!("[repro] {} finished in {:?}", cli.experiment, t0.elapsed());
+    let session = Session::new(cli);
+    session.run();
+    let experiment = &session.cli.experiment;
+    eprintln!("[repro] {experiment} finished in {:?}", t0.elapsed());
 }
 
 /// Report an engine error and exit (plan/checkpoint problems are user
@@ -248,146 +270,336 @@ fn serve(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-fn run(cli: &Cli) {
-    let space = ParamSpace::paper();
-    let spec = &cli.spec;
-    let engine = spec.engine();
-    let topology = spec.topology();
-    if topology != MultiCore::default() {
-        eprintln!(
-            "[repro] multicore machine: {} core(s), {} shared-L2 bank(s)",
-            topology.cores, topology.banks
-        );
-    }
-    let sweep = SweepOptions {
-        base_configs: cli.sweep_configs,
-        scale: spec.scale,
-        seed: spec.seed ^ 0x5EED_CAFE,
-    };
-    // `multicore` and `all` emit the same artifact from this one site.
-    let emit_multicore = || {
-        let fig = multicore::run(&engine, spec.scale);
-        emit_table(cli, "multicore", &fig.table());
-    };
+/// One `repro` invocation: the command line, the machine, and the inputs
+/// experiments share (the dataset, the surrogates trained on it, Figs. 7
+/// and 8), each built on first use and at most once. An artifact so has
+/// the same bytes whether `all` or its own experiment wrote it.
+struct Session {
+    cli: Cli,
+    space: ParamSpace,
+    engine: Engine,
+    sweep: SweepOptions,
+    data: OnceCell<DseDataset>,
+    suite: OnceCell<SurrogateSuite>,
+    fig7: OnceCell<SweepFig>,
+    fig8: OnceCell<SweepFig>,
+}
 
-    match cli.experiment.as_str() {
-        "fig1" => {
-            emit_table(cli, "fig1", &fig1::run(&engine, spec.scale).table());
+impl Session {
+    fn new(cli: Cli) -> Session {
+        Session {
+            engine: cli.spec.engine(),
+            space: ParamSpace::paper(),
+            sweep: SweepOptions {
+                base_configs: cli.sweep_configs,
+                scale: cli.spec.scale,
+                seed: cli.spec.seed ^ 0x5EED_CAFE,
+            },
+            cli,
+            data: OnceCell::new(),
+            suite: OnceCell::new(),
+            fig7: OnceCell::new(),
+            fig8: OnceCell::new(),
         }
-        "table1" => {
-            emit_table(cli, "table1", &table1::run(&engine, spec.scale).table());
+    }
+
+    /// Run the command line's experiment; `all` runs [`ALL`] in order.
+    fn run(&self) {
+        let topology = self.cli.spec.topology();
+        if topology != MultiCore::default() {
+            eprintln!(
+                "[repro] multicore machine: {} core(s), {} shared-L2 bank(s)",
+                topology.cores, topology.banks
+            );
         }
-        "dataset" => {
-            let data = dataset(cli, &space, &engine, true);
-            emit_text(cli, "dataset_summary", &data.summary().to_table());
+        match self.cli.experiment.as_str() {
+            "all" => ALL.split(' ').for_each(|name| self.experiment(name)),
+            name => self.experiment(name),
         }
-        "fig2" => {
-            let data = dataset(cli, &space, &engine, false);
-            emit_table(cli, "fig2", &accuracy::run(&data, spec.seed).table());
-        }
-        "fig3" => {
-            let data = dataset(cli, &space, &engine, false);
-            emit_table(cli, "fig3", &importance::fig3(&data, spec.seed).table());
-        }
-        "fig4" | "fig5" => {
-            let vl = if cli.experiment == "fig4" { 128 } else { 2048 };
-            let fig = importance::fig45(&engine, &space, spec, vl).unwrap_or_else(|e| fail(e));
-            emit_table(cli, &cli.experiment, &fig.table());
-        }
-        "fig6" => {
-            let f = sweeps::fig6(&engine, &space, &sweep);
-            emit_chart(cli, "fig6", &f.table(), &f.to_chart());
-        }
-        "fig7" => {
-            let f = sweeps::fig7(&engine, &space, &sweep);
-            emit_chart(cli, "fig7", &f.table(), &f.to_chart());
-        }
-        "fig8" => {
-            let f = sweeps::fig8(&engine, &space, &sweep);
-            emit_chart(cli, "fig8", &f.table(), &f.to_chart());
-        }
-        "summary" => {
-            let data = dataset(cli, &space, &engine, false);
-            emit_text(cli, "dataset_summary", &data.summary().to_table());
-        }
-        "explore" => explore(cli, &space, &engine),
-        "crossval" => {
-            let data = dataset(cli, &space, &engine, false);
-            let f7 = sweeps::fig7(&engine, &space, &sweep);
-            emit_tables(
-                cli,
-                "crossval",
-                &crossval::run(&data, &f7, spec.seed).tables(),
+    }
+
+    /// Build one experiment's artifact and emit it under `--out`.
+    fn experiment(&self, name: &str) {
+        let (engine, spec) = (&self.engine, &self.cli.spec);
+        let charted = |fig: &SweepFig| (vec![fig.table()], Some(fig.to_chart()));
+        let (tables, chart) = match name {
+            "fig1" => (vec![fig1::run(engine, spec.scale).table()], None),
+            "table1" => (vec![table1::run(engine, spec.scale).table()], None),
+            "dataset" | "summary" => {
+                let summary = self.dataset().summary().to_table();
+                return emit_text(&self.cli.out, "dataset_summary", &summary);
+            }
+            "fig2" => (vec![accuracy::from_suite(self.suite()).table()], None),
+            "fig3" => (
+                vec![importance::from_suite(self.suite(), "Fig. 3").table()],
                 None,
+            ),
+            "fig4" | "fig5" => {
+                // Campaigns of their own with the vector length pinned,
+                // at half `--configs`.
+                let pinned = JobSpec {
+                    configs: (spec.configs / 2).clamp(20, 1500),
+                    ..spec.clone()
+                };
+                let vl = if name == "fig4" { 128 } else { 2048 };
+                let fig = importance::fig45(engine, &self.space, &pinned, vl);
+                (vec![fig.unwrap_or_else(|e| fail(e)).table()], None)
+            }
+            "fig6" => charted(&sweeps::fig6(engine, &self.space, &self.sweep)),
+            "fig7" => charted(self.fig7()),
+            "fig8" => charted(self.fig8()),
+            "headline" => {
+                let fig = headline::from_parts(self.suite(), self.fig7(), self.fig8());
+                (vec![fig.table()], None)
+            }
+            "unseen" => (vec![unseen::run(self.dataset(), spec.seed).table()], None),
+            "multicore" => (vec![multicore::run(engine, spec.scale).table()], None),
+            "crossval" => {
+                let fig = crossval::run(self.dataset(), self.suite(), self.fig7());
+                (fig.tables(), None)
+            }
+            "explore" => return self.explore(),
+            _ => unreachable!("parse_args admits only known experiments"),
+        };
+        emit(&self.cli.out, name, &tables, chart.as_deref());
+    }
+
+    /// The campaign's dataset, loaded or generated on first use. A
+    /// campaign generated here under `--metrics` also gets its bottleneck
+    /// report, emitted once the cell is set: the report reads the suite,
+    /// and the suite reads the dataset.
+    fn dataset(&self) -> &DseDataset {
+        if let Some(data) = self.data.get() {
+            return data;
+        }
+        let (data, generated) = self.load_or_generate();
+        let data = self.data.get_or_init(|| data);
+        if let Some(dir) = self.cli.metrics.as_ref().filter(|_| generated) {
+            self.emit_bottleneck(dir);
+        }
+        data
+    }
+
+    /// The per-app surrogates trained on the dataset.
+    fn suite(&self) -> &SurrogateSuite {
+        // Outside the cell's initialiser: building the dataset may emit
+        // the bottleneck report, which reads this suite.
+        let data = self.dataset();
+        self.suite
+            .get_or_init(|| SurrogateSuite::train(data, 0.2, self.cli.spec.seed))
+    }
+
+    fn fig7(&self) -> &SweepFig {
+        self.fig7
+            .get_or_init(|| sweeps::fig7(&self.engine, &self.space, &self.sweep))
+    }
+
+    fn fig8(&self) -> &SweepFig {
+        self.fig8
+            .get_or_init(|| sweeps::fig8(&self.engine, &self.space, &self.sweep))
+    }
+
+    /// Run the surrogate-guided adaptive exploration loop (the `explore`
+    /// experiment). The candidate pool is `--configs` seeded STREAM
+    /// design points; the simulation budget defaults to a tenth of the
+    /// pool. The explorer streams its artifacts under `--out` itself;
+    /// this adds the per-chunk progress log, `--max-chunks` pause
+    /// semantics, and a final accuracy-vs-samples summary table.
+    fn explore(&self) {
+        let cli = &self.cli;
+        let eopts = ExploreOptions {
+            scale: cli.spec.scale,
+            seed: cli.spec.seed,
+            threads: cli.spec.threads,
+            pareto: cli.explore_pareto,
+            ..explore_sizes(cli.spec.configs, cli.explore_budget)
+        };
+        let pool = eopts.pool;
+        eprintln!(
+            "[repro] {} exploration: pool {}, budget {} in {} round(s){} ...",
+            if cli.resume { "resuming" } else { "running" },
+            eopts.pool,
+            eopts.budget,
+            eopts.rounds(),
+            if eopts.pareto { ", Pareto mode" } else { "" }
+        );
+        let mut chunks = 0usize;
+        let max_chunks = cli.max_chunks;
+        let mut observer = |p: &ExploreProgress| {
+            eprintln!(
+                "[repro]   round {}/{}: {}/{} jobs, {}/{} samples",
+                p.round + 1,
+                p.rounds,
+                p.jobs_done,
+                p.round_jobs,
+                p.samples,
+                p.budget
+            );
+            chunks += 1;
+            max_chunks.is_none_or(|max| chunks < max)
+        };
+        let report = Explorer::new(&self.engine, &self.space, eopts, &cli.out)
+            .unwrap_or_else(|e| fail(e))
+            .run(ExploreControl {
+                resume: cli.resume,
+                observer: Some(&mut observer),
+            })
+            .unwrap_or_else(|e| fail(e));
+        if !report.completed {
+            eprintln!(
+                "[repro] explore paused after {} round(s) with {} sample(s) (--max-chunks); \
+                 continue with --resume",
+                report.rounds_done, report.samples
+            );
+            std::process::exit(0);
+        }
+        let rows: Vec<Vec<String>> = report
+            .curve
+            .iter()
+            .map(|p| {
+                vec![
+                    p.round.to_string(),
+                    p.samples.to_string(),
+                    format!("{:.3}", p.epsilon),
+                    format!("{:.4}", p.r2),
+                    format!("{:.0}", p.mae),
+                ]
+            })
+            .collect();
+        let table = Table::new(
+            "Adaptive exploration: surrogate accuracy vs samples",
+            &["round", "samples", "epsilon", "holdout R2", "holdout MAE"],
+            rows,
+        )
+        .note(format!(
+            "{} simulations selected from a {}-candidate pool; final holdout R2 {:.4}",
+            report.samples,
+            pool,
+            report.final_r2()
+        ));
+        emit(&cli.out, "explore_summary", &[table], None);
+    }
+
+    /// Load the dataset CSV if present and complete, else generate it by
+    /// streaming rows to `<out>/dataset.csv` with a checkpoint after each
+    /// chunk; `true` beside the dataset says it was generated. With
+    /// `--resume` an interrupted campaign continues from its checkpoint;
+    /// the finished file is byte-identical to an uninterrupted run. The
+    /// `dataset` experiment regenerates a complete dataset — unless
+    /// `--resume` says to keep what is there.
+    fn load_or_generate(&self) -> (DseDataset, bool) {
+        let cli = &self.cli;
+        let force_regen = cli.experiment == "dataset";
+        let files = dataset_files(cli);
+        let path = &files.csv;
+
+        // A CSV with a checkpoint beside it is a campaign in flight, not
+        // a dataset: this function removes the checkpoint on completion.
+        if !files.checkpoint.exists() {
+            if cli.resume || !force_regen {
+                if let Ok(d) = DseDataset::load_csv(path) {
+                    if cli.resume {
+                        eprintln!(
+                            "[repro] nothing to resume: {} is complete ({} rows)",
+                            path.display(),
+                            d.rows.len()
+                        );
+                    } else {
+                        eprintln!(
+                            "[repro] loaded {} rows from {}",
+                            d.rows.len(),
+                            path.display()
+                        );
+                    }
+                    return (d, false);
+                }
+            }
+        } else if !force_regen && !cli.resume {
+            eprintln!(
+                "[repro] {} is incomplete (checkpoint present) — regenerating from scratch; \
+                 pass --resume to continue it instead",
+                path.display()
             );
         }
-        "multicore" => emit_multicore(),
-        "unseen" => {
-            let data = dataset(cli, &space, &engine, false);
-            emit_table(cli, "unseen", &unseen::run(&data, spec.seed).table());
+
+        let plan = cli.spec.plan(&self.space).unwrap_or_else(|e| fail(e));
+        if let Some(dir) = &cli.metrics {
+            std::fs::create_dir_all(dir).expect("create metrics directory");
         }
-        "headline" => {
-            let data = dataset(cli, &space, &engine, false);
-            emit_table(
-                cli,
-                "headline",
-                &headline::run(&engine, &data, &space, &sweep, spec.seed).table(),
+        let mut campaign = files.open(!cli.resume).unwrap_or_else(|e| fail(e));
+        eprintln!(
+            "[repro] {} dataset: {} configs x {} apps = {} jobs ...",
+            if campaign.position.is_some() {
+                "resuming"
+            } else {
+                "generating"
+            },
+            plan.configs(),
+            plan.apps().len(),
+            plan.jobs()
+        );
+        let mut chunks = 0usize;
+        let max_chunks = cli.max_chunks;
+        let mut observer = |p: &Progress| {
+            eprintln!(
+                "[repro]   {}/{} jobs ({:.0}%), {} rows, {} discarded",
+                p.jobs_done,
+                p.total_jobs,
+                100.0 * p.fraction(),
+                p.rows,
+                p.discarded
             );
+            chunks += 1;
+            max_chunks.is_none_or(|max| chunks < max)
+        };
+        let summary = campaign
+            .run(&self.engine, &plan, Some(&mut observer), None)
+            .unwrap_or_else(|e| fail(e));
+        if !summary.completed {
+            eprintln!(
+                "[repro] paused after {} chunk(s) at job {}/{} (--max-chunks); continue with --resume",
+                cli.max_chunks.unwrap_or(0),
+                summary.jobs_done,
+                summary.jobs
+            );
+            std::process::exit(0);
         }
-        "all" => {
-            emit_table(cli, "fig1", &fig1::run(&engine, spec.scale).table());
-            emit_table(cli, "table1", &table1::run(&engine, spec.scale).table());
-            let data = dataset(cli, &space, &engine, false);
-            let suite = SurrogateSuite::train(&data, 0.2, spec.seed);
-            emit_table(cli, "fig2", &accuracy::from_suite(&suite).table());
-            emit_table(
-                cli,
-                "fig3",
-                &importance::from_suite(&suite, "Fig. 3").table(),
-            );
-            // Half-size pinned datasets for the constrained figures.
-            let pinned = JobSpec {
-                configs: (spec.configs / 2).clamp(20, 1500),
-                ..spec.clone()
-            };
-            emit_table(
-                cli,
-                "fig4",
-                &importance::fig45(&engine, &space, &pinned, 128)
-                    .unwrap_or_else(|e| fail(e))
-                    .table(),
-            );
-            emit_table(
-                cli,
-                "fig5",
-                &importance::fig45(&engine, &space, &pinned, 2048)
-                    .unwrap_or_else(|e| fail(e))
-                    .table(),
-            );
-            let f6 = sweeps::fig6(&engine, &space, &sweep);
-            let f7 = sweeps::fig7(&engine, &space, &sweep);
-            let f8 = sweeps::fig8(&engine, &space, &sweep);
-            emit_chart(cli, "fig6", &f6.table(), &f6.to_chart());
-            emit_chart(cli, "fig7", &f7.table(), &f7.to_chart());
-            emit_chart(cli, "fig8", &f8.table(), &f8.to_chart());
-            emit_table(
-                cli,
-                "headline",
-                &headline::from_parts(&suite, &f7, &f8).table(),
-            );
-            emit_table(cli, "unseen", &unseen::run(&data, spec.seed).table());
-            emit_multicore();
-            emit_tables(
-                cli,
-                "crossval",
-                &crossval::run(&data, &f7, spec.seed).tables(),
-                None,
-            );
+        // Campaign complete: the checkpoint has served its purpose.
+        std::fs::remove_file(&files.checkpoint).ok();
+        let discarded = discarded_table(&campaign.sink.discarded);
+        emit(&cli.out, "discarded", &[discarded], None);
+        if summary.resumed_from > 0 {
+            eprintln!("[repro] resumed from job {}", summary.resumed_from);
         }
-        e => {
-            eprintln!("unknown experiment '{e}'");
-            std::process::exit(2);
-        }
+        eprintln!(
+            "[repro] saved {} rows to {}",
+            campaign.sink.rows_written(),
+            path.display()
+        );
+        let data = DseDataset::load_csv(path).expect("reload the dataset just written");
+        (data, true)
+    }
+
+    /// Load the streamed metrics CSV back, derive per-app bottleneck
+    /// labels, and cross-tabulate them against the suite's permutation
+    /// importances. Artifacts land in the metrics directory (not
+    /// `--out`): `bottleneck.{txt,csv,json}` next to `metrics.csv`.
+    fn emit_bottleneck(&self, dir: &Path) {
+        let mpath = dir.join("metrics.csv");
+        let metrics = match bottleneck::MetricsTable::load_csv(&mpath) {
+            Ok(t) => t,
+            Err(e) => {
+                eprintln!("[repro] metrics analysis skipped: {e}");
+                return;
+            }
+        };
+        eprintln!(
+            "[repro] {} metrics rows in {}",
+            metrics.len(),
+            mpath.display()
+        );
+        let report = bottleneck::run(&metrics, &importance::from_suite(self.suite(), "Fig. 3"));
+        emit(dir, "bottleneck", &report.tables(), None);
     }
 }
 
@@ -408,86 +620,6 @@ fn explore_sizes(configs: usize, budget: Option<usize>) -> ExploreOptions {
     }
 }
 
-/// Run the surrogate-guided adaptive exploration loop (the `explore`
-/// experiment). The candidate pool is `--configs` seeded STREAM design
-/// points; the simulation budget defaults to a tenth of the pool. The
-/// explorer streams its artifacts under `--out` itself; this wrapper
-/// adds the per-chunk progress log, `--max-chunks` pause semantics, and
-/// a final accuracy-vs-samples summary table.
-fn explore(cli: &Cli, space: &ParamSpace, engine: &Engine) {
-    let eopts = ExploreOptions {
-        scale: cli.spec.scale,
-        seed: cli.spec.seed,
-        threads: cli.spec.threads,
-        pareto: cli.explore_pareto,
-        ..explore_sizes(cli.spec.configs, cli.explore_budget)
-    };
-    let pool = eopts.pool;
-    eprintln!(
-        "[repro] {} exploration: pool {}, budget {} in {} round(s){} ...",
-        if cli.resume { "resuming" } else { "running" },
-        eopts.pool,
-        eopts.budget,
-        eopts.rounds(),
-        if eopts.pareto { ", Pareto mode" } else { "" }
-    );
-    let mut chunks = 0usize;
-    let max_chunks = cli.max_chunks;
-    let mut observer = |p: &ExploreProgress| {
-        eprintln!(
-            "[repro]   round {}/{}: {}/{} jobs, {}/{} samples",
-            p.round + 1,
-            p.rounds,
-            p.jobs_done,
-            p.round_jobs,
-            p.samples,
-            p.budget
-        );
-        chunks += 1;
-        max_chunks.is_none_or(|max| chunks < max)
-    };
-    let report = Explorer::new(engine, space, eopts, &cli.out)
-        .unwrap_or_else(|e| fail(e))
-        .run(ExploreControl {
-            resume: cli.resume,
-            observer: Some(&mut observer),
-        })
-        .unwrap_or_else(|e| fail(e));
-    if !report.completed {
-        eprintln!(
-            "[repro] explore paused after {} round(s) with {} sample(s) (--max-chunks); \
-             continue with --resume",
-            report.rounds_done, report.samples
-        );
-        std::process::exit(0);
-    }
-    let rows: Vec<Vec<String>> = report
-        .curve
-        .iter()
-        .map(|p| {
-            vec![
-                p.round.to_string(),
-                p.samples.to_string(),
-                format!("{:.3}", p.epsilon),
-                format!("{:.4}", p.r2),
-                format!("{:.0}", p.mae),
-            ]
-        })
-        .collect();
-    let table = Table::new(
-        "Adaptive exploration: surrogate accuracy vs samples",
-        &["round", "samples", "epsilon", "holdout R2", "holdout MAE"],
-        rows,
-    )
-    .note(format!(
-        "{} simulations selected from a {}-candidate pool; final holdout R2 {:.4}",
-        report.samples,
-        pool,
-        report.final_r2()
-    ));
-    emit_table(cli, "explore_summary", &table);
-}
-
 /// Where the `dataset` campaign lives: `dataset.{csv,ckpt}` under
 /// `--out`, `metrics.csv` under `--metrics`.
 fn dataset_files(cli: &Cli) -> CampaignFiles {
@@ -498,156 +630,10 @@ fn dataset_files(cli: &Cli) -> CampaignFiles {
     }
 }
 
-/// Load the dataset CSV if present and complete, else generate it by
-/// streaming rows to `<out>/dataset.csv` with a checkpoint after each
-/// chunk. With `--resume` an interrupted campaign continues from its
-/// checkpoint; the finished file is byte-identical to an uninterrupted
-/// run. `force_regen` (the `dataset` experiment) regenerates a complete
-/// dataset — unless `--resume` says to keep what is there.
-fn dataset(cli: &Cli, space: &ParamSpace, engine: &Engine, force_regen: bool) -> DseDataset {
-    let files = dataset_files(cli);
-    let path = &files.csv;
-
-    // A CSV with a checkpoint beside it is a campaign in flight, not a
-    // dataset: this function removes the checkpoint on completion.
-    if !files.checkpoint.exists() {
-        if cli.resume || !force_regen {
-            if let Ok(d) = DseDataset::load_csv(path) {
-                if cli.resume {
-                    eprintln!(
-                        "[repro] nothing to resume: {} is complete ({} rows)",
-                        path.display(),
-                        d.rows.len()
-                    );
-                } else {
-                    eprintln!(
-                        "[repro] loaded {} rows from {}",
-                        d.rows.len(),
-                        path.display()
-                    );
-                }
-                return d;
-            }
-        }
-    } else if !force_regen && !cli.resume {
-        eprintln!(
-            "[repro] {} is incomplete (checkpoint present) — regenerating from scratch; \
-             pass --resume to continue it instead",
-            path.display()
-        );
-    }
-
-    let plan = cli.spec.plan(space).unwrap_or_else(|e| fail(e));
-    if let Some(dir) = &cli.metrics {
-        std::fs::create_dir_all(dir).expect("create metrics directory");
-    }
-    let mut campaign = files.open(!cli.resume).unwrap_or_else(|e| fail(e));
-    eprintln!(
-        "[repro] {} dataset: {} configs x {} apps = {} jobs ...",
-        if campaign.position.is_some() {
-            "resuming"
-        } else {
-            "generating"
-        },
-        plan.configs(),
-        plan.apps().len(),
-        plan.jobs()
-    );
-    let mut chunks = 0usize;
-    let max_chunks = cli.max_chunks;
-    let mut observer = |p: &Progress| {
-        eprintln!(
-            "[repro]   {}/{} jobs ({:.0}%), {} rows, {} discarded",
-            p.jobs_done,
-            p.total_jobs,
-            100.0 * p.fraction(),
-            p.rows,
-            p.discarded
-        );
-        chunks += 1;
-        max_chunks.is_none_or(|max| chunks < max)
-    };
-    let summary = campaign
-        .run(engine, &plan, Some(&mut observer), None)
-        .unwrap_or_else(|e| fail(e));
-    if !summary.completed {
-        eprintln!(
-            "[repro] paused after {} chunk(s) at job {}/{} (--max-chunks); continue with --resume",
-            cli.max_chunks.unwrap_or(0),
-            summary.jobs_done,
-            summary.jobs
-        );
-        std::process::exit(0);
-    }
-    // Campaign complete: the checkpoint has served its purpose.
-    std::fs::remove_file(&files.checkpoint).ok();
-    emit_table(cli, "discarded", &discarded_table(&campaign.sink.discarded));
-    if summary.resumed_from > 0 {
-        eprintln!("[repro] resumed from job {}", summary.resumed_from);
-    }
-    eprintln!(
-        "[repro] saved {} rows to {}",
-        campaign.sink.rows_written(),
-        path.display()
-    );
-    let data = DseDataset::load_csv(path).expect("reload the dataset just written");
-    if let Some(dir) = &cli.metrics {
-        emit_metrics_analysis(cli, dir, &data);
-    }
-    data
-}
-
-/// Load the streamed metrics CSV back, derive per-app bottleneck labels,
-/// and cross-tabulate them against the surrogate's permutation
-/// importances. Artifacts land in the metrics directory (not `--out`):
-/// `bottleneck.{txt,csv,json}` next to `metrics.csv`.
-fn emit_metrics_analysis(cli: &Cli, dir: &Path, data: &DseDataset) {
-    let mpath = dir.join("metrics.csv");
-    let table = match bottleneck::MetricsTable::load_csv(&mpath) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("[repro] metrics analysis skipped: {e}");
-            return;
-        }
-    };
-    eprintln!(
-        "[repro] {} metrics rows in {}",
-        table.len(),
-        mpath.display()
-    );
-    let suite = SurrogateSuite::train(data, 0.2, cli.spec.seed);
-    let fig = importance::from_suite(&suite, "Fig. 3");
-    let tables = bottleneck::run(&table, &fig).tables();
-    let mut text = String::new();
-    for t in &tables {
-        text.push_str(&t.to_text());
-        text.push('\n');
-    }
-    println!("{text}");
-    let write = |ext: &str, body: &str| {
-        std::fs::write(dir.join(format!("bottleneck.{ext}")), body)
-            .expect("write metrics artifact");
-    };
-    write("txt", &text);
-    let csv: Vec<String> = tables.iter().map(|t| t.to_csv()).collect();
-    write("csv", &csv.join("\n"));
-    write("json", &tables_to_json(&tables));
-}
-
-/// Persist one experiment table as `.txt` + `.csv` + `.json`.
-fn emit_table(cli: &Cli, name: &str, table: &Table) {
-    emit_tables(cli, name, std::slice::from_ref(table), None);
-}
-
-/// Persist a table with an ASCII chart appended to the text artifact.
-fn emit_chart(cli: &Cli, name: &str, table: &Table, chart: &str) {
-    emit_tables(cli, name, std::slice::from_ref(table), Some(chart));
-}
-
-/// Print an experiment's tables and persist them under the output
-/// directory in all three formats: aligned text (`.txt`, diffable
-/// against EXPERIMENTS.md), CSV (`.csv`), and JSON (`.json`).
-fn emit_tables(cli: &Cli, name: &str, tables: &[Table], chart: Option<&str>) {
+/// Print an artifact's tables and persist them under `dir` as
+/// `<name>.{txt,csv,json}`: aligned text (diffable against
+/// EXPERIMENTS.md, `chart` appended), CSV, and JSON.
+fn emit(dir: &Path, name: &str, tables: &[Table], chart: Option<&str>) {
     let mut text = String::new();
     for t in tables {
         text.push_str(&t.to_text());
@@ -661,8 +647,7 @@ fn emit_tables(cli: &Cli, name: &str, tables: &[Table], chart: Option<&str>) {
     }
     println!("{text}");
     let write = |ext: &str, body: &str| {
-        let path = cli.out.join(format!("{name}.{ext}"));
-        std::fs::write(&path, body).expect("write result file");
+        std::fs::write(dir.join(format!("{name}.{ext}")), body).expect("write result file");
     };
     write("txt", &text);
     let csv: Vec<String> = tables.iter().map(|t| t.to_csv()).collect();
@@ -671,10 +656,9 @@ fn emit_tables(cli: &Cli, name: &str, tables: &[Table], chart: Option<&str>) {
 }
 
 /// Print and persist a preformatted text artifact (`.txt` only).
-fn emit_text(cli: &Cli, name: &str, text: &str) {
+fn emit_text(dir: &Path, name: &str, text: &str) {
     println!("{text}");
-    let path = cli.out.join(format!("{name}.txt"));
-    std::fs::write(&path, text).expect("write result file");
+    std::fs::write(dir.join(format!("{name}.txt")), text).expect("write result file");
 }
 
 #[cfg(test)]
@@ -811,8 +795,7 @@ mod tests {
         let run = |extra: &[&str]| {
             let args = ["dataset", "--configs", "3", "--scale", "tiny", "--out", out];
             let cli = parse(&[&args[..], extra].concat()).unwrap();
-            let engine = cli.spec.engine();
-            super::dataset(&cli, &super::ParamSpace::paper(), &engine, true)
+            super::Session::new(cli).dataset().clone()
         };
         let first = run(&[]);
         let csv = dir.join("dataset.csv");
@@ -831,6 +814,71 @@ mod tests {
         // Without --resume the `dataset` experiment regenerates it.
         assert_eq!(run(&[]).rows, first.rows);
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Standalone `fig4` writes the bytes `all` writes: both run the
+    /// VL-pinned campaign at half `--configs`.
+    #[test]
+    fn standalone_fig4_writes_what_all_writes() {
+        let dir = std::env::temp_dir().join("armdse_repro_fig4_rule");
+        let _ = std::fs::remove_dir_all(&dir);
+        let run = |experiment: &str| {
+            let out = dir.join(experiment);
+            std::fs::create_dir_all(&out).unwrap();
+            let args = ["--configs", "40", "--scale", "tiny", "--sweep-configs", "2"];
+            let out_arg = ["--threads", "2", "--out", out.to_str().unwrap()];
+            let cli = parse(&[&[experiment][..], &args, &out_arg].concat()).unwrap();
+            super::Session::new(cli).run();
+            out
+        };
+        let (all, alone) = (run("all"), run("fig4"));
+        for file in ["fig4.txt", "fig4.csv", "fig4.json"] {
+            let read = |dir: &std::path::Path| std::fs::read(dir.join(file)).unwrap();
+            assert!(read(&all) == read(&alone), "{file} differs");
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// DESIGN §4's experiment index regenerates with experiments `repro`
+    /// accepts, lists every one of them but `all`, and names only
+    /// `analysis` modules that exist.
+    #[test]
+    fn design_experiment_index_matches_repro_and_the_analysis_modules() {
+        let design = include_str!("../../../../DESIGN.md");
+        let index = design
+            .split("\n## 4. ")
+            .nth(1)
+            .and_then(|s| s.split("\n## ").next())
+            .expect("DESIGN.md has a section 4");
+        let src = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("src");
+        let mut regenerated = Vec::new();
+        for row in index.lines().filter(|l| l.starts_with('|')) {
+            let cells: Vec<&str> = row.split('|').collect();
+            let column = cells[cells.len().saturating_sub(2)];
+            for command in column.split("`repro ").skip(1) {
+                let name = command.split(['`', ' ']).next().unwrap_or_default();
+                if !name.starts_with("--") {
+                    assert!(parse(&[name]).is_ok(), "DESIGN §4: `repro {name}`");
+                    regenerated.push(name);
+                }
+            }
+            for path in row.split("`analysis::").skip(1) {
+                let module: String = path
+                    .chars()
+                    .take_while(|c| c.is_alphanumeric() || *c == '_')
+                    .collect();
+                assert!(
+                    src.join(format!("{module}.rs")).exists(),
+                    "DESIGN §4 names `analysis::{module}`"
+                );
+            }
+        }
+        for name in super::ALL.split(' ').chain(super::ALONE.split(' ')) {
+            assert!(
+                regenerated.contains(&name),
+                "DESIGN §4 lacks `repro {name}`"
+            );
+        }
     }
 
     #[test]

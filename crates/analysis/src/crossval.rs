@@ -34,10 +34,9 @@ pub struct CrossVal {
     pub(crate) comparisons: Vec<CurveComparison>,
 }
 
-/// Compare the simulated Fig. 7 against the surrogate's ROB
-/// partial-dependence speedup.
-pub fn run(data: &DseDataset, fig7: &SweepFig, seed: u64) -> CrossVal {
-    let suite = SurrogateSuite::train(data, 0.2, seed);
+/// Compare the simulated Fig. 7 against the ROB partial-dependence
+/// speedup of `suite`, the surrogates trained on `data`.
+pub fn run(data: &DseDataset, suite: &SurrogateSuite, fig7: &SweepFig) -> CrossVal {
     let rob_feature = FEATURE_NAMES
         .iter()
         .position(|&n| n == "ROB-Size")
@@ -121,7 +120,7 @@ mod tests {
             seed: 5,
         };
         let f7 = fig7(&engine, &ParamSpace::paper(), &sweep);
-        let cv = run(&data, &f7, 5);
+        let cv = run(&data, &SurrogateSuite::train(&data, 0.2, 5), &f7);
         assert_eq!(cv.comparisons.len(), 4);
         for c in &cv.comparisons {
             // Surrogate speedup at the largest ROB must exceed 1 (the

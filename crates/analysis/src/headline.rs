@@ -7,10 +7,8 @@
 //! 4. FP/SVE register counts below ~144 bottleneck register rename.
 
 use crate::report;
-use crate::sweeps::{SweepFig, SweepOptions};
-use armdse_core::engine::Engine;
-use armdse_core::space::ParamSpace;
-use armdse_core::{DseDataset, SurrogateSuite};
+use crate::sweeps::SweepFig;
+use armdse_core::SurrogateSuite;
 use armdse_kernels::App;
 
 /// The reproduced headline numbers beside the paper's.
@@ -31,22 +29,7 @@ pub struct Headline {
     pub fp_knee: u32,
 }
 
-/// Compute the headline numbers from a trained suite plus the two sweeps.
-pub fn run(
-    engine: &Engine,
-    data: &DseDataset,
-    space: &ParamSpace,
-    sweep_opts: &SweepOptions,
-    seed: u64,
-) -> Headline {
-    let suite = SurrogateSuite::train(data, 0.2, seed);
-    let fig7 = crate::sweeps::fig7(engine, space, sweep_opts);
-    let fig8 = crate::sweeps::fig8(engine, space, sweep_opts);
-    from_parts(&suite, &fig7, &fig8)
-}
-
-/// Assemble from precomputed parts (used by `repro all` to avoid
-/// recomputation).
+/// The headline numbers from the trained suite and the Fig. 7/8 sweeps.
 pub fn from_parts(suite: &SurrogateSuite, fig7: &SweepFig, fig8: &SweepFig) -> Headline {
     let vl = suite.mean_importance_pct("Vector-Length");
     // Rank vector length among all features by mean importance.
@@ -119,7 +102,10 @@ impl Headline {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sweeps::{fig7, fig8, SweepOptions};
     use crate::test_support::{dataset, quick};
+    use armdse_core::engine::Engine;
+    use armdse_core::space::ParamSpace;
     use armdse_kernels::WorkloadScale;
 
     #[test]
@@ -131,7 +117,13 @@ mod tests {
             scale: WorkloadScale::Tiny,
             seed: 13,
         };
-        let h = run(&engine, &data, &ParamSpace::paper(), &sweep, 3);
+        let suite = SurrogateSuite::train(&data, 0.2, 3);
+        let space = ParamSpace::paper();
+        let h = from_parts(
+            &suite,
+            &fig7(&engine, &space, &sweep),
+            &fig8(&engine, &space, &sweep),
+        );
         assert!(h.mean_accuracy_pct > 0.0);
         assert!((1..=30).contains(&h.vl_rank));
         assert!(h.rob_knee >= 8 && h.rob_knee <= 512);

@@ -26,12 +26,6 @@ pub struct ImportanceFig {
     pub per_app: Vec<(String, Vec<(String, f64)>)>,
 }
 
-/// Fig. 3: train on the full-space dataset and rank importances.
-pub fn fig3(data: &DseDataset, seed: u64) -> ImportanceFig {
-    let suite = SurrogateSuite::train(data, 0.2, seed);
-    from_suite(&suite, "Fig. 3")
-}
-
 /// Figs. 4/5: run `spec` with vector length pinned to `vl` (128 for
 /// Fig. 4, 2048 for Fig. 5), then train with the spec's seed and rank.
 pub fn fig45(
@@ -55,7 +49,8 @@ pub fn fig45(
     Ok(from_suite(&suite, label))
 }
 
-/// Build the figure from a trained suite.
+/// Build the figure from a trained suite (Fig. 3: the suite trained on
+/// the full-space dataset).
 pub fn from_suite(suite: &SurrogateSuite, label: &str) -> ImportanceFig {
     ImportanceFig {
         label: label.to_string(),
@@ -154,7 +149,8 @@ mod tests {
 
     #[test]
     fn fig3_reports_and_renders() {
-        let f = fig3(&dataset(&quick(40)), 11);
+        let suite = SurrogateSuite::train(&dataset(&quick(40)), 0.2, 11);
+        let f = from_suite(&suite, "Fig. 3");
         assert_eq!(f.per_app.len(), 4);
         let t = f.table().to_text();
         assert!(t.contains("Fig. 3"));

@@ -61,16 +61,6 @@ pub struct SweepOptions {
     pub seed: u64,
 }
 
-impl Default for SweepOptions {
-    fn default() -> Self {
-        SweepOptions {
-            base_configs: 12,
-            scale: WorkloadScale::Standard,
-            seed: 61_803,
-        }
-    }
-}
-
 fn mean_cycles(engine: &Engine, app: App, scale: WorkloadScale, configs: &[DesignConfig]) -> f64 {
     let mut total = 0u64;
     let mut n = 0u64;
@@ -87,86 +77,62 @@ fn mean_cycles(engine: &Engine, app: App, scale: WorkloadScale, configs: &[Desig
 
 /// Fig. 6: speedup vs vector length for the vectorised codes.
 pub fn fig6(engine: &Engine, space: &ParamSpace, opts: &SweepOptions) -> SweepFig {
-    // Base configs with the paper's Load-Bandwidth >= 256 filter (applied
-    // to stores too, so every VL is admissible on every base config).
-    let bases: Vec<DesignConfig> = (0..opts.base_configs as u64)
-        .map(|i| {
-            let mut c = space.sample_seeded(opts.seed + i);
-            c.core.load_bandwidth = c.core.load_bandwidth.max(256);
-            c.core.store_bandwidth = c.core.store_bandwidth.max(256);
-            c
-        })
-        .collect();
-
-    let series = [App::Stream, App::MiniBude]
-        .iter()
-        .map(|&app| {
-            let mut points = Vec::new();
-            for &vl in &VL_POINTS {
-                let configs: Vec<DesignConfig> = bases
-                    .iter()
-                    .map(|b| {
-                        let mut c = *b;
-                        c.core.vector_length = vl;
-                        c
-                    })
-                    .collect();
-                points.push((vl, mean_cycles(engine, app, opts.scale, &configs)));
-            }
-            to_series(app, points)
-        })
-        .collect();
     SweepFig {
         label: "Fig. 6".into(),
         param: "Vector-Length".into(),
-        series,
+        series: sweep(
+            engine,
+            space,
+            opts,
+            &[App::Stream, App::MiniBude],
+            &VL_POINTS,
+            |c, v| {
+                // The paper's Load-Bandwidth >= 256 filter (applied to
+                // stores too, so every VL is admissible on every base).
+                c.core.load_bandwidth = c.core.load_bandwidth.max(256);
+                c.core.store_bandwidth = c.core.store_bandwidth.max(256);
+                c.core.vector_length = v;
+            },
+        ),
     }
 }
 
 /// Fig. 7: speedup vs ROB size for all applications.
 pub fn fig7(engine: &Engine, space: &ParamSpace, opts: &SweepOptions) -> SweepFig {
-    sweep_all_apps(
-        engine,
-        space,
-        opts,
-        "Fig. 7",
-        "ROB-Size",
-        &ROB_POINTS,
-        |c, v| {
+    SweepFig {
+        label: "Fig. 7".into(),
+        param: "ROB-Size".into(),
+        series: sweep(engine, space, opts, &App::ALL, &ROB_POINTS, |c, v| {
             c.core.rob_size = v;
-        },
-    )
+        }),
+    }
 }
 
 /// Fig. 8: speedup vs FP/SVE register count for all applications.
 pub fn fig8(engine: &Engine, space: &ParamSpace, opts: &SweepOptions) -> SweepFig {
-    sweep_all_apps(
-        engine,
-        space,
-        opts,
-        "Fig. 8",
-        "FP-SVE-Registers",
-        &FP_POINTS,
-        |c, v| {
+    SweepFig {
+        label: "Fig. 8".into(),
+        param: "FP-SVE-Registers".into(),
+        series: sweep(engine, space, opts, &App::ALL, &FP_POINTS, |c, v| {
             c.core.fp_regs = v;
-        },
-    )
+        }),
+    }
 }
 
-fn sweep_all_apps(
+/// One series per app in `apps`: the seeded base configurations, each
+/// re-simulated with `apply(config, v)` at every swept value `v`.
+fn sweep(
     engine: &Engine,
     space: &ParamSpace,
     opts: &SweepOptions,
-    label: &str,
-    param: &str,
+    apps: &[App],
     points: &[u32],
     apply: impl Fn(&mut DesignConfig, u32),
-) -> SweepFig {
+) -> Vec<SweepSeries> {
     let bases: Vec<DesignConfig> = (0..opts.base_configs as u64)
         .map(|i| space.sample_seeded(opts.seed + i))
         .collect();
-    let series = App::ALL
-        .iter()
+    apps.iter()
         .map(|&app| {
             let mut pts = Vec::new();
             for &v in points {
@@ -182,12 +148,7 @@ fn sweep_all_apps(
             }
             to_series(app, pts)
         })
-        .collect();
-    SweepFig {
-        label: label.into(),
-        param: param.into(),
-        series,
-    }
+        .collect()
 }
 
 fn to_series(app: App, raw: Vec<(u32, f64)>) -> SweepSeries {

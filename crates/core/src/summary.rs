@@ -2,7 +2,6 @@
 //! dataset before model training (the paper's dataset was sanity-checked
 //! the same way before `analysis.py` ran).
 
-use crate::config::FEATURE_NAMES;
 use crate::dataset::DseDataset;
 use armdse_kernels::App;
 
@@ -30,13 +29,10 @@ pub(crate) struct AppSummary {
 pub struct DatasetSummary {
     /// One summary per application present.
     pub(crate) apps: Vec<AppSummary>,
-    /// Per-feature (min, max) over all rows — confirms the sampler
-    /// covered each parameter's range.
-    pub feature_ranges: Vec<(String, f64, f64)>,
 }
 
 impl DseDataset {
-    /// Compute distribution and coverage summaries.
+    /// Compute each application's cycle distribution.
     pub fn summary(&self) -> DatasetSummary {
         let apps = App::ALL
             .iter()
@@ -64,25 +60,7 @@ impl DseDataset {
                 })
             })
             .collect();
-
-        let feature_ranges = FEATURE_NAMES
-            .iter()
-            .enumerate()
-            .map(|(i, name)| {
-                let (lo, hi) = self
-                    .rows
-                    .iter()
-                    .fold((f64::INFINITY, f64::NEG_INFINITY), |(lo, hi), r| {
-                        (lo.min(r.features[i]), hi.max(r.features[i]))
-                    });
-                (name.to_string(), lo, hi)
-            })
-            .collect();
-
-        DatasetSummary {
-            apps,
-            feature_ranges,
-        }
+        DatasetSummary { apps }
     }
 }
 
@@ -151,15 +129,6 @@ mod tests {
         assert_eq!((a.min, a.median, a.max), (100, 200, 300));
         assert!((a.mean - 200.0).abs() < 1e-9);
         assert!((a.mean_sve - 0.5).abs() < 1e-9);
-    }
-
-    #[test]
-    fn feature_ranges_cover_rows() {
-        let s = data().summary();
-        assert_eq!(s.feature_ranges.len(), 30);
-        let (name, lo, hi) = &s.feature_ranges[0];
-        assert_eq!(name, "Vector-Length");
-        assert_eq!((*lo, *hi), (128.0, 128.0));
     }
 
     #[test]
