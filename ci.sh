@@ -22,11 +22,20 @@
 #   PR 27 (pipeline as stages): 17854 -> 17854
 #   PR 28 (one machine value, no fidelity knob): 17854 -> 17692
 #   PR 29 (one way to make each repro artifact): 17692 -> 17586
+#   PR 31 (one machine, one memory path): 17586 -> 17530
 set -eux
 
 cd "$(dirname "$0")"
 
 cargo build --release --offline --workspace
+# One memory path: the pipeline has no memory-model type parameter, so
+# its hot loop `drive_to` is compiled once. A second copy means a second
+# instantiation crept back in.
+DRIVE_TO=$(nm -C target/release/repro | grep -c 'Pipeline.*::drive_to$' || true)
+if [ "$DRIVE_TO" -gt 1 ]; then
+  echo "FAIL: $DRIVE_TO copies of Pipeline::drive_to in repro (want 1)" >&2
+  exit 1
+fi
 # tests/public_api.rs pins every crate's public surface: on a change it
 # prints the added/removed names and writes target/public_api.txt; after
 # review, `cp target/public_api.txt tests/golden/public_api.txt`.

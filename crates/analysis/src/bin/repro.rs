@@ -306,7 +306,7 @@ impl Session {
     /// Run the command line's experiment; `all` runs [`ALL`] in order.
     fn run(&self) {
         let topology = self.cli.spec.topology();
-        if topology != MultiCore::default() {
+        if topology != MultiCore::IDEALIZED {
             eprintln!(
                 "[repro] multicore machine: {} core(s), {} shared-L2 bank(s)",
                 topology.cores, topology.banks

@@ -15,6 +15,7 @@ use crate::report;
 use armdse_core::engine::Engine;
 use armdse_core::DesignConfig;
 use armdse_kernels::{App, WorkloadScale};
+use armdse_memsim::DEFAULT_BANKS;
 use armdse_simcore::MultiCore;
 
 /// Core counts simulated (1 = the paper's single-core setting).
@@ -47,7 +48,6 @@ pub fn run(engine: &Engine, scale: WorkloadScale) -> MulticoreFig {
 /// baseline).
 fn sweep(engine: &Engine, scale: WorkloadScale, cores: &[u32]) -> MulticoreFig {
     let cfg = DesignConfig::thunderx2();
-    let banks = MultiCore::default().banks;
     let series = App::ALL
         .iter()
         .map(|&app| {
@@ -55,7 +55,12 @@ fn sweep(engine: &Engine, scale: WorkloadScale, cores: &[u32]) -> MulticoreFig {
             let points = cores
                 .iter()
                 .map(|&n| {
-                    let s = engine.simulate_config_on(&MultiCore::new(n, banks), app, scale, &cfg);
+                    let s = engine.simulate_config_on(
+                        &MultiCore::new(n, DEFAULT_BANKS),
+                        app,
+                        scale,
+                        &cfg,
+                    );
                     assert!(s.validated, "{app:?} on {n} cores failed validation");
                     if n == 1 {
                         solo = s.cycles;

@@ -12,6 +12,7 @@ use crate::report;
 use armdse_core::engine::Engine;
 use armdse_core::DesignConfig;
 use armdse_kernels::{App, WorkloadScale};
+use armdse_memsim::DEFAULT_BANKS;
 use armdse_simcore::MultiCore;
 
 /// One validation row.
@@ -39,7 +40,7 @@ pub struct Table1 {
 /// finite-banked one-core [`MultiCore`] machine on the same engine.
 pub fn run(engine: &Engine, scale: WorkloadScale) -> Table1 {
     let cfg = DesignConfig::thunderx2();
-    let proxy = MultiCore::default();
+    let proxy = MultiCore::new(1, DEFAULT_BANKS);
     let rows = App::ALL
         .iter()
         .map(|&app| {

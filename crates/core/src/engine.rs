@@ -59,9 +59,7 @@ use crate::orchestrator::GenOptions;
 use crate::space::{ParamSpace, FEATURE_NAMES};
 use armdse_kernels::{App, Workload, WorkloadCache, WorkloadScale};
 use armdse_memsim::fasthash::Fnv1a;
-use armdse_simcore::{
-    Counters, Idealized, Memoized, MultiCore, ReuseStats, RunMode, SimBackend, SimStats,
-};
+use armdse_simcore::{Counters, Memoized, MultiCore, ReuseStats, RunMode, SimBackend, SimStats};
 use std::path::Path;
 use std::sync::Arc;
 
@@ -571,28 +569,26 @@ impl Engine {
         }
     }
 
-    /// An engine over the default infinite-bank hierarchy (the paper's
-    /// simulation path).
+    /// An engine over the paper's machine, [`MultiCore::IDEALIZED`].
     pub fn idealized() -> Engine {
-        Engine::new(Box::new(Idealized))
+        Engine::new(Box::new(MultiCore::IDEALIZED))
     }
 
-    /// An engine over the exact run-memoizing wrapper around the default
-    /// hierarchy: a repeated run is answered from the memo (see
+    /// An engine over the exact run-memoizing wrapper around the paper's
+    /// machine: a repeated run is answered from the memo (see
     /// `armdse_simcore::reuse`). The argument is unread: it
     /// stays because `benchmark/src/e2e/sweep.rs` calls
     /// `Engine::memoized(DEFAULT_INTERVAL_LEN)`, and the next
     /// `benchmark` PR drops both.
     pub fn memoized(_interval_len: u64) -> Engine {
-        Engine::new(Box::new(Memoized::new(Idealized)))
+        Engine::new(Box::new(Memoized::new(MultiCore::IDEALIZED)))
     }
 
     /// An engine over the [`MultiCore`] machine layer: `cores` replicas
     /// of the workload stepped in lockstep slices over one shared banked
     /// L2+DRAM with `banks` interleaved banks (contention is the design
-    /// axis). `Engine::multicore(1, armdse_memsim::DEFAULT_BANKS as
-    /// u32)` is the single-core finite-banked machine, Table I's
-    /// hardware proxy.
+    /// axis). `Engine::multicore(1, armdse_memsim::DEFAULT_BANKS)` is
+    /// the single-core finite-banked machine, Table I's hardware proxy.
     pub fn multicore(cores: u32, banks: u32) -> Engine {
         Engine::new(Box::new(MultiCore::new(cores, banks)))
     }

@@ -51,6 +51,7 @@ use crate::json::{json_num, parse_json, write_json_string, Json};
 use crate::orchestrator::GenOptions;
 use crate::space::ParamSpace;
 use armdse_kernels::{App, WorkloadScale};
+use armdse_memsim::DEFAULT_BANKS;
 use armdse_simcore::MultiCore;
 use std::collections::BTreeMap;
 use std::fmt;
@@ -164,8 +165,8 @@ impl Default for JobSpec {
             chunk_jobs: DEFAULT_CHUNK_JOBS,
             priority: 0,
             metrics: false,
-            cores: MultiCore::default().cores,
-            banks: MultiCore::default().banks,
+            cores: 1,
+            banks: DEFAULT_BANKS,
         }
     }
 }
@@ -184,11 +185,14 @@ impl JobSpec {
         Ok(RunPlan::pinned(space, &opts, &pins)?.with_chunk_jobs(self.chunk_jobs))
     }
 
-    /// The machine shape the spec requests (values clamped to 1).
+    /// The machine shape the spec requests (values clamped to 1). The
+    /// default shape, one core over [`DEFAULT_BANKS`], is the paper's
+    /// machine, [`MultiCore::IDEALIZED`]: this is the one place the
+    /// wire's default maps to it.
     pub fn topology(&self) -> MultiCore {
-        MultiCore {
-            cores: self.cores.max(1),
-            banks: self.banks.max(1),
+        match (self.cores.max(1), self.banks.max(1)) {
+            (1, DEFAULT_BANKS) => MultiCore::IDEALIZED,
+            (cores, banks) => MultiCore { cores, banks },
         }
     }
 
@@ -204,15 +208,9 @@ impl JobSpec {
         Ok(())
     }
 
-    /// Build the job's private engine: the multicore machine layer when
-    /// the spec asks for a non-default shape, else the paper's
-    /// simulation path ([`Engine::idealized`]).
+    /// Build the job's private engine over [`JobSpec::topology`].
     pub fn engine(&self) -> Engine {
-        let t = self.topology();
-        if t != MultiCore::default() {
-            return Engine::multicore(t.cores, t.banks);
-        }
-        Engine::idealized()
+        Engine::new(Box::new(self.topology()))
     }
 
     /// Serialize to the canonical wire JSON (round-trips through
@@ -244,7 +242,7 @@ impl JobSpec {
         out.push_str(&format!("  \"chunk_jobs\": {},\n", self.chunk_jobs));
         // The machine topology is emitted only when non-default, so
         // pre-multicore specs keep their wire bytes.
-        if self.topology() != MultiCore::default() {
+        if self.topology() != MultiCore::IDEALIZED {
             out.push_str(&format!("  \"cores\": {},\n", self.cores));
             out.push_str(&format!("  \"banks\": {},\n", self.banks));
         }
@@ -793,7 +791,7 @@ mod tests {
             priority: 7,
             metrics: true,
             cores: 1,
-            banks: MultiCore::default().banks,
+            banks: DEFAULT_BANKS,
         }
     }
 
@@ -835,6 +833,15 @@ mod tests {
         let s = JobSpec::from_json("{\"configs\": 2, \"cores\": 2, \"banks\": 4}").unwrap();
         assert_eq!(s.topology(), MultiCore::new(2, 4));
         assert_eq!(s.engine().backend().topology(), s.topology());
+        // The default shape, spelled or not, is the paper's machine.
+        for body in [
+            "{\"configs\": 2}",
+            "{\"configs\": 2, \"cores\": 1, \"banks\": 8}",
+        ] {
+            let d = JobSpec::from_json(body).unwrap();
+            assert_eq!(d.topology(), MultiCore::IDEALIZED, "{body}");
+            assert_eq!(d.engine().backend().topology(), MultiCore::IDEALIZED);
+        }
     }
 
     #[test]

@@ -71,11 +71,11 @@ use std::thread::JoinHandle;
 /// on a plain run).
 pub(crate) type ChunkResult = (usize, Result<Row, DiscardedRun>, Vec<MetricsRow>);
 
-/// The checkpoint extra keys recording a non-default machine shape.
-/// The single-core default maps to no keys at all, so default campaigns
-/// keep their checkpoint bytes.
+/// The checkpoint extra keys recording the machine shape. The paper's
+/// machine maps to no keys at all, so default campaigns keep their
+/// checkpoint bytes; every other shape is keyed.
 fn engine_extra(t: MultiCore) -> Vec<(String, String)> {
-    if t == MultiCore::default() {
+    if t == MultiCore::IDEALIZED {
         return Vec::new();
     }
     vec![

@@ -73,9 +73,9 @@ impl Cache {
 
     /// Access `line_addr`, allocating on miss, updating LRU, and setting
     /// the dirty bit for stores.
-    // `Hierarchy`'s request path is generic over its backside handle, so
-    // it is instantiated in the crates that drive it; without `#[inline]`
-    // the tag lookup would be an opaque cross-crate call on every request.
+    // `Hierarchy`'s request path is `#[inline]`, so it is inlined into
+    // the crates that drive it; without `#[inline]` here the tag lookup
+    // would be an opaque cross-crate call on every request.
     #[inline]
     pub fn access(&mut self, line_addr: u64, is_store: bool) -> LookupResult {
         debug_assert!(line_addr < 1 << 63, "address overflows tag encoding");

@@ -8,47 +8,49 @@
 //!
 //! ## Two DRAM policies
 //!
-//! * **Infinite banks** ([`Hierarchy::new`]) — the paper's SST default:
-//!   DRAM accesses never queue, and the next-line prefetcher runs. This
-//!   is the simulation path of every campaign.
-//! * **Finite banks** ([`Hierarchy::port`]) — each line transfer
-//!   occupies its bank, later accesses to a busy bank
-//!   queue, and there is no prefetcher. The paper attributes its Table I
-//!   residual to "abstracting out important features of a modern memory
-//!   subsystem such as memory banking"; we have no ThunderX2, so this
-//!   deliberately *more detailed* form plays the hardware side of that
-//!   validation.
+//! * **Infinite banks** (`Backside::shared(params, 0)`) — the paper's
+//!   SST default: DRAM accesses never queue. This is the simulation
+//!   path of every campaign.
+//! * **Finite banks** (`banks > 0`) — each line transfer occupies its
+//!   bank, and later accesses to a busy bank queue. The paper
+//!   attributes its Table I residual to "abstracting out important
+//!   features of a modern memory subsystem such as memory banking"; we
+//!   have no ThunderX2, so this deliberately *more detailed* form plays
+//!   the hardware side of that validation.
 //!
-//! ## Two ownership forms
+//! The prefetcher is a front property, read from
+//! [`MemParams::prefetch_depth`] of the backside's parameters; the
+//! machine that builds the backside decides it.
 //!
-//! The backside is either owned (`Hierarchy<Backside>`, the default type
-//! parameter: `Clone + Send + Sync`) or reached through a
-//! [`SharedBackside`] handle that N cores' ports hold together.
+//! ## One backside, N fronts
+//!
+//! The backside sits behind an `Rc<RefCell<_>>` that every front holds:
+//! one front over a fresh backside is a single-core machine, N fronts
+//! over one backside are the N cores of the multicore machine.
 //! Contention (paper §VII) is emergent there: cores evict each other's
-//! L2 lines and queue on the same banks. One port over a fresh shared
-//! backside is the single-core finite-banked machine: Table I's
-//! hardware proxy.
+//! L2 lines and queue on the same banks.
 //!
 //! Every core of the homogeneous multicore model runs its own instance
 //! of the same workload, so raw addresses coincide; a real machine would
-//! give each process its own pages. Core `i`'s port offsets every
+//! give each process its own pages. Core `i`'s front offsets every
 //! address by `i *` [`CORE_ADDR_STRIDE`] (zero for core 0). Shared
 //! events (`l2_*`, `dram_queue_*`) are charged to the *requesting*
-//! core's statistics, so each port conserves on its own and summing the
-//! ports counts every event in the machine exactly once.
+//! core's statistics, so each front conserves on its own and summing the
+//! fronts counts every event in the machine exactly once.
 
 use crate::cache::{Cache, LookupResult};
 use crate::fasthash::FastMap;
 use crate::params::{ns_to_core_cycles, MemParams};
 use crate::stats::MemStats;
-use crate::{Cycle, MemoryModel};
+use crate::Cycle;
 use std::cell::RefCell;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::rc::Rc;
 
-/// DRAM bank count of the default machine shape (the hardware proxy).
-pub const DEFAULT_BANKS: usize = 8;
+/// DRAM bank count of the default machine shape on the wire and the
+/// command line (Table I's hardware proxy).
+pub const DEFAULT_BANKS: u32 = 8;
 
 /// Per-core address-space stride. A power of two (so line alignment
 /// survives) and far larger than any workload footprint (so per-core
@@ -56,7 +58,7 @@ pub const DEFAULT_BANKS: usize = 8;
 pub(crate) const CORE_ADDR_STRIDE: u64 = 1 << 32;
 
 /// The L2-and-below half of the hierarchy: L2 tags and DRAM.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct Backside {
     params: MemParams,
     l2: Cache,
@@ -68,43 +70,27 @@ pub struct Backside {
     ram_lat: u64,
 }
 
-/// The handle N cores' ports share one [`Backside`] through.
-pub(crate) type SharedBackside = Rc<RefCell<Backside>>;
-
 impl Backside {
+    /// A backside behind the handle every [`Hierarchy`] front holds;
     /// `banks == 0` is the infinite-bank policy.
-    fn new(params: MemParams, banks: usize) -> Backside {
+    pub fn shared(params: MemParams, banks: usize) -> Rc<RefCell<Backside>> {
         debug_assert!(params.validate().is_ok(), "invalid MemParams");
         // A line transfer occupies its bank for the interface transfer time.
         let beats = f64::from(params.line_bytes) / 8.0;
-        Backside {
+        Rc::new(RefCell::new(Backside {
             l2: Cache::new(params.l2_size_kib, params.l2_assoc, params.line_bytes),
             bank_free: vec![0; banks],
             bank_occupancy: ns_to_core_cycles(beats / params.ram_clock_ghz),
             ram_lat: params.ram_core_cycles(),
             params,
-        }
+        }))
     }
 
-    /// A finite-banked backside behind the handle ports hold.
-    pub fn shared(params: MemParams, banks: usize) -> SharedBackside {
-        assert!(banks > 0);
-        Rc::new(RefCell::new(Backside::new(params, banks)))
-    }
-}
-
-/// How a [`Hierarchy`] reaches its backside: owned, or through the
-/// shared handle.
-pub trait BacksideHandle {
     /// Resolve an L1 miss below the L1: probe the L2 and, on a miss, go
     /// to DRAM — starting when the line's bank frees up and holding it
     /// for the transfer time. `probe_done` is the cycle the L2 probe
     /// completes. Events are charged to `stats`, the requester's.
-    fn lookup(&mut self, line_addr: u64, probe_done: Cycle, stats: &mut MemStats) -> Cycle;
-}
-
-impl BacksideHandle for Backside {
-    #[inline] // instantiated with its generic caller; see `Cache::access`
+    #[inline] // inlined into the request path of the crates that drive it
     fn lookup(&mut self, line_addr: u64, probe_done: Cycle, stats: &mut MemStats) -> Cycle {
         let l2r = self.l2.access(line_addr, false);
         if l2r == LookupResult::Hit {
@@ -132,19 +118,11 @@ impl BacksideHandle for Backside {
     }
 }
 
-impl BacksideHandle for SharedBackside {
-    #[inline]
-    fn lookup(&mut self, line_addr: u64, probe_done: Cycle, stats: &mut MemStats) -> Cycle {
-        self.borrow_mut().lookup(line_addr, probe_done, stats)
-    }
-}
-
 /// Two-level write-back hierarchy with outstanding-request merging; see
-/// the module docs for the DRAM policies and ownership forms. Cloning a
-/// port clones the handle, not the backside.
-#[derive(Debug, Clone)]
-pub struct Hierarchy<B = Backside> {
-    back: B,
+/// the module docs for the DRAM policies and the shared backside.
+#[derive(Debug)]
+pub struct Hierarchy {
+    back: Rc<RefCell<Backside>>,
     l1: Cache,
     stats: MemStats,
     /// Outstanding line fills: line address → completion cycle. Entries
@@ -168,27 +146,13 @@ pub struct Hierarchy<B = Backside> {
 }
 
 impl Hierarchy {
-    /// The default hierarchy: infinite DRAM banks, next-line prefetch
-    /// of depth [`MemParams::prefetch_depth`].
-    pub fn new(params: MemParams) -> Hierarchy {
-        Hierarchy::front(Backside::new(params, 0), params, params.prefetch_depth, 0)
-    }
-}
-
-impl Hierarchy<SharedBackside> {
-    /// Core `core_index`'s port into `shared`: its own L1, merge window
-    /// and statistics, with L1 misses forwarded into the shared
-    /// backside. No prefetcher ([`MemParams::prefetch_depth`] is
-    /// ignored). Core 0 applies a zero address offset; core `i` shifts
+    /// Core `core_index`'s front over `back`: its own L1, merge window,
+    /// statistics and a next-line prefetcher of depth
+    /// [`MemParams::prefetch_depth`], with L1 misses forwarded into the
+    /// backside. Core 0 applies a zero address offset; core `i` shifts
     /// its whole address space by `i *` `CORE_ADDR_STRIDE`.
-    pub fn port(shared: SharedBackside, core_index: u32) -> Hierarchy<SharedBackside> {
-        let params = shared.borrow().params;
-        Hierarchy::front(shared, params, 0, core_index)
-    }
-}
-
-impl<B> Hierarchy<B> {
-    fn front(back: B, params: MemParams, prefetch_depth: u32, core_index: u32) -> Hierarchy<B> {
+    pub fn new(back: Rc<RefCell<Backside>>, core_index: u32) -> Hierarchy {
+        let params = back.borrow().params;
         debug_assert_eq!(CORE_ADDR_STRIDE % u64::from(params.line_bytes), 0);
         Hierarchy {
             back,
@@ -199,12 +163,13 @@ impl<B> Hierarchy<B> {
             l1_lat: params.l1_hit_core_cycles(),
             l2_lat: params.l2_hit_core_cycles(),
             line_bytes: params.line_bytes,
-            prefetch_depth,
+            prefetch_depth: params.prefetch_depth,
             core_base: u64::from(core_index) * CORE_ADDR_STRIDE,
         }
     }
 
     /// Touch `line_addr` in the L1 tags, counting a dirty eviction.
+    #[inline]
     fn l1_access(&mut self, line_addr: u64, is_store: bool) -> LookupResult {
         let r = self.l1.access(line_addr, is_store);
         if r == LookupResult::MissEvictDirty {
@@ -213,19 +178,22 @@ impl<B> Hierarchy<B> {
         }
         r
     }
-}
 
-impl<B: BacksideHandle> Hierarchy<B> {
     /// The L1-miss path: resolve the line in the backside and track the
     /// fill. The caller owns the line's L1 allocation.
+    #[inline]
     fn fill(&mut self, line_addr: u64, now: Cycle) -> Cycle {
         let probe_done = now + self.l1_lat + self.l2_lat;
-        let complete = self.back.lookup(line_addr, probe_done, &mut self.stats);
+        let complete = self
+            .back
+            .borrow_mut()
+            .lookup(line_addr, probe_done, &mut self.stats);
         self.in_flight.insert(line_addr, complete);
         self.fills.push(Reverse(complete));
         complete
     }
 
+    #[inline]
     fn request(&mut self, line_addr: u64, is_store: bool, now: Cycle) -> Cycle {
         debug_assert_eq!(line_addr % u64::from(self.line_bytes), 0);
         self.stats.requests += 1;
@@ -263,10 +231,14 @@ impl<B: BacksideHandle> Hierarchy<B> {
         }
         complete
     }
-}
 
-impl<B: BacksideHandle> MemoryModel for Hierarchy<B> {
-    fn access(&mut self, line_addr: u64, is_store: bool, now: Cycle) -> Cycle {
+    /// Perform a line-granular access starting at core cycle `now` and
+    /// return the absolute core cycle at which the data is available
+    /// (loads) or globally visible (stores). Called once per *line
+    /// request*: the core splits wider accesses with
+    /// [`crate::split_lines`].
+    #[inline]
+    pub fn access(&mut self, line_addr: u64, is_store: bool, now: Cycle) -> Cycle {
         let line_addr = line_addr + self.core_base;
         let complete = self.request(line_addr, is_store, now);
         // Outstanding-fill (MSHR) occupancy, sampled once per access.
@@ -308,15 +280,25 @@ impl<B: BacksideHandle> MemoryModel for Hierarchy<B> {
         complete
     }
 
-    fn line_bytes(&self) -> u32 {
+    /// Cache line width in bytes.
+    #[inline]
+    pub fn line_bytes(&self) -> u32 {
         self.line_bytes
     }
 
-    fn l1_hit_latency(&self) -> u64 {
+    /// L1 hit latency in core cycles. The core's LSQ uses this as the
+    /// store-to-load forwarding latency: SimEng-style LSQs satisfy a
+    /// forwarded load through the same L1-access path, so the forward is
+    /// as slow as an L1 hit (this is what exposes L1 latency/clock on
+    /// store→load coupled codes like MiniSweep's wavefront).
+    #[inline]
+    pub fn l1_hit_latency(&self) -> u64 {
         self.l1_lat
     }
 
-    fn stats(&self) -> &MemStats {
+    /// Accumulated statistics.
+    #[inline]
+    pub fn stats(&self) -> &MemStats {
         &self.stats
     }
 }
@@ -329,18 +311,25 @@ mod tests {
     fn h(prefetch: u32) -> Hierarchy {
         let mut p = MemParams::thunderx2();
         p.prefetch_depth = prefetch;
-        Hierarchy::new(p)
+        Hierarchy::new(Backside::shared(p, 0), 0)
     }
 
-    /// The single-core finite-banked machine: one port over a fresh
-    /// shared backside.
-    fn banked(p: MemParams, banks: usize) -> Hierarchy<SharedBackside> {
-        Hierarchy::port(Backside::shared(p, banks), 0)
+    /// A finite-banked backside without a prefetcher, as the machine
+    /// layer builds it.
+    fn banked_back(p: MemParams, banks: usize) -> Rc<RefCell<Backside>> {
+        Backside::shared(
+            MemParams {
+                prefetch_depth: 0,
+                ..p
+            },
+            banks,
+        )
     }
 
-    /// The same machine with an owned backside (no `Rc` handle).
-    fn owned_banked(p: MemParams, banks: usize) -> Hierarchy {
-        Hierarchy::front(Backside::new(p, banks), p, 0, 0)
+    /// The single-core finite-banked machine: one front over a fresh
+    /// banked backside.
+    fn banked(p: MemParams, banks: usize) -> Hierarchy {
+        Hierarchy::new(banked_back(p, banks), 0)
     }
 
     #[test]
@@ -384,18 +373,6 @@ mod tests {
         let t2 = m.access(0x1040, false, 1);
         assert!(t2 <= t1, "prefetched line should not pay a fresh miss");
         assert_eq!(m.stats().merged, 1);
-    }
-
-    #[test]
-    fn banked_forms_ignore_prefetch_depth() {
-        let mut p = MemParams::thunderx2();
-        p.prefetch_depth = 4;
-        let mut owned = owned_banked(p, 8);
-        let mut port = banked(p, 8);
-        owned.access(0x1000, false, 0);
-        port.access(0x1000, false, 0);
-        assert_eq!(owned.stats().prefetches, 0);
-        assert_eq!(port.stats().prefetches, 0);
     }
 
     #[test]
@@ -510,7 +487,7 @@ mod tests {
         // at least as much as the infinite-bank model (it also lacks the
         // prefetcher, widening the gap).
         let p = MemParams::thunderx2();
-        let mut fast = Hierarchy::new(p);
+        let mut fast = h(p.prefetch_depth);
         let mut proxy = banked(p, 4);
         let lb = u64::from(p.line_bytes);
         let mut t_fast = 0;
@@ -525,7 +502,7 @@ mod tests {
     /// The 512-access mix of misses, re-touches (hits), merges, and
     /// strided conflicts: FNV-1a over every completion time, then the
     /// full statistics block.
-    fn mixed_pattern_digest(m: &mut dyn MemoryModel) -> u64 {
+    fn mixed_pattern_digest(m: &mut Hierarchy) -> u64 {
         let lb = u64::from(m.line_bytes());
         let mut h = Fnv1a::new();
         for i in 0..512u64 {
@@ -543,7 +520,7 @@ mod tests {
     fn mixed_pattern_digests_match_the_recorded_models() {
         let p = MemParams::thunderx2();
         assert_eq!(
-            mixed_pattern_digest(&mut Hierarchy::new(p)),
+            mixed_pattern_digest(&mut Hierarchy::new(Backside::shared(p, 0), 0)),
             0x67fe_a74a_7b7b_2e06
         );
         assert_eq!(
@@ -552,29 +529,9 @@ mod tests {
         );
     }
 
-    /// The two ownership forms: one port over a fresh shared backside
-    /// is access-for-access identical to the same finite-banked
-    /// hierarchy owning its backside — completion times and the full
-    /// statistics block. Both run the one request path, so this holds
-    /// by construction; the test keeps the `Rc` handle honest.
-    #[test]
-    fn single_port_matches_banked_hierarchy() {
-        let p = MemParams::thunderx2();
-        let mut owned = owned_banked(p, 8);
-        let mut port = banked(p, 8);
-        let lb = u64::from(p.line_bytes);
-        for i in 0..512u64 {
-            let addr = (i % 96) * lb * 3;
-            let a = owned.access(addr, i % 7 == 0, i);
-            let b = port.access(addr, i % 7 == 0, i);
-            assert_eq!(a, b, "completion diverged at access {i}");
-        }
-        assert_eq!(owned.stats(), port.stats());
-    }
-
     /// Two streaming cores over one backside must each finish later
     /// than a solo core (bank queues and L2 capacity are genuinely
-    /// shared), and the ports must record the queueing they suffered.
+    /// shared), and the fronts must record the queueing they suffered.
     #[test]
     fn two_ports_contend_on_shared_banks() {
         let p = MemParams::thunderx2();
@@ -582,18 +539,18 @@ mod tests {
         // One access issued per cycle (memory-level parallelism, as an
         // OoO core's MSHRs sustain), so the banks are kept busy and
         // queueing is visible.
-        let stream = |m: &mut dyn MemoryModel| {
+        let stream = |m: &mut Hierarchy| {
             let mut finish = 0;
             for i in 0..512u64 {
                 finish = finish.max(m.access(i * lb, false, i));
             }
             finish
         };
-        let solo = stream(&mut Hierarchy::port(Backside::shared(p, 2), 0));
+        let solo = stream(&mut banked(p, 2));
 
-        let shared = Backside::shared(p, 2);
-        let mut a = Hierarchy::port(Rc::clone(&shared), 0);
-        let mut b = Hierarchy::port(shared, 1);
+        let shared = banked_back(p, 2);
+        let mut a = Hierarchy::new(Rc::clone(&shared), 0);
+        let mut b = Hierarchy::new(shared, 1);
         // Interleave the two streams access by access, as the slice
         // loop would at a fine grain.
         let mut ta = 0;
@@ -617,9 +574,9 @@ mod tests {
         let p = MemParams::thunderx2();
         let lb = u64::from(p.line_bytes);
         let finish = |banks: usize| {
-            let shared = Backside::shared(p, banks);
-            let mut a = Hierarchy::port(Rc::clone(&shared), 0);
-            let mut b = Hierarchy::port(shared, 1);
+            let shared = banked_back(p, banks);
+            let mut a = Hierarchy::new(Rc::clone(&shared), 0);
+            let mut b = Hierarchy::new(shared, 1);
             let mut finish = 0;
             for i in 0..256u64 {
                 finish = finish.max(a.access(i * lb, false, i));
@@ -639,14 +596,14 @@ mod tests {
     }
 
     /// Per-core address offsets keep line alignment and keep the cores'
-    /// heaps disjoint: the same raw address from two ports must not
+    /// heaps disjoint: the same raw address from two fronts must not
     /// merge or hit in each other's wake.
     #[test]
     fn core_offsets_keep_address_spaces_disjoint() {
         let p = MemParams::thunderx2();
-        let shared = Backside::shared(p, 8);
-        let mut a = Hierarchy::port(Rc::clone(&shared), 0);
-        let mut b = Hierarchy::port(shared, 1);
+        let shared = banked_back(p, 8);
+        let mut a = Hierarchy::new(Rc::clone(&shared), 0);
+        let mut b = Hierarchy::new(shared, 1);
         a.access(0x1000, false, 0);
         b.access(0x1000, false, 0);
         // Both must be cold L1 misses *and* cold L2 misses: no sharing.

@@ -7,23 +7,21 @@
 //! merging of outstanding same-line requests.
 //!
 //! There is one hierarchy, [`Hierarchy`]: a private front (L1, merge
-//! window, MSHR sampling, statistics) over a [`Backside`] (L2 tags and
-//! DRAM). It comes with two DRAM policies and two ownership forms (see
-//! `hierarchy.rs` for both):
+//! window, MSHR sampling, statistics, next-line prefetcher) over a
+//! [`Backside`] (L2 tags and DRAM) that N fronts can share. One value
+//! picks the DRAM policy (see `hierarchy.rs`):
 //!
 //! * **Infinite banks** — "SST models an infinite number of memory banks
-//!   unless explicitly specified", so the default [`Hierarchy::new`]
+//!   unless explicitly specified", so `Backside::shared(params, 0)`
 //!   imposes no bandwidth limit *inside* the hierarchy: concurrency
 //!   limits live in the core's load/store bandwidth and request-rate
 //!   parameters. A request split over several cache lines completes when
 //!   its slowest line does, but the line fetches proceed in parallel.
-//! * **Finite banks** — a [`Hierarchy::port`] into a finite-banked
-//!   backside adds occupancy-based bank contention; one such core is the
-//!   "hardware proxy" of the Table I validation experiment (see
-//!   DESIGN.md substitution table).
-//! * **Owned or shared backside** — a single core owns its backside; the
-//!   N cores of the multicore machine each drive a [`Hierarchy::port`]
-//!   into one `SharedBackside`.
+//! * **Finite banks** — `banks > 0` adds occupancy-based bank
+//!   contention; one core over such a backside, with no prefetcher, is
+//!   the "hardware proxy" of the Table I validation experiment (see
+//!   DESIGN.md substitution table), and N cores over one are the
+//!   multicore machine.
 //!
 //! One more behavioural point from the paper is modelled explicitly:
 //! **cache-line width as bandwidth** — a wider line returns more bytes
@@ -39,35 +37,12 @@ mod params;
 mod stats;
 
 pub use cache::{Cache, LookupResult};
-pub use hierarchy::{Backside, BacksideHandle, Hierarchy, DEFAULT_BANKS};
+pub use hierarchy::{Backside, Hierarchy, DEFAULT_BANKS};
 pub use params::MemParams;
 pub use stats::MemStats;
 
 /// Completion time (in core cycles) of a memory access.
 pub(crate) type Cycle = u64;
-
-/// Abstract memory backend driven by the core model.
-///
-/// `access` is called once per *line request* (the core splits wider
-/// accesses with [`split_lines`]) and returns the absolute core cycle at
-/// which the data is available (loads) or globally visible (stores).
-pub trait MemoryModel {
-    /// Perform a line-granular access starting at core cycle `now`.
-    fn access(&mut self, line_addr: u64, is_store: bool, now: Cycle) -> Cycle;
-
-    /// Cache line width in bytes.
-    fn line_bytes(&self) -> u32;
-
-    /// L1 hit latency in core cycles. The core's LSQ uses this as the
-    /// store-to-load forwarding latency: SimEng-style LSQs satisfy a
-    /// forwarded load through the same L1-access path, so the forward is
-    /// as slow as an L1 hit (this is what exposes L1 latency/clock on
-    /// store→load coupled codes like MiniSweep's wavefront).
-    fn l1_hit_latency(&self) -> u64;
-
-    /// Accumulated statistics.
-    fn stats(&self) -> &MemStats;
-}
 
 /// Split a byte-range access `[addr, addr+bytes)` into the addresses of the
 /// cache lines it touches.

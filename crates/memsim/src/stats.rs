@@ -34,7 +34,7 @@ pub struct MemStats {
     /// requests`). Exact, like [`MemStats::mshr_peak`].
     pub mshr_occupancy_sum: u64,
     /// DRAM accesses that found their bank busy and had to queue
-    /// (always 0 on the infinite-bank [`crate::Hierarchy`]).
+    /// (always 0 over an infinite-bank [`crate::Backside`]).
     pub dram_queue_waits: u64,
     /// Total cycles DRAM accesses spent queued behind a busy bank.
     pub dram_queue_wait_cycles: u64,

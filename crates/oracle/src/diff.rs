@@ -19,9 +19,9 @@ use crate::arch::ArchState;
 use crate::gen::{random_core_params, random_kernel, GenConfig};
 use crate::interp::interpret;
 use armdse_isa::{Kernel, OpSummary, Program, TraceCursor};
-use armdse_memsim::MemParams;
+use armdse_memsim::{MemParams, DEFAULT_BANKS};
 use armdse_rng::{SeedableRng, Xoshiro256pp};
-use armdse_simcore::{CoreParams, Idealized, MultiCore, RunMode, SimBackend};
+use armdse_simcore::{CoreParams, MultiCore, RunMode, SimBackend};
 
 /// Run one kernel through interpreter, cursor replay, and the OoO core
 /// on the given simulation backend; return `Err` describing the first
@@ -230,7 +230,7 @@ pub fn fuzz_with(cfg: &FuzzConfig, backend: &dyn SimBackend) -> FuzzReport {
 fn fuzz_campaign(cfg: &FuzzConfig, fixed: Option<&dyn SimBackend>) -> FuzzReport {
     let mut rng = Xoshiro256pp::seed_from_u64(cfg.seed);
     let mem = MemParams::thunderx2();
-    let proxy = MultiCore::default();
+    let proxy = MultiCore::new(1, DEFAULT_BANKS);
     let mut failures = Vec::new();
     for i in 0..cfg.programs {
         let kernel = random_kernel(&mut rng, &cfg.gen, format!("fuzz-{:#x}-{i}", cfg.seed));
@@ -238,7 +238,7 @@ fn fuzz_campaign(cfg: &FuzzConfig, fixed: Option<&dyn SimBackend>) -> FuzzReport
         let backend: &dyn SimBackend = match fixed {
             Some(b) => b,
             None if i % 4 == 3 => &proxy,
-            None => &Idealized,
+            None => &MultiCore::IDEALIZED,
         };
         if let Err(error) = check_kernel(&kernel, &core, &mem, backend) {
             failures.push(FuzzFailure {
@@ -273,8 +273,8 @@ mod tests {
             minisweep::kernel(&minisweep::SweepParams::for_scale(WorkloadScale::Tiny), 128),
         ];
         for k in &kernels {
-            check_kernel(k, &core, &mem, &Idealized).unwrap();
-            check_kernel(k, &core, &mem, &MultiCore::default()).unwrap();
+            check_kernel(k, &core, &mem, &MultiCore::IDEALIZED).unwrap();
+            check_kernel(k, &core, &mem, &MultiCore::new(1, DEFAULT_BANKS)).unwrap();
         }
     }
 
@@ -291,7 +291,7 @@ mod tests {
                 &[],
             ))],
         );
-        assert!(check_kernel(&bad, &core, &mem, &Idealized).is_err());
+        assert!(check_kernel(&bad, &core, &mem, &MultiCore::IDEALIZED).is_err());
     }
 
     #[test]

@@ -10,19 +10,18 @@
 //!
 //! Provided backends:
 //!
-//! * [`Idealized`] — the default infinite-bank, SST-like hierarchy (the
-//!   paper's simulation path).
-//! * [`MultiCore`] — N cores over one finite-banked L2 + DRAM. Its
-//!   one-core default is the "hardware proxy" standing in for the
-//!   physical ThunderX2 of Table I.
+//! * [`MultiCore`] — the one machine: N cores over one shared L2 +
+//!   DRAM. [`MultiCore::IDEALIZED`] (one core, infinite banks, the
+//!   next-line prefetcher) is the paper's simulation path;
+//!   `MultiCore::new(1, DEFAULT_BANKS)` is the "hardware proxy"
+//!   standing in for the physical ThunderX2 of Table I.
 //! * [`crate::Memoized`] — the exact run-memoizing wrapper.
 //!
-//! Every backend that drives a pipeline builds it with `Pipeline::new` and
+//! The machine builds each core's pipeline with `Pipeline::new` and
 //! collects it with `finish`; the latter owns the only copy of the
 //! validation epilogue.
 
 use crate::counters::Counters;
-use crate::cycle_limit;
 use crate::multicore::{MultiCore, PerCoreMetrics};
 use crate::params::CoreParams;
 use crate::pipeline::Pipeline;
@@ -30,7 +29,7 @@ use crate::reuse::ReuseStats;
 use crate::stats::SimStats;
 use armdse_isa::instr::DynInstr;
 use armdse_isa::{OpSummary, Program};
-use armdse_memsim::{Hierarchy, MemParams, MemoryModel};
+use armdse_memsim::MemParams;
 
 /// What a run observes besides its [`SimStats`]. Observation never
 /// perturbs the simulation: the statistics of a [`RunMode::Trace`] or
@@ -109,22 +108,15 @@ pub trait SimBackend: Send + Sync {
     /// No-op for backends without reuse state (the default).
     fn clear_reuse_cache(&self) {}
 
-    /// The machine shape this backend simulates. Every other backend
-    /// is the default single-core shape; [`MultiCore`] reports its own
-    /// core and shared-bank counts so orchestration code can label rows
-    /// and checkpoints without downcasting.
-    fn topology(&self) -> MultiCore {
-        MultiCore::default()
-    }
+    /// The machine shape this backend simulates, so orchestration code
+    /// can label rows and checkpoints without downcasting.
+    fn topology(&self) -> MultiCore;
 }
 
 /// Collect a pipeline that finished or hit the cycle limit. A run
 /// validates iff it finished within the limit and retired exactly the
 /// statically expected operation mix.
-pub(crate) fn finish<M: MemoryModel>(
-    mut pipeline: Pipeline<'_, M>,
-    program: &Program,
-) -> RunOutput {
+pub(crate) fn finish(mut pipeline: Pipeline<'_>, program: &Program) -> RunOutput {
     let mut stats = pipeline.stats().clone();
     stats.validated = !stats.hit_cycle_limit && stats.observed == OpSummary::of(program);
     RunOutput {
@@ -135,33 +127,16 @@ pub(crate) fn finish<M: MemoryModel>(
     }
 }
 
-/// The default infinite-bank (SST-like) hierarchy — the paper's
-/// simulation path.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct Idealized;
-
-impl SimBackend for Idealized {
-    fn name(&self) -> &'static str {
-        "idealized"
-    }
-
-    fn run(
-        &self,
-        program: &Program,
-        core: &CoreParams,
-        mem: &MemParams,
-        mode: RunMode,
-    ) -> RunOutput {
-        let mut pipeline = Pipeline::new(program, core, Hierarchy::new(*mem), mode);
-        pipeline.drive_to(cycle_limit(program), u64::MAX);
-        finish(pipeline, program)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use armdse_kernels::{build_workload, App, WorkloadScale};
+    use armdse_memsim::DEFAULT_BANKS;
+
+    const PROXY: MultiCore = MultiCore {
+        cores: 1,
+        banks: DEFAULT_BANKS,
+    };
 
     fn fixture() -> (Program, CoreParams, MemParams) {
         let core = CoreParams::thunderx2();
@@ -172,7 +147,7 @@ mod tests {
     #[test]
     fn backend_choice_works_through_dyn_dispatch() {
         let (p, c, m) = fixture();
-        let backends: [&dyn SimBackend; 2] = [&Idealized, &MultiCore::default()];
+        let backends: [&dyn SimBackend; 2] = [&MultiCore::IDEALIZED, &PROXY];
         let mut names = Vec::new();
         for b in backends {
             let s = b.run(&p, &c, &m, RunMode::Plain).stats;
@@ -185,14 +160,14 @@ mod tests {
     #[test]
     fn plain_runs_observe_nothing() {
         let (p, c, m) = fixture();
-        let out = Idealized.run(&p, &c, &m, RunMode::Plain);
+        let out = MultiCore::IDEALIZED.run(&p, &c, &m, RunMode::Plain);
         assert!(out.trace.is_none() && out.counters.is_none() && out.per_core.is_empty());
     }
 
     #[test]
     fn metrics_runs_are_transparent_and_conserve_cycles() {
         let (p, c, m) = fixture();
-        let backends: [&dyn SimBackend; 2] = [&Idealized, &MultiCore::default()];
+        let backends: [&dyn SimBackend; 2] = [&MultiCore::IDEALIZED, &PROXY];
         for b in backends {
             let plain = b.run(&p, &c, &m, RunMode::Plain).stats;
             let (stats, counters) = b.run(&p, &c, &m, RunMode::Metrics).into_metrics();
@@ -216,9 +191,8 @@ mod tests {
     #[test]
     fn traced_runs_match_untraced_timing() {
         let (p, c, m) = fixture();
-        let proxy = MultiCore::default();
-        let plain = proxy.run(&p, &c, &m, RunMode::Plain).stats;
-        let (stats, trace) = proxy.run(&p, &c, &m, RunMode::Trace).into_traced();
+        let plain = PROXY.run(&p, &c, &m, RunMode::Plain).stats;
+        let (stats, trace) = PROXY.run(&p, &c, &m, RunMode::Trace).into_traced();
         assert_eq!(stats, plain);
         assert_eq!(trace.len() as u64, stats.retired);
     }

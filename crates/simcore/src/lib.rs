@@ -35,7 +35,7 @@ mod regfile;
 mod reuse;
 mod stats;
 
-pub use backend::{Idealized, RunMode, RunOutput, SimBackend};
+pub use backend::{RunMode, RunOutput, SimBackend};
 pub use counters::{Counters, CycleBucket};
 pub use multicore::{MultiCore, PerCoreMetrics};
 pub use params::CoreParams;
@@ -54,18 +54,20 @@ pub(crate) fn cycle_limit(program: &Program) -> u64 {
     10_000 + program.dynamic_len().saturating_mul(MAX_CPI_GUARD)
 }
 
-/// Simulate `program` on the default (infinite-bank, SST-like) memory
-/// hierarchy: a plain [`Idealized`] run. Anything else — another
-/// hierarchy, a trace, metrics — is a [`SimBackend`] value and a
-/// [`RunMode`].
+/// Simulate `program` on the paper's machine: a plain
+/// [`MultiCore::IDEALIZED`] run. Anything else — another machine shape,
+/// a trace, metrics — is a [`SimBackend`] value and a [`RunMode`].
 pub fn simulate(program: &Program, core: &CoreParams, mem: &MemParams) -> SimStats {
-    Idealized.run(program, core, mem, RunMode::Plain).stats
+    MultiCore::IDEALIZED
+        .run(program, core, mem, RunMode::Plain)
+        .stats
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use armdse_kernels::{build_workload, App, WorkloadScale};
+    use armdse_memsim::DEFAULT_BANKS;
 
     fn tx2() -> (CoreParams, MemParams) {
         (CoreParams::thunderx2(), MemParams::thunderx2())
@@ -244,7 +246,7 @@ mod tests {
         let (c, m) = tx2();
         let w = build_workload(App::Stream, WorkloadScale::Small, c.vector_length);
         let sim = simulate(&w.program, &c, &m);
-        let hw = MultiCore::default()
+        let hw = MultiCore::new(1, DEFAULT_BANKS)
             .run(&w.program, &c, &m, RunMode::Plain)
             .stats;
         assert!(hw.validated && sim.validated);
@@ -268,7 +270,7 @@ mod tests {
         let (c, m) = tx2();
         let w = build_workload(App::Stream, WorkloadScale::Tiny, c.vector_length);
         let plain = simulate(&w.program, &c, &m);
-        let (stats, trace) = Idealized
+        let (stats, trace) = MultiCore::IDEALIZED
             .run(&w.program, &c, &m, RunMode::Trace)
             .into_traced();
         assert_eq!(stats.cycles, plain.cycles, "tracing changed timing");

@@ -1,16 +1,19 @@
-//! The multicore machine layer: N core pipelines over one shared
-//! L2 + DRAM backside, stepped in a bounded round-robin slice loop.
+//! The one machine: N core pipelines over one shared L2 + DRAM
+//! backside, stepped in a bounded round-robin slice loop.
 //!
-//! The paper leaves multi-core memory contention to future work
-//! (§VII); this module builds the machine. Each of the N cores runs its
-//! own instance of the same workload (homogeneous-rate model) on a
-//! private [`crate::Pipeline`] whose memory port
-//! ([`armdse_memsim::Hierarchy::port`]) forwards L1 misses into one
-//! [`armdse_memsim::SharedBackside`]. Contention is *emergent*: cores evict
-//! each other's L2 lines and queue on the same finite DRAM banks, and
-//! the costs land in the existing per-core accounting — `MemData`
-//! stall cycles in the [`Counters`] buckets, `dram_queue_*` and
-//! MSHR occupancy in each core's `MemStats`.
+//! The paper simulates one core over an infinite-bank SST hierarchy
+//! with a next-line prefetcher: [`MultiCore::IDEALIZED`], one core over
+//! `banks == 0`. The same machine with finite banks and no prefetcher
+//! is Table I's hardware proxy (`MultiCore::new(1, DEFAULT_BANKS)`) and,
+//! with more cores, the multicore extension the paper leaves to future
+//! work (§VII). Each of the N cores runs its own instance of the same
+//! workload (homogeneous-rate model) on a private [`crate::Pipeline`]
+//! whose memory front ([`armdse_memsim::Hierarchy::new`]) forwards L1
+//! misses into one [`armdse_memsim::Backside`]. Contention is
+//! *emergent*: cores evict each other's L2 lines and queue on the same
+//! finite DRAM banks, and the costs land in the existing per-core
+//! accounting — `MemData` stall cycles in the [`Counters`] buckets,
+//! `dram_queue_*` and MSHR occupancy in each core's `MemStats`.
 //!
 //! ## The slice loop and determinism
 //!
@@ -25,10 +28,10 @@
 //! wall clock or worker-thread count. Results are bit-identical at any
 //! host thread count and across checkpoint/resume. Within one slice a
 //! core sees the backside state its predecessors left; the slice bound
-//! caps that causality skew at `SLICE_CYCLES` core cycles, which is
-//! also why the N=1 machine is an *exact* single-core banked machine:
-//! with one core there is no interleaving to approximate, and
-//! segmented driving is cycle-step-identical to one uninterrupted run.
+//! caps that causality skew at `SLICE_CYCLES` core cycles. A one-core
+//! machine has no interleaving to approximate, and segmented driving is
+//! cycle-step-identical to one uninterrupted run, so it skips the loop
+//! and drives to the end in one call.
 //!
 //! ## Aggregation
 //!
@@ -48,7 +51,7 @@ use crate::params::CoreParams;
 use crate::pipeline::Pipeline;
 use crate::stats::{SimStats, StallStats};
 use armdse_isa::Program;
-use armdse_memsim::{Backside, Hierarchy, MemParams, DEFAULT_BANKS};
+use armdse_memsim::{Backside, Hierarchy, MemParams};
 use std::rc::Rc;
 
 /// Global slice length of the round-robin loop, in core cycles: every
@@ -59,7 +62,7 @@ use std::rc::Rc;
 pub(crate) const SLICE_CYCLES: u64 = 128;
 
 /// One core's share of a multicore metrics run: its own statistics
-/// (cycles, retired, memory and stall counters for *its* port and
+/// (cycles, retired, memory and stall counters for *its* memory front and
 /// pipeline) and its own conservation-checked attribution counters.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PerCoreMetrics {
@@ -71,11 +74,8 @@ pub struct PerCoreMetrics {
     pub counters: Counters,
 }
 
-/// The N-core shared-memory backend (see the module docs), and the
-/// machine shape every backend reports through
-/// [`SimBackend::topology`]. The default — one core over
-/// [`armdse_memsim::DEFAULT_BANKS`] banks — is the finite-banked
-/// single-core machine: Table I's hardware proxy.
+/// The machine (see the module docs), and the shape every backend
+/// reports through [`SimBackend::topology`].
 ///
 /// ```
 /// use armdse_simcore::{CoreParams, MultiCore, RunMode, SimBackend};
@@ -86,9 +86,10 @@ pub struct PerCoreMetrics {
 /// let mem = MemParams::thunderx2();
 /// let w = build_workload(App::Stream, WorkloadScale::Tiny, core.vector_length);
 ///
+/// let paper = MultiCore::IDEALIZED.run(&w.program, &core, &mem, RunMode::Plain).stats;
 /// let solo = MultiCore::new(1, 8).run(&w.program, &core, &mem, RunMode::Plain).stats;
 /// let duo = MultiCore::new(2, 8).run(&w.program, &core, &mem, RunMode::Plain).stats;
-/// assert!(solo.validated && duo.validated);
+/// assert!(paper.validated && solo.validated && duo.validated);
 /// // Two streaming cores share the banks: the makespan cannot shrink.
 /// assert!(duo.cycles >= solo.cycles);
 /// ```
@@ -96,25 +97,23 @@ pub struct PerCoreMetrics {
 pub struct MultiCore {
     /// Core count (>= 1; each runs its own instance of the workload).
     pub cores: u32,
-    /// Shared DRAM bank count (>= 1; the shared-bandwidth axis: fewer
-    /// banks = a narrower shared memory pipe).
+    /// Shared DRAM bank count. 0 is the paper's infinite banks, with
+    /// the next-line prefetcher of [`MemParams::prefetch_depth`]; any
+    /// other count is the shared-bandwidth axis (fewer banks = a
+    /// narrower shared memory pipe) and runs without a prefetcher.
     pub banks: u32,
 }
 
-impl Default for MultiCore {
-    fn default() -> MultiCore {
-        MultiCore {
-            cores: 1,
-            banks: DEFAULT_BANKS as u32,
-        }
-    }
-}
-
 impl MultiCore {
-    /// A machine with `cores` cores over `banks` shared DRAM banks.
+    /// The paper's simulated machine: one core over infinite DRAM banks
+    /// with the next-line prefetcher.
+    pub const IDEALIZED: MultiCore = MultiCore { cores: 1, banks: 0 };
+
+    /// A machine with `cores` cores over `banks` finite shared DRAM
+    /// banks.
     pub fn new(cores: u32, banks: u32) -> MultiCore {
         assert!(cores >= 1, "a machine needs at least one core");
-        assert!(banks >= 1, "the shared backside needs at least one bank");
+        assert!(banks >= 1, "infinite banks are MultiCore::IDEALIZED");
         MultiCore { cores, banks }
     }
 }
@@ -148,7 +147,11 @@ fn sum_stalls(a: &StallStats, b: &StallStats) -> StallStats {
 
 impl SimBackend for MultiCore {
     fn name(&self) -> &'static str {
-        "multicore"
+        if *self == MultiCore::IDEALIZED {
+            "idealized"
+        } else {
+            "multicore"
+        }
     }
 
     fn run(
@@ -158,7 +161,17 @@ impl SimBackend for MultiCore {
         mem: &MemParams,
         mode: RunMode,
     ) -> RunOutput {
-        let shared = Backside::shared(*mem, self.banks as usize);
+        // The two differences between the paper's machine and a banked
+        // one: finite banks run without the prefetcher, and one core
+        // needs no slice loop.
+        let mem = match self.banks {
+            0 => *mem,
+            _ => MemParams {
+                prefetch_depth: 0,
+                ..*mem
+            },
+        };
+        let shared = Backside::shared(mem, self.banks as usize);
         let max_cycles = cycle_limit(program);
         // The trace is captured on core 0 only: every core runs the
         // same program, and the oracle replays one architectural stream.
@@ -168,14 +181,18 @@ impl SimBackend for MultiCore {
                     RunMode::Trace if i > 0 => RunMode::Plain,
                     m => m,
                 };
-                Pipeline::new(program, core, Hierarchy::port(Rc::clone(&shared), i), mode)
+                Pipeline::new(program, core, Hierarchy::new(Rc::clone(&shared), i), mode)
             })
             .collect();
 
         // The bounded round-robin slice loop: every core reaches the
         // global boundary (in fixed core order) before any core passes
         // it. See the module docs for the determinism argument.
-        let mut boundary = SLICE_CYCLES;
+        let mut boundary = if self.cores == 1 {
+            u64::MAX
+        } else {
+            SLICE_CYCLES
+        };
         loop {
             let mut all_done = true;
             for p in pipes.iter_mut() {
@@ -331,7 +348,7 @@ mod tests {
             duo_mem > solo_mem,
             "shared-bank contention must surface as MemData stalls: {duo_mem} !> {solo_mem}"
         );
-        // The queueing the cores suffered is visible in their ports.
+        // The queueing the cores suffered is visible in their memory fronts.
         let waits: u64 = per_core
             .iter()
             .map(|pc| pc.stats.mem.dram_queue_wait_cycles)
@@ -339,9 +356,25 @@ mod tests {
         assert!(waits > 0, "two streaming cores on two banks must queue");
     }
 
+    /// The prefetcher is the idealized machine's alone: a finite-banked
+    /// machine issues no prefetch whatever the depth says.
+    #[test]
+    fn banked_machines_ignore_prefetch_depth() {
+        let (p, c, mut m) = fixture(App::Stream);
+        m.prefetch_depth = 4;
+        for mc in [MultiCore::new(1, 8), MultiCore::new(2, 4)] {
+            assert_eq!(plain(mc, &p, &c, &m).mem.prefetches, 0, "{mc:?}");
+        }
+        assert!(plain(MultiCore::IDEALIZED, &p, &c, &m).mem.prefetches > 0);
+    }
+
     #[test]
     fn topology_reports_the_shape() {
-        assert_eq!(MultiCore::default().topology(), MultiCore::new(1, 8));
+        assert_eq!(
+            MultiCore::IDEALIZED.topology(),
+            MultiCore { cores: 1, banks: 0 }
+        );
+        assert_eq!(MultiCore::IDEALIZED.name(), "idealized");
         let t = MultiCore::new(4, 2).topology();
         assert_eq!((t.cores, t.banks), (4, 2));
     }

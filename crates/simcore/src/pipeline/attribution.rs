@@ -5,9 +5,8 @@
 use super::{Pipeline, Stage};
 use crate::counters::{Counters, CycleBucket, Structure};
 use armdse_isa::op::{OpClass, PortClass};
-use armdse_memsim::MemoryModel;
 
-impl<M: MemoryModel> Pipeline<'_, M> {
+impl Pipeline<'_> {
     /// Charge `cycles` cycles that look alike at the commit edge (one
     /// stepped cycle, or a run of skipped ones) to their bucket and
     /// sample occupancies for each. Runs after writeback/LSQ-memory/

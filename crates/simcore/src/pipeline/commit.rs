@@ -5,9 +5,8 @@ use super::lsq::store_entry;
 use super::{Pipeline, Stage};
 use crate::regfile::Seq;
 use armdse_isa::op::OpClass;
-use armdse_memsim::MemoryModel;
 
-impl<M: MemoryModel> Pipeline<'_, M> {
+impl Pipeline<'_> {
     /// Whether commit retires anything this cycle: the oldest uop is done.
     #[inline]
     pub(super) fn commit_ready(&self) -> bool {

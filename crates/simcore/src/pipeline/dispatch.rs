@@ -8,7 +8,6 @@ use crate::params::{DISPATCH_RATE, RS_SIZE};
 use crate::regfile::Seq;
 use crate::stats::StallStats;
 use armdse_isa::op::{OpClass, PortClass};
-use armdse_memsim::MemoryModel;
 
 /// The full structure that keeps the rename buffer's front uop from
 /// dispatching, first match in this order.
@@ -42,7 +41,7 @@ impl DispatchBlock {
     }
 }
 
-impl<M: MemoryModel> Pipeline<'_, M> {
+impl Pipeline<'_> {
     /// Why a uop of class `op` at the rename buffer's front cannot
     /// dispatch this cycle (`None`: it can).
     #[inline]

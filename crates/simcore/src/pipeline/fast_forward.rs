@@ -2,9 +2,8 @@
 //! would act, charging them exactly as single steps would have.
 
 use super::Pipeline;
-use armdse_memsim::MemoryModel;
 
-impl<M: MemoryModel> Pipeline<'_, M> {
+impl Pipeline<'_> {
     /// Skip provably idle cycles in bulk. Returns `true` if at least
     /// one cycle was skipped (the caller then re-enters the drive loop
     /// at the next timer event instead of stepping).
@@ -101,11 +100,10 @@ mod tests {
     use crate::counters::CycleBucket;
     use armdse_isa::instr::MemKind;
     use armdse_isa::op::OpClass;
-    use armdse_memsim::Hierarchy;
 
     /// An exhausted program with one divide in flight, due at cycle 12:
     /// no stage acts before then.
-    fn idle() -> Pipeline<'static, Hierarchy> {
+    fn idle() -> Pipeline<'static> {
         let mut p = machine(0);
         let div = p.place(OpClass::IntDiv, Stage::Issued, None);
         p.done.push(12, div);
@@ -140,7 +138,7 @@ mod tests {
     }
 
     /// `idle()` with one change that makes exactly one stage act.
-    fn refuses(stage: &str, wake: impl FnOnce(&mut Pipeline<'static, Hierarchy>)) {
+    fn refuses(stage: &str, wake: impl FnOnce(&mut Pipeline<'static>)) {
         let mut p = idle();
         wake(&mut p);
         let now = p.now;

@@ -5,9 +5,8 @@
 use super::Pipeline;
 use crate::params::FETCH_QUEUE_CAP;
 use armdse_isa::INSTR_BYTES;
-use armdse_memsim::MemoryModel;
 
-impl<M: MemoryModel> Pipeline<'_, M> {
+impl Pipeline<'_> {
     /// Whether fetch moves an instruction into the fetch queue this
     /// cycle: the program is not exhausted and the queue has room.
     #[inline]

@@ -7,9 +7,8 @@ use super::{Pipeline, Stage, Uop};
 use crate::params::{FETCH_QUEUE_CAP, RENAME_BUFFER_CAP, RS_SIZE};
 use crate::regfile::Seq;
 use armdse_isa::reg::RegClass;
-use armdse_memsim::MemoryModel;
 
-impl<M: MemoryModel> Pipeline<'_, M> {
+impl Pipeline<'_> {
     /// Checked at the end of every stepped cycle and fast-forward jump.
     #[inline(never)]
     pub(super) fn check_invariants(&self) {

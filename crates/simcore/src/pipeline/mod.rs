@@ -32,7 +32,7 @@ use armdse_isa::instr::{DynInstr, MemRef};
 use armdse_isa::op::{OpClass, PortClass};
 use armdse_isa::reg::RegClass;
 use armdse_isa::{Program, TraceCursor};
-use armdse_memsim::MemoryModel;
+use armdse_memsim::Hierarchy;
 use lsq::{RequestPlan, SqEntry, EMPTY_SPAN};
 use std::collections::VecDeque;
 
@@ -107,9 +107,9 @@ impl CommitLog {
 }
 
 /// The pipeline state machine.
-pub(crate) struct Pipeline<'p, M: MemoryModel> {
+pub(crate) struct Pipeline<'p> {
     params: CoreParams,
-    mem: M,
+    mem: Hierarchy,
     cursor: TraceCursor<'p>,
     /// One-instruction lookahead between the cursor and fetch.
     pending_fetch: Option<DynInstr>,
@@ -200,7 +200,7 @@ pub(crate) struct Pipeline<'p, M: MemoryModel> {
     stats: SimStats,
 }
 
-impl<'p, M: MemoryModel> Pipeline<'p, M> {
+impl<'p> Pipeline<'p> {
     /// A cold pipeline over `program`, observing what `mode` asks for:
     /// under [`RunMode::Trace`] the commit-order retirement stream the
     /// oracle replays, under [`RunMode::Metrics`] the [`Counters`] that
@@ -209,9 +209,9 @@ impl<'p, M: MemoryModel> Pipeline<'p, M> {
     pub(crate) fn new(
         program: &'p Program,
         params: &CoreParams,
-        mem: M,
+        mem: Hierarchy,
         mode: RunMode,
-    ) -> Pipeline<'p, M> {
+    ) -> Pipeline<'p> {
         params.validate().expect("core parameters must validate");
         let params = *params;
         let mut cursor = TraceCursor::new(program);
@@ -376,14 +376,19 @@ mod tests {
     use armdse_isa::kir::{Kernel, Stmt};
     use armdse_isa::{InstrTemplate, Reg};
     use armdse_kernels::{build_workload, App, WorkloadScale};
-    use armdse_memsim::{Hierarchy, MemParams};
+    use armdse_memsim::{Backside, MemParams};
 
     fn assert_exact(core: CoreParams, mem: MemParams) {
         for app in App::ALL {
             let w = build_workload(app, WorkloadScale::Tiny, core.vector_length);
             for mode in [RunMode::Plain, RunMode::Metrics] {
                 let run = |fast_forward| {
-                    let mut p = Pipeline::new(&w.program, &core, Hierarchy::new(mem), mode);
+                    let mut p = Pipeline::new(
+                        &w.program,
+                        &core,
+                        Hierarchy::new(Backside::shared(mem, 0), 0),
+                        mode,
+                    );
                     p.fast_forward = fast_forward;
                     p.drive_to(cycle_limit(&w.program), u64::MAX);
                     finish(p, &w.program)
@@ -506,7 +511,7 @@ mod tests {
 
     /// A ThunderX2 core over the default hierarchy, before cycle 0, about
     /// to fetch `n` independent ALU instructions (none when `n == 0`).
-    pub(super) fn machine(n: usize) -> Pipeline<'static, Hierarchy> {
+    pub(super) fn machine(n: usize) -> Pipeline<'static> {
         let body = (0..n)
             .map(|i| {
                 let (d, s) = (Reg::gp(i as u8 % 8), Reg::gp(8 + i as u8 % 8));
@@ -514,12 +519,12 @@ mod tests {
             })
             .collect();
         let program = Box::leak(Box::new(Program::lower(&Kernel::new("hand", body))));
-        let mem = Hierarchy::new(MemParams::thunderx2());
+        let mem = Hierarchy::new(Backside::shared(MemParams::thunderx2(), 0), 0);
         Pipeline::new(program, &CoreParams::thunderx2(), mem, RunMode::Plain)
     }
 
     /// Attribute cycles from here on (a `RunMode::Metrics` run).
-    pub(super) fn count_cycles(p: &mut Pipeline<'static, Hierarchy>) {
+    pub(super) fn count_cycles(p: &mut Pipeline<'static>) {
         p.counters = Some(Box::new(Counters::new(&p.params)));
     }
 
@@ -533,7 +538,7 @@ mod tests {
         }
     }
 
-    impl Pipeline<'static, Hierarchy> {
+    impl Pipeline<'static> {
         /// Append a uop of class `op` (with no register operands) to the
         /// window in `stage`, keeping every occupancy count, the ready
         /// queues and the store queue as the stages would have left them:

@@ -6,7 +6,6 @@ use super::{Pipeline, RequestPlan, Stage, Uop};
 use crate::params::RENAME_BUFFER_CAP;
 use crate::regfile::RenamedDest;
 use armdse_isa::reg::RegClass;
-use armdse_memsim::MemoryModel;
 
 /// Why rename makes no progress this cycle.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -19,7 +18,7 @@ pub(super) enum RenameBlock {
     FreeList(RegClass),
 }
 
-impl<M: MemoryModel> Pipeline<'_, M> {
+impl Pipeline<'_> {
     /// Why rename cannot take the fetch queue's front instruction this
     /// cycle (`None`: it can).
     #[inline]

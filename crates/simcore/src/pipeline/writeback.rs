@@ -5,9 +5,8 @@
 use super::lsq::store_entry;
 use super::{Pipeline, Stage};
 use crate::regfile::Seq;
-use armdse_memsim::MemoryModel;
 
-impl<M: MemoryModel> Pipeline<'_, M> {
+impl Pipeline<'_> {
     /// The cycle writeback next acts at: this one (`<= now`) while a
     /// load waits for an LSQ completion slot, else the next completion
     /// timer; `None` when nothing is in flight to complete.

@@ -20,6 +20,7 @@
 //! See `DESIGN.md` §13.
 
 use crate::backend::{RunMode, RunOutput, SimBackend};
+use crate::multicore::MultiCore;
 use crate::params::CoreParams;
 use armdse_isa::Program;
 use armdse_kernels::{CacheStats, ShardedCache};
@@ -112,6 +113,10 @@ impl<B: SimBackend> SimBackend for Memoized<B> {
         "memoized"
     }
 
+    fn topology(&self) -> MultiCore {
+        self.inner.topology()
+    }
+
     fn run(
         &self,
         program: &Program,
@@ -150,11 +155,16 @@ impl<B: SimBackend> SimBackend for Memoized<B> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::backend::Idealized;
     use crate::counters::Counters;
-    use crate::multicore::MultiCore;
     use crate::stats::SimStats;
     use armdse_kernels::{build_workload, App, WorkloadScale};
+    use armdse_memsim::DEFAULT_BANKS;
+
+    const IDEALIZED: MultiCore = MultiCore::IDEALIZED;
+    const PROXY: MultiCore = MultiCore {
+        cores: 1,
+        banks: DEFAULT_BANKS,
+    };
 
     fn fixture(app: App) -> (Program, CoreParams, MemParams) {
         let core = CoreParams::thunderx2();
@@ -194,11 +204,8 @@ mod tests {
     fn memoized_is_bit_identical_to_plain_backends() {
         for app in [App::Stream, App::MiniBude] {
             let (p, c, m) = fixture(app);
-            let uncached: [&dyn SimBackend; 2] = [&Idealized, &MultiCore::default()];
-            let cached: [&dyn SimBackend; 2] = [
-                &Memoized::new(Idealized),
-                &Memoized::new(MultiCore::default()),
-            ];
+            let uncached: [&dyn SimBackend; 2] = [&IDEALIZED, &PROXY];
+            let cached: [&dyn SimBackend; 2] = [&Memoized::new(IDEALIZED), &Memoized::new(PROXY)];
             for (&b, &cb) in uncached.iter().zip(&cached) {
                 let want = plain(b, &p, &c, &m);
                 assert!(want.validated);
@@ -213,8 +220,8 @@ mod tests {
     #[test]
     fn memoized_metrics_are_transparent_and_cached() {
         let (p, c, m) = fixture(App::TeaLeaf);
-        let mem = Memoized::new(Idealized);
-        let (want_stats, want_counters) = metrics(&Idealized, &p, &c, &m);
+        let mem = Memoized::new(IDEALIZED);
+        let (want_stats, want_counters) = metrics(&IDEALIZED, &p, &c, &m);
         let (cold_stats, cold_counters) = metrics(&mem, &p, &c, &m);
         assert_eq!(cold_stats, want_stats);
         assert_eq!(cold_counters, want_counters);
@@ -229,8 +236,8 @@ mod tests {
     fn plain_and_metrics_runs_never_answer_each_other() {
         let (p, c, m) = fixture(App::Stream);
         let pairs: [(&dyn SimBackend, &dyn SimBackend); 2] = [
-            (&Idealized, &Memoized::new(Idealized)),
-            (&MultiCore::default(), &Memoized::new(MultiCore::default())),
+            (&IDEALIZED, &Memoized::new(IDEALIZED)),
+            (&PROXY, &Memoized::new(PROXY)),
         ];
         for (inner, memo) in pairs {
             let modes = [RunMode::Plain, RunMode::Metrics];
@@ -254,7 +261,7 @@ mod tests {
         let (p, a, m) = fixture(App::Stream);
         let mut b = a;
         b.rob_size += 4;
-        let memo = Memoized::new(Idealized);
+        let memo = Memoized::new(IDEALIZED);
         let want_a = memo.run(&p, &a, &m, RunMode::Plain);
         let key = run_key(&p, &a, &m, RunMode::Plain);
         assert_ne!(
@@ -276,7 +283,7 @@ mod tests {
         // One 8-entry shard, 12 distinct design points, visited twice in
         // the same order: the worst case for FIFO eviction.
         let memo = Memoized {
-            inner: Idealized,
+            inner: IDEALIZED,
             cache: ShardedCache::new(1, 8),
         };
         let points: Vec<CoreParams> = (0..12)
@@ -289,7 +296,7 @@ mod tests {
             for core in &points {
                 assert_eq!(
                     memo.run(&p, core, &m, RunMode::Plain),
-                    Idealized.run(&p, core, &m, RunMode::Plain),
+                    IDEALIZED.run(&p, core, &m, RunMode::Plain),
                     "{pass} pass, rob_size {}",
                     core.rob_size
                 );
@@ -301,8 +308,8 @@ mod tests {
     #[test]
     fn concurrent_repeats_agree_and_store_one_entry() {
         let (p, c, m) = fixture(App::Stream);
-        let want = Idealized.run(&p, &c, &m, RunMode::Plain);
-        let memo = Memoized::new(Idealized);
+        let want = IDEALIZED.run(&p, &c, &m, RunMode::Plain);
+        let memo = Memoized::new(IDEALIZED);
         // All four start the same run together; whatever the
         // interleaving, get-or-insert keeps one entry.
         let gate = std::sync::Barrier::new(4);
@@ -330,7 +337,7 @@ mod tests {
     #[test]
     fn clear_reuse_cache_forces_cold_start() {
         let (p, c, m) = fixture(App::Stream);
-        let mem = Memoized::new(Idealized);
+        let mem = Memoized::new(IDEALIZED);
         let want = plain(&mem, &p, &c, &m);
         mem.clear_reuse_cache();
         assert_eq!(counts(&mem), (0, 0, 0, 0), "clear resets counters");
@@ -340,18 +347,21 @@ mod tests {
 
     #[test]
     fn memoized_name_and_default_methods() {
-        let mem = Memoized::new(MultiCore::default());
+        let mem = Memoized::new(PROXY);
         assert_eq!(mem.name(), "memoized");
+        // The memo reports its inner machine's shape.
+        assert_eq!(mem.topology(), PROXY);
+        assert_eq!(Memoized::new(IDEALIZED).topology(), IDEALIZED);
         // Plain backends report no reuse stats.
-        assert!(Idealized.reuse_stats().is_none());
-        Idealized.clear_reuse_cache(); // no-op, must not panic
+        assert!(IDEALIZED.reuse_stats().is_none());
+        IDEALIZED.clear_reuse_cache(); // no-op, must not panic
     }
 
     #[test]
     fn memoized_traced_runs_are_exact_and_uncached() {
         let (p, c, m) = fixture(App::Stream);
-        let mem = Memoized::new(Idealized);
-        let (want_stats, want_trace) = traced(&Idealized, &p, &c, &m);
+        let mem = Memoized::new(IDEALIZED);
+        let (want_stats, want_trace) = traced(&IDEALIZED, &p, &c, &m);
         let (stats, trace) = traced(&mem, &p, &c, &m);
         assert_eq!(stats, want_stats);
         assert_eq!(trace, want_trace);

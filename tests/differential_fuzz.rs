@@ -14,7 +14,7 @@
 //! N; the acceptance campaign is the 200-program default).
 
 use armdse::oracle::{fuzz, fuzz_with, FuzzConfig, FuzzReport};
-use armdse::simcore::{Idealized, Memoized, MultiCore, SimBackend};
+use armdse::simcore::{Memoized, MultiCore, SimBackend};
 
 fn campaign_config() -> FuzzConfig {
     let mut cfg = FuzzConfig::default();
@@ -51,7 +51,7 @@ fn differential_fuzz_campaign_is_clean() {
 #[test]
 fn differential_fuzz_reuse_lane_is_clean() {
     let cfg = campaign_config();
-    let backend = Memoized::new(Idealized);
+    let backend = Memoized::new(MultiCore::IDEALIZED);
     assert_clean("reuse-lane", &cfg, &fuzz_with(&cfg, &backend));
     // The campaign must actually have exercised the memo: every program
     // runs in plain and in metrics mode.
@@ -64,17 +64,17 @@ fn differential_fuzz_reuse_lane_is_clean() {
     );
 }
 
-/// Multicore lane: the same population on a two-core machine, so the
-/// shared-handle instantiation of the one memory hierarchy is fuzzed
-/// like the owned one. Core 0's commit trace is replayed against the
-/// reference interpreter, and the aggregate statistics must be
+/// Multicore lane: the same population on machines with more than one
+/// core over one shared backside — two cores over eight banks, and
+/// four cores over two, fewer banks than cores, so every bank is
+/// contended. Core 0's commit trace is replayed against the reference
+/// interpreter, and the aggregate statistics must be
 /// metrics-transparent with every core-cycle attributed.
 #[test]
 fn differential_fuzz_multicore_lane_is_clean() {
     let cfg = campaign_config();
-    assert_clean(
-        "multicore-lane",
-        &cfg,
-        &fuzz_with(&cfg, &MultiCore::new(2, 8)),
-    );
+    for machine in [MultiCore::new(2, 8), MultiCore::new(4, 2)] {
+        let lane = format!("multicore-lane {}x{}", machine.cores, machine.banks);
+        assert_clean(&lane, &cfg, &fuzz_with(&cfg, &machine));
+    }
 }

@@ -20,7 +20,8 @@ use armdse::core::orchestrator::GenOptions;
 use armdse::core::space::ParamSpace;
 use armdse::core::DseDataset;
 use armdse::kernels::{App, WorkloadScale};
-use armdse::simcore::{Idealized, Memoized, MultiCore, SimBackend};
+use armdse::memsim::DEFAULT_BANKS;
+use armdse::simcore::{Memoized, MultiCore, SimBackend};
 use std::fmt::Write as _;
 use std::fs;
 use std::path::PathBuf;
@@ -30,13 +31,16 @@ const SEED: u64 = 0x601D;
 
 fn backends() -> Vec<(&'static str, Box<dyn SimBackend>)> {
     vec![
-        ("idealized", Box::new(Idealized)),
+        ("idealized", Box::new(MultiCore::IDEALIZED)),
         // The hardware proxy: the section kept its label when the
         // one-core machine replaced the single-core banked backend.
-        ("banked-proxy", Box::new(MultiCore::default())),
+        ("banked-proxy", Box::new(MultiCore::new(1, DEFAULT_BANKS))),
         ("multicore-1x8", Box::new(MultiCore::new(1, 8))),
         ("multicore-2x4", Box::new(MultiCore::new(2, 4))),
-        ("memoized-idealized", Box::new(Memoized::new(Idealized))),
+        (
+            "memoized-idealized",
+            Box::new(Memoized::new(MultiCore::IDEALIZED)),
+        ),
     ]
 }
 

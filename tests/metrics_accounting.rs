@@ -17,7 +17,7 @@ use armdse::core::space::ParamSpace;
 use armdse::core::DesignConfig;
 use armdse::kernels::{App, WorkloadScale};
 use armdse::memsim::MemParams;
-use armdse::simcore::{simulate, CoreParams, CycleBucket, Idealized, RunMode, SimBackend};
+use armdse::simcore::{simulate, CoreParams, CycleBucket, MultiCore, RunMode, SimBackend};
 
 fn check_conserves(core: &CoreParams, mem: &MemParams, tag: &str) {
     for app in App::ALL {
@@ -113,7 +113,7 @@ fn free_function_entry_point_is_transparent() {
     let mem = MemParams::thunderx2();
     let w = armdse::kernels::build_workload(App::TeaLeaf, WorkloadScale::Tiny, core.vector_length);
     let plain = simulate(&w.program, &core, &mem);
-    let (stats, counters) = Idealized
+    let (stats, counters) = MultiCore::IDEALIZED
         .run(&w.program, &core, &mem, RunMode::Metrics)
         .into_metrics();
     assert_eq!(stats, plain, "metrics perturbed the run");

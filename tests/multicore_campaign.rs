@@ -191,3 +191,73 @@ fn paused_and_resumed_two_core_campaign_is_byte_identical() {
     assert_eq!(ref_data, data, "paused+resumed dataset CSV diverged");
     assert_eq!(ref_metrics, metrics, "paused+resumed metrics CSV diverged");
 }
+
+/// The proxy (one core over eight banks) and the paper's machine (one
+/// core, infinite banks) are different machines with the same core
+/// count: a checkpoint of either refuses to resume on the other. Only
+/// the paper's machine writes a keyless checkpoint.
+#[test]
+fn proxy_and_idealized_checkpoints_refuse_each_other() {
+    let proxy = || Engine::multicore(1, 8);
+    for (name, writer, reader, keyed) in [
+        (
+            "proxy",
+            proxy as fn() -> Engine,
+            Engine::idealized as fn() -> Engine,
+            true,
+        ),
+        ("idealized", Engine::idealized, proxy, false),
+    ] {
+        let dpath = tmp(&format!("{name}_shape.csv"));
+        let ckpt = tmp(&format!("{name}_shape.ckpt"));
+        std::fs::remove_file(&ckpt).ok();
+        let mut sink = CsvSink::create(&dpath).unwrap();
+        let mut observer = |p: &Progress| p.jobs_done < CHUNK;
+        let summary = writer()
+            .run_controlled(
+                &plan(2),
+                &mut sink,
+                RunControl {
+                    checkpoint: Some(&ckpt),
+                    observer: Some(&mut observer),
+                    ..RunControl::default()
+                },
+            )
+            .unwrap();
+        assert!(!summary.completed);
+        drop(sink);
+
+        let position = Checkpoint::load(&ckpt).unwrap();
+        assert_eq!(
+            position.extra_get("mc.cores"),
+            keyed.then_some("1"),
+            "{name}"
+        );
+        assert_eq!(
+            position.extra_get("mc.banks"),
+            keyed.then_some("8"),
+            "{name}"
+        );
+
+        let mut wrong = CsvSink::append(&dpath).unwrap();
+        let err = reader()
+            .run_controlled(
+                &plan(1),
+                &mut wrong,
+                RunControl {
+                    checkpoint: Some(&ckpt),
+                    position: Some(position),
+                    ..RunControl::default()
+                },
+            )
+            .expect_err("a checkpoint resumed on a different machine");
+        let msg = err.to_string();
+        assert!(
+            msg.contains("machine shapes"),
+            "{name} checkpoint: expected a machine-shape mismatch, got: {msg}"
+        );
+        drop(wrong);
+        std::fs::remove_file(&dpath).ok();
+        std::fs::remove_file(&ckpt).ok();
+    }
+}

@@ -13,7 +13,7 @@ use armdse::isa::instr::InstrTemplate;
 use armdse::isa::kir::{AddrExpr, Kernel, Stmt};
 use armdse::isa::op::OpClass;
 use armdse::isa::{OpSummary, Program, Reg, TraceCursor};
-use armdse::memsim::{split_lines, Cache, MemParams, MemoryModel};
+use armdse::memsim::{split_lines, Backside, Cache, Hierarchy, MemParams};
 use armdse::mltree::{DecisionTreeRegressor, Matrix, Regressor};
 use armdse::rng::{Rng, SeedableRng, Xoshiro256pp};
 
@@ -97,7 +97,7 @@ fn cache_lru_properties() {
 #[test]
 fn hierarchy_completions_causal() {
     sweep(0x4E1, 64, |rng| {
-        let mut h = armdse::memsim::Hierarchy::new(MemParams::thunderx2());
+        let mut h = Hierarchy::new(Backside::shared(MemParams::thunderx2(), 0), 0);
         let n = rng.gen_range(1..100usize);
         for now in 0..n as u64 {
             let a = rng.gen_range(0..1u64 << 18);

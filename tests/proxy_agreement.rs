@@ -1,7 +1,7 @@
-//! Architectural agreement between the two memory back-ends.
+//! Architectural agreement between the paper's machine and the proxy.
 //!
-//! [`Idealized`] (idealised hierarchy) and the one-core [`MultiCore`]
-//! (finite-banked hierarchy, the stand-in for the paper's physical
+//! [`MultiCore::IDEALIZED`] (infinite banks) and the one-core
+//! finite-banked [`MultiCore`] (the stand-in for the paper's physical
 //! ThunderX2 in Table I) model the *same* machine at different timing
 //! detail. Everything architectural — retired instruction count,
 //! per-class retirement summary, validation verdict, and the committed
@@ -12,8 +12,14 @@ use armdse::core::space::ParamSpace;
 use armdse::core::DesignConfig;
 use armdse::isa::instr::DynInstr;
 use armdse::kernels::{build_workload, App, Workload, WorkloadScale};
+use armdse::memsim::DEFAULT_BANKS;
 use armdse::oracle::ArchState;
-use armdse::simcore::{Idealized, MultiCore, RunMode, SimBackend, SimStats};
+use armdse::simcore::{MultiCore, RunMode, SimBackend, SimStats};
+
+const PROXY: MultiCore = MultiCore {
+    cores: 1,
+    banks: DEFAULT_BANKS,
+};
 
 fn plain(b: &dyn SimBackend, w: &Workload, cfg: &DesignConfig) -> SimStats {
     b.run(&w.program, &cfg.core, &cfg.mem, RunMode::Plain).stats
@@ -30,8 +36,8 @@ fn backends_agree_architecturally_on_every_app() {
     for (i, &app) in App::ALL.iter().enumerate() {
         let cfg = space.sample_seeded(0x7A6E + i as u64);
         let w = build_workload(app, WorkloadScale::Tiny, cfg.core.vector_length);
-        let a = plain(&Idealized, &w, &cfg);
-        let b = plain(&MultiCore::default(), &w, &cfg);
+        let a = plain(&MultiCore::IDEALIZED, &w, &cfg);
+        let b = plain(&PROXY, &w, &cfg);
 
         assert_eq!(a.retired, b.retired, "{app:?}: retired count diverged");
         assert_eq!(
@@ -51,8 +57,8 @@ fn backends_agree_architecturally_on_every_app() {
 fn backends_commit_the_identical_instruction_stream() {
     let cfg = DesignConfig::thunderx2();
     let w = build_workload(App::Stream, WorkloadScale::Tiny, cfg.core.vector_length);
-    let (a, trace_a) = traced(&Idealized, &w, &cfg);
-    let (b, trace_b) = traced(&MultiCore::default(), &w, &cfg);
+    let (a, trace_a) = traced(&MultiCore::IDEALIZED, &w, &cfg);
+    let (b, trace_b) = traced(&PROXY, &w, &cfg);
 
     assert_eq!(
         trace_a, trace_b,
@@ -80,8 +86,8 @@ fn trace_mode_is_timing_transparent() {
     // observation channel, not a different model.
     let cfg = DesignConfig::thunderx2();
     let w = build_workload(App::TeaLeaf, WorkloadScale::Tiny, cfg.core.vector_length);
-    let unobserved = plain(&MultiCore::default(), &w, &cfg);
-    let (stats, trace) = traced(&MultiCore::default(), &w, &cfg);
+    let unobserved = plain(&PROXY, &w, &cfg);
+    let (stats, trace) = traced(&PROXY, &w, &cfg);
     assert_eq!(unobserved, stats, "tracing changed the statistics");
     assert_eq!(trace.len() as u64, unobserved.retired);
 }
@@ -93,8 +99,8 @@ fn backends_differ_only_in_timing() {
     // where contention is known to bite.
     let cfg = DesignConfig::thunderx2();
     let w = build_workload(App::Stream, WorkloadScale::Small, cfg.core.vector_length);
-    let a = plain(&Idealized, &w, &cfg);
-    let b = plain(&MultiCore::default(), &w, &cfg);
+    let a = plain(&MultiCore::IDEALIZED, &w, &cfg);
+    let b = plain(&PROXY, &w, &cfg);
     assert_eq!(a.retired, b.retired);
     assert_eq!(a.observed, b.observed);
     assert_ne!(a.cycles, b.cycles, "proxy back-end never affected timing");

@@ -11,7 +11,8 @@ use armdse::core::orchestrator::GenOptions;
 use armdse::core::space::ParamSpace;
 use armdse::core::{CsvSink, Engine, Progress, RunControl, RunPlan};
 use armdse::kernels::{App, WorkloadScale};
-use armdse::simcore::{Counters, Idealized, Memoized, MultiCore, RunMode, SimBackend, SimStats};
+use armdse::memsim::DEFAULT_BANKS;
+use armdse::simcore::{Counters, Memoized, MultiCore, RunMode, SimBackend, SimStats};
 
 /// A small campaign over the paper's ThunderX2-anchored space: every
 /// config is a constrained sample around the baseline's parameter
@@ -135,12 +136,12 @@ fn stats_and_counters_bit_identical_on_subspace_grid() {
         .collect();
     for (backend, cached) in [
         (
-            Box::new(Idealized) as Box<dyn SimBackend>,
-            Box::new(Memoized::new(Idealized)) as Box<dyn SimBackend>,
+            Box::new(MultiCore::IDEALIZED) as Box<dyn SimBackend>,
+            Box::new(Memoized::new(MultiCore::IDEALIZED)) as Box<dyn SimBackend>,
         ),
         (
-            Box::new(MultiCore::default()),
-            Box::new(Memoized::new(MultiCore::default())),
+            Box::new(MultiCore::new(1, DEFAULT_BANKS)),
+            Box::new(Memoized::new(MultiCore::new(1, DEFAULT_BANKS))),
         ),
     ] {
         for app in [App::Stream, App::MiniSweep] {
