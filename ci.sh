@@ -23,6 +23,7 @@
 #   PR 28 (one machine value, no fidelity knob): 17854 -> 17692
 #   PR 29 (one way to make each repro artifact): 17692 -> 17586
 #   PR 31 (one machine, one memory path): 17586 -> 17530
+#   presorted CART builder (perf): 17530 -> 17569
 set -eux
 
 cd "$(dirname "$0")"
@@ -44,6 +45,10 @@ cargo test -q --offline --workspace
 # (benchmark/src/e2e/api.rs): an API change that breaks that view must
 # fail here, not in the pipeline that runs the benchmark.
 cargo test -q --offline --manifest-path benchmark/Cargo.toml
+# Large tree differential (#[ignore] in Tier-1 for its run time): the
+# presorted CART builder must fit `==` trees to the sort-per-node
+# reference on 600-row x 30-feature tied integer datasets.
+cargo test --release --offline -p armdse-mltree -- --ignored
 
 # Style lanes: rustfmt and clippy are hard gates (both run offline).
 cargo fmt --check

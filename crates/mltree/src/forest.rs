@@ -347,16 +347,14 @@ fn fit_tree(
     let n = x.rows();
     let n_feat = x.cols();
     let m_feat = params.max_features.unwrap_or(n_feat).min(n_feat);
-    // Bootstrap sample (with replacement).
-    let boot_x_rows: Vec<usize> = (0..n).map(|_| rng.gen_range(0..n)).collect();
-    let bx = x.select_rows(&boot_x_rows);
-    let by: Vec<f64> = boot_x_rows.iter().map(|&i| y[i]).collect();
+    // Bootstrap sample (with replacement), fitted in place.
+    let boot: Vec<usize> = (0..n).map(|_| rng.gen_range(0..n)).collect();
     // Feature subsample per tree.
     let mut feats: Vec<usize> = (0..n_feat).collect();
     feats.shuffle(rng);
     feats.truncate(m_feat);
     feats.sort_unstable();
-    DecisionTreeRegressor::fit_with(&bx, &by, params.tree, Some(&feats))
+    DecisionTreeRegressor::fit_with(x, y, &boot, params.tree, Some(&feats))
 }
 
 impl Regressor for RandomForest {
