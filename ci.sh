@@ -24,6 +24,7 @@
 #   PR 29 (one way to make each repro artifact): 17692 -> 17586
 #   PR 31 (one machine, one memory path): 17586 -> 17530
 #   presorted CART builder (perf): 17530 -> 17569
+#   recycled machine storage (perf): 17569 -> 17686
 set -eux
 
 cd "$(dirname "$0")"
@@ -41,6 +42,10 @@ fi
 # prints the added/removed names and writes target/public_api.txt; after
 # review, `cp target/public_api.txt tests/golden/public_api.txt`.
 cargo test -q --offline --workspace
+# A warm worker builds a machine with a pinned number of allocations and
+# no zero-filled one (tests/machine_allocations.rs): release must read
+# the same count as the debug run above.
+cargo test -q --offline --release --test machine_allocations
 # The benchmark package sees the product only through public calls
 # (benchmark/src/e2e/api.rs): an API change that breaks that view must
 # fail here, not in the pipeline that runs the benchmark.

@@ -86,9 +86,11 @@ fn engine_extra(t: MultiCore) -> Vec<(String, String)> {
 
 /// Execute jobs `start..end` of `plan` across its worker threads on
 /// `engine`, each in `mode`, returning results sorted by job index. The
-/// span's design points are sampled and validated up front, so the
-/// first invalid one in job order ends the campaign
-/// ([`RunPlan::design_point`]).
+/// calling thread is worker 0 and `threads - 1` more are spawned for the
+/// span; each returns its results through its join handle, and a
+/// worker's panic is re-raised here. The span's design points are
+/// sampled and validated up front, so the first invalid one in job
+/// order ends the campaign ([`RunPlan::design_point`]).
 pub(crate) fn run_span(
     engine: &Engine,
     plan: &RunPlan,
@@ -104,7 +106,6 @@ pub(crate) fn run_span(
         .map(|cfg_idx| plan.design_point(cfg_idx))
         .collect::<Result<Vec<DesignConfig>, ArmdseError>>()?;
     let counter = AtomicUsize::new(start);
-    let results: Mutex<Vec<ChunkResult>> = Mutex::new(Vec::with_capacity(n));
 
     let worker = || {
         let mut local: Vec<ChunkResult> = Vec::new();
@@ -119,18 +120,19 @@ pub(crate) fn run_span(
             let (result, metrics_rows) = engine.run_job(app, job, cfg_idx, plan.scale(), cfg, mode);
             local.push((job, result, metrics_rows));
         }
-        results
-            .lock()
-            .expect("worker poisoned results")
-            .append(&mut local);
+        local
     };
-    std::thread::scope(|s| {
-        for _ in 0..threads {
-            s.spawn(worker);
+    // A thread that runs chunk after chunk (a server runner, `repro`'s
+    // main thread) keeps its machine storage across them: see
+    // `memsim::Cache`.
+    let mut collected = std::thread::scope(|s| {
+        let others: Vec<_> = (1..threads).map(|_| s.spawn(worker)).collect();
+        let mut all = worker();
+        for h in others {
+            all.append(&mut h.join().unwrap_or_else(|e| std::panic::resume_unwind(e)));
         }
+        all
     });
-
-    let mut collected = results.into_inner().expect("worker poisoned results");
     collected.sort_unstable_by_key(|(job, ..)| *job);
     Ok(collected)
 }

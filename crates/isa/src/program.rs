@@ -12,7 +12,7 @@ use crate::instr::InstrTemplate;
 use crate::kir::{Kernel, Stmt, MAX_LOOP_DEPTH};
 use crate::op::OpClass;
 use crate::reg::Reg;
-use crate::INSTR_BYTES;
+use crate::{OpSummary, INSTR_BYTES};
 
 /// Base byte address of the code segment (arbitrary; PCs are
 /// `CODE_BASE + 4*index`).
@@ -105,16 +105,10 @@ impl Program {
         self.ops.len()
     }
 
-    /// Total dynamic (retired) instruction count, computed analytically.
+    /// Total dynamic (retired) instruction count, computed analytically:
+    /// the [`OpSummary::total`] of [`OpSummary::of`].
     pub fn dynamic_len(&self) -> u64 {
-        // Each op retires once per full execution of its enclosing loops.
-        let mut mult = vec![1u64; self.ops.len()];
-        for lm in &self.loops {
-            for m in &mut mult[lm.header as usize..=lm.branch as usize] {
-                *m *= lm.trip;
-            }
-        }
-        mult.iter().sum()
+        OpSummary::of(self).total()
     }
 }
 

@@ -9,8 +9,9 @@
 //! rejected exactly as a failed validation run would be.
 
 use crate::instr::MemKind;
+use crate::kir::MAX_LOOP_DEPTH;
 use crate::op::OpClass;
-use crate::program::Program;
+use crate::program::{OpRole, Program};
 
 /// Analytic summary of a program's dynamic execution.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
@@ -24,23 +25,30 @@ pub struct OpSummary {
 }
 
 impl OpSummary {
-    /// Compute the summary analytically from a lowered program.
+    /// Compute the summary analytically from a lowered program, in one
+    /// allocation-free backwards walk: a loop opens at its branch (which
+    /// names it) and closes after its header, and `open[d]` holds the
+    /// `(header, retire multiplicity)` of the loop open at nesting `d`.
     pub fn of(program: &Program) -> OpSummary {
-        // Retire multiplicity of each static op = product of enclosing trips.
-        let mut mult = vec![1u64; program.ops.len()];
-        for lm in &program.loops {
-            for m in &mut mult[lm.header as usize..=lm.branch as usize] {
-                *m *= lm.trip;
-            }
-        }
+        let mut open = [(0u32, 1u64); MAX_LOOP_DEPTH + 1];
+        let mut depth = 0;
         let mut s = OpSummary::default();
-        for (op, &m) in program.ops.iter().zip(&mult) {
+        for (i, op) in program.ops.iter().enumerate().rev() {
+            if let OpRole::LoopBranch(id) = op.role {
+                let lm = program.loops[id as usize];
+                open[depth + 1] = (lm.header, open[depth].1 * lm.trip);
+                depth += 1;
+            }
+            let m = open[depth].1;
             s.per_class[op.template.op.index()] += m;
             if let Some(mem) = op.template.mem {
                 match mem.kind {
                     MemKind::Load => s.load_bytes += u64::from(mem.bytes) * m,
                     MemKind::Store => s.store_bytes += u64::from(mem.bytes) * m,
                 }
+            }
+            while depth > 0 && open[depth].0 as usize == i {
+                depth -= 1;
             }
         }
         s

@@ -1,5 +1,8 @@
 //! Set-associative cache tag array with true LRU replacement.
 
+use std::cell::RefCell;
+use std::mem::take;
+
 /// Result of a cache lookup.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum LookupResult {
@@ -13,26 +16,38 @@ pub enum LookupResult {
     MissEvictDirty,
 }
 
+/// A cache's arrays while no cache owns them: every tag zero, the
+/// metadata stale, the set list empty.
+type Storage = (Vec<u64>, Vec<u64>, Vec<u32>);
+
+thread_local! {
+    /// Storage of this thread's dropped caches, reused by its next ones.
+    static FREE: RefCell<Vec<Storage>> = const { RefCell::new(Vec::new()) };
+}
+
 /// A set-associative, write-back, write-allocate cache tag array.
 ///
 /// Timing lives in the hierarchy; this structure answers only *presence*
 /// questions and maintains replacement state.
 ///
-/// Storage is two parallel `u64` arrays rather than an array of way
-/// structs: they zero-initialise through `alloc_zeroed` (no multi-MiB
-/// memset when a large L2 is built per simulation), and the hit path
-/// touches only the tag array at twice the density of the struct layout.
-/// The two are the halves of ONE allocation: glibc returns a heap's
-/// free top to the kernel once it reaches twice the largest block it
-/// ever mapped, which two equal blocks freed together reach exactly, so
-/// as two `Vec`s every simulation of the largest L2 gave its pages back
-/// for the next one to fault in again.
+/// Storage is two parallel `u64` arrays, not an array of way structs:
+/// the hit path touches only tags, at twice the density. The arrays are
+/// the thread's: a cache takes the smallest free pair that fits (else a
+/// fresh zeroed pair) and gives it back on drop, zeroing only the tags
+/// of the sets it filled. Those are all sets with a valid tag: a set's
+/// first fill lands in way 0 (the invalid-way search returns the first
+/// zero tag, and no way is ever invalidated) and is recorded then. So a
+/// recycled cache reads like a zeroed one at every index it uses; stale
+/// metadata is never read while its way is invalid, and in its own
+/// array never shows through as a tag under another geometry.
 #[derive(Debug, Clone)]
 pub struct Cache {
-    /// Tags, then metadata. A tag is `(line_addr << 1) | 1` when its way
-    /// is valid, `0` when invalid; a way's metadata is
-    /// `(lru_tick << 1) | dirty`, meaningless while invalid.
-    ways: Vec<u64>,
+    /// `(line_addr << 1) | 1` when the way is valid, `0` when invalid.
+    tags: Vec<u64>,
+    /// `(lru_tick << 1) | dirty`, meaningless while the way is invalid.
+    meta: Vec<u64>,
+    /// Sets whose way 0 this cache filled: the only sets with valid tags.
+    filled: Vec<u32>,
     sets: u32,
     assoc: u32,
     line_bytes: u32,
@@ -48,8 +63,27 @@ impl Cache {
         let sets = (lines / u64::from(assoc)) as u32;
         assert!(sets.is_power_of_two() && sets > 0, "invalid cache geometry");
         let n = (sets * assoc) as usize;
+        // Best fit; a pair too small is replaced (calloc needs no memset).
+        let (mut tags, mut meta, filled) = FREE
+            .with(|free| {
+                let mut free = free.borrow_mut();
+                let fit = |(_, s): &(usize, &Storage)| (s.0.len() < n, s.0.len().abs_diff(n));
+                let (i, _) = free.iter().enumerate().min_by_key(fit)?;
+                Some(free.swap_remove(i))
+            })
+            .unwrap_or_default();
+        if tags.len() < n {
+            (tags, meta) = (vec![0; n], vec![0; n]);
+        }
+        #[cfg(feature = "check-invariants")]
+        assert!(
+            tags[..n].iter().all(|&t| t == 0),
+            "recycled cache storage holds a valid tag"
+        );
         Cache {
-            ways: vec![0; 2 * n],
+            tags,
+            meta,
+            filled,
             sets,
             assoc,
             line_bytes,
@@ -68,7 +102,7 @@ impl Cache {
         let tag = (line_addr << 1) | 1;
         let a = self.assoc as usize;
         let base = self.set_of(line_addr) * a;
-        self.ways[base..base + a].contains(&tag)
+        self.tags[base..base + a].contains(&tag)
     }
 
     /// Access `line_addr`, allocating on miss, updating LRU, and setting
@@ -83,21 +117,21 @@ impl Cache {
         let tick = self.tick;
         let tag = (line_addr << 1) | 1;
         let a = self.assoc as usize;
-        let base = self.set_of(line_addr) * a;
-        let (tags, meta) = self.ways.split_at_mut((self.sets * self.assoc) as usize);
+        let set = self.set_of(line_addr);
+        let tags = &mut self.tags[set * a..(set + 1) * a];
+        let meta = &mut self.meta[set * a..(set + 1) * a];
 
-        if let Some(i) = tags[base..base + a].iter().position(|&t| t == tag) {
-            let m = &mut meta[base + i];
-            *m = (tick << 1) | (*m & 1) | u64::from(is_store);
+        if let Some(i) = tags.iter().position(|&t| t == tag) {
+            meta[i] = (tick << 1) | (meta[i] & 1) | u64::from(is_store);
             return LookupResult::Hit;
         }
 
         // Miss: prefer an invalid way, otherwise evict the LRU way (ticks
         // are unique, so min-by-meta is min-by-tick among valid ways).
-        let (victim_idx, result) = match tags[base..base + a].iter().position(|&t| t == 0) {
+        let (victim_idx, result) = match tags.iter().position(|&t| t == 0) {
             Some(i) => (i, LookupResult::MissFilled),
             None => {
-                let (i, m) = meta[base..base + a]
+                let (i, m) = meta
                     .iter()
                     .enumerate()
                     .min_by_key(|&(_, m)| *m)
@@ -110,8 +144,11 @@ impl Cache {
                 (i, r)
             }
         };
-        tags[base + victim_idx] = tag;
-        meta[base + victim_idx] = (tick << 1) | u64::from(is_store);
+        if victim_idx == 0 && result == LookupResult::MissFilled {
+            self.filled.push(set as u32);
+        }
+        tags[victim_idx] = tag;
+        meta[victim_idx] = (tick << 1) | u64::from(is_store);
         result
     }
 
@@ -122,8 +159,26 @@ impl Cache {
 
     /// Number of currently valid lines.
     pub fn valid_lines(&self) -> u32 {
-        let tags = &self.ways[..self.capacity_lines() as usize];
+        let tags = &self.tags[..self.capacity_lines() as usize];
         tags.iter().filter(|&&t| t != 0).count() as u32
+    }
+}
+
+impl Drop for Cache {
+    /// Zero the filled sets' tags and give the storage to the thread.
+    fn drop(&mut self) {
+        let a = self.assoc as usize;
+        for &set in &self.filled {
+            self.tags[set as usize * a..(set as usize + 1) * a].fill(0);
+        }
+        self.filled.clear();
+        let storage = (
+            take(&mut self.tags),
+            take(&mut self.meta),
+            take(&mut self.filled),
+        );
+        // Once the thread's locals are being torn down it is simply freed.
+        let _ = FREE.try_with(|free| free.borrow_mut().push(storage));
     }
 }
 
@@ -185,6 +240,27 @@ mod tests {
         c.access(0x0000, true); // now dirty via store hit
         c.access(0x0200, false);
         assert_eq!(c.access(0x0400, false), LookupResult::MissEvictDirty);
+    }
+
+    /// Each cache is left dirty and dropped; the next, of another
+    /// geometry, takes its storage on this thread and must read empty.
+    #[test]
+    fn recycled_storage_reads_invalid_under_any_geometry() {
+        for (size, assoc, line) in [
+            (64, 4, 16),
+            (16, 2, 64),
+            (64, 4, 16),
+            (128, 8, 16),
+            (1, 2, 64),
+        ] {
+            let mut c = Cache::new(size, assoc, line);
+            assert_eq!(c.valid_lines(), 0, "{size} KiB {assoc}-way {line} B");
+            assert_eq!(c.access(0, false), LookupResult::MissFilled);
+            for i in 0..2 * u64::from(c.capacity_lines()) {
+                c.access(i * 3 * u64::from(line), i % 3 == 0);
+            }
+            assert!(c.valid_lines() > c.capacity_lines() / 2);
+        }
     }
 
     #[test]

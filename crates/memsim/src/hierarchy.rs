@@ -46,6 +46,7 @@ use crate::Cycle;
 use std::cell::RefCell;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
+use std::mem::take;
 use std::rc::Rc;
 
 /// DRAM bank count of the default machine shape on the wire and the
@@ -56,6 +57,14 @@ pub const DEFAULT_BANKS: u32 = 8;
 /// survives) and far larger than any workload footprint (so per-core
 /// heaps never alias in the shared L2 or DRAM banks).
 pub(crate) const CORE_ADDR_STRIDE: u64 = 1 << 32;
+
+/// A front's merge window (`in_flight`, `fills`).
+type Window = (FastMap<u64, Cycle>, BinaryHeap<Reverse<Cycle>>);
+
+thread_local! {
+    /// Cleared windows of this thread's dropped fronts, capacity kept.
+    static FREE: RefCell<Vec<Window>> = const { RefCell::new(Vec::new()) };
+}
 
 /// The L2-and-below half of the hierarchy: L2 tags and DRAM.
 #[derive(Debug)]
@@ -154,12 +163,13 @@ impl Hierarchy {
     pub fn new(back: Rc<RefCell<Backside>>, core_index: u32) -> Hierarchy {
         let params = back.borrow().params;
         debug_assert_eq!(CORE_ADDR_STRIDE % u64::from(params.line_bytes), 0);
+        let (in_flight, fills) = FREE.with(|f| f.borrow_mut().pop()).unwrap_or_default();
         Hierarchy {
             back,
             l1: Cache::new(params.l1_size_kib, params.l1_assoc, params.line_bytes),
             stats: MemStats::default(),
-            in_flight: FastMap::default(),
-            fills: BinaryHeap::new(),
+            in_flight,
+            fills,
             l1_lat: params.l1_hit_core_cycles(),
             l2_lat: params.l2_hit_core_cycles(),
             line_bytes: params.line_bytes,
@@ -300,6 +310,16 @@ impl Hierarchy {
     #[inline]
     pub fn stats(&self) -> &MemStats {
         &self.stats
+    }
+}
+
+impl Drop for Hierarchy {
+    /// Give the cleared merge window to the thread (see `Cache`'s drop).
+    fn drop(&mut self) {
+        self.in_flight.clear();
+        self.fills.clear();
+        let window = (take(&mut self.in_flight), take(&mut self.fills));
+        let _ = FREE.try_with(|f| f.borrow_mut().push(window));
     }
 }
 
@@ -527,6 +547,39 @@ mod tests {
             mixed_pattern_digest(&mut banked(p, 8)),
             0xe58c_829d_6178_ea0a
         );
+    }
+
+    /// The recorded digests again, each after a dirty hierarchy of the
+    /// same or of the largest geometry was dropped on this thread (its
+    /// tags, merge window and fill heap are what the next one reuses).
+    #[test]
+    fn mixed_pattern_digests_survive_a_dirty_predecessor() {
+        let p = MemParams::thunderx2();
+        let largest = MemParams {
+            l1_size_kib: 128,
+            l2_size_kib: 8192,
+            line_bytes: 16,
+            ..p
+        };
+        let dirty = |mem: MemParams| {
+            let mut m = Hierarchy::new(Backside::shared(mem, 0), 0);
+            let lb = u64::from(mem.line_bytes);
+            for i in 0..4096u64 {
+                m.access((i * 7 % 3000) * lb, i % 5 == 0, i / 2);
+            }
+        };
+        for predecessor in [p, largest] {
+            dirty(predecessor);
+            assert_eq!(
+                mixed_pattern_digest(&mut Hierarchy::new(Backside::shared(p, 0), 0)),
+                0x67fe_a74a_7b7b_2e06
+            );
+            dirty(predecessor);
+            assert_eq!(
+                mixed_pattern_digest(&mut banked(p, 8)),
+                0xe58c_829d_6178_ea0a
+            );
+        }
     }
 
     /// Two streaming cores over one backside must each finish later

@@ -319,6 +319,48 @@ mod tests {
         }
     }
 
+    /// `dynamic_len` and `OpSummary::of` share one allocation-free walk;
+    /// both must still equal the per-op multiplicity formula they
+    /// replaced, on every workload build and on generated programs.
+    #[test]
+    fn dynamic_len_is_the_summary_total_and_the_multiplicity_sum() {
+        use armdse_isa::OpSummary;
+        use armdse_kernels::{build_workload, App, WorkloadScale};
+        let multiplicity_sum = |p: &Program| {
+            let mut mult = vec![1u64; p.ops.len()];
+            for lm in &p.loops {
+                for m in &mut mult[lm.header as usize..=lm.branch as usize] {
+                    *m *= lm.trip;
+                }
+            }
+            mult.iter().sum::<u64>()
+        };
+        let check = |p: &Program| {
+            let want = multiplicity_sum(p);
+            assert_eq!(p.dynamic_len(), want, "{}", p.name);
+            assert_eq!(OpSummary::of(p).total(), want, "{}", p.name);
+        };
+        for app in App::EXTENDED {
+            for scale in [
+                WorkloadScale::Tiny,
+                WorkloadScale::Small,
+                WorkloadScale::Standard,
+            ] {
+                for vl in [128, 256, 512, 1024, 2048] {
+                    check(&build_workload(app, scale, vl).program);
+                }
+            }
+        }
+        let mut rng = Xoshiro256pp::seed_from_u64(11);
+        for i in 0..200 {
+            check(&Program::lower(&random_kernel(
+                &mut rng,
+                &GenConfig::default(),
+                format!("d{i}"),
+            )));
+        }
+    }
+
     #[test]
     fn generator_covers_the_interesting_op_classes() {
         use armdse_isa::OpSummary;

@@ -115,10 +115,11 @@ pub trait SimBackend: Send + Sync {
 
 /// Collect a pipeline that finished or hit the cycle limit. A run
 /// validates iff it finished within the limit and retired exactly the
-/// statically expected operation mix.
-pub(crate) fn finish(mut pipeline: Pipeline<'_>, program: &Program) -> RunOutput {
+/// statically expected operation mix, `expected` (the program's
+/// [`OpSummary::of`]).
+pub(crate) fn finish(mut pipeline: Pipeline<'_>, expected: &OpSummary) -> RunOutput {
     let mut stats = pipeline.stats().clone();
-    stats.validated = !stats.hit_cycle_limit && stats.observed == OpSummary::of(program);
+    stats.validated = !stats.hit_cycle_limit && stats.observed == *expected;
     RunOutput {
         stats,
         trace: pipeline.take_trace(),

@@ -23,6 +23,7 @@
 //!   cycle), kept unsorted until drain — a due batch is a few entries,
 //!   so one small sort per cycle restores `(t, seq)` order exactly.
 
+use std::cell::RefCell;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
@@ -57,22 +58,27 @@ pub(crate) struct EventQueue {
     len: usize,
 }
 
-impl Default for EventQueue {
-    fn default() -> EventQueue {
-        EventQueue {
-            slots: std::array::from_fn(|_| Vec::new()),
-            occupied: 0,
-            drained_to: 0,
-            far: BinaryHeap::new(),
-            len: 0,
-        }
-    }
+/// A queue's storage (wheel slots, far heap), empty between owners.
+type Storage = ([Vec<Seq>; WHEEL], BinaryHeap<Reverse<(u64, Seq)>>);
+
+thread_local! {
+    /// Storage of this thread's dropped queues, reused by its next ones.
+    static FREE: RefCell<Vec<Storage>> = const { RefCell::new(Vec::new()) };
 }
 
 impl EventQueue {
     /// An empty queue.
     pub(crate) fn new() -> EventQueue {
-        EventQueue::default()
+        let (slots, far) = FREE
+            .with(|f| f.borrow_mut().pop())
+            .unwrap_or_else(|| (std::array::from_fn(|_| Vec::new()), BinaryHeap::new()));
+        EventQueue {
+            slots,
+            occupied: 0,
+            drained_to: 0,
+            far,
+            len: 0,
+        }
     }
 
     /// Whether no events are scheduled.
@@ -147,6 +153,17 @@ impl EventQueue {
         // the (small) due batch restores the exact (t, seq) contract.
         out.sort_unstable();
         self.drained_to = now.max(self.drained_to);
+    }
+}
+
+impl Drop for EventQueue {
+    /// Give the emptied storage, capacity kept, to the thread.
+    fn drop(&mut self) {
+        self.slots.iter_mut().for_each(Vec::clear);
+        self.far.clear();
+        let slots = std::mem::replace(&mut self.slots, std::array::from_fn(|_| Vec::new()));
+        let storage = (slots, std::mem::take(&mut self.far));
+        let _ = FREE.try_with(|f| f.borrow_mut().push(storage));
     }
 }
 

@@ -42,16 +42,17 @@ pub use params::CoreParams;
 pub use reuse::{Memoized, ReuseStats, DEFAULT_INTERVAL_LEN};
 pub use stats::{SimStats, StallStats};
 
-use armdse_isa::Program;
+use armdse_isa::{OpSummary, Program};
 use armdse_memsim::MemParams;
 
 /// Default cycle-limit slack: a run is declared wedged (and invalid) if it
 /// exceeds `MAX_CPI_GUARD` cycles per dynamic instruction.
 pub(crate) const MAX_CPI_GUARD: u64 = 500;
 
-/// Compute the safety cycle limit for a program.
-pub(crate) fn cycle_limit(program: &Program) -> u64 {
-    10_000 + program.dynamic_len().saturating_mul(MAX_CPI_GUARD)
+/// The safety cycle limit of a program whose analytic summary is
+/// `expected`.
+pub(crate) fn cycle_limit(expected: &OpSummary) -> u64 {
+    10_000 + expected.total().saturating_mul(MAX_CPI_GUARD)
 }
 
 /// Simulate `program` on the paper's machine: a plain

@@ -50,7 +50,7 @@ use crate::cycle_limit;
 use crate::params::CoreParams;
 use crate::pipeline::Pipeline;
 use crate::stats::{SimStats, StallStats};
-use armdse_isa::Program;
+use armdse_isa::{OpSummary, Program};
 use armdse_memsim::{Backside, Hierarchy, MemParams};
 use std::rc::Rc;
 
@@ -172,7 +172,9 @@ impl SimBackend for MultiCore {
             },
         };
         let shared = Backside::shared(mem, self.banks as usize);
-        let max_cycles = cycle_limit(program);
+        // One walk of the program serves the cycle limit and validation.
+        let expected = OpSummary::of(program);
+        let max_cycles = cycle_limit(&expected);
         // The trace is captured on core 0 only: every core runs the
         // same program, and the oracle replays one architectural stream.
         let mut pipes: Vec<_> = (0..self.cores)
@@ -207,7 +209,7 @@ impl SimBackend for MultiCore {
             boundary += SLICE_CYCLES;
         }
 
-        let runs: Vec<RunOutput> = pipes.into_iter().map(|p| finish(p, program)).collect();
+        let runs: Vec<RunOutput> = pipes.into_iter().map(|p| finish(p, &expected)).collect();
         // Per-core rows are only interesting when there is more than
         // one core: the single-core machine IS its aggregate.
         let per_core = if mode == RunMode::Metrics && runs.len() > 1 {

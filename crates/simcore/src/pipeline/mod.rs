@@ -144,7 +144,9 @@ pub(crate) struct Pipeline<'p> {
     /// O(1) issue early-out and the fast-forward legality check.
     rs_ready: u32,
     rob_count: u32,
-    port_busy: [Vec<u64>; 4],
+    /// Per port class, per port: the cycle the port frees. A class has
+    /// at most three ports; the slots it lacks are busy forever.
+    port_busy: [[u64; 3]; 4],
     /// Single completion-timer queue for both event kinds: execution
     /// completions (uop stage [`Stage::Issued`]) and memory completions
     /// (stage [`Stage::MemWait`]). The kind is recovered from the uop's
@@ -219,11 +221,12 @@ impl<'p> Pipeline<'p> {
         Pipeline {
             rename: RenameUnit::new(RegClass::ALL.map(|c| params.phys_regs(c))),
             port_busy: [
-                vec![0; PortClass::LoadStore.default_count()],
-                vec![0; PortClass::Vector.default_count()],
-                vec![0; PortClass::Predicate.default_count()],
-                vec![0; PortClass::Scalar.default_count()],
-            ],
+                PortClass::LoadStore,
+                PortClass::Vector,
+                PortClass::Predicate,
+                PortClass::Scalar,
+            ]
+            .map(|c| std::array::from_fn(|i| if i < c.default_count() { 0 } else { u64::MAX })),
             params,
             mem,
             cursor,
@@ -390,8 +393,8 @@ mod tests {
                         mode,
                     );
                     p.fast_forward = fast_forward;
-                    p.drive_to(cycle_limit(&w.program), u64::MAX);
-                    finish(p, &w.program)
+                    p.drive_to(cycle_limit(&w.summary), u64::MAX);
+                    finish(p, &w.summary)
                 };
                 let (on, off) = (run(true), run(false));
                 assert!(on.stats.validated, "{app:?}/{mode:?} failed validation");
@@ -505,6 +508,88 @@ mod tests {
         let (mut core, mem) = tx2();
         core.rob_size = 512;
         assert_exact(core, mem);
+    }
+
+    // ------------------------------------------------- recycled storage
+
+    /// A machine built on a thread that has run others reuses their
+    /// storage: cache tags, merge windows, rename files, event wheels.
+    /// The reuse must be invisible. A pipeline is stopped at its cycle
+    /// limit mid-flight on the largest geometry (an 8 MiB L2 and a 128
+    /// KiB L1 at 16 B lines), and then each run of a sequence that
+    /// leaves the storage dirty in another way (wedged, smaller, lined
+    /// differently, the 2-core machine before and after the paper's)
+    /// must equal the same run on a fresh thread, whose free lists are
+    /// empty.
+    #[test]
+    fn recycled_runs_equal_fresh_thread_runs() {
+        use crate::multicore::MultiCore;
+        use crate::SimBackend;
+        let (core, tx2) = tx2();
+        let largest = MemParams {
+            l1_size_kib: 128,
+            l2_size_kib: 8192,
+            line_bytes: 16,
+            ..tx2
+        };
+        let w = build_workload(App::Stream, WorkloadScale::Tiny, core.vector_length);
+        let mut p = Pipeline::new(
+            &w.program,
+            &core,
+            Hierarchy::new(Backside::shared(largest, 0), 0),
+            RunMode::Plain,
+        );
+        // The first limit at which an execution completion (always a
+        // wheel event) and a queued store are both pending.
+        let mut limit = 300;
+        p.drive_to(limit, u64::MAX);
+        while p.sq.is_empty() || !p.window.iter().any(|u| u.stage == Stage::Issued) {
+            limit += 1;
+            p.drive_to(limit, u64::MAX);
+        }
+        assert!(p.stats.hit_cycle_limit && p.done.next_time().is_some());
+        drop(p);
+
+        // Latencies far past the CPI guard: the run stops at its cycle
+        // limit with loads in flight and stores queued.
+        let wedged = MemParams {
+            l1_latency: 100_000,
+            l2_latency: 200_000,
+            ..largest
+        };
+        let small = MemParams {
+            l1_size_kib: 4,
+            l2_size_kib: 64,
+            line_bytes: 128,
+            ..tx2
+        };
+        let (ideal, duo) = (MultiCore::IDEALIZED, MultiCore::new(2, 4));
+        let sequence = [
+            (ideal, App::TeaLeaf, WorkloadScale::Small, largest),
+            (ideal, App::Stream, WorkloadScale::Tiny, wedged),
+            (ideal, App::MiniSweep, WorkloadScale::Tiny, small),
+            (ideal, App::MiniBude, WorkloadScale::Tiny, tx2),
+            (ideal, App::Stream, WorkloadScale::Tiny, largest),
+            (duo, App::TeaLeaf, WorkloadScale::Tiny, tx2),
+            (ideal, App::TeaLeaf, WorkloadScale::Tiny, tx2),
+            (duo, App::Stream, WorkloadScale::Tiny, wedged),
+            (duo, App::MiniSweep, WorkloadScale::Tiny, small),
+        ];
+        let run = move |i: usize, mode| {
+            let (machine, app, scale, mem) = sequence[i];
+            let w = build_workload(app, scale, core.vector_length);
+            machine.run(&w.program, &core, &mem, mode)
+        };
+        for mode in [RunMode::Plain, RunMode::Metrics, RunMode::Trace] {
+            for (i, &(machine, app, _, mem)) in sequence.iter().enumerate() {
+                let recycled = run(i, mode);
+                let fresh = std::thread::spawn(move || run(i, mode)).join().unwrap();
+                assert_eq!(recycled, fresh, "run {i} ({machine:?} {app:?} {mode:?})");
+                let wedges = mem.l1_latency == wedged.l1_latency;
+                assert_eq!(recycled.stats.hit_cycle_limit, wedges, "run {i}");
+                assert_eq!(recycled.stats.validated, !wedges, "run {i}");
+            }
+        }
     }
 
     // ------------------------------------------ hand-built machine states

@@ -2,12 +2,13 @@
 //! ready bits, and waiter lists.
 
 use armdse_isa::reg::{Reg, RegClass};
+use std::cell::RefCell;
 
 /// Sequence number of an in-flight micro-op (monotonic, program order).
 pub(crate) type Seq = u64;
 
 /// One class's physical register file.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 struct ClassFile {
     /// Current architectural → physical mapping.
     map: Vec<u32>,
@@ -15,23 +16,32 @@ struct ClassFile {
     free: Vec<u32>,
     /// Ready bit per physical register (value produced).
     ready: Vec<bool>,
-    /// Micro-ops waiting on each physical register.
+    /// Micro-ops waiting on each physical register (plus recycled spares).
     waiters: Vec<Vec<Seq>>,
 }
 
 impl ClassFile {
-    fn new(arch: u32, phys: u32) -> ClassFile {
+    /// Reset to `arch` registers mapped over `phys`, keeping capacity.
+    fn reset(&mut self, arch: u32, phys: u32) {
         assert!(
             phys > arch,
             "physical file smaller than architectural state"
         );
-        ClassFile {
-            map: (0..arch).collect(),
-            free: (arch..phys).rev().collect(),
-            ready: vec![true; phys as usize],
-            waiters: vec![Vec::new(); phys as usize],
-        }
+        self.map.clear();
+        self.map.extend(0..arch);
+        self.free.clear();
+        self.free.extend((arch..phys).rev());
+        self.ready.clear();
+        self.ready.resize(phys as usize, true);
+        self.waiters.iter_mut().for_each(Vec::clear);
+        let lists = self.waiters.len().max(phys as usize);
+        self.waiters.resize_with(lists, Vec::new);
     }
+}
+
+thread_local! {
+    /// Class files of this thread's dropped rename units.
+    static FREE: RefCell<Vec<[ClassFile; 4]>> = const { RefCell::new(Vec::new()) };
 }
 
 /// The rename unit: all four class files.
@@ -55,15 +65,11 @@ impl RenameUnit {
     /// Build with per-class physical register counts
     /// (indexed by `RegClass::index()`).
     pub(crate) fn new(phys_counts: [u32; 4]) -> RenameUnit {
-        let f = |c: RegClass| ClassFile::new(u32::from(c.arch_count()), phys_counts[c.index()]);
-        RenameUnit {
-            files: [
-                f(RegClass::Gp),
-                f(RegClass::Fp),
-                f(RegClass::Pred),
-                f(RegClass::Cond),
-            ],
+        let mut files: [ClassFile; 4] = FREE.with(|f| f.borrow_mut().pop()).unwrap_or_default();
+        for (file, c) in files.iter_mut().zip(RegClass::ALL) {
+            file.reset(u32::from(c.arch_count()), phys_counts[c.index()]);
         }
+        RenameUnit { files }
     }
 
     /// The first register class (in index order) whose free list cannot
@@ -150,6 +156,14 @@ impl RenameUnit {
         f.free.iter().all(|&p| {
             f.ready[p as usize] && f.waiters[p as usize].is_empty() && !f.map.contains(&p)
         })
+    }
+}
+
+impl Drop for RenameUnit {
+    /// Give the class files to the thread; the next unit resets them.
+    fn drop(&mut self) {
+        let files = std::mem::take(&mut self.files);
+        let _ = FREE.try_with(|f| f.borrow_mut().push(files));
     }
 }
 
