@@ -25,6 +25,7 @@
 #   PR 31 (one machine, one memory path): 17586 -> 17530
 #   presorted CART builder (perf): 17530 -> 17569
 #   recycled machine storage (perf): 17569 -> 17686
+#   store-hazard memo (perf): 17686 -> 17742
 set -eux
 
 cd "$(dirname "$0")"

@@ -79,7 +79,7 @@ impl Pipeline<'_> {
                 self.push_ready(op.port(), seq);
             }
             if op.is_load() {
-                self.lq_count += 1;
+                self.lq_push(seq, &mem.expect("load has mem"));
             }
             if op.is_store() {
                 self.sq_push(seq, &mem.expect("store has mem"));

@@ -12,8 +12,10 @@ impl Pipeline<'_> {
     /// from the pre-cycle state, says it would not act:
     ///
     /// * **writeback** — `next_writeback` is in the future;
-    /// * **LSQ memory** — `lsq_idle` (no load to issue, no
-    ///   `store_drainable` front);
+    /// * **LSQ memory** — `lsq_idle` (no `store_drainable` front, and
+    ///   every pending load parked on its remembered store, which gets
+    ///   its data only at a writeback event and drains only after a
+    ///   commit);
     /// * **commit** — not `commit_ready`, with the window non-empty;
     /// * **issue** — not `issue_ready`;
     /// * **dispatch** — the rename buffer is empty or `dispatch_block`
@@ -98,6 +100,7 @@ mod tests {
     use super::super::tests::{access, count_cycles, machine};
     use super::super::{Pipeline, Stage};
     use crate::counters::CycleBucket;
+    use crate::params::MIN_FORWARD_LATENCY;
     use armdse_isa::instr::MemKind;
     use armdse_isa::op::OpClass;
 
@@ -137,6 +140,29 @@ mod tests {
         assert_eq!(p.stats.stalls.rob_full, 5);
     }
 
+    #[test]
+    fn a_parked_load_skips_to_its_stores_data_and_forwards_that_cycle() {
+        let mut p = machine(0);
+        let store = p.place(
+            OpClass::Store,
+            Stage::Issued,
+            Some(access(MemKind::Store, 0x100, 16)),
+        );
+        p.done.push(12, store);
+        let m = access(MemKind::Load, 0x108, 8);
+        let load = p.place(OpClass::Load, Stage::PendingMem, Some(m));
+        p.pending_loads.push_back(load);
+        assert!(p.lsq_idle(), "the load is parked on the store");
+        assert!(p.try_fast_forward(u64::MAX));
+        assert_eq!(p.now, 12);
+        p.step();
+        let u = p.uop(load);
+        assert_eq!(u.stage, Stage::MemWait);
+        let forward = p.mem.l1_hit_latency().max(MIN_FORWARD_LATENCY);
+        assert_eq!(u.mem_complete, 12 + forward, "forwarded at cycle 12");
+        assert_eq!(p.mem.stats().requests, 0);
+    }
+
     /// `idle()` with one change that makes exactly one stage act.
     fn refuses(stage: &str, wake: impl FnOnce(&mut Pipeline<'static>)) {
         let mut p = idle();
@@ -159,6 +185,21 @@ mod tests {
             let m = access(MemKind::Load, 0, 8);
             let seq = p.place(OpClass::Load, Stage::PendingMem, Some(m));
             p.pending_loads.push_back(seq);
+        });
+        refuses("lsq: a parked load's store has its data", |p| {
+            let store = p.place(
+                OpClass::Store,
+                Stage::Issued,
+                Some(access(MemKind::Store, 0, 8)),
+            );
+            let m = access(MemKind::Load, 0, 8);
+            let load = p.place(OpClass::Load, Stage::PendingMem, Some(m));
+            p.pending_loads.push_back(load);
+            p.lsq_memory();
+            assert!(p.lsq_idle(), "parked");
+            p.done.push(1, store);
+            p.now = 1;
+            p.writeback();
         });
         refuses("lsq: store drain", |p| {
             let mut q = machine(0);

@@ -2,7 +2,7 @@
 //! `check-invariants` feature. Any violation panics, so a completed run
 //! certifies zero violations.
 
-use super::lsq::MemBudget;
+use super::lsq::{MemBudget, StoreHazard};
 use super::{Pipeline, Stage, Uop};
 use crate::params::{FETCH_QUEUE_CAP, RENAME_BUFFER_CAP, RS_SIZE};
 use crate::regfile::Seq;
@@ -125,6 +125,22 @@ impl Pipeline<'_> {
                 self.sq_span.0 <= e.span_lo && e.span_hi <= self.sq_span.1,
                 "cycle {now}: store {} span outside the SQ bounding box",
                 e.seq
+            );
+        }
+        // The store-hazard memo: each pending load's verdict, read from
+        // the store remembered at its dispatch, is the full SQ walk's, and
+        // an idle memory stage holds only loads the walk blocks.
+        let idle = self.lsq_idle();
+        for &s in &self.pending_loads {
+            let walk = self.classify_against_stores(s, &self.uop(s).mem.expect("load has mem"));
+            assert_eq!(
+                self.store_hazard(s),
+                walk,
+                "cycle {now}: load {s}'s remembered store hazard differs from the SQ walk"
+            );
+            assert!(
+                !idle || walk == StoreHazard::Blocked,
+                "cycle {now}: the LSQ reads idle with load {s} {walk:?}"
             );
         }
         let sq_uncommitted = self.sq.iter().filter(|e| !e.committed).count() as u32;

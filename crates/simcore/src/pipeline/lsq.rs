@@ -1,6 +1,13 @@
 //! The load/store queue's memory stage: in-order drain of committed
 //! stores, then load issue past the store queue (blocked, forwarded or
 //! sent to memory), all under one per-cycle request and bandwidth budget.
+//!
+//! A load's store hazard is decided by one store, found once at its
+//! dispatch: the youngest store queued ahead of it that overlaps its
+//! span. No older store can enter the SQ after the load (dispatch is in
+//! order), that store's span and scatter bit never change, its data only
+//! becomes ready, and the SQ drains from its front, so every later
+//! verdict reads that one entry instead of walking the SQ.
 
 use super::{Pipeline, Stage};
 use crate::params::{CoreParams, MIN_FORWARD_LATENCY};
@@ -201,11 +208,18 @@ impl Pipeline<'_> {
         self.sq.front().is_some_and(|f| f.committed && f.data_ready)
     }
 
-    /// Whether the memory stage has nothing to do this cycle: no load
-    /// waits to issue and no store may drain.
+    /// Whether the memory stage has nothing to do this cycle: no store may
+    /// drain and every pending load is parked on its store (`Blocked`),
+    /// so none sends a request. A parked load's verdict changes only when
+    /// its store gets its data (a writeback event) or drains (which needs
+    /// `store_drainable`), so the predicate is stable across a skip.
     #[inline]
     pub(super) fn lsq_idle(&self) -> bool {
-        self.pending_loads.is_empty() && !self.store_drainable()
+        !self.store_drainable()
+            && self
+                .pending_loads
+                .iter()
+                .all(|&seq| self.store_hazard(seq) == StoreHazard::Blocked)
     }
 
     /// Allocate store `seq`'s SQ entry at dispatch and grow the SQ
@@ -225,12 +239,52 @@ impl Pipeline<'_> {
         });
     }
 
+    /// Allocate load `seq`'s LQ slot at dispatch and remember the
+    /// youngest queued store that overlaps its span (every queued store
+    /// is older). A span that misses the SQ bounding box skips the walk.
+    #[inline]
+    pub(super) fn lq_push(&mut self, seq: Seq, m: &MemRef) {
+        self.lq_count += 1;
+        let (lo, hi) = span_of(m);
+        let in_box = lo < self.sq_span.1 && self.sq_span.0 < hi;
+        self.uop_mut(seq).hazard = if in_box {
+            self.sq
+                .iter()
+                .rev()
+                .find(|e| e.overlaps(lo, hi))
+                .map(|e| e.seq)
+        } else {
+            None
+        };
+    }
+
+    /// Load `seq`'s store hazard this cycle, read from its remembered
+    /// store in O(log SQ). Once that store has drained, every older one
+    /// has too: the load is clear.
+    #[inline]
+    pub(super) fn store_hazard(&self, seq: Seq) -> StoreHazard {
+        let u = self.uop(seq);
+        let Some(store) = u.hazard else {
+            return StoreHazard::Clear;
+        };
+        let Ok(i) = self.sq.binary_search_by(|e| e.seq.cmp(&store)) else {
+            return StoreHazard::Clear;
+        };
+        let m = u.mem.expect("load has mem");
+        let (lo, hi) = span_of(&m);
+        // Gathers never forward: their elements cannot all come from one
+        // store's data.
+        let e = &self.sq[i];
+        if matches!(m.pattern, MemPattern::Contiguous) && e.data_ready && e.covers(lo, hi) {
+            StoreHazard::Forward
+        } else {
+            StoreHazard::Blocked
+        }
+    }
+
     #[inline]
     pub(super) fn lsq_memory(&mut self) {
         self.mem_budget_exhausted = false;
-        if self.lsq_idle() {
-            return;
-        }
         let line = u64::from(self.mem.line_bytes());
         let now = self.now;
         let mut budget = MemBudget::new(&self.params);
@@ -254,20 +308,16 @@ impl Pipeline<'_> {
         // Load issue (program order across pending loads, but younger
         // loads may proceed past a blocked older one — our model permits
         // this because forwarding correctness is enforced per-load).
-        // `still_pending` is a hoisted scratch deque (empty between
-        // cycles) that becomes the new pending list below.
-        let mut still_pending = std::mem::take(&mut self.scratch_pending);
-        debug_assert!(still_pending.is_empty());
-        while let Some(seq) = self.pending_loads.pop_front() {
+        // Loads that go leave the list; the rest keep their order.
+        let mut i = 0;
+        while let Some(&seq) = self.pending_loads.get(i) {
             if !budget.has_request(false) {
                 self.mem_budget_exhausted = true;
-                still_pending.push_back(seq);
-                continue;
+                break;
             }
-            let mref = self.uop(seq).mem.expect("load has mem");
-            match self.classify_against_stores(seq, &mref) {
+            match self.store_hazard(seq) {
                 StoreHazard::Blocked => {
-                    still_pending.push_back(seq);
+                    i += 1;
                     continue;
                 }
                 StoreHazard::Forward => {
@@ -276,6 +326,7 @@ impl Pipeline<'_> {
                     u.mem_complete = complete;
                     u.stage = Stage::MemWait;
                     self.done.push(complete, seq);
+                    self.pending_loads.remove(i);
                     continue;
                 }
                 StoreHazard::Clear => {}
@@ -286,33 +337,26 @@ impl Pipeline<'_> {
             u.mem_complete = u.mem_complete.max(complete);
             if u.plan.left > 0 {
                 self.mem_budget_exhausted = true;
-                still_pending.push_back(seq);
+                i += 1;
             } else {
                 u.stage = Stage::MemWait;
                 // A zero-request access cannot happen (bytes >= 1); it
                 // would complete next cycle.
                 let t = if had > 0 { u.mem_complete } else { now + 1 };
                 self.done.push(t, seq);
+                self.pending_loads.remove(i);
             }
         }
-        // `pending_loads` was fully drained above; it becomes next
-        // cycle's scratch buffer.
-        std::mem::swap(&mut self.pending_loads, &mut still_pending);
-        self.scratch_pending = still_pending;
 
         #[cfg(feature = "check-invariants")]
         self.check_mem_budget(&budget);
     }
 
-    #[inline]
+    /// The reference classifier `store_hazard` must agree with: a walk of
+    /// every older store, the youngest overlapping one deciding.
+    #[cfg(any(test, feature = "check-invariants"))]
     pub(super) fn classify_against_stores(&self, seq: Seq, mref: &MemRef) -> StoreHazard {
-        // Youngest older store overlapping the load's span decides.
-        // Gathers never forward (their elements cannot all come from one
-        // store's data), so an overlapping gather load is simply blocked
-        // until the store drains.
         let (lo, hi) = span_of(mref);
-        // Fast path: the load's span misses the (conservative) bounding
-        // box of every SQ-resident store, so no entry can overlap.
         if !(lo < self.sq_span.1 && self.sq_span.0 < hi) {
             return StoreHazard::Clear;
         }
@@ -324,16 +368,6 @@ impl Pipeline<'_> {
             }
             if e.overlaps(lo, hi) {
                 decision = if !load_is_gather && e.data_ready && e.covers(lo, hi) {
-                    // Forwarding is only legal from an older store whose
-                    // data is already known.
-                    #[cfg(feature = "check-invariants")]
-                    assert!(
-                        e.seq < seq && e.data_ready,
-                        "store-to-load forwarding from store {} to load {} \
-                         (older required, data must be ready)",
-                        e.seq,
-                        seq
-                    );
                     StoreHazard::Forward
                 } else {
                     StoreHazard::Blocked
@@ -411,6 +445,7 @@ mod tests {
         let (p, load) = store_then_load(true);
         let m = access(MemKind::Load, 0x108, 8);
         assert_eq!(p.classify_against_stores(load, &m), StoreHazard::Forward);
+        assert_eq!(p.store_hazard(load), StoreHazard::Forward);
     }
 
     #[test]
@@ -418,6 +453,7 @@ mod tests {
         let (p, load) = store_then_load(false);
         let m = access(MemKind::Load, 0x108, 8);
         assert_eq!(p.classify_against_stores(load, &m), StoreHazard::Blocked);
+        assert_eq!(p.store_hazard(load), StoreHazard::Blocked);
         let (p, load) = store_then_load(true);
         let straddles = access(MemKind::Load, 0x10c, 8);
         assert_eq!(
@@ -447,6 +483,39 @@ mod tests {
         // Only older stores count: seq 0 is the store itself.
         let m = access(MemKind::Load, 0x108, 8);
         assert_eq!(p.classify_against_stores(0, &m), StoreHazard::Clear);
+    }
+
+    #[test]
+    fn a_load_is_clear_once_its_remembered_store_drains() {
+        // Two committed stores overlap the load and one drains per cycle.
+        // The younger one only straddles it, so it blocks the load until
+        // it drains, although the older one covers the load with its
+        // data ready (and drains first).
+        let mut p = machine(0);
+        p.params.stores_per_cycle = 1;
+        p.place(
+            OpClass::Store,
+            Stage::Done,
+            Some(access(MemKind::Store, 0x100, 16)),
+        );
+        p.place(
+            OpClass::Store,
+            Stage::Done,
+            Some(access(MemKind::Store, 0x10c, 8)),
+        );
+        let m = access(MemKind::Load, 0x108, 8);
+        let load = p.place(OpClass::Load, Stage::PendingMem, Some(m));
+        p.pending_loads.push_back(load);
+        p.commit();
+        assert_eq!(p.store_hazard(load), StoreHazard::Blocked);
+        p.lsq_memory();
+        assert_eq!((p.sq.len(), p.mem.stats().requests), (1, 1));
+        assert_eq!(p.pending_loads, [load], "parked on the younger store");
+        assert_eq!(p.store_hazard(load), p.classify_against_stores(load, &m));
+        p.lsq_memory();
+        assert!(p.sq.is_empty() && p.pending_loads.is_empty());
+        assert_eq!(p.uop(load).stage, Stage::MemWait);
+        assert_eq!(p.mem.stats().requests, 3, "the load went to memory");
     }
 
     #[test]

@@ -103,6 +103,7 @@ impl Pipeline<'_> {
                 mem: di.mem,
                 plan,
                 mem_complete: 0,
+                hazard: None,
             });
             self.rename_q.push_back(seq);
         }

@@ -74,6 +74,7 @@ impl RenameUnit {
 
     /// The first register class (in index order) whose free list cannot
     /// cover `dests`; `None` when all of them can be renamed right now.
+    #[inline]
     pub(crate) fn blocked_class(&self, dests: &[Reg]) -> Option<RegClass> {
         // Count needed per class (an instruction may have two dests of
         // different classes, e.g. `adds` writing GP + NZCV).
@@ -107,6 +108,7 @@ impl RenameUnit {
 
     /// Resolve a source operand: returns the physical register and whether
     /// its value is ready. If not ready, registers `seq` as a waiter.
+    #[inline]
     pub(crate) fn resolve_src(&mut self, s: Reg, seq: Seq) -> (u32, bool) {
         let file = &mut self.files[s.class.index()];
         let phys = file.map[s.index as usize];

@@ -78,11 +78,10 @@ fn counted_run(app: App, scale: WorkloadScale, core: &CoreParams, mem: &MemParam
 ///   in-flight window, rename buffer, the four per-port-class ready
 ///   queues and the store queue (8);
 /// * its queues and scratch buffers that grow on first use: pending and
-///   completed loads, woken waiters, pending-load scratch and due events
-///   (5).
+///   completed loads, woken waiters and due events (4).
 ///
 /// None is zero-filled, and together they are about 33 KB.
-const PER_JOB: u64 = 15;
+const PER_JOB: u64 = 14;
 
 #[test]
 fn a_warm_thread_builds_machines_without_zeroing() {
