@@ -26,6 +26,7 @@
 #   presorted CART builder (perf): 17530 -> 17569
 #   recycled machine storage (perf): 17569 -> 17686
 #   store-hazard memo (perf): 17686 -> 17742
+#   one sink per campaign: 17742 -> 17708
 set -eux
 
 cd "$(dirname "$0")"
@@ -95,6 +96,23 @@ cargo run --release --offline -p armdse-analysis --bin repro -- dataset \
 cmp "$SMOKE/fresh/dataset.csv" "$SMOKE/observed/dataset.csv"
 test -f "$SMOKE/observed/metrics/metrics.csv"
 test -f "$SMOKE/observed/metrics/bottleneck.txt"
+# The metrics file resumes through the same sink as the dataset: pause
+# the metrics campaign after its first chunk, leave a complete metrics
+# row and a torn half-row past the checkpoint, resume at one thread, and
+# require both files byte-identical to the uninterrupted run.
+cargo run --release --offline -p armdse-analysis --bin repro -- dataset \
+  --configs 40 --scale tiny --seed 7 --threads 4 --out "$SMOKE/obspaused" \
+  --metrics "$SMOKE/obspaused/metrics" --max-chunks 1
+test -f "$SMOKE/obspaused/dataset.ckpt"
+LAST_ROW=$(tail -n 1 "$SMOKE/observed/metrics/metrics.csv")
+printf '%s\n%s' "$LAST_ROW" "$(printf '%s' "$LAST_ROW" | cut -c1-40)" \
+  >> "$SMOKE/obspaused/metrics/metrics.csv"
+cargo run --release --offline -p armdse-analysis --bin repro -- dataset \
+  --configs 40 --scale tiny --seed 7 --threads 1 --out "$SMOKE/obspaused" \
+  --metrics "$SMOKE/obspaused/metrics" --resume
+test ! -f "$SMOKE/obspaused/dataset.ckpt"
+cmp "$SMOKE/observed/dataset.csv" "$SMOKE/obspaused/dataset.csv"
+cmp "$SMOKE/observed/metrics/metrics.csv" "$SMOKE/obspaused/metrics/metrics.csv"
 
 # Explore-smoke lane: a tiny-budget surrogate-guided campaign through
 # the repro binary. Pause it mid-campaign (--max-chunks), leave what a

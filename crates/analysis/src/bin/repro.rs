@@ -571,11 +571,7 @@ impl Session {
         if summary.resumed_from > 0 {
             eprintln!("[repro] resumed from job {}", summary.resumed_from);
         }
-        eprintln!(
-            "[repro] saved {} rows to {}",
-            campaign.sink.rows_written(),
-            path.display()
-        );
+        eprintln!("[repro] saved {} rows to {}", summary.rows, path.display());
         let data = DseDataset::load_csv(path).expect("reload the dataset just written");
         (data, true)
     }

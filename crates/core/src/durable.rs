@@ -3,18 +3,18 @@
 //!
 //! [`CampaignFiles`] is the layout every driver of the run loop shares
 //! — dataset CSV, checkpoint, optional metrics CSV — and its `open` the
-//! one place that decides between a fresh start and a resume. Below it
-//! are the two write primitives: `CsvFile`, an append-only CSV
-//! ([`CsvSink`], [`MetricsCsvSink`], the Explorer's curve), and
-//! `replace`, tmp + rename ([`Checkpoint::save`], a job's state marker
-//! and stored spec). `sync_data` and `rename` appear nowhere else in
-//! the crate, so this file is where crash injection attaches.
+//! one place that decides between a fresh start and a resume; the
+//! opened [`Campaign`] holds one [`CsvSink`] over both CSVs. Below it
+//! are the two write primitives: `CsvFile`, an append-only CSV (the
+//! sink's two streams, the Explorer's curve), and `replace`, tmp +
+//! rename ([`Checkpoint::save`], a job's state marker and stored spec).
+//! `sync_data` and `rename` appear nowhere else in the crate, so this
+//! file is where crash injection attaches.
 
 use crate::engine::{
     Checkpoint, CsvSink, Engine, Progress, ReuseMode, RunControl, RunPlan, RunSummary, Steer,
 };
 use crate::error::ArmdseError;
-use crate::metrics::{MetricsCsvSink, MetricsSink};
 use std::fs::{File, OpenOptions};
 use std::io::{self, BufWriter, Write};
 use std::path::{Path, PathBuf};
@@ -156,22 +156,17 @@ impl CampaignFiles {
             None
         };
         let resume = position.is_some();
-        let sink = if resume {
+        let mut sink = if resume {
             CsvSink::append(&self.csv)?
         } else {
             CsvSink::create(&self.csv)?
         };
-        // A metrics file that vanished is re-created empty, which the
-        // run loop then reports as behind its checkpoint.
-        let metrics = match &self.metrics {
-            Some(path) if resume && path.exists() => Some(MetricsCsvSink::append(path)?),
-            Some(path) => Some(MetricsCsvSink::create(path)?),
-            None => None,
-        };
+        if let Some(path) = &self.metrics {
+            sink = sink.with_metrics(path, resume)?;
+        }
         Ok(Campaign {
             checkpoint: self.checkpoint.clone(),
             sink,
-            metrics,
             position,
         })
     }
@@ -181,10 +176,9 @@ impl CampaignFiles {
 /// alive only while a run holds it.
 pub struct Campaign {
     checkpoint: PathBuf,
-    /// The dataset sink.
+    /// The campaign's sink: the dataset CSV, and the metrics CSV when
+    /// the campaign streams one.
     pub sink: CsvSink,
-    /// The metrics sink, when the campaign streams one.
-    pub metrics: Option<MetricsCsvSink>,
     /// The loaded checkpoint: `Some` exactly when the run resumes.
     pub position: Option<Checkpoint>,
 }
@@ -204,7 +198,6 @@ impl Campaign {
             checkpoint: Some(&self.checkpoint),
             position: self.position.take(),
             observer,
-            metrics: self.metrics.as_mut().map(|m| m as &mut dyn MetricsSink),
             steer,
             reuse: ReuseMode::Inherit,
         };
@@ -215,6 +208,7 @@ impl Campaign {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::RowSink;
     use crate::orchestrator::GenOptions;
     use crate::space::ParamSpace;
     use armdse_kernels::{App, WorkloadScale};
@@ -283,7 +277,7 @@ mod tests {
         // No files: a fresh campaign, whatever `fresh` says.
         let f = files("nothing");
         let campaign = f.open(false).unwrap();
-        assert!(campaign.position.is_none() && campaign.metrics.is_some());
+        assert!(campaign.position.is_none() && campaign.sink.wants_metrics());
         drop(campaign);
         assert!(header_only(&f.csv) && header_only(f.metrics.as_ref().unwrap()));
         assert!(!f.checkpoint.exists(), "open never writes the checkpoint");

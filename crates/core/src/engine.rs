@@ -54,7 +54,7 @@ use crate::config::DesignConfig;
 use crate::dataset::{write_csv_header, write_csv_row, DiscardedRun, DseDataset, Row};
 use crate::durable::{self, CsvFile};
 use crate::error::ArmdseError;
-use crate::metrics::{MetricsRow, MetricsSink};
+use crate::metrics::{write_metrics_header, write_metrics_row, MetricsRow};
 use crate::orchestrator::GenOptions;
 use crate::space::{ParamSpace, FEATURE_NAMES};
 use armdse_kernels::{App, Workload, WorkloadCache, WorkloadScale};
@@ -239,7 +239,9 @@ impl RunPlan {
     }
 }
 
-/// Receives the deterministic row stream of a campaign, in job order.
+/// Receives the deterministic streams of a campaign, in job order: the
+/// dataset rows and, when the sink [`wants_metrics`](RowSink::wants_metrics),
+/// one or more [`MetricsRow`]s per job (including discarded jobs).
 ///
 /// `chunk_end` is invoked at every chunk boundary *before* the engine
 /// persists a checkpoint, so a durable sink (e.g. [`CsvSink`]) can
@@ -253,16 +255,33 @@ pub trait RowSink {
         Ok(())
     }
 
+    /// Receive one metrics row (default: ignore). Called only when
+    /// [`RowSink::wants_metrics`] is true.
+    fn metrics(&mut self, _m: &MetricsRow) -> Result<(), ArmdseError> {
+        Ok(())
+    }
+
+    /// Whether every job should run with cycle accounting enabled and
+    /// stream its [`MetricsRow`]s here (default: false). Metrics
+    /// collection never changes the dataset rows — the backend contract
+    /// ([`RunMode`]) guarantees identical [`SimStats`]; without it no
+    /// counter is allocated and the run path is the plain one.
+    fn wants_metrics(&self) -> bool {
+        false
+    }
+
     /// Chunk boundary: make buffered output durable (default: no-op).
     fn chunk_end(&mut self) -> Result<(), ArmdseError> {
         Ok(())
     }
 
-    /// Resume is about to append after the checkpointed `rows`: drop
-    /// whatever a crash left past them (a chunk flushed before the
-    /// checkpoint write, or a buffer spill ending in a torn line);
-    /// holding fewer is an error. Default (in-memory sinks): no-op.
-    fn resume_at(&mut self, _rows: usize) -> Result<(), ArmdseError> {
+    /// Resume is about to append after the checkpointed position `at`:
+    /// drop whatever a crash left past it (a chunk flushed before the
+    /// checkpoint write, or a buffer spill ending in a torn line) —
+    /// dataset rows past `at.rows`, metrics rows of jobs past
+    /// `at.jobs_done`; holding fewer is an error. Default (in-memory
+    /// sinks): no-op.
+    fn resume_at(&mut self, _at: &Checkpoint) -> Result<(), ArmdseError> {
         Ok(())
     }
 }
@@ -270,7 +289,7 @@ pub trait RowSink {
 /// The adaptive half of the paper's sample → simulate → train loop, as
 /// a plug on the one run loop: a fixed sweep is a campaign without one.
 ///
-/// When every planned job has run and the sinks are durable, the loop
+/// When every planned job has run and the sink is durable, the loop
 /// asks the steer for more work and appends the answer to its plan, so
 /// a round boundary is a chunk boundary and the checkpoint written
 /// there already names the next round's jobs.
@@ -299,13 +318,45 @@ impl RowSink for DseDataset {
     }
 }
 
+/// The in-memory sink that keeps both streams of one run: rows,
+/// discards and the durability calls go to `S`, metrics rows to the
+/// `Vec`.
+impl<S: RowSink> RowSink for (S, Vec<MetricsRow>) {
+    fn row(&mut self, row: &Row) -> Result<(), ArmdseError> {
+        self.0.row(row)
+    }
+
+    fn discarded(&mut self, d: &DiscardedRun) -> Result<(), ArmdseError> {
+        self.0.discarded(d)
+    }
+
+    fn metrics(&mut self, m: &MetricsRow) -> Result<(), ArmdseError> {
+        self.1.push(m.clone());
+        Ok(())
+    }
+
+    fn wants_metrics(&self) -> bool {
+        true
+    }
+
+    fn chunk_end(&mut self) -> Result<(), ArmdseError> {
+        self.0.chunk_end()
+    }
+
+    fn resume_at(&mut self, at: &Checkpoint) -> Result<(), ArmdseError> {
+        self.0.resume_at(at)
+    }
+}
+
 /// Streams rows straight to a dataset CSV file (constant memory), in
-/// the exact byte format of [`DseDataset::save_csv`]. Discarded runs
-/// are kept in memory (`discarded`) for reporting — they are not part
-/// of the CSV contract.
+/// the exact byte format of [`DseDataset::save_csv`], and — when the
+/// campaign has one ([`crate::CampaignFiles::metrics`]) — the metrics
+/// rows to a metrics CSV beside it (schema in `docs/METRICS.md`).
+/// Discarded runs are kept in memory (`discarded`) for reporting — they
+/// are not part of the CSV contract.
 pub struct CsvSink {
     file: CsvFile,
-    rows_written: usize,
+    metrics: Option<CsvFile>,
     /// Validation-failed runs observed by this sink (not persisted).
     pub discarded: Vec<DiscardedRun>,
 }
@@ -324,21 +375,32 @@ impl CsvSink {
     fn over(file: CsvFile) -> CsvSink {
         CsvSink {
             file,
-            rows_written: 0,
+            metrics: None,
             discarded: Vec::new(),
         }
     }
 
-    /// Rows written through this sink instance.
-    pub fn rows_written(&self) -> usize {
-        self.rows_written
+    /// Also stream metrics rows to `path`: opened at its end when
+    /// `resume` and it exists, else created with its header — so a
+    /// metrics file that vanished is re-created empty, which
+    /// `resume_at` then reports as behind its checkpoint.
+    pub(crate) fn with_metrics(
+        mut self,
+        path: &Path,
+        resume: bool,
+    ) -> Result<CsvSink, ArmdseError> {
+        self.metrics = Some(if resume && path.exists() {
+            CsvFile::append(path)?
+        } else {
+            CsvFile::create(path, write_metrics_header)?
+        });
+        Ok(self)
     }
 }
 
 impl RowSink for CsvSink {
     fn row(&mut self, row: &Row) -> Result<(), ArmdseError> {
         write_csv_row(&mut self.file, row)?;
-        self.rows_written += 1;
         Ok(())
     }
 
@@ -347,12 +409,37 @@ impl RowSink for CsvSink {
         Ok(())
     }
 
-    fn chunk_end(&mut self) -> Result<(), ArmdseError> {
-        self.file.sync()
+    fn metrics(&mut self, m: &MetricsRow) -> Result<(), ArmdseError> {
+        if let Some(file) = &mut self.metrics {
+            write_metrics_row(file, m)?;
+        }
+        Ok(())
     }
 
-    fn resume_at(&mut self, rows: usize) -> Result<(), ArmdseError> {
-        self.file.cut_lines(rows, "row(s)")
+    fn wants_metrics(&self) -> bool {
+        self.metrics.is_some()
+    }
+
+    fn chunk_end(&mut self) -> Result<(), ArmdseError> {
+        self.file.sync()?;
+        match &mut self.metrics {
+            Some(file) => file.sync(),
+            None => Ok(()),
+        }
+    }
+
+    fn resume_at(&mut self, at: &Checkpoint) -> Result<(), ArmdseError> {
+        self.file.cut_lines(at.rows, "row(s)")?;
+        let Some(file) = &mut self.metrics else {
+            return Ok(());
+        };
+        // Metrics rows are in job order and every job emits at least one.
+        let jobs_done = at.jobs_done;
+        file.cut_tail(jobs_done, "job(s)", |line| {
+            let job = std::str::from_utf8(line).ok()?.split(',').next()?;
+            let job: usize = job.parse().ok()?;
+            (job < jobs_done).then_some(job + 1)
+        })
     }
 }
 
@@ -507,14 +594,6 @@ pub struct RunControl<'a> {
     /// Called after each chunk; returning `false` pauses the run (the
     /// checkpoint, if any, is already saved — resume picks up there).
     pub observer: Option<&'a mut dyn FnMut(&Progress) -> bool>,
-    /// Optional observability stream: when set, every job additionally
-    /// runs with cycle accounting enabled and emits one
-    /// [`MetricsRow`] (including discarded jobs) in job order. Metrics
-    /// collection never changes the dataset rows — the backend contract
-    /// ([`RunMode`]) guarantees identical [`SimStats`]. When `None` (the
-    /// default), no counter is allocated and the run path is
-    /// byte-for-byte the plain one.
-    pub metrics: Option<&'a mut dyn MetricsSink>,
     /// Asked for more work whenever the plan runs out, and for its
     /// state at every checkpoint. `None` (a fixed sweep) costs nothing
     /// and keeps the v1 on-disk format.
@@ -1094,19 +1173,10 @@ mod tests {
     fn metrics_stream_has_one_row_per_job_in_order() {
         let e = Engine::idealized();
         let p = plan(4, 3).with_chunk_jobs(3); // 8 jobs -> chunks of 3,3,2
-        let mut data = DseDataset::default();
-        let mut metrics: Vec<MetricsRow> = Vec::new();
-        let s = e
-            .run_controlled(
-                &p,
-                &mut data,
-                RunControl {
-                    metrics: Some(&mut metrics),
-                    ..RunControl::default()
-                },
-            )
-            .unwrap();
+        let mut sink = (DseDataset::default(), Vec::new());
+        let s = e.run(&p, &mut sink).unwrap();
         assert!(s.completed);
+        let (data, metrics) = sink;
         assert_eq!(metrics.len(), p.jobs(), "one metrics row per job");
         for (i, m) in metrics.iter().enumerate() {
             assert_eq!(m.job, i, "metrics rows must arrive in job order");
@@ -1126,18 +1196,10 @@ mod tests {
         let p = plan(5, 2);
         let mut plain = DseDataset::default();
         e.run(&p, &mut plain).unwrap();
-        let mut observed = DseDataset::default();
-        let mut metrics: Vec<MetricsRow> = Vec::new();
-        e.run_controlled(
-            &p,
-            &mut observed,
-            RunControl {
-                metrics: Some(&mut metrics),
-                ..RunControl::default()
-            },
-        )
-        .unwrap();
-        assert_eq!(plain, observed, "metrics must be transparent");
+        let mut observed = (DseDataset::default(), Vec::new());
+        e.run(&p, &mut observed).unwrap();
+        assert_eq!(observed.1.len(), p.jobs());
+        assert_eq!(plain, observed.0, "metrics must be transparent");
     }
 
     #[test]

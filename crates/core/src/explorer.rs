@@ -805,7 +805,7 @@ impl<'e> Explorer<'e> {
         // Sink durability runs ahead of the checkpoint write, never
         // behind: cut whatever a crash left past it, then reload the
         // accumulated rows.
-        sink.resume_at(ckpt.rows)?;
+        sink.resume_at(ckpt)?;
         let data =
             DseDataset::load_csv(&self.path("explore_dataset.csv")).map_err(ArmdseError::Io)?;
 

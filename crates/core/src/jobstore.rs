@@ -372,8 +372,6 @@ pub struct JobStatus {
     /// it never started). Monotone across the store: pins execution
     /// order in tests.
     pub started_seq: Option<u64>,
-    /// Global sequence stamp when the job reached a terminal state.
-    pub finished_seq: Option<u64>,
     /// Change counter: bumped on every state or progress transition.
     /// Streamers wait for it to move instead of polling blindly.
     pub version: u64,
@@ -429,7 +427,6 @@ impl JobStatus {
             discarded: uint("discarded")? as usize,
             error: obj.get("error").and_then(Json::as_str).map(str::to_string),
             started_seq: None,
-            finished_seq: None,
             version: uint("version").unwrap_or(0),
         })
     }
@@ -478,7 +475,6 @@ pub(crate) struct JobInner {
     pub(crate) discarded: usize,
     pub(crate) error: Option<String>,
     pub(crate) started_seq: Option<u64>,
-    pub(crate) finished_seq: Option<u64>,
     pub(crate) version: u64,
 }
 
@@ -536,7 +532,6 @@ impl Job {
             discarded: inner.discarded,
             error: inner.error.clone(),
             started_seq: inner.started_seq,
-            finished_seq: inner.finished_seq,
             version: inner.version,
         }
     }
@@ -567,14 +562,13 @@ impl Job {
     }
 
     /// The one state transition: enter `state`, drop any pending stop
-    /// request, and — exactly when `state` is terminal — stamp
-    /// `finished_seq` and write the marker (with `inner.error`, which a
-    /// failing caller sets first); then bump `version` and wake waiters.
-    pub(crate) fn transition(&self, inner: &mut JobInner, state: JobState, store: &JobStore) {
+    /// request, and — exactly when `state` is terminal — write the
+    /// marker (with `inner.error`, which a failing caller sets first);
+    /// then bump `version` and wake waiters.
+    pub(crate) fn transition(&self, inner: &mut JobInner, state: JobState) {
         inner.state = state;
         inner.stop = None;
         if state.is_terminal() {
-            inner.finished_seq = Some(store.next_seq());
             self.persist_terminal(state, inner.error.as_deref());
         }
         inner.version += 1;
@@ -720,7 +714,6 @@ impl JobStore {
                 discarded: 0,
                 error: None,
                 started_seq: None,
-                finished_seq: None,
                 version: 0,
             }),
             cv: Condvar::new(),
@@ -769,7 +762,7 @@ impl JobStore {
         counts
     }
 
-    /// Next global sequence stamp (orders job starts/finishes).
+    /// Next global sequence stamp (orders job starts).
     pub(crate) fn next_seq(&self) -> u64 {
         self.seq.fetch_add(1, Ordering::Relaxed)
     }
@@ -942,7 +935,6 @@ mod tests {
             discarded: 1,
             error: Some("checkpoint error: boom".into()),
             started_seq: None,
-            finished_seq: None,
             version: 12,
         };
         let back = JobStatus::from_json(&status.to_json()).unwrap();

@@ -1,10 +1,10 @@
-//! Per-job metrics rows and pluggable metrics sinks.
+//! The per-job metrics schema.
 //!
-//! The observability counterpart of [`crate::engine::RowSink`]: when a
-//! campaign runs with metrics enabled, the engine executes every job
-//! in [`armdse_simcore::RunMode::Metrics`] and streams
-//! one [`MetricsRow`] per job — *including* validation-discarded jobs,
-//! flagged via [`MetricsRow::validated`] — into a [`MetricsSink`] in job
+//! When a campaign's sink [`wants_metrics`](crate::engine::RowSink::wants_metrics),
+//! the engine executes every job in [`armdse_simcore::RunMode::Metrics`]
+//! and streams one [`MetricsRow`] per job — *including*
+//! validation-discarded jobs, flagged via [`MetricsRow::validated`] —
+//! into the same [`crate::engine::RowSink`] as the dataset rows, in job
 //! order. Because exactly one row is emitted per job, the metrics stream
 //! shares the dataset stream's determinism guarantee: byte-identical at
 //! any thread count, and checkpoint/resume-safe at chunk granularity.
@@ -13,13 +13,10 @@
 //! `docs/METRICS.md`; `metrics_csv_columns` is the single source of
 //! truth for the header.
 
-use crate::durable::CsvFile;
-use crate::error::ArmdseError;
 use armdse_kernels::App;
 use armdse_memsim::MemStats;
 use armdse_simcore::{Counters, StallStats};
 use std::io::Write;
-use std::path::Path;
 
 /// Per-event stall-counter column names (the `ev_` CSV segment).
 ///
@@ -85,35 +82,6 @@ pub struct MetricsRow {
     pub mem: MemStats,
 }
 
-/// Receives the deterministic metrics stream of a campaign, in job
-/// order. Mirrors [`crate::engine::RowSink`]: `chunk_end` fires at every
-/// chunk boundary *before* the engine persists a checkpoint, so durable
-/// sinks are never behind the checkpoint.
-pub trait MetricsSink {
-    /// Receive one per-job metrics row.
-    fn metrics(&mut self, row: &MetricsRow) -> Result<(), ArmdseError>;
-
-    /// Chunk boundary: make buffered output durable (default: no-op).
-    fn chunk_end(&mut self) -> Result<(), ArmdseError> {
-        Ok(())
-    }
-
-    /// Resume is about to re-run jobs `jobs_done..`: drop the rows held
-    /// for them; not covering every earlier job is an error (default:
-    /// no-op). Mirrors [`crate::engine::RowSink::resume_at`].
-    fn resume_at(&mut self, _jobs_done: usize) -> Result<(), ArmdseError> {
-        Ok(())
-    }
-}
-
-/// The in-memory sink: collects every row.
-impl MetricsSink for Vec<MetricsRow> {
-    fn metrics(&mut self, row: &MetricsRow) -> Result<(), ArmdseError> {
-        self.push(row.clone());
-        Ok(())
-    }
-}
-
 /// The full metrics CSV header, in emission order: job identity, then
 /// the [`Counters`] segment, then the `ev_` event segment, then the
 /// [`MemStats`] segment.
@@ -168,60 +136,11 @@ pub fn write_metrics_row(w: &mut impl Write, r: &MetricsRow) -> std::io::Result<
     writeln!(w)
 }
 
-/// Streams metrics rows straight to a CSV file (constant memory), the
-/// observability analogue of [`crate::engine::CsvSink`].
-pub struct MetricsCsvSink {
-    file: CsvFile,
-    rows_written: usize,
-}
-
-impl MetricsCsvSink {
-    /// Create (truncate) `path` and write the CSV header.
-    pub fn create(path: &Path) -> Result<MetricsCsvSink, ArmdseError> {
-        Ok(MetricsCsvSink {
-            file: CsvFile::create(path, write_metrics_header)?,
-            rows_written: 0,
-        })
-    }
-
-    /// Open `path` for appending (resume: header already present).
-    pub fn append(path: &Path) -> Result<MetricsCsvSink, ArmdseError> {
-        Ok(MetricsCsvSink {
-            file: CsvFile::append(path)?,
-            rows_written: 0,
-        })
-    }
-
-    /// Rows written through this sink instance.
-    pub fn rows_written(&self) -> usize {
-        self.rows_written
-    }
-}
-
-impl MetricsSink for MetricsCsvSink {
-    fn metrics(&mut self, row: &MetricsRow) -> Result<(), ArmdseError> {
-        write_metrics_row(&mut self.file, row)?;
-        self.rows_written += 1;
-        Ok(())
-    }
-
-    fn chunk_end(&mut self) -> Result<(), ArmdseError> {
-        self.file.sync()
-    }
-
-    fn resume_at(&mut self, jobs_done: usize) -> Result<(), ArmdseError> {
-        // Rows are in job order and every job emits at least one.
-        self.file.cut_tail(jobs_done, "job(s)", |line| {
-            let job = std::str::from_utf8(line).ok()?.split(',').next()?;
-            let job: usize = job.parse().ok()?;
-            (job < jobs_done).then_some(job + 1)
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::{CsvSink, RowSink};
+    use crate::DseDataset;
     use armdse_simcore::CoreParams;
 
     fn sample_row() -> MetricsRow {
@@ -291,26 +210,37 @@ mod tests {
 
     #[test]
     fn vec_sink_collects_rows() {
-        let mut sink: Vec<MetricsRow> = Vec::new();
+        let mut sink = (DseDataset::default(), Vec::new());
+        assert!(sink.wants_metrics());
         sink.metrics(&sample_row()).unwrap();
         sink.chunk_end().unwrap();
-        assert_eq!(sink.len(), 1);
-        assert_eq!(sink[0].job, 3);
+        assert_eq!(sink.1.len(), 1);
+        assert_eq!(sink.1[0].job, 3);
+        assert!(sink.0.rows.is_empty(), "metrics rows are not dataset rows");
     }
 
     #[test]
     fn csv_sink_create_then_append_is_one_stream() {
-        let path = std::env::temp_dir().join("armdse_metrics_sink_unit.csv");
+        let dir = std::env::temp_dir().join("armdse_metrics_sink_unit");
+        std::fs::create_dir_all(&dir).unwrap();
+        let (csv, path) = (dir.join("dataset.csv"), dir.join("metrics.csv"));
         let mut r = sample_row();
         {
-            let mut s = MetricsCsvSink::create(&path).unwrap();
+            let s = CsvSink::create(&csv).unwrap();
+            assert!(
+                !s.wants_metrics(),
+                "dataset-only until a metrics file is attached"
+            );
+            let mut s = s.with_metrics(&path, false).unwrap();
             s.metrics(&r).unwrap();
             s.chunk_end().unwrap();
-            assert_eq!(s.rows_written(), 1);
         }
         {
             r.job = 4;
-            let mut s = MetricsCsvSink::append(&path).unwrap();
+            let mut s = CsvSink::append(&csv)
+                .unwrap()
+                .with_metrics(&path, true)
+                .unwrap();
             s.metrics(&r).unwrap();
             s.chunk_end().unwrap();
         }
@@ -318,7 +248,7 @@ mod tests {
         assert_eq!(body.lines().count(), 3, "header + two rows");
         assert!(body.lines().nth(1).unwrap().starts_with("3,1,STREAM,,1,"));
         assert!(body.lines().nth(2).unwrap().starts_with("4,1,STREAM,,1,"));
-        std::fs::remove_file(&path).ok();
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

@@ -141,7 +141,7 @@ pub(crate) fn run_span(
 /// chunk partitioning, checkpoint cadence, machine-shape guard, the
 /// steer hook, the observer/pause hook.
 ///
-/// At each chunk boundary, in this order: sinks durable → (plan
+/// At each chunk boundary, in this order: sink durable → (plan
 /// exhausted and steered: `next_batch`, plan extended) → checkpoint →
 /// observer. So a checkpoint's `fingerprint` is that of the plan so
 /// far, `jobs_done`/`rows` are cumulative, and a steered campaign is at
@@ -204,12 +204,9 @@ pub(crate) fn run_job_loop(
                 )));
             }
         }
-        // The re-run starts at the checkpoint, so the sinks must
-        // end there too before the first appended byte.
-        sink.resume_at(c.rows)?;
-        if let Some(msink) = ctl.metrics.as_deref_mut() {
-            msink.resume_at(c.jobs_done)?;
-        }
+        // The re-run starts at the checkpoint, so the sink's streams
+        // must end there too before the first appended byte.
+        sink.resume_at(c)?;
         done = c.jobs_done;
         resumed_from = done;
         prior_rows = c.rows;
@@ -219,7 +216,7 @@ pub(crate) fn run_job_loop(
         engine.backend().clear_reuse_cache();
     }
 
-    let mode = if ctl.metrics.is_some() {
+    let mode = if sink.wants_metrics() {
         RunMode::Metrics
     } else {
         RunMode::Plain
@@ -243,17 +240,12 @@ pub(crate) fn run_job_loop(
                     discarded += 1;
                 }
             }
-            if let Some(msink) = ctl.metrics.as_deref_mut() {
-                for m in &metrics_rows {
-                    msink.metrics(m)?;
-                }
+            for m in &metrics_rows {
+                sink.metrics(m)?;
             }
         }
         done = end;
         sink.chunk_end()?;
-        if let Some(msink) = ctl.metrics.as_deref_mut() {
-            msink.chunk_end()?;
-        }
         if let (true, Some(steer)) = (done == total_jobs, ctl.steer.as_deref_mut()) {
             let batch = steer.next_batch(&unseen)?;
             unseen.clear();
@@ -419,7 +411,7 @@ impl JobScheduler {
             JobState::Running if inner.stop != Some(JobState::Cancelled) => inner.stop = Some(want),
             JobState::Running => {}
             JobState::Queued | JobState::Paused if inner.state != want => {
-                job.transition(&mut inner, want, &self.shared.store)
+                job.transition(&mut inner, want)
             }
             state => return Err(JobOpError::BadTransition { id, state, op }),
         }
@@ -434,7 +426,7 @@ impl JobScheduler {
         let mut inner = job.inner.lock().expect("job lock poisoned");
         match (inner.state, inner.stop) {
             (JobState::Paused, _) => {
-                job.transition(&mut inner, JobState::Queued, &self.shared.store);
+                job.transition(&mut inner, JobState::Queued);
                 let status = job.status_locked(&inner);
                 drop(inner);
                 self.enqueue(job.spec().priority, id);
@@ -509,7 +501,7 @@ fn runner_loop(shared: &Shared) {
             if inner.started_seq.is_none() {
                 inner.started_seq = Some(shared.store.next_seq());
             }
-            job.transition(&mut inner, JobState::Running, &shared.store);
+            job.transition(&mut inner, JobState::Running);
         }
         execute(&shared.store, &job);
     }
@@ -531,7 +523,7 @@ fn execute(store: &JobStore, job: &Job) {
             JobState::Failed
         }
     };
-    job.transition(&mut inner, state, store);
+    job.transition(&mut inner, state);
 }
 
 /// One run session of a job. The plan, the engine (workload cache and

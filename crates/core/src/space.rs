@@ -21,51 +21,51 @@ use armdse_simcore::CoreParams;
 #[derive(Debug, Clone)]
 pub struct ParamSpace {
     /// Vector-length grid in bits.
-    pub vector_lengths: Vec<u32>,
+    vector_lengths: Vec<u32>,
     /// Fetch-block grid in bytes.
-    pub fetch_blocks: Vec<u32>,
+    fetch_blocks: Vec<u32>,
     /// Loop-buffer range (inclusive).
-    pub loop_buffer: (u32, u32),
+    loop_buffer: (u32, u32),
     /// GP/FP register grid.
-    pub reg_grid: Vec<u32>,
+    reg_grid: Vec<u32>,
     /// Predicate register grid.
-    pub pred_grid: Vec<u32>,
+    pred_grid: Vec<u32>,
     /// Condition register grid.
-    pub cond_grid: Vec<u32>,
+    cond_grid: Vec<u32>,
     /// Pipeline width range (commit/frontend/LSQ-completion).
-    pub width: (u32, u32),
+    width: (u32, u32),
     /// ROB grid.
-    pub rob_grid: Vec<u32>,
+    rob_grid: Vec<u32>,
     /// Load/store queue grid.
-    pub queue_grid: Vec<u32>,
+    queue_grid: Vec<u32>,
     /// Bandwidth grid in bytes (powers of two).
-    pub bandwidths: Vec<u32>,
+    bandwidths: Vec<u32>,
     /// Per-cycle request-rate range.
-    pub rate: (u32, u32),
+    rate: (u32, u32),
     /// Cache-line grid in bytes.
-    pub lines: Vec<u32>,
+    lines: Vec<u32>,
     /// L1 size grid in KiB.
-    pub l1_sizes: Vec<u32>,
+    l1_sizes: Vec<u32>,
     /// L1 associativity grid.
-    pub l1_assocs: Vec<u32>,
+    l1_assocs: Vec<u32>,
     /// L1 latency range (cycles).
-    pub l1_latency: (u32, u32),
+    l1_latency: (u32, u32),
     /// L1 clock grid in GHz.
-    pub l1_clocks: Vec<f64>,
+    l1_clocks: Vec<f64>,
     /// L2 size grid in KiB.
-    pub l2_sizes: Vec<u32>,
+    l2_sizes: Vec<u32>,
     /// L2 associativity grid.
-    pub l2_assocs: Vec<u32>,
+    l2_assocs: Vec<u32>,
     /// L2 latency range (cycles).
-    pub l2_latency: (u32, u32),
+    l2_latency: (u32, u32),
     /// L2 clock grid in GHz.
-    pub l2_clocks: Vec<f64>,
+    l2_clocks: Vec<f64>,
     /// RAM access-time range in ns.
-    pub ram_ns: (u32, u32),
+    ram_ns: (u32, u32),
     /// RAM clock grid in GHz.
-    pub ram_clocks: Vec<f64>,
+    ram_clocks: Vec<f64>,
     /// Prefetch-depth range in lines.
-    pub prefetch: (u32, u32),
+    prefetch: (u32, u32),
 }
 
 fn pow2s(lo: u32, hi: u32) -> Vec<u32> {

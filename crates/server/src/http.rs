@@ -222,14 +222,12 @@ pub(crate) fn write_chunked_head(
 /// [`ChunkedWriter::finish`] writes the terminating zero-size chunk.
 pub(crate) struct ChunkedWriter<'a> {
     stream: &'a mut TcpStream,
-    /// Payload bytes written so far (excludes framing).
-    pub bytes: u64,
 }
 
 impl<'a> ChunkedWriter<'a> {
     /// Start a chunked body on `stream` (after [`write_chunked_head`]).
     pub(crate) fn new(stream: &'a mut TcpStream) -> ChunkedWriter<'a> {
-        ChunkedWriter { stream, bytes: 0 }
+        ChunkedWriter { stream }
     }
 
     /// Emit one non-empty chunk (empty input is skipped — a zero-size
@@ -241,9 +239,7 @@ impl<'a> ChunkedWriter<'a> {
         write!(self.stream, "{:x}\r\n", data.len())?;
         self.stream.write_all(data)?;
         self.stream.write_all(b"\r\n")?;
-        self.stream.flush()?;
-        self.bytes += data.len() as u64;
-        Ok(())
+        self.stream.flush()
     }
 
     /// Terminate the stream (zero-size chunk, no trailers).
@@ -339,7 +335,6 @@ mod tests {
             w.chunk(b"hello ").unwrap();
             w.chunk(b"").unwrap(); // skipped, must not terminate
             w.chunk(b"world").unwrap();
-            assert_eq!(w.bytes, 11);
             w.finish().unwrap();
         });
         let mut out = Vec::new();

@@ -46,7 +46,7 @@ pub struct ServerConfig {
 /// (schema `armdse-server-stats-v1`).
 #[derive(Debug, Default)]
 pub(crate) struct ServerStats {
-    /// Requests accepted (any endpooint, any outcome).
+    /// Requests accepted (any endpoint, any outcome).
     pub requests: AtomicU64,
     /// Jobs successfully submitted.
     pub submissions: AtomicU64,

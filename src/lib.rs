@@ -41,6 +41,11 @@
 //! assert!(stats.cycles > 0);
 //! ```
 
+/// The README's Rust examples, compiled as doctests.
+#[cfg(doctest)]
+#[doc = include_str!("../README.md")]
+struct ReadmeDoctests;
+
 pub use armdse_analysis as analysis;
 pub use armdse_core as core;
 pub use armdse_isa as isa;

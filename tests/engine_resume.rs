@@ -13,10 +13,9 @@
 //! checkpoint before appending, and refuses a file that is *behind* it.
 
 use armdse::core::engine::Checkpoint;
-use armdse::core::metrics::MetricsCsvSink;
 use armdse::core::orchestrator::GenOptions;
 use armdse::core::space::ParamSpace;
-use armdse::core::{ArmdseError, CsvSink, Engine, Progress, RunControl, RunPlan, RunSummary};
+use armdse::core::{ArmdseError, CampaignFiles, Engine, Progress, RunPlan, RunSummary};
 use armdse::kernels::{App, WorkloadScale};
 use std::io::Write;
 use std::path::{Path, PathBuf};
@@ -48,49 +47,30 @@ fn tmp(name: &str) -> PathBuf {
 /// Dataset CSV and metrics CSV bytes.
 type Artifacts = (Vec<u8>, Vec<u8>);
 
-/// One `run_controlled` call streaming `<tag>.csv` and
-/// `<tag>.metrics.csv`: fresh (pausing after `pause_after_chunks`
-/// chunks, if given), or appending from `<tag>.ckpt`.
+/// One campaign run streaming `<tag>.csv` and `<tag>.metrics.csv`:
+/// fresh (pausing after `pause_after_chunks` chunks, if given), or
+/// appending from `<tag>.ckpt`.
 fn run(
     tag: &str,
     threads: usize,
     resume: bool,
     pause_after_chunks: Option<usize>,
 ) -> Result<RunSummary, ArmdseError> {
-    let (csv, metrics) = (
-        tmp(&format!("{tag}.csv")),
-        tmp(&format!("{tag}.metrics.csv")),
-    );
-    let ckpt = tmp(&format!("{tag}.ckpt"));
-    let (mut sink, mut msink, position) = if resume {
-        let position = Some(Checkpoint::load(&ckpt)?);
-        (
-            CsvSink::append(&csv)?,
-            MetricsCsvSink::append(&metrics)?,
-            position,
-        )
-    } else {
-        (
-            CsvSink::create(&csv)?,
-            MetricsCsvSink::create(&metrics)?,
-            None,
-        )
+    let files = CampaignFiles {
+        csv: tmp(&format!("{tag}.csv")),
+        checkpoint: tmp(&format!("{tag}.ckpt")),
+        metrics: Some(tmp(&format!("{tag}.metrics.csv"))),
     };
     let mut chunks = 0usize;
     let mut observer = |_p: &Progress| {
         chunks += 1;
         pause_after_chunks.is_none_or(|n| chunks < n)
     };
-    Engine::idealized().run_controlled(
+    files.open(!resume)?.run(
+        &Engine::idealized(),
         &plan(threads),
-        &mut sink,
-        RunControl {
-            checkpoint: Some(&ckpt),
-            position,
-            observer: Some(&mut observer),
-            metrics: Some(&mut msink),
-            ..RunControl::default()
-        },
+        Some(&mut observer),
+        None,
     )
 }
 
@@ -207,7 +187,7 @@ fn spill(path: &Path, lines: &[&str], whole: usize, torn: bool) {
 }
 
 #[test]
-fn rows_written_past_the_checkpoint_are_cut_on_resume() {
+fn rows_past_the_checkpoint_are_cut_on_resume() {
     let fresh = fresh_csv(2);
     let (csv, metrics) = (
         std::str::from_utf8(&fresh.0).unwrap(),

@@ -14,8 +14,8 @@
 //! Regenerate with: `ARMDSE_UPDATE_GOLDEN=1 cargo test --test
 //! golden_simstats`.
 
-use armdse::core::engine::{Engine, RunControl, RunPlan};
-use armdse::core::metrics::{event_values, write_metrics_header, write_metrics_row, MetricsRow};
+use armdse::core::engine::{Engine, RunPlan};
+use armdse::core::metrics::{event_values, write_metrics_header, write_metrics_row};
 use armdse::core::orchestrator::GenOptions;
 use armdse::core::space::ParamSpace;
 use armdse::core::DseDataset;
@@ -73,13 +73,9 @@ fn emit() -> String {
                 writeln!(out, "plain,{i},{},{}", app.name(), cells.join(",")).unwrap();
             }
         }
-        let mut rows: Vec<MetricsRow> = Vec::new();
-        let mut data = DseDataset::default();
-        let ctl = RunControl {
-            metrics: Some(&mut rows),
-            ..RunControl::default()
-        };
-        engine.run_controlled(&plan, &mut data, ctl).unwrap();
+        let mut sink = (DseDataset::default(), Vec::new());
+        engine.run(&plan, &mut sink).unwrap();
+        let (data, rows) = sink;
         assert!(data.discarded.is_empty(), "{label}: sampled config wedged");
         let mut csv = Vec::new();
         for r in &rows {

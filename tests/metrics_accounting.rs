@@ -10,8 +10,7 @@
 //!    the dataset CSV produced by a metrics-on campaign is
 //!    byte-identical to a metrics-off one.
 
-use armdse::core::engine::{CsvSink, Engine, RunControl, RunPlan};
-use armdse::core::metrics::MetricsRow;
+use armdse::core::engine::{CsvSink, Engine, RunPlan};
 use armdse::core::orchestrator::GenOptions;
 use armdse::core::space::ParamSpace;
 use armdse::core::DesignConfig;
@@ -141,18 +140,9 @@ fn metrics_on_campaign_writes_identical_dataset_bytes() {
     drop(off_sink);
 
     let on_path = tmp.join("armdse_metrics_on.csv");
-    let mut on_sink = CsvSink::create(&on_path).unwrap();
-    let mut metrics: Vec<MetricsRow> = Vec::new();
-    engine
-        .run_controlled(
-            &plan,
-            &mut on_sink,
-            RunControl {
-                metrics: Some(&mut metrics),
-                ..RunControl::default()
-            },
-        )
-        .unwrap();
+    let mut on_sink = (CsvSink::create(&on_path).unwrap(), Vec::new());
+    engine.run(&plan, &mut on_sink).unwrap();
+    let (on_sink, metrics) = on_sink;
     drop(on_sink);
 
     let off = std::fs::read(&off_path).unwrap();

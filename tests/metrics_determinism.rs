@@ -7,13 +7,11 @@
 //! validation-discarded jobs — so the stream's shape depends only on
 //! the plan, never on scheduling.
 
-use armdse::core::engine::{Checkpoint, Engine, Progress, RunControl, RunPlan};
-use armdse::core::metrics::MetricsCsvSink;
+use armdse::core::engine::{Engine, Progress, RunPlan, RunSummary};
 use armdse::core::orchestrator::GenOptions;
 use armdse::core::space::ParamSpace;
-use armdse::core::DseDataset;
+use armdse::core::CampaignFiles;
 use armdse::kernels::{App, WorkloadScale};
-use std::path::PathBuf;
 
 const CONFIGS: usize = 10; // 10 configs x 4 apps = 40 jobs
 const CHUNK: usize = 8; // 5 chunks
@@ -31,30 +29,49 @@ fn plan(threads: usize) -> RunPlan {
         .with_chunk_jobs(CHUNK)
 }
 
-fn tmp(name: &str) -> PathBuf {
-    std::env::temp_dir().join(format!("armdse_metrics_det_{name}"))
+/// The campaign `tag`'s dataset, checkpoint and metrics paths.
+fn files(tag: &str) -> CampaignFiles {
+    let tmp = |ext: &str| std::env::temp_dir().join(format!("armdse_metrics_det_{tag}.{ext}"));
+    CampaignFiles {
+        csv: tmp("csv"),
+        checkpoint: tmp("ckpt"),
+        metrics: Some(tmp("metrics.csv")),
+    }
+}
+
+/// Open `files` (fresh or resuming) and run `plan(threads)`, pausing
+/// once `pause_at` jobs are done, if given.
+fn run(files: &CampaignFiles, fresh: bool, threads: usize, pause_at: Option<usize>) -> RunSummary {
+    let mut observer = |p: &Progress| pause_at.is_none_or(|at| p.jobs_done < at);
+    files
+        .open(fresh)
+        .unwrap()
+        .run(
+            &Engine::idealized(),
+            &plan(threads),
+            Some(&mut observer),
+            None,
+        )
+        .unwrap()
+}
+
+/// Read the metrics CSV of `files` and remove the campaign's files.
+fn take_metrics(files: &CampaignFiles) -> Vec<u8> {
+    let path = files.metrics.as_ref().unwrap();
+    let bytes = std::fs::read(path).unwrap();
+    for p in [&files.csv, &files.checkpoint, path] {
+        std::fs::remove_file(p).ok();
+    }
+    bytes
 }
 
 /// Uninterrupted metrics CSV at the given thread count.
 fn fresh_metrics(threads: usize) -> Vec<u8> {
-    let path = tmp(&format!("fresh_{threads}.csv"));
-    let mut msink = MetricsCsvSink::create(&path).unwrap();
-    let mut data = DseDataset::default();
-    let summary = Engine::idealized()
-        .run_controlled(
-            &plan(threads),
-            &mut data,
-            RunControl {
-                metrics: Some(&mut msink),
-                ..RunControl::default()
-            },
-        )
-        .unwrap();
-    assert!(summary.completed);
-    assert_eq!(msink.rows_written(), CONFIGS * App::ALL.len());
-    drop(msink);
-    let bytes = std::fs::read(&path).unwrap();
-    std::fs::remove_file(&path).ok();
+    let files = files(&format!("fresh_{threads}"));
+    assert!(run(&files, true, threads, None).completed);
+    let bytes = take_metrics(&files);
+    let rows = bytes.iter().filter(|&&b| b == b'\n').count() - 1;
+    assert_eq!(rows, CONFIGS * App::ALL.len(), "one metrics row per job");
     bytes
 }
 
@@ -68,54 +85,21 @@ fn metrics_csv_is_thread_count_invariant() {
 #[test]
 fn paused_and_resumed_metrics_csv_is_byte_identical() {
     let reference = fresh_metrics(2);
-
-    let path = tmp("resumed.csv");
-    let ckpt = tmp("resumed.ckpt");
-    std::fs::remove_file(&ckpt).ok();
+    let files = files("resumed");
 
     // Phase 1: pause after two chunks (16 of 40 jobs).
-    let mut msink = MetricsCsvSink::create(&path).unwrap();
-    let mut data = DseDataset::default();
-    let mut observer = |p: &Progress| p.jobs_done < 2 * CHUNK;
-    let summary = Engine::idealized()
-        .run_controlled(
-            &plan(8),
-            &mut data,
-            RunControl {
-                checkpoint: Some(&ckpt),
-                observer: Some(&mut observer),
-                metrics: Some(&mut msink),
-                ..RunControl::default()
-            },
-        )
-        .unwrap();
+    let summary = run(&files, true, 8, Some(2 * CHUNK));
     assert!(!summary.completed);
     assert_eq!(summary.jobs_done, 2 * CHUNK);
-    drop(msink);
 
     // Phase 2: resume with a different thread count, appending.
-    let mut msink = MetricsCsvSink::append(&path).unwrap();
-    let summary = Engine::idealized()
-        .run_controlled(
-            &plan(1),
-            &mut data,
-            RunControl {
-                checkpoint: Some(&ckpt),
-                position: Some(Checkpoint::load(&ckpt).unwrap()),
-                metrics: Some(&mut msink),
-                ..RunControl::default()
-            },
-        )
-        .unwrap();
+    let summary = run(&files, false, 1, None);
     assert!(summary.completed);
     assert_eq!(summary.resumed_from, 2 * CHUNK);
-    drop(msink);
 
-    let resumed = std::fs::read(&path).unwrap();
-    std::fs::remove_file(&path).ok();
-    std::fs::remove_file(&ckpt).ok();
     assert_eq!(
-        reference, resumed,
+        reference,
+        take_metrics(&files),
         "paused+resumed metrics CSV diverged from the uninterrupted run"
     );
 }

@@ -6,10 +6,10 @@
 //! shape.
 
 use armdse::core::engine::{Checkpoint, CsvSink, Engine, Progress, RunControl, RunPlan};
-use armdse::core::metrics::{MetricsCsvSink, MetricsRow};
+use armdse::core::metrics::MetricsRow;
 use armdse::core::orchestrator::GenOptions;
 use armdse::core::space::ParamSpace;
-use armdse::core::DseDataset;
+use armdse::core::{ArmdseError, CampaignFiles, DseDataset, RunSummary};
 use armdse::kernels::{App, WorkloadScale};
 use std::path::PathBuf;
 
@@ -40,20 +40,10 @@ fn tmp(name: &str) -> PathBuf {
 /// Run a full campaign on `engine`, returning the dataset rows and the
 /// in-memory metrics stream.
 fn campaign(engine: &Engine, threads: usize) -> (DseDataset, Vec<MetricsRow>) {
-    let mut data = DseDataset::default();
-    let mut metrics: Vec<MetricsRow> = Vec::new();
-    let summary = engine
-        .run_controlled(
-            &plan(threads),
-            &mut data,
-            RunControl {
-                metrics: Some(&mut metrics),
-                ..RunControl::default()
-            },
-        )
-        .unwrap();
+    let mut sink = (DseDataset::default(), Vec::new());
+    let summary = engine.run(&plan(threads), &mut sink).unwrap();
     assert!(summary.completed);
-    (data, metrics)
+    sink
 }
 
 #[test]
@@ -74,31 +64,51 @@ fn two_core_campaign_emits_per_core_rows() {
     }
 }
 
+/// The campaign `tag`'s dataset, checkpoint and metrics paths.
+fn files(tag: &str) -> CampaignFiles {
+    CampaignFiles {
+        csv: tmp(&format!("{tag}_data.csv")),
+        checkpoint: tmp(&format!("{tag}.ckpt")),
+        metrics: Some(tmp(&format!("{tag}_metrics.csv"))),
+    }
+}
+
+/// Open `files` (fresh or resuming) and run `plan(threads)` on
+/// `engine`, pausing once `pause_at` jobs are done, if given.
+fn run(
+    files: &CampaignFiles,
+    fresh: bool,
+    engine: &Engine,
+    threads: usize,
+    pause_at: Option<usize>,
+) -> Result<RunSummary, ArmdseError> {
+    let mut observer = |p: &Progress| pause_at.is_none_or(|at| p.jobs_done < at);
+    files
+        .open(fresh)?
+        .run(engine, &plan(threads), Some(&mut observer), None)
+}
+
+/// Read the dataset and metrics CSV bytes of `files`, then remove the
+/// campaign's files.
+fn take(files: &CampaignFiles) -> (Vec<u8>, Vec<u8>) {
+    let metrics = files.metrics.as_ref().unwrap();
+    let bytes = (
+        std::fs::read(&files.csv).unwrap(),
+        std::fs::read(metrics).unwrap(),
+    );
+    for p in [&files.csv, &files.checkpoint, metrics] {
+        std::fs::remove_file(p).ok();
+    }
+    bytes
+}
+
 /// Uninterrupted two-core campaign artifacts (dataset + metrics CSV
 /// bytes) at the given thread count.
 fn fresh_artifacts(threads: usize) -> (Vec<u8>, Vec<u8>) {
-    let dpath = tmp(&format!("fresh_data_{threads}.csv"));
-    let mpath = tmp(&format!("fresh_metrics_{threads}.csv"));
-    let mut sink = CsvSink::create(&dpath).unwrap();
-    let mut msink = MetricsCsvSink::create(&mpath).unwrap();
-    let summary = Engine::multicore(2, 4)
-        .run_controlled(
-            &plan(threads),
-            &mut sink,
-            RunControl {
-                metrics: Some(&mut msink),
-                ..RunControl::default()
-            },
-        )
-        .unwrap();
+    let files = files(&format!("fresh_{threads}"));
+    let summary = run(&files, true, &Engine::multicore(2, 4), threads, None).unwrap();
     assert!(summary.completed);
-    drop(sink);
-    drop(msink);
-    let data = std::fs::read(&dpath).unwrap();
-    let metrics = std::fs::read(&mpath).unwrap();
-    std::fs::remove_file(&dpath).ok();
-    std::fs::remove_file(&mpath).ok();
-    (data, metrics)
+    take(&files)
 }
 
 #[test]
@@ -115,79 +125,28 @@ fn two_core_campaign_is_thread_count_invariant() {
 #[test]
 fn paused_and_resumed_two_core_campaign_is_byte_identical() {
     let (ref_data, ref_metrics) = fresh_artifacts(2);
-
-    let dpath = tmp("resumed_data.csv");
-    let mpath = tmp("resumed_metrics.csv");
-    let ckpt = tmp("resumed.ckpt");
-    std::fs::remove_file(&ckpt).ok();
+    let files = files("resumed");
 
     // Phase 1: pause after two chunks (12 of 24 jobs).
-    let mut sink = CsvSink::create(&dpath).unwrap();
-    let mut msink = MetricsCsvSink::create(&mpath).unwrap();
-    let mut observer = |p: &Progress| p.jobs_done < 2 * CHUNK;
-    let summary = Engine::multicore(2, 4)
-        .run_controlled(
-            &plan(8),
-            &mut sink,
-            RunControl {
-                checkpoint: Some(&ckpt),
-                observer: Some(&mut observer),
-                metrics: Some(&mut msink),
-                ..RunControl::default()
-            },
-        )
-        .unwrap();
+    let summary = run(&files, true, &Engine::multicore(2, 4), 8, Some(2 * CHUNK)).unwrap();
     assert!(!summary.completed);
     assert_eq!(summary.jobs_done, 2 * CHUNK);
-    drop(sink);
-    drop(msink);
 
     // The paused checkpoint records the machine shape: a single-core
     // engine must refuse to continue it.
-    let mut wrong = CsvSink::append(&dpath).unwrap();
-    let err = Engine::idealized()
-        .run_controlled(
-            &plan(1),
-            &mut wrong,
-            RunControl {
-                checkpoint: Some(&ckpt),
-                position: Some(Checkpoint::load(&ckpt).unwrap()),
-                ..RunControl::default()
-            },
-        )
-        .unwrap_err();
+    let err = run(&files, false, &Engine::idealized(), 1, None).unwrap_err();
     let msg = err.to_string();
     assert!(
         msg.contains("machine shapes") || msg.contains("mc.cores"),
         "expected a machine-shape mismatch error, got: {msg}"
     );
-    drop(wrong);
 
     // Phase 2: resume on the matching machine, different thread count.
-    let mut sink = CsvSink::append(&dpath).unwrap();
-    let mut msink = MetricsCsvSink::append(&mpath).unwrap();
-    let summary = Engine::multicore(2, 4)
-        .run_controlled(
-            &plan(1),
-            &mut sink,
-            RunControl {
-                checkpoint: Some(&ckpt),
-                position: Some(Checkpoint::load(&ckpt).unwrap()),
-                metrics: Some(&mut msink),
-                ..RunControl::default()
-            },
-        )
-        .unwrap();
+    let summary = run(&files, false, &Engine::multicore(2, 4), 1, None).unwrap();
     assert!(summary.completed);
     assert_eq!(summary.resumed_from, 2 * CHUNK);
-    drop(sink);
-    drop(msink);
 
-    let data = std::fs::read(&dpath).unwrap();
-    let metrics = std::fs::read(&mpath).unwrap();
-    std::fs::remove_file(&dpath).ok();
-    std::fs::remove_file(&mpath).ok();
-    std::fs::remove_file(&ckpt).ok();
+    let (data, metrics) = take(&files);
     assert_eq!(ref_data, data, "paused+resumed dataset CSV diverged");
     assert_eq!(ref_metrics, metrics, "paused+resumed metrics CSV diverged");
 }
