@@ -27,6 +27,7 @@
 #   recycled machine storage (perf): 17569 -> 17686
 #   store-hazard memo (perf): 17686 -> 17742
 #   one sink per campaign: 17742 -> 17708
+#   every figure is a campaign: 17708 -> 17707
 set -eux
 
 cd "$(dirname "$0")"
@@ -187,15 +188,17 @@ fi
 # dataset.csv; every file it writes is compared with all's file of the
 # same name (`dataset` regenerates the CSV, so that is compared too; the
 # summary is the one file `all` does not write, and `explore` writes
-# nothing `all` does).
-ONE="--configs 40 --scale tiny --sweep-configs 2 --threads 2"
-./target/release/repro all $ONE --out "$SMOKE/all" --metrics "$SMOKE/all/metrics"
+# nothing `all` does). Every experiment is a campaign on `--threads`:
+# `all` runs on 2 threads and each standalone run on 1, so the lane also
+# pins every figure's bytes across thread counts.
+ONE="--configs 40 --scale tiny --sweep-configs 2"
+./target/release/repro all $ONE --threads 2 --out "$SMOKE/all" --metrics "$SMOKE/all/metrics"
 test -f "$SMOKE/all/metrics/bottleneck.txt"
 for E in fig1 table1 dataset summary fig2 fig3 fig4 fig5 fig6 fig7 fig8 \
     headline unseen multicore crossval; do
   mkdir -p "$SMOKE/one/$E"
   cp "$SMOKE/all/dataset.csv" "$SMOKE/one/$E/"
-  ./target/release/repro "$E" $ONE --out "$SMOKE/one/$E" > /dev/null
+  ./target/release/repro "$E" $ONE --threads 1 --out "$SMOKE/one/$E" > /dev/null
   for F in "$SMOKE/one/$E"/*; do
     N=$(basename "$F")
     test "$N" = dataset_summary.txt || cmp "$F" "$SMOKE/all/$N"

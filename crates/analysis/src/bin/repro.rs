@@ -70,13 +70,13 @@
 //! After a completed campaign the bottleneck analysis
 //! (cycle-accounting shares + the bottleneck-vs-importance cross-tab)
 //! is emitted into the same directory.
-//! All experiments in one invocation share a single [`Engine`] (and so
-//! one workload cache), one dataset, one trained surrogate suite and one
-//! Fig. 7/8 sweep: each artifact is built one way, so `all` and the
-//! experiment's own run write the same bytes.
+//! All experiments in one invocation share one dataset, one trained
+//! surrogate suite, one Fig. 7/8 sweep and the session's [`Engine`]
+//! (Table I's proxy column and `multicore` run on machines of their
+//! own), so `all` and an experiment's own run write the same bytes.
 
 use armdse_analysis::report::{discarded_table, tables_to_json, Table};
-use armdse_analysis::sweeps::{SweepFig, SweepOptions};
+use armdse_analysis::sweeps::SweepFig;
 use armdse_analysis::{
     accuracy, bottleneck, crossval, fig1, headline, importance, multicore, sweeps, table1, unseen,
 };
@@ -105,9 +105,9 @@ struct Cli {
     /// `--scale`, `--seed`, `--threads`, `--apps`, and the machine
     /// (`--cores`, `--banks`).
     spec: JobSpec,
-    /// Base design points per sweep experiment (each is re-simulated at
-    /// every sweep value, paired-sample style).
-    sweep_configs: usize,
+    /// The sweeps' campaign: `--sweep-configs` paired base design points
+    /// (each re-simulated at every swept value) from their own seed.
+    sweep: JobSpec,
     out: PathBuf,
     resume: bool,
     max_chunks: Option<usize>,
@@ -175,10 +175,15 @@ fn parse_args(mut args: impl Iterator<Item = String>) -> Result<Cli, String> {
         }
     }
     spec.check_machine().map_err(|e| e.to_string())?;
+    let sweep = JobSpec {
+        configs: sweep_configs,
+        seed: spec.seed ^ 0x5EED_CAFE,
+        ..spec.clone()
+    };
     Ok(Cli {
         experiment,
         spec,
-        sweep_configs,
+        sweep,
         out,
         resume,
         max_chunks,
@@ -220,6 +225,11 @@ fn fail(e: ArmdseError) -> ! {
     std::process::exit(1);
 }
 
+/// A result's value, or its error through [`fail`].
+fn ok<T, E: Into<ArmdseError>>(result: Result<T, E>) -> T {
+    result.unwrap_or_else(|e| fail(e.into()))
+}
+
 /// `repro --serve ADDR [--out DIR] [--runners N]` — run the DSE job
 /// server until a `POST /shutdown` arrives. The job store lives under
 /// `<out>/jobs` (campaigns interrupted by a shutdown reopen as paused
@@ -248,21 +258,18 @@ fn serve(args: &[String]) -> Result<(), String> {
         runners: runners.max(1),
     };
     std::fs::create_dir_all(&out).expect("create output directory");
-    let server = match Server::bind(&config) {
-        Ok(s) => s,
-        Err(e) => fail(e),
-    };
+    let server = ok(Server::bind(&config));
     let local = server.local_addr();
-    std::fs::write(out.join("server.addr"), format!("{local}\n"))
-        .unwrap_or_else(|e| fail(ArmdseError::from(e)));
+    ok(std::fs::write(
+        out.join("server.addr"),
+        format!("{local}\n"),
+    ));
     eprintln!(
         "[repro] serving jobs on {local} ({} runner threads; job store {})",
         config.runners,
         config.jobs_dir.display()
     );
-    server
-        .serve()
-        .unwrap_or_else(|e| fail(ArmdseError::from(e)));
+    ok(server.serve());
     eprintln!(
         "[repro] server shut down; job state saved under {}",
         config.jobs_dir.display()
@@ -278,7 +285,6 @@ struct Session {
     cli: Cli,
     space: ParamSpace,
     engine: Engine,
-    sweep: SweepOptions,
     data: OnceCell<DseDataset>,
     suite: OnceCell<SurrogateSuite>,
     fig7: OnceCell<SweepFig>,
@@ -290,11 +296,6 @@ impl Session {
         Session {
             engine: cli.spec.engine(),
             space: ParamSpace::paper(),
-            sweep: SweepOptions {
-                base_configs: cli.sweep_configs,
-                scale: cli.spec.scale,
-                seed: cli.spec.seed ^ 0x5EED_CAFE,
-            },
             cli,
             data: OnceCell::new(),
             suite: OnceCell::new(),
@@ -323,8 +324,8 @@ impl Session {
         let (engine, spec) = (&self.engine, &self.cli.spec);
         let charted = |fig: &SweepFig| (vec![fig.table()], Some(fig.to_chart()));
         let (tables, chart) = match name {
-            "fig1" => (vec![fig1::run(engine, spec.scale).table()], None),
-            "table1" => (vec![table1::run(engine, spec.scale).table()], None),
+            "fig1" => (vec![ok(fig1::run(engine, spec)).table()], None),
+            "table1" => (vec![ok(table1::run(engine, spec)).table()], None),
             "dataset" | "summary" => {
                 let summary = self.dataset().summary().to_table();
                 return emit_text(&self.cli.out, "dataset_summary", &summary);
@@ -343,9 +344,9 @@ impl Session {
                 };
                 let vl = if name == "fig4" { 128 } else { 2048 };
                 let fig = importance::fig45(engine, &self.space, &pinned, vl);
-                (vec![fig.unwrap_or_else(|e| fail(e)).table()], None)
+                (vec![ok(fig).table()], None)
             }
-            "fig6" => charted(&sweeps::fig6(engine, &self.space, &self.sweep)),
+            "fig6" => charted(&ok(sweeps::fig6(engine, &self.space, &self.cli.sweep))),
             "fig7" => charted(self.fig7()),
             "fig8" => charted(self.fig8()),
             "headline" => {
@@ -353,7 +354,7 @@ impl Session {
                 (vec![fig.table()], None)
             }
             "unseen" => (vec![unseen::run(self.dataset(), spec.seed).table()], None),
-            "multicore" => (vec![multicore::run(engine, spec.scale).table()], None),
+            "multicore" => (vec![ok(multicore::run(spec)).table()], None),
             "crossval" => {
                 let fig = crossval::run(self.dataset(), self.suite(), self.fig7());
                 (fig.tables(), None)
@@ -391,12 +392,12 @@ impl Session {
 
     fn fig7(&self) -> &SweepFig {
         self.fig7
-            .get_or_init(|| sweeps::fig7(&self.engine, &self.space, &self.sweep))
+            .get_or_init(|| ok(sweeps::fig7(&self.engine, &self.space, &self.cli.sweep)))
     }
 
     fn fig8(&self) -> &SweepFig {
         self.fig8
-            .get_or_init(|| sweeps::fig8(&self.engine, &self.space, &self.sweep))
+            .get_or_init(|| ok(sweeps::fig8(&self.engine, &self.space, &self.cli.sweep)))
     }
 
     /// Run the surrogate-guided adaptive exploration loop (the `explore`
@@ -438,13 +439,11 @@ impl Session {
             chunks += 1;
             max_chunks.is_none_or(|max| chunks < max)
         };
-        let report = Explorer::new(&self.engine, &self.space, eopts, &cli.out)
-            .unwrap_or_else(|e| fail(e))
-            .run(ExploreControl {
-                resume: cli.resume,
-                observer: Some(&mut observer),
-            })
-            .unwrap_or_else(|e| fail(e));
+        let explorer = ok(Explorer::new(&self.engine, &self.space, eopts, &cli.out));
+        let report = ok(explorer.run(ExploreControl {
+            resume: cli.resume,
+            observer: Some(&mut observer),
+        }));
         if !report.completed {
             eprintln!(
                 "[repro] explore paused after {} round(s) with {} sample(s) (--max-chunks); \
@@ -522,11 +521,11 @@ impl Session {
             );
         }
 
-        let plan = cli.spec.plan(&self.space).unwrap_or_else(|e| fail(e));
+        let plan = ok(cli.spec.plan(&self.space));
         if let Some(dir) = &cli.metrics {
             std::fs::create_dir_all(dir).expect("create metrics directory");
         }
-        let mut campaign = files.open(!cli.resume).unwrap_or_else(|e| fail(e));
+        let mut campaign = ok(files.open(!cli.resume));
         eprintln!(
             "[repro] {} dataset: {} configs x {} apps = {} jobs ...",
             if campaign.position.is_some() {
@@ -552,9 +551,7 @@ impl Session {
             chunks += 1;
             max_chunks.is_none_or(|max| chunks < max)
         };
-        let summary = campaign
-            .run(&self.engine, &plan, Some(&mut observer), None)
-            .unwrap_or_else(|e| fail(e));
+        let summary = ok(campaign.run(&self.engine, &plan, Some(&mut observer), None));
         if !summary.completed {
             eprintln!(
                 "[repro] paused after {} chunk(s) at job {}/{} (--max-chunks); continue with --resume",

@@ -100,11 +100,11 @@ impl CrossVal {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sweeps::{fig7, SweepOptions};
+    use crate::sweeps::fig7;
     use crate::test_support::{dataset, quick};
     use armdse_core::engine::Engine;
     use armdse_core::space::ParamSpace;
-    use armdse_kernels::WorkloadScale;
+    use armdse_core::JobSpec;
 
     #[test]
     fn surrogate_curve_has_correct_direction() {
@@ -114,12 +114,11 @@ mod tests {
         // artefact, not a direction error.
         let data = dataset(&quick(300));
         let engine = Engine::idealized();
-        let sweep = SweepOptions {
-            base_configs: 3,
-            scale: WorkloadScale::Tiny,
+        let sweep = JobSpec {
             seed: 5,
+            ..quick(3)
         };
-        let f7 = fig7(&engine, &ParamSpace::paper(), &sweep);
+        let f7 = fig7(&engine, &ParamSpace::paper(), &sweep).unwrap();
         let cv = run(&data, &SurrogateSuite::train(&data, 0.2, 5), &f7);
         assert_eq!(cv.comparisons.len(), 4);
         for c in &cv.comparisons {

@@ -5,12 +5,13 @@
 //! one Z register operand in SimEng (validated against A64FX
 //! `SVE_INST_RETIRED`). Here the workload generators define the
 //! instruction stream, so the fraction is measured from the simulated
-//! retirement stream and cross-checked against the analytic summary.
+//! retirement stream, which a validated run has matched against the
+//! analytic summary op for op.
 
 use crate::report;
 use armdse_core::engine::Engine;
-use armdse_core::DesignConfig;
-use armdse_kernels::{App, WorkloadScale};
+use armdse_core::{ArmdseError, DesignConfig, JobSpec};
+use armdse_kernels::App;
 
 /// Vector lengths plotted in Fig. 1.
 pub const VLS: [u32; 5] = [128, 256, 512, 1024, 2048];
@@ -22,30 +23,24 @@ pub struct Fig1 {
     pub series: Vec<(String, Vec<(u32, f64)>)>,
 }
 
-/// Run the experiment on `engine`. Uses the simulated retirement stream
-/// on the ThunderX2 baseline (with bandwidth raised to admit every VL).
-pub fn run(engine: &Engine, scale: WorkloadScale) -> Fig1 {
-    let mut series = Vec::new();
-    for app in App::ALL {
-        let mut points = Vec::new();
-        for vl in VLS {
-            let mut cfg = DesignConfig::thunderx2();
-            cfg.core.vector_length = vl;
-            cfg.core.load_bandwidth = cfg.core.load_bandwidth.max(vl / 8);
-            cfg.core.store_bandwidth = cfg.core.store_bandwidth.max(vl / 8);
-            let stats = engine.simulate_config(app, scale, &cfg);
-            assert!(stats.validated, "{app:?} vl={vl} failed validation");
-            // Cross-check simulated vs analytic (they must agree exactly).
-            debug_assert!(
-                (stats.sve_fraction() - engine.workload(app, scale, vl).summary.sve_fraction())
-                    .abs()
-                    < 1e-12
-            );
-            points.push((vl, 100.0 * stats.sve_fraction()));
-        }
-        series.push((app.name().to_string(), points));
-    }
-    Fig1 { series }
+/// Run the experiment on `engine` at `spec`'s scale and threads: one
+/// campaign over the ThunderX2 baseline at every VL, bandwidth raised to fit.
+pub fn run(engine: &Engine, spec: &JobSpec) -> Result<Fig1, ArmdseError> {
+    let points = VLS.map(|vl| {
+        let mut cfg = DesignConfig::thunderx2();
+        cfg.core.vector_length = vl;
+        cfg.core.load_bandwidth = cfg.core.load_bandwidth.max(vl / 8);
+        cfg.core.store_bandwidth = cfg.core.store_bandwidth.max(vl / 8);
+        cfg
+    });
+    let rows = crate::validated("Fig. 1", engine, points.to_vec(), spec)?;
+    let series = App::ALL.iter().map(|&app| {
+        let sve = rows.iter().filter(|r| r.app == app);
+        let points = VLS.into_iter().zip(sve.map(|r| 100.0 * r.sve_fraction));
+        (app.name().to_string(), points.collect())
+    });
+    let series = series.collect();
+    Ok(Fig1 { series })
 }
 
 impl Fig1 {
@@ -88,7 +83,7 @@ mod tests {
 
     #[test]
     fn split_matches_paper_shape() {
-        let f = run(&Engine::idealized(), WorkloadScale::Tiny);
+        let f = run(&Engine::idealized(), &crate::test_support::quick(1)).unwrap();
         for vl in [128, 2048] {
             assert!(f.sve_pct(App::Stream, vl).unwrap() > 40.0);
             assert!(f.sve_pct(App::MiniBude, vl).unwrap() > 40.0);
@@ -99,7 +94,7 @@ mod tests {
 
     #[test]
     fn table_renders_all_apps() {
-        let f = run(&Engine::idealized(), WorkloadScale::Tiny);
+        let f = run(&Engine::idealized(), &crate::test_support::quick(1)).unwrap();
         let t = f.table().to_text();
         for app in App::ALL {
             assert!(t.contains(app.name()), "{t}");

@@ -102,27 +102,26 @@ impl Headline {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sweeps::{fig7, fig8, SweepOptions};
+    use crate::sweeps::{fig7, fig8};
     use crate::test_support::{dataset, quick};
     use armdse_core::engine::Engine;
     use armdse_core::space::ParamSpace;
-    use armdse_kernels::WorkloadScale;
+    use armdse_core::JobSpec;
 
     #[test]
     fn headline_computes_and_renders() {
         let engine = Engine::idealized();
         let data = dataset(&quick(40));
-        let sweep = SweepOptions {
-            base_configs: 3,
-            scale: WorkloadScale::Tiny,
+        let sweep = JobSpec {
             seed: 13,
+            ..quick(3)
         };
         let suite = SurrogateSuite::train(&data, 0.2, 3);
         let space = ParamSpace::paper();
         let h = from_parts(
             &suite,
-            &fig7(&engine, &space, &sweep),
-            &fig8(&engine, &space, &sweep),
+            &fig7(&engine, &space, &sweep).unwrap(),
+            &fig8(&engine, &space, &sweep).unwrap(),
         );
         assert!(h.mean_accuracy_pct > 0.0);
         assert!((1..=30).contains(&h.vl_rank));

@@ -20,8 +20,16 @@
 //! Each experiment returns a structured result that renders to an aligned
 //! text table (and CSV rows) so `repro <experiment>` output can be diffed
 //! against EXPERIMENTS.md.
+//!
+//! Every simulating experiment is a [`RunPlan`] campaign on `--threads`:
+//! sampled (the dataset, Figs. 4/5) or [listed](RunPlan::listed) (Figs.
+//! 1, 6–8, Table I, contention); a discarded run a figure needs is an error.
 
 #![warn(missing_docs)]
+
+use armdse_core::dataset::Row;
+use armdse_core::{ArmdseError, DesignConfig, DseDataset, Engine, JobSpec, RunPlan};
+use armdse_kernels::App;
 
 pub mod accuracy;
 pub mod bottleneck;
@@ -35,6 +43,37 @@ pub mod report;
 pub mod sweeps;
 pub mod table1;
 pub mod unseen;
+
+/// `points` × `apps` as one listed campaign on `engine`, at `spec`'s
+/// scale, threads and chunk size.
+fn campaign(
+    engine: &Engine,
+    points: Vec<DesignConfig>,
+    apps: &[App],
+    spec: &JobSpec,
+) -> Result<DseDataset, ArmdseError> {
+    let plan = RunPlan::listed(points, apps, spec.scale, spec.threads)?;
+    let mut data = DseDataset::default();
+    engine.run(&plan.with_chunk_jobs(spec.chunk_jobs), &mut data)?;
+    Ok(data)
+}
+
+/// [`campaign`] over [`App::ALL`] for a figure (`what`) that needs every
+/// run: its rows in job order, or an error naming a discarded run.
+fn validated(
+    what: &str,
+    engine: &Engine,
+    points: Vec<DesignConfig>,
+    spec: &JobSpec,
+) -> Result<Vec<Row>, ArmdseError> {
+    let data = campaign(engine, points, &App::ALL, spec)?;
+    let Some(d) = data.discarded.first() else {
+        return Ok(data.rows);
+    };
+    let (app, slot, cycles) = (d.app.name(), d.config_index, d.cycles);
+    let why = format!("{what}: {app} on list slot {slot} was discarded after {cycles} cycles");
+    Err(ArmdseError::InvalidPlan(why))
+}
 
 #[cfg(test)]
 mod test_support {
@@ -61,5 +100,51 @@ mod test_support {
         let mut data = DseDataset::default();
         Engine::idealized().run(&plan, &mut data).unwrap();
         data
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use crate::test_support::quick;
+    use crate::{fig1, multicore, sweeps, table1};
+    use armdse_core::space::ParamSpace;
+    use armdse_core::{DesignConfig, Engine, JobSpec};
+
+    #[test]
+    fn every_figure_is_the_same_at_any_thread_count() {
+        let (engine, space) = (Engine::idealized(), ParamSpace::paper());
+        let at = |threads| JobSpec {
+            threads,
+            ..quick(2)
+        };
+        let (one, two) = (at(1), at(2));
+        assert_eq!(
+            fig1::run(&engine, &one).unwrap(),
+            fig1::run(&engine, &two).unwrap()
+        );
+        assert_eq!(
+            table1::run(&engine, &one).unwrap(),
+            table1::run(&engine, &two).unwrap()
+        );
+        let fig7 = |spec| sweeps::fig7(&engine, &space, spec).unwrap();
+        assert_eq!(fig7(&one), fig7(&two));
+        assert_eq!(multicore::run(&one).unwrap(), multicore::run(&two).unwrap());
+    }
+
+    #[test]
+    fn a_discarded_run_is_an_error_naming_its_app_and_list_slot() {
+        // Validates, but wedges against the cycle limit.
+        let mut wedged = DesignConfig::thunderx2();
+        wedged.mem.l1_latency = 100_000;
+        wedged.mem.l2_latency = 200_000;
+        let points = vec![DesignConfig::thunderx2(), wedged];
+        let e = Engine::idealized();
+        let err = crate::validated("Fig. T", &e, points, &quick(1))
+            .unwrap_err()
+            .to_string();
+        assert!(
+            err.contains("Fig. T: STREAM on list slot 1 was discarded"),
+            "{err}"
+        );
     }
 }

@@ -12,93 +12,57 @@
 //! codes barely notice — is checked by the accompanying tests.
 
 use crate::report;
+use armdse_core::dataset::Row;
 use armdse_core::engine::Engine;
-use armdse_core::DesignConfig;
-use armdse_kernels::{App, WorkloadScale};
+use armdse_core::{ArmdseError, DesignConfig, JobSpec};
+use armdse_kernels::App;
 use armdse_memsim::DEFAULT_BANKS;
-use armdse_simcore::MultiCore;
 
 /// Core counts simulated (1 = the paper's single-core setting).
 pub(crate) const CORES: [u32; 5] = [1, 2, 4, 8, 16];
 
-/// Slowdown series for one application.
-#[derive(Debug, Clone, PartialEq)]
-pub(crate) struct ContentionSeries {
-    /// Application name.
-    pub app: String,
-    /// (cores, makespan cycles, slowdown vs one core).
-    pub points: Vec<(u32, u64, f64)>,
-}
-
 /// The full contention experiment.
 #[derive(Debug, Clone, PartialEq)]
 pub struct MulticoreFig {
-    /// One series per application.
-    pub(crate) series: Vec<ContentionSeries>,
+    /// Per core count, its campaign's rows (one per app, [`App::ALL`]).
+    runs: Vec<(u32, Vec<Row>)>,
 }
 
-/// Run the contention sweep on the ThunderX2 baseline: one [`MultiCore`]
-/// machine per core count in `CORES`, all sharing the engine's
-/// workload cache.
-pub fn run(engine: &Engine, scale: WorkloadScale) -> MulticoreFig {
-    sweep(engine, scale, &CORES)
+/// Run the contention sweep on the ThunderX2 baseline at `spec`'s scale
+/// and threads: one campaign per core count in `CORES`, each on its own
+/// `Engine::multicore(n, DEFAULT_BANKS)`.
+pub fn run(spec: &JobSpec) -> Result<MulticoreFig, ArmdseError> {
+    sweep(spec, &CORES)
 }
 
 /// The sweep over `cores`, which must start at 1 (the normalisation
 /// baseline).
-fn sweep(engine: &Engine, scale: WorkloadScale, cores: &[u32]) -> MulticoreFig {
-    let cfg = DesignConfig::thunderx2();
-    let series = App::ALL
-        .iter()
-        .map(|&app| {
-            let mut solo = 0u64;
-            let points = cores
-                .iter()
-                .map(|&n| {
-                    let s = engine.simulate_config_on(
-                        &MultiCore::new(n, DEFAULT_BANKS),
-                        app,
-                        scale,
-                        &cfg,
-                    );
-                    assert!(s.validated, "{app:?} on {n} cores failed validation");
-                    if n == 1 {
-                        solo = s.cycles;
-                    }
-                    (n, s.cycles, s.cycles as f64 / solo as f64)
-                })
-                .collect();
-            ContentionSeries {
-                app: app.name().to_string(),
-                points,
-            }
-        })
-        .collect();
-    MulticoreFig { series }
+fn sweep(spec: &JobSpec, cores: &[u32]) -> Result<MulticoreFig, ArmdseError> {
+    let runs = cores.iter().map(|&n| {
+        let what = format!("contention sweep, {n} cores");
+        let engine = Engine::multicore(n, DEFAULT_BANKS);
+        let rows = crate::validated(&what, &engine, vec![DesignConfig::thunderx2()], spec);
+        rows.map(|rows| (n, rows))
+    });
+    let runs = runs.collect::<Result<_, ArmdseError>>()?;
+    Ok(MulticoreFig { runs })
 }
 
 impl MulticoreFig {
-    /// Slowdown of `app` on `cores` cores.
-    #[cfg(test)]
-    fn slowdown(&self, app: App, cores: u32) -> Option<f64> {
-        self.series
-            .iter()
-            .find(|s| s.app == app.name())?
-            .points
-            .iter()
-            .find(|(n, _, _)| *n == cores)
-            .map(|(_, _, s)| *s)
+    /// Slowdown of app `a` (an [`App::ALL`] index) on the `i`-th core
+    /// count, relative to the first (one core).
+    fn slowdown(&self, i: usize, a: usize) -> f64 {
+        self.runs[i].1[a].cycles as f64 / self.runs[0].1[a].cycles as f64
     }
 
     /// The structured artifact (rows = core counts, columns = apps).
     pub fn table(&self) -> report::Table {
         let mut headers = vec!["Cores"];
-        headers.extend(self.series.iter().map(|s| s.app.as_str()));
-        let swept = self.series.first().map_or(0, |s| s.points.len());
-        let rows: Vec<Vec<String>> = (0..swept)
+        headers.extend(App::ALL.iter().map(|app| app.name()));
+        let rows: Vec<Vec<String>> = (0..self.runs.len())
             .map(|i| {
-                let mut r = vec![self.series[0].points[i].0.to_string()];
-                r.extend(self.series.iter().map(|s| format!("{:.2}x", s.points[i].2)));
+                let mut r = vec![self.runs[i].0.to_string()];
+                r.extend((0..App::ALL.len()).map(|a| format!("{:.2}x", self.slowdown(i, a))));
                 r
             })
             .collect();
@@ -119,9 +83,13 @@ mod tests {
         // Standard scale so compulsory (cold) DRAM misses are amortised;
         // at tiny inputs even compute-bound codes are cold-miss dominated.
         // N <= 4 keeps the debug-profile run short.
-        let f = sweep(&Engine::idealized(), WorkloadScale::Standard, &CORES[..3]);
-        for app in App::ALL {
-            let s = f.slowdown(app, 4).unwrap();
+        let spec = JobSpec {
+            scale: armdse_kernels::WorkloadScale::Standard,
+            ..crate::test_support::quick(1)
+        };
+        let f = sweep(&spec, &CORES[..3]).unwrap();
+        for (a, app) in App::ALL.into_iter().enumerate() {
+            let s = f.slowdown(2, a);
             if app == App::Stream {
                 assert!(s >= 2.0, "STREAM should clearly degrade on 4 cores ({s})");
             } else {
@@ -132,17 +100,16 @@ mod tests {
 
     #[test]
     fn slowdown_is_one_on_one_core_and_monotone_in_cores() {
-        let f = run(&Engine::idealized(), WorkloadScale::Tiny);
-        for s in &f.series {
-            let swept: Vec<u32> = s.points.iter().map(|p| p.0).collect();
-            assert_eq!(swept, CORES);
-            assert_eq!(s.points[0].2, 1.0, "one core is the baseline");
-            for w in s.points.windows(2) {
+        let f = run(&crate::test_support::quick(1)).unwrap();
+        let swept: Vec<u32> = f.runs.iter().map(|(n, _)| *n).collect();
+        assert_eq!(swept, CORES);
+        for (a, app) in App::ALL.iter().enumerate() {
+            let slowdowns: Vec<f64> = (0..CORES.len()).map(|i| f.slowdown(i, a)).collect();
+            assert_eq!(slowdowns[0], 1.0, "one core is the baseline");
+            for w in slowdowns.windows(2) {
                 assert!(
-                    w[1].2 >= w[0].2 * 0.999,
-                    "{}: slowdown must not shrink with cores: {:?}",
-                    s.app,
-                    s.points
+                    w[1] >= w[0] * 0.999,
+                    "{app:?}: slowdown must not shrink with cores: {slowdowns:?}"
                 );
             }
         }
@@ -150,7 +117,8 @@ mod tests {
 
     #[test]
     fn table_names_every_app_and_only_measures() {
-        let t = sweep(&Engine::idealized(), WorkloadScale::Tiny, &CORES[..2])
+        let t = sweep(&crate::test_support::quick(1), &CORES[..2])
+            .unwrap()
             .table()
             .to_text();
         for app in App::ALL {

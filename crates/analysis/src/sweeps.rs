@@ -15,10 +15,12 @@
 //! (we run thousands of simulations, not 180,000).
 
 use crate::report;
+use armdse_core::config::FEATURE_NAMES;
+use armdse_core::dataset::Row;
 use armdse_core::engine::Engine;
 use armdse_core::space::ParamSpace;
-use armdse_core::DesignConfig;
-use armdse_kernels::{App, WorkloadScale};
+use armdse_core::{ArmdseError, DesignConfig, JobSpec};
+use armdse_kernels::App;
 
 /// ROB sizes swept in Fig. 7 (includes the paper's knee at 152).
 pub(crate) const ROB_POINTS: [u32; 10] = [8, 16, 32, 64, 96, 128, 152, 256, 384, 512];
@@ -50,116 +52,89 @@ pub struct SweepFig {
     pub series: Vec<SweepSeries>,
 }
 
-/// Options for sweep experiments.
-#[derive(Debug, Clone, Copy)]
-pub struct SweepOptions {
-    /// Number of random base configurations (paired across sweep values).
-    pub base_configs: usize,
-    /// Workload scale.
-    pub scale: WorkloadScale,
-    /// Seed for base-configuration sampling.
-    pub seed: u64,
-}
-
-fn mean_cycles(engine: &Engine, app: App, scale: WorkloadScale, configs: &[DesignConfig]) -> f64 {
-    let mut total = 0u64;
-    let mut n = 0u64;
-    for cfg in configs {
-        let s = engine.simulate_config(app, scale, cfg);
-        if s.validated {
-            total += s.cycles;
-            n += 1;
-        }
-    }
-    assert!(n > 0, "no validated runs for {app:?}");
-    total as f64 / n as f64
-}
-
 /// Fig. 6: speedup vs vector length for the vectorised codes.
-pub fn fig6(engine: &Engine, space: &ParamSpace, opts: &SweepOptions) -> SweepFig {
-    SweepFig {
-        label: "Fig. 6".into(),
-        param: "Vector-Length".into(),
-        series: sweep(
-            engine,
-            space,
-            opts,
-            &[App::Stream, App::MiniBude],
-            &VL_POINTS,
-            |c, v| {
-                // The paper's Load-Bandwidth >= 256 filter (applied to
-                // stores too, so every VL is admissible on every base).
-                c.core.load_bandwidth = c.core.load_bandwidth.max(256);
-                c.core.store_bandwidth = c.core.store_bandwidth.max(256);
-                c.core.vector_length = v;
-            },
-        ),
-    }
+pub fn fig6(engine: &Engine, space: &ParamSpace, spec: &JobSpec) -> Result<SweepFig, ArmdseError> {
+    let fig = (
+        "Fig. 6",
+        "Vector-Length",
+        &[App::Stream, App::MiniBude][..],
+        &VL_POINTS[..],
+    );
+    sweep(engine, &bases(space, spec), spec, fig, |c, v| {
+        // The paper's Load-Bandwidth >= 256 filter (applied to stores
+        // too, so every VL is admissible on every base).
+        c.core.load_bandwidth = c.core.load_bandwidth.max(256);
+        c.core.store_bandwidth = c.core.store_bandwidth.max(256);
+        c.core.vector_length = v;
+    })
 }
 
 /// Fig. 7: speedup vs ROB size for all applications.
-pub fn fig7(engine: &Engine, space: &ParamSpace, opts: &SweepOptions) -> SweepFig {
-    SweepFig {
-        label: "Fig. 7".into(),
-        param: "ROB-Size".into(),
-        series: sweep(engine, space, opts, &App::ALL, &ROB_POINTS, |c, v| {
-            c.core.rob_size = v;
-        }),
-    }
+pub fn fig7(engine: &Engine, space: &ParamSpace, spec: &JobSpec) -> Result<SweepFig, ArmdseError> {
+    let fig = ("Fig. 7", "ROB-Size", &App::ALL[..], &ROB_POINTS[..]);
+    sweep(engine, &bases(space, spec), spec, fig, |c, v| {
+        c.core.rob_size = v
+    })
 }
 
 /// Fig. 8: speedup vs FP/SVE register count for all applications.
-pub fn fig8(engine: &Engine, space: &ParamSpace, opts: &SweepOptions) -> SweepFig {
-    SweepFig {
-        label: "Fig. 8".into(),
-        param: "FP-SVE-Registers".into(),
-        series: sweep(engine, space, opts, &App::ALL, &FP_POINTS, |c, v| {
-            c.core.fp_regs = v;
-        }),
-    }
+pub fn fig8(engine: &Engine, space: &ParamSpace, spec: &JobSpec) -> Result<SweepFig, ArmdseError> {
+    let fig = ("Fig. 8", "FP-SVE-Registers", &App::ALL[..], &FP_POINTS[..]);
+    sweep(engine, &bases(space, spec), spec, fig, |c, v| {
+        c.core.fp_regs = v
+    })
 }
 
-/// One series per app in `apps`: the seeded base configurations, each
-/// re-simulated with `apply(config, v)` at every swept value `v`.
+/// The paired bases: `spec.configs` design points sampled with
+/// `spec.seed + i`.
+fn bases(space: &ParamSpace, spec: &JobSpec) -> Vec<DesignConfig> {
+    let seeds = spec.seed..spec.seed + spec.configs as u64;
+    seeds.map(|seed| space.sample_seeded(seed)).collect()
+}
+
+/// Figure `label` over feature `param`: each base re-simulated with
+/// `apply(config, v)` at every swept value `v`, as one listed campaign;
+/// per app, the mean validated cycles at each value (at least one).
 fn sweep(
     engine: &Engine,
-    space: &ParamSpace,
-    opts: &SweepOptions,
-    apps: &[App],
-    points: &[u32],
+    bases: &[DesignConfig],
+    spec: &JobSpec,
+    (label, param, apps, points): (&str, &str, &[App], &[u32]),
     apply: impl Fn(&mut DesignConfig, u32),
-) -> Vec<SweepSeries> {
-    let bases: Vec<DesignConfig> = (0..opts.base_configs as u64)
-        .map(|i| space.sample_seeded(opts.seed + i))
-        .collect();
-    apps.iter()
-        .map(|&app| {
-            let mut pts = Vec::new();
-            for &v in points {
-                let configs: Vec<DesignConfig> = bases
-                    .iter()
-                    .map(|b| {
-                        let mut c = *b;
-                        apply(&mut c, v);
-                        c
-                    })
-                    .collect();
-                pts.push((v, mean_cycles(engine, app, opts.scale, &configs)));
+) -> Result<SweepFig, ArmdseError> {
+    let paired = |v| bases.iter().map(move |&b| (b, v));
+    let list = points.iter().flat_map(|&v| paired(v)).map(|(mut c, v)| {
+        apply(&mut c, v);
+        c
+    });
+    let data = crate::campaign(engine, list.collect(), apps, spec)?;
+    let feature = FEATURE_NAMES.iter().position(|&f| f == param);
+    let feature = feature.expect("a sweep's parameter is one of the 30 features");
+    let series = apps.iter().map(|&app| -> Result<_, ArmdseError> {
+        let means = points.iter().enumerate().map(|(p, &v)| {
+            let at_v = |r: &&Row| r.app == app && r.features[feature] == f64::from(v);
+            let cycles: Vec<u64> = data.rows.iter().filter(at_v).map(|r| r.cycles).collect();
+            if cycles.is_empty() {
+                let slots = p * bases.len()..(p + 1) * bases.len();
+                let app = app.name();
+                return Err(ArmdseError::InvalidPlan(format!(
+                    "{label}: no validated run of {app} at {param} {v} (list slots {slots:?})"
+                )));
             }
-            to_series(app, pts)
-        })
-        .collect()
-}
-
-fn to_series(app: App, raw: Vec<(u32, f64)>) -> SweepSeries {
-    let reference = raw.first().expect("non-empty sweep").1;
-    SweepSeries {
-        app: app.name().to_string(),
-        points: raw
-            .into_iter()
-            .map(|(v, cycles)| (v, cycles, reference / cycles))
-            .collect(),
-    }
+            Ok((v, cycles.iter().sum::<u64>() as f64 / cycles.len() as f64))
+        });
+        let means = means.collect::<Result<Vec<(u32, f64)>, _>>()?;
+        let reference = means[0].1;
+        let points = means.iter().map(|&(v, c)| (v, c, reference / c)).collect();
+        let app = app.name().to_string();
+        Ok(SweepSeries { app, points })
+    });
+    let series = series.collect::<Result<_, _>>()?;
+    Ok(SweepFig {
+        label: label.into(),
+        param: param.into(),
+        series,
+    })
 }
 
 impl SweepFig {
@@ -249,11 +224,12 @@ impl SweepFig {
 mod tests {
     use super::*;
 
-    fn quick() -> SweepOptions {
-        SweepOptions {
-            base_configs: 3,
-            scale: WorkloadScale::Tiny,
+    use armdse_kernels::WorkloadScale;
+
+    fn quick() -> JobSpec {
+        JobSpec {
             seed: 55,
+            ..crate::test_support::quick(3)
         }
     }
 
@@ -262,12 +238,11 @@ mod tests {
         // Small scale: Tiny inputs have too few poses/elements for long
         // vectors to shrink the trip counts (the paper's effect needs a
         // non-degenerate problem size).
-        let opts = SweepOptions {
-            base_configs: 3,
+        let spec = JobSpec {
             scale: WorkloadScale::Small,
-            seed: 55,
+            ..quick()
         };
-        let f = fig6(&Engine::idealized(), &ParamSpace::paper(), &opts);
+        let f = fig6(&Engine::idealized(), &ParamSpace::paper(), &spec).unwrap();
         for app in [App::Stream, App::MiniBude] {
             assert_eq!(f.speedup(app, 128), Some(1.0));
             let s = f.speedup(app, 2048).unwrap();
@@ -276,8 +251,25 @@ mod tests {
     }
 
     #[test]
+    fn a_value_without_a_validated_run_names_the_app_and_slots() {
+        // Validates, but wedges against the cycle limit at every ROB size.
+        let mut wedged = DesignConfig::thunderx2();
+        wedged.mem.l1_latency = 100_000;
+        wedged.mem.l2_latency = 200_000;
+        let fig = ("Fig. T", "ROB-Size", &[App::Stream][..], &[8, 16][..]);
+        let e = Engine::idealized();
+        let err = sweep(&e, &[wedged], &quick(), fig, |c, v| c.core.rob_size = v)
+            .unwrap_err()
+            .to_string();
+        assert!(
+            err.contains("STREAM at ROB-Size 8 (list slots 0..1)"),
+            "{err}"
+        );
+    }
+
+    #[test]
     fn fig7_rob_speedup_saturates() {
-        let f = fig7(&Engine::idealized(), &ParamSpace::paper(), &quick());
+        let f = fig7(&Engine::idealized(), &ParamSpace::paper(), &quick()).unwrap();
         for app in App::ALL {
             let early = f.speedup(app, 8).unwrap();
             let knee = f.speedup(app, 152).unwrap();
@@ -291,7 +283,7 @@ mod tests {
 
     #[test]
     fn fig8_fp_regs_monotoneish() {
-        let f = fig8(&Engine::idealized(), &ParamSpace::paper(), &quick());
+        let f = fig8(&Engine::idealized(), &ParamSpace::paper(), &quick()).unwrap();
         for app in App::ALL {
             assert_eq!(f.speedup(app, 38), Some(1.0));
             let s = f.speedup(app, 512).unwrap();
@@ -301,7 +293,7 @@ mod tests {
 
     #[test]
     fn table_renders() {
-        let f = fig7(&Engine::idealized(), &ParamSpace::paper(), &quick());
+        let f = fig7(&Engine::idealized(), &ParamSpace::paper(), &quick()).unwrap();
         let t = f.table().to_text();
         assert!(t.contains("ROB-Size"));
         assert!(t.contains("152"));

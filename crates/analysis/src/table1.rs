@@ -10,10 +10,8 @@
 
 use crate::report;
 use armdse_core::engine::Engine;
-use armdse_core::DesignConfig;
-use armdse_kernels::{App, WorkloadScale};
+use armdse_core::{ArmdseError, DesignConfig, JobSpec};
 use armdse_memsim::DEFAULT_BANKS;
-use armdse_simcore::MultiCore;
 
 /// One validation row.
 #[derive(Debug, Clone, PartialEq)]
@@ -35,28 +33,22 @@ pub struct Table1 {
     pub rows: Vec<ValidationRow>,
 }
 
-/// Run the validation experiment on the ThunderX2 baseline. The
-/// "hardware" column runs the same cached workloads through the
-/// finite-banked one-core [`MultiCore`] machine on the same engine.
-pub fn run(engine: &Engine, scale: WorkloadScale) -> Table1 {
-    let cfg = DesignConfig::thunderx2();
-    let proxy = MultiCore::new(1, DEFAULT_BANKS);
-    let rows = App::ALL
-        .iter()
-        .map(|&app| {
-            let sim = engine.simulate_config(app, scale, &cfg);
-            let hw = engine.simulate_config_on(&proxy, app, scale, &cfg);
-            assert!(sim.validated && hw.validated, "{app:?} failed validation");
-            let diff = 100.0 * (sim.cycles as f64 - hw.cycles as f64).abs() / hw.cycles as f64;
-            ValidationRow {
-                app: app.name().to_string(),
-                simulated_cycles: sim.cycles,
-                hardware_cycles: hw.cycles,
-                pct_difference: diff,
-            }
-        })
-        .collect();
-    Table1 { rows }
+/// Run the validation experiment on the ThunderX2 baseline at `spec`'s
+/// scale and threads: one campaign on `engine`, and the same on the
+/// finite-banked one-core machine for the "hardware" column.
+pub fn run(engine: &Engine, spec: &JobSpec) -> Result<Table1, ArmdseError> {
+    let point = || vec![DesignConfig::thunderx2()];
+    let sim = crate::validated("Table I", engine, point(), spec)?;
+    let proxy = Engine::multicore(1, DEFAULT_BANKS);
+    let hw = crate::validated("Table I (proxy)", &proxy, point(), spec)?;
+    let rows = sim.iter().zip(&hw).map(|(sim, hw)| ValidationRow {
+        app: sim.app.name().to_string(),
+        simulated_cycles: sim.cycles,
+        hardware_cycles: hw.cycles,
+        pct_difference: 100.0 * (sim.cycles as f64 - hw.cycles as f64).abs() / hw.cycles as f64,
+    });
+    let rows = rows.collect();
+    Ok(Table1 { rows })
 }
 
 impl Table1 {
@@ -101,7 +93,7 @@ mod tests {
 
     #[test]
     fn produces_four_rows_with_nonzero_divergence() {
-        let t = run(&Engine::idealized(), WorkloadScale::Tiny);
+        let t = run(&Engine::idealized(), &crate::test_support::quick(1)).unwrap();
         assert_eq!(t.rows.len(), 4);
         for r in &t.rows {
             assert!(r.simulated_cycles > 0 && r.hardware_cycles > 0);
@@ -114,7 +106,11 @@ mod tests {
     fn divergence_in_papers_order_of_magnitude() {
         // The paper sees 6%–37%; we only require the same order: below 60%
         // everywhere at Small scale.
-        let t = run(&Engine::idealized(), WorkloadScale::Small);
+        let spec = JobSpec {
+            scale: armdse_kernels::WorkloadScale::Small,
+            ..crate::test_support::quick(1)
+        };
+        let t = run(&Engine::idealized(), &spec).unwrap();
         for r in &t.rows {
             assert!(
                 r.pct_difference < 60.0,
@@ -127,7 +123,8 @@ mod tests {
 
     #[test]
     fn table_mentions_every_app() {
-        let t = run(&Engine::idealized(), WorkloadScale::Tiny)
+        let t = run(&Engine::idealized(), &crate::test_support::quick(1))
+            .unwrap()
             .table()
             .to_text();
         for (app, ..) in PAPER_TABLE1 {

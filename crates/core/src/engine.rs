@@ -11,8 +11,8 @@
 //! ## Determinism and resume
 //!
 //! Jobs are numbered `0..configs × apps.len()`; job `j` simulates app
-//! `apps[j % apps.len()]` on the design point derived from
-//! `seed + j / apps.len()`. Within a chunk, worker threads race on an
+//! `apps[j % apps.len()]` on config slot `j / apps.len()` (sampled with
+//! `seed +` the slot, or listed). Within a chunk, worker threads race on an
 //! atomic counter, but results are reordered by job index before they
 //! reach the sink — output is byte-identical for any thread count. A
 //! chunk boundary is a plan property (not a thread property), so a run
@@ -29,9 +29,10 @@
 //! armdse-checkpoint v1
 //! fingerprint=<16 hex digits>   # FNV-1a over the plan (space, configs,
 //!                               # seed, scale, apps, pins, explicit
-//!                               # config indices) — threads and chunk
-//!                               # size excluded: they must not change
-//!                               # results
+//!                               # config indices; a listed plan: its
+//!                               # points, scale, apps, indices) —
+//!                               # threads and chunk size excluded:
+//!                               # they must not change results
 //! jobs_done=<n>                 # always a chunk boundary
 //! rows=<n>                      # validated rows streamed so far
 //! discarded=<n>                 # validation-failed runs so far
@@ -67,29 +68,39 @@ use std::sync::Arc;
 /// seconds at Standard scale, large enough to amortise the thread scope.
 pub(crate) const DEFAULT_CHUNK_JOBS: usize = 128;
 
-/// A validated campaign plan: the engine-facing form of [`GenOptions`].
+/// A validated campaign plan: the engine-facing form of [`GenOptions`],
+/// or of an explicit list of design points ([`RunPlan::listed`]).
 ///
-/// Construction validates what the old orchestrator `assert!`ed on:
-/// `configs == 0` or an empty app list is [`ArmdseError::InvalidPlan`],
-/// duplicate apps are deduplicated (order-preserving) instead of
-/// silently double-counting jobs, and pinned feature names and values
-/// are checked against the space before any simulation starts.
+/// Construction refuses `configs == 0` or an empty app list as
+/// [`ArmdseError::InvalidPlan`], deduplicates apps (order-preserving)
+/// instead of silently double-counting jobs, and checks pinned feature
+/// names and values, or every listed point, before any simulation.
 #[derive(Debug, Clone)]
 pub struct RunPlan {
-    space: ParamSpace,
+    candidates: Candidates,
     configs: usize,
     scale: WorkloadScale,
-    seed: u64,
     threads: usize,
     apps: Vec<App>,
-    pins: Vec<(String, f64)>,
     chunk_jobs: usize,
-    /// Explicit config indices: when set, config slot `i` samples with
-    /// `seed + indices[i]` instead of `seed + i`, so a plan can target
-    /// an arbitrary subset of a candidate pool (the adaptive explorer's
-    /// per-round batches) while every design point stays identical to
-    /// the one a full sweep would have produced at that index.
+    /// Explicit config indices: when set, config slot `i` is candidate
+    /// `indices[i]` instead of candidate `i`, so a plan can target any
+    /// subset of a candidate pool (the adaptive explorer's batches) with
+    /// every design point identical to a full sweep's at that index.
     indices: Option<Vec<u64>>,
+}
+
+/// The design points a plan draws from.
+#[derive(Debug, Clone)]
+enum Candidates {
+    /// Candidate `k` is `space` sampled with `seed + k`, pins applied.
+    Sampled {
+        space: Box<ParamSpace>,
+        seed: u64,
+        pins: Vec<(String, f64)>,
+    },
+    /// Candidate `k` is `list[k]`.
+    Listed(Vec<DesignConfig>),
 }
 
 impl RunPlan {
@@ -105,20 +116,6 @@ impl RunPlan {
         opts: &GenOptions,
         pins: &[(&str, f64)],
     ) -> Result<RunPlan, ArmdseError> {
-        if opts.configs == 0 {
-            return Err(ArmdseError::InvalidPlan("configs == 0".into()));
-        }
-        // Order-preserving dedup: a repeated app would double-count jobs
-        // and skew per-app row counts.
-        let mut apps = Vec::with_capacity(opts.apps.len());
-        for &a in &opts.apps {
-            if !apps.contains(&a) {
-                apps.push(a);
-            }
-        }
-        if apps.is_empty() {
-            return Err(ArmdseError::InvalidPlan("no applications selected".into()));
-        }
         for (name, _) in pins {
             if !FEATURE_NAMES.contains(name) {
                 return Err(ArmdseError::InvalidPlan(format!(
@@ -126,27 +123,70 @@ impl RunPlan {
                 )));
             }
         }
-        let plan = RunPlan {
-            space: space.clone(),
-            configs: opts.configs,
-            scale: opts.scale,
+        let sampled = Candidates::Sampled {
+            space: Box::new(space.clone()),
             seed: opts.seed,
-            threads: opts.threads.max(1),
-            apps,
             pins: pins.iter().map(|(n, v)| (n.to_string(), *v)).collect(),
-            chunk_jobs: DEFAULT_CHUNK_JOBS,
-            indices: None,
         };
+        let plan = RunPlan::over(sampled, opts.configs, &opts.apps, opts.scale, opts.threads)?;
         // Pin values are outside input: a value no sample can rescue is
         // refused here, on the first design point, not at the first job.
         plan.design_point(0)?;
         Ok(plan)
     }
 
-    /// Restrict the plan to explicit config indices into the seeded
-    /// candidate stream: config slot `i` samples with `seed +
-    /// indices[i]`, and `configs` becomes `indices.len()`. An empty
-    /// index list is rejected for the same reason `configs == 0` is.
+    /// A plan over an explicit, non-empty list of design points: config
+    /// slot `i` is `points[i]`, simulated for every app in `apps`. An
+    /// invalid point is refused here, naming its slot, not by a backend.
+    pub fn listed(
+        points: Vec<DesignConfig>,
+        apps: &[App],
+        scale: WorkloadScale,
+        threads: usize,
+    ) -> Result<RunPlan, ArmdseError> {
+        for (slot, cfg) in points.iter().enumerate() {
+            let invalid = |why| ArmdseError::InvalidPlan(format!("list slot {slot}: {why}"));
+            cfg.validate().map_err(invalid)?;
+        }
+        let configs = points.len();
+        RunPlan::over(Candidates::Listed(points), configs, apps, scale, threads)
+    }
+
+    /// The plan's shared shape; a repeated app would double-count jobs.
+    fn over(
+        candidates: Candidates,
+        configs: usize,
+        apps: &[App],
+        scale: WorkloadScale,
+        threads: usize,
+    ) -> Result<RunPlan, ArmdseError> {
+        if configs == 0 {
+            return Err(ArmdseError::InvalidPlan("configs == 0".into()));
+        }
+        let mut unique = Vec::with_capacity(apps.len());
+        for &a in apps {
+            if !unique.contains(&a) {
+                unique.push(a);
+            }
+        }
+        if unique.is_empty() {
+            return Err(ArmdseError::InvalidPlan("no applications selected".into()));
+        }
+        Ok(RunPlan {
+            candidates,
+            configs,
+            scale,
+            threads: threads.max(1),
+            apps: unique,
+            chunk_jobs: DEFAULT_CHUNK_JOBS,
+            indices: None,
+        })
+    }
+
+    /// Restrict the plan to explicit config indices into its
+    /// candidates: config slot `i` is candidate `indices[i]`, and
+    /// `configs` becomes `indices.len()`. An empty index list is
+    /// rejected for the same reason `configs == 0` is.
     pub fn with_config_indices(mut self, indices: Vec<u64>) -> Result<RunPlan, ArmdseError> {
         if indices.is_empty() {
             return Err(ArmdseError::InvalidPlan("empty config index list".into()));
@@ -211,25 +251,35 @@ impl RunPlan {
     /// chunk size are excluded: neither may change the output, so
     /// either may legitimately differ between a run and its resume.
     pub fn fingerprint(&self) -> u64 {
-        let encoded = format!(
-            "{:?}|{}|{}|{:?}|{:?}|{:?}|{:?}",
-            self.space, self.configs, self.seed, self.scale, self.apps, self.pins, self.indices
-        );
+        let (configs, scale, apps, indices) = (self.configs, self.scale, &self.apps, &self.indices);
+        let encoded = match &self.candidates {
+            Candidates::Sampled { space, seed, pins } => {
+                format!("{space:?}|{configs}|{seed}|{scale:?}|{apps:?}|{pins:?}|{indices:?}")
+            }
+            Candidates::Listed(list) => format!("{list:?}|{scale:?}|{apps:?}|{indices:?}"),
+        };
         Fnv1a::new().bytes(encoded.as_bytes()).finish()
     }
 
-    /// The design point of config slot `cfg_idx`: sampled with `seed +`
-    /// the explicit index when [`RunPlan::with_config_indices`] set one
-    /// (the slot number otherwise), pins applied, and validated — a
-    /// pinned value can push a sample out of the simulable space, which
-    /// must end the campaign as an error before a backend sees it.
+    /// The design point of config slot `cfg_idx`: candidate
+    /// `indices[cfg_idx]` when [`RunPlan::with_config_indices`] set them
+    /// (candidate `cfg_idx` otherwise). A sampled one is validated with its pins
+    /// applied — a pin can push a sample out of the simulable space,
+    /// which must end the campaign as an error before a backend sees it.
     pub(crate) fn design_point(&self, cfg_idx: usize) -> Result<DesignConfig, ArmdseError> {
-        let offset = self
+        let k = self
             .indices
             .as_ref()
             .map_or(cfg_idx as u64, |indices| indices[cfg_idx]);
-        let pins: Vec<(&str, f64)> = self.pins.iter().map(|(n, v)| (n.as_str(), *v)).collect();
-        let cfg = self.space.sample_seeded_pinned(self.seed + offset, &pins);
+        let (space, seed, pins) = match &self.candidates {
+            Candidates::Sampled { space, seed, pins } => (space, seed, pins),
+            Candidates::Listed(list) => {
+                let missing = || ArmdseError::InvalidPlan(format!("no list slot {k}"));
+                return list.get(k as usize).copied().ok_or_else(missing);
+            }
+        };
+        let pins: Vec<(&str, f64)> = pins.iter().map(|(n, v)| (n.as_str(), *v)).collect();
+        let cfg = space.sample_seeded_pinned(seed + k, &pins);
         match cfg.validate() {
             Ok(()) => Ok(cfg),
             Err(why) => Err(ArmdseError::InvalidPlan(format!(
@@ -685,7 +735,10 @@ impl Engine {
     /// Simulate one `(app, config)` pair on the engine's backend,
     /// reusing the shared workload cache.
     pub fn simulate_config(&self, app: App, scale: WorkloadScale, cfg: &DesignConfig) -> SimStats {
-        self.simulate_config_on(self.backend.as_ref(), app, scale, cfg)
+        let w = self.cache.get(app, scale, cfg.core.vector_length);
+        self.backend
+            .run(&w.program, &cfg.core, &cfg.mem, RunMode::Plain)
+            .stats
     }
 
     /// Simulate one `(app, config)` pair with cycle accounting enabled,
@@ -702,22 +755,6 @@ impl Engine {
         self.backend
             .run(&w.program, &cfg.core, &cfg.mem, RunMode::Metrics)
             .into_metrics()
-    }
-
-    /// Like [`Engine::simulate_config`] on an explicit backend (lets
-    /// one engine — and one workload cache — serve experiments that
-    /// compare backends, e.g. Table I's simulated-vs-proxy columns).
-    pub fn simulate_config_on(
-        &self,
-        backend: &dyn SimBackend,
-        app: App,
-        scale: WorkloadScale,
-        cfg: &DesignConfig,
-    ) -> SimStats {
-        let w = self.cache.get(app, scale, cfg.core.vector_length);
-        backend
-            .run(&w.program, &cfg.core, &cfg.mem, RunMode::Plain)
-            .stats
     }
 
     /// Run a full campaign, streaming rows into `sink` in job order.
@@ -1221,6 +1258,55 @@ mod tests {
         assert_eq!(picked.rows, expect);
         // And the subset plan has its own checkpoint identity.
         assert_ne!(sub.fingerprint(), plan(2, 2).fingerprint());
+    }
+
+    #[test]
+    fn a_listed_plan_of_the_sampled_points_emits_the_sampled_rows() {
+        let e = Engine::idealized();
+        let sampled = plan(3, 2);
+        let points: Vec<DesignConfig> = (0..3).map(|i| sampled.design_point(i).unwrap()).collect();
+        let listed = |points: &[DesignConfig], threads| {
+            let apps = [App::Stream, App::TeaLeaf];
+            RunPlan::listed(points.to_vec(), &apps, WorkloadScale::Tiny, threads).unwrap()
+        };
+        let (mut want, mut got) = (DseDataset::default(), DseDataset::default());
+        e.run(&sampled, &mut want).unwrap();
+        e.run(&listed(&points, 1).with_chunk_jobs(4), &mut got)
+            .unwrap();
+        assert_eq!(got, want);
+        // Fingerprinted by the list, not by threads or chunking.
+        let fp = listed(&points, 1).fingerprint();
+        assert_eq!(fp, listed(&points, 3).with_chunk_jobs(2).fingerprint());
+        assert_ne!(fp, listed(&points[..2], 1).fingerprint());
+        assert_ne!(fp, sampled.fingerprint());
+    }
+
+    #[test]
+    fn a_listed_plan_refuses_bad_points_up_front_and_indexes_its_slots() {
+        let invalid = |r: Result<RunPlan, ArmdseError>| match r {
+            Err(ArmdseError::InvalidPlan(m)) => m,
+            other => panic!("expected an invalid plan, got {other:?}"),
+        };
+        let listed = |points: Vec<DesignConfig>, apps: &[App]| {
+            RunPlan::listed(points, apps, WorkloadScale::Tiny, 1)
+        };
+        let good = DesignConfig::thunderx2();
+        let mut bad = good;
+        bad.core.vector_length = 96;
+        assert!(invalid(listed(Vec::new(), &App::ALL)).contains("configs == 0"));
+        assert!(invalid(listed(vec![good, bad], &App::ALL)).contains("list slot 1"));
+        assert!(invalid(listed(vec![good], &[])).contains("no applications"));
+        // Indices select list slots; one past the list ends the run.
+        let mut other = good;
+        other.core.rob_size = 64;
+        let plan = listed(vec![good, other], &App::ALL).unwrap();
+        let picked = plan.clone().with_config_indices(vec![1, 0]).unwrap();
+        assert_eq!(picked.design_point(0).unwrap(), other);
+        assert_ne!(picked.fingerprint(), plan.fingerprint());
+        let past = plan.with_config_indices(vec![2]).unwrap();
+        let mut data = DseDataset::default();
+        let err = Engine::idealized().run(&past, &mut data).unwrap_err();
+        assert!(err.to_string().contains("no list slot 2"), "{err}");
     }
 
     #[test]

@@ -3,17 +3,20 @@
 //! knees fall). Quantitative paper-vs-measured numbers live in
 //! EXPERIMENTS.md; these tests pin the shapes so regressions are caught.
 
-use armdse::analysis::sweeps::{self, SweepOptions};
+use armdse::analysis::sweeps;
 use armdse::analysis::{fig1, table1};
 use armdse::core::space::ParamSpace;
-use armdse::core::Engine;
+use armdse::core::{Engine, JobSpec};
 use armdse::kernels::{App, WorkloadScale};
 
-fn sweep_opts() -> SweepOptions {
-    SweepOptions {
-        base_configs: 4,
+/// Small-scale campaigns; the sweeps pair 4 base configurations.
+fn small(configs: usize) -> JobSpec {
+    JobSpec {
+        configs,
         scale: WorkloadScale::Small,
         seed: 808,
+        threads: 2,
+        ..JobSpec::default()
     }
 }
 
@@ -21,7 +24,7 @@ fn sweep_opts() -> SweepOptions {
 /// TeaLeaf marginal; MiniSweep not at all.
 #[test]
 fn fig1_vectorisation_split() {
-    let f = fig1::run(&Engine::idealized(), WorkloadScale::Small);
+    let f = fig1::run(&Engine::idealized(), &small(1)).unwrap();
     for vl in fig1::VLS {
         assert!(f.sve_pct(App::Stream, vl).unwrap() > 40.0);
         assert!(f.sve_pct(App::MiniBude, vl).unwrap() > 60.0);
@@ -34,7 +37,7 @@ fn fig1_vectorisation_split() {
 /// hardware proxy, with error varying by app (access-pattern dependent).
 #[test]
 fn table1_validation_band() {
-    let t = table1::run(&Engine::idealized(), WorkloadScale::Small);
+    let t = table1::run(&Engine::idealized(), &small(1)).unwrap();
     assert_eq!(t.rows.len(), 4);
     for r in &t.rows {
         assert!(
@@ -54,7 +57,7 @@ fn table1_validation_band() {
 /// vectorised codes (paper: 7-9x), larger for STREAM than miniBUDE.
 #[test]
 fn fig6_vector_length_scaling() {
-    let f = sweeps::fig6(&Engine::idealized(), &ParamSpace::paper(), &sweep_opts());
+    let f = sweeps::fig6(&Engine::idealized(), &ParamSpace::paper(), &small(4)).unwrap();
     let stream = f.speedup(App::Stream, 2048).unwrap();
     let bude = f.speedup(App::MiniBude, 2048).unwrap();
     assert!((4.0..16.0).contains(&stream), "STREAM speedup {stream}");
@@ -78,7 +81,7 @@ fn fig6_vector_length_scaling() {
 /// benefit is on memory-bound STREAM.
 #[test]
 fn fig7_rob_saturation() {
-    let f = sweeps::fig7(&Engine::idealized(), &ParamSpace::paper(), &sweep_opts());
+    let f = sweeps::fig7(&Engine::idealized(), &ParamSpace::paper(), &small(4)).unwrap();
     for app in App::ALL {
         let at_152 = f.speedup(app, 152).unwrap();
         let at_512 = f.speedup(app, 512).unwrap();
@@ -101,7 +104,7 @@ fn fig7_rob_saturation() {
 /// the knee further registers buy almost nothing.
 #[test]
 fn fig8_fp_register_wall() {
-    let f = sweeps::fig8(&Engine::idealized(), &ParamSpace::paper(), &sweep_opts());
+    let f = sweeps::fig8(&Engine::idealized(), &ParamSpace::paper(), &small(4)).unwrap();
     for app in App::ALL {
         let knee = f.speedup(app, 144).unwrap();
         let max = f.speedup(app, 512).unwrap();
