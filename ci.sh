@@ -28,6 +28,7 @@
 #   store-hazard memo (perf): 17686 -> 17742
 #   one sink per campaign: 17742 -> 17708
 #   every figure is a campaign: 17708 -> 17707
+#   forest fit and walk (perf): 17707 -> 17805
 set -eux
 
 cd "$(dirname "$0")"
@@ -49,14 +50,19 @@ cargo test -q --offline --workspace
 # no zero-filled one (tests/machine_allocations.rs): release must read
 # the same count as the debug run above.
 cargo test -q --offline --release --test machine_allocations
+# The op-class checks of isa's instruction constructors are `assert!`s,
+# so their `#[should_panic]` tests hold in release too.
+cargo test -q --offline --release -p armdse-isa
 # The benchmark package sees the product only through public calls
 # (benchmark/src/e2e/api.rs): an API change that breaks that view must
 # fail here, not in the pipeline that runs the benchmark.
 cargo test -q --offline --manifest-path benchmark/Cargo.toml
-# Large tree differential (#[ignore] in Tier-1 for its run time): the
-# presorted CART builder must fit `==` trees to the sort-per-node
-# reference on 600-row x 30-feature tied integer datasets.
-cargo test --release --offline -p armdse-mltree -- --ignored
+# Every mltree test in the release profile the forest is timed in,
+# including the large differential (#[ignore] in Tier-1 for its run
+# time): the rank-sorted CART builder must fit `==` trees to the
+# sort-per-node reference on 600-row x 30-feature tied integer datasets,
+# alone and through 24 rounds of forest refits at 1 and 2 threads.
+cargo test --release --offline -p armdse-mltree -- --include-ignored
 
 # Style lanes: rustfmt and clippy are hard gates (both run offline).
 cargo fmt --check

@@ -74,7 +74,7 @@ pub struct InstrTemplate {
 impl InstrTemplate {
     /// A compute (non-memory, non-branch) instruction.
     pub fn compute(op: OpClass, dests: &[Reg], srcs: &[Reg]) -> InstrTemplate {
-        debug_assert!(!op.is_mem() && !op.is_branch());
+        assert!(!op.is_mem() && !op.is_branch());
         InstrTemplate {
             op,
             dests: RegList::from_slice(dests),
@@ -93,7 +93,7 @@ impl InstrTemplate {
         expr: AddrExpr,
         bytes: u32,
     ) -> InstrTemplate {
-        debug_assert!(op.is_load());
+        assert!(op.is_load());
         InstrTemplate {
             op,
             dests: RegList::from_slice(&[dest]),
@@ -163,7 +163,7 @@ impl InstrTemplate {
     /// A store instruction reading `data_srcs` (data + address registers),
     /// addressed by `expr`, writing `bytes` bytes.
     pub fn store(op: OpClass, data_srcs: &[Reg], expr: AddrExpr, bytes: u32) -> InstrTemplate {
-        debug_assert!(op.is_store());
+        assert!(op.is_store());
         InstrTemplate {
             op,
             dests: RegList::empty(),
@@ -259,7 +259,7 @@ mod tests {
     #[test]
     #[should_panic]
     fn load_constructor_rejects_non_load_class() {
-        // debug_assert fires in test builds
+        // The op-class assert fires in every profile, release included.
         let _ = InstrTemplate::load(OpClass::IntAlu, Reg::gp(0), &[], AddrExpr::fixed(0), 8);
     }
 }

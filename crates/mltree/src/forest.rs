@@ -24,7 +24,9 @@
 //!
 //! A refit and a pool-wide prediction are both a set of independent
 //! per-tree jobs: fitting tree `t` at round `r` reads only `(seed, r, t,
-//! x, y)`, and walking a row through a tree reads only that tree. So
+//! x, y)` and the refit's per-feature rank table of `x`, built once
+//! before the jobs start and shared read-only; walking rows through a
+//! tree reads only that tree (eight rows at a time). So
 //! [`RandomForest::partial_refit_with`] and [`PoolPredictions::refresh`]
 //! take a thread count, hand the jobs to scoped workers racing on an
 //! atomic counter, and put the results back in tree order before
@@ -36,7 +38,7 @@
 //! same code with no worker spawned.
 
 use crate::matrix::Matrix;
-use crate::tree::{DecisionTreeRegressor, TreeParams};
+use crate::tree::{DecisionTreeRegressor, Ranks, TreeParams};
 use crate::Regressor;
 use armdse_rng::{Rng, SeedableRng, SliceRandom, Xoshiro256pp};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -84,8 +86,9 @@ impl RandomForest {
         assert_eq!(x.rows(), y.len());
         assert!(x.rows() > 0 && params.n_trees > 0);
         let mut rng = Xoshiro256pp::seed_from_u64(seed);
+        let ranks = Ranks::new(x);
         let trees = (0..params.n_trees)
-            .map(|_| fit_tree(x, y, params, &mut rng))
+            .map(|_| fit_tree(x, &ranks, y, params, &mut rng))
             .collect();
         RandomForest {
             trees,
@@ -151,14 +154,9 @@ impl RandomForest {
             (0..refresh).map(|k| (first + k) % n_trees).collect()
         };
         let (seed, params) = (self.seed, self.params);
+        let ranks = Ranks::new(x);
         let fitted = run_indexed(window.len(), threads, |k| {
-            // Decorrelate the (round, tree) streams with distinct odd
-            // multipliers (SplitMix64-style Weyl constants).
-            let stream = seed
-                .wrapping_add(round.wrapping_mul(0x9E37_79B9_7F4A_7C15))
-                .wrapping_add((window[k] as u64).wrapping_mul(0xBF58_476D_1CE4_E5B9));
-            let mut rng = Xoshiro256pp::seed_from_u64(stream);
-            fit_tree(x, y, params, &mut rng)
+            fit_tree(x, &ranks, y, params, &mut refit_rng(seed, round, window[k]))
         });
         if self.trees.is_empty() {
             self.trees = fitted;
@@ -189,7 +187,8 @@ impl RandomForest {
     /// Guaranteed non-negative and finite for finite predictions.
     pub fn predict_variance(&self, row: &[f64]) -> f64 {
         assert!(!self.trees.is_empty(), "variance of an unfitted forest");
-        ensemble_mean_var(self.trees.iter().map(|t| t.predict_one(row))).1
+        let per_tree: Vec<f64> = self.trees.iter().map(|t| t.predict_one(row)).collect();
+        ensemble_mean_var(per_tree.iter().copied()).1
     }
 }
 
@@ -203,7 +202,7 @@ fn ensemble_mean(per_tree: impl ExactSizeIterator<Item = f64>) -> f64 {
 }
 
 /// [`ensemble_mean`] and the population variance around it, by the
-/// two-pass formula (the iterator is walked once per pass).
+/// two-pass formula (it walks `per_tree` twice: pass stored predictions).
 fn ensemble_mean_var(per_tree: impl ExactSizeIterator<Item = f64> + Clone) -> (f64, f64) {
     let n = per_tree.len() as f64;
     let mean = ensemble_mean(per_tree.clone());
@@ -310,12 +309,9 @@ impl PoolPredictions {
             "table sized for another forest"
         );
         let stale: Vec<usize> = (0..self.stale.len()).filter(|&t| self.stale[t]).collect();
+        let rows: Vec<&[f64]> = candidates.iter().map(|&c| pool[c].as_ref()).collect();
         let walked = run_indexed(stale.len(), threads, |k| {
-            let tree = &forest.trees[stale[k]];
-            candidates
-                .iter()
-                .map(|&c| tree.predict_one(pool[c].as_ref()))
-                .collect::<Vec<f64>>()
+            forest.trees[stale[k]].predict_many(&rows)
         });
         for (&t, preds) in stale.iter().zip(walked) {
             for (&c, p) in candidates.iter().zip(preds) {
@@ -334,12 +330,22 @@ impl PoolPredictions {
     }
 }
 
+/// The RNG stream of tree `t` refit at `round`: distinct odd multipliers
+/// (SplitMix64-style Weyl constants) decorrelate the (round, tree) streams.
+pub(crate) fn refit_rng(seed: u64, round: u64, t: usize) -> Xoshiro256pp {
+    let stream = seed
+        .wrapping_add(round.wrapping_mul(0x9E37_79B9_7F4A_7C15))
+        .wrapping_add((t as u64).wrapping_mul(0xBF58_476D_1CE4_E5B9));
+    Xoshiro256pp::seed_from_u64(stream)
+}
+
 /// Fit one bootstrap tree, drawing the bootstrap rows and the feature
 /// subsample from `rng` (shared by [`RandomForest::fit_with`]'s
 /// sequential stream and [`RandomForest::partial_refit`]'s per-(round,
-/// tree) streams).
+/// tree) streams); `ranks` is `Ranks::new(x)`.
 fn fit_tree(
     x: &Matrix,
+    ranks: &Ranks,
     y: &[f64],
     params: ForestParams,
     rng: &mut Xoshiro256pp,
@@ -354,12 +360,22 @@ fn fit_tree(
     feats.shuffle(rng);
     feats.truncate(m_feat);
     feats.sort_unstable();
-    DecisionTreeRegressor::fit_with(x, y, &boot, params.tree, Some(&feats))
+    DecisionTreeRegressor::fit_with(x, ranks, y, &boot, params.tree, Some(&feats))
 }
 
 impl Regressor for RandomForest {
     fn predict_one(&self, row: &[f64]) -> f64 {
         ensemble_mean(self.trees.iter().map(|t| t.predict_one(row)))
+    }
+
+    /// Each tree walks all the rows eight at a time; each row then sums
+    /// its trees' predictions in tree order, as `predict_one` does.
+    fn predict(&self, x: &Matrix) -> Vec<f64> {
+        let rows: Vec<&[f64]> = (0..x.rows()).map(|r| x.row(r)).collect();
+        let per_tree: Vec<Vec<f64>> = self.trees.iter().map(|t| t.predict_many(&rows)).collect();
+        (0..rows.len())
+            .map(|r| ensemble_mean(per_tree.iter().map(|p| p[r])))
+            .collect()
     }
 }
 
@@ -484,6 +500,17 @@ mod tests {
                 .collect();
             assert_eq!(f.partial_refit_with(&x, &y, u64::MAX, 1), window);
         }
+    }
+
+    #[test]
+    fn batch_predict_is_row_wise_predict_one() {
+        let (x, y) = noisy_quadratic();
+        let f = RandomForest::fit(&x, &y, 5);
+        let want: Vec<u64> = (0..x.rows())
+            .map(|r| f.predict_one(x.row(r)).to_bits())
+            .collect();
+        let got: Vec<u64> = f.predict(&x).iter().map(|p| p.to_bits()).collect();
+        assert_eq!(got, want);
     }
 
     #[test]

@@ -7,12 +7,20 @@
 //! quality of each split is based on the mean squared error, with the
 //! split at each node chosen to be the best found."
 //!
-//! A fit sorts each feature once, at the root, into a list of `(value,
-//! target, row)` sorted stably (ties stay in row order). Each node owns the
-//! same `[lo, hi)` range of every list and scans each linearly; a split
-//! partitions every list stably by a per-row side mark. The trees equal a
-//! per-node sort's whenever the partial sums are exact in f64 (integer
-//! targets, Σy² < 2⁵³): only the order tied targets are summed in differs.
+//! A fit starts from [`Ranks`], each feature's dense `total_cmp` rank of
+//! every row of `x`, built once per forest refit and shared. A stable
+//! counting sort of the fit's rows by rank gives each feature the
+//! `(value, target, row)` list a stable comparison sort would, ties in
+//! draw order, with no sort per tree. Each node owns the same `[lo, hi)`
+//! range of every list and scans each linearly; a split partitions every
+//! list stably by a per-row side mark. The trees equal a per-node sort's
+//! whenever the partial sums are exact in f64 (integer targets, Σy² <
+//! 2⁵³): only the order tied targets are summed in differs.
+//!
+//! A fitted tree is one flat array of 16-byte nodes `{ t, feature, left }`.
+//! A leaf has `feature == LEAF` and predicts `t`. A split sends a row with
+//! `row[feature] <= t` to `left` and any other row (NaN too) to `left + 1`:
+//! a split allocates its two children back to back.
 
 use crate::matrix::Matrix;
 use crate::Regressor;
@@ -38,18 +46,65 @@ impl Default for TreeParams {
     }
 }
 
-/// A tree node.
-#[derive(Debug, Clone, PartialEq)]
-enum Node {
-    /// Terminal node predicting the mean of its training targets.
-    Leaf { value: f64, n: u32 },
-    /// Internal split: rows with `x[feature] <= threshold` go left.
-    Split {
-        feature: u32,
-        threshold: f64,
-        left: u32,
-        right: u32,
-    },
+/// A tree node: a split of `feature` at threshold `t` with children
+/// `left` and `left + 1`, or a leaf (`feature == LEAF`) predicting `t`.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct Node {
+    t: f64,
+    feature: u32,
+    left: u32,
+}
+
+/// The `feature` of a leaf node.
+const LEAF: u32 = u32::MAX;
+
+impl Node {
+    fn leaf(value: f64) -> Node {
+        Node {
+            t: value,
+            feature: LEAF,
+            left: 0,
+        }
+    }
+
+    fn is_leaf(self) -> bool {
+        self.feature == LEAF
+    }
+
+    /// The child a split sends `row` to (NaN fails `<=`: `left + 1`).
+    #[inline]
+    fn child(self, row: &[f64]) -> u32 {
+        self.left + 1 - u32::from(row[self.feature as usize] <= self.t)
+    }
+}
+
+/// Each feature's dense `f64::total_cmp` rank of every row of a matrix:
+/// two rows tie exactly when `total_cmp` is `Equal`, so `-0.0` ranks
+/// below `+0.0`. Read-only once built, so a forest's trees share one.
+pub(crate) struct Ranks {
+    /// `rank[f * rows + r]`: row `r`'s rank in feature `f`.
+    rank: Vec<u32>,
+    rows: usize,
+}
+
+impl Ranks {
+    pub(crate) fn new(x: &Matrix) -> Ranks {
+        let rows = x.rows();
+        assert!(rows <= u32::MAX as usize, "row index exceeds u32");
+        let mut rank = vec![0; x.cols() * rows];
+        let mut column: Vec<(f64, u32)> = Vec::with_capacity(rows);
+        for f in 0..x.cols() {
+            column.clear();
+            column.extend((0..rows).map(|r| (x.get(r, f), r as u32)));
+            column.sort_unstable_by(|a, b| a.0.total_cmp(&b.0));
+            let mut level = 0;
+            for k in 0..rows {
+                level += u32::from(k > 0 && column[k - 1].0.total_cmp(&column[k].0).is_ne());
+                rank[f * rows + column[k].1 as usize] = level;
+            }
+        }
+        Ranks { rank, rows }
+    }
 }
 
 /// A fitted CART regression tree.
@@ -63,14 +118,16 @@ impl DecisionTreeRegressor {
     /// Fit with the paper's default configuration.
     pub fn fit(x: &Matrix, y: &[f64]) -> DecisionTreeRegressor {
         let rows: Vec<usize> = (0..x.rows()).collect();
-        DecisionTreeRegressor::fit_with(x, y, &rows, TreeParams::default(), None)
+        DecisionTreeRegressor::fit_with(x, &Ranks::new(x), y, &rows, TreeParams::default(), None)
     }
 
     /// Fit with explicit hyper-parameters on `rows` of `(x, y)` (repeats
-    /// allowed: the forest's bootstrap). `feature_mask`, when given,
-    /// restricts the features considered at every split.
+    /// allowed: the forest's bootstrap); `ranks` is `Ranks::new(x)`.
+    /// `feature_mask`, when given, restricts the features considered at
+    /// every split.
     pub(crate) fn fit_with(
         x: &Matrix,
+        ranks: &Ranks,
         y: &[f64],
         rows: &[usize],
         params: TreeParams,
@@ -78,33 +135,20 @@ impl DecisionTreeRegressor {
     ) -> DecisionTreeRegressor {
         assert_eq!(x.rows(), y.len(), "x/y length mismatch");
         assert!(!rows.is_empty(), "cannot fit on an empty dataset");
+        assert!(x.cols() < LEAF as usize, "feature index exceeds u32");
         let all_features: Vec<usize> = (0..x.cols()).collect();
         let features = feature_mask.unwrap_or(&all_features);
-        assert!(x.rows() <= u32::MAX as usize, "row index exceeds u32");
         let n = rows.len();
-        // An empty mask still gets one list, of zeros: it carries the targets.
-        let mut lists = Vec::with_capacity(features.len().max(1) * n);
-        for j in 0..features.len().max(1) {
-            let f = features.get(j);
-            let start = lists.len();
-            lists.extend(
-                rows.iter()
-                    .map(|&r| (f.map_or(0.0, |&f| x.get(r, f)), y[r], r as u32)),
-            );
-            // total_cmp: feature values are finite by construction.
-            lists[start..].sort_by(|a, b| a.0.total_cmp(&b.0));
-        }
         let mut builder = Builder {
             params,
             features,
-            nodes: Vec::new(),
-            lists,
+            nodes: vec![Node::leaf(0.0)],
+            lists: sorted_lists(x, ranks, y, rows, features),
             n,
             left: vec![false; x.rows()],
-            scratch: Vec::with_capacity(n),
+            scratch: vec![(0.0, 0.0, 0); n],
         };
-        let root = builder.alloc_node();
-        builder.build(root, 0, n, 0);
+        builder.build(0, 0, n, 0);
         DecisionTreeRegressor {
             nodes: builder.nodes,
             n_features: x.cols(),
@@ -120,69 +164,113 @@ impl DecisionTreeRegressor {
     /// Number of leaves.
     #[cfg(test)]
     fn leaf_count(&self) -> usize {
-        self.nodes
-            .iter()
-            .filter(|n| matches!(n, Node::Leaf { .. }))
-            .count()
+        self.nodes.iter().filter(|n| n.is_leaf()).count()
     }
 
     /// Maximum depth of the fitted tree.
     #[cfg(test)]
     fn depth(&self) -> u32 {
         fn d(nodes: &[Node], i: u32) -> u32 {
-            match nodes[i as usize] {
-                Node::Leaf { .. } => 0,
-                Node::Split { left, right, .. } => 1 + d(nodes, left).max(d(nodes, right)),
+            let n = nodes[i as usize];
+            if n.is_leaf() {
+                0
+            } else {
+                1 + d(nodes, n.left).max(d(nodes, n.left + 1))
             }
         }
-        if self.nodes.is_empty() {
-            0
-        } else {
-            d(&self.nodes, 0)
-        }
+        d(&self.nodes, 0)
     }
 
     /// Node accessor for the explanation module.
     pub(crate) fn node(&self, i: u32) -> crate::explain::ExplainNode {
-        match &self.nodes[i as usize] {
-            Node::Leaf { value, .. } => crate::explain::ExplainNode::Leaf { value: *value },
-            Node::Split {
-                feature,
-                threshold,
-                left,
-                right,
-            } => crate::explain::ExplainNode::Split {
-                feature: *feature as usize,
-                threshold: *threshold,
-                left: *left,
-                right: *right,
-            },
+        let n = self.nodes[i as usize];
+        if n.is_leaf() {
+            crate::explain::ExplainNode::Leaf { value: n.t }
+        } else {
+            crate::explain::ExplainNode::Split {
+                feature: n.feature as usize,
+                threshold: n.t,
+                left: n.left,
+                right: n.left + 1,
+            }
         }
+    }
+
+    /// [`Regressor::predict_one`] of each of `rows`, in order. Rows walk
+    /// the tree eight at a time, interleaved, so eight node loads are in
+    /// flight at once instead of one.
+    pub(crate) fn predict_many(&self, rows: &[&[f64]]) -> Vec<f64> {
+        let mut out = Vec::with_capacity(rows.len());
+        let mut blocks = rows.chunks_exact(8);
+        for block in &mut blocks {
+            let mut at = [self.nodes[0]; 8];
+            let mut walking = true;
+            while walking {
+                walking = false;
+                for (node, row) in at.iter_mut().zip(block) {
+                    if !node.is_leaf() {
+                        *node = self.nodes[node.child(row) as usize];
+                        walking = true;
+                    }
+                }
+            }
+            out.extend(at.iter().map(|n| n.t));
+        }
+        out.extend(blocks.remainder().iter().map(|row| self.predict_one(row)));
+        out
     }
 }
 
 impl Regressor for DecisionTreeRegressor {
     fn predict_one(&self, row: &[f64]) -> f64 {
         debug_assert_eq!(row.len(), self.n_features);
-        let mut i = 0u32;
-        loop {
-            match self.nodes[i as usize] {
-                Node::Leaf { value, .. } => return value,
-                Node::Split {
-                    feature,
-                    threshold,
-                    left,
-                    right,
-                } => {
-                    i = if row[feature as usize] <= threshold {
-                        left
-                    } else {
-                        right
-                    };
-                }
-            }
+        let mut node = self.nodes[0];
+        while !node.is_leaf() {
+            node = self.nodes[node.child(row) as usize];
+        }
+        node.t
+    }
+
+    fn predict(&self, x: &Matrix) -> Vec<f64> {
+        self.predict_many(&(0..x.rows()).map(|r| x.row(r)).collect::<Vec<_>>())
+    }
+}
+
+/// The `(value, target, row)` list of each of `features` over `rows`,
+/// sorted stably by value (ties in `rows` order) and laid end to end, by
+/// a counting sort on `ranks`. An empty `features` still gets one list,
+/// of zeros: it carries the targets.
+fn sorted_lists(
+    x: &Matrix,
+    ranks: &Ranks,
+    y: &[f64],
+    rows: &[usize],
+    features: &[usize],
+) -> Vec<(f64, f64, u32)> {
+    let shape = (ranks.rows, ranks.rank.len());
+    assert_eq!(shape, (x.rows(), x.rows() * x.cols()), "ranks of another x");
+    if features.is_empty() {
+        return rows.iter().map(|&r| (0.0, y[r], r as u32)).collect();
+    }
+    let mut lists = vec![(0.0, 0.0, 0); features.len() * rows.len()];
+    let mut next = vec![0; ranks.rows + 1];
+    for (list, &f) in lists.chunks_exact_mut(rows.len()).zip(features) {
+        let rank = &ranks.rank[f * ranks.rows..][..ranks.rows];
+        // next[v]: the slot the next row of rank v goes to.
+        next.fill(0);
+        for &r in rows {
+            next[rank[r] as usize + 1] += 1;
+        }
+        for v in 1..next.len() {
+            next[v] += next[v - 1];
+        }
+        for &r in rows {
+            let slot = &mut next[rank[r] as usize];
+            list[*slot] = (x.get(r, f), y[r], r as u32);
+            *slot += 1;
         }
     }
+    lists
 }
 
 /// Internal fitting state.
@@ -196,7 +284,7 @@ struct Builder<'a> {
     n: usize,
     /// Side of each `x` row at the split being applied (`true` = left).
     left: Vec<bool>,
-    /// Reused buffer for a stable partition.
+    /// A partition's right side, `n` entries.
     scratch: Vec<(f64, f64, u32)>,
 }
 
@@ -210,11 +298,6 @@ struct BestSplit {
 }
 
 impl<'a> Builder<'a> {
-    fn alloc_node(&mut self) -> u32 {
-        self.nodes.push(Node::Leaf { value: 0.0, n: 0 });
-        (self.nodes.len() - 1) as u32
-    }
-
     /// Grow the subtree at `slot` over the entries `[lo, hi)` of every list.
     fn build(&mut self, slot: u32, lo: usize, hi: usize, depth: u32) {
         let n = hi - lo;
@@ -238,25 +321,20 @@ impl<'a> Builder<'a> {
             None
         };
         match best {
-            None => {
-                self.nodes[slot as usize] = Node::Leaf {
-                    value: mean,
-                    n: n as u32,
-                };
-            }
+            None => self.nodes[slot as usize] = Node::leaf(mean),
             Some(b) => {
                 let l = self.partition(lo, hi, &b);
                 debug_assert!(l > 0 && l < n, "degenerate partition");
-                let left = self.alloc_node();
-                let right = self.alloc_node();
-                self.nodes[slot as usize] = Node::Split {
-                    feature: u32::try_from(self.features[b.list]).expect("feature index fits u32"),
-                    threshold: b.threshold,
+                // Siblings back to back: the right child is `left + 1`.
+                let left = self.nodes.len() as u32;
+                self.nodes.extend([Node::leaf(0.0); 2]);
+                self.nodes[slot as usize] = Node {
+                    t: b.threshold,
+                    feature: self.features[b.list] as u32,
                     left,
-                    right,
                 };
                 self.build(left, lo, lo + l, depth + 1);
-                self.build(right, lo + l, hi, depth + 1);
+                self.build(left + 1, lo + l, hi, depth + 1);
             }
         }
     }
@@ -269,6 +347,9 @@ impl<'a> Builder<'a> {
 
         for j in 0..self.features.len() {
             let list = &self.lists[j * self.n + lo..j * self.n + hi];
+            if list[0].0 == list[n - 1].0 {
+                continue; // constant over the node: no split candidate
+            }
             let mut left_sum = 0.0;
             let mut left_sq = 0.0;
             for k in 0..n - 1 {
@@ -311,19 +392,20 @@ impl<'a> Builder<'a> {
         }
         for j in (0..self.lists.len() / n).filter(|&j| j != b.list) {
             let list = &mut self.lists[j * n + lo..j * n + hi];
-            // Left entries move up in place; right ones wait in `scratch`.
-            self.scratch.clear();
-            let mut w = 0;
+            // Branchless: each entry is written to both sides (left ones
+            // move up in place, right ones wait in `scratch`) and only its
+            // own side's cursor advances.
+            let (mut w, mut s) = (0, 0);
             for k in 0..list.len() {
                 let e = list[k];
-                if self.left[e.2 as usize] {
-                    list[w] = e;
-                    w += 1;
-                } else {
-                    self.scratch.push(e);
-                }
+                let left = self.left[e.2 as usize];
+                list[w] = e;
+                self.scratch[s] = e;
+                w += usize::from(left);
+                s += usize::from(!left);
             }
-            list[w..].copy_from_slice(&self.scratch);
+            debug_assert_eq!(w, l);
+            list[w..].copy_from_slice(&self.scratch[..s]);
         }
         l
     }
@@ -335,8 +417,9 @@ mod tests {
     use crate::matrix::Matrix;
     use armdse_rng::{Rng, SeedableRng, SliceRandom, Xoshiro256pp};
 
-    /// The sort-per-node builder the presorted one replaced, kept verbatim
-    /// as the reference the differential tests compare against.
+    /// The sort-per-node builder the presorted one replaced, kept (but
+    /// for the flat node layout) as the reference the differential tests
+    /// compare against.
     mod reference {
         use super::super::{DecisionTreeRegressor, Node, TreeParams};
         use crate::matrix::Matrix;
@@ -383,7 +466,7 @@ mod tests {
 
         impl Builder<'_> {
             fn alloc_node(&mut self) -> u32 {
-                self.nodes.push(Node::Leaf { value: 0.0, n: 0 });
+                self.nodes.push(Node::leaf(0.0));
                 (self.nodes.len() - 1) as u32
             }
 
@@ -405,12 +488,7 @@ mod tests {
                     None
                 };
                 match best {
-                    None => {
-                        self.nodes[slot as usize] = Node::Leaf {
-                            value: mean,
-                            n: n as u32,
-                        };
-                    }
+                    None => self.nodes[slot as usize] = Node::leaf(mean),
                     Some(b) => {
                         let mut l = 0;
                         let mut r = n;
@@ -424,11 +502,10 @@ mod tests {
                         }
                         let left = self.alloc_node();
                         let right = self.alloc_node();
-                        self.nodes[slot as usize] = Node::Split {
+                        self.nodes[slot as usize] = Node {
+                            t: b.threshold,
                             feature: b.feature as u32,
-                            threshold: b.threshold,
                             left,
-                            right,
                         };
                         let (li, ri) = idx.split_at_mut(l);
                         self.build(left, li, depth + 1);
@@ -519,6 +596,7 @@ mod tests {
         feats.shuffle(&mut rng);
         feats.truncate(rng.gen_range(1..cols + 1));
         feats.sort_unstable();
+        let ranks = Ranks::new(&x);
         for min_samples_leaf in [1, 3] {
             for max_depth in [None, Some(4)] {
                 let p = TreeParams {
@@ -528,7 +606,7 @@ mod tests {
                 };
                 for mask in [None, Some(&feats[..])] {
                     let want = reference::fit(&bx, &by, p, mask);
-                    let got = DecisionTreeRegressor::fit_with(&x, &y, &boot, p, mask);
+                    let got = DecisionTreeRegressor::fit_with(&x, &ranks, &y, &boot, p, mask);
                     assert!(want.node_count() > 1, "seed {seed}: degenerate data");
                     assert_eq!(got, want, "seed {seed}, {p:?}, mask {mask:?}");
                 }
@@ -543,12 +621,156 @@ mod tests {
         }
     }
 
+    /// Grow seeded 600 × 30 data by 25 rows a round, as the Explorer
+    /// grows its dataset, and refit a forest on it for 24 rounds at 1 and
+    /// 2 threads: each tree a refit replaces must be `==` to the reference
+    /// builder's fit on the same bootstrap and feature subsample.
+    fn assert_refits_match_reference(seed: u64) {
+        use crate::forest::{refit_rng, ForestParams, RandomForest};
+        let mut rng = Xoshiro256pp::seed_from_u64(seed);
+        let (x, y) = tied_integer_data(&mut rng, 600, 30);
+        let params = ForestParams::default();
+        let mut forests = [1, 2].map(|threads| (threads, RandomForest::warm_start(params, seed)));
+        for round in 0..24u64 {
+            let m = 25 * (round as usize + 1);
+            let (xs, ys) = (x.select_rows(&all_rows(&x)[..m]), &y[..m]);
+            let mut windows = forests
+                .iter_mut()
+                .map(|(threads, f)| f.partial_refit_with(&xs, ys, round, *threads));
+            let window = windows.next().expect("two forests");
+            assert!(
+                windows.all(|w| w == window),
+                "round {round}: windows differ"
+            );
+            for &t in &window {
+                // The forest's draws from the tree's stream: a bootstrap,
+                // then a shuffle of every feature (all are kept).
+                let mut rng = refit_rng(seed, round, t);
+                let boot: Vec<usize> = (0..m).map(|_| rng.gen_range(0..m)).collect();
+                (0..30).collect::<Vec<usize>>().shuffle(&mut rng);
+                let by: Vec<f64> = boot.iter().map(|&r| ys[r]).collect();
+                let want = reference::fit(&xs.select_rows(&boot), &by, params.tree, None);
+                for (threads, f) in &forests {
+                    assert_eq!(
+                        f.trees()[t],
+                        want,
+                        "round {round}, tree {t}, {threads} threads"
+                    );
+                }
+            }
+        }
+    }
+
     #[test]
-    #[ignore = "large differential; ci.sh runs it with --ignored"]
+    #[ignore = "large differential; ci.sh runs it with --include-ignored"]
     fn presorted_builder_matches_reference_at_design_space_size() {
         for seed in 0..100 {
             assert_matches_reference(1000 + seed, 600, 30);
         }
+        assert_refits_match_reference(2024);
+    }
+
+    /// The stable comparison sort the rank counting sort replaced, kept as
+    /// the reference for `sorted_lists`.
+    fn lists_by_sort(
+        x: &Matrix,
+        y: &[f64],
+        rows: &[usize],
+        features: &[usize],
+    ) -> Vec<(f64, f64, u32)> {
+        let mut lists = Vec::new();
+        for j in 0..features.len().max(1) {
+            let f = features.get(j);
+            let start = lists.len();
+            lists.extend(
+                rows.iter()
+                    .map(|&r| (f.map_or(0.0, |&f| x.get(r, f)), y[r], r as u32)),
+            );
+            lists[start..].sort_by(|a, b| a.0.total_cmp(&b.0));
+        }
+        lists
+    }
+
+    #[test]
+    fn rank_counting_sort_lists_equal_the_stable_comparison_sort() {
+        let bits = |lists: Vec<(f64, f64, u32)>| -> Vec<(u64, u64, u32)> {
+            lists
+                .into_iter()
+                .map(|(v, y, r)| (v.to_bits(), y.to_bits(), r))
+                .collect()
+        };
+        let mut rng = Xoshiro256pp::seed_from_u64(17);
+        let (tied, tied_y) = tied_integer_data(&mut rng, 90, 7);
+        let zeros = Matrix::from_rows(
+            &(0..40)
+                .map(|i| {
+                    vec![
+                        [-0.0, 0.0, 1.0, -2.5][i % 4],
+                        [0.0, -0.0][i % 3 % 2],
+                        i as f64,
+                    ]
+                })
+                .collect::<Vec<_>>(),
+        );
+        let zeros_y: Vec<f64> = (0..40).map(|i| (i % 5) as f64).collect();
+        // Signed zeros tie only with themselves, -0.0 below +0.0.
+        let ranks = Ranks::new(&zeros);
+        assert_eq!((ranks.rank[0], ranks.rank[1], ranks.rank[2]), (1, 2, 3));
+        for (x, y) in [(&tied, &tied_y), (&zeros, &zeros_y)] {
+            let ranks = Ranks::new(x);
+            let m = x.rows();
+            let all = all_rows(x);
+            let boot: Vec<usize> = (0..m).map(|_| rng.gen_range(0..m)).collect();
+            // A subset of x's rows, with repeats.
+            let subset: Vec<usize> = (0..m / 3).map(|_| rng.gen_range(m / 2..m)).collect();
+            let features: Vec<usize> = (0..x.cols()).collect();
+            for rows in [&all, &boot, &subset] {
+                for feats in [&features[..], &features[1..2], &[]] {
+                    assert_eq!(
+                        bits(sorted_lists(x, &ranks, y, rows, feats)),
+                        bits(lists_by_sort(x, y, rows, feats)),
+                        "{} rows, features {feats:?}",
+                        rows.len()
+                    );
+                }
+            }
+            let sub_y: Vec<f64> = subset.iter().map(|&r| y[r]).collect();
+            let p = TreeParams::default();
+            assert_eq!(
+                DecisionTreeRegressor::fit_with(x, &ranks, y, &subset, p, None),
+                reference::fit(&x.select_rows(&subset), &sub_y, p, None)
+            );
+        }
+    }
+
+    #[test]
+    fn predict_many_walks_each_row_as_predict_one_does() {
+        let mut rng = Xoshiro256pp::seed_from_u64(23);
+        let (x, y) = tied_integer_data(&mut rng, 120, 6);
+        let tree = DecisionTreeRegressor::fit(&x, &y);
+        let single = DecisionTreeRegressor::fit(&x, &[3.0; 120]);
+        assert_eq!(single.node_count(), 1);
+        let mut rows: Vec<Vec<f64>> = (0..17).map(|r| x.row(r * 7).to_vec()).collect();
+        for (k, row) in rows.iter_mut().enumerate().step_by(3) {
+            row[k % 6] = f64::NAN;
+        }
+        let rows: Vec<&[f64]> = rows.iter().map(Vec::as_slice).collect();
+        for t in [&tree, &single] {
+            for len in 0..=17 {
+                let want: Vec<u64> = rows[..len]
+                    .iter()
+                    .map(|r| t.predict_one(r).to_bits())
+                    .collect();
+                let got: Vec<u64> = t
+                    .predict_many(&rows[..len])
+                    .iter()
+                    .map(|p| p.to_bits())
+                    .collect();
+                assert_eq!(got, want, "{len} rows");
+            }
+        }
+        let want: Vec<f64> = (0..x.rows()).map(|r| tree.predict_one(x.row(r))).collect();
+        assert_eq!(tree.predict(&x), want);
     }
 
     #[test]
@@ -594,8 +816,8 @@ mod tests {
     }
 
     #[test]
-    fn node_stays_24_bytes() {
-        assert_eq!(std::mem::size_of::<Node>(), 24);
+    fn node_stays_16_bytes() {
+        assert_eq!(std::mem::size_of::<Node>(), 16);
     }
 
     fn all_rows(x: &Matrix) -> Vec<usize> {
@@ -638,6 +860,8 @@ mod tests {
         // Threshold placed between the two plateaus.
         assert_eq!(t.predict_one(&[9.4]), 1.0);
         assert_eq!(t.predict_one(&[9.6]), 9.0);
+        // NaN fails `<=`, so it goes right.
+        assert_eq!(t.predict_one(&[f64::NAN]), 9.0);
     }
 
     #[test]
@@ -655,6 +879,7 @@ mod tests {
         let (x, y) = xy(&pts);
         let t = DecisionTreeRegressor::fit_with(
             &x,
+            &Ranks::new(&x),
             &y,
             &all_rows(&x),
             TreeParams {
@@ -673,6 +898,7 @@ mod tests {
         let (x, y) = xy(&pts);
         let t = DecisionTreeRegressor::fit_with(
             &x,
+            &Ranks::new(&x),
             &y,
             &all_rows(&x),
             TreeParams {
@@ -735,6 +961,7 @@ mod tests {
         // tree must work much harder (more nodes) than with feature 1.
         let t0 = DecisionTreeRegressor::fit_with(
             &x,
+            &Ranks::new(&x),
             &y,
             &all_rows(&x),
             TreeParams::default(),
