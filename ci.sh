@@ -29,6 +29,7 @@
 #   one sink per campaign: 17742 -> 17708
 #   every figure is a campaign: 17708 -> 17707
 #   forest fit and walk (perf): 17707 -> 17805
+#   explore round (perf): 17805 -> 17885
 set -eux
 
 cd "$(dirname "$0")"
@@ -161,6 +162,15 @@ cargo run --release --offline -p armdse-analysis --bin repro -- explore \
 cmp "$SMOKE/expareto/explore_pareto.csv" "$SMOKE/expareto1/explore_pareto.csv"
 cmp "$SMOKE/expareto/explore_dataset.csv" "$SMOKE/expareto1/explore_dataset.csv"
 cmp "$SMOKE/expareto/explore_curve.csv" "$SMOKE/expareto1/explore_curve.csv"
+# The same identity at Small depth: 400 candidates grow deeper trees
+# than the Tiny smoke's 60, and the campaign's workers serve six rounds.
+cargo run --release --offline -p armdse-analysis --bin repro -- explore \
+  --configs 400 --explore 100 --scale small --seed 7 --threads 1 --out "$SMOKE/exsmall1"
+cargo run --release --offline -p armdse-analysis --bin repro -- explore \
+  --configs 400 --explore 100 --scale small --seed 7 --threads 2 --out "$SMOKE/exsmall2"
+for f in explore_dataset.csv explore_curve.csv explore_curve.json; do
+  cmp "$SMOKE/exsmall1/$f" "$SMOKE/exsmall2/$f"
+done
 
 # Multicore-smoke lane: a tiny 2-core campaign over the extended
 # kernels through the repro binary (docs/MULTICORE.md). The artifacts

@@ -62,9 +62,9 @@
 //! selection breaks ties by candidate id.
 //!
 //! [`ExploreOptions::threads`] runs both halves of a round: the
-//! simulations, and then — inside [`Steer::next_batch`], after the
-//! loop has joined its simulation workers, so never more than `threads`
-//! are busy — the forest refit and the pool predictions. Neither can
+//! simulations, and then — inside [`Steer::next_batch`], while the
+//! campaign's workers are parked, so never more than `threads` are
+//! busy — the forest refit and the pool predictions. Neither can
 //! move a bit. A tree is fitted by one worker from `(seed, round, tree,
 //! rows)` alone and lands in its own slot; a table cell is one tree's
 //! walk of one candidate; and every ensemble mean and variance is

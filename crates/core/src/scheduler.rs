@@ -6,15 +6,18 @@
 //! observer/pause hook — and a [`JobScheduler`] that drives many
 //! [`Job`]s through that loop from a priority queue.
 //!
-//! * `run_span` executes one chunk of jobs across worker threads and
-//!   returns results sorted by job index (the determinism keystone:
-//!   threads race on an atomic counter, order is restored before the
-//!   sink sees anything). It validates the chunk's design points first,
-//!   so an out-of-range pin fails the campaign instead of panicking a
-//!   worker.
+//! * `run_span` executes one chunk of jobs across the campaign's worker
+//!   threads and returns results sorted by job index (the determinism
+//!   keystone: threads race on an atomic counter, order is restored
+//!   before the sink sees anything). It validates the chunk's design
+//!   points first, so an out-of-range pin fails the campaign instead of
+//!   panicking a worker.
 //! * `run_job_loop` is the one resumable campaign loop and the only
-//!   function that saves a checkpoint. [`Engine::run_controlled`] is a
-//!   thin wrapper over it with the same signature, and its only caller,
+//!   function that saves a checkpoint. Its `threads - 1` helper workers
+//!   live for the whole campaign (their machine storage stays warm),
+//!   parked while the calling thread writes the sink, saves the
+//!   checkpoint, calls the observer and steers. [`Engine::run_controlled`]
+//!   is a thin wrapper over it with the same signature, and its only caller,
 //!   so `repro`, the analysis harnesses and the job server run the
 //!   exact same code path — and so does the adaptive Explorer, which
 //!   plugs in as the loop's [`crate::engine::Steer`]: when the plan
@@ -61,8 +64,10 @@ use armdse_simcore::{MultiCore, RunMode};
 use std::borrow::Cow;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
+use std::panic::{self, AssertUnwindSafe};
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::mpsc::{self, Receiver, Sender};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 
@@ -84,30 +89,38 @@ fn engine_extra(t: MultiCore) -> Vec<(String, String)> {
     ]
 }
 
-/// Execute jobs `start..end` of `plan` across its worker threads on
-/// `engine`, each in `mode`, returning results sorted by job index. The
-/// calling thread is worker 0 and `threads - 1` more are spawned for the
-/// span; each returns its results through its join handle, and a
-/// worker's panic is re-raised here. The span's design points are
-/// sampled and validated up front, so the first invalid one in job
+/// A span's work, run by the calling thread and every helper at once.
+type Work<'e> = Arc<dyn Fn() -> Vec<ChunkResult> + Send + Sync + 'e>;
+
+/// The campaign's helpers: a channel to each, down which it waits parked
+/// for the next span's work, and one back for the results (or panic).
+struct Helpers<'e> {
+    work: Vec<Sender<Work<'e>>>,
+    done: Receiver<std::thread::Result<Vec<ChunkResult>>>,
+}
+
+/// Execute jobs `start..end` of `plan` on `engine`, each in `mode`, on
+/// the calling thread and every helper, returning results sorted by job
+/// index; a helper's panic is re-raised here. The span's design points
+/// are sampled and validated up front, so the first invalid one in job
 /// order ends the campaign ([`RunPlan::design_point`]).
-pub(crate) fn run_span(
-    engine: &Engine,
+fn run_span<'e>(
+    engine: &'e Engine,
     plan: &RunPlan,
+    helpers: &Helpers<'e>,
     start: usize,
     end: usize,
     mode: RunMode,
 ) -> Result<Vec<ChunkResult>, ArmdseError> {
-    let n = end - start;
-    let threads = plan.threads().clamp(1, n);
-    let apps = plan.apps();
+    let (apps, scale) = (plan.apps().to_vec(), plan.scale());
     let first_cfg = start / apps.len();
     let configs = (first_cfg..=(end - 1) / apps.len())
         .map(|cfg_idx| plan.design_point(cfg_idx))
         .collect::<Result<Vec<DesignConfig>, ArmdseError>>()?;
     let counter = AtomicUsize::new(start);
 
-    let worker = || {
+    // Owns what it reads: the plan may grow while a helper holds it.
+    let work: Work<'e> = Arc::new(move || {
         let mut local: Vec<ChunkResult> = Vec::new();
         loop {
             let job = counter.fetch_add(1, Ordering::Relaxed);
@@ -117,24 +130,51 @@ pub(crate) fn run_span(
             let cfg_idx = job / apps.len();
             let app = apps[job % apps.len()];
             let cfg = &configs[cfg_idx - first_cfg];
-            let (result, metrics_rows) = engine.run_job(app, job, cfg_idx, plan.scale(), cfg, mode);
+            let (result, metrics_rows) = engine.run_job(app, job, cfg_idx, scale, cfg, mode);
             local.push((job, result, metrics_rows));
         }
         local
-    };
-    // A thread that runs chunk after chunk (a server runner, `repro`'s
-    // main thread) keeps its machine storage across them: see
-    // `memsim::Cache`.
-    let mut collected = std::thread::scope(|s| {
-        let others: Vec<_> = (1..threads).map(|_| s.spawn(worker)).collect();
-        let mut all = worker();
-        for h in others {
-            all.append(&mut h.join().unwrap_or_else(|e| std::panic::resume_unwind(e)));
-        }
-        all
     });
+    for helper in &helpers.work {
+        helper.send(Arc::clone(&work)).expect("span helper alive");
+    }
+    let mut collected = work();
+    for _ in &helpers.work {
+        match helpers.done.recv().expect("span helper alive") {
+            Ok(mut results) => collected.append(&mut results),
+            Err(payload) => panic::resume_unwind(payload),
+        }
+    }
     collected.sort_unstable_by_key(|(job, ..)| *job);
     Ok(collected)
+}
+
+/// `run_chunks` with the campaign's `threads - 1` helpers (at most a
+/// chunk's jobs) spawned once: they keep their machine storage across
+/// chunks as the calling thread does (`memsim::Cache`), and return when
+/// the loop ends, however it ends, and drops their channels.
+pub(crate) fn run_job_loop(
+    engine: &Engine,
+    plan: &RunPlan,
+    sink: &mut dyn RowSink,
+    ctl: RunControl<'_>,
+) -> Result<RunSummary, ArmdseError> {
+    std::thread::scope(|s| {
+        let (done_tx, done) = mpsc::channel();
+        let work = (1..plan.threads().clamp(1, plan.chunk_jobs()))
+            .map(|_| {
+                let (tx, rx) = mpsc::channel::<Work<'_>>();
+                let done_tx = done_tx.clone();
+                s.spawn(move || {
+                    for work in rx {
+                        let _ = done_tx.send(panic::catch_unwind(AssertUnwindSafe(|| work())));
+                    }
+                });
+                tx
+            })
+            .collect();
+        run_chunks(engine, plan, &Helpers { work, done }, sink, ctl)
+    })
 }
 
 /// The resumable campaign loop (the module docs say who runs it):
@@ -146,9 +186,10 @@ pub(crate) fn run_span(
 /// observer. So a checkpoint's `fingerprint` is that of the plan so
 /// far, `jobs_done`/`rows` are cumulative, and a steered campaign is at
 /// `jobs_done == plan.jobs()` only once its steer answered "no more".
-pub(crate) fn run_job_loop(
-    engine: &Engine,
+fn run_chunks<'e>(
+    engine: &'e Engine,
     plan: &RunPlan,
+    helpers: &Helpers<'e>,
     sink: &mut dyn RowSink,
     mut ctl: RunControl<'_>,
 ) -> Result<RunSummary, ArmdseError> {
@@ -226,7 +267,7 @@ pub(crate) fn run_job_loop(
     let mut unseen: Vec<Row> = Vec::new();
     while done < total_jobs {
         let end = (done + plan.chunk_jobs()).min(total_jobs);
-        for (_, result, metrics_rows) in run_span(engine, &plan, done, end, mode)? {
+        for (_, result, metrics_rows) in run_span(engine, &plan, helpers, done, end, mode)? {
             match result {
                 Ok(row) => {
                     sink.row(&row)?;
@@ -983,5 +1024,88 @@ mod tests {
             first_bad / 4 * 4,
             "whole chunks before it streamed"
         );
+    }
+
+    /// The paper's machine, except that the first run a thread other
+    /// than the named campaign thread starts after `calm` runs panics.
+    /// Past `calm` the campaign thread's own runs first wait for that
+    /// panic, so a helper is sure to take one of the span's jobs.
+    struct HelperPanics {
+        calm: usize,
+        runs: AtomicUsize,
+        panicked: AtomicBool,
+    }
+
+    impl armdse_simcore::SimBackend for HelperPanics {
+        fn name(&self) -> &'static str {
+            "helper-panics"
+        }
+
+        fn run(
+            &self,
+            program: &armdse_isa::Program,
+            core: &armdse_simcore::CoreParams,
+            mem: &armdse_memsim::MemParams,
+            mode: RunMode,
+        ) -> armdse_simcore::RunOutput {
+            if self.runs.fetch_add(1, Ordering::SeqCst) >= self.calm {
+                if std::thread::current().name() == Some("campaign") {
+                    while !self.panicked.load(Ordering::SeqCst) {
+                        std::thread::yield_now();
+                    }
+                } else if !self.panicked.swap(true, Ordering::SeqCst) {
+                    panic!("injected job panic");
+                }
+            }
+            MultiCore::IDEALIZED.run(program, core, mem, mode)
+        }
+
+        fn topology(&self) -> MultiCore {
+            MultiCore::IDEALIZED
+        }
+    }
+
+    #[test]
+    fn a_helper_panic_mid_campaign_re_raises_on_the_caller() {
+        for threads in [2, 4] {
+            let opts = GenOptions {
+                configs: 12,
+                scale: WorkloadScale::Tiny,
+                seed: 5,
+                threads,
+                apps: vec![App::Stream],
+            };
+            // Three chunks of four jobs; the panic comes in the second.
+            let plan = RunPlan::new(&ParamSpace::paper(), &opts)
+                .unwrap()
+                .with_chunk_jobs(4);
+            let (tx, rx) = std::sync::mpsc::channel();
+            std::thread::Builder::new()
+                .name("campaign".into())
+                .spawn(move || {
+                    let engine = Engine::new(Box::new(HelperPanics {
+                        calm: 4,
+                        runs: AtomicUsize::new(0),
+                        panicked: AtomicBool::new(false),
+                    }));
+                    let mut data = DseDataset::default();
+                    let out =
+                        panic::catch_unwind(AssertUnwindSafe(|| engine.run(&plan, &mut data)));
+                    let message = out
+                        .err()
+                        .map(|payload| payload.downcast_ref::<&str>().map(|m| m.to_string()));
+                    tx.send((message, data.rows.len())).unwrap();
+                })
+                .unwrap();
+            let (message, rows) = rx
+                .recv_timeout(std::time::Duration::from_secs(60))
+                .unwrap_or_else(|_| panic!("{threads} threads: the campaign hung"));
+            assert_eq!(
+                message,
+                Some(Some("injected job panic".to_string())),
+                "{threads} threads"
+            );
+            assert_eq!(rows, 4, "{threads} threads: only the first chunk streamed");
+        }
     }
 }

@@ -24,9 +24,9 @@
 //!
 //! A refit and a pool-wide prediction are both a set of independent
 //! per-tree jobs: fitting tree `t` at round `r` reads only `(seed, r, t,
-//! x, y)` and the refit's per-feature rank table of `x`, built once
-//! before the jobs start and shared read-only; walking rows through a
-//! tree reads only that tree (eight rows at a time). So
+//! x, y)` and the refit's table of each row's rank and `==` class per
+//! feature of `x`, built once and shared read-only; walking rows through
+//! a tree reads only that tree (eight rows at a time). So
 //! [`RandomForest::partial_refit_with`] and [`PoolPredictions::refresh`]
 //! take a thread count, hand the jobs to scoped workers racing on an
 //! atomic counter, and put the results back in tree order before
@@ -81,7 +81,8 @@ impl RandomForest {
         RandomForest::fit_with(x, y, ForestParams::default(), seed)
     }
 
-    /// Fit with explicit hyper-parameters.
+    /// Fit with explicit hyper-parameters. Like every fit, panics on a
+    /// NaN in `x`, naming its row and column.
     pub fn fit_with(x: &Matrix, y: &[f64], params: ForestParams, seed: u64) -> RandomForest {
         assert_eq!(x.rows(), y.len());
         assert!(x.rows() > 0 && params.n_trees > 0);

@@ -7,15 +7,20 @@
 //! quality of each split is based on the mean squared error, with the
 //! split at each node chosen to be the best found."
 //!
-//! A fit starts from [`Ranks`], each feature's dense `total_cmp` rank of
-//! every row of `x`, built once per forest refit and shared. A stable
-//! counting sort of the fit's rows by rank gives each feature the
-//! `(value, target, row)` list a stable comparison sort would, ties in
-//! draw order, with no sort per tree. Each node owns the same `[lo, hi)`
-//! range of every list and scans each linearly; a split partitions every
-//! list stably by a per-row side mark. The trees equal a per-node sort's
-//! whenever the partial sums are exact in f64 (integer targets, Σy² <
-//! 2⁵³): only the order tied targets are summed in differs.
+//! A fit starts from [`Ranks`], each feature's dense `total_cmp` rank
+//! and `==` class of every row of `x`, built once per forest refit and
+//! shared. A stable counting sort of the fit's rows by rank gives each
+//! feature the list of 8-byte `(class, row)` entries a stable comparison
+//! sort would, ties in draw order, with no sort per tree. Each node owns
+//! the same `[lo, hi)` range of every list and scans each linearly,
+//! reading targets as `y[row]` and comparing classes, so `-0.0` and
+//! `+0.0` tie; `x` is read only for an improving candidate's threshold:
+//! the midpoint of `v < next_v`, or `v` where the midpoint is not below
+//! `next_v` (an infinity, adjacent doubles), scikit-learn's rule. NaN is
+//! refused. A split partitions every list stably by a per-row side mark.
+//! The trees equal a per-node sort's whenever the partial sums are exact
+//! in f64 (integer targets, Σy² < 2⁵³): only the order tied targets are
+//! summed in differs.
 //!
 //! A fitted tree is one flat array of 16-byte nodes `{ t, feature, left }`.
 //! A leaf has `feature == LEAF` and predicts `t`. A split sends a row with
@@ -78,12 +83,13 @@ impl Node {
     }
 }
 
-/// Each feature's dense `f64::total_cmp` rank of every row of a matrix:
-/// two rows tie exactly when `total_cmp` is `Equal`, so `-0.0` ranks
-/// below `+0.0`. Read-only once built, so a forest's trees share one.
+/// Each feature's dense rank of every row of a matrix under
+/// `f64::total_cmp` (`-0.0` below `+0.0`: the lists' order) and under
+/// `==` (its class: the zeros tie). Read-only once built, so a forest's
+/// trees share one.
 pub(crate) struct Ranks {
-    /// `rank[f * rows + r]`: row `r`'s rank in feature `f`.
-    rank: Vec<u32>,
+    /// `rank[f * rows + r]`: row `r`'s `(rank, class)` in feature `f`.
+    rank: Vec<(u32, u32)>,
     rows: usize,
 }
 
@@ -91,20 +97,42 @@ impl Ranks {
     pub(crate) fn new(x: &Matrix) -> Ranks {
         let rows = x.rows();
         assert!(rows <= u32::MAX as usize, "row index exceeds u32");
-        let mut rank = vec![0; x.cols() * rows];
+        let mut rank = vec![(0, 0); x.cols() * rows];
         let mut column: Vec<(f64, u32)> = Vec::with_capacity(rows);
         for f in 0..x.cols() {
             column.clear();
             column.extend((0..rows).map(|r| (x.get(r, f), r as u32)));
+            if let Some(&(_, r)) = column.iter().find(|e| e.0.is_nan()) {
+                panic!("NaN feature at row {r}, column {f}: a tree cannot split on NaN");
+            }
             column.sort_unstable_by(|a, b| a.0.total_cmp(&b.0));
-            let mut level = 0;
+            let (mut level, mut class) = (0, 0);
             for k in 0..rows {
-                level += u32::from(k > 0 && column[k - 1].0.total_cmp(&column[k].0).is_ne());
-                rank[f * rows + column[k].1 as usize] = level;
+                if k > 0 {
+                    let (prev, v) = (column[k - 1].0, column[k].0);
+                    level += u32::from(prev.total_cmp(&v).is_ne());
+                    class += u32::from(prev != v);
+                }
+                rank[f * rows + column[k].1 as usize] = (level, class);
             }
         }
         Ranks { rank, rows }
     }
+}
+
+/// A row of `x` in a feature's sorted list, with its class there.
+#[derive(Debug, Clone, Copy)]
+struct Entry {
+    class: u32,
+    row: u32,
+}
+
+/// The threshold between sorted values `v < next_v`: their midpoint
+/// unless it is not below `next_v` (rounded up, overflowed, or NaN).
+fn threshold(v: f64, next_v: f64) -> f64 {
+    Some(0.5 * (v + next_v))
+        .filter(|&mid| mid < next_v)
+        .unwrap_or(v)
 }
 
 /// A fitted CART regression tree.
@@ -115,7 +143,8 @@ pub struct DecisionTreeRegressor {
 }
 
 impl DecisionTreeRegressor {
-    /// Fit with the paper's default configuration.
+    /// Fit with the paper's default configuration. Panics on a NaN in
+    /// `x`, naming its row and column; infinities are ordinary values.
     pub fn fit(x: &Matrix, y: &[f64]) -> DecisionTreeRegressor {
         let rows: Vec<usize> = (0..x.rows()).collect();
         DecisionTreeRegressor::fit_with(x, &Ranks::new(x), y, &rows, TreeParams::default(), None)
@@ -138,15 +167,19 @@ impl DecisionTreeRegressor {
         assert!(x.cols() < LEAF as usize, "feature index exceeds u32");
         let all_features: Vec<usize> = (0..x.cols()).collect();
         let features = feature_mask.unwrap_or(&all_features);
+        let shape = (ranks.rows, ranks.rank.len());
+        assert_eq!(shape, (x.rows(), x.rows() * x.cols()), "ranks of another x");
         let n = rows.len();
         let mut builder = Builder {
+            x,
+            y,
             params,
             features,
             nodes: vec![Node::leaf(0.0)],
-            lists: sorted_lists(x, ranks, y, rows, features),
+            lists: sorted_lists(ranks, rows, features),
             n,
             left: vec![false; x.rows()],
-            scratch: vec![(0.0, 0.0, 0); n],
+            scratch: vec![Entry { class: 0, row: 0 }; n],
         };
         builder.build(0, 0, n, 0);
         DecisionTreeRegressor {
@@ -236,37 +269,34 @@ impl Regressor for DecisionTreeRegressor {
     }
 }
 
-/// The `(value, target, row)` list of each of `features` over `rows`,
-/// sorted stably by value (ties in `rows` order) and laid end to end, by
-/// a counting sort on `ranks`. An empty `features` still gets one list,
-/// of zeros: it carries the targets.
-fn sorted_lists(
-    x: &Matrix,
-    ranks: &Ranks,
-    y: &[f64],
-    rows: &[usize],
-    features: &[usize],
-) -> Vec<(f64, f64, u32)> {
-    let shape = (ranks.rows, ranks.rank.len());
-    assert_eq!(shape, (x.rows(), x.rows() * x.cols()), "ranks of another x");
+/// The `(class, row)` list of each of `features` over `rows`, sorted
+/// stably by value (ties in `rows` order) and laid end to end, by a
+/// counting sort on `ranks`. An empty `features` still gets one list, of
+/// class 0: it carries the rows.
+fn sorted_lists(ranks: &Ranks, rows: &[usize], features: &[usize]) -> Vec<Entry> {
+    let entry = |class, r: usize| Entry {
+        class,
+        row: r as u32,
+    };
     if features.is_empty() {
-        return rows.iter().map(|&r| (0.0, y[r], r as u32)).collect();
+        return rows.iter().map(|&r| entry(0, r)).collect();
     }
-    let mut lists = vec![(0.0, 0.0, 0); features.len() * rows.len()];
+    let mut lists = vec![entry(0, 0); features.len() * rows.len()];
     let mut next = vec![0; ranks.rows + 1];
     for (list, &f) in lists.chunks_exact_mut(rows.len()).zip(features) {
         let rank = &ranks.rank[f * ranks.rows..][..ranks.rows];
         // next[v]: the slot the next row of rank v goes to.
         next.fill(0);
         for &r in rows {
-            next[rank[r] as usize + 1] += 1;
+            next[rank[r].0 as usize + 1] += 1;
         }
         for v in 1..next.len() {
             next[v] += next[v - 1];
         }
         for &r in rows {
-            let slot = &mut next[rank[r] as usize];
-            list[*slot] = (x.get(r, f), y[r], r as u32);
+            let (level, class) = rank[r];
+            let slot = &mut next[level as usize];
+            list[*slot] = entry(class, r);
             *slot += 1;
         }
     }
@@ -275,17 +305,19 @@ fn sorted_lists(
 
 /// Internal fitting state.
 struct Builder<'a> {
+    x: &'a Matrix,
+    y: &'a [f64],
     params: TreeParams,
     features: &'a [usize],
     nodes: Vec<Node>,
-    /// `(value, target, row)` lists, `n` entries each: list `j` is
+    /// `(class, row)` lists, `n` entries each: list `j` is
     /// `lists[j * n..][..n]`, each node's range sorted by `features[j]`.
-    lists: Vec<(f64, f64, u32)>,
+    lists: Vec<Entry>,
     n: usize,
     /// Side of each `x` row at the split being applied (`true` = left).
     left: Vec<bool>,
     /// A partition's right side, `n` entries.
-    scratch: Vec<(f64, f64, u32)>,
+    scratch: Vec<Entry>,
 }
 
 /// Result of the best-split search at one node.
@@ -293,6 +325,8 @@ struct BestSplit {
     /// Index into `features` (and the lists).
     list: usize,
     threshold: f64,
+    /// Entries of the node's range that go left: a prefix of list `list`.
+    left: usize,
     /// Sum of squared errors after the split (left + right).
     sse: f64,
 }
@@ -301,11 +335,13 @@ impl<'a> Builder<'a> {
     /// Grow the subtree at `slot` over the entries `[lo, hi)` of every list.
     fn build(&mut self, slot: u32, lo: usize, hi: usize, depth: u32) {
         let n = hi - lo;
-        let first = self.lists[lo].1;
+        let y = |e: &Entry| self.y[e.row as usize];
+        let first = y(&self.lists[lo]);
         let (sum, sumsq, pure) = self.lists[lo..hi]
             .iter()
-            .fold((0.0, 0.0, true), |(s, q, p), e| {
-                (s + e.1, q + e.1 * e.1, p && e.1 == first)
+            .map(y)
+            .fold((0.0, 0.0, true), |(s, q, p), v| {
+                (s + v, q + v * v, p && v == first)
             });
         let mean = sum / n as f64;
         let node_sse = sumsq - sum * sum / n as f64;
@@ -345,19 +381,19 @@ impl<'a> Builder<'a> {
         let min_leaf = self.params.min_samples_leaf;
         let mut best: Option<BestSplit> = None;
 
-        for j in 0..self.features.len() {
+        for (j, &f) in self.features.iter().enumerate() {
             let list = &self.lists[j * self.n + lo..j * self.n + hi];
-            if list[0].0 == list[n - 1].0 {
+            if list[0].class == list[n - 1].class {
                 continue; // constant over the node: no split candidate
             }
             let mut left_sum = 0.0;
             let mut left_sq = 0.0;
             for k in 0..n - 1 {
-                let (v, yv, _) = list[k];
+                let (e, next) = (list[k], list[k + 1]);
+                let yv = self.y[e.row as usize];
                 left_sum += yv;
                 left_sq += yv * yv;
-                let next_v = list[k + 1].0;
-                if v == next_v {
+                if e.class == next.class {
                     continue; // cannot split between equal values
                 }
                 let nl = k + 1;
@@ -370,9 +406,11 @@ impl<'a> Builder<'a> {
                 let sse = (left_sq - left_sum * left_sum / nl as f64)
                     + (right_sq - right_sum * right_sum / nr as f64);
                 if best.as_ref().is_none_or(|b| sse < b.sse) {
+                    let x = |e: Entry| self.x.get(e.row as usize, f);
                     best = Some(BestSplit {
                         list: j,
-                        threshold: 0.5 * (v + next_v),
+                        threshold: threshold(x(e), x(next)),
+                        left: nl,
                         sse,
                     });
                 }
@@ -386,9 +424,9 @@ impl<'a> Builder<'a> {
         let n = self.n;
         // Sorted, so the rows `predict_one` sends left are a prefix.
         let split = &self.lists[b.list * n + lo..b.list * n + hi];
-        let l = split.partition_point(|e| e.0 <= b.threshold);
+        let l = b.left;
         for (k, e) in split.iter().enumerate() {
-            self.left[e.2 as usize] = k < l;
+            self.left[e.row as usize] = k < l;
         }
         for j in (0..self.lists.len() / n).filter(|&j| j != b.list) {
             let list = &mut self.lists[j * n + lo..j * n + hi];
@@ -398,7 +436,7 @@ impl<'a> Builder<'a> {
             let (mut w, mut s) = (0, 0);
             for k in 0..list.len() {
                 let e = list[k];
-                let left = self.left[e.2 as usize];
+                let left = self.left[e.row as usize];
                 list[w] = e;
                 self.scratch[s] = e;
                 w += usize::from(left);
@@ -550,7 +588,7 @@ mod tests {
                         if best.as_ref().is_none_or(|b| sse < b.sse) {
                             best = Some(BestSplit {
                                 feature: f,
-                                threshold: 0.5 * (v + next_v),
+                                threshold: super::super::threshold(v, next_v),
                                 sse,
                             });
                         }
@@ -691,6 +729,32 @@ mod tests {
         lists
     }
 
+    /// The `(value, target, row)` lists `sorted_lists`'s `(class, row)`
+    /// lists stand for, read back through `x` and `y`, as bits. Also
+    /// checks the classes: adjacent entries share one exactly when their
+    /// values are `==`.
+    fn expanded_bits(
+        lists: &[Entry],
+        x: &Matrix,
+        y: &[f64],
+        n: usize,
+        features: &[usize],
+    ) -> Vec<(u64, u64, u32)> {
+        let mut out = Vec::with_capacity(lists.len());
+        for (j, list) in lists.chunks_exact(n.max(1)).enumerate() {
+            let value = |e: &Entry| features.get(j).map_or(0.0, |&f| x.get(e.row as usize, f));
+            for pair in list.windows(2) {
+                let same = value(&pair[0]) == value(&pair[1]);
+                assert_eq!(pair[0].class == pair[1].class, same, "{pair:?}");
+            }
+            out.extend(list.iter().map(|e| {
+                let v = value(e).to_bits();
+                (v, y[e.row as usize].to_bits(), e.row)
+            }));
+        }
+        out
+    }
+
     #[test]
     fn rank_counting_sort_lists_equal_the_stable_comparison_sort() {
         let bits = |lists: Vec<(f64, f64, u32)>| -> Vec<(u64, u64, u32)> {
@@ -713,9 +777,9 @@ mod tests {
                 .collect::<Vec<_>>(),
         );
         let zeros_y: Vec<f64> = (0..40).map(|i| (i % 5) as f64).collect();
-        // Signed zeros tie only with themselves, -0.0 below +0.0.
+        // Signed zeros rank apart, -0.0 below +0.0, but share a class.
         let ranks = Ranks::new(&zeros);
-        assert_eq!((ranks.rank[0], ranks.rank[1], ranks.rank[2]), (1, 2, 3));
+        assert_eq!(&ranks.rank[..4], &[(1, 1), (2, 1), (3, 2), (0, 0)]);
         for (x, y) in [(&tied, &tied_y), (&zeros, &zeros_y)] {
             let ranks = Ranks::new(x);
             let m = x.rows();
@@ -726,8 +790,9 @@ mod tests {
             let features: Vec<usize> = (0..x.cols()).collect();
             for rows in [&all, &boot, &subset] {
                 for feats in [&features[..], &features[1..2], &[]] {
+                    let lists = sorted_lists(&ranks, rows, feats);
                     assert_eq!(
-                        bits(sorted_lists(x, &ranks, y, rows, feats)),
+                        expanded_bits(&lists, x, y, rows.len(), feats),
                         bits(lists_by_sort(x, y, rows, feats)),
                         "{} rows, features {feats:?}",
                         rows.len()
@@ -862,6 +927,52 @@ mod tests {
         assert_eq!(t.predict_one(&[9.6]), 9.0);
         // NaN fails `<=`, so it goes right.
         assert_eq!(t.predict_one(&[f64::NAN]), 9.0);
+    }
+
+    #[test]
+    fn signed_zeros_are_one_value_to_a_split() {
+        let (x, y) = xy(&[(-0.0, 0.0), (0.0, 50.0), (1.0, 50.0)]);
+        let t = DecisionTreeRegressor::fit(&x, &y);
+        assert_eq!(t.node_count(), 3);
+        assert_eq!(t.predict_one(&[-0.0]), 25.0);
+        assert_eq!(t, reference::fit(&x, &y, TreeParams::default(), None));
+    }
+
+    #[test]
+    fn an_infinite_feature_still_splits() {
+        let (x, y) = xy(&[(1.0, 0.0), (2.0, 0.0), (f64::INFINITY, 100.0)]);
+        let t = DecisionTreeRegressor::fit(&x, &y);
+        assert_eq!(t.node_count(), 3);
+        for (r, &want) in y.iter().enumerate() {
+            assert_eq!(t.predict_one(x.row(r)), want, "row {r}");
+        }
+        assert_eq!(t, reference::fit(&x, &y, TreeParams::default(), None));
+        // Both infinities in one feature: their midpoint is NaN.
+        let (x, y) = xy(&[(f64::NEG_INFINITY, 0.0), (f64::INFINITY, 100.0)]);
+        let t = DecisionTreeRegressor::fit(&x, &y);
+        assert_eq!(
+            (t.predict_one(x.row(0)), t.predict_one(x.row(1))),
+            (0.0, 100.0)
+        );
+    }
+
+    #[test]
+    fn a_midpoint_that_rounds_up_takes_the_lower_value() {
+        let (lo, hi) = (1.0 + f64::EPSILON, 1.0 + 2.0 * f64::EPSILON);
+        assert_eq!(0.5 * (lo + hi), hi, "the midpoint rounds up");
+        let (x, y) = xy(&[(1.0, 0.0), (lo, 0.0), (hi, 100.0)]);
+        let t = DecisionTreeRegressor::fit(&x, &y);
+        assert_eq!(t.node_count(), 3);
+        assert_eq!(t.predict_one(&[lo]), 0.0);
+        assert_eq!(t.predict_one(&[hi]), 100.0);
+        assert_eq!(t, reference::fit(&x, &y, TreeParams::default(), None));
+    }
+
+    #[test]
+    #[should_panic(expected = "NaN feature at row 2, column 1")]
+    fn a_nan_feature_is_refused_by_row_and_column() {
+        let x = Matrix::from_rows(&[vec![1.0, 1.0], vec![2.0, 2.0], vec![3.0, f64::NAN]]);
+        DecisionTreeRegressor::fit(&x, &[0.0, 0.0, 100.0]);
     }
 
     #[test]
