@@ -30,6 +30,7 @@
 #   every figure is a campaign: 17708 -> 17707
 #   forest fit and walk (perf): 17707 -> 17805
 #   explore round (perf): 17805 -> 17885
+#   a steer is a sink: 17885 -> 17876
 set -eux
 
 cd "$(dirname "$0")"
@@ -124,8 +125,8 @@ cmp "$SMOKE/observed/metrics/metrics.csv" "$SMOKE/obspaused/metrics/metrics.csv"
 
 # Explore-smoke lane: a tiny-budget surrogate-guided campaign through
 # the repro binary. Pause it mid-campaign (--max-chunks), leave what a
-# crash leaves past the checkpoint (a curve row, a dataset row and a
-# torn half-row — the dataset lane's trick), resume at a different
+# crash leaves past the checkpoint (in both the curve and the dataset, a
+# row and a torn half-row — the dataset lane's trick), resume at a different
 # thread count, and require every exploration artifact byte-identical
 # to the uninterrupted run — the Explorer's checkpoint determinism
 # contract end to end. The checkpoint carries exactly the four explore.*
@@ -142,7 +143,9 @@ cargo run --release --offline -p armdse-analysis --bin repro -- explore \
   --out "$SMOKE/expaused" --max-chunks 3
 test -f "$SMOKE/expaused/explore.ckpt"
 test "$(grep -c '^explore\.' "$SMOKE/exfresh/explore.ckpt")" = 4
-tail -n 1 "$SMOKE/exfresh/explore_curve.csv" >> "$SMOKE/expaused/explore_curve.csv"
+LAST_ROW=$(tail -n 1 "$SMOKE/exfresh/explore_curve.csv")
+printf '%s\n%s' "$LAST_ROW" "$(printf '%s' "$LAST_ROW" | cut -c1-20)" \
+  >> "$SMOKE/expaused/explore_curve.csv"
 LAST_ROW=$(tail -n 1 "$SMOKE/exfresh/explore_dataset.csv")
 printf '%s\n%s' "$LAST_ROW" "$(printf '%s' "$LAST_ROW" | cut -c1-40)" \
   >> "$SMOKE/expaused/explore_dataset.csv"

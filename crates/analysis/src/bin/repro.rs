@@ -551,7 +551,7 @@ impl Session {
             chunks += 1;
             max_chunks.is_none_or(|max| chunks < max)
         };
-        let summary = ok(campaign.run(&self.engine, &plan, Some(&mut observer), None));
+        let summary = ok(campaign.run(&self.engine, &plan, Some(&mut observer)));
         if !summary.completed {
             eprintln!(
                 "[repro] paused after {} chunk(s) at job {}/{} (--max-chunks); continue with --resume",

@@ -86,9 +86,9 @@ pub fn fig8(engine: &Engine, space: &ParamSpace, spec: &JobSpec) -> Result<Sweep
 }
 
 /// The paired bases: `spec.configs` design points sampled with
-/// `spec.seed + i`.
+/// `spec.seed + i` (wrapping).
 fn bases(space: &ParamSpace, spec: &JobSpec) -> Vec<DesignConfig> {
-    let seeds = spec.seed..spec.seed + spec.configs as u64;
+    let seeds = (0..spec.configs as u64).map(|i| spec.seed.wrapping_add(i));
     seeds.map(|seed| space.sample_seeded(seed)).collect()
 }
 
@@ -278,6 +278,24 @@ mod tests {
             assert!(knee >= 1.0);
             // Beyond the knee the curve flattens.
             assert!(late <= knee * 1.3, "{app:?}: {late} vs {knee}");
+        }
+    }
+
+    #[test]
+    fn bases_wrap_past_the_largest_seed() {
+        let space = ParamSpace::paper();
+        let spec = JobSpec {
+            seed: u64::MAX - 1,
+            ..quick()
+        };
+        let want: Vec<DesignConfig> = [u64::MAX - 1, u64::MAX, 0]
+            .iter()
+            .map(|&seed| space.sample_seeded(seed))
+            .collect();
+        assert_eq!(bases(&space, &spec), want);
+        let f = fig7(&Engine::idealized(), &space, &spec).unwrap();
+        for app in App::ALL {
+            assert_eq!(f.speedup(app, 8), Some(1.0), "{app:?}");
         }
     }
 

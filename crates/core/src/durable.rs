@@ -12,7 +12,7 @@
 //! file is where crash injection attaches.
 
 use crate::engine::{
-    Checkpoint, CsvSink, Engine, Progress, ReuseMode, RunControl, RunPlan, RunSummary, Steer,
+    Checkpoint, CsvSink, Engine, Progress, ReuseMode, RunControl, RunPlan, RunSummary,
 };
 use crate::error::ArmdseError;
 use std::fs::{File, OpenOptions};
@@ -192,13 +192,11 @@ impl Campaign {
         engine: &Engine,
         plan: &RunPlan,
         observer: Option<&'a mut dyn FnMut(&Progress) -> bool>,
-        steer: Option<&'a mut dyn Steer>,
     ) -> Result<RunSummary, ArmdseError> {
         let ctl = RunControl {
             checkpoint: Some(&self.checkpoint),
             position: self.position.take(),
             observer,
-            steer,
             reuse: ReuseMode::Inherit,
         };
         engine.run_controlled(plan, &mut self.sink, ctl)
@@ -252,7 +250,7 @@ mod tests {
         };
         files
             .open(fresh)?
-            .run(&Engine::idealized(), &plan(), Some(&mut observer), None)
+            .run(&Engine::idealized(), &plan(), Some(&mut observer))
     }
 
     fn bytes(files: &CampaignFiles) -> (Vec<u8>, Vec<u8>) {

@@ -44,8 +44,8 @@
 //! An *extra* section of `key=value` lines may follow the four fixed
 //! fields (keys must not collide with the fixed field names). The run
 //! loop is its only writer: the engine's machine-shape keys (`mc.*`),
-//! then whatever the campaign's [`Steer`] reports as its state — the
-//! adaptive [`crate::explorer::Explorer`] is the one in-tree steer
+//! then the campaign sink's [`RowSink::state`] — the adaptive
+//! [`crate::explorer::Explorer`]'s is the one in-tree state
 //! (`explore.*`, DESIGN.md §12). [`Checkpoint::load`] hands the section
 //! back uninterpreted. Every checkpoint is written under the `v1`
 //! header; `load` also accepts the `v2` header earlier binaries wrote
@@ -196,11 +196,11 @@ impl RunPlan {
         Ok(self)
     }
 
-    /// Append `more` config indices to the plan (a [`Steer`]'s next
-    /// batch). A plain sweep becomes the explicit-index plan over the
-    /// slots it already had, so a resume that passes the grown index
-    /// list back through [`RunPlan::with_config_indices`] has the same
-    /// fingerprint.
+    /// Append `more` config indices to the plan (a sink's
+    /// [`RowSink::next_batch`]). A plain sweep becomes the explicit-index
+    /// plan over the slots it already had, so a resume that passes the
+    /// grown index list back through [`RunPlan::with_config_indices`] has
+    /// the same fingerprint.
     pub(crate) fn extend_config_indices(&mut self, more: Vec<u64>) {
         let indices = self
             .indices
@@ -279,7 +279,7 @@ impl RunPlan {
             }
         };
         let pins: Vec<(&str, f64)> = pins.iter().map(|(n, v)| (n.as_str(), *v)).collect();
-        let cfg = space.sample_seeded_pinned(seed + k, &pins);
+        let cfg = space.sample_seeded_pinned(seed.wrapping_add(k), &pins);
         match cfg.validate() {
             Ok(()) => Ok(cfg),
             Err(why) => Err(ArmdseError::InvalidPlan(format!(
@@ -293,9 +293,14 @@ impl RunPlan {
 /// dataset rows and, when the sink [`wants_metrics`](RowSink::wants_metrics),
 /// one or more [`MetricsRow`]s per job (including discarded jobs).
 ///
-/// `chunk_end` is invoked at every chunk boundary *before* the engine
-/// persists a checkpoint, so a durable sink (e.g. [`CsvSink`]) can
-/// flush and guarantee its bytes are never behind the checkpoint.
+/// `next_batch` makes a sink the adaptive half of the paper's sample →
+/// simulate → train loop: when every planned job has run, the loop
+/// appends its answer to the plan, so a round boundary is a chunk
+/// boundary (a fixed sweep's sink answers empty). At every chunk
+/// boundary the loop calls `next_batch` (when the plan has run out),
+/// then `chunk_end` — so a durable sink (e.g. [`CsvSink`]) can flush
+/// and guarantee its bytes are never behind the checkpoint — then
+/// `state` for the checkpoint it saves.
 pub trait RowSink {
     /// Receive one validated row.
     fn row(&mut self, row: &Row) -> Result<(), ArmdseError>;
@@ -320,39 +325,35 @@ pub trait RowSink {
         false
     }
 
+    /// Every planned job has run and its rows are here: the config
+    /// indices to simulate next. An empty answer (the default) ends the
+    /// campaign.
+    fn next_batch(&mut self) -> Result<Vec<u64>, ArmdseError> {
+        Ok(Vec::new())
+    }
+
     /// Chunk boundary: make buffered output durable (default: no-op).
     fn chunk_end(&mut self) -> Result<(), ArmdseError> {
         Ok(())
+    }
+
+    /// What a fresh sink needs to continue from here, persisted as the
+    /// caller section of every checkpoint (see [`Checkpoint::extra`];
+    /// default: nothing, which keeps a fixed sweep's checkpoint bytes).
+    fn state(&self) -> Vec<(String, String)> {
+        Vec::new()
     }
 
     /// Resume is about to append after the checkpointed position `at`:
     /// drop whatever a crash left past it (a chunk flushed before the
     /// checkpoint write, or a buffer spill ending in a torn line) —
     /// dataset rows past `at.rows`, metrics rows of jobs past
-    /// `at.jobs_done`; holding fewer is an error. Default (in-memory
+    /// `at.jobs_done`; holding fewer is an error. Called once, after
+    /// the loop has checked `at` against the plan. Default (in-memory
     /// sinks): no-op.
     fn resume_at(&mut self, _at: &Checkpoint) -> Result<(), ArmdseError> {
         Ok(())
     }
-}
-
-/// The adaptive half of the paper's sample → simulate → train loop, as
-/// a plug on the one run loop: a fixed sweep is a campaign without one.
-///
-/// When every planned job has run and the sink is durable, the loop
-/// asks the steer for more work and appends the answer to its plan, so
-/// a round boundary is a chunk boundary and the checkpoint written
-/// there already names the next round's jobs.
-pub trait Steer {
-    /// `rows` are the validated rows streamed since the previous call
-    /// in this run (since its start, for the first call). Returns the
-    /// config indices to simulate next; an empty answer ends the
-    /// campaign.
-    fn next_batch(&mut self, rows: &[Row]) -> Result<Vec<u64>, ArmdseError>;
-
-    /// What a fresh steer needs to continue from here, persisted as the
-    /// caller section of every checkpoint (see [`Checkpoint::extra`]).
-    fn state(&self) -> Vec<(String, String)>;
 }
 
 /// The in-memory sink: collects rows and discards into a [`DseDataset`].
@@ -505,7 +506,7 @@ pub struct Checkpoint {
     /// Discarded runs so far.
     pub discarded: usize,
     /// The `key=value` section after the fixed fields: the engine's
-    /// machine-shape keys, then the campaign's [`Steer::state`]
+    /// machine-shape keys, then the campaign sink's [`RowSink::state`]
     /// (empty for plain campaigns). Keys must not contain `=` or
     /// newlines and must not collide with the fixed field names; values
     /// must not contain newlines.
@@ -644,10 +645,6 @@ pub struct RunControl<'a> {
     /// Called after each chunk; returning `false` pauses the run (the
     /// checkpoint, if any, is already saved — resume picks up there).
     pub observer: Option<&'a mut dyn FnMut(&Progress) -> bool>,
-    /// Asked for more work whenever the plan runs out, and for its
-    /// state at every checkpoint. `None` (a fixed sweep) costs nothing
-    /// and keeps the v1 on-disk format.
-    pub steer: Option<&'a mut dyn Steer>,
     /// What to do with the backend's run memo at run start.
     pub reuse: ReuseMode,
 }
@@ -1307,6 +1304,24 @@ mod tests {
         let mut data = DseDataset::default();
         let err = Engine::idealized().run(&past, &mut data).unwrap_err();
         assert!(err.to_string().contains("no list slot 2"), "{err}");
+    }
+
+    #[test]
+    fn sampled_candidates_wrap_past_the_largest_seed() {
+        let space = ParamSpace::paper();
+        let p = RunPlan::new(
+            &space,
+            &GenOptions {
+                seed: u64::MAX,
+                ..opts(2, 1)
+            },
+        )
+        .unwrap();
+        let points = [p.design_point(0).unwrap(), p.design_point(1).unwrap()];
+        assert_eq!(
+            points,
+            [space.sample_seeded(u64::MAX), space.sample_seeded(0)]
+        );
     }
 
     #[test]

@@ -62,7 +62,7 @@
 //! selection breaks ties by candidate id.
 //!
 //! [`ExploreOptions::threads`] runs both halves of a round: the
-//! simulations, and then — inside [`Steer::next_batch`], while the
+//! simulations, and then — inside [`RowSink::next_batch`], while the
 //! campaign's workers are parked, so never more than `threads` are
 //! busy — the forest refit and the pool predictions. Neither can
 //! move a bit. A tree is fitted by one worker from `(seed, round, tree,
@@ -72,28 +72,30 @@
 //! the row-wise methods use too. The table is a cache of the forest:
 //! it is not checkpointed and a resume starts it all-stale.
 //!
-//! The whole exploration is *one* campaign on the engine's run loop:
-//! the explorer is that loop's [`Steer`]. Round 0's batch is the plan
-//! the campaign starts on; whenever the plan runs out the loop hands
-//! over the rows it streamed, the explorer refits, appends the curve
-//! row and answers with the next round's batch, and the loop extends
-//! its plan and writes the chunk's checkpoint with the explorer's state
-//! in the v2 section (`explore.{plan,rng,selected,hashes}`: options
-//! fingerprint, RNG state, selection history, per-round model hashes).
-//! A round boundary is therefore just a chunk boundary, the
-//! checkpoint's `jobs_done`/`rows`/`fingerprint` mean what they mean
-//! for any campaign (cumulative position in, and identity of, the plan
-//! over `explore.selected`), and a run paused at any chunk resumes to
-//! byte-identical artifacts — the resumed forest is rebuilt by
-//! replaying the refit history against the recorded model hashes, and a
-//! mismatch is an [`ArmdseError::Explore`] rather than a silently
-//! different model. `tests/explorer_resume.rs` pins the whole guarantee
-//! at 1 and 8 threads.
+//! The whole exploration is *one* campaign on the engine's run loop,
+//! and its rounds are that campaign's [`RowSink`]: they keep each row
+//! for the refit as it streams to `explore_dataset.csv`, and the curve
+//! is one more stream, durable with the dataset at every chunk
+//! boundary. Round 0's batch is the plan the campaign starts on;
+//! whenever the plan runs out the sink refits, appends the curve row and
+//! answers with the next round's batch, and the loop extends its plan
+//! and writes the chunk's checkpoint with the sink's state in the extra
+//! section (`explore.{plan,rng,selected,hashes}`: options fingerprint,
+//! RNG state, selection history, per-round model hashes). A round
+//! boundary is therefore just a chunk boundary, the checkpoint's
+//! `jobs_done`/`rows`/`fingerprint` mean what they mean for any
+//! campaign (cumulative position in, and identity of, the plan over
+//! `explore.selected`), and a run paused at any chunk resumes to
+//! byte-identical artifacts: once the loop has checked the plan, the
+//! sink cuts the dataset and the curve back to the checkpoint and
+//! replays the refit history against the recorded model hashes — a
+//! mismatch is an [`ArmdseError::Explore`], not a silently different
+//! model. `tests/explorer_resume.rs` pins this at 1 and 8 threads.
 
 use crate::dataset::{DseDataset, Row};
-use crate::durable::{CampaignFiles, CsvFile};
+use crate::durable::{Campaign, CampaignFiles, CsvFile};
 use crate::engine::{
-    Checkpoint, CsvSink, Engine, Progress, RowSink, RunPlan, Steer, DEFAULT_CHUNK_JOBS,
+    Checkpoint, CsvSink, Engine, Progress, RowSink, RunControl, RunPlan, DEFAULT_CHUNK_JOBS,
 };
 use crate::error::ArmdseError;
 use crate::orchestrator::GenOptions;
@@ -132,12 +134,19 @@ pub fn acquisition_scores(preds: &[f64], stds: &[f64], eps: f64) -> Vec<f64> {
         hi = hi.max(p);
     }
     let span = hi - lo;
-    let max_std = stds.iter().cloned().fold(0.0f64, f64::max);
-    preds
+    let exploit = preds
         .iter()
+        .map(|&p| if span > 0.0 { (hi - p) / span } else { 0.0 });
+    mix(exploit, stds, eps)
+}
+
+/// `(1 − ε) · exploit + ε · explore` per candidate, where `explore` is
+/// the candidate's std over the largest (0 when every std is 0).
+fn mix(exploit: impl Iterator<Item = f64>, stds: &[f64], eps: f64) -> Vec<f64> {
+    let max_std = stds.iter().cloned().fold(0.0f64, f64::max);
+    exploit
         .zip(stds)
-        .map(|(&p, &s)| {
-            let exploit = if span > 0.0 { (hi - p) / span } else { 0.0 };
+        .map(|(exploit, &s)| {
             let explore = if max_std > 0.0 { s / max_std } else { 0.0 };
             (1.0 - eps) * exploit + eps * explore
         })
@@ -366,7 +375,8 @@ impl ExploreReport {
     }
 }
 
-/// Checkpoint `extra` keys owned by the explorer (its [`Steer::state`]).
+/// Checkpoint `extra` keys owned by the explorer (its sink's
+/// [`RowSink::state`]).
 mod keys {
     pub(crate) const PLAN: &str = "explore.plan";
     pub(crate) const RNG: &str = "explore.rng";
@@ -378,7 +388,7 @@ const CURVE_HEADER: &str = "round,samples,epsilon,r2,mae,model_hash";
 
 /// The adaptive explorer: owns the acquisition policy, the artifacts,
 /// and the checkpointed exploration state; borrows an [`Engine`] for
-/// the simulations and rides its run loop as a [`Steer`].
+/// the simulations and rides its run loop as the campaign's sink.
 pub struct Explorer<'e> {
     engine: &'e Engine,
     space: ParamSpace,
@@ -434,26 +444,38 @@ impl LoopState {
     }
 }
 
-/// The exploration as the run loop's steer: the loop state plus what a
-/// round boundary reads.
+/// The exploration as the campaign's sink: the loop state, the two
+/// streams (dataset and curve), and what a round boundary reads.
 struct Rounds<'a, 'e> {
     explorer: &'a Explorer<'e>,
     holdout: &'a (Matrix, Vec<f64>),
     features: &'a [[f64; 30]],
     state: LoopState,
-    /// `explore_curve.csv`, open for the run: one row per finished round.
+    /// `explore_dataset.csv`, as [`CampaignFiles::open`] opened it.
+    sink: CsvSink,
+    /// `explore_curve.csv`: one row per finished round.
     curve: CsvFile,
 }
 
-impl Steer for Rounds<'_, '_> {
-    /// A round's jobs are done and on disk: retrain on everything so
-    /// far, append the curve point, and pick the next round's batch.
-    fn next_batch(&mut self, rows: &[Row]) -> Result<Vec<u64>, ArmdseError> {
-        self.state.rows.extend_from_slice(rows);
+impl RowSink for Rounds<'_, '_> {
+    fn row(&mut self, row: &Row) -> Result<(), ArmdseError> {
+        self.state.rows.push(row.clone());
+        self.sink.row(row)
+    }
+
+    /// A round's jobs are done: retrain on everything so far, append
+    /// the curve point, and pick the next round's batch.
+    fn next_batch(&mut self) -> Result<Vec<u64>, ArmdseError> {
         let point = self
             .explorer
             .refit_and_score(&mut self.state, self.holdout)?;
-        append_curve_row(&mut self.curve, &point)?;
+        // Full-precision Display: f64 round-trips exactly, so a resumed
+        // run's parsed curve is bit-identical to the fresh run's floats.
+        writeln!(
+            self.curve,
+            "{},{},{},{},{},{:016x}",
+            point.round, point.samples, point.epsilon, point.r2, point.mae, point.model_hash
+        )?;
         self.state.curve.push(point);
         let round = self.state.curve.len();
         if round == self.explorer.opts.rounds() {
@@ -462,6 +484,11 @@ impl Steer for Rounds<'_, '_> {
         Ok(self
             .explorer
             .select_round(round, &mut self.state, self.features))
+    }
+
+    fn chunk_end(&mut self) -> Result<(), ArmdseError> {
+        self.sink.chunk_end()?;
+        self.curve.sync()
     }
 
     fn state(&self) -> Vec<(String, String)> {
@@ -479,6 +506,55 @@ impl Steer for Rounds<'_, '_> {
                 hex(self.state.curve.iter().map(|p| p.model_hash)),
             ),
         ]
+    }
+
+    /// Cut the dataset and the curve back to what the checkpoint covers
+    /// (a crash can leave more; fewer is an error), reload the rows, and
+    /// replay the refit history against the recorded model hashes.
+    fn resume_at(&mut self, at: &Checkpoint) -> Result<(), ArmdseError> {
+        let hashes = parse_u64_list(extra(at, keys::HASHES)?, 16)?;
+        self.sink.resume_at(at)?;
+        // One curve row per recorded model hash; a row past them is a
+        // round whose checkpoint never landed.
+        let cut = self.curve.cut_lines(hashes.len(), "curve row(s)");
+        cut.map_err(|e| match e {
+            ArmdseError::Checkpoint(m) => ArmdseError::Explore(m),
+            e => e,
+        })?;
+        let explorer = self.explorer;
+        let data =
+            DseDataset::load_csv(&explorer.path("explore_dataset.csv")).map_err(ArmdseError::Io)?;
+        let curve = parse_curve(&explorer.path("explore_curve.csv"))?;
+        if curve.iter().map(|p| p.model_hash).ne(hashes) {
+            return Err(ArmdseError::Explore(
+                "curve model hashes disagree with the checkpoint's".into(),
+            ));
+        }
+        let state = &mut self.state;
+        for point in curve {
+            let (round, seen) = (point.round, state.rows.len());
+            if !(seen..=data.rows.len()).contains(&point.samples) {
+                return Err(ArmdseError::Explore(format!(
+                    "curve round {round} trained on {} rows but {} are on disk",
+                    point.samples,
+                    data.rows.len()
+                )));
+            }
+            state
+                .rows
+                .extend_from_slice(&data.rows[seen..point.samples]);
+            let replayed = explorer.refit_and_score(state, self.holdout)?.model_hash;
+            if replayed != point.model_hash {
+                return Err(ArmdseError::Explore(format!(
+                    "replayed model hash {replayed:016x} != recorded {:016x} at round {round} — \
+                     artifacts do not match this exploration",
+                    point.model_hash
+                )));
+            }
+            state.curve.push(point);
+        }
+        state.rows = data.rows;
+        Ok(())
     }
 }
 
@@ -539,7 +615,7 @@ impl<'e> Explorer<'e> {
         (0..self.opts.pool)
             .map(|i| {
                 self.space
-                    .sample_seeded_pinned(self.opts.seed + i as u64, &pins)
+                    .sample_seeded_pinned(self.opts.seed.wrapping_add(i as u64), &pins)
                     .to_features()
             })
             .collect()
@@ -620,16 +696,8 @@ impl<'e> Explorer<'e> {
                     .collect();
                 let ranks = pareto_ranks(&objs);
                 let max_rank = ranks.iter().copied().max().unwrap_or(0).max(1) as f64;
-                let max_std = stds.iter().cloned().fold(0.0f64, f64::max);
-                ranks
-                    .iter()
-                    .zip(&stds)
-                    .map(|(&rk, &s)| {
-                        let exploit = 1.0 - rk as f64 / max_rank;
-                        let explore = if max_std > 0.0 { s / max_std } else { 0.0 };
-                        (1.0 - eps) * exploit + eps * explore
-                    })
-                    .collect()
+                let exploit = ranks.iter().map(|&rk| 1.0 - rk as f64 / max_rank);
+                mix(exploit, &stds, eps)
             } else {
                 acquisition_scores(&preds, &stds, eps)
             };
@@ -715,14 +783,13 @@ impl<'e> Explorer<'e> {
         if !ctl.resume {
             std::fs::remove_file(&files.checkpoint).ok();
         }
-        let mut campaign = files.open(!ctl.resume)?;
-        let (state, curve) = match &campaign.position {
-            Some(ckpt) => self.restore(ckpt, &mut campaign.sink, &curve_path, &holdout)?,
+        let Campaign { sink, position, .. } = files.open(!ctl.resume)?;
+        let (state, curve) = match &position {
+            Some(ckpt) => (self.restore(ckpt)?, CsvFile::append(&curve_path)?),
             None => {
                 // Fresh start: truncate every artifact. Round 0's batch
                 // needs no model, so it is the plan the campaign starts on.
-                let mut curve = CsvFile::create(&curve_path, |w| writeln!(w, "{CURVE_HEADER}"))?;
-                curve.flush()?;
+                let curve = CsvFile::create(&curve_path, |w| writeln!(w, "{CURVE_HEADER}"))?;
                 let rng = Xoshiro256pp::seed_from_u64(self.opts.seed ^ ACQ_SEED_SALT);
                 let mut state = LoopState::new(&self.opts, Vec::new(), rng)?;
                 self.select_round(0, &mut state, &features);
@@ -731,12 +798,12 @@ impl<'e> Explorer<'e> {
         };
 
         let plan = self.plan_for(&state.selected)?;
-        let restored_rows = state.rows.len();
         let mut rounds = Rounds {
             explorer: self,
             holdout: &holdout,
             features: &features,
             state,
+            sink,
             curve,
         };
         // One app, so jobs are candidates and a chunk never straddles a
@@ -753,7 +820,13 @@ impl<'e> Explorer<'e> {
             };
             ctl.observer.as_deref_mut().is_none_or(|f| f(&ep))
         };
-        let summary = campaign.run(self.engine, &plan, Some(&mut engine_obs), Some(&mut rounds))?;
+        let run = RunControl {
+            checkpoint: Some(&files.checkpoint),
+            position,
+            observer: Some(&mut engine_obs),
+            ..RunControl::default()
+        };
+        let summary = self.engine.run_controlled(&plan, &mut rounds, run)?;
         let state = rounds.state;
         if summary.completed {
             self.write_curve_json(&state)?;
@@ -764,87 +837,30 @@ impl<'e> Explorer<'e> {
         Ok(ExploreReport {
             completed: summary.completed,
             rounds_done: state.curve.len(),
-            samples: restored_rows + summary.rows,
+            samples: state.rows.len(),
             selected: state.selected,
             curve: state.curve,
         })
     }
 
-    /// Rebuild loop state from the checkpoint: refuse a foreign
-    /// exploration, cut the dataset (through `sink`) and the curve back
-    /// to what the checkpoint covers, reload the rows, replay the refit
-    /// history against the recorded model hashes, and restore the RNG.
-    /// The run loop then validates the plan rebuilt from `selected`
-    /// against the checkpoint's fingerprint. Also returns the curve
-    /// file, open at the end of the rows the checkpoint covers.
-    fn restore(
-        &self,
-        ckpt: &Checkpoint,
-        sink: &mut CsvSink,
-        curve_path: &Path,
-        holdout: &(Matrix, Vec<f64>),
-    ) -> Result<(LoopState, CsvFile), ArmdseError> {
-        let get = |key: &str| {
-            ckpt.extra_get(key).ok_or_else(|| {
-                ArmdseError::Explore(format!("checkpoint is missing exploration key {key}"))
-            })
-        };
-        let (found, want) = (get(keys::PLAN)?, self.options_fingerprint());
+    /// What a resume needs before the run: refuse a foreign exploration
+    /// and restore the selection and the RNG, from which the plan is
+    /// rebuilt. The run loop then checks that plan against the
+    /// checkpoint's fingerprint before [`Rounds`] restores the rest
+    /// ([`RowSink::resume_at`]).
+    fn restore(&self, ckpt: &Checkpoint) -> Result<LoopState, ArmdseError> {
+        let (found, want) = (extra(ckpt, keys::PLAN)?, self.options_fingerprint());
         if found != want {
             return Err(ArmdseError::Explore(format!(
                 "checkpoint belongs to a different exploration \
                  ({found} != {want}) — refusing to resume"
             )));
         }
-        let selected = parse_u64_list(get(keys::SELECTED)?, 10)?;
-        let hashes = parse_u64_list(get(keys::HASHES)?, 16)?;
-        let rng_words: [u64; 4] = parse_u64_list(get(keys::RNG)?, 16)?
+        let selected = parse_u64_list(extra(ckpt, keys::SELECTED)?, 10)?;
+        let rng_words: [u64; 4] = parse_u64_list(extra(ckpt, keys::RNG)?, 16)?
             .try_into()
             .map_err(|_| ArmdseError::Explore("unparsable explore.rng".into()))?;
-
-        // Sink durability runs ahead of the checkpoint write, never
-        // behind: cut whatever a crash left past it, then reload the
-        // accumulated rows.
-        sink.resume_at(ckpt)?;
-        let data =
-            DseDataset::load_csv(&self.path("explore_dataset.csv")).map_err(ArmdseError::Io)?;
-
-        // One curve row per recorded model hash; a row past them is a
-        // round whose checkpoint never landed.
-        let (curve_file, curve) = cut_and_parse_curve(curve_path, hashes.len())?;
-        if curve.iter().map(|p| p.model_hash).ne(hashes) {
-            return Err(ArmdseError::Explore(
-                "curve model hashes disagree with the checkpoint's".into(),
-            ));
-        }
-
-        // Replay the refit history over the reloaded rows and verify
-        // each round's model hash.
-        let mut state = LoopState::new(&self.opts, selected, Xoshiro256pp::from_state(rng_words))?;
-        for point in curve {
-            let (round, seen) = (point.round, state.rows.len());
-            if !(seen..=data.rows.len()).contains(&point.samples) {
-                return Err(ArmdseError::Explore(format!(
-                    "curve round {round} trained on {} rows but {} are on disk",
-                    point.samples,
-                    data.rows.len()
-                )));
-            }
-            state
-                .rows
-                .extend_from_slice(&data.rows[seen..point.samples]);
-            let replayed = self.refit_and_score(&mut state, holdout)?.model_hash;
-            if replayed != point.model_hash {
-                return Err(ArmdseError::Explore(format!(
-                    "replayed model hash {replayed:016x} != recorded {:016x} at round {round} — \
-                     artifacts do not match this exploration",
-                    point.model_hash
-                )));
-            }
-            state.curve.push(point);
-        }
-        state.rows = data.rows;
-        Ok((state, curve_file))
+        LoopState::new(&self.opts, selected, Xoshiro256pp::from_state(rng_words))
     }
 
     fn write_curve_json(&self, state: &LoopState) -> Result<(), ArmdseError> {
@@ -920,28 +936,8 @@ fn model_hash(preds: &[f64]) -> u64 {
     h.finish()
 }
 
-fn append_curve_row(curve: &mut CsvFile, p: &CurvePoint) -> Result<(), ArmdseError> {
-    // Full-precision Display: f64 round-trips exactly, so a resumed
-    // run's parsed curve is bit-identical to the fresh run's floats.
-    writeln!(
-        curve,
-        "{},{},{},{},{},{:016x}",
-        p.round, p.samples, p.epsilon, p.r2, p.mae, p.model_hash
-    )?;
-    curve.sync()
-}
-
-/// Open the curve CSV for appending, cut it back to its first `keep`
-/// rows (a crash can leave one more; fewer is an error) and parse them.
-fn cut_and_parse_curve(
-    path: &Path,
-    keep: usize,
-) -> Result<(CsvFile, Vec<CurvePoint>), ArmdseError> {
-    let mut file = CsvFile::append(path)?;
-    file.cut_lines(keep, "curve row(s)").map_err(|e| match e {
-        ArmdseError::Checkpoint(m) => ArmdseError::Explore(m),
-        e => e,
-    })?;
+/// Parse the curve CSV at `path` (already cut back to its checkpoint).
+fn parse_curve(path: &Path) -> Result<Vec<CurvePoint>, ArmdseError> {
     let body = std::fs::read_to_string(path)?;
     let mut lines = body.lines();
     if lines.next() != Some(CURVE_HEADER) {
@@ -950,7 +946,7 @@ fn cut_and_parse_curve(
             path.display()
         )));
     }
-    let mut curve = Vec::with_capacity(keep);
+    let mut curve = Vec::new();
     for line in lines {
         let f: Vec<&str> = line.split(',').collect();
         if f.len() != 6 {
@@ -969,7 +965,13 @@ fn cut_and_parse_curve(
             model_hash: u64::from_str_radix(f[5], 16).map_err(|_| bad("model_hash"))?,
         });
     }
-    Ok((file, curve))
+    Ok(curve)
+}
+
+/// The checkpoint's value for exploration key `key`.
+fn extra<'c>(ckpt: &'c Checkpoint, key: &str) -> Result<&'c str, ArmdseError> {
+    ckpt.extra_get(key)
+        .ok_or_else(|| ArmdseError::Explore(format!("checkpoint is missing exploration key {key}")))
 }
 
 fn parse_u64_list(s: &str, radix: u32) -> Result<Vec<u64>, ArmdseError> {

@@ -16,14 +16,15 @@
 //!   function that saves a checkpoint. Its `threads - 1` helper workers
 //!   live for the whole campaign (their machine storage stays warm),
 //!   parked while the calling thread writes the sink, saves the
-//!   checkpoint, calls the observer and steers. [`Engine::run_controlled`]
+//!   checkpoint and calls the observer. [`Engine::run_controlled`]
 //!   is a thin wrapper over it with the same signature, and its only caller,
 //!   so `repro`, the analysis harnesses and the job server run the
-//!   exact same code path — and so does the adaptive Explorer, which
-//!   plugs in as the loop's [`crate::engine::Steer`]: when the plan
-//!   runs out the loop asks it for the next batch, extends its own copy
-//!   of the plan, and checkpoints the steer's state with the chunk (a
-//!   fixed sweep is the loop with no steer).
+//!   exact same code path — and so does the adaptive Explorer, whose
+//!   rounds are the campaign's sink: when the plan runs out the loop
+//!   asks the sink for the next batch
+//!   ([`crate::engine::RowSink::next_batch`]), extends its own copy of
+//!   the plan, and checkpoints the sink's state with the chunk (a fixed
+//!   sweep's sink answers empty).
 //! * [`JobScheduler`] owns runner threads and a priority queue of
 //!   submitted jobs ([`crate::jobstore`]), with cooperative pause and
 //!   cancel implemented via the observer hook the engine already had.
@@ -179,13 +180,14 @@ pub(crate) fn run_job_loop(
 
 /// The resumable campaign loop (the module docs say who runs it):
 /// chunk partitioning, checkpoint cadence, machine-shape guard, the
-/// steer hook, the observer/pause hook.
+/// sink's batches, the observer/pause hook.
 ///
-/// At each chunk boundary, in this order: sink durable → (plan
-/// exhausted and steered: `next_batch`, plan extended) → checkpoint →
-/// observer. So a checkpoint's `fingerprint` is that of the plan so
-/// far, `jobs_done`/`rows` are cumulative, and a steered campaign is at
-/// `jobs_done == plan.jobs()` only once its steer answered "no more".
+/// At each chunk boundary, in this order: (plan exhausted: the sink's
+/// `next_batch`, plan extended when it is non-empty) → sink durable →
+/// checkpoint (with the sink's `state`) → observer. So a checkpoint's
+/// `fingerprint` is that of the plan so far, `jobs_done`/`rows` are
+/// cumulative, and a steered campaign is at `jobs_done == plan.jobs()`
+/// only once its sink answered "no more".
 fn run_chunks<'e>(
     engine: &'e Engine,
     plan: &RunPlan,
@@ -263,8 +265,6 @@ fn run_chunks<'e>(
         RunMode::Plain
     };
     let (mut rows, mut discarded) = (0usize, 0usize);
-    // Rows streamed since the steer last saw them (empty without one).
-    let mut unseen: Vec<Row> = Vec::new();
     while done < total_jobs {
         let end = (done + plan.chunk_jobs()).min(total_jobs);
         for (_, result, metrics_rows) in run_span(engine, &plan, helpers, done, end, mode)? {
@@ -272,9 +272,6 @@ fn run_chunks<'e>(
                 Ok(row) => {
                     sink.row(&row)?;
                     rows += 1;
-                    if ctl.steer.is_some() {
-                        unseen.push(row);
-                    }
                 }
                 Err(d) => {
                     sink.discarded(&d)?;
@@ -286,21 +283,18 @@ fn run_chunks<'e>(
             }
         }
         done = end;
-        sink.chunk_end()?;
-        if let (true, Some(steer)) = (done == total_jobs, ctl.steer.as_deref_mut()) {
-            let batch = steer.next_batch(&unseen)?;
-            unseen.clear();
+        if done == total_jobs {
+            let batch = sink.next_batch()?;
             if !batch.is_empty() {
                 plan.to_mut().extend_config_indices(batch);
                 total_jobs = plan.jobs();
                 fingerprint = plan.fingerprint();
             }
         }
+        sink.chunk_end()?;
         if let Some(path) = ctl.checkpoint {
             let mut extra = machine_extra.clone();
-            if let Some(steer) = ctl.steer.as_deref() {
-                extra.extend(steer.state());
-            }
+            extra.extend(sink.state());
             Checkpoint {
                 fingerprint,
                 jobs_done: done,
@@ -587,14 +581,14 @@ fn run_one(store: &JobStore, job: &Job) -> Result<RunSummary, ArmdseError> {
         job.cv.notify_all();
         inner.stop.is_none()
     };
-    campaign.run(&engine, &plan, Some(&mut observer), None)
+    campaign.run(&engine, &plan, Some(&mut observer))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::dataset::DseDataset;
-    use crate::engine::{CsvSink, Steer};
+    use crate::engine::CsvSink;
     use crate::orchestrator::GenOptions;
     use crate::space::ParamSpace;
     use armdse_kernels::{App, WorkloadScale};
@@ -838,17 +832,25 @@ mod tests {
         let _ = std::fs::remove_dir_all(store.dir());
     }
 
-    /// A scripted steer: hands out `batches[next..]` one call at a
-    /// time and records the rows each call received.
+    /// A scripted steering sink over a [`DseDataset`]: hands out
+    /// `batches[next..]` one call at a time and records the rows each
+    /// call followed (those past `since`).
     struct Script {
+        data: DseDataset,
+        since: usize,
         batches: Vec<Vec<u64>>,
         next: usize,
         seen: Vec<Vec<Row>>,
     }
 
-    impl Steer for Script {
-        fn next_batch(&mut self, rows: &[Row]) -> Result<Vec<u64>, ArmdseError> {
-            self.seen.push(rows.to_vec());
+    impl RowSink for Script {
+        fn row(&mut self, row: &Row) -> Result<(), ArmdseError> {
+            self.data.row(row)
+        }
+
+        fn next_batch(&mut self) -> Result<Vec<u64>, ArmdseError> {
+            self.seen.push(self.data.rows[self.since..].to_vec());
+            self.since = self.data.rows.len();
             self.next += 1;
             Ok(self.batches.get(self.next - 1).cloned().unwrap_or_default())
         }
@@ -882,7 +884,9 @@ mod tests {
         engine.run(&index_plan(&abc, 2, 128), &mut fixed).unwrap();
         assert_eq!(fixed.rows.len(), 12, "tiny runs all validate");
         let (rows_a, rows_b, rows_c) = (&fixed.rows[..4], &fixed.rows[4..10], &fixed.rows[10..]);
-        let script = |next: usize| Script {
+        let script = |next: usize, data: DseDataset| Script {
+            since: data.rows.len(),
+            data,
             batches: vec![b.clone(), c.clone()],
             next,
             seen: Vec::new(),
@@ -893,15 +897,11 @@ mod tests {
                 let tag = format!("chunk {chunk_jobs}, {threads} thread(s)");
                 // Uninterrupted: same rows, same order, and each call
                 // sees exactly the batch that just ran.
-                let mut steer = script(0);
-                let mut whole = DseDataset::default();
-                let ctl = RunControl {
-                    steer: Some(&mut steer),
-                    ..RunControl::default()
-                };
+                let mut steer = script(0, DseDataset::default());
                 let s = engine
-                    .run_controlled(&index_plan(&a, threads, chunk_jobs), &mut whole, ctl)
+                    .run(&index_plan(&a, threads, chunk_jobs), &mut steer)
                     .unwrap();
+                let whole = std::mem::take(&mut steer.data);
                 assert!(
                     s.completed && s.jobs == 12 && s.jobs_done == 12,
                     "{tag}: {s:?}"
@@ -915,8 +915,7 @@ mod tests {
                 let ckpt = std::env::temp_dir()
                     .join(format!("armdse_steer_unit_{chunk_jobs}_{threads}.ckpt"));
                 std::fs::remove_file(&ckpt).ok();
-                let mut pieces = DseDataset::default();
-                let mut steer = script(0);
+                let mut steer = script(0, DseDataset::default());
                 let mut observer = |pr: &Progress| {
                     if pr.jobs_done == 4 {
                         let c = Checkpoint::load(&ckpt).unwrap();
@@ -929,11 +928,10 @@ mod tests {
                 let ctl = RunControl {
                     checkpoint: Some(&ckpt),
                     observer: Some(&mut observer),
-                    steer: Some(&mut steer),
                     ..RunControl::default()
                 };
                 let s = engine
-                    .run_controlled(&index_plan(&a, threads, chunk_jobs), &mut pieces, ctl)
+                    .run_controlled(&index_plan(&a, threads, chunk_jobs), &mut steer, ctl)
                     .unwrap();
                 assert!(!s.completed, "{tag}");
                 let paused_at = s.jobs_done;
@@ -947,17 +945,18 @@ mod tests {
 
                 // Resume on a fresh steer rebuilt from the checkpoint.
                 let c = Checkpoint::load(&ckpt).unwrap();
-                let mut steer = script(c.extra_get("script.next").unwrap().parse().unwrap());
+                let next = c.extra_get("script.next").unwrap().parse().unwrap();
+                let mut steer = script(next, steer.data);
                 let so_far = [&a[..], &steer.batches[..steer.next].concat()].concat();
                 let ctl = RunControl {
                     checkpoint: Some(&ckpt),
                     position: Some(c),
-                    steer: Some(&mut steer),
                     ..RunControl::default()
                 };
                 let s = engine
-                    .run_controlled(&index_plan(&so_far, threads, chunk_jobs), &mut pieces, ctl)
+                    .run_controlled(&index_plan(&so_far, threads, chunk_jobs), &mut steer, ctl)
                     .unwrap();
+                let pieces = std::mem::take(&mut steer.data);
                 assert!(s.completed && s.resumed_from == paused_at, "{tag}: {s:?}");
                 assert_eq!(pieces, fixed, "{tag}");
                 // Only the rows streamed since the resume are handed over.

@@ -66,12 +66,9 @@ fn run(
         chunks += 1;
         pause_after_chunks.is_none_or(|n| chunks < n)
     };
-    files.open(!resume)?.run(
-        &Engine::idealized(),
-        &plan(threads),
-        Some(&mut observer),
-        None,
-    )
+    files
+        .open(!resume)?
+        .run(&Engine::idealized(), &plan(threads), Some(&mut observer))
 }
 
 /// Read and remove the artifacts of `tag`.

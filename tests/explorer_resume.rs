@@ -330,13 +330,19 @@ fn what_a_crash_leaves_past_the_checkpoint_is_cut_back_on_resume() {
         assert_eq!(rows, 6, "paused two jobs into round 1");
 
         // Died after round 1's curve row and rows were durable but before
-        // the checkpoint naming them: one extra complete curve row, the
-        // chunk's dataset rows, and half of the row after them.
+        // the checkpoint naming them: one extra complete curve row and
+        // half of the one after it, the chunk's dataset rows, and half of
+        // the row after them.
         let text = |name: &str| String::from_utf8(artifact_bytes(&ref_dir, name)).unwrap();
         let curve = text("explore_curve.csv");
+        let torn = curve.lines().nth(3).unwrap();
         append(
             &dir.join("explore_curve.csv"),
-            &format!("{}\n", curve.lines().nth(2).unwrap()),
+            &format!(
+                "{}\n{}",
+                curve.lines().nth(2).unwrap(),
+                &torn[..torn.len() / 2]
+            ),
         );
         let dataset = text("explore_dataset.csv");
         let next: Vec<&str> = dataset.lines().skip(1 + rows).take(3).collect();

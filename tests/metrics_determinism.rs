@@ -46,12 +46,7 @@ fn run(files: &CampaignFiles, fresh: bool, threads: usize, pause_at: Option<usiz
     files
         .open(fresh)
         .unwrap()
-        .run(
-            &Engine::idealized(),
-            &plan(threads),
-            Some(&mut observer),
-            None,
-        )
+        .run(&Engine::idealized(), &plan(threads), Some(&mut observer))
         .unwrap()
 }
 

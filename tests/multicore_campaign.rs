@@ -85,7 +85,7 @@ fn run(
     let mut observer = |p: &Progress| pause_at.is_none_or(|at| p.jobs_done < at);
     files
         .open(fresh)?
-        .run(engine, &plan(threads), Some(&mut observer), None)
+        .run(engine, &plan(threads), Some(&mut observer))
 }
 
 /// Read the dataset and metrics CSV bytes of `files`, then remove the
