@@ -31,6 +31,7 @@
 #   forest fit and walk (perf): 17707 -> 17805
 #   explore round (perf): 17805 -> 17885
 #   a steer is a sink: 17885 -> 17876
+#   one sampler: 17876 -> 17874
 set -eux
 
 cd "$(dirname "$0")"
@@ -42,6 +43,18 @@ cargo build --release --offline --workspace
 DRIVE_TO=$(nm -C target/release/repro | grep -c 'Pipeline.*::drive_to$' || true)
 if [ "$DRIVE_TO" -gt 1 ]; then
   echo "FAIL: $DRIVE_TO copies of Pipeline::drive_to in repro (want 1)" >&2
+  exit 1
+fi
+# One sampler: a design point is drawn by the space (space.rs) for a
+# `RunPlan` (engine.rs) and nowhere else, so sweeps, served jobs and
+# Explorer rounds draw candidate k from one rule. Non-test, non-comment
+# lines, cut at `#[cfg(test)]` as the size ledger cuts them.
+SAMPLERS=$(find crates/*/src -name '*.rs' ! -path crates/core/src/space.rs \
+  ! -path crates/core/src/engine.rs -print0 | xargs -0 awk \
+  'FNR==1{t=0} /^#\[cfg\(test\)\]/{t=1} !t && !/^[[:space:]]*\/\// && /sample_seeded/ {print FILENAME": "$0}')
+if [ -n "$SAMPLERS" ]; then
+  echo "FAIL: sample_seeded outside space.rs and engine.rs (ask a RunPlan):" >&2
+  echo "$SAMPLERS" >&2
   exit 1
 fi
 # tests/public_api.rs pins every crate's public surface: on a change it

@@ -60,7 +60,7 @@ pub fn fig6(engine: &Engine, space: &ParamSpace, spec: &JobSpec) -> Result<Sweep
         &[App::Stream, App::MiniBude][..],
         &VL_POINTS[..],
     );
-    sweep(engine, &bases(space, spec), spec, fig, |c, v| {
+    sweep(engine, &bases(space, spec)?, spec, fig, |c, v| {
         // The paper's Load-Bandwidth >= 256 filter (applied to stores
         // too, so every VL is admissible on every base).
         c.core.load_bandwidth = c.core.load_bandwidth.max(256);
@@ -72,7 +72,7 @@ pub fn fig6(engine: &Engine, space: &ParamSpace, spec: &JobSpec) -> Result<Sweep
 /// Fig. 7: speedup vs ROB size for all applications.
 pub fn fig7(engine: &Engine, space: &ParamSpace, spec: &JobSpec) -> Result<SweepFig, ArmdseError> {
     let fig = ("Fig. 7", "ROB-Size", &App::ALL[..], &ROB_POINTS[..]);
-    sweep(engine, &bases(space, spec), spec, fig, |c, v| {
+    sweep(engine, &bases(space, spec)?, spec, fig, |c, v| {
         c.core.rob_size = v
     })
 }
@@ -80,16 +80,15 @@ pub fn fig7(engine: &Engine, space: &ParamSpace, spec: &JobSpec) -> Result<Sweep
 /// Fig. 8: speedup vs FP/SVE register count for all applications.
 pub fn fig8(engine: &Engine, space: &ParamSpace, spec: &JobSpec) -> Result<SweepFig, ArmdseError> {
     let fig = ("Fig. 8", "FP-SVE-Registers", &App::ALL[..], &FP_POINTS[..]);
-    sweep(engine, &bases(space, spec), spec, fig, |c, v| {
+    sweep(engine, &bases(space, spec)?, spec, fig, |c, v| {
         c.core.fp_regs = v
     })
 }
 
-/// The paired bases: `spec.configs` design points sampled with
-/// `spec.seed + i` (wrapping).
-fn bases(space: &ParamSpace, spec: &JobSpec) -> Vec<DesignConfig> {
-    let seeds = (0..spec.configs as u64).map(|i| spec.seed.wrapping_add(i));
-    seeds.map(|seed| space.sample_seeded(seed)).collect()
+/// The paired bases: the design points of `spec`'s sampled plan, its
+/// pins applied.
+fn bases(space: &ParamSpace, spec: &JobSpec) -> Result<Vec<DesignConfig>, ArmdseError> {
+    spec.plan(space)?.design_points()
 }
 
 /// Figure `label` over feature `param`: each base re-simulated with
@@ -292,10 +291,24 @@ mod tests {
             .iter()
             .map(|&seed| space.sample_seeded(seed))
             .collect();
-        assert_eq!(bases(&space, &spec), want);
+        assert_eq!(bases(&space, &spec).unwrap(), want);
         let f = fig7(&Engine::idealized(), &space, &spec).unwrap();
         for app in App::ALL {
             assert_eq!(f.speedup(app, 8), Some(1.0), "{app:?}");
+        }
+    }
+
+    #[test]
+    fn bases_honour_the_specs_pins() {
+        let spec = JobSpec {
+            configs: 8,
+            pins: vec![("Vector-Length".into(), 128.0)],
+            ..quick()
+        };
+        let bases = bases(&ParamSpace::paper(), &spec).unwrap();
+        assert_eq!(bases.len(), 8);
+        for b in &bases {
+            assert_eq!(b.core.vector_length, 128, "{b:?}");
         }
     }
 

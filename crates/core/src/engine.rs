@@ -47,9 +47,7 @@
 //! then the campaign sink's [`RowSink::state`] — the adaptive
 //! [`crate::explorer::Explorer`]'s is the one in-tree state
 //! (`explore.*`, DESIGN.md §12). [`Checkpoint::load`] hands the section
-//! back uninterpreted. Every checkpoint is written under the `v1`
-//! header; `load` also accepts the `v2` header earlier binaries wrote
-//! over a non-empty section.
+//! back uninterpreted.
 
 use crate::config::DesignConfig;
 use crate::dataset::{write_csv_header, write_csv_row, DiscardedRun, DseDataset, Row};
@@ -104,31 +102,32 @@ enum Candidates {
 }
 
 impl RunPlan {
-    /// Validate `opts` against `space` into a plan.
-    pub fn new(space: &ParamSpace, opts: &GenOptions) -> Result<RunPlan, ArmdseError> {
-        RunPlan::pinned(space, opts, &[])
+    /// Validate `o` against `space` into a plan.
+    pub fn new(space: &ParamSpace, o: &GenOptions) -> Result<RunPlan, ArmdseError> {
+        RunPlan::sampled(space, o.seed, &[], o.configs, &o.apps, o.scale, o.threads)
     }
 
-    /// Like [`RunPlan::new`] with features pinned to fixed values by
-    /// name (the paper's Figs. 4/5 constrain Vector-Length).
-    pub fn pinned(
+    /// [`crate::JobSpec::plan`]: candidate `k` is `space` sampled with
+    /// `seed + k`, features pinned by name (Figs. 4/5 pin Vector-Length).
+    pub(crate) fn sampled(
         space: &ParamSpace,
-        opts: &GenOptions,
-        pins: &[(&str, f64)],
+        seed: u64,
+        pins: &[(String, f64)],
+        configs: usize,
+        apps: &[App],
+        scale: WorkloadScale,
+        threads: usize,
     ) -> Result<RunPlan, ArmdseError> {
         for (name, _) in pins {
-            if !FEATURE_NAMES.contains(name) {
+            if !FEATURE_NAMES.contains(&name.as_str()) {
                 return Err(ArmdseError::InvalidPlan(format!(
                     "unknown pinned feature '{name}'"
                 )));
             }
         }
-        let sampled = Candidates::Sampled {
-            space: Box::new(space.clone()),
-            seed: opts.seed,
-            pins: pins.iter().map(|(n, v)| (n.to_string(), *v)).collect(),
-        };
-        let plan = RunPlan::over(sampled, opts.configs, &opts.apps, opts.scale, opts.threads)?;
+        let (space, pins) = (Box::new(space.clone()), pins.to_vec());
+        let sampled = Candidates::Sampled { space, seed, pins };
+        let plan = RunPlan::over(sampled, configs, apps, scale, threads)?;
         // Pin values are outside input: a value no sample can rescue is
         // refused here, on the first design point, not at the first job.
         plan.design_point(0)?;
@@ -261,6 +260,11 @@ impl RunPlan {
         Fnv1a::new().bytes(encoded.as_bytes()).finish()
     }
 
+    /// The design points of config slots `0..configs`, validated.
+    pub fn design_points(&self) -> Result<Vec<DesignConfig>, ArmdseError> {
+        (0..self.configs).map(|i| self.design_point(i)).collect()
+    }
+
     /// The design point of config slot `cfg_idx`: candidate
     /// `indices[cfg_idx]` when [`RunPlan::with_config_indices`] set them
     /// (candidate `cfg_idx` otherwise). A sampled one is validated with its pins
@@ -271,20 +275,31 @@ impl RunPlan {
             .indices
             .as_ref()
             .map_or(cfg_idx as u64, |indices| indices[cfg_idx]);
-        let (space, seed, pins) = match &self.candidates {
-            Candidates::Sampled { space, seed, pins } => (space, seed, pins),
+        let pins = match &self.candidates {
+            Candidates::Sampled { pins, .. } => pins,
             Candidates::Listed(list) => {
                 let missing = || ArmdseError::InvalidPlan(format!("no list slot {k}"));
                 return list.get(k as usize).copied().ok_or_else(missing);
             }
         };
-        let pins: Vec<(&str, f64)> = pins.iter().map(|(n, v)| (n.as_str(), *v)).collect();
-        let cfg = space.sample_seeded_pinned(seed.wrapping_add(k), &pins);
+        let cfg = self.candidate(k);
         match cfg.validate() {
             Ok(()) => Ok(cfg),
             Err(why) => Err(ArmdseError::InvalidPlan(format!(
                 "config index {cfg_idx} is not a valid design point under pins {pins:?}: {why}"
             ))),
+        }
+    }
+
+    /// Candidate `k`, unvalidated: the one place a sampled plan's seed,
+    /// wrapping past `u64::MAX`, and its pins make a design point (a
+    /// listed plan's is `list[k]`, which panics past the list).
+    pub(crate) fn candidate(&self, k: u64) -> DesignConfig {
+        match &self.candidates {
+            Candidates::Sampled { space, seed, pins } => {
+                space.sample_seeded_pinned(seed.wrapping_add(k), pins)
+            }
+            Candidates::Listed(list) => list[k as usize],
         }
     }
 }
@@ -514,8 +529,6 @@ pub struct Checkpoint {
 }
 
 const CHECKPOINT_MAGIC: &str = "armdse-checkpoint v1";
-/// The header earlier binaries wrote over a non-empty extra section.
-const CHECKPOINT_MAGIC_V2: &str = "armdse-checkpoint v2";
 const FIXED_FIELDS: [&str; 4] = ["fingerprint", "jobs_done", "rows", "discarded"];
 
 impl Checkpoint {
@@ -541,7 +554,7 @@ impl Checkpoint {
         durable::replace(path, &body).map_err(ArmdseError::from)
     }
 
-    /// Load and parse a checkpoint file (v1 or v2).
+    /// Load and parse a checkpoint file.
     ///
     /// Every parse error names the offending file and 1-based line
     /// number (`<path>:<line>: <reason>`) — a multi-job store holds
@@ -553,15 +566,10 @@ impl Checkpoint {
             ArmdseError::Checkpoint(format!("{}:{line_no}: {msg}", path.display()))
         };
         let mut lines = body.lines();
-        match lines.next() {
-            Some(CHECKPOINT_MAGIC | CHECKPOINT_MAGIC_V2) => {}
-            Some(other) => {
-                return Err(err(
-                    1,
-                    format!("not an armdse v1/v2 checkpoint (got '{other}')"),
-                ))
-            }
-            None => return Err(err(1, "empty checkpoint file".into())),
+        let magic = lines.next().unwrap_or_default();
+        if magic != CHECKPOINT_MAGIC {
+            let why = format!("not an armdse v1 checkpoint (got '{magic}')");
+            return Err(err(1, why));
         }
         // The fixed fields sit at fixed lines: magic is line 1, then one
         // field per line in FIXED_FIELDS order, the fingerprint in hex.
@@ -860,6 +868,21 @@ mod tests {
         RunPlan::new(&ParamSpace::paper(), &opts(configs, threads)).unwrap()
     }
 
+    /// `opts(configs, 1)`'s plan with one feature pinned.
+    fn pinned(configs: usize, name: &str, value: f64) -> Result<RunPlan, ArmdseError> {
+        let o = opts(configs, 1);
+        let pins = [(name.to_string(), value)];
+        RunPlan::sampled(
+            &ParamSpace::paper(),
+            o.seed,
+            &pins,
+            configs,
+            &o.apps,
+            o.scale,
+            1,
+        )
+    }
+
     #[test]
     fn zero_configs_is_an_invalid_plan_not_a_panic() {
         let err = RunPlan::new(&ParamSpace::paper(), &opts(0, 1)).unwrap_err();
@@ -892,12 +915,7 @@ mod tests {
 
     #[test]
     fn unknown_pin_is_an_invalid_plan_not_a_panic() {
-        let err = RunPlan::pinned(
-            &ParamSpace::paper(),
-            &opts(2, 1),
-            &[("No-Such-Feature", 1.0)],
-        )
-        .unwrap_err();
+        let err = pinned(2, "No-Such-Feature", 1.0).unwrap_err();
         assert!(err.to_string().contains("No-Such-Feature"));
     }
 
@@ -1017,9 +1035,10 @@ mod tests {
         assert_eq!(loaded, c);
         assert_eq!(loaded.extra_get("explore.rng"), Some("3"));
         assert_eq!(loaded.extra_get("no.such.key"), None);
-        // The v2 header earlier binaries wrote still loads, unchanged.
+        // The v2 header earlier binaries wrote is refused.
         std::fs::write(&path, body.replace(" v1\n", " v2\n")).unwrap();
-        assert_eq!(Checkpoint::load(&path).unwrap(), c);
+        let err = Checkpoint::load(&path).unwrap_err().to_string();
+        assert!(err.contains("not an armdse v1 checkpoint"), "{err}");
         std::fs::remove_file(&path).ok();
     }
 
@@ -1070,7 +1089,7 @@ mod tests {
         );
         case(
             "armdse_ckpt_err_extra.ckpt",
-            "armdse-checkpoint v2\nfingerprint=0000000000000001\njobs_done=1\nrows=1\ndiscarded=0\nok=1\nbroken\n",
+            "armdse-checkpoint v1\nfingerprint=0000000000000001\njobs_done=1\nrows=1\ndiscarded=0\nok=1\nbroken\n",
             7,
             "malformed extra line 'broken'",
         );
@@ -1343,12 +1362,7 @@ mod tests {
         );
         // ...but seed, configs, and pins do.
         assert_ne!(base.fingerprint(), plan(5, 1).fingerprint());
-        let pinned = RunPlan::pinned(
-            &ParamSpace::paper(),
-            &opts(4, 1),
-            &[("Vector-Length", 128.0)],
-        )
-        .unwrap();
+        let pinned = pinned(4, "Vector-Length", 128.0).unwrap();
         assert_ne!(base.fingerprint(), pinned.fingerprint());
     }
 
@@ -1414,17 +1428,14 @@ mod tests {
         assert!(last.is_none());
     }
 
-    /// What earlier binaries left behind: a checkpoint carrying
-    /// `reuse.fidelity=memoized` (the exact run-memo tier) resumes on
-    /// any engine to the uninterrupted bytes; one naming another tier —
-    /// `sampled`, from the deleted approximate tier — is refused.
+    /// What earlier binaries left behind: a checkpoint naming its
+    /// fidelity tier (`reuse.fidelity`) is refused on any engine, and
+    /// the sink is left as the pause left it.
     #[test]
-    fn a_memoized_tier_checkpoint_resumes_and_any_other_tier_is_refused() {
+    fn a_checkpoint_naming_any_fidelity_tier_is_refused() {
         let path = std::env::temp_dir().join("armdse_engine_ckpt_tier.ckpt");
         std::fs::remove_file(&path).ok();
         let p = plan(4, 1).with_chunk_jobs(2); // 8 jobs -> 4 chunks
-        let mut fresh = DseDataset::default();
-        Engine::idealized().run(&p, &mut fresh).unwrap();
         let mut pieces = DseDataset::default();
         let mut pause = |pr: &Progress| pr.jobs_done < 4;
         let s = Engine::idealized()
@@ -1441,34 +1452,29 @@ mod tests {
         assert!(!s.completed);
         let body = std::fs::read_to_string(&path).unwrap();
         assert!(!body.contains("fidelity"), "{body}");
-        let legacy =
-            |tier: &str| body.replace(" v1\n", " v2\n") + &format!("reuse.fidelity={tier}\n");
-        let resume_on = |engine: Engine, sink: &mut DseDataset| {
-            engine.run_controlled(
-                &p,
-                sink,
-                RunControl {
-                    checkpoint: Some(&path),
-                    position: Some(Checkpoint::load(&path).unwrap()),
-                    ..RunControl::default()
-                },
-            )
-        };
-        std::fs::write(&path, legacy("sampled")).unwrap();
-        for engine in [Engine::memoized(0), Engine::idealized()] {
-            let msg = resume_on(engine, &mut DseDataset::default())
-                .unwrap_err()
-                .to_string();
-            assert!(
-                msg.contains("reuse.fidelity") && msg.contains("refusing to mix"),
-                "{msg}"
-            );
+        for tier in ["memoized", "sampled"] {
+            std::fs::write(&path, format!("{body}reuse.fidelity={tier}\n")).unwrap();
+            for engine in [Engine::memoized(0), Engine::idealized()] {
+                let mut sink = pieces.clone();
+                let msg = engine
+                    .run_controlled(
+                        &p,
+                        &mut sink,
+                        RunControl {
+                            checkpoint: Some(&path),
+                            position: Some(Checkpoint::load(&path).unwrap()),
+                            ..RunControl::default()
+                        },
+                    )
+                    .unwrap_err()
+                    .to_string();
+                assert!(
+                    msg.contains("reuse.fidelity") && msg.contains("refusing to mix"),
+                    "{tier}: {msg}"
+                );
+                assert_eq!(sink, pieces, "{tier}: nothing spliced");
+            }
         }
-        std::fs::write(&path, legacy("memoized")).unwrap();
-        let s = resume_on(Engine::idealized(), &mut pieces).unwrap();
-        assert!(s.completed);
-        assert_eq!(s.resumed_from, 4);
-        assert_eq!(pieces, fresh);
         std::fs::remove_file(&path).ok();
     }
 }

@@ -11,10 +11,12 @@
 //!
 //! ## The acquire → simulate → retrain loop
 //!
-//! A candidate pool of `pool` design points is fixed up front: candidate
-//! `i` is exactly the config a full sweep would sample at index `i`
-//! (`space.sample_seeded(seed + i)`), so adaptive and fixed campaigns
-//! draw from the same population. Each round:
+//! A candidate pool of `pool` design points is fixed up front: the
+//! Explorer's campaign fields are one [`JobSpec`], every plan it runs is
+//! that spec's, and candidate `i` is the plan's candidate `i` — the
+//! config a full sweep of the same spec simulates at index `i` — so
+//! adaptive and fixed campaigns draw from the same population. Each
+//! round:
 //!
 //! 1. **Acquire** — score every not-yet-simulated candidate and select
 //!    the next batch (see *Acquisition* below).
@@ -98,7 +100,7 @@ use crate::engine::{
     Checkpoint, CsvSink, Engine, Progress, RowSink, RunControl, RunPlan, DEFAULT_CHUNK_JOBS,
 };
 use crate::error::ArmdseError;
-use crate::orchestrator::GenOptions;
+use crate::jobstore::JobSpec;
 use crate::space::ParamSpace;
 use armdse_kernels::{App, WorkloadScale};
 use armdse_memsim::fasthash::Fnv1a;
@@ -218,7 +220,8 @@ pub struct ExploreOptions {
     pub app: App,
     /// Workload input scale.
     pub scale: WorkloadScale,
-    /// Base seed: candidate `i` is `space.sample_seeded(seed + i)`.
+    /// Base seed: candidate `i` is the one a sweep with this seed (and
+    /// these pins) samples at index `i`.
     pub seed: u64,
     /// Candidate pool size (the "full sweep" population).
     pub pool: usize,
@@ -393,6 +396,8 @@ pub struct Explorer<'e> {
     engine: &'e Engine,
     space: ParamSpace,
     opts: ExploreOptions,
+    /// The campaign fields of `opts`: every plan the exploration runs.
+    spec: JobSpec,
     out_dir: PathBuf,
 }
 
@@ -568,10 +573,21 @@ impl<'e> Explorer<'e> {
         out_dir: &Path,
     ) -> Result<Explorer<'e>, ArmdseError> {
         opts.validate()?;
+        let spec = JobSpec {
+            configs: opts.pool,
+            scale: opts.scale,
+            seed: opts.seed,
+            threads: opts.threads,
+            apps: vec![opts.app],
+            pins: opts.pins.clone(),
+            chunk_jobs: opts.chunk_jobs,
+            ..JobSpec::default()
+        };
         Ok(Explorer {
             engine,
             space: space.clone(),
             opts,
+            spec,
             out_dir: out_dir.to_path_buf(),
         })
     }
@@ -607,26 +623,14 @@ impl<'e> Explorer<'e> {
         format!("{:016x}", Fnv1a::new().bytes(encoded.as_bytes()).finish())
     }
 
-    /// Feature vectors of the candidate pool, by candidate id. Must
-    /// sample exactly as the engine does so surrogate features match
-    /// the simulated rows bit-for-bit.
-    fn candidate_features(&self) -> Vec<[f64; 30]> {
-        let pins = self.pins_ref();
-        (0..self.opts.pool)
-            .map(|i| {
-                self.space
-                    .sample_seeded_pinned(self.opts.seed.wrapping_add(i as u64), &pins)
-                    .to_features()
-            })
-            .collect()
-    }
-
-    fn pins_ref(&self) -> Vec<(&str, f64)> {
-        self.opts
-            .pins
-            .iter()
-            .map(|(n, v)| (n.as_str(), *v))
-            .collect()
+    /// Feature vectors of the candidate pool, by candidate id: the
+    /// plan's own candidates, so surrogate features match the simulated
+    /// rows bit-for-bit. Unvalidated: a pin that invalidates a candidate
+    /// fails the run only if the candidate is selected.
+    fn candidate_features(&self) -> Result<Vec<[f64; 30]>, ArmdseError> {
+        let plan = self.spec.plan(&self.space)?;
+        let pool = 0..self.opts.pool as u64;
+        Ok(pool.map(|k| plan.candidate(k).to_features()).collect())
     }
 
     /// Simulate the held-out evaluation set (candidates `pool..pool +
@@ -647,16 +651,8 @@ impl<'e> Explorer<'e> {
     }
 
     fn plan_for(&self, indices: &[u64]) -> Result<RunPlan, ArmdseError> {
-        let gen = GenOptions {
-            configs: indices.len(),
-            scale: self.opts.scale,
-            seed: self.opts.seed,
-            threads: self.opts.threads,
-            apps: vec![self.opts.app],
-        };
-        RunPlan::pinned(&self.space, &gen, &self.pins_ref())?
-            .with_config_indices(indices.to_vec())
-            .map(|p| p.with_chunk_jobs(self.opts.chunk_jobs))
+        let plan = self.spec.plan(&self.space)?;
+        plan.with_config_indices(indices.to_vec())
     }
 
     /// Select round `round`'s batch from the not-yet-simulated pool and
@@ -775,7 +771,7 @@ impl<'e> Explorer<'e> {
         let curve_path = self.path("explore_curve.csv");
 
         let holdout = self.simulate_holdout()?;
-        let features = self.candidate_features();
+        let features = self.candidate_features()?;
 
         // A fresh start over an old exploration drops its checkpoint
         // before any artifact is truncated: a crash in between must not
@@ -875,15 +871,24 @@ impl<'e> Explorer<'e> {
         s.push_str(&format!("  \"holdout\": {},\n", self.opts.holdout));
         s.push_str(&format!("  \"pareto\": {},\n", self.opts.pareto));
         s.push_str("  \"points\": [\n");
+        // JSON has no infinities: a non-finite value (R² of a held-out
+        // set whose cycles do not vary is -inf) is `null`.
+        let num = |v: f64| {
+            if v.is_finite() {
+                v.to_string()
+            } else {
+                "null".into()
+            }
+        };
         for (i, p) in state.curve.iter().enumerate() {
             s.push_str(&format!(
                 "    {{\"round\": {}, \"samples\": {}, \"epsilon\": {}, \
                  \"r2\": {}, \"mae\": {}, \"model_hash\": \"{:016x}\"}}{}\n",
                 p.round,
                 p.samples,
-                p.epsilon,
-                p.r2,
-                p.mae,
+                num(p.epsilon),
+                num(p.r2),
+                num(p.mae),
                 p.model_hash,
                 if i + 1 < state.curve.len() { "," } else { "" }
             ));
@@ -1027,6 +1032,41 @@ mod tests {
         assert!(
             msg.contains("explore.ckpt") && msg.contains("explore_dataset.csv"),
             "{msg}"
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// One held-out point has no variance, so its R² is -inf: the JSON
+    /// curve writes it as `null` and still parses, while the CSV keeps
+    /// `-inf` and reads back.
+    #[test]
+    fn a_non_finite_r2_is_null_in_the_json_curve() {
+        let dir = std::env::temp_dir().join("armdse_explorer_curve_inf");
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let opts = ExploreOptions {
+            pool: 30,
+            budget: 8,
+            batch: 4,
+            holdout: 1,
+            ..ExploreOptions::for_app(App::Stream)
+        };
+        let engine = Engine::idealized();
+        let explorer = Explorer::new(&engine, &ParamSpace::paper(), opts, &dir).unwrap();
+        let report = explorer.run(ExploreControl::default()).unwrap();
+        assert!(report.completed);
+        assert!(report.curve.iter().all(|p| p.r2 == f64::NEG_INFINITY));
+        let body = std::fs::read_to_string(dir.join("explore_curve.json")).unwrap();
+        let json = crate::json::parse_json(&body).unwrap_or_else(|e| panic!("{e}: {body}"));
+        let points = json.as_object().unwrap()["points"].as_array().unwrap();
+        assert_eq!(points.len(), 2);
+        for p in points {
+            assert_eq!(p.as_object().unwrap()["r2"], crate::json::Json::Null);
+        }
+        assert!(body.contains("\"epsilon\": 1,"), "{body}");
+        assert_eq!(
+            parse_curve(&dir.join("explore_curve.csv")).unwrap(),
+            report.curve
         );
         let _ = std::fs::remove_dir_all(&dir);
     }

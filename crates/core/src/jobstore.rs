@@ -48,7 +48,6 @@ use crate::durable::{self, CampaignFiles};
 use crate::engine::{Checkpoint, Engine, RunPlan, DEFAULT_CHUNK_JOBS};
 use crate::error::ArmdseError;
 use crate::json::{json_num, parse_json, write_json_string, Json};
-use crate::orchestrator::GenOptions;
 use crate::space::ParamSpace;
 use armdse_kernels::{App, WorkloadScale};
 use armdse_memsim::DEFAULT_BANKS;
@@ -174,15 +173,9 @@ impl Default for JobSpec {
 impl JobSpec {
     /// Validate into a [`RunPlan`] over `space`.
     pub fn plan(&self, space: &ParamSpace) -> Result<RunPlan, ArmdseError> {
-        let opts = GenOptions {
-            configs: self.configs,
-            scale: self.scale,
-            seed: self.seed,
-            threads: self.threads,
-            apps: self.apps.clone(),
-        };
-        let pins: Vec<(&str, f64)> = self.pins.iter().map(|(n, v)| (n.as_str(), *v)).collect();
-        Ok(RunPlan::pinned(space, &opts, &pins)?.with_chunk_jobs(self.chunk_jobs))
+        let (seed, pins, configs, apps) = (self.seed, &self.pins, self.configs, &self.apps);
+        let plan = RunPlan::sampled(space, seed, pins, configs, apps, self.scale, self.threads)?;
+        Ok(plan.with_chunk_jobs(self.chunk_jobs))
     }
 
     /// The machine shape the spec requests (values clamped to 1). The
@@ -324,13 +317,6 @@ impl JobSpec {
                     }
                     spec.priority = n as i64;
                 }
-                // Written by earlier binaries into every stored spec.
-                // Both tiers were exact, so the key changes nothing.
-                "fidelity" => match val.as_str() {
-                    Some("full" | "memoized") => {}
-                    Some(other) => return Err(bad(format!("unknown fidelity \"{other}\""))),
-                    None => return Err(bad("\"fidelity\" must be a string".into())),
-                },
                 "metrics" => {
                     spec.metrics = val
                         .as_bool()
@@ -856,21 +842,16 @@ mod tests {
         assert!(JobSpec::from_json("{\"configs\": 2, \"apps\": [\"nope\"]}").is_err());
         assert!(JobSpec::from_json("{\"configs\": 2, \"scale\": \"huge\"}").is_err());
         assert!(JobSpec::from_json("{\"configs\": 2, \"fidelity\": \"best\"}").is_err());
-        // The two exact tiers' key, which earlier binaries stored in
-        // every spec, is accepted and ignored — on a multicore machine
-        // too. The approximate tier, its warmup key and the interval
-        // tier's length are gone from the wire.
+        // The tier key earlier binaries stored in every spec, the
+        // approximate tier's warmup key and the interval tier's length
+        // are gone from the wire, whatever their value.
         let plain = JobSpec::from_json("{\"configs\": 2, \"cores\": 2}").unwrap();
-        for tier in ["full", "memoized"] {
-            let body = format!("{{\"configs\": 2, \"cores\": 2, \"fidelity\": \"{tier}\"}}");
-            assert_eq!(JobSpec::from_json(&body).unwrap(), plain, "{tier}");
-        }
         assert!(!plain.to_json().contains("fidelity"));
-        let e = JobSpec::from_json("{\"configs\": 2, \"fidelity\": \"sampled\"}").unwrap_err();
-        assert!(
-            e.to_string().contains("unknown fidelity \"sampled\""),
-            "{e}"
-        );
+        for tier in ["full", "memoized", "sampled"] {
+            let body = format!("{{\"configs\": 2, \"cores\": 2, \"fidelity\": \"{tier}\"}}");
+            let e = JobSpec::from_json(&body).unwrap_err();
+            assert!(e.to_string().contains("unknown key \"fidelity\""), "{e}");
+        }
         let e = JobSpec::from_json("{\"configs\": 2, \"warmup\": 1}").unwrap_err();
         assert!(e.to_string().contains("unknown key \"warmup\""), "{e}");
         let e = JobSpec::from_json("{\"configs\": 2, \"interval_len\": 64}").unwrap_err();

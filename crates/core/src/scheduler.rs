@@ -232,11 +232,10 @@ fn run_chunks<'e>(
                 .iter()
                 .find(|(k, _)| k == key)
                 .map(|(_, v)| v.as_str());
-            // Earlier binaries wrote `reuse.fidelity=memoized` for the
-            // run-memo tier, whose rows are exact: such a checkpoint
-            // resumes on any engine. Any other tier is refused.
-            let exact_tier = key == "reuse.fidelity" && c.extra_get(key) == Some("memoized");
-            if c.extra_get(key) != want && !exact_tier {
+            // No engine writes `reuse.fidelity`; it stays checked so a
+            // checkpoint an earlier binary left naming its tier is
+            // refused, never spliced.
+            if c.extra_get(key) != want {
                 return Err(ArmdseError::Checkpoint(format!(
                     "{}: {key} {:?} does not match this engine's {:?} — \
                      refusing to mix fidelity tiers or machine shapes \
@@ -998,14 +997,16 @@ mod tests {
     fn an_invalid_design_point_ends_the_campaign_as_an_error() {
         // L2-Size pinned to the smallest grid value: whether a sample
         // survives depends on its L1 size, so only some points reject.
-        let opts = GenOptions {
+        let spec = JobSpec {
             configs: 40,
             scale: WorkloadScale::Tiny,
             seed: 3,
             threads: 4,
             apps: vec![App::Stream],
+            pins: vec![("L2-Size".into(), 64.0)],
+            ..JobSpec::default()
         };
-        let plan = RunPlan::pinned(&ParamSpace::paper(), &opts, &[("L2-Size", 64.0)]).unwrap();
+        let plan = spec.plan(&ParamSpace::paper()).unwrap();
         let first_bad = (0..40).find(|&i| plan.design_point(i).is_err()).unwrap();
         assert!(first_bad > 0, "slot 0 validated at plan construction");
         let mut data = DseDataset::default();

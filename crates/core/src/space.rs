@@ -224,13 +224,14 @@ impl ParamSpace {
     /// Sample with a parameter pinned to a fixed value by feature name
     /// (used for the paper's Figs. 4/5: importances with vector length
     /// constrained to 128 or 2048).
-    pub fn sample_seeded_pinned(&self, seed: u64, pins: &[(&str, f64)]) -> DesignConfig {
+    pub fn sample_seeded_pinned(&self, seed: u64, pins: &[(impl AsRef<str>, f64)]) -> DesignConfig {
         let base = self.sample_seeded(seed);
         let mut f = base.to_features();
         for (name, value) in pins {
+            let name = name.as_ref();
             let i = FEATURE_NAMES
                 .iter()
-                .position(|n| n == name)
+                .position(|&n| n == name)
                 .unwrap_or_else(|| panic!("unknown feature {name}"));
             f[i] = *value;
         }

@@ -3,8 +3,9 @@
 //! `kernels.x`, `server.x`, `trace.x`, `core.layer.x`) in README.md,
 //! DESIGN.md, EXPERIMENTS.md and docs/*.md must be declared in
 //! `BENCHMARK.json` (only read here), so a number in the docs can be
-//! re-measured by name; and none of them may name the deleted bench
-//! crate's snapshots, package, binary or env var.
+//! re-measured by name; none of them may name the deleted bench
+//! crate's snapshots, package, binary or env var; and every
+//! `crates/…`, `tests/…` or `examples/…` path they name must exist.
 
 use armdse::core::json::parse_json;
 use std::fs;
@@ -102,4 +103,32 @@ fn docs_do_not_name_the_deleted_bench_system() {
             assert!(!text.contains(&name), "{path} still names {name}");
         }
     }
+}
+
+#[test]
+fn docs_name_only_existing_paths() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let path_char = |c: char| c.is_ascii_alphanumeric() || "_./-".contains(c);
+    let (mut named, mut missing) = (0, Vec::new());
+    for (path, text) in docs() {
+        for (at, _) in text.match_indices(['c', 't', 'e']) {
+            let rest = &text[at..];
+            let starts = ["crates/", "tests/", "examples/"];
+            let boundary = !text[..at].ends_with(path_char);
+            if !boundary || !starts.iter().any(|s| rest.starts_with(s)) {
+                continue;
+            }
+            let end = rest.find(|c| !path_char(c)).unwrap_or(rest.len());
+            let name = rest[..end].trim_end_matches('.');
+            named += 1;
+            if !root.join(name).exists() {
+                missing.push(format!("{path}: {name}"));
+            }
+        }
+    }
+    let missing = missing.join("\n");
+    assert!(missing.is_empty(), "named but missing:\n{missing}");
+    // The docs name dozens of test files and modules: an extraction bug
+    // must not pass vacuously.
+    assert!(named >= 50, "only {named} paths found");
 }

@@ -13,11 +13,10 @@
 //! sampler converges by N/10, so the ratio would only measure noise.
 
 use armdse_core::config::DesignConfig;
-use armdse_core::engine::{Engine, RunPlan};
+use armdse_core::engine::Engine;
 use armdse_core::explorer::{ExploreControl, ExploreOptions, Explorer};
-use armdse_core::orchestrator::GenOptions;
 use armdse_core::space::{ParamSpace, FEATURE_NAMES};
-use armdse_core::DseDataset;
+use armdse_core::{DseDataset, JobSpec};
 use armdse_kernels::{App, WorkloadScale};
 use armdse_mltree::{r2, ForestParams, Matrix, RandomForest, Regressor};
 
@@ -47,16 +46,17 @@ fn pins() -> Vec<(String, f64)> {
 
 /// Simulate candidates `[lo, hi)` of the shared pool in one engine run.
 fn simulate_range(engine: &Engine, space: &ParamSpace, lo: usize, hi: usize) -> DseDataset {
-    let gen = GenOptions {
+    let spec = JobSpec {
         configs: hi - lo,
         scale: WorkloadScale::Tiny,
         seed: SEED,
         threads: 4,
         apps: vec![App::Stream],
+        pins: pins(),
+        ..JobSpec::default()
     };
-    let pv = pins();
-    let pr: Vec<(&str, f64)> = pv.iter().map(|(n, v)| (n.as_str(), *v)).collect();
-    let plan = RunPlan::pinned(space, &gen, &pr)
+    let plan = spec
+        .plan(space)
         .unwrap()
         .with_config_indices((lo as u64..hi as u64).collect())
         .unwrap();

@@ -77,13 +77,12 @@ fn dataset_csv_bytes_identical_in_every_cache_state() {
 
 /// A memoized campaign paused by a binary of the interval tier left a
 /// `v2` checkpoint naming its tier (`reuse.fidelity=memoized`) and its
-/// interval length (`reuse.interval_len`). The run loop accepts the
-/// first and no longer inspects the second, and the resumed CSV is the
-/// reference's bytes.
+/// interval length (`reuse.interval_len`). The header is refused on
+/// load; under the `v1` header the tier key is refused by the run loop
+/// before the CSV is touched.
 #[test]
-fn a_checkpoint_left_by_the_interval_tier_resumes_to_the_same_bytes() {
+fn a_checkpoint_left_by_the_interval_tier_is_refused_and_never_spliced() {
     let p = plan(5, 2).with_chunk_jobs(4); // 10 jobs: chunks of 4, 4, 2
-    let want = csv_bytes(&Engine::idealized(), &p, "compat_ref");
     let csv = std::env::temp_dir().join("armdse_reuse_eq_compat.csv");
     let ckpt = std::env::temp_dir().join("armdse_reuse_eq_compat.ckpt");
 
@@ -99,26 +98,27 @@ fn a_checkpoint_left_by_the_interval_tier_resumes_to_the_same_bytes() {
         .unwrap();
     assert_eq!((paused.completed, paused.jobs_done), (false, 4));
     drop(sink);
+    let paused_csv = std::fs::read(&csv).unwrap();
     let body = std::fs::read_to_string(&ckpt).unwrap();
-    let legacy = body.replace(" v1\n", " v2\n");
-    std::fs::write(
-        &ckpt,
-        legacy + "reuse.fidelity=memoized\nreuse.interval_len=4096\n",
-    )
-    .unwrap();
+    let tail = "reuse.fidelity=memoized\nreuse.interval_len=4096\n";
+    std::fs::write(&ckpt, body.replace(" v1\n", " v2\n") + tail).unwrap();
+    let err = Checkpoint::load(&ckpt).unwrap_err().to_string();
+    assert!(err.contains("not an armdse v1 checkpoint"), "{err}");
 
+    std::fs::write(&ckpt, body + tail).unwrap();
     let mut sink = CsvSink::append(&csv).unwrap();
     let control = RunControl {
         checkpoint: Some(&ckpt),
         position: Some(Checkpoint::load(&ckpt).unwrap()),
         ..RunControl::default()
     };
-    let resumed = Engine::memoized(256)
+    let err = Engine::memoized(256)
         .run_controlled(&p, &mut sink, control)
-        .unwrap();
-    assert_eq!((resumed.completed, resumed.resumed_from), (true, 4));
+        .unwrap_err()
+        .to_string();
+    assert!(err.contains("reuse.fidelity"), "{err}");
     drop(sink);
-    assert_eq!(std::fs::read(&csv).unwrap(), want);
+    assert_eq!(std::fs::read(&csv).unwrap(), paused_csv);
     std::fs::remove_file(&csv).ok();
     std::fs::remove_file(&ckpt).ok();
 }

@@ -21,7 +21,7 @@
 
 use armdse::core::engine::Checkpoint;
 use armdse::core::space::ParamSpace;
-use armdse::core::{ArmdseError, CsvSink, Engine, JobScheduler, JobSpec, JobState};
+use armdse::core::{ArmdseError, CsvSink, JobScheduler, JobSpec, JobState};
 use armdse::kernels::{App, WorkloadScale};
 use std::path::{Path, PathBuf};
 use std::time::Duration;
@@ -207,13 +207,13 @@ fn job_csv_written_past_its_checkpoint_resumes_to_direct_run_bytes() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// A store written by a server that still had the fidelity knob: the
-/// spec carries `"fidelity": "memoized"` and the paused checkpoint a
-/// `v2` header with `reuse.fidelity=memoized`. Both tiers were exact,
-/// so the job reopens paused and finishes with the idealized engine's
-/// bytes.
+/// A store written by a server that still had the fidelity knob: a
+/// spec carrying `"fidelity"` is skipped on reopen, its id never
+/// reused, and a paused checkpoint naming its tier
+/// (`reuse.fidelity=memoized`) fails the resumed job without a byte
+/// spliced onto its CSV.
 #[test]
-fn a_store_left_at_the_memoized_tier_reopens_and_resumes_to_idealized_bytes() {
+fn a_store_left_at_the_memoized_tier_is_refused_not_spliced() {
     let dir = tmp("memoized_store");
     let sched = JobScheduler::open(&dir.join("jobs"), 1).unwrap();
     let mut s = spec(40, 0x3E30_12ED, 2);
@@ -234,26 +234,32 @@ fn a_store_left_at_the_memoized_tier_reopens_and_resumes_to_idealized_bytes() {
     );
     assert_ne!(legacy, wire);
     std::fs::write(&spec_path, legacy).unwrap();
-    let ckpt = std::fs::read_to_string(&files.checkpoint).unwrap();
-    let legacy = ckpt.replace(" v1\n", " v2\n") + "reuse.fidelity=memoized\n";
-    std::fs::write(&files.checkpoint, legacy).unwrap();
     drop(sched);
 
     let sched = JobScheduler::open(&dir.join("jobs"), 1).unwrap();
-    let job = sched.store().get(job.id()).expect("the legacy spec parses");
+    assert!(
+        sched.store().get(job.id()).is_none(),
+        "the legacy spec is skipped"
+    );
+    let next = sched.submit(spec(1, 1, 1)).unwrap();
+    assert!(next.id() > job.id(), "a skipped job's id is not reused");
+    next.wait_terminal();
+    sched.shutdown();
+    drop(sched);
+
+    std::fs::write(&spec_path, wire).unwrap();
+    let ckpt = std::fs::read_to_string(&files.checkpoint).unwrap();
+    std::fs::write(&files.checkpoint, ckpt + "reuse.fidelity=memoized\n").unwrap();
+    let paused_csv = std::fs::read(&files.csv).unwrap();
+    let sched = JobScheduler::open(&dir.join("jobs"), 1).unwrap();
+    let job = sched.store().get(job.id()).expect("the spec parses");
     assert_eq!(job.status().state, JobState::Paused);
     sched.resume(job.id()).unwrap();
     let fin = job.wait_terminal();
-    assert_eq!(fin.state, JobState::Done, "{:?}", fin.error);
-    let plan = s.plan(&ParamSpace::paper()).unwrap();
-    let direct = dir.join("direct_idealized.csv");
-    let mut sink = CsvSink::create(&direct).unwrap();
-    Engine::idealized().run(&plan, &mut sink).unwrap();
-    drop(sink);
-    assert!(
-        std::fs::read(&files.csv).unwrap() == std::fs::read(&direct).unwrap(),
-        "resumed memoized-tier job diverged from the idealized run"
-    );
+    assert_eq!(fin.state, JobState::Failed);
+    let err = fin.error.unwrap_or_default();
+    assert!(err.contains("reuse.fidelity"), "{err}");
+    assert_eq!(std::fs::read(&files.csv).unwrap(), paused_csv);
     sched.shutdown();
     std::fs::remove_dir_all(&dir).ok();
 }
