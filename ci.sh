@@ -32,6 +32,7 @@
 #   explore round (perf): 17805 -> 17885
 #   a steer is a sink: 17885 -> 17876
 #   one sampler: 17876 -> 17874
+#   window ring, SQ ordinals, fetch slots (perf): 17874 -> 18023
 set -eux
 
 cd "$(dirname "$0")"
@@ -259,7 +260,9 @@ cargo test -q --offline --features check-invariants \
 
 # Differential-fuzz smoke: fixed campaign seed (0xA5C3_2024 baked into
 # FuzzConfig::default), 200 random KIR programs cross-checked between
-# the reference interpreter and the OoO core with invariants enabled.
+# the reference interpreter and the OoO core with invariants enabled;
+# each program's metrics run is repeated stepping every cycle
+# (simcore::set_fast_forward), and the two must be equal.
 # Deterministic: same seed, same programs, same verdict on every run.
 cargo test -q --offline --features check-invariants \
   --test differential_fuzz

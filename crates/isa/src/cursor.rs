@@ -4,11 +4,13 @@
 //! instruction stream one instruction at a time, without materialising the
 //! unrolled trace. Control flow is resolved with a per-depth iteration
 //! index array (see `program` module docs), and affine address expressions
-//! are evaluated against that array.
+//! are evaluated against that array. The walk yields compact
+//! [`FetchSlot`]s, which [`TraceCursor::next_instr`] expands.
 
 use crate::instr::{BranchInfo, DynInstr, MemRef};
 use crate::kir::MAX_LOOP_DEPTH;
-use crate::program::{OpRole, Program};
+use crate::program::{OpRole, Program, CODE_BASE};
+use crate::INSTR_BYTES;
 
 /// An iterator-like cursor producing the dynamic instruction stream.
 #[derive(Debug, Clone)]
@@ -18,8 +20,6 @@ pub struct TraceCursor<'p> {
     next: usize,
     /// Current iteration index per loop depth.
     idx: [u64; MAX_LOOP_DEPTH],
-    /// Dynamic instructions produced so far.
-    produced: u64,
 }
 
 impl<'p> TraceCursor<'p> {
@@ -29,38 +29,38 @@ impl<'p> TraceCursor<'p> {
             program,
             next: 0,
             idx: [0; MAX_LOOP_DEPTH],
-            produced: 0,
         }
     }
 
-    /// Number of dynamic instructions produced so far.
-    #[cfg(test)]
-    fn produced(&self) -> u64 {
-        self.produced
-    }
-
-    /// Whether the stream is exhausted.
+    /// Whether another dynamic instruction follows.
     #[inline]
-    pub(crate) fn finished(&self) -> bool {
-        self.next >= self.program.ops.len()
+    pub fn has_next(&self) -> bool {
+        self.next < self.program.ops.len()
     }
 
-    /// Produce the next dynamic instruction, or `None` at program end.
-    pub fn next_instr(&mut self) -> Option<DynInstr> {
-        if self.finished() {
+    /// The program counter of the next dynamic instruction, or `None` at
+    /// program end.
+    #[inline]
+    pub fn peek_pc(&self) -> Option<u64> {
+        self.has_next().then(|| self.program.pc_of(self.next))
+    }
+
+    /// The program being walked.
+    #[inline]
+    pub fn program(&self) -> &'p Program {
+        self.program
+    }
+
+    /// Produce the next dynamic instruction as a [`FetchSlot`], or `None`
+    /// at program end.
+    #[inline]
+    pub fn next_slot(&mut self) -> Option<FetchSlot> {
+        if !self.has_next() {
             return None;
         }
         let i = self.next;
         let sop = &self.program.ops[i];
-        let t = &sop.template;
-        let pc = self.program.pc_of(i);
-
-        let mem = t.mem.map(|m| MemRef {
-            addr: m.expr.eval(&self.idx[..]),
-            bytes: m.bytes,
-            kind: m.kind,
-            pattern: m.pattern,
-        });
+        let addr = sop.template.mem.map_or(0, |m| m.expr.eval(&self.idx[..]));
 
         let branch = match sop.role {
             OpRole::LoopBranch(id) => {
@@ -80,26 +80,70 @@ impl<'p> TraceCursor<'p> {
             _ => {
                 self.next = i + 1;
                 // Explicit (non-loop) branches in kernel bodies fall through.
-                if t.op.is_branch() {
-                    Some(BranchInfo {
-                        taken: false,
-                        target: pc + 4,
-                    })
-                } else {
-                    None
-                }
+                sop.template.op.is_branch().then(|| BranchInfo {
+                    taken: false,
+                    target: self.program.pc_of(i) + 4,
+                })
             }
         };
 
-        self.produced += 1;
-        Some(DynInstr {
-            pc,
+        Some(FetchSlot {
+            index: i,
+            addr,
+            branch,
+        })
+    }
+
+    /// Produce the next dynamic instruction, or `None` at program end.
+    pub fn next_instr(&mut self) -> Option<DynInstr> {
+        let program = self.program;
+        self.next_slot().map(|s| s.instr(program))
+    }
+}
+
+/// One dynamic instruction in 32 bytes: its static op and what the walk
+/// resolves; everything else is the op's template.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct FetchSlot {
+    /// Index of the static op in [`Program::ops`].
+    pub index: usize,
+    /// Resolved memory address (0 for an op without memory access).
+    pub addr: u64,
+    /// For branches: whether this instance is taken, and its target PC.
+    pub branch: Option<BranchInfo>,
+}
+
+impl FetchSlot {
+    /// The static op's program counter.
+    #[inline]
+    pub fn pc(&self) -> u64 {
+        CODE_BASE + self.index as u64 * INSTR_BYTES
+    }
+
+    /// The resolved memory reference, its shape read from `program`,
+    /// the program this slot was walked from.
+    #[inline]
+    pub fn mem(&self, program: &Program) -> Option<MemRef> {
+        let m = program.ops[self.index].template.mem?;
+        Some(MemRef {
+            addr: self.addr,
+            bytes: m.bytes,
+            kind: m.kind,
+            pattern: m.pattern,
+        })
+    }
+
+    /// The full dynamic instruction, operands read from `program`.
+    pub fn instr(&self, program: &Program) -> DynInstr {
+        let t = &program.ops[self.index].template;
+        DynInstr {
+            pc: self.pc(),
             op: t.op,
             dests: t.dests,
             srcs: t.srcs,
-            mem,
-            branch,
-        })
+            mem: self.mem(program),
+            branch: self.branch,
+        }
     }
 }
 
@@ -116,7 +160,6 @@ mod tests {
     use crate::instr::{InstrTemplate, MemKind};
     use crate::kir::{AddrExpr, Kernel, Stmt};
     use crate::op::OpClass;
-    use crate::program::CODE_BASE;
     use crate::reg::Reg;
 
     fn loop_kernel(trip: u64) -> Program {
@@ -216,12 +259,33 @@ mod tests {
     }
 
     #[test]
+    fn slots_name_their_op_and_peek_pc_names_the_next() {
+        let p = loop_kernel(2);
+        let mut c = TraceCursor::new(&p);
+        assert!(std::ptr::eq(c.program(), &p));
+        let mut pcs = Vec::new();
+        while let Some(pc) = c.peek_pc() {
+            assert!(c.has_next());
+            let slot = c.next_slot().expect("peeked");
+            assert_eq!(slot.pc(), pc);
+            assert_eq!(slot.instr(&p).op, p.ops[slot.index].template.op);
+            pcs.push(pc);
+        }
+        assert!(!c.has_next() && c.next_slot().is_none());
+        let walked: Vec<u64> = TraceCursor::new(&p).map(|d| d.pc).collect();
+        assert_eq!(pcs, walked);
+    }
+
+    #[test]
     fn cursor_exhausts_cleanly() {
         let p = loop_kernel(1);
         let mut c = TraceCursor::new(&p);
-        while c.next_instr().is_some() {}
-        assert!(c.finished());
+        let mut produced = 0;
+        while c.next_instr().is_some() {
+            produced += 1;
+        }
+        assert!(!c.has_next());
         assert!(c.next_instr().is_none());
-        assert_eq!(c.produced(), p.dynamic_len());
+        assert_eq!(produced, p.dynamic_len());
     }
 }

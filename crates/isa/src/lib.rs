@@ -43,7 +43,7 @@ pub mod program;
 pub mod reg;
 mod summary;
 
-pub use cursor::TraceCursor;
+pub use cursor::{FetchSlot, TraceCursor};
 pub use instr::InstrTemplate;
 pub use kir::{Kernel, Stmt};
 pub use op::OpClass;

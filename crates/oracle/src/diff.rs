@@ -13,7 +13,8 @@
 //!
 //! With the `check-invariants` feature enabled, every simulated cycle also
 //! runs the pipeline's structural invariant assertions, so a clean fuzz
-//! campaign certifies zero invariant violations across all its programs.
+//! campaign certifies zero invariant violations across all its programs,
+//! and repeats each metrics run stepping every cycle: it must be `==`.
 
 use crate::arch::ArchState;
 use crate::gen::{random_core_params, random_kernel, GenConfig};
@@ -123,6 +124,17 @@ pub(crate) fn check_kernel(
         ));
     }
     let metrics = backend.run(&program, core, mem, RunMode::Metrics);
+    #[cfg(feature = "check-invariants")]
+    {
+        armdse_simcore::set_fast_forward(false);
+        let stepped = backend.run(&program, core, mem, RunMode::Metrics);
+        armdse_simcore::set_fast_forward(true);
+        if stepped != metrics {
+            return Err(format!(
+                "fast-forward changed the run: {metrics:?} != {stepped:?}"
+            ));
+        }
+    }
     if metrics.stats != stats {
         return Err(format!(
             "metrics run perturbed the simulation: {:?} != {stats:?}",

@@ -151,7 +151,10 @@ impl EventQueue {
         // Same-cycle events were pushed in issue order, not sequence
         // order, and far events append after wheel events; one sort of
         // the (small) due batch restores the exact (t, seq) contract.
-        out.sort_unstable();
+        // Most batches already are in order: those skip the sort.
+        if !out.is_sorted() {
+            out.sort_unstable();
+        }
         self.drained_to = now.max(self.drained_to);
     }
 }

@@ -39,6 +39,8 @@ pub use backend::{RunMode, RunOutput, SimBackend};
 pub use counters::{Counters, CycleBucket};
 pub use multicore::{MultiCore, PerCoreMetrics};
 pub use params::CoreParams;
+#[cfg(feature = "check-invariants")]
+pub use pipeline::set_fast_forward;
 pub use reuse::{Memoized, ReuseStats, DEFAULT_INTERVAL_LEN};
 pub use stats::{SimStats, StallStats};
 
@@ -286,6 +288,63 @@ mod tests {
         }
         assert!(cursor.next_instr().is_none(), "trace shorter than program");
     }
+
+    /// FNV-1a over the `Debug` rendering of every instruction of a
+    /// stream, and its length.
+    fn stream_digest(stream: impl Iterator<Item = armdse_isa::instr::DynInstr>) -> (u64, u64) {
+        let mut h = armdse_memsim::fasthash::Fnv1a::new();
+        let mut n = 0;
+        for di in stream {
+            h.bytes(format!("{di:?}").as_bytes());
+            n += 1;
+        }
+        (h.finish(), n)
+    }
+
+    /// The core fetches compact slots and expands them only for the
+    /// commit log: every app's slot stream, expanded, is the instruction
+    /// stream the cursor produced when it built each instruction whole
+    /// (digests pinned from that walk).
+    #[test]
+    fn fetch_slots_expand_to_every_apps_instruction_stream() {
+        let mut digests = Vec::new();
+        for scale in [WorkloadScale::Tiny, WorkloadScale::Small] {
+            for vl in [128, 2048] {
+                for app in App::ALL {
+                    let w = build_workload(app, scale, vl);
+                    let mut cursor = armdse_isa::TraceCursor::new(&w.program);
+                    let slots = std::iter::from_fn(|| cursor.next_slot());
+                    let expanded = slots.map(|s| s.instr(&w.program));
+                    let digest = stream_digest(expanded);
+                    assert_eq!(digest.1, w.program.dynamic_len(), "{app:?}");
+                    digests.push(digest);
+                }
+            }
+        }
+        assert_eq!(digests, WHOLE_INSTRUCTION_DIGESTS);
+    }
+
+    /// `stream_digest` of each app's `TraceCursor::next_instr` stream
+    /// when that method built every instruction whole, in the test's
+    /// order: Tiny then Small, 128-bit then 2048-bit vectors, `App::ALL`.
+    const WHOLE_INSTRUCTION_DIGESTS: [(u64, u64); 16] = [
+        (7611514539334003363, 800),
+        (11023990724585261380, 322),
+        (14207187583750669619, 1078),
+        (9728008896648114525, 318),
+        (16441631358912844792, 50),
+        (13637410054711668680, 82),
+        (4224425391442738825, 966),
+        (9728008896648114525, 318),
+        (10701276101045105786, 12800),
+        (1300045113804844301, 2434),
+        (4338710820503815294, 14592),
+        (12851733169446630399, 9386),
+        (4651069356277616830, 800),
+        (12009043908318464344, 154),
+        (12463813986434843479, 13185),
+        (12851733169446630399, 9386),
+    ];
 
     #[test]
     fn no_run_hits_cycle_limit_on_sane_configs() {

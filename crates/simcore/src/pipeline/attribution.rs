@@ -67,7 +67,7 @@ impl Pipeline<'_> {
                 CycleBucket::RenameFreeList
             } else if !self.fetch_q.is_empty() {
                 CycleBucket::FrontendLatency
-            } else if self.pending_fetch.is_some() {
+            } else if self.cursor.has_next() {
                 CycleBucket::FetchStarved
             } else {
                 CycleBucket::Drain

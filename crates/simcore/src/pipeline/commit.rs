@@ -1,9 +1,7 @@
 //! Commit: in-order retirement of finished uops from the reorder buffer,
 //! up to the commit width per cycle.
 
-use super::lsq::store_entry;
 use super::{Pipeline, Stage};
-use crate::regfile::Seq;
 use armdse_isa::op::OpClass;
 
 impl Pipeline<'_> {
@@ -13,27 +11,15 @@ impl Pipeline<'_> {
         self.window.front().is_some_and(|u| u.stage == Stage::Done)
     }
 
-    /// Retire up to `commit_width` finished uops from the window front.
-    /// Returns the retire count and the oldest retired uop's class (the
-    /// inputs of the cycle-attribution pass).
+    /// Retire up to `commit_width` finished uops from the window front,
+    /// each read in place. Returns the retire count and the oldest
+    /// retired uop's class (the inputs of the cycle-attribution pass).
     #[inline]
     pub(super) fn commit(&mut self) -> (u32, Option<OpClass>) {
-        if !self.commit_ready() {
-            return (0, None);
-        }
-        // Batch commit: size the ready prefix of the ROB first, then
-        // drain it in one pass (one VecDeque ring adjustment instead of
-        // commit_width front/pop pairs).
-        let retiring = self
-            .window
-            .iter()
-            .take(self.params.commit_width as usize)
-            .take_while(|u| u.stage == Stage::Done)
-            .count();
-        let base = self.window_base;
+        let mut retiring = 0;
         let mut first_op = None;
-        for (i, u) in self.window.drain(..retiring).enumerate() {
-            let seq = base + i as Seq;
+        while retiring < self.params.commit_width && self.commit_ready() {
+            let u = &self.window[self.window.base];
             for d in &u.dests[..u.ndests as usize] {
                 self.rename.free_prev(*d);
             }
@@ -41,9 +27,10 @@ impl Pipeline<'_> {
                 self.lq_count -= 1;
             }
             if u.op.is_store() {
-                if let Some(e) = store_entry(&mut self.sq, seq) {
-                    e.committed = true;
-                }
+                let ord = u.sq_ord.expect("a dispatched store has its ordinal");
+                let e = &mut self.sq[(ord - self.sq_popped) as usize];
+                debug_assert_eq!(e.seq, self.window.base, "ordinal names another store");
+                e.committed = true;
             }
             if let Some(log) = &mut self.log {
                 log.retired();
@@ -54,11 +41,12 @@ impl Pipeline<'_> {
                 u.mem.map(|m| m.kind),
             );
             first_op.get_or_insert(u.op);
+            self.window.base += 1;
+            retiring += 1;
         }
-        self.window_base += retiring as Seq;
-        self.rob_count -= retiring as u32;
-        self.stats.retired += retiring as u64;
-        (retiring as u32, first_op)
+        self.rob_count -= retiring;
+        self.stats.retired += u64::from(retiring);
+        (retiring, first_op)
     }
 }
 
@@ -76,7 +64,7 @@ mod tests {
             p.place(OpClass::IntAlu, Stage::Done, None);
         }
         assert_eq!(p.commit(), (2, Some(OpClass::IntAlu)));
-        assert_eq!((p.window.len(), p.window_base, p.rob_count), (1, 2, 1));
+        assert_eq!((p.window.len(), p.window.base, p.rob_count), (1, 2, 1));
         assert_eq!(p.stats.retired, 2);
     }
 

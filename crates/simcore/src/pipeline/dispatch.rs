@@ -82,7 +82,8 @@ impl Pipeline<'_> {
                 self.lq_push(seq, &mem.expect("load has mem"));
             }
             if op.is_store() {
-                self.sq_push(seq, &mem.expect("store has mem"));
+                let ord = self.sq_push(seq, &mem.expect("store has mem"));
+                self.uop_mut(seq).sq_ord = Some(ord);
             }
         }
     }

@@ -1,6 +1,7 @@
 //! Fetch: the trace cursor's next instructions into the fetch queue, one
 //! aligned fetch block per cycle, or up to the frontend width while a
-//! hot loop streams from the loop buffer.
+//! hot loop streams from the loop buffer. The queue holds the cursor's
+//! compact slots; the next PC is peeked, never walked ahead.
 
 use super::Pipeline;
 use crate::params::FETCH_QUEUE_CAP;
@@ -11,7 +12,7 @@ impl Pipeline<'_> {
     /// cycle: the program is not exhausted and the queue has room.
     #[inline]
     pub(super) fn fetch_ready(&self) -> bool {
-        self.pending_fetch.is_some() && self.fetch_q.len() < FETCH_QUEUE_CAP
+        self.cursor.has_next() && self.fetch_q.len() < FETCH_QUEUE_CAP
     }
 
     /// Fetch's accounting for `cycles` cycles in its current mode: each
@@ -19,14 +20,14 @@ impl Pipeline<'_> {
     /// has room.
     #[inline]
     pub(super) fn count_loop_buffer(&mut self, cycles: u64) {
-        if self.pending_fetch.is_some() && self.loop_mode.is_some() {
+        if self.cursor.has_next() && self.loop_mode.is_some() {
             self.stats.stalls.loop_buffer_cycles += cycles;
         }
     }
 
     #[inline]
     pub(super) fn fetch(&mut self) {
-        let Some(next) = &self.pending_fetch else {
+        let Some(next_pc) = self.cursor.peek_pc() else {
             return;
         };
         let in_loop = self.loop_mode.is_some();
@@ -36,8 +37,8 @@ impl Pipeline<'_> {
             // Instructions available in the aligned fetch-block window
             // containing the next PC.
             let fb = u64::from(self.params.fetch_block_bytes);
-            let window_end = (next.pc & !(fb - 1)) + fb;
-            ((window_end - next.pc) / INSTR_BYTES) as usize
+            let window_end = (next_pc & !(fb - 1)) + fb;
+            ((window_end - next_pc) / INSTR_BYTES) as usize
         };
         self.count_loop_buffer(1);
 
@@ -45,13 +46,12 @@ impl Pipeline<'_> {
             if !self.fetch_ready() {
                 break;
             }
-            let di = self.pending_fetch.take().expect("fetch_ready");
-            self.pending_fetch = self.cursor.next_instr();
-            let taken = di.branch.map(|b| b.taken).unwrap_or(false);
-            let pc = di.pc;
-            self.fetch_q.push_back(di);
+            let slot = self.cursor.next_slot().expect("fetch_ready");
+            let taken = slot.branch.is_some_and(|b| b.taken);
+            let pc = slot.pc();
+            self.fetch_q.push_back(slot);
 
-            if let Some(b) = di.branch {
+            if let Some(b) = slot.branch {
                 if b.taken && b.target < pc {
                     let body_len = (pc - b.target) / INSTR_BYTES + 1;
                     if body_len <= u64::from(self.params.loop_buffer_size) {
@@ -76,8 +76,8 @@ impl Pipeline<'_> {
                 break;
             }
             // Fell out of the loop-buffer range: drop back to block fetch.
-            if let (Some((lo, hi)), Some(next)) = (self.loop_mode, self.pending_fetch.as_ref()) {
-                if next.pc < lo || next.pc > hi {
+            if let (Some((lo, hi)), Some(next)) = (self.loop_mode, self.cursor.peek_pc()) {
+                if next < lo || next > hi {
                     self.loop_mode = None;
                     self.loop_candidate = None;
                     break;
@@ -111,7 +111,7 @@ mod tests {
             p.fetch();
         }
         assert_eq!(p.fetch_q.len(), crate::params::FETCH_QUEUE_CAP);
-        assert!(p.pending_fetch.is_some(), "the program is not exhausted");
+        assert!(p.cursor.has_next(), "the program is not exhausted");
         p.fetch();
         assert_eq!(p.fetch_q.len(), crate::params::FETCH_QUEUE_CAP);
     }

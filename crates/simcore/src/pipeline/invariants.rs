@@ -23,6 +23,7 @@ impl Pipeline<'_> {
             ("store queue", self.sq.len(), p.store_queue as usize),
             ("rename buffer", self.rename_q.len(), RENAME_BUFFER_CAP),
             ("fetch queue", self.fetch_q.len(), FETCH_QUEUE_CAP),
+            ("window ring", self.window.len(), self.window.mask + 1),
         ] {
             assert!(
                 held <= cap,
@@ -69,9 +70,16 @@ impl Pipeline<'_> {
         // In-order commit: the ROB pops only from the front, so the number
         // of retired instructions must equal the oldest in-flight sequence
         // number. Any out-of-order commit breaks this equality.
+        let w = &self.window;
         assert_eq!(
-            self.stats.retired, self.window_base,
+            self.stats.retired, w.base,
             "cycle {now}: retired count diverged from the commit frontier"
+        );
+        // The window holds the ROB and the rename buffer, no more.
+        assert_eq!(
+            w.len(),
+            self.rob_count as usize + self.rename_q.len(),
+            "cycle {now}: window out of sync with the ROB and rename buffer"
         );
 
         // The load-queue counter must agree with the dispatched, not yet
@@ -87,7 +95,7 @@ impl Pipeline<'_> {
         // uncommitted entries must be the dispatched stores in the window.
         let mut prev: Option<Seq> = None;
         let mut seen_uncommitted = false;
-        for e in &self.sq {
+        for (i, e) in self.sq.iter().enumerate() {
             assert!(
                 prev.is_none_or(|ps| e.seq > ps),
                 "cycle {now}: store queue out of program order ({} after {prev:?})",
@@ -101,10 +109,10 @@ impl Pipeline<'_> {
                     e.seq
                 );
                 assert!(
-                    e.seq < self.window_base,
+                    e.seq < w.base,
                     "cycle {now}: store {} committed ahead of the ROB frontier {}",
                     e.seq,
-                    self.window_base
+                    w.base
                 );
                 assert!(
                     e.data_ready,
@@ -114,9 +122,14 @@ impl Pipeline<'_> {
             } else {
                 seen_uncommitted = true;
                 assert!(
-                    e.seq >= self.window_base,
+                    e.seq >= w.base,
                     "cycle {now}: uncommitted store {} already retired",
                     e.seq
+                );
+                let ord = Some(self.sq_popped + i as u64);
+                assert_eq!(
+                    w[e.seq].sq_ord, ord,
+                    "cycle {now}: store {i} of the SQ misfiled"
                 );
             }
             // The store-span bounding box must cover every resident entry
@@ -154,7 +167,7 @@ impl Pipeline<'_> {
         // flight (renamed, not yet committed) must cover every physical
         // register exactly once, and freed registers must be clean.
         let mut in_flight = [0usize; 4];
-        for u in &self.window {
+        for u in w.iter() {
             for d in &u.dests[..u.ndests as usize] {
                 in_flight[d.class.index()] += 1;
             }

@@ -8,13 +8,16 @@
 //! order), that store's span and scatter bit never change, its data only
 //! becomes ready, and the SQ drains from its front, so every later
 //! verdict reads that one entry instead of walking the SQ.
+//!
+//! Stores are named by SQ ordinal: the number of entries pushed before
+//! them. The SQ pops only from its front, so ordinal `k` sits at index
+//! `k - sq_popped` while queued and has drained once `k < sq_popped`.
 
 use super::{Pipeline, Stage};
 use crate::params::{CoreParams, MIN_FORWARD_LATENCY};
 use crate::regfile::Seq;
 use armdse_isa::instr::{MemPattern, MemRef};
 use armdse_memsim::{split_lines, Hierarchy};
-use std::collections::VecDeque;
 
 /// The store-queue bounding box of an empty SQ: no load overlaps it.
 pub(super) const EMPTY_SPAN: (u64, u64) = (u64::MAX, 0);
@@ -164,14 +167,6 @@ impl SqEntry {
     }
 }
 
-/// The entry of store `seq`, if it is still queued. The SQ is in program
-/// order, so it is a binary search on `seq`.
-#[inline]
-pub(super) fn store_entry(sq: &mut VecDeque<SqEntry>, seq: Seq) -> Option<&mut SqEntry> {
-    let i = sq.binary_search_by(|e| e.seq.cmp(&seq)).ok()?;
-    Some(&mut sq[i])
-}
-
 /// Byte span `[lo, hi)` an access may touch.
 fn span_of(m: &MemRef) -> (u64, u64) {
     match m.pattern {
@@ -223,9 +218,9 @@ impl Pipeline<'_> {
     }
 
     /// Allocate store `seq`'s SQ entry at dispatch and grow the SQ
-    /// bounding box over its span.
+    /// bounding box over its span. Returns the store's ordinal.
     #[inline]
-    pub(super) fn sq_push(&mut self, seq: Seq, m: &MemRef) {
+    pub(super) fn sq_push(&mut self, seq: Seq, m: &MemRef) -> u64 {
         let (span_lo, span_hi) = span_of(m);
         self.sq_span = (self.sq_span.0.min(span_lo), self.sq_span.1.max(span_hi));
         self.sq.push_back(SqEntry {
@@ -237,44 +232,40 @@ impl Pipeline<'_> {
             committed: false,
             plan: RequestPlan::new(m, self.mem.line_bytes()),
         });
+        self.sq_popped + self.sq.len() as u64 - 1
     }
 
     /// Allocate load `seq`'s LQ slot at dispatch and remember the
-    /// youngest queued store that overlaps its span (every queued store
-    /// is older). A span that misses the SQ bounding box skips the walk.
+    /// ordinal of the youngest queued store that overlaps its span
+    /// (every queued store is older). A span that misses the SQ bounding
+    /// box skips the walk.
     #[inline]
     pub(super) fn lq_push(&mut self, seq: Seq, m: &MemRef) {
         self.lq_count += 1;
         let (lo, hi) = span_of(m);
         let in_box = lo < self.sq_span.1 && self.sq_span.0 < hi;
-        self.uop_mut(seq).hazard = if in_box {
-            self.sq
-                .iter()
-                .rev()
-                .find(|e| e.overlaps(lo, hi))
-                .map(|e| e.seq)
+        let hazard = if in_box {
+            self.sq.iter().rposition(|e| e.overlaps(lo, hi))
         } else {
             None
         };
+        self.uop_mut(seq).sq_ord = hazard.map(|i| self.sq_popped + i as u64);
     }
 
     /// Load `seq`'s store hazard this cycle, read from its remembered
-    /// store in O(log SQ). Once that store has drained, every older one
+    /// store by ordinal. Once that store has drained, every older one
     /// has too: the load is clear.
     #[inline]
     pub(super) fn store_hazard(&self, seq: Seq) -> StoreHazard {
         let u = self.uop(seq);
-        let Some(store) = u.hazard else {
-            return StoreHazard::Clear;
-        };
-        let Ok(i) = self.sq.binary_search_by(|e| e.seq.cmp(&store)) else {
+        let Some(i) = u.sq_ord.and_then(|ord| ord.checked_sub(self.sq_popped)) else {
             return StoreHazard::Clear;
         };
         let m = u.mem.expect("load has mem");
         let (lo, hi) = span_of(&m);
         // Gathers never forward: their elements cannot all come from one
         // store's data.
-        let e = &self.sq[i];
+        let e = &self.sq[i as usize];
         if matches!(m.pattern, MemPattern::Contiguous) && e.data_ready && e.covers(lo, hi) {
             StoreHazard::Forward
         } else {
@@ -300,6 +291,7 @@ impl Pipeline<'_> {
                 break; // budget exhausted
             }
             self.sq.pop_front();
+            self.sq_popped += 1;
             if self.sq.is_empty() {
                 self.sq_span = EMPTY_SPAN;
             }
@@ -331,7 +323,7 @@ impl Pipeline<'_> {
                 }
                 StoreHazard::Clear => {}
             }
-            let u = &mut self.window[(seq - self.window_base) as usize];
+            let u = &mut self.window[seq];
             let had = u.plan.left;
             let complete = u.plan.issue(false, &mut budget, &mut self.mem, line, now);
             u.mem_complete = u.mem_complete.max(complete);
@@ -516,6 +508,50 @@ mod tests {
         assert!(p.sq.is_empty() && p.pending_loads.is_empty());
         assert_eq!(p.uop(load).stage, Stage::MemWait);
         assert_eq!(p.mem.stats().requests, 3, "the load went to memory");
+    }
+
+    #[test]
+    fn stores_are_found_by_ordinal_after_drains() {
+        // Three stores drain; the fourth, ordinal 3, is then the SQ's
+        // front. A load behind it names it, blocks on it, forwards once
+        // its data is written back, and reads clear once it drains, its
+        // ordinal then below the drained count.
+        let mut p = machine(0);
+        for i in 0..3 {
+            let m = access(MemKind::Store, 0x1000 * i, 8);
+            p.place(OpClass::Store, Stage::Done, Some(m));
+        }
+        p.commit();
+        for _ in 0..3 {
+            p.lsq_memory(); // one store request per cycle
+        }
+        assert_eq!((p.sq.len(), p.sq_popped), (0, 3));
+        let store = p.place(
+            OpClass::Store,
+            Stage::Issued,
+            Some(access(MemKind::Store, 0x100, 16)),
+        );
+        let load = p.place(
+            OpClass::Load,
+            Stage::PendingMem,
+            Some(access(MemKind::Load, 0x108, 8)),
+        );
+        assert_eq!(
+            (p.uop(store).sq_ord, p.uop(load).sq_ord),
+            (Some(3), Some(3))
+        );
+        assert_eq!(p.store_hazard(load), StoreHazard::Blocked);
+        p.done.push(p.now + 1, store);
+        p.now += 1;
+        p.writeback();
+        assert!(p.sq[0].data_ready, "found by ordinal after three drains");
+        assert_eq!(p.store_hazard(load), StoreHazard::Forward);
+        p.commit();
+        p.lsq_memory();
+        assert_eq!((p.sq.len(), p.sq_popped), (0, 4));
+        let m = access(MemKind::Load, 0x108, 8);
+        assert_eq!(p.store_hazard(load), StoreHazard::Clear);
+        assert_eq!(p.classify_against_stores(load, &m), StoreHazard::Clear);
     }
 
     #[test]

@@ -31,10 +31,12 @@ use crate::stats::SimStats;
 use armdse_isa::instr::{DynInstr, MemRef};
 use armdse_isa::op::{OpClass, PortClass};
 use armdse_isa::reg::RegClass;
-use armdse_isa::{Program, TraceCursor};
+use armdse_isa::{FetchSlot, Program, TraceCursor};
 use armdse_memsim::Hierarchy;
 use lsq::{RequestPlan, SqEntry, EMPTY_SPAN};
+use std::cell::RefCell;
 use std::collections::VecDeque;
+use std::ops::{Index, IndexMut};
 
 mod attribution;
 mod commit;
@@ -78,10 +80,99 @@ struct Uop {
     /// Loads: the line requests still to issue.
     plan: RequestPlan,
     mem_complete: u64,
-    /// Loads: the youngest older store overlapping the load at its
-    /// dispatch, the one store its hazard verdict reads (`None`: no
-    /// store can block it).
-    hazard: Option<Seq>,
+    /// The SQ ordinal, given at dispatch, of the store this uop's memory
+    /// stage reads: a store's own; a load's youngest older overlapping
+    /// store (`None`: no store can block it).
+    sq_ord: Option<u64>,
+}
+
+/// The in-flight window: uops `base..next`, oldest first, in a ring of
+/// `mask + 1` slots (a power of two), uop `seq` at `seq & mask`. Slots
+/// outside the live range are stale and never read. The ring is
+/// recycled per thread and grows into a slot on its first use.
+struct Window {
+    ring: Vec<Uop>,
+    mask: usize,
+    base: Seq,
+    next: Seq,
+}
+
+thread_local! {
+    static RINGS: RefCell<Vec<Vec<Uop>>> = const { RefCell::new(Vec::new()) };
+}
+
+impl Window {
+    fn new(cap: usize) -> Window {
+        Window {
+            ring: RINGS.with(|r| r.borrow_mut().pop()).unwrap_or_default(),
+            mask: cap.next_power_of_two() - 1,
+            base: 0,
+            next: 0,
+        }
+    }
+
+    #[cfg(any(test, feature = "check-invariants"))]
+    fn len(&self) -> usize {
+        (self.next - self.base) as usize
+    }
+
+    fn is_empty(&self) -> bool {
+        self.base == self.next
+    }
+
+    #[inline]
+    fn front(&self) -> Option<&Uop> {
+        (!self.is_empty()).then(|| &self[self.base])
+    }
+
+    #[cfg(any(test, feature = "check-invariants"))]
+    fn iter(&self) -> impl Iterator<Item = &Uop> {
+        (self.base..self.next).map(|seq| &self[seq])
+    }
+
+    #[inline]
+    fn push(&mut self, u: Uop) {
+        match self.ring.get_mut(self.next as usize & self.mask) {
+            Some(slot) => *slot = u,
+            None => self.ring.push(u),
+        }
+        self.next += 1;
+    }
+}
+
+impl Index<Seq> for Window {
+    type Output = Uop;
+    #[inline]
+    fn index(&self, seq: Seq) -> &Uop {
+        &self.ring[seq as usize & self.mask]
+    }
+}
+
+impl IndexMut<Seq> for Window {
+    #[inline]
+    fn index_mut(&mut self, seq: Seq) -> &mut Uop {
+        &mut self.ring[seq as usize & self.mask]
+    }
+}
+
+impl Drop for Window {
+    fn drop(&mut self) {
+        let ring = std::mem::take(&mut self.ring);
+        let _ = RINGS.try_with(|r| r.borrow_mut().push(ring));
+    }
+}
+
+#[cfg(feature = "check-invariants")]
+thread_local! {
+    static FAST_FORWARD: std::cell::Cell<bool> = const { std::cell::Cell::new(true) };
+}
+
+/// Whether machines built on this thread from now on skip idle cycles
+/// (the default) or step every one; the fuzz lane runs both to check
+/// that the skip is exact. `check-invariants` builds only.
+#[cfg(feature = "check-invariants")]
+pub fn set_fast_forward(on: bool) {
+    FAST_FORWARD.with(|f| f.set(on));
 }
 
 /// Commit-order record of retired instructions, kept only when tracing
@@ -115,19 +206,15 @@ pub(crate) struct Pipeline<'p> {
     params: CoreParams,
     mem: Hierarchy,
     cursor: TraceCursor<'p>,
-    /// One-instruction lookahead between the cursor and fetch.
-    pending_fetch: Option<DynInstr>,
     now: u64,
 
     // Frontend.
-    fetch_q: VecDeque<DynInstr>,
+    fetch_q: VecDeque<FetchSlot>,
     loop_mode: Option<(u64, u64)>,
     loop_candidate: Option<u64>,
 
-    // In-flight window: uops from `window_base` (oldest, next to commit).
-    window: VecDeque<Uop>,
-    window_base: Seq,
-    next_seq: Seq,
+    /// Renamed, not yet retired uops: the ROB plus the rename buffer.
+    window: Window,
     rename: RenameUnit,
     rename_q: VecDeque<Seq>,
 
@@ -164,7 +251,10 @@ pub(crate) struct Pipeline<'p> {
 
     // LSQ.
     lq_count: u32,
+    /// In program order: entry `i` has ordinal `sq_popped + i`.
     sq: VecDeque<SqEntry>,
+    /// SQ entries drained so far: a lower ordinal has drained.
+    sq_popped: u64,
     /// Conservative bounding box over the byte spans of every store
     /// currently in the SQ: grows on dispatch, resets only when the SQ
     /// drains empty (pops leave it stale-but-conservative). A load
@@ -218,8 +308,6 @@ impl<'p> Pipeline<'p> {
     ) -> Pipeline<'p> {
         params.validate().expect("core parameters must validate");
         let params = *params;
-        let mut cursor = TraceCursor::new(program);
-        let pending_fetch = cursor.next_instr();
         Pipeline {
             rename: RenameUnit::new(RegClass::ALL.map(|c| params.phys_regs(c))),
             port_busy: [
@@ -231,15 +319,12 @@ impl<'p> Pipeline<'p> {
             .map(|c| std::array::from_fn(|i| if i < c.default_count() { 0 } else { u64::MAX })),
             params,
             mem,
-            cursor,
-            pending_fetch,
+            cursor: TraceCursor::new(program),
             now: 0,
             fetch_q: VecDeque::with_capacity(FETCH_QUEUE_CAP),
             loop_mode: None,
             loop_candidate: None,
-            window: VecDeque::with_capacity(params.rob_size as usize + RENAME_BUFFER_CAP),
-            window_base: 0,
-            next_seq: 0,
+            window: Window::new(params.rob_size as usize + RENAME_BUFFER_CAP),
             rename_q: VecDeque::with_capacity(RENAME_BUFFER_CAP),
             rs_count: 0,
             ready_q: std::array::from_fn(|_| VecDeque::with_capacity(RS_SIZE)),
@@ -248,6 +333,7 @@ impl<'p> Pipeline<'p> {
             done: EventQueue::new(),
             lq_count: 0,
             sq: VecDeque::with_capacity(params.store_queue as usize),
+            sq_popped: 0,
             sq_span: EMPTY_SPAN,
             pending_loads: VecDeque::new(),
             completed_loads: VecDeque::new(),
@@ -255,7 +341,10 @@ impl<'p> Pipeline<'p> {
             counters: (mode == RunMode::Metrics).then(|| Box::new(Counters::new(&params))),
             mem_budget_exhausted: false,
             rename_blocked: false,
+            #[cfg(not(feature = "check-invariants"))]
             fast_forward: true,
+            #[cfg(feature = "check-invariants")]
+            fast_forward: FAST_FORWARD.get(),
             scratch_woken: Vec::new(),
             scratch_due: Vec::new(),
             stats: SimStats::default(),
@@ -264,12 +353,12 @@ impl<'p> Pipeline<'p> {
 
     #[inline]
     fn uop(&self, seq: Seq) -> &Uop {
-        &self.window[(seq - self.window_base) as usize]
+        &self.window[seq]
     }
 
     #[inline]
     fn uop_mut(&mut self, seq: Seq) -> &mut Uop {
-        &mut self.window[(seq - self.window_base) as usize]
+        &mut self.window[seq]
     }
 
     /// The one cycle loop: step until the run finishes or the clock
@@ -333,7 +422,7 @@ impl<'p> Pipeline<'p> {
     /// Whether the run has completed (all instructions fetched, retired,
     /// and every store drained to memory).
     pub(crate) fn finished(&self) -> bool {
-        self.pending_fetch.is_none()
+        !self.cursor.has_next()
             && self.fetch_q.is_empty()
             && self.window.is_empty()
             && self.sq.is_empty()
@@ -655,6 +744,42 @@ mod tests {
         }
     }
 
+    // ------------------------------------------------------ window ring
+
+    /// Sequence numbers run twenty times round the window's ring, whose
+    /// 32 slots are exactly a 16-entry ROB plus the rename buffer, and
+    /// the ring is full whenever a divide holds commit up: no two
+    /// in-flight uops may share a slot, so every retired op is the one
+    /// renamed (the observed mix is the program's, divides included).
+    #[test]
+    fn the_window_wraps_its_ring_through_full_occupancy() {
+        let div = InstrTemplate::compute(OpClass::IntDiv, &[Reg::gp(0)], &[Reg::gp(0)]);
+        let mut body = vec![Stmt::Instr(div)];
+        body.extend((1..14).map(|i| {
+            let alu = InstrTemplate::compute(OpClass::IntAlu, &[Reg::gp(i)], &[Reg::gp(16)]);
+            Stmt::Instr(alu)
+        }));
+        let program = Program::lower(&Kernel::new("ring", vec![Stmt::repeat(40, body)]));
+        let core = CoreParams {
+            rob_size: 16,
+            ..CoreParams::thunderx2()
+        };
+        let mem = Hierarchy::new(Backside::shared(MemParams::thunderx2(), 0), 0);
+        let mut p = Pipeline::new(&program, &core, mem, RunMode::Plain);
+        let cap = p.window.mask + 1;
+        assert_eq!(cap, 16 + RENAME_BUFFER_CAP);
+        let mut full = 0;
+        while !p.finished() {
+            p.step();
+            let w = &p.window;
+            assert_eq!(w.len(), p.rob_count as usize + p.rename_q.len());
+            full += u32::from(w.len() == cap);
+        }
+        assert!(full > 40, "the ring filled in only {full} cycles");
+        assert_eq!(p.window.next, 640);
+        assert_eq!(p.stats.observed, armdse_isa::OpSummary::of(&program));
+    }
+
     // ------------------------------------------ hand-built machine states
 
     /// A ThunderX2 core over the default hierarchy, before cycle 0, about
@@ -694,13 +819,12 @@ mod tests {
         /// data ready, one at `Done` is still uncommitted. Memory ops
         /// take `mem`.
         pub(super) fn place(&mut self, op: OpClass, stage: Stage, mem: Option<MemRef>) -> Seq {
-            let seq = self.next_seq;
-            self.next_seq += 1;
+            let seq = self.window.next;
             let plan = match mem {
                 Some(m) if op.is_load() => RequestPlan::new(&m, self.mem.line_bytes()),
                 _ => RequestPlan::default(),
             };
-            self.window.push_back(Uop {
+            self.window.push(Uop {
                 op,
                 stage,
                 dests: [RenamedDest {
@@ -713,7 +837,7 @@ mod tests {
                 mem,
                 plan,
                 mem_complete: 0,
-                hazard: None,
+                sq_ord: None,
             });
             if stage == Stage::Renamed {
                 self.rename_q.push_back(seq);
@@ -728,7 +852,8 @@ mod tests {
                 self.lq_push(seq, &mem.expect("load has mem"));
             }
             if op.is_store() {
-                self.sq_push(seq, &mem.expect("store has mem"));
+                let ord = self.sq_push(seq, &mem.expect("store has mem"));
+                self.uop_mut(seq).sq_ord = Some(ord);
                 self.sq.back_mut().expect("pushed").data_ready =
                     !matches!(stage, Stage::InRs | Stage::Issued);
             }

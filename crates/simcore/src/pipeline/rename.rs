@@ -28,10 +28,12 @@ impl Pipeline<'_> {
         }
         match self.fetch_q.front() {
             None => Some(RenameBlock::Starved),
-            Some(di) => self
-                .rename
-                .blocked_class(di.dests.as_slice())
-                .map(RenameBlock::FreeList),
+            Some(slot) => {
+                let t = &self.cursor.program().ops[slot.index].template;
+                self.rename
+                    .blocked_class(t.dests.as_slice())
+                    .map(RenameBlock::FreeList)
+            }
         }
     }
 
@@ -43,7 +45,7 @@ impl Pipeline<'_> {
         match block {
             RenameBlock::BufferFull => {}
             RenameBlock::Starved => {
-                if self.pending_fetch.is_some() || !self.window.is_empty() {
+                if self.cursor.has_next() || !self.window.is_empty() {
                     self.stats.stalls.fetch_starved += cycles;
                 }
             }
@@ -61,16 +63,17 @@ impl Pipeline<'_> {
                 self.charge_rename(block, 1);
                 break;
             }
-            let di = self.fetch_q.pop_front().expect("rename_block saw a front");
-            let seq = self.next_seq;
-            self.next_seq += 1;
+            let slot = self.fetch_q.pop_front().expect("rename_block saw a front");
+            let program = self.cursor.program();
+            let t = &program.ops[slot.index].template;
+            let seq = self.window.next;
             if let Some(log) = &mut self.log {
-                log.renamed(di);
+                log.renamed(slot.instr(program));
             }
 
             // Resolve sources first (reads see the pre-rename mapping).
             let mut srcs_remaining = 0u8;
-            for s in di.srcs.iter() {
+            for s in t.srcs.iter() {
                 let (_, ready) = self.rename.resolve_src(s, seq);
                 if !ready {
                     srcs_remaining += 1;
@@ -83,27 +86,28 @@ impl Pipeline<'_> {
                 prev: 0,
             }; 2];
             let mut ndests = 0u8;
-            for d in di.dests.iter() {
+            for d in t.dests.iter() {
                 dests[ndests as usize] = self.rename.rename_dest(d);
                 ndests += 1;
             }
 
             // Request-issue plan for loads.
-            let plan = match di.mem {
-                Some(m) if di.op.is_load() => RequestPlan::new(&m, self.mem.line_bytes()),
+            let mem = slot.mem(program);
+            let plan = match mem {
+                Some(m) if t.op.is_load() => RequestPlan::new(&m, self.mem.line_bytes()),
                 _ => RequestPlan::default(),
             };
 
-            self.window.push_back(Uop {
-                op: di.op,
+            self.window.push(Uop {
+                op: t.op,
                 stage: Stage::Renamed,
                 dests,
                 ndests,
                 srcs_remaining,
-                mem: di.mem,
+                mem,
                 plan,
                 mem_complete: 0,
-                hazard: None,
+                sq_ord: None,
             });
             self.rename_q.push_back(seq);
         }

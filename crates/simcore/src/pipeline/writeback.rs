@@ -2,7 +2,6 @@
 //! completion moves it on to the memory stage), loads with data take
 //! LSQ completion slots, and finished producers wake their consumers.
 
-use super::lsq::store_entry;
 use super::{Pipeline, Stage};
 use crate::regfile::Seq;
 
@@ -46,10 +45,12 @@ impl Pipeline<'_> {
             } else if op.is_store() {
                 // Store executed: data+address ready; completes in ROB now,
                 // memory write happens post-commit.
-                self.uop_mut(seq).stage = Stage::Done;
-                if let Some(e) = store_entry(&mut self.sq, seq) {
-                    e.data_ready = true;
-                }
+                let u = self.uop_mut(seq);
+                u.stage = Stage::Done;
+                let ord = u.sq_ord.expect("a dispatched store has its ordinal");
+                let e = &mut self.sq[(ord - self.sq_popped) as usize];
+                debug_assert_eq!(e.seq, seq, "ordinal names another store");
+                e.data_ready = true;
             } else {
                 self.finish_uop(seq, &mut woken);
             }
@@ -74,7 +75,7 @@ impl Pipeline<'_> {
     /// their waiters in `woken`.
     #[inline]
     fn finish_uop(&mut self, seq: Seq, woken: &mut Vec<Seq>) {
-        let u = &mut self.window[(seq - self.window_base) as usize];
+        let u = &mut self.window[seq];
         u.stage = Stage::Done;
         for d in &u.dests[..u.ndests as usize] {
             self.rename.complete(d.class, d.phys, woken);

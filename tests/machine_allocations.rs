@@ -1,7 +1,8 @@
 //! The heap cost of building a machine is paid once per worker thread,
 //! not once per job: a thread that has run one job keeps its caches'
-//! tag arrays, its hierarchy's fill maps, its rename files and its
-//! event wheel, and the next job of no larger geometry reuses them.
+//! tag arrays, its hierarchy's fill maps, its rename files, its event
+//! wheel and its in-flight window's ring, and the next job of no larger
+//! geometry reuses them.
 //! What is left is pinned here exactly, allocation by allocation, so a
 //! change that puts a per-job allocation back on the run path fails
 //! this test instead of only showing up as served-job CPU.
@@ -75,13 +76,13 @@ fn counted_run(app: App, scale: WorkloadScale, core: &CoreParams, mem: &MemParam
 /// * the machine's `Vec` of pipelines, which the per-core outputs then
 ///   reuse in place (1);
 /// * the pipeline's queues sized from its parameters: fetch queue,
-///   in-flight window, rename buffer, the four per-port-class ready
-///   queues and the store queue (8);
+///   rename buffer, the four per-port-class ready queues and the store
+///   queue (7);
 /// * its queues and scratch buffers that grow on first use: pending and
 ///   completed loads, woken waiters and due events (4).
 ///
-/// None is zero-filled, and together they are about 33 KB.
-const PER_JOB: u64 = 14;
+/// None is zero-filled, and together they are about 10 KB.
+const PER_JOB: u64 = 13;
 
 #[test]
 fn a_warm_thread_builds_machines_without_zeroing() {
