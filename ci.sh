@@ -33,6 +33,7 @@
 #   a steer is a sink: 17885 -> 17876
 #   one sampler: 17876 -> 17874
 #   window ring, SQ ordinals, fetch slots (perf): 17874 -> 18023
+#   one JSON writer, no rename queue: 18023 -> 18145
 set -eux
 
 cd "$(dirname "$0")"
@@ -56,6 +57,19 @@ SAMPLERS=$(find crates/*/src -name '*.rs' ! -path crates/core/src/space.rs \
 if [ -n "$SAMPLERS" ]; then
   echo "FAIL: sample_seeded outside space.rs and engine.rs (ask a RunPlan):" >&2
   echo "$SAMPLERS" >&2
+  exit 1
+fi
+# One JSON writer: every artifact and wire body is built by
+# `core::json`'s writer, whose numbers and strings always read back
+# through `parse_json` (tests/json_readback.rs). Outside json.rs no
+# non-test code formats JSON itself: none names the escaper or
+# `json_num`, and no string literal holds a `\"key\":` pair.
+JSON_SITES=$(find crates/*/src -name '*.rs' ! -path crates/core/src/json.rs -print0 | \
+  xargs -0 awk 'FNR==1{t=0} /^#\[cfg\(test\)\]/{t=1}
+  !t && !/^[[:space:]]*\/\// && (/write_json_string|json_num/ || /\\"[^"\\]*\\":/) {print FILENAME": "$0}')
+if [ -n "$JSON_SITES" ]; then
+  echo "FAIL: JSON formatted outside crates/core/src/json.rs (use its writer):" >&2
+  echo "$JSON_SITES" >&2
   exit 1
 fi
 # tests/public_api.rs pins every crate's public surface: on a change it

@@ -6,7 +6,7 @@
 //! lines, and the three renderers keep `repro` artifacts diffable
 //! (text), machine-readable (CSV), and self-describing (JSON).
 
-use armdse_core::json::write_json_string;
+use armdse_core::json::{self, Layout, ToJson};
 
 /// A rendered experiment artifact: one titled table plus free-form
 /// notes (footer lines such as headline summaries).
@@ -60,22 +60,18 @@ impl Table {
     /// Render as a JSON object:
     /// `{"title": ..., "headers": [...], "rows": [[...]], "notes": [...]}`.
     pub fn to_json(&self) -> String {
-        let mut out = String::from("{");
-        out.push_str("\"title\":");
-        write_json_string(&self.title, &mut out);
-        out.push_str(",\"headers\":");
-        json_string_array(&self.headers, &mut out);
-        out.push_str(",\"rows\":[");
-        for (i, row) in self.rows.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            json_string_array(row, &mut out);
-        }
-        out.push_str("],\"notes\":");
-        json_string_array(&self.notes, &mut out);
-        out.push('}');
-        out
+        self.json().render()
+    }
+
+    /// The compact JSON object [`Table::to_json`] renders.
+    fn json(&self) -> impl ToJson + '_ {
+        let rows = self.rows.iter().map(|r| json::array(Layout::Compact, r));
+        json::object(Layout::Compact, move |o| {
+            o.field("title", &self.title);
+            o.field("headers", json::array(Layout::Compact, &self.headers));
+            o.field("rows", json::array(Layout::Compact, rows.clone()));
+            o.field("notes", json::array(Layout::Compact, &self.notes));
+        })
     }
 }
 
@@ -116,26 +112,7 @@ pub fn discarded_table(discarded: &[armdse_core::dataset::DiscardedRun]) -> Tabl
 
 /// Render several tables as one JSON array.
 pub fn tables_to_json(tables: &[Table]) -> String {
-    let mut out = String::from("[");
-    for (i, t) in tables.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&t.to_json());
-    }
-    out.push(']');
-    out
-}
-
-fn json_string_array(items: &[String], out: &mut String) {
-    out.push('[');
-    for (i, s) in items.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        write_json_string(s, out);
-    }
-    out.push(']');
+    json::array(Layout::Compact, tables.iter().map(Table::json)).render()
 }
 
 /// Render an aligned text table.

@@ -101,6 +101,7 @@ use crate::engine::{
 };
 use crate::error::ArmdseError;
 use crate::jobstore::JobSpec;
+use crate::json::{self, Layout, ToJson};
 use crate::space::ParamSpace;
 use armdse_kernels::{App, WorkloadScale};
 use armdse_memsim::fasthash::Fnv1a;
@@ -860,41 +861,30 @@ impl<'e> Explorer<'e> {
     }
 
     fn write_curve_json(&self, state: &LoopState) -> Result<(), ArmdseError> {
-        let mut s = String::new();
-        s.push_str("{\n");
-        s.push_str(&format!("  \"app\": \"{}\",\n", self.opts.app.name()));
-        s.push_str(&format!("  \"scale\": \"{:?}\",\n", self.opts.scale));
-        s.push_str(&format!("  \"seed\": {},\n", self.opts.seed));
-        s.push_str(&format!("  \"pool\": {},\n", self.opts.pool));
-        s.push_str(&format!("  \"budget\": {},\n", self.opts.budget));
-        s.push_str(&format!("  \"batch\": {},\n", self.opts.batch));
-        s.push_str(&format!("  \"holdout\": {},\n", self.opts.holdout));
-        s.push_str(&format!("  \"pareto\": {},\n", self.opts.pareto));
-        s.push_str("  \"points\": [\n");
-        // JSON has no infinities: a non-finite value (R² of a held-out
-        // set whose cycles do not vary is -inf) is `null`.
-        let num = |v: f64| {
-            if v.is_finite() {
-                v.to_string()
-            } else {
-                "null".into()
-            }
-        };
-        for (i, p) in state.curve.iter().enumerate() {
-            s.push_str(&format!(
-                "    {{\"round\": {}, \"samples\": {}, \"epsilon\": {}, \
-                 \"r2\": {}, \"mae\": {}, \"model_hash\": \"{:016x}\"}}{}\n",
-                p.round,
-                p.samples,
-                num(p.epsilon),
-                num(p.r2),
-                num(p.mae),
-                p.model_hash,
-                if i + 1 < state.curve.len() { "," } else { "" }
-            ));
+        fn point(p: &CurvePoint) -> impl ToJson + '_ {
+            json::object(Layout::Spaced, move |o| {
+                o.field("round", p.round);
+                o.field("samples", p.samples);
+                o.field("epsilon", p.epsilon);
+                o.field("r2", p.r2);
+                o.field("mae", p.mae);
+                o.field("model_hash", format!("{:016x}", p.model_hash));
+            })
         }
-        s.push_str("  ]\n}\n");
-        std::fs::write(self.path("explore_curve.json"), s).map_err(ArmdseError::from)
+        let (o, points) = (&self.opts, state.curve.iter().map(point));
+        let doc = json::object(Layout::Block, |d| {
+            d.field("app", o.app.name());
+            d.field("scale", format!("{:?}", o.scale));
+            d.field("seed", o.seed);
+            d.field("pool", o.pool);
+            d.field("budget", o.budget);
+            d.field("batch", o.batch);
+            d.field("holdout", o.holdout);
+            d.field("pareto", o.pareto);
+            d.field("points", json::array(Layout::Block, points.clone()));
+        });
+        let path = self.path("explore_curve.json");
+        std::fs::write(path, doc.render() + "\n").map_err(ArmdseError::from)
     }
 
     /// Pareto-mode completion artifact: the whole pool scored by the

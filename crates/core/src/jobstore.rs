@@ -47,7 +47,7 @@
 use crate::durable::{self, CampaignFiles};
 use crate::engine::{Checkpoint, Engine, RunPlan, DEFAULT_CHUNK_JOBS};
 use crate::error::ArmdseError;
-use crate::json::{json_num, parse_json, write_json_string, Json};
+use crate::json::{self, parse_json, Decimal, Json, Layout, ToJson, Writer};
 use crate::space::ParamSpace;
 use armdse_kernels::{App, WorkloadScale};
 use armdse_memsim::DEFAULT_BANKS;
@@ -209,39 +209,32 @@ impl JobSpec {
     /// Serialize to the canonical wire JSON (round-trips through
     /// [`JobSpec::from_json`]).
     pub fn to_json(&self) -> String {
-        let mut out = String::with_capacity(256);
-        out.push_str("{\n");
-        out.push_str(&format!("  \"configs\": {},\n", self.configs));
-        out.push_str(&format!("  \"scale\": \"{}\",\n", self.scale.name()));
-        out.push_str(&format!("  \"seed\": {},\n", self.seed));
-        out.push_str(&format!("  \"threads\": {},\n", self.threads));
-        out.push_str("  \"apps\": [");
-        for (i, a) in self.apps.iter().enumerate() {
-            if i > 0 {
-                out.push_str(", ");
+        let pins = |p: &mut Writer| {
+            for (name, v) in &self.pins {
+                p.field(name, Decimal(*v));
             }
-            write_json_string(a.name(), &mut out);
-        }
-        out.push_str("],\n  \"pins\": {");
-        for (i, (n, v)) in self.pins.iter().enumerate() {
-            if i > 0 {
-                out.push_str(", ");
+        };
+        let doc = json::object(Layout::Block, |o| {
+            o.field("configs", self.configs);
+            o.field("scale", self.scale.name());
+            o.field("seed", self.seed);
+            o.field("threads", self.threads);
+            o.field(
+                "apps",
+                json::array(Layout::Spaced, self.apps.iter().map(|a| a.name())),
+            );
+            o.field("pins", json::object(Layout::Spaced, pins));
+            o.field("chunk_jobs", self.chunk_jobs);
+            // The machine topology is emitted only when non-default, so
+            // pre-multicore specs keep their wire bytes.
+            if self.topology() != MultiCore::IDEALIZED {
+                o.field("cores", self.cores);
+                o.field("banks", self.banks);
             }
-            write_json_string(n, &mut out);
-            out.push_str(": ");
-            out.push_str(&json_num(*v));
-        }
-        out.push_str("},\n");
-        out.push_str(&format!("  \"chunk_jobs\": {},\n", self.chunk_jobs));
-        // The machine topology is emitted only when non-default, so
-        // pre-multicore specs keep their wire bytes.
-        if self.topology() != MultiCore::IDEALIZED {
-            out.push_str(&format!("  \"cores\": {},\n", self.cores));
-            out.push_str(&format!("  \"banks\": {},\n", self.banks));
-        }
-        out.push_str(&format!("  \"priority\": {},\n", self.priority));
-        out.push_str(&format!("  \"metrics\": {}\n}}\n", self.metrics));
-        out
+            o.field("priority", self.priority);
+            o.field("metrics", self.metrics);
+        });
+        doc.render() + "\n"
     }
 
     /// Parse the wire JSON. Strict: unknown keys and ill-typed values
@@ -363,27 +356,28 @@ pub struct JobStatus {
     pub version: u64,
 }
 
+/// The wire-format status object, one line.
+impl ToJson for JobStatus {
+    fn write_json(&self, out: &mut String, depth: usize) {
+        let doc = json::object(Layout::Spaced, |o| {
+            o.field("id", self.id);
+            o.field("state", self.state.tag());
+            o.field("priority", self.priority);
+            o.field("total_jobs", self.total_jobs);
+            o.field("jobs_done", self.jobs_done);
+            o.field("rows", self.rows);
+            o.field("discarded", self.discarded);
+            o.field("error", self.error.as_deref());
+            o.field("version", self.version);
+        });
+        doc.write_json(out, depth);
+    }
+}
+
 impl JobStatus {
     /// Serialize as the wire-format status object.
     pub fn to_json(&self) -> String {
-        let mut out = String::with_capacity(256);
-        out.push_str(&format!(
-            "{{\"id\": {}, \"state\": \"{}\", \"priority\": {}, \"total_jobs\": {}, \
-             \"jobs_done\": {}, \"rows\": {}, \"discarded\": {}, \"error\": ",
-            self.id,
-            self.state.tag(),
-            self.priority,
-            self.total_jobs,
-            self.jobs_done,
-            self.rows,
-            self.discarded
-        ));
-        match &self.error {
-            Some(e) => write_json_string(e, &mut out),
-            None => out.push_str("null"),
-        }
-        out.push_str(&format!(", \"version\": {}}}", self.version));
-        out
+        self.render()
     }
 
     /// Parse a wire-format status object (the client side).

@@ -20,7 +20,7 @@ pub mod client;
 mod http;
 
 use armdse_core::jobstore::{Job, JobId, JobOpError, JobSpec, JobState};
-use armdse_core::json::write_json_string;
+use armdse_core::json::{self, Layout, ToJson};
 use armdse_core::scheduler::JobScheduler;
 use armdse_core::ArmdseError;
 use http::{ChunkedWriter, Request};
@@ -60,23 +60,22 @@ pub(crate) struct ServerStats {
 
 impl ServerStats {
     fn to_json(&self, sched: &JobScheduler) -> String {
-        let mut out = format!(
-            "{{\"schema\": \"armdse-server-stats-v1\", \"requests\": {}, \"submissions\": {}, \
-             \"streams\": {}, \"stream_rows\": {}, \"stream_bytes\": {}, \"jobs\": {{",
-            self.requests.load(Ordering::Relaxed),
-            self.submissions.load(Ordering::Relaxed),
-            self.streams.load(Ordering::Relaxed),
-            self.stream_rows.load(Ordering::Relaxed),
-            self.stream_bytes.load(Ordering::Relaxed),
-        );
-        for (i, (state, count)) in sched.store().state_counts().into_iter().enumerate() {
-            if i > 0 {
-                out.push_str(", ");
+        let count = |c: &AtomicU64| c.load(Ordering::Relaxed);
+        let jobs = |j: &mut json::Writer| {
+            for (state, n) in sched.store().state_counts() {
+                j.field(state, n);
             }
-            out.push_str(&format!("\"{state}\": {count}"));
-        }
-        out.push_str("}}");
-        out
+        };
+        let doc = json::object(Layout::Spaced, |o| {
+            o.field("schema", "armdse-server-stats-v1");
+            o.field("requests", count(&self.requests));
+            o.field("submissions", count(&self.submissions));
+            o.field("streams", count(&self.streams));
+            o.field("stream_rows", count(&self.stream_rows));
+            o.field("stream_bytes", count(&self.stream_bytes));
+            o.field("jobs", json::object(Layout::Spaced, jobs));
+        });
+        doc.render()
     }
 }
 
@@ -163,10 +162,10 @@ fn respond_json(w: &mut TcpStream, status: u16, body: &str) -> std::io::Result<(
 }
 
 fn respond_error(w: &mut TcpStream, status: u16, msg: &str) -> std::io::Result<()> {
-    let mut body = String::from("{\"error\": ");
-    write_json_string(msg, &mut body);
-    body.push('}');
-    respond_json(w, status, &body)
+    let body = json::object(Layout::Spaced, |o| {
+        o.field("error", msg);
+    });
+    respond_json(w, status, &body.render())
 }
 
 fn op_error(w: &mut TcpStream, e: &JobOpError) -> std::io::Result<()> {
@@ -198,15 +197,9 @@ fn route(inner: &Inner, req: &Request, w: &mut TcpStream) -> std::io::Result<()>
             }
         }
         ("GET", ["jobs"]) => {
-            let mut body = String::from("[");
-            for (i, job) in inner.sched.store().list().iter().enumerate() {
-                if i > 0 {
-                    body.push_str(", ");
-                }
-                body.push_str(&job.status().to_json());
-            }
-            body.push(']');
-            respond_json(w, 200, &body)
+            let jobs = inner.sched.store().list();
+            let body = json::array(Layout::Spaced, jobs.iter().map(|j| j.status()));
+            respond_json(w, 200, &body.render())
         }
         ("GET", ["jobs", id]) => match lookup(inner, id) {
             Ok(job) => respond_json(w, 200, &job.status().to_json()),
@@ -229,7 +222,10 @@ fn route(inner: &Inner, req: &Request, w: &mut TcpStream) -> std::io::Result<()>
         ("GET", ["stats"]) => respond_json(w, 200, &inner.stats.to_json(&inner.sched)),
         ("POST", ["shutdown"]) => {
             inner.shutdown.store(true, Ordering::SeqCst);
-            respond_json(w, 200, "{\"ok\": true}")?;
+            let body = json::object(Layout::Spaced, |o| {
+                o.field("ok", true);
+            });
+            respond_json(w, 200, &body.render())?;
             // Pause running jobs and join runners before waking the
             // accept loop, so "shutdown acknowledged" means "state is
             // durable on disk".

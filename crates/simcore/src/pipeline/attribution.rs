@@ -37,7 +37,7 @@ impl Pipeline<'_> {
             (Structure::LoadQueue, u64::from(self.lq_count)),
             (Structure::StoreQueue, self.sq.len() as u64),
             (Structure::FetchQueue, self.fetch_q.len() as u64),
-            (Structure::RenameBuffer, self.rename_q.len() as u64),
+            (Structure::RenameBuffer, self.renamed_len() as u64),
         ] {
             c.observe_n(s, occ, cycles);
         }
@@ -149,7 +149,7 @@ mod tests {
         assert_eq!(p.classify_cycle(0, None), CycleBucket::SqFull);
         p.rs_count = RS_SIZE as u32;
         assert_eq!(p.classify_cycle(0, None), CycleBucket::RsFull);
-        p.rob_count = p.params.rob_size;
+        p.params.rob_size = p.rob_count; // a full ROB
         assert_eq!(p.classify_cycle(0, None), CycleBucket::RobFull);
 
         let mut p = machine(0);

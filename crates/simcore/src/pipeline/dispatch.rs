@@ -62,7 +62,7 @@ impl Pipeline<'_> {
     #[inline]
     pub(super) fn dispatch(&mut self) {
         for _ in 0..DISPATCH_RATE {
-            let Some(&seq) = self.rename_q.front() else {
+            let Some(seq) = self.renamed_front() else {
                 break;
             };
             let &Uop { op, mem, .. } = self.uop(seq);
@@ -70,7 +70,6 @@ impl Pipeline<'_> {
                 *block.stall(&mut self.stats.stalls) += 1;
                 break;
             }
-            self.rename_q.pop_front();
             self.rob_count += 1;
             self.rs_count += 1;
             let u = self.uop_mut(seq);
@@ -154,7 +153,7 @@ mod tests {
             p.place(OpClass::IntAlu, Stage::Renamed, None);
         }
         p.dispatch();
-        assert_eq!(p.rename_q.len(), 6 - DISPATCH_RATE);
+        assert_eq!(p.renamed_len(), 6 - DISPATCH_RATE);
         assert_eq!((p.rob_count, p.rs_count), (4, 4));
         assert_eq!(p.rs_ready, 4, "no outstanding sources: ready at once");
     }
@@ -178,11 +177,11 @@ mod tests {
         );
         p.rs_count = RS_SIZE as u32;
         assert_eq!(p.dispatch_block(op), Some(DispatchBlock::Rs));
-        p.rob_count = p.params.rob_size;
+        p.params.rob_size = p.rob_count; // a full ROB
         assert_eq!(p.dispatch_block(op), Some(DispatchBlock::Rob));
 
         p.dispatch();
-        assert_eq!(p.rename_q.len(), 1, "nothing dispatched");
+        assert_eq!(p.renamed_len(), 1, "nothing dispatched");
         let s = p.stats.stalls;
         assert_eq!((s.rob_full, s.rs_full, s.lq_full), (1, 0, 0));
     }

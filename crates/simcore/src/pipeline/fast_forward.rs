@@ -53,9 +53,9 @@ impl Pipeline<'_> {
         if next.is_some_and(|t| t <= self.now) {
             return false;
         }
-        let dispatch = match self.rename_q.front() {
+        let dispatch = match self.renamed_front() {
             None => None,
-            Some(&seq) => match self.dispatch_block(self.uop(seq).op) {
+            Some(seq) => match self.dispatch_block(self.uop(seq).op) {
                 None => return false,
                 block => block,
             },

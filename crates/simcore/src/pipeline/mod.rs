@@ -213,10 +213,10 @@ pub(crate) struct Pipeline<'p> {
     loop_mode: Option<(u64, u64)>,
     loop_candidate: Option<u64>,
 
-    /// Renamed, not yet retired uops: the ROB plus the rename buffer.
+    /// Renamed, not yet retired uops: the ROB, then (dispatch being in
+    /// order) the rename buffer.
     window: Window,
     rename: RenameUnit,
-    rename_q: VecDeque<Seq>,
 
     // Backend.
     /// Reservation-station occupancy (uops in [`Stage::InRs`]). The RS
@@ -325,7 +325,6 @@ impl<'p> Pipeline<'p> {
             loop_mode: None,
             loop_candidate: None,
             window: Window::new(params.rob_size as usize + RENAME_BUFFER_CAP),
-            rename_q: VecDeque::with_capacity(RENAME_BUFFER_CAP),
             rs_count: 0,
             ready_q: std::array::from_fn(|_| VecDeque::with_capacity(RS_SIZE)),
             rs_ready: 0,
@@ -349,6 +348,19 @@ impl<'p> Pipeline<'p> {
             scratch_due: Vec::new(),
             stats: SimStats::default(),
         }
+    }
+
+    /// Uops renamed, not dispatched: the window's tail past the ROB.
+    #[inline]
+    fn renamed_len(&self) -> usize {
+        (self.window.next - self.window.base) as usize - self.rob_count as usize
+    }
+
+    /// The oldest renamed, undispatched uop.
+    #[inline]
+    fn renamed_front(&self) -> Option<Seq> {
+        let seq = self.window.base + Seq::from(self.rob_count);
+        (seq < self.window.next).then_some(seq)
     }
 
     #[inline]
@@ -772,7 +784,6 @@ mod tests {
         while !p.finished() {
             p.step();
             let w = &p.window;
-            assert_eq!(w.len(), p.rob_count as usize + p.rename_q.len());
             full += u32::from(w.len() == cap);
         }
         assert!(full > 40, "the ring filled in only {full} cycles");
@@ -819,6 +830,11 @@ mod tests {
         /// data ready, one at `Done` is still uncommitted. Memory ops
         /// take `mem`.
         pub(super) fn place(&mut self, op: OpClass, stage: Stage, mem: Option<MemRef>) -> Seq {
+            // The ROB is the window's head and the rename buffer its tail.
+            assert!(
+                stage == Stage::Renamed || self.renamed_len() == 0,
+                "place ROB uops before renamed ones"
+            );
             let seq = self.window.next;
             let plan = match mem {
                 Some(m) if op.is_load() => RequestPlan::new(&m, self.mem.line_bytes()),
@@ -840,7 +856,6 @@ mod tests {
                 sq_ord: None,
             });
             if stage == Stage::Renamed {
-                self.rename_q.push_back(seq);
                 return seq;
             }
             self.rob_count += 1;

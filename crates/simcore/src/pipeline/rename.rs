@@ -23,7 +23,7 @@ impl Pipeline<'_> {
     /// cycle (`None`: it can).
     #[inline]
     pub(super) fn rename_block(&self) -> Option<RenameBlock> {
-        if self.rename_q.len() >= RENAME_BUFFER_CAP {
+        if self.renamed_len() >= RENAME_BUFFER_CAP {
             return Some(RenameBlock::BufferFull);
         }
         match self.fetch_q.front() {
@@ -109,7 +109,6 @@ impl Pipeline<'_> {
                 mem_complete: 0,
                 sq_ord: None,
             });
-            self.rename_q.push_back(seq);
         }
     }
 }
@@ -127,7 +126,7 @@ mod tests {
         assert_eq!(p.rename_block(), None);
         p.rename_stage();
         assert_eq!(
-            p.rename_q.len(),
+            p.renamed_len(),
             CoreParams::thunderx2().frontend_width as usize
         );
         assert!(p.window.iter().all(|u| u.stage == Stage::Renamed));
@@ -156,7 +155,7 @@ mod tests {
         for _ in 0..4 {
             p.rename_stage();
         }
-        assert_eq!(p.rename_q.len(), RENAME_BUFFER_CAP);
+        assert_eq!(p.renamed_len(), RENAME_BUFFER_CAP);
         assert_eq!(p.rename_block(), Some(RenameBlock::BufferFull));
         let before = p.stats.stalls;
         p.rename_stage();
@@ -172,7 +171,7 @@ mod tests {
         p.rename = crate::regfile::RenameUnit::new([34, 128, 48, 32]);
         p.fetch();
         p.rename_stage();
-        assert_eq!(p.rename_q.len(), 2);
+        assert_eq!(p.renamed_len(), 2);
         assert_eq!(p.rename_block(), Some(RenameBlock::FreeList(RegClass::Gp)));
         assert_eq!(p.stats.stalls.rename_gp, 1);
         assert_eq!(p.stats.stalls.rename_fp, 0);

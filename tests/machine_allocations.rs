@@ -75,14 +75,13 @@ fn counted_run(app: App, scale: WorkloadScale, core: &CoreParams, mem: &MemParam
 /// * the shared backside's `Rc` (1);
 /// * the machine's `Vec` of pipelines, which the per-core outputs then
 ///   reuse in place (1);
-/// * the pipeline's queues sized from its parameters: fetch queue,
-///   rename buffer, the four per-port-class ready queues and the store
-///   queue (7);
+/// * the pipeline's queues sized from its parameters: fetch queue, the
+///   four per-port-class ready queues and the store queue (6);
 /// * its queues and scratch buffers that grow on first use: pending and
 ///   completed loads, woken waiters and due events (4).
 ///
 /// None is zero-filled, and together they are about 10 KB.
-const PER_JOB: u64 = 13;
+const PER_JOB: u64 = 12;
 
 #[test]
 fn a_warm_thread_builds_machines_without_zeroing() {

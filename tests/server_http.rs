@@ -238,3 +238,49 @@ fn error_responses_carry_documented_status_codes() {
     stop(&addr, handle);
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// A pin the parser would read as infinite (`1e999`) or that RFC 8259
+/// does not allow (`01`, `2.e3`) is a 400, and the store keeps no file
+/// of it: an infinite pin accepted here would be stored as a spec that
+/// no reopen can parse.
+#[test]
+fn a_non_finite_or_non_rfc_pin_is_refused_and_stores_nothing() {
+    let dir = tmp("inf_pin");
+    let jobs = dir.join("jobs");
+    let (addr, handle) = start(&jobs, 1);
+    // An infinite ROB passes the plan's validation: only the parser
+    // stands between `1e999` and a stored spec.
+    for (name, value) in [
+        ("ROB-Size", "1e999"),
+        ("Load-Bandwidth", "-1e999"),
+        ("ROB-Size", "01"),
+        ("Vector-Length", "2.e3"),
+        ("Vector-Length", "512."),
+    ] {
+        let body = format!("{{\"configs\": 1, \"pins\": {{\"{name}\": {value}}}}}");
+        let resp = client::request(&addr, "POST", "/jobs", Some(&body)).unwrap();
+        assert_eq!(resp.status, 400, "{name} {value} → {}", resp.text());
+        assert!(resp.text().contains("number"), "{}", resp.text());
+    }
+    let stored: Vec<_> = std::fs::read_dir(&jobs)
+        .unwrap()
+        .map(|e| e.unwrap().file_name())
+        .filter(|n| n.to_string_lossy().starts_with("job-"))
+        .collect();
+    assert!(stored.is_empty(), "refused specs left {stored:?}");
+    stop(&addr, handle);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A body nested past the parser's depth cap is a 400, not a stack
+/// overflow that takes the whole server down with it.
+#[test]
+fn a_deeply_nested_body_is_refused_and_the_server_lives_on() {
+    let dir = tmp("deep");
+    let (addr, handle) = start(&dir.join("jobs"), 1);
+    let resp = client::request(&addr, "POST", "/jobs", Some(&"[".repeat(500_000))).unwrap();
+    assert_eq!(resp.status, 400, "{}", resp.text());
+    assert!(resp.text().contains("nest deeper"), "{}", resp.text());
+    stop(&addr, handle);
+    std::fs::remove_dir_all(&dir).ok();
+}
