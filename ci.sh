@@ -34,6 +34,7 @@
 #   one sampler: 17876 -> 17874
 #   window ring, SQ ordinals, fetch slots (perf): 17874 -> 18023
 #   one JSON writer, no rename queue: 18023 -> 18145
+#   one parameter table, bounded machine parameters: 18145 -> 18140
 set -eux
 
 cd "$(dirname "$0")"
@@ -57,6 +58,17 @@ SAMPLERS=$(find crates/*/src -name '*.rs' ! -path crates/core/src/space.rs \
 if [ -n "$SAMPLERS" ]; then
   echo "FAIL: sample_seeded outside space.rs and engine.rs (ask a RunPlan):" >&2
   echo "$SAMPLERS" >&2
+  exit 1
+fi
+# One parameter table: the 30 Table II/III features are described once,
+# by `FEATURES` in config.rs, and names, feature vectors, grids and pin
+# checks derive from it. Outside it no non-test code converts a feature
+# vector by index (`f[N] as u32`) or declares a `[&str; 30]`.
+TABLES=$(find crates/*/src -name '*.rs' ! -path crates/core/src/config.rs -print0 | xargs -0 awk \
+  'FNR==1{t=0} /^#\[cfg\(test\)\]/{t=1} !t && !/^[[:space:]]*\/\// && (/f\[[0-9]+\] as u32/ || /\[&str; 30\]/) {print FILENAME": "$0}')
+if [ -n "$TABLES" ]; then
+  echo "FAIL: a second description of the 30 features outside config.rs (derive from FEATURES):" >&2
+  echo "$TABLES" >&2
   exit 1
 fi
 # One JSON writer: every artifact and wire body is built by

@@ -49,13 +49,13 @@
 //! (`explore.*`, DESIGN.md §12). [`Checkpoint::load`] hands the section
 //! back uninterpreted.
 
-use crate::config::DesignConfig;
+use crate::config::{self, DesignConfig};
 use crate::dataset::{write_csv_header, write_csv_row, DiscardedRun, DseDataset, Row};
 use crate::durable::{self, CsvFile};
 use crate::error::ArmdseError;
 use crate::metrics::{write_metrics_header, write_metrics_row, MetricsRow};
 use crate::orchestrator::GenOptions;
-use crate::space::{ParamSpace, FEATURE_NAMES};
+use crate::space::ParamSpace;
 use armdse_kernels::{App, Workload, WorkloadCache, WorkloadScale};
 use armdse_memsim::fasthash::Fnv1a;
 use armdse_simcore::{Counters, Memoized, MultiCore, ReuseStats, RunMode, SimBackend, SimStats};
@@ -109,6 +109,8 @@ impl RunPlan {
 
     /// [`crate::JobSpec::plan`]: candidate `k` is `space` sampled with
     /// `seed + k`, features pinned by name (Figs. 4/5 pin Vector-Length).
+    /// A pin outside its feature's `[lo, hi]`, or fractional for an
+    /// integer feature, is refused naming the feature and its range.
     pub(crate) fn sampled(
         space: &ParamSpace,
         seed: u64,
@@ -118,12 +120,8 @@ impl RunPlan {
         scale: WorkloadScale,
         threads: usize,
     ) -> Result<RunPlan, ArmdseError> {
-        for (name, _) in pins {
-            if !FEATURE_NAMES.contains(&name.as_str()) {
-                return Err(ArmdseError::InvalidPlan(format!(
-                    "unknown pinned feature '{name}'"
-                )));
-            }
+        for (name, value) in pins {
+            config::check_pin(name, *value).map_err(ArmdseError::InvalidPlan)?;
         }
         let (space, pins) = (Box::new(space.clone()), pins.to_vec());
         let sampled = Candidates::Sampled { space, seed, pins };

@@ -38,11 +38,12 @@
 //! ```
 //!
 //! [`JobStore::open`] rescans this layout, so a server restart recovers
-//! every job: terminal jobs keep their recorded state, and anything
-//! else comes back as [`JobState::Paused`] at its checkpointed position
-//! — an explicit resume re-queues it and the engine's byte-identical
-//! resume contract takes over. No background work survives the process;
-//! recovery is purely file-driven.
+//! every job: terminal jobs keep their recorded state, a job whose spec
+//! the plan now refuses comes back [`JobState::Failed`] with that error,
+//! and anything else comes back as [`JobState::Paused`] at its
+//! checkpointed position — an explicit resume re-queues it and the
+//! engine's byte-identical resume contract takes over. No background
+//! work survives the process; recovery is purely file-driven.
 
 use crate::durable::{self, CampaignFiles};
 use crate::engine::{Checkpoint, Engine, RunPlan, DEFAULT_CHUNK_JOBS};
@@ -575,7 +576,6 @@ impl Job {
 /// itself from its directory on restart.
 pub struct JobStore {
     dir: PathBuf,
-    space: ParamSpace,
     jobs: Mutex<BTreeMap<JobId, Arc<Job>>>,
     next_id: AtomicU64,
     seq: AtomicU64,
@@ -584,13 +584,13 @@ pub struct JobStore {
 impl JobStore {
     /// Open (or create) a store at `dir` over the paper's parameter
     /// space, recovering any jobs already on disk: terminal jobs keep
-    /// their recorded state; everything else returns as `Paused` at its
+    /// their recorded state; a job whose plan is refused returns as
+    /// `Failed`; everything else returns as `Paused` at its
     /// checkpointed position, ready for an explicit resume.
     pub fn open(dir: &Path) -> Result<JobStore, ArmdseError> {
         std::fs::create_dir_all(dir)?;
         let store = JobStore {
             dir: dir.to_path_buf(),
-            space: ParamSpace::paper(),
             jobs: Mutex::new(BTreeMap::new()),
             next_id: AtomicU64::new(1),
             seq: AtomicU64::new(1),
@@ -625,13 +625,11 @@ impl JobStore {
                     continue;
                 }
             };
-            let job = match store.build_job(id, spec) {
-                Ok(j) => j,
-                Err(e) => {
-                    eprintln!("[jobstore] skipping invalid {name}: {e}");
-                    continue;
-                }
-            };
+            // A spec this build's plan refuses (a pin out of range, say)
+            // is still listed: it could never resume, so without a
+            // terminal marker it reopens Failed with the plan's error.
+            let plan = spec.plan(&ParamSpace::paper()).map(|p| p.jobs());
+            let job = store.build_job(id, spec, *plan.as_ref().unwrap_or(&0));
             // Recover position from the checkpoint and state from the
             // terminal marker (absent marker => Paused, resumable).
             {
@@ -642,6 +640,9 @@ impl JobStore {
                     inner.discarded = c.discarded;
                 }
                 inner.state = JobState::Paused;
+                if let Err(e) = plan {
+                    (inner.state, inner.error) = (JobState::Failed, Some(e.to_string()));
+                }
                 if let Ok(marker) = std::fs::read_to_string(job.state_path()) {
                     let mut lines = marker.lines();
                     if let Some(state) = lines.next().and_then(JobState::parse) {
@@ -668,20 +669,15 @@ impl JobStore {
         &self.dir
     }
 
-    /// The parameter space every job's plan is validated against.
-    pub(crate) fn space(&self) -> &ParamSpace {
-        &self.space
-    }
-
-    fn build_job(&self, id: JobId, spec: JobSpec) -> Result<Arc<Job>, ArmdseError> {
-        let total_jobs = spec.plan(&self.space)?.jobs();
+    /// A `Queued` job `id` over `spec`, whose plan has `total_jobs`.
+    fn build_job(&self, id: JobId, spec: JobSpec, total_jobs: usize) -> Arc<Job> {
         let slot = |ext: &str| self.dir.join(format!("job-{id}.{ext}"));
         let files = CampaignFiles {
             csv: slot("csv"),
             checkpoint: slot("ckpt"),
             metrics: spec.metrics.then(|| slot("metrics.csv")),
         };
-        Ok(Arc::new(Job {
+        Arc::new(Job {
             id,
             spec,
             files,
@@ -697,15 +693,16 @@ impl JobStore {
                 version: 0,
             }),
             cv: Condvar::new(),
-        }))
+        })
     }
 
     /// Validate `spec`, assign an id, persist the spec, and register
     /// the job as `Queued`. (Submission is the scheduler's job — it
     /// calls this and then enqueues.)
     pub fn create(&self, spec: JobSpec) -> Result<Arc<Job>, ArmdseError> {
+        let total_jobs = spec.plan(&ParamSpace::paper())?.jobs();
         let id = self.next_id.fetch_add(1, Ordering::Relaxed);
-        let job = self.build_job(id, spec)?;
+        let job = self.build_job(id, spec, total_jobs);
         durable::replace(&job.spec_path(), &job.spec.to_json())?;
         self.jobs
             .lock()
@@ -1014,6 +1011,35 @@ mod tests {
         // One more restart: the never-run job must not read as Done.
         let store = JobStore::open(&dir).unwrap();
         assert_eq!(store.get(3).unwrap().status().state, JobState::Paused);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A spec an older binary stored with a pin the space now refuses
+    /// is listed: Failed with the plan's error, or in the state its
+    /// terminal marker records.
+    #[test]
+    fn a_stored_spec_the_plan_refuses_reopens_failed() {
+        let dir = std::env::temp_dir().join("armdse_jobstore_refused_pin");
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let body = "{\"configs\": 1, \"pins\": {\"Store-Queue-Size\": 1000}}";
+        for id in [7, 8] {
+            std::fs::write(dir.join(format!("job-{id}.spec.json")), body).unwrap();
+        }
+        std::fs::write(dir.join("job-8.state"), "done\n").unwrap();
+
+        let store = JobStore::open(&dir).unwrap();
+        let ids: Vec<JobId> = store.list().iter().map(|j| j.id()).collect();
+        assert_eq!(ids, [7, 8]);
+        let st = store.get(7).unwrap().status();
+        assert_eq!(st.state, JobState::Failed);
+        let error = st.error.expect("a failed job carries its error");
+        assert!(
+            error.contains("Store-Queue-Size") && error.contains("[4, 512]"),
+            "{error}"
+        );
+        assert_eq!(store.get(8).unwrap().status().state, JobState::Done);
+        assert_eq!(store.create(spec()).unwrap().id(), 9);
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

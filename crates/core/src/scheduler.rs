@@ -61,6 +61,7 @@ use crate::engine::{
 use crate::error::ArmdseError;
 use crate::jobstore::{Job, JobId, JobOpError, JobSpec, JobState, JobStatus, JobStore};
 use crate::metrics::MetricsRow;
+use crate::space::ParamSpace;
 use armdse_simcore::{MultiCore, RunMode};
 use std::borrow::Cow;
 use std::cmp::Reverse;
@@ -537,14 +538,14 @@ fn runner_loop(shared: &Shared) {
             }
             job.transition(&mut inner, JobState::Running);
         }
-        execute(&shared.store, &job);
+        execute(&job);
     }
 }
 
 /// Run one claimed job to its next stop (completion, pause, cancel, or
 /// error) and record the resulting state transition.
-fn execute(store: &JobStore, job: &Job) {
-    let result = run_one(store, job);
+fn execute(job: &Job) {
+    let result = run_one(job);
     let mut inner = job.inner.lock().expect("job lock poisoned");
     let state = match result {
         Ok(s) if s.completed => {
@@ -564,8 +565,8 @@ fn execute(store: &JobStore, job: &Job) {
 /// backend) and the open sinks are locals:
 /// built when a runner claims the job, dropped when it stops, so two
 /// jobs cannot share any of them and a stopped job holds none.
-fn run_one(store: &JobStore, job: &Job) -> Result<RunSummary, ArmdseError> {
-    let plan = job.spec().plan(store.space())?;
+fn run_one(job: &Job) -> Result<RunSummary, ArmdseError> {
+    let plan = job.spec().plan(&ParamSpace::paper())?;
     let engine = job.spec().engine();
     let mut campaign = job.files().open(false)?;
     // The observer runs at every chunk boundary, after the CSV flushed

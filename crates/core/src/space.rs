@@ -10,109 +10,74 @@
 //! sampled L1 size, and the L2 latency is resampled/clamped until the L2
 //! hit time exceeds the L1 hit time in wall-clock terms.
 
-use crate::config::DesignConfig;
 pub use crate::config::FEATURE_NAMES;
+use crate::config::{self, domain, DesignConfig, Domain, FEATURES};
 use armdse_memsim::MemParams;
 use armdse_rng::{Rng, SeedableRng, Xoshiro256pp};
 use armdse_simcore::CoreParams;
+use std::fmt;
 
-/// The sampled design space. `paper()` gives the ranges of Tables II/III
-/// (memory ranges reconstructed; see DESIGN.md §3).
-#[derive(Debug, Clone)]
-pub struct ParamSpace {
-    /// Vector-length grid in bits.
-    vector_lengths: Vec<u32>,
-    /// Fetch-block grid in bytes.
-    fetch_blocks: Vec<u32>,
-    /// Loop-buffer range (inclusive).
-    loop_buffer: (u32, u32),
-    /// GP/FP register grid.
-    reg_grid: Vec<u32>,
-    /// Predicate register grid.
-    pred_grid: Vec<u32>,
-    /// Condition register grid.
-    cond_grid: Vec<u32>,
-    /// Pipeline width range (commit/frontend/LSQ-completion).
-    width: (u32, u32),
-    /// ROB grid.
-    rob_grid: Vec<u32>,
-    /// Load/store queue grid.
-    queue_grid: Vec<u32>,
-    /// Bandwidth grid in bytes (powers of two).
-    bandwidths: Vec<u32>,
-    /// Per-cycle request-rate range.
-    rate: (u32, u32),
-    /// Cache-line grid in bytes.
-    lines: Vec<u32>,
-    /// L1 size grid in KiB.
-    l1_sizes: Vec<u32>,
-    /// L1 associativity grid.
-    l1_assocs: Vec<u32>,
-    /// L1 latency range (cycles).
-    l1_latency: (u32, u32),
-    /// L1 clock grid in GHz.
-    l1_clocks: Vec<f64>,
-    /// L2 size grid in KiB.
-    l2_sizes: Vec<u32>,
-    /// L2 associativity grid.
-    l2_assocs: Vec<u32>,
-    /// L2 latency range (cycles).
-    l2_latency: (u32, u32),
-    /// L2 clock grid in GHz.
-    l2_clocks: Vec<f64>,
-    /// RAM access-time range in ns.
-    ram_ns: (u32, u32),
-    /// RAM clock grid in GHz.
-    ram_clocks: Vec<f64>,
-    /// Prefetch-depth range in lines.
-    prefetch: (u32, u32),
-}
+/// The sampled design space: the domains of `config::FEATURES` (Tables
+/// II/III; memory ranges reconstructed, see DESIGN.md §3) under the
+/// paper's sampling constraints.
+#[derive(Clone, Default)]
+pub struct ParamSpace(());
 
-fn pow2s(lo: u32, hi: u32) -> Vec<u32> {
-    let mut v = Vec::new();
-    let mut x = lo;
-    while x <= hi {
-        v.push(x);
-        x *= 2;
+/// The names the domains print under, one per run of features that share
+/// one. Every sampled plan's fingerprint hashes this `Debug` text, so
+/// checkpoints written before the table keep resuming.
+const DEBUG_KEYS: &str = "vector_lengths fetch_blocks loop_buffer reg_grid pred_grid cond_grid \
+    width rob_grid queue_grid bandwidths rate lines l1_sizes l1_assocs l1_latency l1_clocks \
+    l2_sizes l2_assocs l2_latency l2_clocks ram_ns ram_clocks prefetch";
+
+impl fmt::Debug for ParamSpace {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let mut domains: Vec<Domain> = FEATURES.iter().map(|f| f.domain).collect();
+        domains.dedup();
+        let mut s = f.debug_struct("ParamSpace");
+        for (key, domain) in DEBUG_KEYS.split_whitespace().zip(&domains) {
+            s.field(key, domain);
+        }
+        s.finish()
     }
-    v
 }
 
-fn steps(lo: u32, hi: u32, step: u32) -> Vec<u32> {
-    (lo..=hi).step_by(step as usize).collect()
+/// One draw from an integer domain: a range's is `gen_range(lo..=hi)`, a
+/// grid's a `gen_range(0..n)` index over its `n` values.
+fn draw(rng: &mut Xoshiro256pp, d: Domain) -> u32 {
+    match d {
+        Domain::Range(lo, hi) => rng.gen_range(lo..=hi),
+        grid => {
+            let mut values = grid.grid();
+            let i = rng.gen_range(0..values.len());
+            values.nth(i).expect("index below the grid's length")
+        }
+    }
+}
+
+/// One draw from the values of grid `d` that `keep` admits: a
+/// `gen_range(0..n)` index over the `n` kept values.
+fn pick(rng: &mut Xoshiro256pp, d: Domain, keep: impl Fn(u32) -> bool) -> u32 {
+    let mut kept = d.grid().filter(|&v| keep(v));
+    let n = kept.clone().count();
+    assert!(n > 0, "no value of {d:?} meets the sampling constraint");
+    kept.nth(rng.gen_range(0..n))
+        .expect("index below the kept count")
+}
+
+/// One draw from a listed domain: a `gen_range(0..n)` index.
+fn pickf(rng: &mut Xoshiro256pp, d: Domain) -> f64 {
+    let Domain::Listed(values) = d else {
+        unreachable!("an integer domain has no listed values")
+    };
+    values[rng.gen_range(0..values.len())]
 }
 
 impl ParamSpace {
     /// The paper's design space (Table II exactly; Table III
     /// reconstructed — see DESIGN.md).
     pub fn paper() -> ParamSpace {
-        let mut reg_grid = vec![38];
-        reg_grid.extend(steps(40, 512, 8));
-        ParamSpace {
-            vector_lengths: pow2s(128, 2048),
-            fetch_blocks: pow2s(4, 2048),
-            loop_buffer: (1, 512),
-            reg_grid,
-            pred_grid: steps(24, 512, 8),
-            cond_grid: steps(8, 512, 8),
-            width: (1, 64),
-            rob_grid: steps(8, 512, 4),
-            queue_grid: steps(4, 512, 4),
-            bandwidths: pow2s(16, 1024),
-            rate: (1, 32),
-            lines: pow2s(16, 256),
-            l1_sizes: pow2s(2, 128),
-            l1_assocs: vec![2, 4, 8, 16],
-            l1_latency: (1, 8),
-            l1_clocks: vec![1.0, 1.5, 2.0, 2.5, 3.0, 3.5, 4.0],
-            l2_sizes: pow2s(64, 8192),
-            l2_assocs: vec![4, 8, 16],
-            l2_latency: (4, 64),
-            l2_clocks: vec![0.5, 1.0, 1.5, 2.0, 2.5, 3.0],
-            ram_ns: (20, 200),
-            ram_clocks: vec![0.8, 1.2, 1.6, 2.4, 3.2],
-            prefetch: (0, 4),
-        }
+        ParamSpace(())
     }
 
     /// Deterministically sample the design point with index/seed `seed`.
@@ -121,81 +86,57 @@ impl ParamSpace {
         self.sample(&mut rng)
     }
 
-    /// Sample one valid design point.
+    /// Sample one valid design point. The draws are made in this fixed
+    /// order, one `gen_range` each, so every seed keeps its point.
     pub(crate) fn sample(&self, rng: &mut Xoshiro256pp) -> DesignConfig {
-        let pick = |rng: &mut Xoshiro256pp, v: &[u32]| v[rng.gen_range(0..v.len())];
-        let pickf = |rng: &mut Xoshiro256pp, v: &[f64]| v[rng.gen_range(0..v.len())];
-        let range = |rng: &mut Xoshiro256pp, (lo, hi): (u32, u32)| rng.gen_range(lo..=hi);
-
-        let vector_length = pick(rng, &self.vector_lengths);
-        let vl_bytes = vector_length / 8;
+        let vector_length = draw(rng, const { domain("Vector-Length") });
         // Constraint: bandwidth grid restricted to >= one full vector.
-        let bw_grid: Vec<u32> = self
-            .bandwidths
-            .iter()
-            .copied()
-            .filter(|&b| b >= vl_bytes)
-            .collect();
-        assert!(!bw_grid.is_empty(), "bandwidth grid cannot cover VL");
+        let covers = |b| b >= vector_length / 8;
 
         let core = CoreParams {
             vector_length,
-            fetch_block_bytes: pick(rng, &self.fetch_blocks),
-            loop_buffer_size: range(rng, self.loop_buffer),
-            gp_regs: pick(rng, &self.reg_grid),
-            fp_regs: pick(rng, &self.reg_grid),
-            pred_regs: pick(rng, &self.pred_grid),
-            cond_regs: pick(rng, &self.cond_grid),
-            commit_width: range(rng, self.width),
-            frontend_width: range(rng, self.width),
-            lsq_completion_width: range(rng, self.width),
-            rob_size: pick(rng, &self.rob_grid),
-            load_queue: pick(rng, &self.queue_grid),
-            store_queue: pick(rng, &self.queue_grid),
-            load_bandwidth: pick(rng, &bw_grid),
-            store_bandwidth: pick(rng, &bw_grid),
-            mem_requests_per_cycle: range(rng, self.rate),
-            loads_per_cycle: range(rng, self.rate),
-            stores_per_cycle: range(rng, self.rate),
+            fetch_block_bytes: draw(rng, const { domain("Fetch-Block-Size") }),
+            loop_buffer_size: draw(rng, const { domain("Loop-Buffer-Size") }),
+            gp_regs: draw(rng, const { domain("GP-Registers") }),
+            fp_regs: draw(rng, const { domain("FP-SVE-Registers") }),
+            pred_regs: draw(rng, const { domain("Predicate-Registers") }),
+            cond_regs: draw(rng, const { domain("Conditional-Registers") }),
+            commit_width: draw(rng, const { domain("Commit-Width") }),
+            frontend_width: draw(rng, const { domain("Frontend-Width") }),
+            lsq_completion_width: draw(rng, const { domain("LSQ-Completion-Width") }),
+            rob_size: draw(rng, const { domain("ROB-Size") }),
+            load_queue: draw(rng, const { domain("Load-Queue-Size") }),
+            store_queue: draw(rng, const { domain("Store-Queue-Size") }),
+            load_bandwidth: pick(rng, const { domain("Load-Bandwidth") }, covers),
+            store_bandwidth: pick(rng, const { domain("Store-Bandwidth") }, covers),
+            mem_requests_per_cycle: draw(rng, const { domain("Mem-Requests-Per-Cycle") }),
+            loads_per_cycle: draw(rng, const { domain("Loads-Per-Cycle") }),
+            stores_per_cycle: draw(rng, const { domain("Stores-Per-Cycle") }),
         };
 
-        let line_bytes = pick(rng, &self.lines);
+        let line_bytes = draw(rng, const { domain("Cache-Line-Width") });
         // Geometry constraint: at least one set (line * assoc <= size).
-        let l1_size_kib = pick(rng, &self.l1_sizes);
-        let l1_fit: Vec<u32> = self
-            .l1_assocs
-            .iter()
-            .copied()
-            .filter(|&a| line_bytes * a <= l1_size_kib * 1024)
-            .collect();
-        let l1_assoc = pick(rng, &l1_fit);
+        let fits = |assoc, size_kib| line_bytes * assoc <= size_kib * 1024;
+        let l1_size_kib = draw(rng, const { domain("L1-Size") });
+        let l1_assoc = pick(rng, const { domain("L1-Assoc") }, |a| fits(a, l1_size_kib));
         // Constraint: L2 strictly larger than L1.
-        let l2_fit: Vec<u32> = self
-            .l2_sizes
-            .iter()
-            .copied()
-            .filter(|&s| s > l1_size_kib)
-            .collect();
-        let l2_size_kib = pick(rng, &l2_fit);
-        let l2_assoc_fit: Vec<u32> = self
-            .l2_assocs
-            .iter()
-            .copied()
-            .filter(|&a| line_bytes * a <= l2_size_kib * 1024)
-            .collect();
-        let l2_assoc = pick(rng, &l2_assoc_fit);
+        let l2_size_kib = pick(rng, const { domain("L2-Size") }, |s| s > l1_size_kib);
+        let l2_assoc = pick(rng, const { domain("L2-Assoc") }, |a| fits(a, l2_size_kib));
 
-        let l1_latency = range(rng, self.l1_latency);
-        let l1_clock_ghz = pickf(rng, &self.l1_clocks);
-        let l2_clock_ghz = pickf(rng, &self.l2_clocks);
+        let l1_latency = draw(rng, const { domain("L1-Latency") });
+        let l1_clock_ghz = pickf(rng, const { domain("L1-Clock") });
+        let l2_clock_ghz = pickf(rng, const { domain("L2-Clock") });
         // Constraint: L2 wall-clock hit time strictly above L1's. Lower
         // bound the latency grid accordingly, then sample.
+        let Domain::Range(lo, hi) = (const { domain("L2-Latency") }) else {
+            unreachable!("L2-Latency is a range")
+        };
         let l1_ns = f64::from(l1_latency) / l1_clock_ghz;
-        let min_l2_lat = ((l1_ns * l2_clock_ghz).floor() as u32 + 1).max(self.l2_latency.0);
-        let l2_latency = if min_l2_lat >= self.l2_latency.1 {
-            self.l2_latency.1
+        let min_l2_lat = ((l1_ns * l2_clock_ghz).floor() as u32 + 1).max(lo);
+        let l2_latency = if min_l2_lat >= hi {
+            hi
         } else {
-            rng.gen_range(min_l2_lat..=self.l2_latency.1)
+            rng.gen_range(min_l2_lat..=hi)
         };
 
         let mem = MemParams {
@@ -208,9 +149,9 @@ impl ParamSpace {
             l2_assoc,
             l2_latency,
             l2_clock_ghz,
-            ram_access_ns: f64::from(range(rng, self.ram_ns)),
-            ram_clock_ghz: pickf(rng, &self.ram_clocks),
-            prefetch_depth: range(rng, self.prefetch),
+            ram_access_ns: f64::from(draw(rng, const { domain("RAM-Latency") })),
+            ram_clock_ghz: pickf(rng, const { domain("RAM-Clock") }),
+            prefetch_depth: draw(rng, const { domain("Prefetch-Depth") }),
         };
 
         let cfg = DesignConfig { core, mem };
@@ -221,32 +162,23 @@ impl ParamSpace {
         cfg
     }
 
-    /// Sample with a parameter pinned to a fixed value by feature name
-    /// (used for the paper's Figs. 4/5: importances with vector length
-    /// constrained to 128 or 2048).
+    /// Sample with features pinned to fixed values by name (used for the
+    /// paper's Figs. 4/5: importances with vector length constrained to
+    /// 128 or 2048). A sampled [`RunPlan`](crate::engine::RunPlan)
+    /// refuses an out-of-range or fractional pin before it samples;
+    /// here an integer feature takes a pin truncated.
     pub fn sample_seeded_pinned(&self, seed: u64, pins: &[(impl AsRef<str>, f64)]) -> DesignConfig {
-        let base = self.sample_seeded(seed);
-        let mut f = base.to_features();
+        let mut cfg = self.sample_seeded(seed);
         for (name, value) in pins {
             let name = name.as_ref();
-            let i = FEATURE_NAMES
-                .iter()
-                .position(|&n| n == name)
-                .unwrap_or_else(|| panic!("unknown feature {name}"));
-            f[i] = *value;
+            let pinned = config::find(name).unwrap_or_else(|| panic!("unknown feature {name}"));
+            (pinned.set)(&mut cfg, *value);
         }
-        let mut cfg = DesignConfig::from_features(&f);
         // Re-establish the bandwidth constraint if the pin raised VL.
         let vl_bytes = cfg.core.vector_length / 8;
         cfg.core.load_bandwidth = cfg.core.load_bandwidth.max(vl_bytes);
         cfg.core.store_bandwidth = cfg.core.store_bandwidth.max(vl_bytes);
         cfg
-    }
-}
-
-impl Default for ParamSpace {
-    fn default() -> Self {
-        ParamSpace::paper()
     }
 }
 
@@ -293,15 +225,43 @@ mod tests {
 
     #[test]
     fn grids_match_paper_ranges() {
+        let grid = |name| domain(name).grid().collect::<Vec<u32>>();
+        assert_eq!(grid("Vector-Length"), vec![128, 256, 512, 1024, 2048]);
+        let fetch = grid("Fetch-Block-Size");
+        assert_eq!((fetch.first(), fetch.last()), (Some(&4), Some(&2048)));
+        let regs = grid("GP-Registers");
+        assert_eq!((regs.first(), regs.last()), (Some(&38), Some(&512)));
+        let rob = grid("ROB-Size");
+        assert_eq!((rob.first(), rob.last()), (Some(&8), Some(&512)));
+        assert_eq!(
+            grid("Load-Bandwidth"),
+            vec![16, 32, 64, 128, 256, 512, 1024]
+        );
+    }
+
+    /// The `Debug` text every sampled plan's fingerprint hashes, and
+    /// the features of ten thousand samples, pinned by their FNV-1a
+    /// digests as the hand-listed grids wrote them.
+    #[test]
+    fn debug_text_and_samples_are_the_listed_grids() {
+        use armdse_memsim::fasthash::Fnv1a;
         let s = ParamSpace::paper();
-        assert_eq!(s.vector_lengths, vec![128, 256, 512, 1024, 2048]);
-        assert_eq!(s.fetch_blocks.first(), Some(&4));
-        assert_eq!(s.fetch_blocks.last(), Some(&2048));
-        assert_eq!(s.reg_grid.first(), Some(&38));
-        assert_eq!(s.reg_grid.last(), Some(&512));
-        assert_eq!(s.rob_grid.first(), Some(&8));
-        assert_eq!(s.rob_grid.last(), Some(&512));
-        assert_eq!(s.bandwidths, vec![16, 32, 64, 128, 256, 512, 1024]);
+        let text = format!("{s:?}");
+        assert!(text.starts_with("ParamSpace { vector_lengths: [128, 256, 512, 1024, 2048], "));
+        assert!(text.contains("reg_grid: [38, 40, 48, "));
+        assert!(text.contains("l1_clocks: [1.0, 1.5, 2.0, 2.5, 3.0, 3.5, 4.0], "));
+        assert!(text.ends_with(
+            "ram_ns: (20, 200), ram_clocks: [0.8, 1.2, 1.6, 2.4, 3.2], prefetch: (0, 4) }"
+        ));
+        let digest = Fnv1a::new().bytes(text.as_bytes()).finish();
+        assert_eq!((text.len(), digest), (2793, 0x61d7_ae33_d5c7_be81));
+        let mut h = Fnv1a::new();
+        for seed in 0..10_000 {
+            for v in s.sample_seeded(seed).to_features() {
+                h.bytes(&v.to_bits().to_le_bytes());
+            }
+        }
+        assert_eq!(h.finish(), 0xf024_75c4_73e3_7d6f);
     }
 
     #[test]

@@ -225,12 +225,11 @@ impl OpClass {
         matches!(self, OpClass::Branch)
     }
 
-    /// Index into `ALL`-ordered statistics arrays.
+    /// Index into `ALL`-ordered statistics arrays: the discriminant, as
+    /// `ALL` lists the classes in declaration order.
+    #[inline]
     pub fn index(self) -> usize {
-        OpClass::ALL
-            .iter()
-            .position(|&c| c == self)
-            .expect("op class in ALL")
+        self as usize
     }
 }
 
@@ -284,13 +283,12 @@ mod tests {
         assert_eq!(PortClass::Scalar.default_count(), 3);
     }
 
+    /// `index` is each class's position in `ALL`, so the indices are a
+    /// dense permutation.
     #[test]
     fn op_index_is_dense_permutation() {
-        let mut seen = vec![false; OpClass::ALL.len()];
-        for c in OpClass::ALL {
-            assert!(!seen[c.index()]);
-            seen[c.index()] = true;
+        for (i, c) in OpClass::ALL.into_iter().enumerate() {
+            assert_eq!(c.index(), i, "{c:?}");
         }
-        assert!(seen.iter().all(|&s| s));
     }
 }

@@ -63,13 +63,25 @@ impl MemParams {
 
     /// Check structural invariants (power-of-two geometry, L2 strictly
     /// larger and slower in wall-clock terms than L1 — the paper's sampling
-    /// constraints).
+    /// constraints) and the machine's bounds on cache sizes and prefetch
+    /// depth.
     pub fn validate(&self) -> Result<(), String> {
         if !self.line_bytes.is_power_of_two() || self.line_bytes < 8 {
             return Err(format!(
                 "line_bytes {} must be a power of two >= 8",
                 self.line_bytes
             ));
+        }
+        // The machine's bounds, past Table III's 128 KiB, 8 MiB and 4: a
+        // cache's size sets its tag arrays, the depth a per-miss loop.
+        for (name, v, max) in [
+            ("l1_size_kib", self.l1_size_kib, 1024),
+            ("l2_size_kib", self.l2_size_kib, 16384),
+            ("prefetch_depth", self.prefetch_depth, 64),
+        ] {
+            if v > max {
+                return Err(format!("{name} {v} above maximum {max}"));
+            }
         }
         for (name, size, assoc) in [
             ("L1", self.l1_size_kib, self.l1_assoc),
@@ -222,6 +234,34 @@ mod tests {
         let mut p = MemParams::thunderx2();
         p.l1_size_kib = 24; // 24 KiB / 64B / 8-way = 48 sets, not pow2
         assert!(p.validate().is_err());
+    }
+
+    /// Each parameter that sizes an allocation or a per-miss loop
+    /// validates at its bound and is refused one past it.
+    #[test]
+    fn allocation_sizes_are_bounded() {
+        let base = MemParams {
+            l2_size_kib: 2048,
+            ..MemParams::thunderx2()
+        };
+        type Field = fn(&mut MemParams) -> &mut u32;
+        let fields: [(&str, Field, u32); 3] = [
+            ("l1_size_kib", |p| &mut p.l1_size_kib, 1024),
+            ("l2_size_kib", |p| &mut p.l2_size_kib, 16384),
+            ("prefetch_depth", |p| &mut p.prefetch_depth, 64),
+        ];
+        for (name, field, bound) in fields {
+            let mut p = base;
+            *field(&mut p) = bound;
+            p.validate()
+                .unwrap_or_else(|e| panic!("{name} at its bound: {e}"));
+            *field(&mut p) = bound + 1;
+            let err = p.validate().expect_err(name);
+            assert!(
+                err.contains(&format!("above maximum {bound}")),
+                "{name}: {err}"
+            );
+        }
     }
 
     #[test]

@@ -45,6 +45,20 @@ pub fn request(
     })
 }
 
+/// Write one request, head and body in one `write`.
+fn write_request(
+    w: &mut impl Write,
+    addr: &str,
+    method: &str,
+    path: &str,
+    body: &str,
+) -> Result<(), String> {
+    let len = body.len();
+    let request = format!("{method} {path} HTTP/1.1\r\nHost: {addr}\r\nContent-Length: {len}\r\nConnection: close\r\n\r\n{body}");
+    w.write_all(request.as_bytes())
+        .map_err(|e| format!("send: {e}"))
+}
+
 /// Issue one request, handing each body fragment to `sink` as it is
 /// decoded (per network chunk for chunked responses). Returns the
 /// status code.
@@ -57,14 +71,7 @@ pub fn stream(
 ) -> Result<u16, String> {
     let stream = TcpStream::connect(addr).map_err(|e| format!("connect {addr}: {e}"))?;
     let mut writer = stream.try_clone().map_err(|e| format!("clone: {e}"))?;
-    let payload = body.unwrap_or("");
-    write!(
-        writer,
-        "{method} {path} HTTP/1.1\r\nHost: {addr}\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{payload}",
-        payload.len()
-    )
-    .map_err(|e| format!("send: {e}"))?;
-    writer.flush().map_err(|e| format!("send: {e}"))?;
+    write_request(&mut writer, addr, method, path, body.unwrap_or(""))?;
 
     let mut reader = BufReader::new(stream);
     let mut line = String::new();
@@ -134,4 +141,18 @@ pub fn stream(
         sink(&body)?;
     }
     Ok(status)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::http::tests::Writes;
+
+    #[test]
+    fn a_request_is_one_write() {
+        let mut w = Writes::default();
+        write_request(&mut w, "127.0.0.1:9", "POST", "/jobs", "{}").unwrap();
+        let head = "POST /jobs HTTP/1.1\r\nHost: 127.0.0.1:9\r\nContent-Length: 2\r\nConnection: close\r\n\r\n{}";
+        assert_eq!(w.0, [head.as_bytes()]);
+    }
 }

@@ -185,72 +185,58 @@ pub(crate) fn reason(status: u16) -> &'static str {
     }
 }
 
-/// Write a complete (non-chunked) response and flush.
+/// Write a complete (non-chunked) response, head and body in one
+/// `write`, and flush.
 pub(crate) fn write_response(
-    stream: &mut TcpStream,
+    stream: &mut impl Write,
     status: u16,
     content_type: &str,
     body: &[u8],
 ) -> std::io::Result<()> {
-    write!(
-        stream,
+    let head = format!(
         "HTTP/1.1 {status} {}\r\nContent-Type: {content_type}\r\nContent-Length: {}\r\nConnection: close\r\n\r\n",
         reason(status),
         body.len()
-    )?;
-    stream.write_all(body)?;
+    );
+    stream.write_all(&[head.as_bytes(), body].concat())?;
     stream.flush()
 }
 
-/// Write the head of a chunked response; follow with
-/// [`ChunkedWriter`].
+/// Write the head of a chunked response in one `write`; follow with
+/// [`write_chunk`] and [`finish_chunks`].
 pub(crate) fn write_chunked_head(
-    stream: &mut TcpStream,
+    stream: &mut impl Write,
     status: u16,
     content_type: &str,
 ) -> std::io::Result<()> {
-    write!(
-        stream,
+    let head = format!(
         "HTTP/1.1 {status} {}\r\nContent-Type: {content_type}\r\nTransfer-Encoding: chunked\r\nConnection: close\r\n\r\n",
         reason(status)
-    )
+    );
+    stream.write_all(head.as_bytes())
 }
 
-/// Streams a chunked-transfer-encoded body: each [`ChunkedWriter::chunk`]
-/// call becomes one size-prefixed chunk on the wire, flushed
-/// immediately so clients observe rows as the campaign produces them.
-/// [`ChunkedWriter::finish`] writes the terminating zero-size chunk.
-pub(crate) struct ChunkedWriter<'a> {
-    stream: &'a mut TcpStream,
+/// Write one non-empty chunk of a chunked body (after
+/// [`write_chunked_head`]) in one `write`, flushed so clients observe rows
+/// as the campaign produces them. Empty input is skipped: a zero-size
+/// chunk would terminate the stream.
+pub(crate) fn write_chunk(stream: &mut impl Write, data: &[u8]) -> std::io::Result<()> {
+    if data.is_empty() {
+        return Ok(());
+    }
+    let size = format!("{:x}\r\n", data.len());
+    stream.write_all(&[size.as_bytes(), data, b"\r\n"].concat())?;
+    stream.flush()
 }
 
-impl<'a> ChunkedWriter<'a> {
-    /// Start a chunked body on `stream` (after [`write_chunked_head`]).
-    pub(crate) fn new(stream: &'a mut TcpStream) -> ChunkedWriter<'a> {
-        ChunkedWriter { stream }
-    }
-
-    /// Emit one non-empty chunk (empty input is skipped — a zero-size
-    /// chunk would terminate the stream).
-    pub(crate) fn chunk(&mut self, data: &[u8]) -> std::io::Result<()> {
-        if data.is_empty() {
-            return Ok(());
-        }
-        write!(self.stream, "{:x}\r\n", data.len())?;
-        self.stream.write_all(data)?;
-        self.stream.write_all(b"\r\n")?;
-        self.stream.flush()
-    }
-
-    /// Terminate the stream (zero-size chunk, no trailers).
-    pub(crate) fn finish(self) -> std::io::Result<()> {
-        self.stream.write_all(b"0\r\n\r\n")?;
-        self.stream.flush()
-    }
+/// Terminate a chunked body (zero-size chunk, no trailers).
+pub(crate) fn finish_chunks(stream: &mut impl Write) -> std::io::Result<()> {
+    stream.write_all(b"0\r\n\r\n")?;
+    stream.flush()
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use std::net::{TcpListener, TcpStream};
 
@@ -324,6 +310,44 @@ mod tests {
         drop(peer); // held open until here: the server gave up, not the client
     }
 
+    /// A writer that records each `write` call.
+    #[derive(Default)]
+    pub(crate) struct Writes(pub(crate) Vec<Vec<u8>>);
+
+    impl Write for Writes {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.0.push(buf.to_vec());
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn each_message_is_one_write() {
+        let mut w = Writes::default();
+        write_response(&mut w, 404, "application/json", b"{}").unwrap();
+        write_chunked_head(&mut w, 200, "text/csv").unwrap();
+        write_chunk(&mut w, b"a,b\n").unwrap();
+        write_chunk(&mut w, &[b'x'; 300]).unwrap();
+        finish_chunks(&mut w).unwrap();
+        let x300 = format!("12c\r\n{}\r\n", "x".repeat(300));
+        let expected = [
+            "HTTP/1.1 404 Not Found\r\nContent-Type: application/json\r\nContent-Length: 2\r\nConnection: close\r\n\r\n{}",
+            "HTTP/1.1 200 OK\r\nContent-Type: text/csv\r\nTransfer-Encoding: chunked\r\nConnection: close\r\n\r\n",
+            "4\r\na,b\n\r\n",
+            &x300,
+            "0\r\n\r\n",
+        ];
+        let writes: Vec<String> =
+            w.0.iter()
+                .map(|b| String::from_utf8_lossy(b).into())
+                .collect();
+        assert_eq!(writes, expected);
+    }
+
     #[test]
     fn chunked_writer_frames_and_terminates() {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
@@ -331,11 +355,10 @@ mod tests {
         let server = std::thread::spawn(move || {
             let (mut stream, _) = listener.accept().unwrap();
             write_chunked_head(&mut stream, 200, "text/plain").unwrap();
-            let mut w = ChunkedWriter::new(&mut stream);
-            w.chunk(b"hello ").unwrap();
-            w.chunk(b"").unwrap(); // skipped, must not terminate
-            w.chunk(b"world").unwrap();
-            w.finish().unwrap();
+            write_chunk(&mut stream, b"hello ").unwrap();
+            write_chunk(&mut stream, b"").unwrap(); // skipped, must not terminate
+            write_chunk(&mut stream, b"world").unwrap();
+            finish_chunks(&mut stream).unwrap();
         });
         let mut out = Vec::new();
         TcpStream::connect(addr)

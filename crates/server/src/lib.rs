@@ -23,7 +23,7 @@ use armdse_core::jobstore::{Job, JobId, JobOpError, JobSpec, JobState};
 use armdse_core::json::{self, Layout, ToJson};
 use armdse_core::scheduler::JobScheduler;
 use armdse_core::ArmdseError;
-use http::{ChunkedWriter, Request};
+use http::Request;
 use std::io::BufReader;
 use std::net::{TcpListener, TcpStream};
 use std::path::{Path, PathBuf};
@@ -276,7 +276,6 @@ fn stream_file(inner: &Inner, w: &mut TcpStream, job: &Job, path: &Path) -> std:
     use std::io::{Read, Seek, SeekFrom};
     inner.stats.streams.fetch_add(1, Ordering::Relaxed);
     http::write_chunked_head(w, 200, "text/csv")?;
-    let mut out = ChunkedWriter::new(w);
     let mut offset: u64 = 0;
     let mut status = job.status();
     let mut buf = vec![0u8; 64 * 1024];
@@ -291,7 +290,7 @@ fn stream_file(inner: &Inner, w: &mut TcpStream, job: &Job, path: &Path) -> std:
                     if n == 0 {
                         break;
                     }
-                    out.chunk(&buf[..n])?;
+                    http::write_chunk(w, &buf[..n])?;
                     let rows = buf[..n].iter().filter(|&&b| b == b'\n').count();
                     inner
                         .stats
@@ -315,5 +314,5 @@ fn stream_file(inner: &Inner, w: &mut TcpStream, job: &Job, path: &Path) -> std:
         // this wait.
         status = job.wait_change(status.version, Duration::from_millis(250));
     }
-    out.finish()
+    http::finish_chunks(w)
 }

@@ -22,45 +22,52 @@ pub(crate) const RENAME_BUFFER_CAP: usize = 16;
 /// L1 access path, as in SimEng's LSQ), floored at this value.
 pub(crate) const MIN_FORWARD_LATENCY: u64 = 2;
 
-/// The eighteen core parameters varied by the study (Table II).
+/// The largest physical register file (per class), ROB, load queue and
+/// store queue the machine builds: each sizes an allocation when a
+/// pipeline is made. Table II stops at 512; the headroom admits listed
+/// points past the sampled space.
+pub(crate) const MAX_STRUCTURE: u32 = 4096;
+
+/// The eighteen core parameters varied by the study (Table II; the
+/// sampled values are `armdse_core`'s parameter table).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CoreParams {
-    /// SVE vector length in bits {128..2048, powers of 2}.
+    /// SVE vector length in bits (a power of two in 128..=2048).
     pub vector_length: u32,
-    /// Fetch block size in bytes {4..2048, powers of 2}.
+    /// Fetch block size in bytes (a power of two).
     pub fetch_block_bytes: u32,
-    /// Loop buffer size in instructions {1..512}.
+    /// Loop buffer size in instructions.
     pub loop_buffer_size: u32,
-    /// Physical general-purpose registers {38, 40..512 step 8}.
+    /// Physical general-purpose registers.
     pub gp_regs: u32,
-    /// Physical FP/SVE registers {38, 40..512 step 8}.
+    /// Physical FP/SVE registers.
     pub fp_regs: u32,
-    /// Physical predicate registers {24..512 step 8}.
+    /// Physical predicate registers.
     pub pred_regs: u32,
-    /// Physical condition (NZCV) registers {8..512 step 8}.
+    /// Physical condition (NZCV) registers.
     pub cond_regs: u32,
-    /// Commit pipeline width {1..64}.
+    /// Commit pipeline width in instructions per cycle.
     pub commit_width: u32,
-    /// Frontend (decode/rename) pipeline width {1..64}.
+    /// Frontend (decode/rename) pipeline width in instructions per cycle.
     pub frontend_width: u32,
-    /// Load-store-queue completion pipeline width {1..64}.
+    /// Load-store-queue completion pipeline width per cycle.
     pub lsq_completion_width: u32,
-    /// Reorder buffer size {8..512 step 4}.
+    /// Reorder buffer entries.
     pub rob_size: u32,
-    /// Load queue size {4..512 step 4}.
+    /// Load queue entries.
     pub load_queue: u32,
-    /// Store queue size {4..512 step 4}.
+    /// Store queue entries.
     pub store_queue: u32,
-    /// L1→core load bandwidth in bytes per cycle {16..1024, powers of 2}.
+    /// L1→core load bandwidth in bytes per cycle.
     pub load_bandwidth: u32,
-    /// Core→L1 store bandwidth in bytes per cycle {16..1024, powers of 2}.
+    /// Core→L1 store bandwidth in bytes per cycle.
     pub store_bandwidth: u32,
-    /// Permitted memory requests per cycle {1..32} (shared by loads and
-    /// stores; a request is one cache-line access).
+    /// Permitted memory requests per cycle (shared by loads and stores;
+    /// a request is one cache-line access).
     pub mem_requests_per_cycle: u32,
-    /// Permitted load requests per cycle {1..32}.
+    /// Permitted load requests per cycle.
     pub loads_per_cycle: u32,
-    /// Permitted store requests per cycle {1..32}.
+    /// Permitted store requests per cycle.
     pub stores_per_cycle: u32,
 }
 
@@ -106,55 +113,38 @@ impl CoreParams {
     /// Check structural invariants, including the paper's sampling
     /// constraint that load/store bandwidth covers one full vector
     /// ("Load and Store Bandwidths must be large enough to load and store
-    /// at least data as large as the vector length").
+    /// at least data as large as the vector length"), and the machine's
+    /// bound on register files, the ROB and the load/store queues.
     pub fn validate(&self) -> Result<(), String> {
-        if !self.vector_length.is_power_of_two() || !(128..=2048).contains(&self.vector_length) {
-            return Err(format!("vector_length {} invalid", self.vector_length));
-        }
-        if !self.fetch_block_bytes.is_power_of_two() || self.fetch_block_bytes < 4 {
-            return Err(format!(
-                "fetch_block_bytes {} invalid",
-                self.fetch_block_bytes
-            ));
-        }
         let vl_bytes = self.vector_length / 8;
-        if self.load_bandwidth < vl_bytes {
-            return Err(format!(
-                "load_bandwidth {} < vector bytes {vl_bytes}",
-                self.load_bandwidth
-            ));
-        }
-        if self.store_bandwidth < vl_bytes {
-            return Err(format!(
-                "store_bandwidth {} < vector bytes {vl_bytes}",
-                self.store_bandwidth
-            ));
-        }
-        for class in RegClass::ALL {
-            let need = u32::from(class.arch_count()) + 2;
-            if self.phys_regs(class) < need {
-                return Err(format!(
-                    "{} physical registers {} below architectural minimum {need}",
-                    class.tag(),
-                    self.phys_regs(class)
-                ));
-            }
-        }
-        for (name, v, lo) in [
-            ("commit_width", self.commit_width, 1),
-            ("frontend_width", self.frontend_width, 1),
-            ("lsq_completion_width", self.lsq_completion_width, 1),
-            ("rob_size", self.rob_size, 8),
-            ("load_queue", self.load_queue, 4),
-            ("store_queue", self.store_queue, 4),
-            ("loop_buffer_size", self.loop_buffer_size, 1),
-            ("mem_requests_per_cycle", self.mem_requests_per_cycle, 1),
-            ("loads_per_cycle", self.loads_per_cycle, 1),
-            ("stores_per_cycle", self.stores_per_cycle, 1),
+        let regs = |class: RegClass| u32::from(class.arch_count()) + 2..=MAX_STRUCTURE;
+        let any = || 1..=u32::MAX;
+        for (name, v, admitted) in [
+            ("vector_length", self.vector_length, 128..=2048),
+            ("fetch_block_bytes", self.fetch_block_bytes, 4..=u32::MAX),
+            ("load_bandwidth", self.load_bandwidth, vl_bytes..=u32::MAX),
+            ("store_bandwidth", self.store_bandwidth, vl_bytes..=u32::MAX),
+            ("gp_regs", self.gp_regs, regs(RegClass::Gp)),
+            ("fp_regs", self.fp_regs, regs(RegClass::Fp)),
+            ("pred_regs", self.pred_regs, regs(RegClass::Pred)),
+            ("cond_regs", self.cond_regs, regs(RegClass::Cond)),
+            ("commit_width", self.commit_width, any()),
+            ("frontend_width", self.frontend_width, any()),
+            ("lsq_completion_width", self.lsq_completion_width, any()),
+            ("rob_size", self.rob_size, 8..=MAX_STRUCTURE),
+            ("load_queue", self.load_queue, 4..=MAX_STRUCTURE),
+            ("store_queue", self.store_queue, 4..=MAX_STRUCTURE),
+            ("loop_buffer_size", self.loop_buffer_size, any()),
+            ("mem_requests_per_cycle", self.mem_requests_per_cycle, any()),
+            ("loads_per_cycle", self.loads_per_cycle, any()),
+            ("stores_per_cycle", self.stores_per_cycle, any()),
         ] {
-            if v < lo {
-                return Err(format!("{name} {v} below minimum {lo}"));
+            if !admitted.contains(&v) {
+                return Err(format!("{name} {v} outside {admitted:?}"));
             }
+        }
+        if !(self.vector_length.is_power_of_two() && self.fetch_block_bytes.is_power_of_two()) {
+            return Err("vector_length and fetch_block_bytes must be powers of two".into());
         }
         Ok(())
     }
@@ -200,6 +190,34 @@ mod tests {
         let p = CoreParams::thunderx2();
         assert_eq!(p.phys_regs(RegClass::Gp), 128);
         assert_eq!(p.phys_regs(RegClass::Cond), 32);
+    }
+
+    /// Each parameter that sizes an allocation validates at its bound
+    /// and is refused one past it.
+    #[test]
+    fn allocation_sizes_are_bounded() {
+        type Field = fn(&mut CoreParams) -> &mut u32;
+        let fields: [(&str, Field); 7] = [
+            ("gp_regs", |p| &mut p.gp_regs),
+            ("fp_regs", |p| &mut p.fp_regs),
+            ("pred_regs", |p| &mut p.pred_regs),
+            ("cond_regs", |p| &mut p.cond_regs),
+            ("rob_size", |p| &mut p.rob_size),
+            ("load_queue", |p| &mut p.load_queue),
+            ("store_queue", |p| &mut p.store_queue),
+        ];
+        for (name, field) in fields {
+            let mut p = CoreParams::thunderx2();
+            *field(&mut p) = MAX_STRUCTURE;
+            p.validate()
+                .unwrap_or_else(|e| panic!("{name} at its bound: {e}"));
+            *field(&mut p) = MAX_STRUCTURE + 1;
+            let err = p.validate().expect_err(name);
+            assert!(
+                err.contains("outside") && err.contains("..=4096"),
+                "{name}: {err}"
+            );
+        }
     }
 
     #[test]

@@ -248,8 +248,7 @@ fn a_non_finite_or_non_rfc_pin_is_refused_and_stores_nothing() {
     let dir = tmp("inf_pin");
     let jobs = dir.join("jobs");
     let (addr, handle) = start(&jobs, 1);
-    // An infinite ROB passes the plan's validation: only the parser
-    // stands between `1e999` and a stored spec.
+    // The parser refuses these before the plan's range check sees them.
     for (name, value) in [
         ("ROB-Size", "1e999"),
         ("Load-Bandwidth", "-1e999"),
@@ -262,14 +261,53 @@ fn a_non_finite_or_non_rfc_pin_is_refused_and_stores_nothing() {
         assert_eq!(resp.status, 400, "{name} {value} → {}", resp.text());
         assert!(resp.text().contains("number"), "{}", resp.text());
     }
-    let stored: Vec<_> = std::fs::read_dir(&jobs)
+    assert_no_job_files(&jobs);
+    stop(&addr, handle);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+fn assert_no_job_files(jobs: &Path) {
+    let stored: Vec<_> = std::fs::read_dir(jobs)
         .unwrap()
         .map(|e| e.unwrap().file_name())
         .filter(|n| n.to_string_lossy().starts_with("job-"))
         .collect();
     assert!(stored.is_empty(), "refused specs left {stored:?}");
+}
+
+/// A pin outside its feature's Table II range, or a fractional pin of
+/// an integer feature, is a 400 naming the feature and its range, and
+/// the store keeps no file of it. (A queue of 1000 would only cost
+/// memory; the plan-level test of `4e9`, which would ask a runner for
+/// hundreds of GB, never submits it.)
+#[test]
+fn an_out_of_range_or_fractional_pin_is_refused_and_stores_nothing() {
+    let dir = tmp("range_pin");
+    let jobs = dir.join("jobs");
+    let (addr, handle) = start(&jobs, 1);
+    for (name, value, range) in [
+        ("Store-Queue-Size", "1000", "[4, 512]"),
+        ("ROB-Size", "152.9", "[8, 512]"),
+    ] {
+        let body = format!("{{\"configs\": 1, \"pins\": {{\"{name}\": {value}}}}}");
+        let resp = client::request(&addr, "POST", "/jobs", Some(&body)).unwrap();
+        assert_eq!(resp.status, 400, "{name} {value} → {}", resp.text());
+        let text = resp.text();
+        assert!(text.contains(name) && text.contains(range), "{text}");
+    }
+    assert_no_job_files(&jobs);
     stop(&addr, handle);
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// The pin that would make a runner allocate a 4e9-entry store queue is
+/// refused by the plan, before any job or machine exists.
+#[test]
+fn a_store_queue_pin_of_4e9_is_refused_by_the_plan() {
+    let mut s = spec(1, 1, 1);
+    s.pins = vec![("Store-Queue-Size".into(), 4e9)];
+    let err = s.plan(&ParamSpace::paper()).unwrap_err().to_string();
+    assert!(err.contains("Store-Queue-Size"), "{err}");
 }
 
 /// A body nested past the parser's depth cap is a 400, not a stack
