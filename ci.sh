@@ -35,6 +35,7 @@
 #   window ring, SQ ordinals, fetch slots (perf): 17874 -> 18023
 #   one JSON writer, no rename queue: 18023 -> 18145
 #   one parameter table, bounded machine parameters: 18145 -> 18140
+#   one copy of every reported number, bounded campaign keys: 18140 -> 18153
 set -eux
 
 cd "$(dirname "$0")"
@@ -263,6 +264,20 @@ for E in fig1 table1 dataset summary fig2 fig3 fig4 fig5 fig6 fig7 fig8 \
     test "$N" = dataset_summary.txt || cmp "$F" "$SMOKE/all/$N"
   done
 done
+
+# Paper lane: EXPERIMENTS.md's command (`all`, then `summary` over the
+# same dataset) must write every committed results/*.txt byte for byte,
+# and commit every .txt it writes; tests/docs_cite_declared_metrics.rs
+# holds EXPERIMENTS.md to those files. A change that moves a reported
+# number fails here until results/ and EXPERIMENTS.md are regenerated
+# with it. About 4 minutes on 2 vCPUs.
+PAPER="--configs 8000 --scale standard"
+./target/release/repro all $PAPER --sweep-configs 10 --out "$SMOKE/paper" > /dev/null
+./target/release/repro summary $PAPER --out "$SMOKE/paper"
+for F in "$SMOKE/paper"/*.txt; do
+  cmp "$F" "results/$(basename "$F")"
+done
+test "$(ls results/*.txt | wc -l)" = "$(ls "$SMOKE/paper"/*.txt | wc -l)"
 
 # Docs link-check: every relative markdown link target in README.md and
 # docs/*.md must exist on disk (external http(s) links are skipped).

@@ -22,11 +22,14 @@ use armdse_core::space::ParamSpace;
 use armdse_core::{ArmdseError, DesignConfig, JobSpec};
 use armdse_kernels::App;
 
-/// ROB sizes swept in Fig. 7 (includes the paper's knee at 152).
+/// ROB sizes swept in Fig. 7. The list includes the paper's knee, 152;
+/// the measured knee is whichever listed value first reaches 90 % of
+/// the peak (`headline`), so it can land only on a listed value.
 pub(crate) const ROB_POINTS: [u32; 10] = [8, 16, 32, 64, 96, 128, 152, 256, 384, 512];
 
-/// FP/SVE register counts swept in Fig. 8 (includes the paper's knee at
-/// 144 and the minimum 38).
+/// FP/SVE register counts swept in Fig. 8, from the minimum 38. The list
+/// includes the paper's knee, 144; the measured knee, as for
+/// `ROB_POINTS`, is a listed value.
 pub(crate) const FP_POINTS: [u32; 9] = [38, 72, 104, 144, 176, 240, 320, 424, 512];
 
 /// Vector lengths swept in Fig. 6.

@@ -191,13 +191,25 @@ impl JobSpec {
     }
 
     /// The machine rule, spelled once for the wire parser and the
-    /// `repro` command line: a machine has at least one core and one
-    /// bank.
+    /// `repro` command line: every key that sizes threads, buffers or
+    /// the machine is at least 1 and at most its bound. 8192 `threads`
+    /// is Linux's largest CPU count, so any host's
+    /// `available_parallelism()` passes; `chunk_jobs` sizes a chunk's
+    /// design-point buffer; `cores` and `banks` sit well past the
+    /// contention study's 16 cores and 8 banks.
     pub fn check_machine(&self) -> Result<(), ArmdseError> {
-        if self.cores == 0 || self.banks == 0 {
-            return Err(ArmdseError::InvalidPlan(
-                "\"cores\" and \"banks\" must be at least 1".into(),
-            ));
+        let bounds = [
+            ("threads", self.threads as u64, 8192),
+            ("chunk_jobs", self.chunk_jobs as u64, 65536),
+            ("cores", self.cores.into(), 64),
+            ("banks", self.banks.into(), 1024),
+        ];
+        for (key, value, max) in bounds {
+            if !(1..=max).contains(&value) {
+                return Err(ArmdseError::InvalidPlan(format!(
+                    "\"{key}\" must be in 1..={max}, not {value}"
+                )));
+            }
         }
         Ok(())
     }
@@ -255,7 +267,7 @@ impl JobSpec {
                 val.as_u64()
                     .ok_or_else(|| bad(format!("\"{key}\" must be an integer in 0..2^53")))
             };
-            // A machine dimension: a `u32` (`check_machine` refuses 0).
+            // A machine dimension: a `u32` (`check_machine` bounds it).
             let dim = || -> Result<u32, ArmdseError> {
                 u32::try_from(uint()?).map_err(|_| bad(format!("\"{key}\" must be in 1..2^32")))
             };
@@ -812,6 +824,38 @@ mod tests {
             assert_eq!(d.topology(), MultiCore::IDEALIZED, "{body}");
             assert_eq!(d.engine().backend().topology(), MultiCore::IDEALIZED);
         }
+    }
+
+    #[test]
+    fn campaign_and_topology_keys_are_bounded() {
+        // Each key at its bound parses; one past it is refused, naming
+        // the key. Parse level only: none of these specs is run.
+        for (key, max) in [
+            ("threads", 8192u64),
+            ("chunk_jobs", 65536),
+            ("cores", 64),
+            ("banks", 1024),
+        ] {
+            let body = |n: u64| format!("{{\"configs\": 1, \"{key}\": {n}}}");
+            assert!(JobSpec::from_json(&body(max)).is_ok(), "{key} {max}");
+            let e = JobSpec::from_json(&body(max + 1)).unwrap_err().to_string();
+            assert!(
+                e.contains(&format!("\"{key}\" must be in 1..={max}")),
+                "{e}"
+            );
+        }
+        // A spec asking a runner for 10^5 threads is refused before any
+        // runner sees it.
+        let probe = "{\"configs\": 1, \"threads\": 100000, \"chunk_jobs\": 100000}";
+        assert!(JobSpec::from_json(probe).is_err());
+        // Whatever this host reports, `repro`'s default passes.
+        let threads = std::thread::available_parallelism().map_or(1, |n| n.get());
+        let host = JobSpec {
+            configs: 1,
+            threads,
+            ..JobSpec::default()
+        };
+        host.check_machine().unwrap();
     }
 
     #[test]

@@ -300,6 +300,29 @@ fn an_out_of_range_or_fractional_pin_is_refused_and_stores_nothing() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// A thread count one past its bound is a 400 naming the key, and the
+/// store keeps no file of it. The spec is one job in one-job chunks, so
+/// a server that accepted it would still start no helper thread; the
+/// other bounds are tested at parse level (`jobstore.rs`).
+#[test]
+fn a_thread_count_past_its_bound_is_refused_and_stores_nothing() {
+    let dir = tmp("threads_bound");
+    let jobs = dir.join("jobs");
+    let (addr, handle) = start(&jobs, 1);
+    let body = "{\"configs\": 1, \"scale\": \"tiny\", \"apps\": [\"STREAM\"], \
+                \"chunk_jobs\": 1, \"threads\": 8193}";
+    let resp = client::request(&addr, "POST", "/jobs", Some(body)).unwrap();
+    assert_eq!(resp.status, 400, "{}", resp.text());
+    let text = resp.text();
+    assert!(
+        text.contains("threads") && text.contains("1..=8192"),
+        "{text}"
+    );
+    assert_no_job_files(&jobs);
+    stop(&addr, handle);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// The pin that would make a runner allocate a 4e9-entry store queue is
 /// refused by the plan, before any job or machine exists.
 #[test]
