@@ -36,6 +36,7 @@
 #   one JSON writer, no rename queue: 18023 -> 18145
 #   one parameter table, bounded machine parameters: 18145 -> 18140
 #   one copy of every reported number, bounded campaign keys: 18140 -> 18153
+#   one description of each mechanism, unparsable specs listed: 18155 -> 18090
 set -eux
 
 cd "$(dirname "$0")"
@@ -279,14 +280,26 @@ for F in "$SMOKE/paper"/*.txt; do
 done
 test "$(ls results/*.txt | wc -l)" = "$(ls "$SMOKE/paper"/*.txt | wc -l)"
 
-# Docs link-check: every relative markdown link target in README.md and
-# docs/*.md must exist on disk (external http(s) links are skipped).
-for doc in README.md docs/*.md; do
+# Docs link-check: every relative markdown link target in README.md,
+# DESIGN.md, EXPERIMENTS.md and docs/*.md must exist on disk (external
+# http(s) links are skipped), and every in-page `](#anchor)` must be the
+# GitHub slug of one of the document's headings (lowercased, all but
+# letters, digits, spaces, `_` and `-` dropped, spaces to `-`).
+for doc in README.md DESIGN.md EXPERIMENTS.md docs/*.md; do
   dir=$(dirname "$doc")
   grep -o ']([^)]*)' "$doc" | sed 's/^](//; s/)$//; s/#.*$//' | \
     grep -v '^https\?://' | grep -v '^$' | sort -u | while read -r target; do
     test -e "$dir/$target" || {
       echo "FAIL: $doc links to missing file: $target" >&2
+      exit 1
+    }
+  done
+  SLUGS=$(grep '^#' "$doc" | sed 's/^#* *//' | tr 'A-Z' 'a-z' | \
+    LC_ALL=C sed 's/[^a-z0-9 _-]//g; s/ /-/g')
+  grep -o '](#[^)]*)' "$doc" | sed 's/^](#//; s/)$//' | sort -u | \
+    while read -r anchor; do
+    printf '%s\n' "$SLUGS" | grep -qxF "$anchor" || {
+      echo "FAIL: $doc links to missing anchor: #$anchor" >&2
       exit 1
     }
   done

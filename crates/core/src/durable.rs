@@ -207,7 +207,7 @@ impl Campaign {
 mod tests {
     use super::*;
     use crate::engine::RowSink;
-    use crate::orchestrator::GenOptions;
+    use crate::jobstore::JobSpec;
     use crate::space::ParamSpace;
     use armdse_kernels::{App, WorkloadScale};
 
@@ -225,16 +225,16 @@ mod tests {
 
     /// 3 configs x 2 apps in chunks of 2 jobs: three chunk boundaries.
     fn plan() -> RunPlan {
-        let opts = GenOptions {
+        let spec = JobSpec {
             configs: 3,
             scale: WorkloadScale::Tiny,
             seed: 0xD0_AB1E,
             threads: 2,
             apps: vec![App::Stream, App::TeaLeaf],
+            chunk_jobs: 2,
+            ..JobSpec::default()
         };
-        RunPlan::new(&ParamSpace::paper(), &opts)
-            .unwrap()
-            .with_chunk_jobs(2)
+        spec.plan(&ParamSpace::paper()).unwrap()
     }
 
     /// Open and run, pausing after `pause_after` chunks when given.

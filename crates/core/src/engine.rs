@@ -1,60 +1,29 @@
 //! The campaign engine: one resumable run path for every consumer.
 //!
-//! The paper's workflow (T1 sample → T2 simulate → T3 train) used to be
-//! spread over free functions that each hard-wired a backend and
-//! re-derived workload construction. [`Engine`] is the single substrate:
-//! it owns a pluggable [`SimBackend`], a shared [`WorkloadCache`] keyed
-//! by `(app, scale, vector length)`, and a chunked deterministic job
-//! loop that streams rows into a [`RowSink`] instead of accumulating
-//! them in memory.
+//! [`Engine`] is the one substrate of the paper's workflow (T1 sample →
+//! T2 simulate → T3 train): it owns a pluggable [`SimBackend`], a shared
+//! [`WorkloadCache`] keyed by `(app, scale, vector length)`, and a
+//! chunked deterministic job loop that streams rows into a [`RowSink`]
+//! instead of accumulating them in memory.
 //!
 //! ## Determinism and resume
 //!
 //! Jobs are numbered `0..configs × apps.len()`; job `j` simulates app
 //! `apps[j % apps.len()]` on config slot `j / apps.len()` (sampled with
-//! `seed +` the slot, or listed). Within a chunk, worker threads race on an
-//! atomic counter, but results are reordered by job index before they
-//! reach the sink — output is byte-identical for any thread count. A
-//! chunk boundary is a plan property (not a thread property), so a run
-//! checkpointed after chunk `k` and resumed produces *exactly* the
-//! bytes of an uninterrupted run: `fresh == resumed` at any thread
-//! count. `tests/engine_resume.rs` pins this guarantee.
-//!
-//! ## Checkpoint file format
-//!
-//! A checkpoint is a small line-oriented text file, written atomically
-//! (temp file + rename) after every chunk:
-//!
-//! ```text
-//! armdse-checkpoint v1
-//! fingerprint=<16 hex digits>   # FNV-1a over the plan (space, configs,
-//!                               # seed, scale, apps, pins, explicit
-//!                               # config indices; a listed plan: its
-//!                               # points, scale, apps, indices) —
-//!                               # threads and chunk size excluded:
-//!                               # they must not change results
-//! jobs_done=<n>                 # always a chunk boundary
-//! rows=<n>                      # validated rows streamed so far
-//! discarded=<n>                 # validation-failed runs so far
-//! ```
-//!
-//! Resuming validates the fingerprint against the live plan and
-//! continues from `jobs_done`; resuming a completed run is a no-op.
-//!
-//! An *extra* section of `key=value` lines may follow the four fixed
-//! fields (keys must not collide with the fixed field names). The run
-//! loop is its only writer: the engine's machine-shape keys (`mc.*`),
-//! then the campaign sink's [`RowSink::state`] — the adaptive
-//! [`crate::explorer::Explorer`]'s is the one in-tree state
-//! (`explore.*`, DESIGN.md §12). [`Checkpoint::load`] hands the section
-//! back uninterpreted.
+//! `seed +` the slot, or listed). Within a chunk, worker threads race on
+//! an atomic counter, but results are reordered by job index before they
+//! reach the sink, and a chunk boundary is a plan property, so a run
+//! checkpointed after chunk `k` and resumed writes *exactly* the bytes
+//! of an uninterrupted run at any thread count (`tests/engine_resume.rs`).
+//! The checkpoint format, the resume checks and the per-chunk write
+//! order are DESIGN.md §10's; [`Checkpoint::load`] hands the extra
+//! section back uninterpreted.
 
 use crate::config::{self, DesignConfig};
 use crate::dataset::{write_csv_header, write_csv_row, DiscardedRun, DseDataset, Row};
 use crate::durable::{self, CsvFile};
 use crate::error::ArmdseError;
 use crate::metrics::{write_metrics_header, write_metrics_row, MetricsRow};
-use crate::orchestrator::GenOptions;
 use crate::space::ParamSpace;
 use armdse_kernels::{App, Workload, WorkloadCache, WorkloadScale};
 use armdse_memsim::fasthash::Fnv1a;
@@ -66,8 +35,8 @@ use std::sync::Arc;
 /// seconds at Standard scale, large enough to amortise the thread scope.
 pub(crate) const DEFAULT_CHUNK_JOBS: usize = 128;
 
-/// A validated campaign plan: the engine-facing form of [`GenOptions`],
-/// or of an explicit list of design points ([`RunPlan::listed`]).
+/// A validated campaign plan: sampled ([`crate::JobSpec::plan`]) or an
+/// explicit list of design points ([`RunPlan::listed`]).
 ///
 /// Construction refuses `configs == 0` or an empty app list as
 /// [`ArmdseError::InvalidPlan`], deduplicates apps (order-preserving)
@@ -102,8 +71,13 @@ enum Candidates {
 }
 
 impl RunPlan {
-    /// Validate `o` against `space` into a plan.
-    pub fn new(space: &ParamSpace, o: &GenOptions) -> Result<RunPlan, ArmdseError> {
+    /// Validate `o` against `space` into a plan: the benchmark's
+    /// constructor; the product builds sampled plans with
+    /// [`crate::JobSpec::plan`].
+    pub fn new(
+        space: &ParamSpace,
+        o: &crate::orchestrator::GenOptions,
+    ) -> Result<RunPlan, ArmdseError> {
         RunPlan::sampled(space, o.seed, &[], o.configs, &o.apps, o.scale, o.threads)
     }
 
@@ -851,19 +825,21 @@ impl Engine {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::jobstore::JobSpec;
 
-    fn opts(configs: usize, threads: usize) -> GenOptions {
-        GenOptions {
+    fn opts(configs: usize, threads: usize) -> JobSpec {
+        JobSpec {
             configs,
             scale: WorkloadScale::Tiny,
             seed: 99,
             threads,
             apps: vec![App::Stream, App::TeaLeaf],
+            ..JobSpec::default()
         }
     }
 
     fn plan(configs: usize, threads: usize) -> RunPlan {
-        RunPlan::new(&ParamSpace::paper(), &opts(configs, threads)).unwrap()
+        opts(configs, threads).plan(&ParamSpace::paper()).unwrap()
     }
 
     /// `opts(configs, 1)`'s plan with one feature pinned.
@@ -883,7 +859,7 @@ mod tests {
 
     #[test]
     fn zero_configs_is_an_invalid_plan_not_a_panic() {
-        let err = RunPlan::new(&ParamSpace::paper(), &opts(0, 1)).unwrap_err();
+        let err = opts(0, 1).plan(&ParamSpace::paper()).unwrap_err();
         assert!(matches!(err, ArmdseError::InvalidPlan(_)), "{err}");
     }
 
@@ -892,7 +868,7 @@ mod tests {
         let mut o = opts(4, 1);
         o.apps.clear();
         assert!(matches!(
-            RunPlan::new(&ParamSpace::paper(), &o),
+            o.plan(&ParamSpace::paper()),
             Err(ArmdseError::InvalidPlan(_))
         ));
     }
@@ -901,7 +877,7 @@ mod tests {
     fn duplicate_apps_are_deduplicated_order_preserving() {
         let mut o = opts(3, 1);
         o.apps = vec![App::TeaLeaf, App::Stream, App::TeaLeaf, App::Stream];
-        let p = RunPlan::new(&ParamSpace::paper(), &o).unwrap();
+        let p = o.plan(&ParamSpace::paper()).unwrap();
         assert_eq!(p.apps(), &[App::TeaLeaf, App::Stream]);
         assert_eq!(p.jobs(), 6);
         // And the engine produces exactly one row per (config, app).
@@ -917,9 +893,9 @@ mod tests {
         assert!(err.to_string().contains("No-Such-Feature"));
     }
 
-    fn dataset(o: &GenOptions) -> DseDataset {
+    fn dataset(o: &JobSpec) -> DseDataset {
         let mut data = DseDataset::default();
-        let p = RunPlan::new(&ParamSpace::paper(), o).unwrap();
+        let p = o.plan(&ParamSpace::paper()).unwrap();
         Engine::idealized().run(&p, &mut data).unwrap();
         data
     }
@@ -1326,13 +1302,11 @@ mod tests {
     #[test]
     fn sampled_candidates_wrap_past_the_largest_seed() {
         let space = ParamSpace::paper();
-        let p = RunPlan::new(
-            &space,
-            &GenOptions {
-                seed: u64::MAX,
-                ..opts(2, 1)
-            },
-        )
+        let p = (JobSpec {
+            seed: u64::MAX,
+            ..opts(2, 1)
+        })
+        .plan(&space)
         .unwrap();
         let points = [p.design_point(0).unwrap(), p.design_point(1).unwrap()];
         assert_eq!(

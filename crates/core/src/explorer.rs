@@ -58,41 +58,26 @@
 //! ## Determinism and resume
 //!
 //! Everything downstream of the seed is deterministic: engine rows are
-//! byte-identical at any thread count, [`RandomForest::partial_refit`]
-//! draws per-(round, tree) RNG streams, the acquisition RNG is a
-//! counted xoshiro stream whose 256-bit state is persisted, and
-//! selection breaks ties by candidate id.
-//!
+//! byte-identical at any thread count, the forest draws per-(round,
+//! tree) RNG streams, the acquisition RNG's 256-bit state is
+//! checkpointed, and selection breaks ties by candidate id.
 //! [`ExploreOptions::threads`] runs both halves of a round: the
-//! simulations, and then — inside [`RowSink::next_batch`], while the
-//! campaign's workers are parked, so never more than `threads` are
-//! busy — the forest refit and the pool predictions. Neither can
-//! move a bit. A tree is fitted by one worker from `(seed, round, tree,
-//! rows)` alone and lands in its own slot; a table cell is one tree's
-//! walk of one candidate; and every ensemble mean and variance is
-//! summed in tree order by the one function in `mltree::forest` that
-//! the row-wise methods use too. The table is a cache of the forest:
-//! it is not checkpointed and a resume starts it all-stale.
+//! simulations, and then, inside [`RowSink::next_batch`] while the
+//! campaign's workers are parked, the refit and the [`PoolPredictions`]
+//! walks. A tree is fitted from `(seed, round, tree, rows)` alone into
+//! its own slot, and ensemble means and variances are summed in tree
+//! order by the one function in `mltree::forest` that the row-wise
+//! methods use too, so neither can move a bit.
 //!
-//! The whole exploration is *one* campaign on the engine's run loop,
-//! and its rounds are that campaign's [`RowSink`]: they keep each row
-//! for the refit as it streams to `explore_dataset.csv`, and the curve
-//! is one more stream, durable with the dataset at every chunk
-//! boundary. Round 0's batch is the plan the campaign starts on;
-//! whenever the plan runs out the sink refits, appends the curve row and
-//! answers with the next round's batch, and the loop extends its plan
-//! and writes the chunk's checkpoint with the sink's state in the extra
-//! section (`explore.{plan,rng,selected,hashes}`: options fingerprint,
-//! RNG state, selection history, per-round model hashes). A round
-//! boundary is therefore just a chunk boundary, the checkpoint's
-//! `jobs_done`/`rows`/`fingerprint` mean what they mean for any
-//! campaign (cumulative position in, and identity of, the plan over
-//! `explore.selected`), and a run paused at any chunk resumes to
-//! byte-identical artifacts: once the loop has checked the plan, the
-//! sink cuts the dataset and the curve back to the checkpoint and
-//! replays the refit history against the recorded model hashes — a
-//! mismatch is an [`ArmdseError::Explore`], not a silently different
-//! model. `tests/explorer_resume.rs` pins this at 1 and 8 threads.
+//! The exploration is *one* campaign whose [`RowSink`] is its rounds
+//! (DESIGN.md §12): the curve is one more stream, durable with the
+//! dataset at every chunk boundary, and the checkpoint's extra section
+//! is the four `explore.*` keys (DESIGN.md §10 has the format and the
+//! write order). On resume the sink cuts the dataset and the curve back
+//! to the checkpoint and replays the refit history against the recorded
+//! model hashes; a mismatch is an [`ArmdseError::Explore`], not a
+//! silently different model. `tests/explorer_resume.rs` pins this at 1
+//! and 8 threads.
 
 use crate::dataset::{DseDataset, Row};
 use crate::durable::{Campaign, CampaignFiles, CsvFile};

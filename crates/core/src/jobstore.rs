@@ -4,26 +4,18 @@
 //! [`CampaignFiles`] it streams into, and its state — owned by a
 //! [`JobStore`] that gives it an id, a directory slot, and a state
 //! machine. The execution side (the priority queue and runner threads)
-//! lives in [`crate::scheduler::JobScheduler`]; this module is
-//! everything the scheduler schedules *around*: identity, isolation,
-//! persistence, and machine-readable status.
+//! lives in [`crate::scheduler::JobScheduler`].
 //!
 //! ## Per-job isolation
 //!
 //! A job holds its spec, its file paths and its counters, nothing else.
 //! The plan, the [`Engine`] (workload cache and backend) and the open
 //! sinks are locals of one run session: a runner builds them when it
-//! claims the job and drops them when the session stops. Tenants
-//! therefore cannot pollute each other's caches by construction, the
-//! only state concurrent jobs share is the scheduler's queue lock, and a
-//! terminal job keeps no lowered workload alive: about half a KB stays
-//! resident per served job, against 37–43 KB while every job owned its
-//! engine for the life of the process (`tests/server_memory.rs`). The
-//! price: a job resumed in the same process re-lowers its workloads, as
-//! it already did after a restart. With the engine's
-//! thread-count-invariant determinism, a job's bytes depend only on its
-//! spec, never on what else the server is running (pinned by
-//! `tests/server_jobs.rs`).
+//! claims the job and drops them when the session stops. Jobs therefore
+//! share no cache, a terminal job keeps no lowered workload alive
+//! (`tests/server_memory.rs`), and a job's bytes depend only on its spec
+//! (`tests/server_jobs.rs`). A job resumed in the same process re-lowers
+//! its workloads, as after a restart.
 //!
 //! ## On-disk layout
 //!
@@ -32,17 +24,13 @@
 //! ```text
 //! job-N.spec.json    # the submitted spec (wire format, re-parseable)
 //! job-N.csv          # the streamed dataset rows (CsvSink bytes)
-//! job-N.ckpt         # armdse-checkpoint, atomically replaced
+//! job-N.ckpt         # its checkpoint, atomically replaced
 //! job-N.metrics.csv  # per-job metrics stream (only when requested)
 //! job-N.state        # terminal marker: done / cancelled / failed <msg>
 //! ```
 //!
-//! [`JobStore::open`] rescans this layout, so a server restart recovers
-//! every job: terminal jobs keep their recorded state, a job whose spec
-//! the plan now refuses comes back [`JobState::Failed`] with that error,
-//! and anything else comes back as [`JobState::Paused`] at its
-//! checkpointed position — an explicit resume re-queues it and the
-//! engine's byte-identical resume contract takes over. No background
+//! [`JobStore::open`] rescans this layout; docs/SERVER.md ("Lifecycle,
+//! restarts, resume") states what each job reopens as. No background
 //! work survives the process; recovery is purely file-driven.
 
 use crate::durable::{self, CampaignFiles};
@@ -596,8 +584,8 @@ pub struct JobStore {
 impl JobStore {
     /// Open (or create) a store at `dir` over the paper's parameter
     /// space, recovering any jobs already on disk: terminal jobs keep
-    /// their recorded state; a job whose plan is refused returns as
-    /// `Failed`; everything else returns as `Paused` at its
+    /// their recorded state; a job whose spec does not parse or plan
+    /// returns as `Failed`; everything else returns as `Paused` at its
     /// checkpointed position, ready for an explicit resume.
     pub fn open(dir: &Path) -> Result<JobStore, ArmdseError> {
         std::fs::create_dir_all(dir)?;
@@ -608,8 +596,8 @@ impl JobStore {
             seq: AtomicU64::new(1),
         };
         // Every `job-<N>.*` file claims id N, whether or not its spec
-        // still parses: a skipped job's files must not be inherited by
-        // the next submission.
+        // still parses: a job's files must not be inherited by the next
+        // submission.
         let mut max_id = 0;
         let mut specs: Vec<(JobId, String)> = Vec::new();
         for entry in std::fs::read_dir(dir)? {
@@ -630,17 +618,19 @@ impl JobStore {
         specs.sort();
         for (id, name) in specs {
             let body = std::fs::read_to_string(dir.join(&name))?;
-            let spec = match JobSpec::from_json(&body) {
-                Ok(s) => s,
-                Err(e) => {
-                    eprintln!("[jobstore] skipping unparsable {name}: {e}");
-                    continue;
+            // A spec this build cannot run — one it no longer parses (a
+            // retired key, say) or whose plan it refuses (a pin out of
+            // range) — is still listed: it could never resume, so
+            // without a terminal marker it reopens Failed with that
+            // error. An unparsable one keeps a placeholder spec; nothing
+            // is written, so restoring the file brings the job back.
+            let (spec, plan) = match JobSpec::from_json(&body) {
+                Ok(spec) => {
+                    let plan = spec.plan(&ParamSpace::paper());
+                    (spec, plan.map(|p| p.jobs()).map_err(|e| e.to_string()))
                 }
+                Err(e) => (JobSpec::default(), Err(format!("{name}: {e}"))),
             };
-            // A spec this build's plan refuses (a pin out of range, say)
-            // is still listed: it could never resume, so without a
-            // terminal marker it reopens Failed with the plan's error.
-            let plan = spec.plan(&ParamSpace::paper()).map(|p| p.jobs());
             let job = store.build_job(id, spec, *plan.as_ref().unwrap_or(&0));
             // Recover position from the checkpoint and state from the
             // terminal marker (absent marker => Paused, resumable).
@@ -653,7 +643,7 @@ impl JobStore {
                 }
                 inner.state = JobState::Paused;
                 if let Err(e) = plan {
-                    (inner.state, inner.error) = (JobState::Failed, Some(e.to_string()));
+                    (inner.state, inner.error) = (JobState::Failed, Some(e));
                 }
                 if let Ok(marker) = std::fs::read_to_string(job.state_path()) {
                     let mut lines = marker.lines();
@@ -1047,11 +1037,12 @@ mod tests {
         drop((old, store));
 
         let store = JobStore::open(&dir).unwrap();
-        assert!(store.get(2).is_none(), "the unparsable spec is skipped");
+        let kept = store.get(2).expect("the unparsable spec is listed");
+        assert_eq!(kept.status().state, JobState::Done, "its marker is kept");
         let new = store.create(spec()).unwrap();
         assert_eq!(new.id(), 3, "id 2 is taken by the files on disk");
         assert!(!new.files().csv.exists(), "a new job starts with no files");
-        drop((new, store));
+        drop((kept, new, store));
         // One more restart: the never-run job must not read as Done.
         let store = JobStore::open(&dir).unwrap();
         assert_eq!(store.get(3).unwrap().status().state, JobState::Paused);

@@ -27,19 +27,20 @@
 //! ## Example
 //!
 //! ```
-//! use armdse_core::engine::{Engine, RunPlan};
-//! use armdse_core::{orchestrator::GenOptions, space::ParamSpace, surrogate::SurrogateSuite};
-//! use armdse_core::DseDataset;
+//! use armdse_core::engine::Engine;
+//! use armdse_core::{space::ParamSpace, surrogate::SurrogateSuite};
+//! use armdse_core::{DseDataset, JobSpec};
 //! use armdse_kernels::{App, WorkloadScale};
 //!
-//! let opts = GenOptions {
+//! let spec = JobSpec {
 //!     configs: 40,
 //!     scale: WorkloadScale::Tiny,
 //!     seed: 1,
 //!     threads: 2,
 //!     apps: vec![App::Stream],
+//!     ..JobSpec::default()
 //! };
-//! let plan = RunPlan::new(&ParamSpace::paper(), &opts).unwrap();
+//! let plan = spec.plan(&ParamSpace::paper()).unwrap();
 //! let mut data = DseDataset::default();
 //! Engine::idealized().run(&plan, &mut data).unwrap();
 //! assert!(data.rows.len() <= 40 && !data.rows.is_empty());
@@ -58,6 +59,7 @@ pub mod explorer;
 pub mod jobstore;
 pub mod json;
 pub mod metrics;
+// `GenOptions`, the benchmark's input to `RunPlan::new`.
 pub mod orchestrator;
 pub mod scheduler;
 pub mod space;

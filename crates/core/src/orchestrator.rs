@@ -1,9 +1,10 @@
 //! Campaign options — the inputs of the paper's `xci_launcher.sh` /
 //! `run_xci.sh` orchestration (artifact A₂, task T₁).
 //!
-//! The chunked, resumable job loop lives in [`crate::engine`]: validate
-//! a [`GenOptions`] into a [`crate::engine::RunPlan`] and stream it
-//! through [`crate::engine::Engine::run`].
+//! [`GenOptions`] is what the benchmark package validates into a plan
+//! with [`crate::engine::RunPlan::new`]; it has no other user. The
+//! product, its tests and examples build a sampled plan one way,
+//! [`crate::JobSpec::plan`].
 
 use armdse_kernels::{App, WorkloadScale};
 

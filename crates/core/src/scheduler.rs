@@ -44,10 +44,10 @@
 //!
 //! Pause and cancel are cooperative and chunk-granular. A `Running`
 //! job carries one stop request (none | pause | cancel), read by the
-//! run loop's observer at every chunk boundary — *after* the sink
-//! flushed and the checkpoint was saved — so a paused or cancelled job
-//! always leaves a loadable checkpoint and a CSV that is byte-identical
-//! to a prefix of the uninterrupted run. A cancel outranks a pause and
+//! run loop's observer, the last step of every chunk boundary
+//! (DESIGN.md §10), so a paused or cancelled job always leaves a
+//! loadable checkpoint and a CSV that is byte-identical to a prefix of
+//! the uninterrupted run. A cancel outranks a pause and
 //! cannot be rescinded: `resume` takes back a pending pause only. A
 //! `Queued` job pauses or cancels immediately (it never ran). Every
 //! state change goes through `Job::transition`, which writes the
@@ -183,9 +183,8 @@ pub(crate) fn run_job_loop(
 /// chunk partitioning, checkpoint cadence, machine-shape guard, the
 /// sink's batches, the observer/pause hook.
 ///
-/// At each chunk boundary, in this order: (plan exhausted: the sink's
-/// `next_batch`, plan extended when it is non-empty) → sink durable →
-/// checkpoint (with the sink's `state`) → observer. So a checkpoint's
+/// Each chunk boundary follows DESIGN.md §10's write order, the plan
+/// extended by a non-empty `next_batch` first. So a checkpoint's
 /// `fingerprint` is that of the plan so far, `jobs_done`/`rows` are
 /// cumulative, and a steered campaign is at `jobs_done == plan.jobs()`
 /// only once its sink answered "no more".
@@ -589,7 +588,7 @@ mod tests {
     use super::*;
     use crate::dataset::DseDataset;
     use crate::engine::CsvSink;
-    use crate::orchestrator::GenOptions;
+    use crate::jobstore::JobSpec;
     use crate::space::ParamSpace;
     use armdse_kernels::{App, WorkloadScale};
 
@@ -861,14 +860,15 @@ mod tests {
     }
 
     fn index_plan(indices: &[u64], threads: usize, chunk_jobs: usize) -> RunPlan {
-        let opts = GenOptions {
+        let opts = JobSpec {
             configs: indices.len(),
             scale: WorkloadScale::Tiny,
             seed: 0x57EE,
             threads,
             apps: vec![App::Stream, App::TeaLeaf],
+            ..JobSpec::default()
         };
-        RunPlan::new(&ParamSpace::paper(), &opts)
+        opts.plan(&ParamSpace::paper())
             .unwrap()
             .with_config_indices(indices.to_vec())
             .unwrap()
@@ -1069,17 +1069,17 @@ mod tests {
     #[test]
     fn a_helper_panic_mid_campaign_re_raises_on_the_caller() {
         for threads in [2, 4] {
-            let opts = GenOptions {
+            // Three chunks of four jobs; the panic comes in the second.
+            let spec = JobSpec {
                 configs: 12,
                 scale: WorkloadScale::Tiny,
                 seed: 5,
                 threads,
                 apps: vec![App::Stream],
+                chunk_jobs: 4,
+                ..JobSpec::default()
             };
-            // Three chunks of four jobs; the panic comes in the second.
-            let plan = RunPlan::new(&ParamSpace::paper(), &opts)
-                .unwrap()
-                .with_chunk_jobs(4);
+            let plan = spec.plan(&ParamSpace::paper()).unwrap();
             let (tx, rx) = std::sync::mpsc::channel();
             std::thread::Builder::new()
                 .name("campaign".into())

@@ -126,20 +126,21 @@ fn train_app(data: &DseDataset, app: App, test_frac: f64, seed: u64) -> AppModel
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::{Engine, RunPlan};
-    use crate::orchestrator::GenOptions;
+    use crate::engine::Engine;
+    use crate::jobstore::JobSpec;
     use crate::space::ParamSpace;
     use armdse_kernels::WorkloadScale;
 
     fn small_dataset() -> DseDataset {
-        let opts = GenOptions {
+        let opts = JobSpec {
             configs: 60,
             scale: WorkloadScale::Tiny,
             seed: 4242,
             threads: 2,
             apps: vec![App::Stream, App::MiniBude],
+            ..JobSpec::default()
         };
-        let plan = RunPlan::new(&ParamSpace::paper(), &opts).unwrap();
+        let plan = opts.plan(&ParamSpace::paper()).unwrap();
         let mut data = DseDataset::default();
         Engine::idealized().run(&plan, &mut data).unwrap();
         data

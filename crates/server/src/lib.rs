@@ -1,6 +1,6 @@
 //! # armdse-server — DSE-as-a-service over the core job scheduler
 //!
-//! The serving layer of the PR 9 three-layer split (DESIGN.md §14): a
+//! The serving layer of the run path's three layers (DESIGN.md §14): a
 //! std-only HTTP/1.1 server (hand-rolled over [`std::net::TcpListener`];
 //! see `http.rs`) exposing the [`armdse_core::scheduler::JobScheduler`]
 //! and [`armdse_core::jobstore::JobStore`] as a wire API. Campaigns are

@@ -15,34 +15,17 @@
 //! accounting — `MemData` stall cycles in the [`Counters`] buckets,
 //! `dram_queue_*` and MSHR occupancy in each core's `MemStats`.
 //!
-//! ## The slice loop and determinism
+//! ## The slice loop and aggregation
 //!
-//! Cores are co-simulated cooperatively (the SystemC-TLM / `aero`
-//! `run_slice` pattern): the machine picks a global cycle boundary
-//! every [`SLICE_CYCLES`] cycles and advances each core — in fixed core
-//! order 0..N — up to that boundary via
-//! `Pipeline::drive_to` before any core may pass it. All
-//! cross-core interaction flows through the shared backside, whose
-//! bank-queue and L2 state is therefore mutated in a deterministic
-//! order that depends only on (program, params, topology) — never on
-//! wall clock or worker-thread count. Results are bit-identical at any
-//! host thread count and across checkpoint/resume. Within one slice a
-//! core sees the backside state its predecessors left; the slice bound
-//! caps that causality skew at `SLICE_CYCLES` core cycles. A one-core
-//! machine has no interleaving to approximate, and segmented driving is
-//! cycle-step-identical to one uninterrupted run, so it skips the loop
-//! and drives to the end in one call.
-//!
-//! ## Aggregation
-//!
-//! [`MultiCore`]'s [`SimBackend::run`] returns machine-level
-//! statistics: `cycles` is the makespan (the slowest core), `retired`
-//! and the memory/stall counters are summed across cores, `validated`
-//! requires every core to validate, and `hit_cycle_limit` is sticky if
-//! any core wedged. Under [`RunMode::Metrics`] the counters are merged
-//! across cores and [`RunOutput::per_core`] additionally exposes each
-//! core's own statistics and attribution counters for the per-core
-//! metrics CSV rows.
+//! Every [`SLICE_CYCLES`] cycles the machine drives each core, in core
+//! order, up to a global boundary via `Pipeline::drive_to`; all
+//! cross-core interaction goes through the backside, so results depend
+//! only on (program, params, topology), never on host threads. A
+//! one-core machine has nothing to interleave and drives to the end in
+//! one call. `cycles` is the makespan, counters are summed, `validated`
+//! needs every core, and under [`RunMode::Metrics`]
+//! [`RunOutput::per_core`] carries each core's own statistics.
+//! docs/MULTICORE.md §2–§3 specify both.
 
 use crate::backend::{finish, RunMode, RunOutput, SimBackend};
 use crate::counters::Counters;

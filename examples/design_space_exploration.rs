@@ -7,9 +7,9 @@
 //! cargo run --release --example design_space_exploration
 //! ```
 
-use armdse::core::orchestrator::GenOptions;
 use armdse::core::space::ParamSpace;
-use armdse::core::{DseDataset, Engine, RunPlan, SurrogateSuite};
+use armdse::core::JobSpec;
+use armdse::core::{DseDataset, Engine, SurrogateSuite};
 use armdse::kernels::{App, WorkloadScale};
 use armdse::mltree::Regressor;
 
@@ -18,19 +18,20 @@ fn main() {
 
     // T1+T2: sample design points and simulate every app on each.
     // (The paper used 180,006 rows on 640 cores; scale to taste.)
-    let opts = GenOptions {
+    let opts = JobSpec {
         configs: 120,
         scale: WorkloadScale::Small,
         seed: 99,
         threads: std::thread::available_parallelism().map_or(1, |n| n.get()),
         apps: App::ALL.to_vec(),
+        ..JobSpec::default()
     };
     println!(
         "simulating {} configs x {} apps ...",
         opts.configs,
         opts.apps.len()
     );
-    let plan = RunPlan::new(&space, &opts).expect("valid plan");
+    let plan = opts.plan(&space).expect("valid plan");
     let engine = Engine::idealized();
     let mut data = DseDataset::default();
     engine

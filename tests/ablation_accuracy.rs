@@ -7,16 +7,16 @@
 //! beat the linear baseline, and the random forest must be at least
 //! competitive with a single tree.
 
-use armdse::core::orchestrator::GenOptions;
 use armdse::core::space::ParamSpace;
-use armdse::core::{DseDataset, Engine, RunPlan};
+use armdse::core::JobSpec;
+use armdse::core::{DseDataset, Engine};
 use armdse::kernels::{App, WorkloadScale};
 use armdse::mltree::{
     mae, train_test_split, DecisionTreeRegressor, LinearRegression, RandomForest, Regressor,
 };
 
-fn simulated_dataset(space: &ParamSpace, opts: &GenOptions) -> DseDataset {
-    let plan = RunPlan::new(space, opts).expect("valid plan");
+fn simulated_dataset(space: &ParamSpace, opts: &JobSpec) -> DseDataset {
+    let plan = opts.plan(space).expect("valid plan");
     let mut data = DseDataset::default();
     Engine::idealized()
         .run(&plan, &mut data)
@@ -32,12 +32,13 @@ fn tree_beats_linear_baseline_on_simulated_cycles() {
     // A linear model cannot fit either; the tree can, given enough data.
     let data = simulated_dataset(
         &ParamSpace::paper(),
-        &GenOptions {
+        &JobSpec {
             configs: 400,
             scale: WorkloadScale::Small,
             seed: 2_2024,
             threads: 2,
             apps: vec![App::Stream],
+            ..JobSpec::default()
         },
     );
     let ml = data.ml_dataset(App::Stream);
@@ -82,12 +83,13 @@ fn unified_model_is_not_better_than_per_app_models() {
     for seed in [77, 78, 79] {
         let data = simulated_dataset(
             &ParamSpace::paper(),
-            &GenOptions {
+            &JobSpec {
                 configs: 480,
                 scale: WorkloadScale::Tiny,
                 seed,
                 threads: 8,
                 apps: vec![App::Stream, App::MiniSweep],
+                ..JobSpec::default()
             },
         );
 

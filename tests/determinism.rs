@@ -3,20 +3,21 @@
 //! byte-identical regardless of worker-thread count. Every scaling
 //! item on the roadmap (sharding, batching, caching) leans on this.
 
-use armdse::core::orchestrator::GenOptions;
 use armdse::core::space::ParamSpace;
-use armdse::core::{DseDataset, Engine, RunPlan};
+use armdse::core::JobSpec;
+use armdse::core::{DseDataset, Engine};
 use armdse::kernels::{App, WorkloadScale};
 
 fn gen_csv_bytes(threads: usize, seed: u64) -> Vec<u8> {
-    let opts = GenOptions {
+    let opts = JobSpec {
         configs: 16,
         scale: WorkloadScale::Tiny,
         seed,
         threads,
         apps: App::ALL.to_vec(),
+        ..JobSpec::default()
     };
-    let plan = RunPlan::new(&ParamSpace::paper(), &opts).expect("valid plan");
+    let plan = opts.plan(&ParamSpace::paper()).expect("valid plan");
     let mut data = DseDataset::default();
     Engine::idealized()
         .run(&plan, &mut data)

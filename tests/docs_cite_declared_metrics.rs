@@ -5,8 +5,10 @@
 //! `BENCHMARK.json` (only read here), so a number in the docs can be
 //! re-measured by name; none of them may name the deleted bench
 //! crate's snapshots, package, binary or env var; every `crates/…`,
-//! `tests/…` or `examples/…` path they name must exist; and every
-//! number EXPERIMENTS.md quotes from `results/*.txt` must be that
+//! `tests/…` or `examples/…` path and every backticked `path::Item`
+//! they name must exist; every `§` reference in them, the code and
+//! ci.sh must name a heading; DESIGN.md must fit in 40 000 bytes; and
+//! every number EXPERIMENTS.md quotes from `results/*.txt` must be that
 //! file's cell.
 
 use armdse::core::json::parse_json;
@@ -300,4 +302,308 @@ fn experiments_quote_the_results_files() {
         row[col], mean,
         "the scaling table's 8,000 row against fig2.txt"
     );
+}
+
+/// DESIGN.md says what exists, once: a byte cap keeps history and
+/// second copies of module docs from growing back into it.
+#[test]
+fn design_md_fits_in_40_kb() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let bytes = read(&root.join("DESIGN.md")).len();
+    assert!(
+        bytes <= 40_000,
+        "DESIGN.md is {bytes} bytes, past 40 000: link to the module doc \
+         or docs/*.md that already says it, and delete history"
+    );
+    assert!(bytes >= 10_000, "DESIGN.md is only {bytes} bytes");
+}
+
+/// The section numbers of a markdown document's numbered headings:
+/// `## 10. Run path` is "10", `### 3.1 When …` is "3.1".
+fn section_numbers(text: &str) -> Vec<String> {
+    let numbered = |line: &str| {
+        let title = line.strip_prefix('#')?.trim_start_matches('#').trim();
+        let number = title.split_whitespace().next()?.trim_end_matches('.');
+        let digit_led = number.starts_with(|c: char| c.is_ascii_digit());
+        let numeric = number.chars().all(|c| c.is_ascii_digit() || c == '.');
+        (digit_led && numeric).then(|| number.to_string())
+    };
+    text.lines().filter_map(numbered).collect()
+}
+
+/// Every `.rs` file under `dir`, recursively.
+fn rust_files(dir: &Path, out: &mut Vec<std::path::PathBuf>) {
+    for entry in fs::read_dir(dir).unwrap_or_else(|e| panic!("{}: {e}", dir.display())) {
+        let path = entry.expect("dir entry").path();
+        if path.is_dir() {
+            rust_files(&path, out);
+        } else if path.extension().is_some_and(|x| x == "rs") {
+            out.push(path);
+        }
+    }
+}
+
+/// The last word of `text`, trailing backticks dropped.
+fn last_word(text: &str) -> &str {
+    let text = text.trim_end().trim_end_matches('`');
+    let start = text.rfind(|c: char| c.is_whitespace() || "(`".contains(c));
+    start.map_or(text, |i| &text[i + 1..])
+}
+
+/// Every `§N[.M]` the code, ci.sh and the docs cite names a heading:
+/// `DESIGN(.md) §N` one of DESIGN.md's, `docs/X.md §N` one of X's, and
+/// a bare `§N` in a document one of that document's own. A `§` that
+/// continues a list (`§6.1, §6.3`, `§1–§15`) takes the previous
+/// reference's document; the paper's `§VII` and `RFC 9112 §6.1` are
+/// not this repository's sections and are skipped.
+#[test]
+fn section_references_resolve() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let headings = |doc: &str| section_numbers(&read(&root.join(doc)));
+    let mut sources: Vec<(String, String, bool)> = docs()
+        .into_iter()
+        .map(|(path, text)| (path, text, true))
+        .collect();
+    let mut code = vec![root.join("ci.sh")];
+    for dir in ["crates", "src", "tests", "examples"] {
+        rust_files(&root.join(dir), &mut code);
+    }
+    sources.extend(
+        code.iter()
+            .map(|p| (p.display().to_string(), read(p), false)),
+    );
+
+    let (mut resolved, mut broken) = (0, Vec::new());
+    for (path, text, is_doc) in &sources {
+        let own = path.strip_prefix(&format!("{}/", root.display()));
+        let own = own.unwrap_or(path).to_string();
+        let (mut previous, mut previous_end): (Option<String>, usize) = (None, 0);
+        for (at, _) in text.match_indices('§') {
+            let rest = &text[at + '§'.len_utf8()..];
+            let len = rest
+                .find(|c: char| !c.is_ascii_digit() && c != '.')
+                .unwrap_or(rest.len());
+            let number = rest[..len].trim_end_matches('.');
+            if !number.starts_with(|c: char| c.is_ascii_digit()) {
+                previous = None;
+                continue;
+            }
+            let between = text[previous_end.min(at)..at].trim();
+            let continues = previous_end > 0
+                && at - previous_end <= 6
+                && between.chars().all(|c| ",–-/& ".contains(c));
+            let word = last_word(&text[..at]);
+            let doc = if continues {
+                previous.clone()
+            } else if word == "DESIGN" || word.ends_with("DESIGN.md") {
+                Some("DESIGN.md".to_string())
+            } else if let Some(i) = word.find("docs/") {
+                Some(word[i..].to_string())
+            } else if word.ends_with(".md") || text[..at].trim_end().ends_with(char::is_numeric) {
+                None // another repository's document, or an RFC
+            } else if *is_doc {
+                Some(own.clone())
+            } else {
+                None // code cites the paper's sections bare
+            };
+            previous_end = at + '§'.len_utf8() + len;
+            previous = doc.clone();
+            let Some(doc) = doc else { continue };
+            resolved += 1;
+            if !root.join(&doc).exists() {
+                broken.push(format!("{own}: §{number} of missing {doc}"));
+            } else if !headings(&doc).iter().any(|h| h == number) {
+                broken.push(format!("{own}: {doc} has no §{number}"));
+            }
+        }
+    }
+    let broken = broken.join("\n");
+    assert!(
+        broken.is_empty(),
+        "section references that name no heading:\n{broken}"
+    );
+    // The code alone cites DESIGN.md's sections a dozen times: an
+    // extraction bug must not pass vacuously.
+    assert!(resolved >= 30, "only {resolved} section references found");
+    let design = headings("DESIGN.md");
+    for n in 1..=15 {
+        assert!(design.contains(&n.to_string()), "DESIGN.md lost §{n}");
+    }
+}
+
+/// Each name a Rust source file defines: functions, types, traits,
+/// constants, statics, modules, macros, struct fields and enum
+/// variants (the first identifier of a line followed by `:`, `,`, `(`,
+/// `{` or `=`, or standing alone).
+fn defined_names(source: &str, names: &mut std::collections::HashSet<String>) {
+    for line in source.lines() {
+        let mut line = line.trim();
+        for prefix in [
+            "pub(crate) ",
+            "pub(super) ",
+            "pub ",
+            "const ",
+            "unsafe ",
+            "async ",
+        ] {
+            line = line.strip_prefix(prefix).unwrap_or(line);
+        }
+        let keywords = [
+            "fn ",
+            "struct ",
+            "enum ",
+            "trait ",
+            "const ",
+            "static ",
+            "type ",
+            "mod ",
+            "macro_rules! ",
+        ];
+        if let Some(k) = keywords.iter().find(|k| line.starts_with(**k)) {
+            names.insert(ident(&line[k.len()..]).to_string());
+            continue;
+        }
+        let name = ident(line);
+        let after = line[name.len()..].trim_start();
+        let member = after.is_empty()
+            || (after.starts_with(':') && !after.starts_with("::"))
+            || after.starts_with([',', '(', '{', '=']);
+        if !name.is_empty() && member {
+            names.insert(name.to_string());
+        }
+    }
+}
+
+/// The identifier `s` starts with (empty if none).
+fn ident(s: &str) -> &str {
+    let end = s
+        .find(|c: char| !c.is_ascii_alphanumeric() && c != '_')
+        .unwrap_or(s.len());
+    &s[..end]
+}
+
+/// Every `a::b[::c]` path in a backticked span of `text`, with one
+/// level of `{x, y}` groups expanded: `memsim::{Hierarchy, Backside}`
+/// is two paths.
+fn backticked_paths(text: &str) -> Vec<Vec<String>> {
+    let is_ident = |c: char| c.is_ascii_alphanumeric() || c == '_';
+    let mut paths = Vec::new();
+    for span in text.split('`').skip(1).step_by(2) {
+        let mut at = 0;
+        while let Some(start) = span[at..].find(|c: char| c.is_ascii_alphabetic() || c == '_') {
+            let start = at + start;
+            let glued = span[..start].ends_with(|c: char| is_ident(c) || c == ':' || c == '.');
+            let end = span[start..]
+                .find(|c: char| !is_ident(c))
+                .map_or(span.len(), |e| start + e);
+            let mut path = vec![span[start..end].to_string()];
+            let mut cursor = end;
+            let mut group = Vec::new();
+            while let Some(tail) = span[cursor..].strip_prefix("::") {
+                if let Some(inner) = tail.strip_prefix('{') {
+                    let close = inner.find('}').unwrap_or(inner.len());
+                    group = inner[..close].split(',').map(str::trim).collect();
+                    cursor += 3 + close;
+                    break;
+                }
+                let len = tail.find(|c: char| !is_ident(c)).unwrap_or(tail.len());
+                if len == 0 {
+                    break;
+                }
+                path.push(tail[..len].to_string());
+                cursor += 2 + len;
+            }
+            at = cursor.max(end).min(span.len());
+            if glued {
+                continue;
+            }
+            if group.is_empty() {
+                paths.push(path);
+                continue;
+            }
+            for item in group {
+                let mut full = path.clone();
+                full.extend(item.split("::").map(String::from));
+                paths.push(full);
+            }
+        }
+    }
+    paths.retain(|p| p.len() >= 2 && p.iter().all(|s| !s.is_empty()));
+    paths
+}
+
+/// Every backticked path the docs name into the workspace still
+/// exists: a path led by a workspace crate (`core::engine::RunPlan`,
+/// `armdse_memsim::Backside`, `armdse::core::JobSpec`) or by a type the
+/// workspace defines (`RunPlan::listed`, `JobState::Failed`) ends in a
+/// name that crate, or the crate defining that type, defines. `std::`
+/// paths and DESIGN.md's "Deleted on evidence" appendix, which names
+/// deleted items on purpose, are skipped.
+#[test]
+fn docs_name_only_existing_items() {
+    use std::collections::{HashMap, HashSet};
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    // crate name -> names its sources define; type name -> its crates.
+    let mut crates: HashMap<String, HashSet<String>> = HashMap::new();
+    let mut types: HashMap<String, Vec<String>> = HashMap::new();
+    for entry in fs::read_dir(root.join("crates")).expect("crates/ exists") {
+        let dir = entry.expect("crates/ entry").path();
+        let name = dir.file_name().unwrap().to_string_lossy().to_string();
+        let mut files = Vec::new();
+        rust_files(&dir.join("src"), &mut files);
+        let mut names = HashSet::new();
+        for file in &files {
+            let source = read(file);
+            defined_names(&source, &mut names);
+            for line in source.lines() {
+                let line = line.trim().trim_start_matches("pub(crate) ");
+                let line = line.trim_start_matches("pub ");
+                for kind in ["struct ", "enum ", "trait ", "type "] {
+                    if let Some(rest) = line.strip_prefix(kind) {
+                        let owners = types.entry(ident(rest).to_string()).or_default();
+                        owners.push(name.clone());
+                    }
+                }
+            }
+        }
+        crates.insert(name, names);
+    }
+
+    let (mut checked, mut missing) = (0, Vec::new());
+    for (path, text) in docs() {
+        let text = match text.split_once("## Appendix: Deleted on evidence") {
+            Some((kept, _)) => kept.to_string(),
+            None => text,
+        };
+        for mut item in backticked_paths(&text) {
+            if item[0] == "armdse" && item.len() > 2 && crates.contains_key(&item[1]) {
+                item.remove(0);
+            }
+            if let Some(name) = item[0].strip_prefix("armdse_") {
+                item[0] = name.to_string();
+            }
+            let last = item.last().unwrap();
+            if last == "*" || last == "self" {
+                continue;
+            }
+            let owners: Vec<&String> = if crates.contains_key(&item[0]) {
+                vec![&item[0]]
+            } else if let Some(owners) = types.get(&item[0]) {
+                owners.iter().collect()
+            } else {
+                continue; // std::, another crate's type, a shell word
+            };
+            checked += 1;
+            if !owners.iter().any(|c| crates[*c].contains(last)) {
+                missing.push(format!("{path}: `{}`", item.join("::")));
+            }
+        }
+    }
+    missing.sort();
+    missing.dedup();
+    let missing = missing.join("\n");
+    assert!(missing.is_empty(), "named but not defined:\n{missing}");
+    // The docs name a hundred-odd items: an extraction bug must not
+    // pass vacuously.
+    assert!(checked >= 100, "only {checked} item paths found");
 }

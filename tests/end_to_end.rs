@@ -2,24 +2,25 @@
 //! API — sampling → plan → engine run → dataset → surrogate →
 //! introspection.
 
-use armdse::core::orchestrator::GenOptions;
 use armdse::core::space::ParamSpace;
-use armdse::core::{DseDataset, Engine, RunPlan, SurrogateSuite};
+use armdse::core::JobSpec;
+use armdse::core::{DseDataset, Engine, SurrogateSuite};
 use armdse::kernels::{App, WorkloadScale};
 use armdse::mltree::Regressor;
 
-fn opts() -> GenOptions {
-    GenOptions {
+fn opts() -> JobSpec {
+    JobSpec {
         configs: 50,
         scale: WorkloadScale::Tiny,
         seed: 31_337,
         threads: 2,
         apps: App::ALL.to_vec(),
+        ..JobSpec::default()
     }
 }
 
-fn dataset(space: &ParamSpace, opts: &GenOptions) -> DseDataset {
-    let plan = RunPlan::new(space, opts).expect("valid plan");
+fn dataset(space: &ParamSpace, opts: &JobSpec) -> DseDataset {
+    let plan = opts.plan(space).expect("valid plan");
     let mut data = DseDataset::default();
     Engine::idealized()
         .run(&plan, &mut data)

@@ -13,8 +13,8 @@
 //! checkpoint before appending, and refuses a file that is *behind* it.
 
 use armdse::core::engine::Checkpoint;
-use armdse::core::orchestrator::GenOptions;
 use armdse::core::space::ParamSpace;
+use armdse::core::JobSpec;
 use armdse::core::{ArmdseError, CampaignFiles, Engine, Progress, RunPlan, RunSummary};
 use armdse::kernels::{App, WorkloadScale};
 use std::io::Write;
@@ -24,20 +24,17 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 const CONFIGS: usize = 12; // 12 configs x 4 apps = 48 jobs
 const CHUNK: usize = 8; // 6 chunks — several checkpoint boundaries
 
-fn opts(threads: usize) -> GenOptions {
-    GenOptions {
+fn plan(threads: usize) -> RunPlan {
+    let spec = JobSpec {
         configs: CONFIGS,
         scale: WorkloadScale::Tiny,
         seed: 0xC0FF_EE00,
         threads,
         apps: App::ALL.to_vec(),
-    }
-}
-
-fn plan(threads: usize) -> RunPlan {
-    RunPlan::new(&ParamSpace::paper(), &opts(threads))
-        .expect("valid plan")
-        .with_chunk_jobs(CHUNK)
+        chunk_jobs: CHUNK,
+        ..JobSpec::default()
+    };
+    spec.plan(&ParamSpace::paper()).expect("valid plan")
 }
 
 fn tmp(name: &str) -> PathBuf {

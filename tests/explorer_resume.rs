@@ -18,13 +18,13 @@
 //! and dataset both ahead of it), and a checkpoint in the layout the
 //! pre-`Steer` explorer wrote, which must be refused, not misread.
 
-use armdse_core::engine::{Checkpoint, Engine, RunPlan};
+use armdse_core::engine::{Checkpoint, Engine};
 use armdse_core::error::ArmdseError;
 use armdse_core::explorer::{
     ExploreControl, ExploreOptions, ExploreProgress, ExploreReport, Explorer,
 };
-use armdse_core::orchestrator::GenOptions;
 use armdse_core::space::ParamSpace;
+use armdse_core::JobSpec;
 use armdse_kernels::{App, WorkloadScale};
 use armdse_mltree::ForestParams;
 use std::path::{Path, PathBuf};
@@ -399,14 +399,16 @@ fn a_checkpoint_in_the_pre_steer_layout_is_refused_not_misread() {
     // fingerprint of that round's plan alone, a per-round `jobs_done`,
     // and eight keys of which four were derived from the other four.
     let o = opts(1);
-    let gen = GenOptions {
+    let gen = JobSpec {
         configs: 4,
         scale: o.scale,
         seed: o.seed,
         threads: 1,
         apps: vec![o.app],
+        ..JobSpec::default()
     };
-    let round_plan = RunPlan::new(&ParamSpace::paper(), &gen)
+    let round_plan = gen
+        .plan(&ParamSpace::paper())
         .unwrap()
         .with_config_indices(selected[4..].to_vec())
         .unwrap();

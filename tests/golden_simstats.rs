@@ -14,11 +14,11 @@
 //! Regenerate with: `ARMDSE_UPDATE_GOLDEN=1 cargo test --test
 //! golden_simstats`.
 
-use armdse::core::engine::{Engine, RunPlan};
+use armdse::core::engine::Engine;
 use armdse::core::metrics::{event_values, write_metrics_header, write_metrics_row};
-use armdse::core::orchestrator::GenOptions;
 use armdse::core::space::ParamSpace;
 use armdse::core::DseDataset;
+use armdse::core::JobSpec;
 use armdse::kernels::{App, WorkloadScale};
 use armdse::memsim::DEFAULT_BANKS;
 use armdse::simcore::{Memoized, MultiCore, SimBackend};
@@ -46,14 +46,15 @@ fn backends() -> Vec<(&'static str, Box<dyn SimBackend>)> {
 
 fn emit() -> String {
     let space = ParamSpace::paper();
-    let opts = GenOptions {
+    let opts = JobSpec {
         configs: CONFIGS,
         scale: WorkloadScale::Tiny,
         seed: SEED,
         threads: 2,
         apps: App::ALL.to_vec(),
+        ..JobSpec::default()
     };
-    let plan = RunPlan::new(&space, &opts).unwrap();
+    let plan = opts.plan(&space).unwrap();
     let mut header = Vec::new();
     write_metrics_header(&mut header).unwrap();
     let mut out = format!("# metrics: {}", String::from_utf8(header).unwrap());

@@ -10,10 +10,10 @@
 //!    the dataset CSV produced by a metrics-on campaign is
 //!    byte-identical to a metrics-off one.
 
-use armdse::core::engine::{CsvSink, Engine, RunPlan};
-use armdse::core::orchestrator::GenOptions;
+use armdse::core::engine::{CsvSink, Engine};
 use armdse::core::space::ParamSpace;
 use armdse::core::DesignConfig;
+use armdse::core::JobSpec;
 use armdse::kernels::{App, WorkloadScale};
 use armdse::memsim::MemParams;
 use armdse::simcore::{simulate, CoreParams, CycleBucket, MultiCore, RunMode, SimBackend};
@@ -121,16 +121,16 @@ fn free_function_entry_point_is_transparent() {
 
 #[test]
 fn metrics_on_campaign_writes_identical_dataset_bytes() {
-    let opts = GenOptions {
+    let spec = JobSpec {
         configs: 6,
         scale: WorkloadScale::Tiny,
         seed: 0xBEEF_CAFE,
         threads: 2,
         apps: App::ALL.to_vec(),
+        chunk_jobs: 7,
+        ..JobSpec::default()
     };
-    let plan = RunPlan::new(&ParamSpace::paper(), &opts)
-        .unwrap()
-        .with_chunk_jobs(7);
+    let plan = spec.plan(&ParamSpace::paper()).unwrap();
     let engine = Engine::idealized();
     let tmp = std::env::temp_dir();
 

@@ -8,25 +8,25 @@
 //! the plan, never on scheduling.
 
 use armdse::core::engine::{Engine, Progress, RunPlan, RunSummary};
-use armdse::core::orchestrator::GenOptions;
 use armdse::core::space::ParamSpace;
 use armdse::core::CampaignFiles;
+use armdse::core::JobSpec;
 use armdse::kernels::{App, WorkloadScale};
 
 const CONFIGS: usize = 10; // 10 configs x 4 apps = 40 jobs
 const CHUNK: usize = 8; // 5 chunks
 
 fn plan(threads: usize) -> RunPlan {
-    let opts = GenOptions {
+    let spec = JobSpec {
         configs: CONFIGS,
         scale: WorkloadScale::Tiny,
         seed: 0x00D_CAFE,
         threads,
         apps: App::ALL.to_vec(),
+        chunk_jobs: CHUNK,
+        ..JobSpec::default()
     };
-    RunPlan::new(&ParamSpace::paper(), &opts)
-        .expect("valid plan")
-        .with_chunk_jobs(CHUNK)
+    spec.plan(&ParamSpace::paper()).expect("valid plan")
 }
 
 /// The campaign `tag`'s dataset, checkpoint and metrics paths.

@@ -7,8 +7,8 @@
 
 use armdse::core::engine::{Checkpoint, CsvSink, Engine, Progress, RunControl, RunPlan};
 use armdse::core::metrics::MetricsRow;
-use armdse::core::orchestrator::GenOptions;
 use armdse::core::space::ParamSpace;
+use armdse::core::JobSpec;
 use armdse::core::{ArmdseError, CampaignFiles, DseDataset, RunSummary};
 use armdse::kernels::{App, WorkloadScale};
 use std::path::PathBuf;
@@ -21,16 +21,16 @@ const CHUNK: usize = 6; // 4 chunks
 const KERNELS: [App; 3] = [App::Spmv, App::Gemm, App::Graph];
 
 fn plan(threads: usize) -> RunPlan {
-    let opts = GenOptions {
+    let spec = JobSpec {
         configs: CONFIGS,
         scale: WorkloadScale::Tiny,
         seed: 0x0DD_C0DE,
         threads,
         apps: KERNELS.to_vec(),
+        chunk_jobs: CHUNK,
+        ..JobSpec::default()
     };
-    RunPlan::new(&ParamSpace::paper(), &opts)
-        .expect("valid plan")
-        .with_chunk_jobs(CHUNK)
+    spec.plan(&ParamSpace::paper()).expect("valid plan")
 }
 
 fn tmp(name: &str) -> PathBuf {

@@ -7,8 +7,8 @@
 //! pipeline's numbers must never depend on what happens to be cached.
 
 use armdse::core::engine::Checkpoint;
-use armdse::core::orchestrator::GenOptions;
 use armdse::core::space::ParamSpace;
+use armdse::core::JobSpec;
 use armdse::core::{CsvSink, Engine, Progress, RunControl, RunPlan};
 use armdse::kernels::{App, WorkloadScale};
 use armdse::memsim::DEFAULT_BANKS;
@@ -18,14 +18,15 @@ use armdse::simcore::{Counters, Memoized, MultiCore, RunMode, SimBackend, SimSta
 /// config is a constrained sample around the baseline's parameter
 /// ranges, exactly what dataset generation simulates.
 fn plan(configs: usize, threads: usize) -> RunPlan {
-    let opts = GenOptions {
+    let opts = JobSpec {
         configs,
         scale: WorkloadScale::Tiny,
         seed: 0x7D2_2024,
         threads,
         apps: vec![App::Stream, App::TeaLeaf],
+        ..JobSpec::default()
     };
-    RunPlan::new(&ParamSpace::paper(), &opts).unwrap()
+    opts.plan(&ParamSpace::paper()).unwrap()
 }
 
 /// Run `plan` on `engine` and return the emitted CSV bytes.
@@ -60,14 +61,15 @@ fn dataset_csv_bytes_identical_in_every_cache_state() {
             "threads={threads}"
         );
         // Pollute the cache with a different campaign, then re-emit.
-        let other = GenOptions {
+        let other = JobSpec {
             configs: 4,
             scale: WorkloadScale::Tiny,
             seed: 0xBAD_CAFE,
             threads,
             apps: vec![App::MiniBude, App::MiniSweep],
+            ..JobSpec::default()
         };
-        let other_plan = RunPlan::new(&ParamSpace::paper(), &other).unwrap();
+        let other_plan = other.plan(&ParamSpace::paper()).unwrap();
         e.run(&other_plan, &mut armdse::core::DseDataset::default())
             .unwrap();
         let polluted = csv_bytes(&e, &p, &format!("cross_{threads}"));

@@ -11,15 +11,16 @@
 //! * a job whose CSV ran past its checkpoint when the process died
 //!   (a flushed chunk plus a torn line) reopens and resumes to the
 //!   bytes of an uninterrupted run;
-//! * a store an earlier server left at the memoized tier (a
-//!   `"fidelity"` key in the spec, `reuse.fidelity` in the checkpoint)
-//!   reopens paused and resumes to the idealized engine's bytes;
+//! * a store an earlier server left at the memoized tier is refused,
+//!   never spliced: a spec with a `"fidelity"` key lists its job
+//!   `Failed`, and a `reuse.fidelity` checkpoint fails it on resume;
 //! * pin *values* are outside input: one no sample can rescue is
 //!   refused at submission, and one that only some design points
 //!   reject fails that job — naming the config — without taking the
 //!   runner thread down with it.
 
 use armdse::core::engine::Checkpoint;
+use armdse::core::jobstore::JobOpError;
 use armdse::core::space::ParamSpace;
 use armdse::core::{ArmdseError, CsvSink, JobScheduler, JobSpec, JobState};
 use armdse::kernels::{App, WorkloadScale};
@@ -237,10 +238,20 @@ fn a_store_left_at_the_memoized_tier_is_refused_not_spliced() {
     drop(sched);
 
     let sched = JobScheduler::open(&dir.join("jobs"), 1).unwrap();
+    let legacy = sched
+        .store()
+        .get(job.id())
+        .expect("the legacy job is listed");
+    let st = legacy.status();
+    assert_eq!(st.state, JobState::Failed, "the legacy spec cannot run");
+    let err = st.error.unwrap_or_default();
+    assert!(err.contains("fidelity"), "{err}");
+    let refused = sched.resume(job.id());
     assert!(
-        sched.store().get(job.id()).is_none(),
-        "the legacy spec is skipped"
+        matches!(refused, Err(JobOpError::BadTransition { .. })),
+        "{refused:?}"
     );
+    assert!(!files.csv.with_extension("state").exists(), "no marker");
     let next = sched.submit(spec(1, 1, 1)).unwrap();
     assert!(next.id() > job.id(), "a skipped job's id is not reused");
     next.wait_terminal();
