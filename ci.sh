@@ -37,6 +37,7 @@
 #   one parameter table, bounded machine parameters: 18145 -> 18140
 #   one copy of every reported number, bounded campaign keys: 18140 -> 18153
 #   one description of each mechanism, unparsable specs listed: 18155 -> 18090
+#   one run memo over one machine, one design space: 18089 -> 17979
 set -eux
 
 cd "$(dirname "$0")"
@@ -60,6 +61,23 @@ SAMPLERS=$(find crates/*/src -name '*.rs' ! -path crates/core/src/space.rs \
 if [ -n "$SAMPLERS" ]; then
   echo "FAIL: sample_seeded outside space.rs and engine.rs (ask a RunPlan):" >&2
   echo "$SAMPLERS" >&2
+  exit 1
+fi
+# One design space: it is not a parameter. Only a `RunPlan` (engine.rs)
+# samples it and only the two fingerprints (engine.rs, explorer.rs)
+# print it; `RunPlan::new` and `Explorer::new` keep an unread argument.
+SPACES=$(find crates/*/src src -name '*.rs' ! -path crates/core/src/space.rs \
+  ! -path crates/core/src/engine.rs ! -path crates/core/src/explorer.rs -print0 | xargs -0 awk \
+  'FNR==1{t=0} /^#\[cfg\(test\)\]/{t=1} !t && !/^[[:space:]]*\/\// && /ParamSpace/ {print FILENAME": "$0}')
+if [ -n "$SPACES" ]; then
+  echo "FAIL: ParamSpace named outside space.rs, engine.rs and explorer.rs (plan with JobSpec::plan):" >&2
+  echo "$SPACES" >&2
+  exit 1
+fi
+# The simulator does not depend on the workload generators: kernels is
+# a dev-dependency of simcore, for its tests and doc examples only.
+if cargo tree --locked --offline -p armdse-simcore -e normal | grep -q armdse-kernels; then
+  echo "FAIL: armdse-simcore depends on armdse-kernels outside its tests" >&2
   exit 1
 fi
 # One parameter table: the 30 Table II/III features are described once,

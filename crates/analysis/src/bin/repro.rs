@@ -82,7 +82,6 @@ use armdse_analysis::{
 };
 use armdse_core::engine::{Engine, Progress};
 use armdse_core::explorer::{ExploreControl, ExploreOptions, ExploreProgress, Explorer};
-use armdse_core::space::ParamSpace;
 use armdse_core::{ArmdseError, CampaignFiles, DseDataset, JobSpec, SurrogateSuite};
 use armdse_kernels::{App, WorkloadScale};
 use armdse_server::{Server, ServerConfig};
@@ -283,7 +282,6 @@ fn serve(args: &[String]) -> Result<(), String> {
 /// the same bytes whether `all` or its own experiment wrote it.
 struct Session {
     cli: Cli,
-    space: ParamSpace,
     engine: Engine,
     data: OnceCell<DseDataset>,
     suite: OnceCell<SurrogateSuite>,
@@ -295,7 +293,6 @@ impl Session {
     fn new(cli: Cli) -> Session {
         Session {
             engine: cli.spec.engine(),
-            space: ParamSpace::paper(),
             cli,
             data: OnceCell::new(),
             suite: OnceCell::new(),
@@ -343,10 +340,10 @@ impl Session {
                     ..spec.clone()
                 };
                 let vl = if name == "fig4" { 128 } else { 2048 };
-                let fig = importance::fig45(engine, &self.space, &pinned, vl);
+                let fig = importance::fig45(engine, &pinned, vl);
                 (vec![ok(fig).table()], None)
             }
-            "fig6" => charted(&ok(sweeps::fig6(engine, &self.space, &self.cli.sweep))),
+            "fig6" => charted(&ok(sweeps::fig6(engine, &self.cli.sweep))),
             "fig7" => charted(self.fig7()),
             "fig8" => charted(self.fig8()),
             "headline" => {
@@ -392,12 +389,12 @@ impl Session {
 
     fn fig7(&self) -> &SweepFig {
         self.fig7
-            .get_or_init(|| ok(sweeps::fig7(&self.engine, &self.space, &self.cli.sweep)))
+            .get_or_init(|| ok(sweeps::fig7(&self.engine, &self.cli.sweep)))
     }
 
     fn fig8(&self) -> &SweepFig {
         self.fig8
-            .get_or_init(|| ok(sweeps::fig8(&self.engine, &self.space, &self.cli.sweep)))
+            .get_or_init(|| ok(sweeps::fig8(&self.engine, &self.cli.sweep)))
     }
 
     /// Run the surrogate-guided adaptive exploration loop (the `explore`
@@ -439,7 +436,13 @@ impl Session {
             chunks += 1;
             max_chunks.is_none_or(|max| chunks < max)
         };
-        let explorer = ok(Explorer::new(&self.engine, &self.space, eopts, &cli.out));
+        // The design space argument is unread: there is one space.
+        let explorer = ok(Explorer::new(
+            &self.engine,
+            &Default::default(),
+            eopts,
+            &cli.out,
+        ));
         let report = ok(explorer.run(ExploreControl {
             resume: cli.resume,
             observer: Some(&mut observer),
@@ -521,7 +524,7 @@ impl Session {
             );
         }
 
-        let plan = ok(cli.spec.plan(&self.space));
+        let plan = ok(cli.spec.plan());
         if let Some(dir) = &cli.metrics {
             std::fs::create_dir_all(dir).expect("create metrics directory");
         }

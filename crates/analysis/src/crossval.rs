@@ -103,7 +103,6 @@ mod tests {
     use crate::sweeps::fig7;
     use crate::test_support::{dataset, quick};
     use armdse_core::engine::Engine;
-    use armdse_core::space::ParamSpace;
     use armdse_core::JobSpec;
 
     #[test]
@@ -118,7 +117,7 @@ mod tests {
             seed: 5,
             ..quick(3)
         };
-        let f7 = fig7(&engine, &ParamSpace::paper(), &sweep).unwrap();
+        let f7 = fig7(&engine, &sweep).unwrap();
         let cv = run(&data, &SurrogateSuite::train(&data, 0.2, 5), &f7);
         assert_eq!(cv.comparisons.len(), 4);
         for c in &cv.comparisons {

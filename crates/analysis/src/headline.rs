@@ -105,7 +105,6 @@ mod tests {
     use crate::sweeps::{fig7, fig8};
     use crate::test_support::{dataset, quick};
     use armdse_core::engine::Engine;
-    use armdse_core::space::ParamSpace;
     use armdse_core::JobSpec;
 
     #[test]
@@ -117,11 +116,10 @@ mod tests {
             ..quick(3)
         };
         let suite = SurrogateSuite::train(&data, 0.2, 3);
-        let space = ParamSpace::paper();
         let h = from_parts(
             &suite,
-            &fig7(&engine, &space, &sweep).unwrap(),
-            &fig8(&engine, &space, &sweep).unwrap(),
+            &fig7(&engine, &sweep).unwrap(),
+            &fig8(&engine, &sweep).unwrap(),
         );
         assert!(h.mean_accuracy_pct > 0.0);
         assert!((1..=30).contains(&h.vl_rank));

@@ -10,7 +10,6 @@
 
 use crate::report;
 use armdse_core::engine::Engine;
-use armdse_core::space::ParamSpace;
 use armdse_core::{ArmdseError, DseDataset, JobSpec, SurrogateSuite};
 use armdse_kernels::App;
 
@@ -28,18 +27,13 @@ pub struct ImportanceFig {
 
 /// Figs. 4/5: run `spec` with vector length pinned to `vl` (128 for
 /// Fig. 4, 2048 for Fig. 5), then train with the spec's seed and rank.
-pub fn fig45(
-    engine: &Engine,
-    space: &ParamSpace,
-    spec: &JobSpec,
-    vl: u32,
-) -> Result<ImportanceFig, ArmdseError> {
+pub fn fig45(engine: &Engine, spec: &JobSpec, vl: u32) -> Result<ImportanceFig, ArmdseError> {
     let pinned = JobSpec {
         pins: vec![("Vector-Length".into(), f64::from(vl))],
         ..spec.clone()
     };
     let mut data = DseDataset::default();
-    engine.run(&pinned.plan(space)?, &mut data)?;
+    engine.run(&pinned.plan()?, &mut data)?;
     let suite = SurrogateSuite::train(&data, 0.2, spec.seed);
     let label = if vl == 128 {
         "Fig. 4 (VL=128)"
@@ -160,7 +154,7 @@ mod tests {
 
     #[test]
     fn fig45_pins_vector_length_through_the_engine_plan() {
-        let f = fig45(&Engine::idealized(), &ParamSpace::paper(), &quick(12), 128).unwrap();
+        let f = fig45(&Engine::idealized(), &quick(12), 128).unwrap();
         assert!(f.label.contains("VL=128"));
         // With VL pinned, its importance collapses to (near) zero.
         for app in App::ALL {

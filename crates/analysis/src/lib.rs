@@ -78,7 +78,6 @@ fn validated(
 #[cfg(test)]
 mod test_support {
     use armdse_core::engine::Engine;
-    use armdse_core::space::ParamSpace;
     use armdse_core::{DseDataset, JobSpec};
     use armdse_kernels::WorkloadScale;
 
@@ -96,7 +95,7 @@ mod test_support {
 
     /// Simulate `spec` on the paper's engine into a dataset.
     pub(crate) fn dataset(spec: &JobSpec) -> DseDataset {
-        let plan = spec.plan(&ParamSpace::paper()).unwrap();
+        let plan = spec.plan().unwrap();
         let mut data = DseDataset::default();
         Engine::idealized().run(&plan, &mut data).unwrap();
         data
@@ -107,12 +106,11 @@ mod test_support {
 mod tests {
     use crate::test_support::quick;
     use crate::{fig1, multicore, sweeps, table1};
-    use armdse_core::space::ParamSpace;
     use armdse_core::{DesignConfig, Engine, JobSpec};
 
     #[test]
     fn every_figure_is_the_same_at_any_thread_count() {
-        let (engine, space) = (Engine::idealized(), ParamSpace::paper());
+        let engine = Engine::idealized();
         let at = |threads| JobSpec {
             threads,
             ..quick(2)
@@ -126,7 +124,7 @@ mod tests {
             table1::run(&engine, &one).unwrap(),
             table1::run(&engine, &two).unwrap()
         );
-        let fig7 = |spec| sweeps::fig7(&engine, &space, spec).unwrap();
+        let fig7 = |spec| sweeps::fig7(&engine, spec).unwrap();
         assert_eq!(fig7(&one), fig7(&two));
         assert_eq!(multicore::run(&one).unwrap(), multicore::run(&two).unwrap());
     }

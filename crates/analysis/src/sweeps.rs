@@ -18,7 +18,6 @@ use crate::report;
 use armdse_core::config::FEATURE_NAMES;
 use armdse_core::dataset::Row;
 use armdse_core::engine::Engine;
-use armdse_core::space::ParamSpace;
 use armdse_core::{ArmdseError, DesignConfig, JobSpec};
 use armdse_kernels::App;
 
@@ -56,14 +55,14 @@ pub struct SweepFig {
 }
 
 /// Fig. 6: speedup vs vector length for the vectorised codes.
-pub fn fig6(engine: &Engine, space: &ParamSpace, spec: &JobSpec) -> Result<SweepFig, ArmdseError> {
+pub fn fig6(engine: &Engine, spec: &JobSpec) -> Result<SweepFig, ArmdseError> {
     let fig = (
         "Fig. 6",
         "Vector-Length",
         &[App::Stream, App::MiniBude][..],
         &VL_POINTS[..],
     );
-    sweep(engine, &bases(space, spec)?, spec, fig, |c, v| {
+    sweep(engine, &bases(spec)?, spec, fig, |c, v| {
         // The paper's Load-Bandwidth >= 256 filter (applied to stores
         // too, so every VL is admissible on every base).
         c.core.load_bandwidth = c.core.load_bandwidth.max(256);
@@ -73,25 +72,21 @@ pub fn fig6(engine: &Engine, space: &ParamSpace, spec: &JobSpec) -> Result<Sweep
 }
 
 /// Fig. 7: speedup vs ROB size for all applications.
-pub fn fig7(engine: &Engine, space: &ParamSpace, spec: &JobSpec) -> Result<SweepFig, ArmdseError> {
+pub fn fig7(engine: &Engine, spec: &JobSpec) -> Result<SweepFig, ArmdseError> {
     let fig = ("Fig. 7", "ROB-Size", &App::ALL[..], &ROB_POINTS[..]);
-    sweep(engine, &bases(space, spec)?, spec, fig, |c, v| {
-        c.core.rob_size = v
-    })
+    sweep(engine, &bases(spec)?, spec, fig, |c, v| c.core.rob_size = v)
 }
 
 /// Fig. 8: speedup vs FP/SVE register count for all applications.
-pub fn fig8(engine: &Engine, space: &ParamSpace, spec: &JobSpec) -> Result<SweepFig, ArmdseError> {
+pub fn fig8(engine: &Engine, spec: &JobSpec) -> Result<SweepFig, ArmdseError> {
     let fig = ("Fig. 8", "FP-SVE-Registers", &App::ALL[..], &FP_POINTS[..]);
-    sweep(engine, &bases(space, spec)?, spec, fig, |c, v| {
-        c.core.fp_regs = v
-    })
+    sweep(engine, &bases(spec)?, spec, fig, |c, v| c.core.fp_regs = v)
 }
 
 /// The paired bases: the design points of `spec`'s sampled plan, its
 /// pins applied.
-fn bases(space: &ParamSpace, spec: &JobSpec) -> Result<Vec<DesignConfig>, ArmdseError> {
-    spec.plan(space)?.design_points()
+fn bases(spec: &JobSpec) -> Result<Vec<DesignConfig>, ArmdseError> {
+    spec.plan()?.design_points()
 }
 
 /// Figure `label` over feature `param`: each base re-simulated with
@@ -244,7 +239,7 @@ mod tests {
             scale: WorkloadScale::Small,
             ..quick()
         };
-        let f = fig6(&Engine::idealized(), &ParamSpace::paper(), &spec).unwrap();
+        let f = fig6(&Engine::idealized(), &spec).unwrap();
         for app in [App::Stream, App::MiniBude] {
             assert_eq!(f.speedup(app, 128), Some(1.0));
             let s = f.speedup(app, 2048).unwrap();
@@ -271,7 +266,7 @@ mod tests {
 
     #[test]
     fn fig7_rob_speedup_saturates() {
-        let f = fig7(&Engine::idealized(), &ParamSpace::paper(), &quick()).unwrap();
+        let f = fig7(&Engine::idealized(), &quick()).unwrap();
         for app in App::ALL {
             let early = f.speedup(app, 8).unwrap();
             let knee = f.speedup(app, 152).unwrap();
@@ -285,7 +280,7 @@ mod tests {
 
     #[test]
     fn bases_wrap_past_the_largest_seed() {
-        let space = ParamSpace::paper();
+        let space = armdse_core::space::ParamSpace::paper();
         let spec = JobSpec {
             seed: u64::MAX - 1,
             ..quick()
@@ -294,8 +289,8 @@ mod tests {
             .iter()
             .map(|&seed| space.sample_seeded(seed))
             .collect();
-        assert_eq!(bases(&space, &spec).unwrap(), want);
-        let f = fig7(&Engine::idealized(), &space, &spec).unwrap();
+        assert_eq!(bases(&spec).unwrap(), want);
+        let f = fig7(&Engine::idealized(), &spec).unwrap();
         for app in App::ALL {
             assert_eq!(f.speedup(app, 8), Some(1.0), "{app:?}");
         }
@@ -308,7 +303,7 @@ mod tests {
             pins: vec![("Vector-Length".into(), 128.0)],
             ..quick()
         };
-        let bases = bases(&ParamSpace::paper(), &spec).unwrap();
+        let bases = bases(&spec).unwrap();
         assert_eq!(bases.len(), 8);
         for b in &bases {
             assert_eq!(b.core.vector_length, 128, "{b:?}");
@@ -317,7 +312,7 @@ mod tests {
 
     #[test]
     fn fig8_fp_regs_monotoneish() {
-        let f = fig8(&Engine::idealized(), &ParamSpace::paper(), &quick()).unwrap();
+        let f = fig8(&Engine::idealized(), &quick()).unwrap();
         for app in App::ALL {
             assert_eq!(f.speedup(app, 38), Some(1.0));
             let s = f.speedup(app, 512).unwrap();
@@ -327,7 +322,7 @@ mod tests {
 
     #[test]
     fn table_renders() {
-        let f = fig7(&Engine::idealized(), &ParamSpace::paper(), &quick()).unwrap();
+        let f = fig7(&Engine::idealized(), &quick()).unwrap();
         let t = f.table().to_text();
         assert!(t.contains("ROB-Size"));
         assert!(t.contains("152"));

@@ -208,7 +208,6 @@ mod tests {
     use super::*;
     use crate::engine::RowSink;
     use crate::jobstore::JobSpec;
-    use crate::space::ParamSpace;
     use armdse_kernels::{App, WorkloadScale};
 
     /// A campaign's files in a fresh scratch directory.
@@ -234,7 +233,7 @@ mod tests {
             chunk_jobs: 2,
             ..JobSpec::default()
         };
-        spec.plan(&ParamSpace::paper()).unwrap()
+        spec.plan().unwrap()
     }
 
     /// Open and run, pausing after `pause_after` chunks when given.

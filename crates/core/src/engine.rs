@@ -60,33 +60,32 @@ pub struct RunPlan {
 /// The design points a plan draws from.
 #[derive(Debug, Clone)]
 enum Candidates {
-    /// Candidate `k` is `space` sampled with `seed + k`, pins applied.
-    Sampled {
-        space: Box<ParamSpace>,
-        seed: u64,
-        pins: Vec<(String, f64)>,
-    },
+    /// Candidate `k` is the paper's space sampled with `seed + k`, pins
+    /// applied.
+    Sampled { seed: u64, pins: Vec<(String, f64)> },
     /// Candidate `k` is `list[k]`.
     Listed(Vec<DesignConfig>),
 }
 
 impl RunPlan {
-    /// Validate `o` against `space` into a plan: the benchmark's
-    /// constructor; the product builds sampled plans with
-    /// [`crate::JobSpec::plan`].
+    /// Validate `o` into a plan: the benchmark's constructor; the
+    /// product builds sampled plans with [`crate::JobSpec::plan`]. The
+    /// space argument is unread: there is one design space, and it
+    /// stays because `benchmark/src/e2e/api.rs` calls
+    /// `RunPlan::new(space, &opts)`.
     pub fn new(
-        space: &ParamSpace,
+        _space: &ParamSpace,
         o: &crate::orchestrator::GenOptions,
     ) -> Result<RunPlan, ArmdseError> {
-        RunPlan::sampled(space, o.seed, &[], o.configs, &o.apps, o.scale, o.threads)
+        RunPlan::sampled(o.seed, &[], o.configs, &o.apps, o.scale, o.threads)
     }
 
-    /// [`crate::JobSpec::plan`]: candidate `k` is `space` sampled with
-    /// `seed + k`, features pinned by name (Figs. 4/5 pin Vector-Length).
+    /// [`crate::JobSpec::plan`]: candidate `k` is the paper's space
+    /// sampled with `seed + k`, features pinned by name (Figs. 4/5 pin
+    /// Vector-Length).
     /// A pin outside its feature's `[lo, hi]`, or fractional for an
     /// integer feature, is refused naming the feature and its range.
     pub(crate) fn sampled(
-        space: &ParamSpace,
         seed: u64,
         pins: &[(String, f64)],
         configs: usize,
@@ -97,8 +96,8 @@ impl RunPlan {
         for (name, value) in pins {
             config::check_pin(name, *value).map_err(ArmdseError::InvalidPlan)?;
         }
-        let (space, pins) = (Box::new(space.clone()), pins.to_vec());
-        let sampled = Candidates::Sampled { space, seed, pins };
+        let pins = pins.to_vec();
+        let sampled = Candidates::Sampled { seed, pins };
         let plan = RunPlan::over(sampled, configs, apps, scale, threads)?;
         // Pin values are outside input: a value no sample can rescue is
         // refused here, on the first design point, not at the first job.
@@ -224,7 +223,8 @@ impl RunPlan {
     pub fn fingerprint(&self) -> u64 {
         let (configs, scale, apps, indices) = (self.configs, self.scale, &self.apps, &self.indices);
         let encoded = match &self.candidates {
-            Candidates::Sampled { space, seed, pins } => {
+            Candidates::Sampled { seed, pins } => {
+                let space = ParamSpace::paper();
                 format!("{space:?}|{configs}|{seed}|{scale:?}|{apps:?}|{pins:?}|{indices:?}")
             }
             Candidates::Listed(list) => format!("{list:?}|{scale:?}|{apps:?}|{indices:?}"),
@@ -268,8 +268,8 @@ impl RunPlan {
     /// listed plan's is `list[k]`, which panics past the list).
     pub(crate) fn candidate(&self, k: u64) -> DesignConfig {
         match &self.candidates {
-            Candidates::Sampled { space, seed, pins } => {
-                space.sample_seeded_pinned(seed.wrapping_add(k), pins)
+            Candidates::Sampled { seed, pins } => {
+                ParamSpace::paper().sample_seeded_pinned(seed.wrapping_add(k), pins)
             }
             Candidates::Listed(list) => list[k as usize],
         }
@@ -839,27 +839,19 @@ mod tests {
     }
 
     fn plan(configs: usize, threads: usize) -> RunPlan {
-        opts(configs, threads).plan(&ParamSpace::paper()).unwrap()
+        opts(configs, threads).plan().unwrap()
     }
 
     /// `opts(configs, 1)`'s plan with one feature pinned.
     fn pinned(configs: usize, name: &str, value: f64) -> Result<RunPlan, ArmdseError> {
         let o = opts(configs, 1);
         let pins = [(name.to_string(), value)];
-        RunPlan::sampled(
-            &ParamSpace::paper(),
-            o.seed,
-            &pins,
-            configs,
-            &o.apps,
-            o.scale,
-            1,
-        )
+        RunPlan::sampled(o.seed, &pins, configs, &o.apps, o.scale, 1)
     }
 
     #[test]
     fn zero_configs_is_an_invalid_plan_not_a_panic() {
-        let err = opts(0, 1).plan(&ParamSpace::paper()).unwrap_err();
+        let err = opts(0, 1).plan().unwrap_err();
         assert!(matches!(err, ArmdseError::InvalidPlan(_)), "{err}");
     }
 
@@ -867,17 +859,14 @@ mod tests {
     fn empty_apps_is_an_invalid_plan() {
         let mut o = opts(4, 1);
         o.apps.clear();
-        assert!(matches!(
-            o.plan(&ParamSpace::paper()),
-            Err(ArmdseError::InvalidPlan(_))
-        ));
+        assert!(matches!(o.plan(), Err(ArmdseError::InvalidPlan(_))));
     }
 
     #[test]
     fn duplicate_apps_are_deduplicated_order_preserving() {
         let mut o = opts(3, 1);
         o.apps = vec![App::TeaLeaf, App::Stream, App::TeaLeaf, App::Stream];
-        let p = o.plan(&ParamSpace::paper()).unwrap();
+        let p = o.plan().unwrap();
         assert_eq!(p.apps(), &[App::TeaLeaf, App::Stream]);
         assert_eq!(p.jobs(), 6);
         // And the engine produces exactly one row per (config, app).
@@ -895,7 +884,7 @@ mod tests {
 
     fn dataset(o: &JobSpec) -> DseDataset {
         let mut data = DseDataset::default();
-        let p = o.plan(&ParamSpace::paper()).unwrap();
+        let p = o.plan().unwrap();
         Engine::idealized().run(&p, &mut data).unwrap();
         data
     }
@@ -1306,7 +1295,7 @@ mod tests {
             seed: u64::MAX,
             ..opts(2, 1)
         })
-        .plan(&space)
+        .plan()
         .unwrap();
         let points = [p.design_point(0).unwrap(), p.design_point(1).unwrap()];
         assert_eq!(

@@ -380,7 +380,6 @@ const CURVE_HEADER: &str = "round,samples,epsilon,r2,mae,model_hash";
 /// the simulations and rides its run loop as the campaign's sink.
 pub struct Explorer<'e> {
     engine: &'e Engine,
-    space: ParamSpace,
     opts: ExploreOptions,
     /// The campaign fields of `opts`: every plan the exploration runs.
     spec: JobSpec,
@@ -551,10 +550,13 @@ impl RowSink for Rounds<'_, '_> {
 
 impl<'e> Explorer<'e> {
     /// Validate `opts` into an explorer writing artifacts under
-    /// `out_dir` (which must already exist).
+    /// `out_dir` (which must already exist). The space argument is
+    /// unread: there is one design space, and it stays because
+    /// `benchmark/src/e2e/explore.rs` calls `Explorer::new(engine,
+    /// space, opts, dir)`.
     pub fn new(
         engine: &'e Engine,
-        space: &ParamSpace,
+        _space: &ParamSpace,
         opts: ExploreOptions,
         out_dir: &Path,
     ) -> Result<Explorer<'e>, ArmdseError> {
@@ -571,7 +573,6 @@ impl<'e> Explorer<'e> {
         };
         Ok(Explorer {
             engine,
-            space: space.clone(),
             opts,
             spec,
             out_dir: out_dir.to_path_buf(),
@@ -582,16 +583,16 @@ impl<'e> Explorer<'e> {
         self.out_dir.join(name)
     }
 
-    /// Identity of this exploration: the space plus every option that
-    /// affects results. Threads and chunk size are excluded for the
-    /// same reason [`RunPlan::fingerprint`] excludes them — they must
-    /// never change the artifacts, so either may differ between a run
-    /// and its resume. Sixteen hex digits, as `explore.plan` records it.
+    /// Identity of this exploration: the paper's space plus every
+    /// option that affects results. Threads and chunk size are excluded
+    /// for the same reason [`RunPlan::fingerprint`] excludes them — they
+    /// must never change the artifacts, so either may differ between a
+    /// run and its resume. Sixteen hex digits, as `explore.plan` records it.
     fn options_fingerprint(&self) -> String {
         let o = &self.opts;
         let encoded = format!(
             "{:?}|{:?}|{:?}|{}|{}|{}|{}|{}|{}|{:?}|{:?}|{}|{}|{}",
-            self.space,
+            ParamSpace::paper(),
             o.app,
             o.scale,
             o.seed,
@@ -614,7 +615,7 @@ impl<'e> Explorer<'e> {
     /// rows bit-for-bit. Unvalidated: a pin that invalidates a candidate
     /// fails the run only if the candidate is selected.
     fn candidate_features(&self) -> Result<Vec<[f64; 30]>, ArmdseError> {
-        let plan = self.spec.plan(&self.space)?;
+        let plan = self.spec.plan()?;
         let pool = 0..self.opts.pool as u64;
         Ok(pool.map(|k| plan.candidate(k).to_features()).collect())
     }
@@ -637,7 +638,7 @@ impl<'e> Explorer<'e> {
     }
 
     fn plan_for(&self, indices: &[u64]) -> Result<RunPlan, ArmdseError> {
-        let plan = self.spec.plan(&self.space)?;
+        let plan = self.spec.plan()?;
         plan.with_config_indices(indices.to_vec())
     }
 

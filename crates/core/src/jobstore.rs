@@ -37,7 +37,6 @@ use crate::durable::{self, CampaignFiles};
 use crate::engine::{Checkpoint, Engine, RunPlan, DEFAULT_CHUNK_JOBS};
 use crate::error::ArmdseError;
 use crate::json::{self, parse_json, Decimal, Json, Layout, ToJson, Writer};
-use crate::space::ParamSpace;
 use armdse_kernels::{App, WorkloadScale};
 use armdse_memsim::DEFAULT_BANKS;
 use armdse_simcore::MultiCore;
@@ -160,10 +159,10 @@ impl Default for JobSpec {
 }
 
 impl JobSpec {
-    /// Validate into a [`RunPlan`] over `space`.
-    pub fn plan(&self, space: &ParamSpace) -> Result<RunPlan, ArmdseError> {
+    /// Validate into a [`RunPlan`] over the paper's design space.
+    pub fn plan(&self) -> Result<RunPlan, ArmdseError> {
         let (seed, pins, configs, apps) = (self.seed, &self.pins, self.configs, &self.apps);
-        let plan = RunPlan::sampled(space, seed, pins, configs, apps, self.scale, self.threads)?;
+        let plan = RunPlan::sampled(seed, pins, configs, apps, self.scale, self.threads)?;
         Ok(plan.with_chunk_jobs(self.chunk_jobs))
     }
 
@@ -626,12 +625,15 @@ impl JobStore {
             // is written, so restoring the file brings the job back.
             let (spec, plan) = match JobSpec::from_json(&body) {
                 Ok(spec) => {
-                    let plan = spec.plan(&ParamSpace::paper());
+                    let plan = spec.plan();
                     (spec, plan.map(|p| p.jobs()).map_err(|e| e.to_string()))
                 }
                 Err(e) => (JobSpec::default(), Err(format!("{name}: {e}"))),
             };
-            let job = store.build_job(id, spec, *plan.as_ref().unwrap_or(&0));
+            // A placeholder spec says no metrics; the file on disk
+            // still does.
+            let metrics = spec.metrics || store.slot(id, "metrics.csv").exists();
+            let job = store.build_job(id, spec, *plan.as_ref().unwrap_or(&0), metrics);
             // Recover position from the checkpoint and state from the
             // terminal marker (absent marker => Paused, resumable).
             {
@@ -671,13 +673,18 @@ impl JobStore {
         &self.dir
     }
 
-    /// A `Queued` job `id` over `spec`, whose plan has `total_jobs`.
-    fn build_job(&self, id: JobId, spec: JobSpec, total_jobs: usize) -> Arc<Job> {
-        let slot = |ext: &str| self.dir.join(format!("job-{id}.{ext}"));
+    /// Job `id`'s file with extension `ext`.
+    fn slot(&self, id: JobId, ext: &str) -> PathBuf {
+        self.dir.join(format!("job-{id}.{ext}"))
+    }
+
+    /// A `Queued` job `id` over `spec`, whose plan has `total_jobs`,
+    /// with a metrics file iff `metrics`.
+    fn build_job(&self, id: JobId, spec: JobSpec, total_jobs: usize, metrics: bool) -> Arc<Job> {
         let files = CampaignFiles {
-            csv: slot("csv"),
-            checkpoint: slot("ckpt"),
-            metrics: spec.metrics.then(|| slot("metrics.csv")),
+            csv: self.slot(id, "csv"),
+            checkpoint: self.slot(id, "ckpt"),
+            metrics: metrics.then(|| self.slot(id, "metrics.csv")),
         };
         Arc::new(Job {
             id,
@@ -702,9 +709,10 @@ impl JobStore {
     /// the job as `Queued`. (Submission is the scheduler's job — it
     /// calls this and then enqueues.)
     pub fn create(&self, spec: JobSpec) -> Result<Arc<Job>, ArmdseError> {
-        let total_jobs = spec.plan(&ParamSpace::paper())?.jobs();
+        let total_jobs = spec.plan()?.jobs();
         let id = self.next_id.fetch_add(1, Ordering::Relaxed);
-        let job = self.build_job(id, spec, total_jobs);
+        let metrics = spec.metrics;
+        let job = self.build_job(id, spec, total_jobs, metrics);
         durable::replace(&job.spec_path(), &job.spec.to_json())?;
         self.jobs
             .lock()
@@ -990,7 +998,7 @@ mod tests {
         a.persist_terminal(JobState::Done, None);
         b.persist_terminal(JobState::Failed, Some("sim exploded"));
         Checkpoint {
-            fingerprint: spec().plan(&ParamSpace::paper()).unwrap().fingerprint(),
+            fingerprint: spec().plan().unwrap().fingerprint(),
             jobs_done: 4,
             rows: 4,
             discarded: 0,
@@ -1075,6 +1083,25 @@ mod tests {
         );
         assert_eq!(store.get(8).unwrap().status().state, JobState::Done);
         assert_eq!(store.create(spec()).unwrap().id(), 9);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A job whose spec no longer parses keeps the metrics file it
+    /// wrote: the placeholder spec says no metrics, the disk says yes.
+    #[test]
+    fn an_unparsable_spec_keeps_its_metrics_file() {
+        let dir = std::env::temp_dir().join("armdse_jobstore_unparsable_metrics");
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let body = "{\"configs\": 1, \"metrics\": true, \"interval_len\": 512}";
+        assert!(JobSpec::from_json(body).is_err());
+        std::fs::write(dir.join("job-4.spec.json"), body).unwrap();
+        std::fs::write(dir.join("job-4.metrics.csv"), "kept\n").unwrap();
+
+        let store = JobStore::open(&dir).unwrap();
+        let job = store.get(4).expect("the unparsable spec is listed");
+        assert_eq!(job.status().state, JobState::Failed);
+        assert_eq!(job.files().metrics, Some(dir.join("job-4.metrics.csv")));
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -28,7 +28,7 @@
 //!
 //! ```
 //! use armdse_core::engine::Engine;
-//! use armdse_core::{space::ParamSpace, surrogate::SurrogateSuite};
+//! use armdse_core::surrogate::SurrogateSuite;
 //! use armdse_core::{DseDataset, JobSpec};
 //! use armdse_kernels::{App, WorkloadScale};
 //!
@@ -40,7 +40,7 @@
 //!     apps: vec![App::Stream],
 //!     ..JobSpec::default()
 //! };
-//! let plan = spec.plan(&ParamSpace::paper()).unwrap();
+//! let plan = spec.plan().unwrap();
 //! let mut data = DseDataset::default();
 //! Engine::idealized().run(&plan, &mut data).unwrap();
 //! assert!(data.rows.len() <= 40 && !data.rows.is_empty());

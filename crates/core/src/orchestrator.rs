@@ -23,15 +23,3 @@ pub struct GenOptions {
     /// ignored — plan validation deduplicates order-preserving).
     pub apps: Vec<App>,
 }
-
-impl Default for GenOptions {
-    fn default() -> Self {
-        GenOptions {
-            configs: 256,
-            scale: WorkloadScale::Standard,
-            seed: 0x5EED,
-            threads: std::thread::available_parallelism().map_or(1, |n| n.get()),
-            apps: App::ALL.to_vec(),
-        }
-    }
-}

@@ -61,7 +61,6 @@ use crate::engine::{
 use crate::error::ArmdseError;
 use crate::jobstore::{Job, JobId, JobOpError, JobSpec, JobState, JobStatus, JobStore};
 use crate::metrics::MetricsRow;
-use crate::space::ParamSpace;
 use armdse_simcore::{MultiCore, RunMode};
 use std::borrow::Cow;
 use std::cmp::Reverse;
@@ -522,23 +521,30 @@ fn runner_loop(shared: &Shared) {
                 queue = shared.cv.wait(queue).expect("queue poisoned");
             }
         };
-        let Some(job) = shared.store.get(key.id.0) else {
-            continue;
-        };
-        // Claim: stale heap entries (paused/cancelled while queued, or
-        // duplicate keys from pause+resume cycles) are skipped here.
-        {
-            let mut inner = job.inner.lock().expect("job lock poisoned");
-            if inner.state != JobState::Queued {
-                continue;
-            }
-            if inner.started_seq.is_none() {
-                inner.started_seq = Some(shared.store.next_seq());
-            }
-            job.transition(&mut inner, JobState::Running);
+        if let Some(job) = claim(shared, key.id.0) {
+            execute(&job);
         }
-        execute(&job);
     }
+}
+
+/// Move job `id` from `Queued` to `Running` for the calling runner.
+/// Stale heap entries (paused/cancelled while queued, or duplicate keys
+/// from pause+resume cycles) claim nothing. Neither does any job once
+/// shutdown has begun: the flag is re-read under the job lock, so a
+/// [`JobScheduler::shutdown`] that found this job `Queued` leaves it
+/// `Queued`, to reopen `Paused` with the rest.
+fn claim(shared: &Shared, id: JobId) -> Option<Arc<Job>> {
+    let job = shared.store.get(id)?;
+    let mut inner = job.inner.lock().expect("job lock poisoned");
+    if inner.state != JobState::Queued || shared.shutdown.load(Ordering::SeqCst) {
+        return None;
+    }
+    if inner.started_seq.is_none() {
+        inner.started_seq = Some(shared.store.next_seq());
+    }
+    job.transition(&mut inner, JobState::Running);
+    drop(inner);
+    Some(job)
 }
 
 /// Run one claimed job to its next stop (completion, pause, cancel, or
@@ -565,7 +571,7 @@ fn execute(job: &Job) {
 /// built when a runner claims the job, dropped when it stops, so two
 /// jobs cannot share any of them and a stopped job holds none.
 fn run_one(job: &Job) -> Result<RunSummary, ArmdseError> {
-    let plan = job.spec().plan(&ParamSpace::paper())?;
+    let plan = job.spec().plan()?;
     let engine = job.spec().engine();
     let mut campaign = job.files().open(false)?;
     // The observer runs at every chunk boundary, after the CSV flushed
@@ -589,7 +595,6 @@ mod tests {
     use crate::dataset::DseDataset;
     use crate::engine::CsvSink;
     use crate::jobstore::JobSpec;
-    use crate::space::ParamSpace;
     use armdse_kernels::{App, WorkloadScale};
 
     fn store(tag: &str) -> Arc<JobStore> {
@@ -615,7 +620,7 @@ mod tests {
     fn assert_direct_run_bytes(job: &Job, tag: &str) {
         let direct = std::env::temp_dir().join(format!("armdse_scheduler_{tag}_direct.csv"));
         let mut sink = CsvSink::create(&direct).unwrap();
-        let plan = job.spec().plan(&ParamSpace::paper()).unwrap();
+        let plan = job.spec().plan().unwrap();
         job.spec().engine().run(&plan, &mut sink).unwrap();
         sink.chunk_end().unwrap();
         assert_eq!(
@@ -868,7 +873,7 @@ mod tests {
             apps: vec![App::Stream, App::TeaLeaf],
             ..JobSpec::default()
         };
-        opts.plan(&ParamSpace::paper())
+        opts.plan()
             .unwrap()
             .with_config_indices(indices.to_vec())
             .unwrap()
@@ -1007,7 +1012,7 @@ mod tests {
             pins: vec![("L2-Size".into(), 64.0)],
             ..JobSpec::default()
         };
-        let plan = spec.plan(&ParamSpace::paper()).unwrap();
+        let plan = spec.plan().unwrap();
         let first_bad = (0..40).find(|&i| plan.design_point(i).is_err()).unwrap();
         assert!(first_bad > 0, "slot 0 validated at plan construction");
         let mut data = DseDataset::default();
@@ -1079,7 +1084,7 @@ mod tests {
                 chunk_jobs: 4,
                 ..JobSpec::default()
             };
-            let plan = spec.plan(&ParamSpace::paper()).unwrap();
+            let plan = spec.plan().unwrap();
             let (tx, rx) = std::sync::mpsc::channel();
             std::thread::Builder::new()
                 .name("campaign".into())
@@ -1108,5 +1113,24 @@ mod tests {
             );
             assert_eq!(rows, 4, "{threads} threads: only the first chunk streamed");
         }
+    }
+
+    /// A runner that popped a key just before shutdown claims nothing:
+    /// the job stays `Queued` (to reopen `Paused`) instead of running
+    /// to completion while shutdown waits on the join.
+    #[test]
+    fn no_job_is_claimed_once_shutdown_has_begun() {
+        let store = store("claim_after_shutdown");
+        let sched = JobScheduler::new(Arc::clone(&store), 0);
+        let (first, second) = (
+            sched.submit(tiny_spec(1)).unwrap(),
+            sched.submit(tiny_spec(2)).unwrap(),
+        );
+        let claimed = claim(&sched.shared, first.id()).expect("a queued job is claimed");
+        assert_eq!(claimed.status().state, JobState::Running);
+        sched.shutdown();
+        assert!(claim(&sched.shared, second.id()).is_none());
+        assert_eq!(second.status().state, JobState::Queued);
+        let _ = std::fs::remove_dir_all(store.dir());
     }
 }

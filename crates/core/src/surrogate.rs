@@ -128,7 +128,6 @@ mod tests {
     use super::*;
     use crate::engine::Engine;
     use crate::jobstore::JobSpec;
-    use crate::space::ParamSpace;
     use armdse_kernels::WorkloadScale;
 
     fn small_dataset() -> DseDataset {
@@ -140,7 +139,7 @@ mod tests {
             apps: vec![App::Stream, App::MiniBude],
             ..JobSpec::default()
         };
-        let plan = opts.plan(&ParamSpace::paper()).unwrap();
+        let plan = opts.plan().unwrap();
         let mut data = DseDataset::default();
         Engine::idealized().run(&plan, &mut data).unwrap();
         data

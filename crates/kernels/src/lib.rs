@@ -35,7 +35,7 @@ pub mod spmv;
 pub mod stream;
 pub mod tealeaf;
 
-pub use cache::{CacheStats, ShardedCache, WorkloadCache};
+pub use cache::WorkloadCache;
 
 use armdse_isa::{OpSummary, Program};
 

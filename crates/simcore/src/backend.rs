@@ -15,7 +15,8 @@
 //!   next-line prefetcher) is the paper's simulation path;
 //!   `MultiCore::new(1, DEFAULT_BANKS)` is the "hardware proxy"
 //!   standing in for the physical ThunderX2 of Table I.
-//! * [`crate::Memoized`] — the exact run-memoizing wrapper.
+//! * [`crate::Memoized`] — the exact run-memoizing wrapper around a
+//!   [`MultiCore`].
 //!
 //! The machine builds each core's pipeline with `Pipeline::new` and
 //! collects it with `finish`; the latter owns the only copy of the

@@ -1,36 +1,50 @@
-//! Run-level computation reuse: the exact run-memoizing backend.
+//! Run-level computation reuse: the exact run-memoizing machine.
 //!
 //! A campaign can ask for the *same* `(workload, design point)` run more
 //! than once: resubmitted jobs, an identical re-run, the differential
 //! harness running every program at least twice. [`Memoized`] keeps the
-//! finished [`RunOutput`] of each plain or metrics run in a bounded,
-//! shard-locked [`ShardedCache`] and answers a repeat with a clone of
-//! it. There is no approximate tier: every row any backend emits is an
+//! finished [`RunOutput`] of each plain or metrics run in one bounded
+//! map over its [`MultiCore`] and answers a repeat with a clone of it.
+//! There is no approximate tier: every row any backend emits is an
 //! exact simulation.
 //!
 //! ## Reuse legality
 //!
 //! A run is a deterministic function of `(program, CoreParams,
 //! MemParams, RunMode)` and the memo is keyed by that whole input, so a
-//! hit returns exactly what the inner backend would compute again
-//! (pinned by `tests/reuse_equivalence.rs` and the differential fuzz
-//! reuse lane). The key is a 64-bit hash; each entry also stores the
-//! design point it was computed for and a hit requires it to be equal,
-//! so a colliding design point reads as a miss, never as a wrong row.
-//! See `DESIGN.md` §13.
+//! hit returns exactly what the machine would compute again (pinned by
+//! `tests/reuse_equivalence.rs` and the differential fuzz reuse lane).
+//! The key is a 64-bit hash; each entry also stores the design point it
+//! was computed for and a hit requires it to be equal, so a colliding
+//! design point reads as a miss, never as a wrong row. See `DESIGN.md`
+//! §13.
 
 use crate::backend::{RunMode, RunOutput, SimBackend};
 use crate::multicore::MultiCore;
 use crate::params::CoreParams;
 use armdse_isa::Program;
-use armdse_kernels::{CacheStats, ShardedCache};
 use armdse_memsim::fasthash::Fnv1a;
 use armdse_memsim::MemParams;
+use std::collections::{HashMap, VecDeque};
 use std::fmt::Write;
+use std::sync::{Mutex, MutexGuard};
 
-/// Re-exported cache counters surfaced through
-/// [`SimBackend::reuse_stats`] (hits, misses, insertions, evictions).
-pub type ReuseStats = CacheStats;
+/// Running totals of a [`Memoized`] memo's traffic, surfaced through
+/// [`SimBackend::reuse_stats`]. Monotone until
+/// [`SimBackend::clear_reuse_cache`] resets them.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct ReuseStats {
+    /// Lookups that found their key (even when the stored design point
+    /// differs and the memo answers a miss).
+    pub hits: u64,
+    /// Lookups that did not.
+    pub misses: u64,
+    /// Runs stored (a run whose key another thread stored first counts
+    /// as no insertion).
+    pub insertions: u64,
+    /// Entries dropped, oldest first, to keep the memo within its bound.
+    pub evictions: u64,
+}
 
 /// Unread. It was the retirement-interval length of the deleted
 /// interval-memoizing design and stays exported only because
@@ -38,13 +52,12 @@ pub type ReuseStats = CacheStats;
 /// next `benchmark` PR drops both.
 pub const DEFAULT_INTERVAL_LEN: u64 = 4096;
 
-/// Entry bound of the memo, across all shards: as many runs as fit in
-/// 64 MiB. A single-core plain or metrics [`RunOutput`] owns no heap (no
-/// trace, no per-core split), so an entry is its inline bytes — 1 192
-/// for the output and 136 for the two parameter structs — plus about
-/// 100 of [`ShardedCache`] bookkeeping (`Arc` counts, allocator header,
-/// a map slot and a FIFO slot, each in a table that may be half
-/// empty): 64 MiB / 1 428 B ≈ 47 000 runs.
+/// Entry bound of the memo: as many runs as fit in 64 MiB. A
+/// single-core plain or metrics [`RunOutput`] owns no heap (no trace,
+/// no per-core split), so an entry is its inline bytes — 1 192 for the
+/// output and 136 for the two parameter structs — plus about 100 of
+/// bookkeeping (allocator header, a map slot and a FIFO slot, each in a
+/// table that may be half empty): 64 MiB / 1 428 B ≈ 47 000 runs.
 const MEMO_ENTRIES: usize = (64 << 20) / (std::mem::size_of::<Entry>() + 100);
 
 /// The memo key: the program's static identity, the whole design point
@@ -78,43 +91,83 @@ struct Entry {
     out: RunOutput,
 }
 
-/// Exact run-memoizing wrapper around any [`SimBackend`].
-///
-/// A plain or metrics run is one lookup: a hit clones the stored
-/// output, a miss runs the inner backend and stores what it returned
-/// (runs that hit the cycle limit included — they are as deterministic
-/// as any other). [`RunMode::Trace`] bypasses the memo and delegates to
-/// the inner backend: traces are an oracle-only path, large, and never
-/// repeated.
-pub struct Memoized<B: SimBackend> {
-    inner: B,
-    cache: ShardedCache<u64, Entry>,
+/// The memo's one lock: the entries (boxed, so a half-empty table's
+/// spare slots cost a pointer, not an entry), their FIFO insertion
+/// order for eviction, and the traffic counters.
+#[derive(Default)]
+struct Memo {
+    map: HashMap<u64, Box<Entry>>,
+    order: VecDeque<u64>,
+    stats: ReuseStats,
 }
 
-impl<B: SimBackend> Memoized<B> {
+/// Exact run-memoizing wrapper around the one machine, [`MultiCore`].
+///
+/// A plain or metrics run is one lookup: a hit clones the stored
+/// output, a miss runs the machine outside the lock and stores what it
+/// returned (runs that hit the cycle limit included — they are as
+/// deterministic as any other) unless another thread stored it first.
+/// Beyond `capacity` entries the oldest insertion is evicted.
+/// [`RunMode::Trace`] bypasses the memo and delegates to the machine:
+/// traces are an oracle-only path, large, and never repeated.
+pub struct Memoized {
+    inner: MultiCore,
+    capacity: usize,
+    memo: Mutex<Memo>,
+}
+
+impl Memoized {
     /// Memoizing wrapper around `inner`.
-    pub fn new(inner: B) -> Memoized<B> {
+    pub fn new(inner: MultiCore) -> Memoized {
         Memoized {
             inner,
-            cache: ShardedCache::new(16, MEMO_ENTRIES),
+            capacity: MEMO_ENTRIES,
+            memo: Mutex::default(),
         }
     }
 
+    fn memo(&self) -> MutexGuard<'_, Memo> {
+        self.memo.lock().expect("run memo poisoned")
+    }
+
     /// The output stored under `key`, if it was computed for exactly
-    /// this design point.
+    /// this design point. A present key counts as a hit either way.
     fn lookup(&self, key: u64, core: &CoreParams, mem: &MemParams) -> Option<RunOutput> {
-        let entry = self.cache.get(&key)?;
-        (entry.core == *core && entry.mem == *mem).then(|| entry.out.clone())
+        let mut memo = self.memo();
+        let Some(entry) = memo.map.get(&key) else {
+            memo.stats.misses += 1;
+            return None;
+        };
+        let out = (entry.core == *core && entry.mem == *mem).then(|| entry.out.clone());
+        memo.stats.hits += 1;
+        out
+    }
+
+    /// Store `entry` under `key` unless the key is present, evicting
+    /// the oldest insertions to stay within the bound.
+    fn insert(&self, key: u64, entry: Entry) {
+        let mut memo = self.memo();
+        if memo.map.contains_key(&key) {
+            return;
+        }
+        while memo.order.len() >= self.capacity {
+            let victim = memo.order.pop_front().expect("order matches map");
+            memo.map.remove(&victim);
+            memo.stats.evictions += 1;
+        }
+        memo.order.push_back(key);
+        memo.map.insert(key, Box::new(entry));
+        memo.stats.insertions += 1;
     }
 }
 
-impl<B: SimBackend> SimBackend for Memoized<B> {
+impl SimBackend for Memoized {
     fn name(&self) -> &'static str {
         "memoized"
     }
 
     fn topology(&self) -> MultiCore {
-        self.inner.topology()
+        self.inner
     }
 
     fn run(
@@ -132,23 +185,21 @@ impl<B: SimBackend> SimBackend for Memoized<B> {
             return out;
         }
         let out = self.inner.run(program, core, mem, mode);
-        self.cache.insert(
-            key,
-            Entry {
-                core: *core,
-                mem: *mem,
-                out: out.clone(),
-            },
-        );
+        let entry = Entry {
+            core: *core,
+            mem: *mem,
+            out: out.clone(),
+        };
+        self.insert(key, entry);
         out
     }
 
     fn reuse_stats(&self) -> Option<ReuseStats> {
-        Some(self.cache.stats())
+        Some(self.memo().stats)
     }
 
     fn clear_reuse_cache(&self) {
-        self.cache.clear();
+        *self.memo() = Memo::default();
     }
 }
 
@@ -192,6 +243,14 @@ mod tests {
         m: &MemParams,
     ) -> (SimStats, Vec<armdse_isa::instr::DynInstr>) {
         b.run(p, c, m, RunMode::Trace).into_traced()
+    }
+
+    /// A memo over the paper's machine bounded at `capacity` entries.
+    fn bounded(capacity: usize) -> Memoized {
+        Memoized {
+            capacity,
+            ..Memoized::new(IDEALIZED)
+        }
     }
 
     /// `(hits, misses, insertions, evictions)` of a backend's memo.
@@ -280,12 +339,9 @@ mod tests {
     #[test]
     fn a_full_memo_evicts_and_stays_exact() {
         let (p, c, m) = fixture(App::Stream);
-        // One 8-entry shard, 12 distinct design points, visited twice in
+        // An 8-entry memo, 12 distinct design points, visited twice in
         // the same order: the worst case for FIFO eviction.
-        let memo = Memoized {
-            inner: IDEALIZED,
-            cache: ShardedCache::new(1, 8),
-        };
+        let memo = bounded(8);
         let points: Vec<CoreParams> = (0..12)
             .map(|i| CoreParams {
                 rob_size: c.rob_size + 4 * i,

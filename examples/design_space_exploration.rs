@@ -31,7 +31,7 @@ fn main() {
         opts.configs,
         opts.apps.len()
     );
-    let plan = opts.plan(&space).expect("valid plan");
+    let plan = opts.plan().expect("valid plan");
     let engine = Engine::idealized();
     let mut data = DseDataset::default();
     engine

@@ -7,7 +7,6 @@
 //! beat the linear baseline, and the random forest must be at least
 //! competitive with a single tree.
 
-use armdse::core::space::ParamSpace;
 use armdse::core::JobSpec;
 use armdse::core::{DseDataset, Engine};
 use armdse::kernels::{App, WorkloadScale};
@@ -15,8 +14,8 @@ use armdse::mltree::{
     mae, train_test_split, DecisionTreeRegressor, LinearRegression, RandomForest, Regressor,
 };
 
-fn simulated_dataset(space: &ParamSpace, opts: &JobSpec) -> DseDataset {
-    let plan = opts.plan(space).expect("valid plan");
+fn simulated_dataset(opts: &JobSpec) -> DseDataset {
+    let plan = opts.plan().expect("valid plan");
     let mut data = DseDataset::default();
     Engine::idealized()
         .run(&plan, &mut data)
@@ -30,17 +29,14 @@ fn tree_beats_linear_baseline_on_simulated_cycles() {
     // length (∝ 1/VL over a 16x range) and with a saturating knee to ROB
     // size — exactly the non-linear trends the paper argues for trees.
     // A linear model cannot fit either; the tree can, given enough data.
-    let data = simulated_dataset(
-        &ParamSpace::paper(),
-        &JobSpec {
-            configs: 400,
-            scale: WorkloadScale::Small,
-            seed: 2_2024,
-            threads: 2,
-            apps: vec![App::Stream],
-            ..JobSpec::default()
-        },
-    );
+    let data = simulated_dataset(&JobSpec {
+        configs: 400,
+        scale: WorkloadScale::Small,
+        seed: 2_2024,
+        threads: 2,
+        apps: vec![App::Stream],
+        ..JobSpec::default()
+    });
     let ml = data.ml_dataset(App::Stream);
     let (train, test) = train_test_split(&ml, 0.25, 11);
 
@@ -81,17 +77,14 @@ fn unified_model_is_not_better_than_per_app_models() {
     let mut per_app_sum = 0.0;
     let mut unified_sum = 0.0;
     for seed in [77, 78, 79] {
-        let data = simulated_dataset(
-            &ParamSpace::paper(),
-            &JobSpec {
-                configs: 480,
-                scale: WorkloadScale::Tiny,
-                seed,
-                threads: 8,
-                apps: vec![App::Stream, App::MiniSweep],
-                ..JobSpec::default()
-            },
-        );
+        let data = simulated_dataset(&JobSpec {
+            configs: 480,
+            scale: WorkloadScale::Tiny,
+            seed,
+            threads: 8,
+            apps: vec![App::Stream, App::MiniSweep],
+            ..JobSpec::default()
+        });
 
         // Per-app trees.
         let mut per_app_maes = Vec::new();

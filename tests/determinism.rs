@@ -3,7 +3,6 @@
 //! byte-identical regardless of worker-thread count. Every scaling
 //! item on the roadmap (sharding, batching, caching) leans on this.
 
-use armdse::core::space::ParamSpace;
 use armdse::core::JobSpec;
 use armdse::core::{DseDataset, Engine};
 use armdse::kernels::{App, WorkloadScale};
@@ -17,7 +16,7 @@ fn gen_csv_bytes(threads: usize, seed: u64) -> Vec<u8> {
         apps: App::ALL.to_vec(),
         ..JobSpec::default()
     };
-    let plan = opts.plan(&ParamSpace::paper()).expect("valid plan");
+    let plan = opts.plan().expect("valid plan");
     let mut data = DseDataset::default();
     Engine::idealized()
         .run(&plan, &mut data)

@@ -19,8 +19,8 @@ fn opts() -> JobSpec {
     }
 }
 
-fn dataset(space: &ParamSpace, opts: &JobSpec) -> DseDataset {
-    let plan = opts.plan(space).expect("valid plan");
+fn dataset(opts: &JobSpec) -> DseDataset {
+    let plan = opts.plan().expect("valid plan");
     let mut data = DseDataset::default();
     Engine::idealized()
         .run(&plan, &mut data)
@@ -30,8 +30,7 @@ fn dataset(space: &ParamSpace, opts: &JobSpec) -> DseDataset {
 
 #[test]
 fn full_pipeline_dataset_to_importance() {
-    let space = ParamSpace::paper();
-    let data = dataset(&space, &opts());
+    let data = dataset(&opts());
     // Every sampled config validates on every app at Tiny scale.
     assert_eq!(data.rows.len(), 50 * 4);
     assert!(data.discarded.is_empty());
@@ -51,10 +50,9 @@ fn full_pipeline_dataset_to_importance() {
 
 #[test]
 fn dataset_round_trips_through_csv_file() {
-    let space = ParamSpace::paper();
     let mut o = opts();
     o.configs = 8;
-    let data = dataset(&space, &o);
+    let data = dataset(&o);
     let path = std::env::temp_dir().join("armdse_e2e_dataset.csv");
     data.save_csv(&path).unwrap();
     let back = DseDataset::load_csv(&path).unwrap();
@@ -72,7 +70,7 @@ fn dataset_round_trips_through_csv_file() {
 #[test]
 fn surrogate_predictions_are_cheap_and_deterministic() {
     let space = ParamSpace::paper();
-    let data = dataset(&space, &opts());
+    let data = dataset(&opts());
     let suite = SurrogateSuite::train(&data, 0.2, 1);
     let model = suite.model(App::Stream).unwrap();
     let cfg = space.sample_seeded(123_456);
@@ -88,7 +86,7 @@ fn surrogate_interpolates_in_plausible_range() {
     // training targets (trees cannot extrapolate) — the property that
     // makes the paper's introspection meaningful.
     let space = ParamSpace::paper();
-    let data = dataset(&space, &opts());
+    let data = dataset(&opts());
     let suite = SurrogateSuite::train(&data, 0.2, 1);
     for m in &suite.models {
         let ys: Vec<f64> = data
@@ -115,7 +113,7 @@ fn per_app_trees_differ() {
     // The paper trains one model per application because the codes have
     // contrasting performance trends; the fitted trees must differ.
     let space = ParamSpace::paper();
-    let data = dataset(&space, &opts());
+    let data = dataset(&opts());
     let suite = SurrogateSuite::train(&data, 0.2, 1);
     let cfg = space.sample_seeded(777);
     let preds: Vec<f64> = suite

@@ -13,7 +13,6 @@
 //! checkpoint before appending, and refuses a file that is *behind* it.
 
 use armdse::core::engine::Checkpoint;
-use armdse::core::space::ParamSpace;
 use armdse::core::JobSpec;
 use armdse::core::{ArmdseError, CampaignFiles, Engine, Progress, RunPlan, RunSummary};
 use armdse::kernels::{App, WorkloadScale};
@@ -34,7 +33,7 @@ fn plan(threads: usize) -> RunPlan {
         chunk_jobs: CHUNK,
         ..JobSpec::default()
     };
-    spec.plan(&ParamSpace::paper()).expect("valid plan")
+    spec.plan().expect("valid plan")
 }
 
 fn tmp(name: &str) -> PathBuf {

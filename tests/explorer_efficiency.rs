@@ -45,7 +45,7 @@ fn pins() -> Vec<(String, f64)> {
 }
 
 /// Simulate candidates `[lo, hi)` of the shared pool in one engine run.
-fn simulate_range(engine: &Engine, space: &ParamSpace, lo: usize, hi: usize) -> DseDataset {
+fn simulate_range(engine: &Engine, lo: usize, hi: usize) -> DseDataset {
     let spec = JobSpec {
         configs: hi - lo,
         scale: WorkloadScale::Tiny,
@@ -56,7 +56,7 @@ fn simulate_range(engine: &Engine, space: &ParamSpace, lo: usize, hi: usize) -> 
         ..JobSpec::default()
     };
     let plan = spec
-        .plan(space)
+        .plan()
         .unwrap()
         .with_config_indices((lo as u64..hi as u64).collect())
         .unwrap();
@@ -81,13 +81,10 @@ fn adaptive_budget_n_over_10_matches_the_full_sweep_surrogate() {
     let space = ParamSpace::paper();
 
     // Held-out evaluation set: candidates the sweep never trains on.
-    let (hx, hy) = xy(
-        &simulate_range(&engine, &space, POOL, POOL + HOLDOUT),
-        HOLDOUT,
-    );
+    let (hx, hy) = xy(&simulate_range(&engine, POOL, POOL + HOLDOUT), HOLDOUT);
 
     // Fixed full sweep: all N candidates, surrogate fit from scratch.
-    let sweep = simulate_range(&engine, &space, 0, POOL);
+    let sweep = simulate_range(&engine, 0, POOL);
     assert_eq!(
         sweep.rows.len(),
         POOL,

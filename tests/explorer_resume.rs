@@ -408,7 +408,7 @@ fn a_checkpoint_in_the_pre_steer_layout_is_refused_not_misread() {
         ..JobSpec::default()
     };
     let round_plan = gen
-        .plan(&ParamSpace::paper())
+        .plan()
         .unwrap()
         .with_config_indices(selected[4..].to_vec())
         .unwrap();

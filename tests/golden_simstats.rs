@@ -54,7 +54,7 @@ fn emit() -> String {
         apps: App::ALL.to_vec(),
         ..JobSpec::default()
     };
-    let plan = opts.plan(&space).unwrap();
+    let plan = opts.plan().unwrap();
     let mut header = Vec::new();
     write_metrics_header(&mut header).unwrap();
     let mut out = format!("# metrics: {}", String::from_utf8(header).unwrap());

@@ -98,7 +98,7 @@ fn every_repro_experiments_tables_read_back() {
         seed: spec.seed ^ 0x5EED_CAFE,
         ..spec.clone()
     };
-    let (engine, space) = (spec.engine(), ParamSpace::paper());
+    let engine = spec.engine();
 
     let files = CampaignFiles {
         csv: dir.join("dataset.csv"),
@@ -106,15 +106,15 @@ fn every_repro_experiments_tables_read_back() {
         metrics: Some(dir.join("metrics.csv")),
     };
     let mut campaign = files.open(true).unwrap();
-    let plan = spec.plan(&space).unwrap();
+    let plan = spec.plan().unwrap();
     assert!(campaign.run(&engine, &plan, None).unwrap().completed);
     let data = DseDataset::load_csv(&files.csv).unwrap();
     let suite = SurrogateSuite::train(&data, 0.2, spec.seed);
     let metrics = bottleneck::MetricsTable::load_csv(&dir.join("metrics.csv")).unwrap();
     let fig3 = importance::from_suite(&suite, "Fig. 3");
     let (fig7, fig8) = (
-        sweeps::fig7(&engine, &space, &sweep).unwrap(),
-        sweeps::fig8(&engine, &space, &sweep).unwrap(),
+        sweeps::fig7(&engine, &sweep).unwrap(),
+        sweeps::fig8(&engine, &sweep).unwrap(),
     );
     let half = JobSpec {
         configs: 20,
@@ -130,20 +130,13 @@ fn every_repro_experiments_tables_read_back() {
         ("fig3", vec![fig3.table()]),
         (
             "fig4",
-            vec![importance::fig45(&engine, &space, &half, 128)
-                .unwrap()
-                .table()],
+            vec![importance::fig45(&engine, &half, 128).unwrap().table()],
         ),
         (
             "fig5",
-            vec![importance::fig45(&engine, &space, &half, 2048)
-                .unwrap()
-                .table()],
+            vec![importance::fig45(&engine, &half, 2048).unwrap().table()],
         ),
-        (
-            "fig6",
-            vec![sweeps::fig6(&engine, &space, &sweep).unwrap().table()],
-        ),
+        ("fig6", vec![sweeps::fig6(&engine, &sweep).unwrap().table()]),
         ("fig7", vec![fig7.table()]),
         ("fig8", vec![fig8.table()]),
         (

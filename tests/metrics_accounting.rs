@@ -130,7 +130,7 @@ fn metrics_on_campaign_writes_identical_dataset_bytes() {
         chunk_jobs: 7,
         ..JobSpec::default()
     };
-    let plan = spec.plan(&ParamSpace::paper()).unwrap();
+    let plan = spec.plan().unwrap();
     let engine = Engine::idealized();
     let tmp = std::env::temp_dir();
 

@@ -8,7 +8,6 @@
 //! the plan, never on scheduling.
 
 use armdse::core::engine::{Engine, Progress, RunPlan, RunSummary};
-use armdse::core::space::ParamSpace;
 use armdse::core::CampaignFiles;
 use armdse::core::JobSpec;
 use armdse::kernels::{App, WorkloadScale};
@@ -26,7 +25,7 @@ fn plan(threads: usize) -> RunPlan {
         chunk_jobs: CHUNK,
         ..JobSpec::default()
     };
-    spec.plan(&ParamSpace::paper()).expect("valid plan")
+    spec.plan().expect("valid plan")
 }
 
 /// The campaign `tag`'s dataset, checkpoint and metrics paths.

@@ -7,7 +7,6 @@
 
 use armdse::core::engine::{Checkpoint, CsvSink, Engine, Progress, RunControl, RunPlan};
 use armdse::core::metrics::MetricsRow;
-use armdse::core::space::ParamSpace;
 use armdse::core::JobSpec;
 use armdse::core::{ArmdseError, CampaignFiles, DseDataset, RunSummary};
 use armdse::kernels::{App, WorkloadScale};
@@ -30,7 +29,7 @@ fn plan(threads: usize) -> RunPlan {
         chunk_jobs: CHUNK,
         ..JobSpec::default()
     };
-    spec.plan(&ParamSpace::paper()).expect("valid plan")
+    spec.plan().expect("valid plan")
 }
 
 fn tmp(name: &str) -> PathBuf {

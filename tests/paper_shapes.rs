@@ -5,7 +5,6 @@
 
 use armdse::analysis::sweeps;
 use armdse::analysis::{fig1, table1};
-use armdse::core::space::ParamSpace;
 use armdse::core::{Engine, JobSpec};
 use armdse::kernels::{App, WorkloadScale};
 
@@ -57,7 +56,7 @@ fn table1_validation_band() {
 /// vectorised codes (paper: 7-9x), larger for STREAM than miniBUDE.
 #[test]
 fn fig6_vector_length_scaling() {
-    let f = sweeps::fig6(&Engine::idealized(), &ParamSpace::paper(), &small(4)).unwrap();
+    let f = sweeps::fig6(&Engine::idealized(), &small(4)).unwrap();
     let stream = f.speedup(App::Stream, 2048).unwrap();
     let bude = f.speedup(App::MiniBude, 2048).unwrap();
     assert!((4.0..16.0).contains(&stream), "STREAM speedup {stream}");
@@ -81,7 +80,7 @@ fn fig6_vector_length_scaling() {
 /// benefit is on memory-bound STREAM.
 #[test]
 fn fig7_rob_saturation() {
-    let f = sweeps::fig7(&Engine::idealized(), &ParamSpace::paper(), &small(4)).unwrap();
+    let f = sweeps::fig7(&Engine::idealized(), &small(4)).unwrap();
     for app in App::ALL {
         let at_152 = f.speedup(app, 152).unwrap();
         let at_512 = f.speedup(app, 512).unwrap();
@@ -104,7 +103,7 @@ fn fig7_rob_saturation() {
 /// the knee further registers buy almost nothing.
 #[test]
 fn fig8_fp_register_wall() {
-    let f = sweeps::fig8(&Engine::idealized(), &ParamSpace::paper(), &small(4)).unwrap();
+    let f = sweeps::fig8(&Engine::idealized(), &small(4)).unwrap();
     for app in App::ALL {
         let knee = f.speedup(app, 144).unwrap();
         let max = f.speedup(app, 512).unwrap();

@@ -26,7 +26,7 @@ fn plan(configs: usize, threads: usize) -> RunPlan {
         apps: vec![App::Stream, App::TeaLeaf],
         ..JobSpec::default()
     };
-    opts.plan(&ParamSpace::paper()).unwrap()
+    opts.plan().unwrap()
 }
 
 /// Run `plan` on `engine` and return the emitted CSV bytes.
@@ -69,7 +69,7 @@ fn dataset_csv_bytes_identical_in_every_cache_state() {
             apps: vec![App::MiniBude, App::MiniSweep],
             ..JobSpec::default()
         };
-        let other_plan = other.plan(&ParamSpace::paper()).unwrap();
+        let other_plan = other.plan().unwrap();
         e.run(&other_plan, &mut armdse::core::DseDataset::default())
             .unwrap();
         let polluted = csv_bytes(&e, &p, &format!("cross_{threads}"));

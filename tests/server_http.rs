@@ -6,7 +6,6 @@
 //! status codes (400 / 404 / 405 / 409).
 
 use armdse::core::jobstore::JobStatus;
-use armdse::core::space::ParamSpace;
 use armdse::core::{CsvSink, JobSpec, JobState};
 use armdse::kernels::{App, WorkloadScale};
 use armdse::server::{client, Server, ServerConfig};
@@ -34,7 +33,7 @@ fn spec(configs: usize, seed: u64, threads: usize) -> JobSpec {
 }
 
 fn direct_csv(spec: &JobSpec, dir: &Path, tag: &str) -> Vec<u8> {
-    let plan = spec.plan(&ParamSpace::paper()).unwrap();
+    let plan = spec.plan().unwrap();
     let path = dir.join(format!("direct_{tag}.csv"));
     let mut sink = CsvSink::create(&path).unwrap();
     let summary = spec.engine().run(&plan, &mut sink).unwrap();
@@ -329,7 +328,7 @@ fn a_thread_count_past_its_bound_is_refused_and_stores_nothing() {
 fn a_store_queue_pin_of_4e9_is_refused_by_the_plan() {
     let mut s = spec(1, 1, 1);
     s.pins = vec![("Store-Queue-Size".into(), 4e9)];
-    let err = s.plan(&ParamSpace::paper()).unwrap_err().to_string();
+    let err = s.plan().unwrap_err().to_string();
     assert!(err.contains("Store-Queue-Size"), "{err}");
 }
 

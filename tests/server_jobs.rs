@@ -50,7 +50,7 @@ fn spec(configs: usize, seed: u64, threads: usize) -> JobSpec {
 /// Reference bytes: a direct, uninterrupted `Engine::run` of the same
 /// plan the job executes (on the spec's own engine).
 fn direct_csv(spec: &JobSpec, dir: &Path, tag: &str) -> Vec<u8> {
-    let plan = spec.plan(&ParamSpace::paper()).unwrap();
+    let plan = spec.plan().unwrap();
     let path = dir.join(format!("direct_{tag}.csv"));
     let mut sink = CsvSink::create(&path).unwrap();
     let summary = spec.engine().run(&plan, &mut sink).unwrap();
